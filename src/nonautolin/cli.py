@@ -9,8 +9,7 @@ Subcommands:
 
 Exit codes: 0 pass, 1 fail, 2 configuration error.  The JSON report is
 written to stdout or --out; with --format csv (or the report subcommand and
-an --out directory) the residual tables are written as CSV.  NL_THREADS caps
-the probe work pool; results are independent of the thread count.
+an --out directory) the residual tables are written as CSV.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import math
 import os
 import sys as _sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -35,7 +33,7 @@ from .derivatives import validate_jacobians
 from .errors import ConfigError, NonautolinError
 from .evolution import SolveOptions
 from .hypotheses import certify
-from .system import SystemSpec, batch_vector_norm
+from .system import SystemSpec
 
 SCHEMA_VERSION = "1"
 
@@ -108,27 +106,6 @@ def build_system(cfg: RunConfig) -> SystemSpec:
         raise ConfigError(f"bad system parameters: {exc}") from exc
 
 
-def _worker_count(n_items: int) -> int:
-    env = os.environ.get("NL_THREADS")
-    if env is not None:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"NL_THREADS must be an integer, got {env!r}")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_items))
-
-
-def _pool_map(fn, items):
-    items = list(items)
-    workers = _worker_count(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 def probe_grid(dim: int, per_axis: int, extent: float, rng: np.random.Generator) -> np.ndarray:
     """Deterministic lattice plus seeded jitter; shape (n_probes, dim)."""
     if dim == 0:
@@ -149,6 +126,18 @@ def _split_probes(sys: SystemSpec, probes: np.ndarray) -> tuple[np.ndarray, np.n
 # -- phases ---------------------------------------------------------------------
 
 
+def _engine(cfg: RunConfig, sys: SystemSpec, **kwargs) -> ConjugacyEngine:
+    """The engine of a conjugacy phase: window cap four check windows (at least 64)."""
+    return ConjugacyEngine(
+        sys,
+        window_halfwidth=max(cfg.window_halfwidth * 4, 64),
+        series_tol=cfg.series_tol,
+        fp_tol=cfg.fp_tol,
+        advanced_halfwidth=cfg.window_halfwidth,
+        **kwargs,
+    )
+
+
 def phase_check(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
     report = certify(
         sys,
@@ -166,76 +155,52 @@ def phase_conjugate(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, dict, bool]:
     grid = probe_grid(sys.space.dim_x + sys.space.dim_y, cfg.probes_per_axis,
                       cfg.probe_extent, rng)
     xi_b, eta_b = _split_probes(sys, grid)
-    engine = ConjugacyEngine(
-        sys,
-        window_halfwidth=max(cfg.window_halfwidth * 4, 64),
-        series_tol=cfg.series_tol,
-        fp_tol=cfg.fp_tol,
-        advanced_halfwidth=cfg.window_halfwidth,
-    )
+    engine = _engine(cfg, sys)
     n_values = list(range(cfg.n_min, cfg.n_max + 1))
+    probes = range(grid.shape[0])
 
-    def _inverse_rows(n):
+    inv_rows, inv_errors = [], []
+    for n in n_values:
         try:
-            kind = sys.space.norm_kind
-            hvals = engine.h(n, xi_b, eta_b)
-            hx, hy = xi_b + hvals, eta_b
-            bx, by = engine.bar_H(n, hx, hy)
-            r1 = np.maximum(
-                batch_vector_norm(bx - xi_b, kind), batch_vector_norm(by - eta_b, kind)
-            )
-            bx2, by2 = engine.bar_H(n, xi_b, eta_b)
-            hx2, hy2 = engine.H(n, bx2, by2)
-            r2 = np.maximum(
-                batch_vector_norm(hx2 - xi_b, kind), batch_vector_norm(hy2 - eta_b, kind)
-            )
-            res = np.maximum(r1, r2)
+            hvals, res = engine._round_trip(n, xi_b, eta_b)
             tail = engine.series_window(n, cfg.series_tol).tail_bound
-            rows = []
-            for i in range(grid.shape[0]):
-                rows.append(_row(n, grid[i], hvals[:, i], float(res[i]), tail))
-            return rows, None
         except NonautolinError as exc:
-            return [], {"n": n, "error": str(exc)}
+            inv_errors.append({"n": n, "error": str(exc)})
+            continue
+        inv_rows += [_row(n, grid[i], hvals[:, i], float(res[i]), tail) for i in probes]
 
-    def _equi_rows(n):
+    # equivariance windows reach n_max + steps; reuse the same engine caches
+    equi_rows, equi_errors = [], []
+    for n in n_values:
         try:
             fwd, dual = engine.equivariance_batch(n, xi_b, eta_b, steps=cfg.steps)
             bvals = engine.bar_h(n, xi_b, eta_b)
             tail = engine.series_window(n, cfg.series_tol).tail_bound
-            rows = []
-            for i in range(grid.shape[0]):
-                rows.append(
-                    _row(n, grid[i], bvals[:, i], float(max(fwd[i], dual[i])), tail)
-                )
-            return rows, None
         except NonautolinError as exc:
-            return [], {"n": n, "error": str(exc)}
+            equi_errors.append({"n": n, "error": str(exc)})
+            continue
+        equi_rows += [
+            _row(n, grid[i], bvals[:, i], float(max(fwd[i], dual[i])), tail) for i in probes
+        ]
 
-    inv_results = _pool_map(_inverse_rows, n_values)
-    # equivariance windows reach n_max + steps; reuse the same engine caches
-    equi_results = _pool_map(_equi_rows, n_values)
-
-    def _table(results, threshold):
-        rows, errors = [], []
-        for r, err in results:
-            rows.extend(r)
-            if err is not None:
-                errors.append(err)
-        residuals = [r["residual"] for r in rows]
-        max_res = max(residuals) if residuals else None
-        ok = not errors and max_res is not None and max_res <= threshold
-        return {
-            "rows": rows,
-            "errors": errors,
-            "max_residual": max_res,
-            "threshold": threshold,
-            "ok": bool(ok),
-        }
-
-    inverse = _table(inv_results, cfg.inverse_tol)
-    equivariance = _table(equi_results, cfg.equivariance_threshold)
+    inverse = _table(inv_rows, inv_errors, cfg.inverse_tol)
+    equivariance = _table(equi_rows, equi_errors, cfg.equivariance_threshold)
     return equivariance, inverse, bool(inverse["ok"] and equivariance["ok"])
+
+
+def _table(rows: list, errors: list, threshold: float, key: str = "residual") -> dict:
+    """One result table: its rows and errors, the largest `key` of its rows,
+    and whether that is within threshold with no errors."""
+    values = [r[key] for r in rows]
+    max_val = max(values) if values else None
+    ok = not errors and max_val is not None and max_val <= threshold
+    return {
+        "rows": rows,
+        "errors": errors,
+        f"max_{key}": max_val,
+        "threshold": threshold,
+        "ok": bool(ok),
+    }
 
 
 def _row(n: int, probe: np.ndarray, value: np.ndarray, residual: float,
@@ -256,55 +221,33 @@ def phase_derivatives(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
     if grid.shape[0] > cfg.jacobian_probe_cap:
         take = rng.choice(grid.shape[0], size=cfg.jacobian_probe_cap, replace=False)
         grid = grid[np.sort(take)]
-    engine = ConjugacyEngine(
-        sys,
-        window_halfwidth=max(cfg.window_halfwidth * 4, 64),
-        series_tol=cfg.series_tol,
-        fp_tol=cfg.fp_tol,
-        solve=SolveOptions(fixed_point_tol=3e-13, max_iters=400),
-        advanced_halfwidth=cfg.window_halfwidth,
-    )
+    engine = _engine(cfg, sys, solve=SolveOptions(fixed_point_tol=3e-13, max_iters=400))
     n_values = sorted({cfg.n_min, (cfg.n_min + cfg.n_max) // 2, cfg.n_max})
     dx = sys.space.dim_x
-    jobs = [(n, i) for n in n_values for i in range(grid.shape[0])]
-
-    def _one(job):
-        n, i = job
-        xi, eta = grid[i, :dx], grid[i, dx:]
-        try:
-            reports = validate_jacobians(engine, n, xi, eta, k=n + 3, fd_step=cfg.fd_step)
-            rows = []
-            for kind, rep in reports.items():
-                rows.append(
-                    {
-                        "kind": kind,
-                        "n": int(n),
-                        "probe": [float(v) for v in grid[i]],
-                        "rel_error": rep.rel_error,
-                        "fd_step": rep.fd_step,
-                        "analytic_norm": float(np.linalg.norm(rep.analytic)),
-                    }
-                )
-            return rows, None
-        except NonautolinError as exc:
-            return [], {"n": int(n), "probe": [float(v) for v in grid[i]], "error": str(exc)}
-
-    results = _pool_map(_one, jobs)
     rows, errors = [], []
-    for r, err in results:
-        rows.extend(r)
-        if err is not None:
-            errors.append(err)
-    rels = [r["rel_error"] for r in rows]
-    max_rel = max(rels) if rels else None
-    ok = not errors and max_rel is not None and max_rel <= cfg.jacobian_threshold
-    return {
-        "rows": rows,
-        "errors": errors,
-        "max_rel_error": max_rel,
-        "threshold": cfg.jacobian_threshold,
-        "ok": bool(ok),
-    }, bool(ok)
+    for n in n_values:
+        for probe in grid:
+            point = [float(v) for v in probe]
+            try:
+                reports = validate_jacobians(
+                    engine, n, probe[:dx], probe[dx:], k=n + 3, fd_step=cfg.fd_step
+                )
+            except NonautolinError as exc:
+                errors.append({"n": int(n), "probe": point, "error": str(exc)})
+                continue
+            rows += [
+                {
+                    "kind": kind,
+                    "n": int(n),
+                    "probe": point,
+                    "rel_error": rep.rel_error,
+                    "fd_step": rep.fd_step,
+                    "analytic_norm": float(np.linalg.norm(rep.analytic)),
+                }
+                for kind, rep in reports.items()
+            ]
+    table = _table(rows, errors, cfg.jacobian_threshold, key="rel_error")
+    return table, table["ok"]
 
 
 # -- report assembly --------------------------------------------------------------

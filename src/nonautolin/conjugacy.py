@@ -35,27 +35,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractionViolation, NoConvergence, WindowExhausted
-from .evolution import DEFAULT_SOLVE, SolveOptions, coupled_trajectory
+from .evolution import (DEFAULT_SOLVE, SolveOptions, _as_columns, _coupling_value,
+                        _forward_step, coupled_trajectory)
 from .hypotheses import (
     CONVERGED,
     DEFAULT_ESTIMATE,
     EstimateOptions,
+    _envelope,
     _ratio_tail,
     check_advanced_first,
 )
-from .system import SystemSpec, batch_vector_norm, green_norm, green_span, operator_norm
-
-
-def _as_columns(v, dim: int, batch: Optional[int] = None) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise ValueError(f"expected vector of length {dim}, got shape {arr.shape}")
-        b = batch or 1
-        return np.repeat(arr.reshape(dim, 1), b, axis=1) if b > 1 else arr.reshape(dim, 1), True
-    if arr.shape[0] != dim:
-        raise ValueError(f"expected ({dim}, batch) array, got shape {arr.shape}")
-    return arr, False
+from .system import SystemSpec, batch_vector_norm, green_span, operator_norm
 
 
 @dataclass
@@ -129,30 +119,36 @@ class ConjugacyEngine:
             return self._mu_windows.setdefault(key, win)
 
     def _build_series_window(self, n: int, tol: float) -> SeriesWindow:
+        def terms(k):
+            mu = self._mu_terms(n, k)
+            return [mu[n - d] for d in range(1, k + 1)], [mu[n + d] for d in range(1, k + 1)]
+
+        k, tail = self._fit_window(n, _envelope(self.sys, "barh", n), tol, terms)
+        return SeriesWindow(k, tail, sum(self._mu_terms(n, k).values()) + tail)
+
+    def _fit_window(self, n: int, env, tol: float, terms) -> tuple[int, float]:
+        """(halfwidth, two-sided tail) of a series at center n with tail <= tol.
+
+        With an analytic envelope the halfwidth is closed-form; otherwise the
+        window doubles from 8 until the geometric-ratio extrapolation of the
+        outward term lists `terms(k)` = (left, right) meets tol.  Both stop at
+        the engine's window cap.
+        """
         cap = self.window_halfwidth
-        env_fn = self.sys.envelopes.barh if self.sys.envelopes else None
-        if env_fn is not None:
-            env = env_fn(n)
+        if env is not None:
             k = env.required_halfwidth(tol, sides=2)
             if k is None or k > cap:
                 raise WindowExhausted(n, cap, tol, env.two_sided(cap))
-            tail = env.two_sided(k)
-            terms = self._mu_terms(n, k)
-            return SeriesWindow(k, tail, sum(terms.values()) + tail)
-        # no envelope: grow and extrapolate from the state-free terms
+            return k, env.two_sided(k)
         k = min(8, cap)
         while True:
-            terms = self._mu_terms(n, k)
-            left = [terms[n - d] for d in range(1, k + 1)]
-            right = [terms[n + d] for d in range(1, k + 1)]
+            left, right = terms(k)
             lt, lv = _ratio_tail(left, self.estimate_opts)
             rt, rv = _ratio_tail(right, self.estimate_opts)
             if lv == CONVERGED and rv == CONVERGED and (lt + rt) <= tol:
-                tail = lt + rt
-                return SeriesWindow(k, tail, sum(terms.values()) + tail)
+                return k, lt + rt
             if k >= cap:
-                reached = None if (lt is None or rt is None) else lt + rt
-                raise WindowExhausted(n, cap, tol, reached)
+                raise WindowExhausted(n, cap, tol, None if (lt is None or rt is None) else lt + rt)
             k = min(cap, k * 2)
 
     # -- contraction certificate --------------------------------------------
@@ -164,10 +160,9 @@ class ConjugacyEngine:
             if n in self.contraction_estimate:
                 return self.contraction_estimate[n]
         w = self.advanced_halfwidth
-        k_est, j_est, _ = check_advanced_first(self.sys, n, (n - w, n + w), self.estimate_opts)
+        k_est, j_est, c = check_advanced_first(self.sys, n, (n - w, n + w), self.estimate_opts)
         if k_est.verdict != CONVERGED or j_est.verdict != CONVERGED:
             raise ContractionViolation(n, math.inf, what="first-variable series bound")
-        c = k_est.bound + j_est.bound + green_norm(self.sys, n, n + 1) * self.sys.f.gamma(n)
         if not c < 1.0:
             raise ContractionViolation(n, c, what="K + J + |G(n,n+1)|*gamma")
         with self._lock:
@@ -175,36 +170,33 @@ class ConjugacyEngine:
 
     # -- conjugacy evaluations ----------------------------------------------
 
+    def _columns(self, xi, eta) -> tuple[np.ndarray, np.ndarray, bool]:
+        """xi and eta as (dim, batch) columns, eta = 0 when absent, and
+        whether xi was a single state."""
+        dx, dy = self.sys.space.dim_x, self.sys.space.dim_y
+        xi_b, single = _as_columns(xi, dx)
+        batch = xi_b.shape[1]
+        eta_b = np.zeros((dy, batch)) if eta is None else _as_columns(eta, dy, batch)[0]
+        return xi_b, eta_b, single
+
     def bar_h_detailed(
         self, n: int, xi, eta=None, window: Optional[int] = None, tol: Optional[float] = None
     ) -> tuple[np.ndarray, float, int]:
         """Series value, truncation-error bound and window halfwidth."""
         sys = self.sys
-        dx, dy = sys.space.dim_x, sys.space.dim_y
-        xi_b, single = _as_columns(xi, dx)
-        batch = xi_b.shape[1]
-        if eta is None:
-            eta_b = np.zeros((dy, batch))
-        else:
-            eta_b, _ = _as_columns(eta, dy, batch)
+        xi_b, eta_b, single = self._columns(xi, eta)
         if window is None:
             win = self.series_window(n, tol if tol is not None else self.series_tol)
             k_half, tail = win.halfwidth, win.tail_bound
         else:
             k_half = int(window)
-            env_fn = sys.envelopes.barh if sys.envelopes else None
-            tail = env_fn(n).two_sided(k_half) if env_fn else math.inf
+            env = _envelope(sys, "barh", n)
+            tail = env.two_sided(k_half) if env else math.inf
         row = self.green_row(n, k_half)
         states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, self.solve)
-        acc = np.zeros((dx, batch))
+        acc = np.zeros_like(xi_b)
         for k in range(n - k_half, n + k_half + 1):
-            x, y = states[k]
-            fval = np.asarray(sys.f.eval(k, x, y), dtype=float)
-            if fval.ndim == 1:
-                if batch != 1:
-                    raise ValueError("coupling eval must broadcast column batches")
-                fval = fval.reshape(dx, 1)
-            acc += row[k] @ fval
+            acc += row[k] @ _coupling_value(sys, k, *states[k])
         val = -acc
         return (val[:, 0] if single else val), tail, k_half
 
@@ -212,13 +204,7 @@ class ConjugacyEngine:
         return self.bar_h_detailed(n, xi, eta, window=window)[0]
 
     def bar_H(self, n: int, xi, eta=None) -> tuple[np.ndarray, np.ndarray]:
-        xi_arr = np.asarray(xi, dtype=float)
-        eta_arr = (
-            np.asarray(eta, dtype=float)
-            if eta is not None
-            else np.zeros((self.sys.space.dim_y,) + xi_arr.shape[1:])
-        )
-        return xi_arr + self.bar_h(n, xi, eta), eta_arr.copy()
+        return self._shifted(xi, eta, self.bar_h(n, xi, eta))
 
     def h_detailed(
         self,
@@ -233,8 +219,6 @@ class ConjugacyEngine:
         With `iters` given, runs exactly that many Picard updates with no
         early stop (smooth in xi; used by the finite-difference harness).
         """
-        sys = self.sys
-        dx, dy = sys.space.dim_x, sys.space.dim_y
         c = self.contraction(n)
         eff_tol = min(self.series_tol, self.fp_tol * (1.0 - c) / 2.0)
         if window is None:
@@ -244,12 +228,10 @@ class ConjugacyEngine:
         else:
             k_half = int(window)
             value_bound = self.series_window(n, eff_tol).value_bound
-        xi_b, single = _as_columns(xi, dx)
-        batch = xi_b.shape[1]
-        eta_b = np.zeros((dy, batch)) if eta is None else _as_columns(eta, dy, batch)[0]
+        xi_b, eta_b, single = self._columns(xi, eta)
 
         if iters is not None:
-            u = np.zeros((dx, batch))
+            u = np.zeros_like(xi_b)
             for _ in range(iters):
                 u = -self.bar_h(n, xi_b + u, eta_b, window=k_half)
             return (u[:, 0] if single else u), [], iters, k_half
@@ -259,11 +241,11 @@ class ConjugacyEngine:
         else:
             cap = int(math.ceil(math.log(self.fp_tol / value_bound) / math.log(c))) + 16
         cap = max(cap, 8)
-        u = np.zeros((dx, batch))
+        u = np.zeros_like(xi_b)
         residuals: list = []
         for it in range(cap):
             v = self.bar_h(n, xi_b + u, eta_b, window=k_half)
-            res = float(np.max(batch_vector_norm(u + v, sys.space.norm_kind)))
+            res = float(np.max(batch_vector_norm(u + v, self.sys.space.norm_kind)))
             residuals.append(res)
             if res <= self.fp_tol:
                 return (u[:, 0] if single else u), residuals, it, k_half
@@ -275,13 +257,14 @@ class ConjugacyEngine:
         return self.h_detailed(n, xi, eta, iters=iters, window=window)[0]
 
     def H(self, n: int, xi, eta=None) -> tuple[np.ndarray, np.ndarray]:
+        return self._shifted(xi, eta, self.h(n, xi, eta))
+
+    def _shifted(self, xi, eta, u) -> tuple[np.ndarray, np.ndarray]:
+        """(xi + u, eta), with eta = 0 when absent."""
         xi_arr = np.asarray(xi, dtype=float)
-        eta_arr = (
-            np.asarray(eta, dtype=float)
-            if eta is not None
-            else np.zeros((self.sys.space.dim_y,) + xi_arr.shape[1:])
-        )
-        return xi_arr + self.h(n, xi, eta), eta_arr.copy()
+        if eta is None:
+            return xi_arr + u, np.zeros((self.sys.space.dim_y,) + xi_arr.shape[1:])
+        return xi_arr + u, np.array(eta, dtype=float)
 
     # -- residual diagnostics -----------------------------------------------
 
@@ -294,49 +277,25 @@ class ConjugacyEngine:
         Accepts column batches; returns arrays of shape (batch,).
         """
         sys = self.sys
-        dx, dy = sys.space.dim_x, sys.space.dim_y
         kind = sys.space.norm_kind
-        xi_b, _ = _as_columns(xi, dx)
+        xi_b, eta_b, _ = self._columns(xi, eta)
         batch = xi_b.shape[1]
-        eta_b = np.zeros((dy, batch)) if eta is None else _as_columns(eta, dy, batch)[0]
 
-        def _f(j, x, y):
-            out = np.asarray(sys.f.eval(j, x, y), dtype=float)
-            if out.ndim == 1:
-                if batch != 1:
-                    raise ValueError("coupling eval must broadcast column batches")
-                out = out.reshape(dx, 1)
-            return out
+        def residual(conj, coupled_image):
+            res = np.zeros(batch)
+            x, y = xi_b, eta_b
+            cx, cy = conj(n, x, y)
+            for j in range(n, n + steps):
+                sx, sy = _forward_step(sys, j, cx, cy, coupled_image)
+                x, y = _forward_step(sys, j, x, y, not coupled_image)
+                cx, cy = conj(j + 1, x, y)
+                r = np.maximum(
+                    batch_vector_norm(sx - cx, kind), batch_vector_norm(sy - cy, kind)
+                )
+                res = np.maximum(res, r)
+            return res
 
-        res_fwd = np.zeros(batch)
-        x, y = xi_b, eta_b
-        hx, hy = self.H(n, x, y)
-        for j in range(n, n + steps):
-            step_x = sys.a.matrix(j) @ hx + _f(j, hx, hy)
-            step_y = np.asarray(sys.g.eval(j, hy), dtype=float) if dy else hy
-            x = sys.a.matrix(j) @ x
-            y = np.asarray(sys.g.eval(j, y), dtype=float) if dy else y
-            hx, hy = self.H(j + 1, x, y)
-            r = np.maximum(
-                batch_vector_norm(step_x - hx, kind), batch_vector_norm(step_y - hy, kind)
-            )
-            res_fwd = np.maximum(res_fwd, r)
-
-        res_dual = np.zeros(batch)
-        u, v = xi_b, eta_b
-        bx, by = self.bar_H(n, u, v)
-        for j in range(n, n + steps):
-            step_x = sys.a.matrix(j) @ bx
-            step_y = np.asarray(sys.g.eval(j, by), dtype=float) if dy else by
-            u = sys.a.matrix(j) @ u + _f(j, u, v)
-            v = np.asarray(sys.g.eval(j, v), dtype=float) if dy else v
-            bx, by = self.bar_H(j + 1, u, v)
-            r = np.maximum(
-                batch_vector_norm(step_x - bx, kind), batch_vector_norm(step_y - by, kind)
-            )
-            res_dual = np.maximum(res_dual, r)
-
-        return res_fwd, res_dual
+        return residual(self.H, True), residual(self.bar_H, False)
 
     def equivariance_detailed(self, n: int, xi, eta=None, steps: int = 10) -> tuple[float, float]:
         fwd, dual = self.equivariance_batch(n, xi, eta, steps)
@@ -348,14 +307,14 @@ class ConjugacyEngine:
 
     def inverse_residual_batch(self, n: int, xi, eta=None) -> np.ndarray:
         """Per-probe max of |bar_H(H(p)) - p| and |H(bar_H(p)) - p| in the pair norm."""
-        sys = self.sys
-        dx, dy = sys.space.dim_x, sys.space.dim_y
-        kind = sys.space.norm_kind
-        xi_b, _ = _as_columns(xi, dx)
-        batch = xi_b.shape[1]
-        eta_b = np.zeros((dy, batch)) if eta is None else _as_columns(eta, dy, batch)[0]
-        hx, hy = self.H(n, xi_b, eta_b)
-        bx, by = self.bar_H(n, hx, hy)
+        return self._round_trip(n, xi, eta)[1]
+
+    def _round_trip(self, n: int, xi, eta=None) -> tuple[np.ndarray, np.ndarray]:
+        """h(n, p) as columns, and the per-probe inverse residuals built on it."""
+        kind = self.sys.space.norm_kind
+        xi_b, eta_b, _ = self._columns(xi, eta)
+        u = self.h(n, xi_b, eta_b)
+        bx, by = self.bar_H(n, xi_b + u, eta_b)
         r1 = np.maximum(
             batch_vector_norm(bx - xi_b, kind), batch_vector_norm(by - eta_b, kind)
         )
@@ -364,7 +323,7 @@ class ConjugacyEngine:
         r2 = np.maximum(
             batch_vector_norm(hx2 - xi_b, kind), batch_vector_norm(hy2 - eta_b, kind)
         )
-        return np.maximum(r1, r2)
+        return u, np.maximum(r1, r2)
 
     def inverse_residual(self, n: int, xi, eta=None) -> float:
         return float(np.max(self.inverse_residual_batch(n, xi, eta)))

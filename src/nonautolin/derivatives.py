@@ -31,16 +31,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conjugacy import ConjugacyEngine
-from .errors import SingularOperatorError, WindowExhausted
-from .evolution import (
-    DEFAULT_SOLVE,
-    SolveOptions,
-    _backward_factor,
-    coupled_trajectory,
-    evolve_coupled,
-    evolve_driver,
-)
-from .hypotheses import CONVERGED, _ratio_tail
+from .errors import SingularOperatorError
+from .evolution import (DEFAULT_SOLVE, SolveOptions, coupled_trajectory, evolve_coupled,
+                        evolve_driver)
+from .hypotheses import _advanced_terms, _envelope
 from .system import SystemSpec, operator_norm
 
 
@@ -131,38 +125,68 @@ def _batch_report(analytic, fun_batch, point, fd_steps, good_enough: float = 1e-
 # -- solution-map derivatives -------------------------------------------------
 
 
-def _forward_factor(sys: SystemSpec, j: int, x, y) -> np.ndarray:
-    return sys.a.matrix(j) + np.asarray(sys.f.jac_x(j, x, y), dtype=float)
-
-
-def _backward_L(sys: SystemSpec, j: int, x, y) -> np.ndarray:
+def _backward_L(sys: SystemSpec, j: int, jx: np.ndarray) -> np.ndarray:
+    """L_j = (A_j + df_j/du)^{-1}, with df_j/du = jx at the trajectory point."""
     sys.require_backward_margin(j)
-    m = _forward_factor(sys, j, x, y)
     try:
-        return np.linalg.inv(m)
+        return np.linalg.inv(sys.a.matrix(j) + jx)
     except np.linalg.LinAlgError as exc:  # cannot occur under the margin; defensive
         raise SingularOperatorError(j, f"A_j + df/du not invertible: {exc}") from exc
+
+
+def _tangents(sys: SystemSpec, states: dict, n: int, lo: int, hi: int, w0, v0):
+    """Propagate the tangents (W, V) = (dx_k, dy_k) from (w0, v0) at time n.
+
+    Yields (k, df_k/du, df_k/dv, W_k, V_k) for k = n, ..., hi, then for
+    k = n - 1, ..., lo, along the coupled trajectory `states`.  Forward:
+    W <- (A_k + df_k/du) W + df_k/dv V, V <- Dg_k V.  Backward:
+    V <- Dg_k^{-1} V, W <- L_k (W - df_k/dv V).  Seed (Id, 0) differentiates
+    in xi, (0, Id) in eta.
+    """
+    dy = sys.space.dim_y
+
+    def jacs(k):
+        x, y = states[k]
+        jx = np.asarray(sys.f.jac_x(k, x, y), dtype=float)
+        return y, jx, np.asarray(sys.f.jac_y(k, x, y), dtype=float)
+
+    w, v = w0, v0
+    for k in range(n, hi + 1):
+        y, jx, jy = jacs(k)
+        yield k, jx, jy, w, v
+        if k < hi:
+            w = (sys.a.matrix(k) + jx) @ w + jy @ v
+            if dy:
+                v = np.asarray(sys.g.jac(k, y), dtype=float) @ v
+    w, v = w0, v0
+    for k in range(n - 1, lo - 1, -1):
+        y, jx, jy = jacs(k)
+        if dy:
+            v = np.linalg.inv(np.asarray(sys.g.jac(k, y), dtype=float)) @ v
+        w = _backward_L(sys, k, jx) @ (w - jy @ v)
+        yield k, jx, jy, w, v
+
+
+def _seed(sys: SystemSpec, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """(W, V) at the base time: (Id, 0) for "dxi", (0, Id) for "deta"."""
+    dx, dy = sys.space.dim_x, sys.space.dim_y
+    if which == "dxi":
+        return np.eye(dx), np.zeros((dy, dx))
+    return np.zeros((dx, dy)), np.eye(dy)
+
+
+def _d_x2(sys: SystemSpec, k: int, n: int, xi, eta, opts: SolveOptions, which: str) -> np.ndarray:
+    eta = np.asarray(eta, dtype=float) if eta is not None else np.zeros(sys.space.dim_y)
+    lo, hi = min(k, n), max(k, n)
+    states = coupled_trajectory(sys, n, lo, hi, np.asarray(xi, dtype=float), eta, opts)
+    return next(w for kk, _, _, w, _ in _tangents(sys, states, n, lo, hi, *_seed(sys, which))
+                if kk == k)
 
 
 def d_x2_dxi(sys: SystemSpec, k: int, n: int, xi, eta=None,
              opts: SolveOptions = DEFAULT_SOLVE) -> np.ndarray:
     """Jacobian of xi -> x2(k, n, xi, eta)."""
-    dx = sys.space.dim_x
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float) if eta is not None else np.zeros(sys.space.dim_y)
-    jac = np.eye(dx)
-    if k == n:
-        return jac
-    states = coupled_trajectory(sys, n, min(k, n), max(k, n), xi, eta, opts)
-    if k > n:
-        for j in range(n, k):
-            x, y = states[j]
-            jac = _forward_factor(sys, j, x, y) @ jac
-    else:
-        for j in range(n - 1, k - 1, -1):
-            x, y = states[j]
-            jac = _backward_L(sys, j, x, y) @ jac
-    return jac
+    return _d_x2(sys, k, n, xi, eta, opts, "dxi")
 
 
 def d_y_deta(sys: SystemSpec, k: int, n: int, eta) -> np.ndarray:
@@ -186,29 +210,7 @@ def d_y_deta(sys: SystemSpec, k: int, n: int, eta) -> np.ndarray:
 def d_x2_deta(sys: SystemSpec, k: int, n: int, xi, eta,
               opts: SolveOptions = DEFAULT_SOLVE) -> np.ndarray:
     """Jacobian of eta -> x2(k, n, xi, eta), recursive chain rule along the trajectory."""
-    dx, dy = sys.space.dim_x, sys.space.dim_y
-    w = np.zeros((dx, dy))
-    if k == n or dy == 0:
-        return w
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    states = coupled_trajectory(sys, n, min(k, n), max(k, n), xi, eta, opts)
-    v = np.eye(dy)
-    if k > n:
-        for j in range(n, k):
-            x, y = states[j]
-            jx = np.asarray(sys.f.jac_x(j, x, y), dtype=float)
-            jy = np.asarray(sys.f.jac_y(j, x, y), dtype=float)
-            w = (sys.a.matrix(j) + jx) @ w + jy @ v
-            v = np.asarray(sys.g.jac(j, y), dtype=float) @ v
-    else:
-        for j in range(n - 1, k - 1, -1):
-            x, y = states[j]
-            v = np.linalg.inv(np.asarray(sys.g.jac(j, y), dtype=float)) @ v
-            jy = np.asarray(sys.f.jac_y(j, x, y), dtype=float)
-            ell = _backward_L(sys, j, x, y)
-            w = ell @ (w - jy @ v)
-    return w
+    return _d_x2(sys, k, n, xi, eta, opts, "deta")
 
 
 # -- conjugacy derivative series ----------------------------------------------
@@ -217,85 +219,45 @@ def d_x2_deta(sys: SystemSpec, k: int, n: int, xi, eta,
 def _derivative_window(
     engine: ConjugacyEngine, n: int, which: str, tol: float
 ) -> tuple[int, float]:
-    """(halfwidth, tail bound) for the dxi/deta derivative series at center n."""
+    """(halfwidth, tail bound) for the dxi/deta derivative series at center n;
+    without an envelope the window is fitted on the state-free bounding terms
+    of the advanced conditions."""
     sys = engine.sys
-    cap = engine.window_halfwidth
-    env_fn = getattr(sys.envelopes, which) if sys.envelopes else None
-    if env_fn is not None:
-        env = env_fn(n)
-        k = env.required_halfwidth(tol, sides=2)
-        if k is None or k > cap:
-            raise WindowExhausted(n, cap, tol, env.two_sided(cap))
-        return k, env.two_sided(k)
-    # fallback: ratio extrapolation on the state-free bounding terms
     kind = sys.space.norm_kind
-    k = min(8, cap)
-    while True:
+
+    def terms(k):
         row = engine.green_row(n, k)
-        left, right = [], []
-        c_prod = m_prod = d_prod = 1.0
-        for d in range(1, k + 1):
-            j = n - d
-            c_prod *= _backward_factor(sys, j)
-            m_prod *= _backward_factor(sys, j) + sys.g.sigma(j)
-            d_prod *= sys.g.sigma(j)
-            g = operator_norm(row[j], kind)
-            if which == "dxi":
-                left.append(g * sys.f.gamma(j) * c_prod)
-            else:
-                left.append(g * (sys.f.gamma(j) * m_prod + sys.f.rho(j) * d_prod))
-        c_prod = m_prod = d_prod = 1.0
-        for d in range(1, k + 1):
-            kk = n + d
-            j = kk - 1
-            c_prod *= sys.a_norm(j) + sys.f.gamma(j)
-            m_prod *= sys.a_norm(j) + sys.f.gamma(j) + max(sys.f.rho(j), sys.g.tau(j))
-            d_prod *= sys.g.tau(j)
-            g = operator_norm(row[kk], kind)
-            if which == "dxi":
-                right.append(g * sys.f.gamma(kk) * c_prod)
-            else:
-                right.append(g * (sys.f.gamma(kk) * m_prod + sys.f.rho(kk) * d_prod))
-        lt, lv = _ratio_tail(left, engine.estimate_opts)
-        rt, rv = _ratio_tail(right, engine.estimate_opts)
-        if lv == CONVERGED and rv == CONVERGED and (lt + rt) <= tol:
-            return k, lt + rt
-        if k >= cap:
-            raise WindowExhausted(n, cap, tol, None if (lt is None or rt is None) else lt + rt)
-        k = min(cap, k * 2)
+        gn = {j + 1: operator_norm(row[j], kind) for j in range(n - k, n + k + 1) if j != n}
+        return [_advanced_terms(sys, n, end, gn, which) for end in (n - k, n + k)]
+
+    return engine._fit_window(n, _envelope(sys, which, n), tol, terms)
+
+
+def _d_barh(engine: ConjugacyEngine, n: int, xi, eta, window: Optional[int], which: str):
+    """- sum_k G(n,k+1) (df_k/du W_k + df_k/dv V_k) over the window, with
+    (W, V) the tangents in xi ("dxi") or eta ("deta"); returns (matrix, tail
+    bound, halfwidth)."""
+    sys = engine.sys
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float) if eta is not None else np.zeros(sys.space.dim_y)
+    if window is None:
+        k_half, tail = _derivative_window(engine, n, which, engine.series_tol)
+    else:
+        k_half, tail = int(window), math.inf
+    row = engine.green_row(n, k_half)
+    lo, hi = n - k_half, n + k_half
+    states = coupled_trajectory(sys, n, lo, hi, xi, eta, engine.solve)
+    w0, v0 = _seed(sys, which)
+    acc = np.zeros_like(w0)
+    for k, jx, jy, w, v in _tangents(sys, states, n, lo, hi, w0, v0):
+        acc += row[k] @ (jx @ w + jy @ v)
+    return -acc, tail, k_half
 
 
 def d_barh_dxi_detailed(
     engine: ConjugacyEngine, n: int, xi, eta=None, window: Optional[int] = None
 ) -> tuple[np.ndarray, float, int]:
-    sys = engine.sys
-    dx = sys.space.dim_x
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float) if eta is not None else np.zeros(sys.space.dim_y)
-    if window is None:
-        k_half, tail = _derivative_window(engine, n, "dxi", engine.series_tol)
-    else:
-        k_half, tail = int(window), math.inf
-    row = engine.green_row(n, k_half)
-    states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi, eta, engine.solve)
-    acc = np.zeros((dx, dx))
-    jac = np.eye(dx)
-    for k in range(n, n + k_half + 1):
-        x, y = states[k]
-        jx = np.asarray(sys.f.jac_x(k, x, y), dtype=float)
-        acc += row[k] @ jx @ jac
-        jac = (sys.a.matrix(k) + jx) @ jac
-    jac = np.eye(dx)
-    for j in range(n - 1, n - k_half - 1, -1):
-        x, y = states[j]
-        jx = np.asarray(sys.f.jac_x(j, x, y), dtype=float)
-        try:
-            ell = np.linalg.inv(sys.a.matrix(j) + jx)
-        except np.linalg.LinAlgError as exc:
-            raise SingularOperatorError(j, f"A_j + df/du not invertible: {exc}") from exc
-        jac = ell @ jac
-        acc += row[j] @ jx @ jac
-    return -acc, tail, k_half
+    return _d_barh(engine, n, xi, eta, window, "dxi")
 
 
 def d_barh_dxi(engine: ConjugacyEngine, n: int, xi, eta=None,
@@ -306,39 +268,7 @@ def d_barh_dxi(engine: ConjugacyEngine, n: int, xi, eta=None,
 def d_barh_deta_detailed(
     engine: ConjugacyEngine, n: int, xi, eta=None, window: Optional[int] = None
 ) -> tuple[np.ndarray, float, int]:
-    sys = engine.sys
-    dx, dy = sys.space.dim_x, sys.space.dim_y
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float) if eta is not None else np.zeros(dy)
-    if window is None:
-        k_half, tail = _derivative_window(engine, n, "deta", engine.series_tol)
-    else:
-        k_half, tail = int(window), math.inf
-    row = engine.green_row(n, k_half)
-    states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi, eta, engine.solve)
-    acc = np.zeros((dx, dy))
-    w = np.zeros((dx, dy))
-    v = np.eye(dy)
-    for k in range(n, n + k_half + 1):
-        x, y = states[k]
-        jx = np.asarray(sys.f.jac_x(k, x, y), dtype=float)
-        jy = np.asarray(sys.f.jac_y(k, x, y), dtype=float)
-        acc += row[k] @ (jx @ w + jy @ v)
-        w = (sys.a.matrix(k) + jx) @ w + jy @ v
-        if dy:
-            v = np.asarray(sys.g.jac(k, y), dtype=float) @ v
-    w = np.zeros((dx, dy))
-    v = np.eye(dy)
-    for j in range(n - 1, n - k_half - 1, -1):
-        x, y = states[j]
-        if dy:
-            v = np.linalg.inv(np.asarray(sys.g.jac(j, y), dtype=float)) @ v
-        jx = np.asarray(sys.f.jac_x(j, x, y), dtype=float)
-        jy = np.asarray(sys.f.jac_y(j, x, y), dtype=float)
-        ell = _backward_L(sys, j, x, y)
-        w = ell @ (w - jy @ v)
-        acc += row[j] @ (jx @ w + jy @ v)
-    return -acc, tail, k_half
+    return _d_barh(engine, n, xi, eta, window, "deta")
 
 
 def d_barh_deta(engine: ConjugacyEngine, n: int, xi, eta=None,

@@ -43,14 +43,17 @@ class SolveOptions:
 DEFAULT_SOLVE = SolveOptions()
 
 
-def _as_batch(v, dim: int) -> tuple[np.ndarray, bool]:
+def _as_columns(v, dim: int, batch: Optional[int] = None) -> tuple[np.ndarray, bool]:
+    """(dim, batch) columns of a state or batch, and whether it was one state;
+    a single state is repeated `batch` times."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 1:
         if arr.shape[0] != dim:
-            raise ValueError(f"expected vector of length {dim}, got {arr.shape}")
-        return arr.reshape(dim, 1), True
+            raise ValueError(f"expected vector of length {dim}, got shape {arr.shape}")
+        b = batch or 1
+        return np.repeat(arr.reshape(dim, 1), b, axis=1) if b > 1 else arr.reshape(dim, 1), True
     if arr.shape[0] != dim:
-        raise ValueError(f"expected ({dim}, batch) array, got {arr.shape}")
+        raise ValueError(f"expected ({dim}, batch) array, got shape {arr.shape}")
     return arr, False
 
 
@@ -63,6 +66,15 @@ def _coupling_value(sys: SystemSpec, j: int, x, y) -> np.ndarray:
             raise ValueError("coupling eval must broadcast column batches")
         out = out.reshape(-1, 1)
     return out
+
+
+def _forward_step(sys: SystemSpec, j: int, x, y, coupled: bool = True):
+    """(x_{j+1}, y_{j+1}) from (x_j, y_j) under the coupled system, or under
+    the uncoupled one when `coupled` is False."""
+    x_next = sys.a.matrix(j) @ x
+    if coupled:
+        x_next = x_next + _coupling_value(sys, j, x, y)
+    return x_next, (np.asarray(sys.g.eval(j, y), dtype=float) if sys.space.dim_y else y)
 
 
 def evolve_driver(sys: SystemSpec, k: int, n: int, eta) -> np.ndarray:
@@ -108,18 +120,14 @@ def backward_step_detailed(
     kind = sys.space.norm_kind
     a = sys.a.matrix(j)
     a_inv = sys.a.inverse(j)
-    x, single = _as_batch(xi, sys.space.dim_x)
+    x, single = _as_columns(xi, sys.space.dim_x)
     scale = np.maximum(1.0, batch_vector_norm(x, kind))
     base = a_inv @ x
     u = base
     steps: list = []
     tol = opts.fixed_point_tol
     for it in range(opts.max_iters + 1):
-        fu = np.asarray(sys.f.eval(j, u if not single else u[:, 0], eta), dtype=float)
-        if fu.ndim == 1:
-            if not single:
-                raise ValueError("coupling eval must broadcast column batches")
-            fu = fu.reshape(-1, 1)
+        fu = _coupling_value(sys, j, u[:, 0] if single else u, eta).reshape(u.shape)
         residual = float(np.max(batch_vector_norm(a @ u + fu - x, kind) / scale))
         if residual <= tol:
             value = u[:, 0] if single else u
@@ -139,29 +147,11 @@ def evolve_coupled(
 ) -> np.ndarray:
     """Solution x2(k, n, xi, eta) of the coupled x-recursion.
 
-    Forward: step x_{j+1} = A_j x_j + f_j(x_j, y_j) alongside the driver.
-    Backward: chain T_j with the driver pulled back, splitting the caller's
-    fixed-point tolerance across the n - k steps.
+    The state at k of `coupled_trajectory`, which splits the caller's
+    fixed-point tolerance across the n - k backward steps.
     """
-    opts = opts or DEFAULT_SOLVE
-    x = np.asarray(xi, dtype=float)
-    y = np.asarray(eta, dtype=float)
-    if k == n:
-        return x.copy()
-    if k > n:
-        for j in range(n, k):
-            x = sys.a.matrix(j) @ x + _coupling_value(sys, j, x, y)
-            if sys.space.dim_y:
-                y = np.asarray(sys.g.eval(j, y), dtype=float)
-        return x
-    per_step = SolveOptions(
-        fixed_point_tol=opts.fixed_point_tol / (n - k), max_iters=opts.max_iters
-    )
-    for j in range(n - 1, k - 1, -1):
-        if sys.space.dim_y:
-            y = np.asarray(sys.g.eval_inv(j, y), dtype=float)
-        x = backward_step(sys, j, x, y, per_step)
-    return x
+    states = coupled_trajectory(sys, n, min(k, n), max(k, n), xi, eta, opts)
+    return np.array(states[k][0])
 
 
 def coupled_trajectory(
@@ -178,9 +168,7 @@ def coupled_trajectory(
     states: dict[int, tuple[np.ndarray, np.ndarray]] = {n: (x0, y0)}
     x, y = x0, y0
     for j in range(n, hi):
-        x = sys.a.matrix(j) @ x + _coupling_value(sys, j, x, y)
-        y = np.asarray(sys.g.eval(j, y), dtype=float) if sys.space.dim_y else y
-        states[j + 1] = (x, y)
+        x, y = states[j + 1] = _forward_step(sys, j, x, y)
     x, y = x0, y0
     if lo < n:
         per_step = SolveOptions(
@@ -199,6 +187,27 @@ def _backward_factor(sys: SystemSpec, j: int) -> float:
     if denom <= 0.0:
         raise ContractionViolation(j, sys.f.gamma(j) * inv_norm)
     return inv_norm / denom
+
+
+def _lip_products(sys: SystemSpec, n: int, end: int):
+    """Yield (k, C_{k,n}, M_{k,n}, D_{k,n}) for k = n -/+ 1, ..., end, walking
+    outward from n and extending each product by one factor per step."""
+    c = m = d = 1.0
+    if end < n:
+        for k in range(n - 1, end - 1, -1):
+            bf, sigma = _backward_factor(sys, k), sys.g.sigma(k)
+            c *= bf
+            m *= bf + sigma
+            d *= sigma
+            yield k, c, m, d
+    else:
+        for k in range(n + 1, end + 1):
+            j = k - 1
+            step = sys.a_norm(j) + sys.f.gamma(j)
+            c *= step
+            m *= step + max(sys.f.rho(j), sys.g.tau(j))
+            d *= sys.g.tau(j)
+            yield k, c, m, d
 
 
 def lip_C(sys: SystemSpec, k: int, n: int) -> float:

@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonautolinError
-from .evolution import _backward_factor
-from .system import SystemSpec, green_norm, green_span, operator_norm
+from .evolution import _lip_products
+from .system import GeometricTail, SystemSpec, green_span, operator_norm
 
 CONVERGED = "converged"
 DIVERGENT = "divergent"
@@ -52,6 +52,13 @@ class EstimateOptions:
 DEFAULT_ESTIMATE = EstimateOptions()
 
 
+def _json_number(x) -> Optional[float]:
+    """JSON value of a number: None when it is missing or not finite."""
+    if x is None or not np.isfinite(x):
+        return None
+    return float(x)
+
+
 @dataclass
 class SeriesEstimate:
     """Partial sum plus tail bound and verdict for one truncated series."""
@@ -71,8 +78,8 @@ class SeriesEstimate:
 
     def to_json(self) -> dict:
         return {
-            "partial_sum": self.partial_sum,
-            "tail_bound": self.tail_bound,
+            "partial_sum": _json_number(self.partial_sum),
+            "tail_bound": _json_number(self.tail_bound),
             "verdict": self.verdict,
             "window": list(self.window),
             "terms_inspected": self.terms_inspected,
@@ -147,7 +154,13 @@ def _estimate(
     lt, lv = _side_tail(left_terms, left_env_tail, opts)
     rt, rv = _side_tail(right_terms, right_env_tail, opts)
     inspected = len(left_terms) + len(right_terms) + (0 if middle is None else 1)
-    if partial > opts.explosion_cap or DIVERGENT in (lv, rv):
+    # the explosion cap is a heuristic like the ratio tail: analytic envelopes
+    # on every side that has terms bound a large partial sum's tails outright
+    extrapolated = (bool(left_terms) and left_env_tail is None) or (
+        bool(right_terms) and right_env_tail is None
+    )
+    exploded = partial > opts.explosion_cap and extrapolated
+    if exploded or not math.isfinite(partial) or DIVERGENT in (lv, rv):
         return SeriesEstimate(partial, None, DIVERGENT, window, inspected)
     if INCONCLUSIVE in (lv, rv):
         return SeriesEstimate(partial, None, INCONCLUSIVE, window, inspected)
@@ -205,11 +218,6 @@ class HypothesisReport:
         return self.basic_ok and self.advanced_series_ok
 
     def to_json(self) -> dict:
-        def _num(x):
-            if x is None or not np.isfinite(x):
-                return None
-            return float(x)
-
         return {
             "window": list(self.window),
             "bc1_sampled_ok": self.bc1_sampled_ok,
@@ -217,15 +225,15 @@ class HypothesisReport:
             "bc3": self.bc3.to_json() if self.bc3 else None,
             "bc4_ok": self.bc4_ok,
             "bc4_worst_index": self.bc4_worst_index,
-            "bc4_worst_margin": _num(self.bc4_worst_margin),
-            "n_bound": _num(self.n_bound),
-            "q_bound": _num(self.q_bound),
+            "bc4_worst_margin": _json_number(self.bc4_worst_margin),
+            "n_bound": _json_number(self.n_bound),
+            "q_bound": _json_number(self.q_bound),
             "ac2": {
                 str(n): {"k_series": k.to_json(), "j_series": j.to_json()}
                 for n, (k, j) in sorted(self.ac2.items())
             },
             "ac3": {str(n): bool(v) for n, v in sorted(self.ac3.items())},
-            "ac3_bound": {str(n): _num(v) for n, v in sorted(self.ac3_bound.items())},
+            "ac3_bound": {str(n): _json_number(v) for n, v in sorted(self.ac3_bound.items())},
             "ac6_ok": self.ac6_ok,
             "ac6_worst_index": self.ac6_worst_index,
             "ac9": {str(n): e.to_json() for n, e in sorted(self.ac9.items())},
@@ -241,6 +249,80 @@ def _worst_verdict(verdicts) -> str:
     if INCONCLUSIVE in verdicts:
         return INCONCLUSIVE
     return CONVERGED
+
+
+def _worst(fn, lo: int, hi: int) -> tuple[int, float]:
+    """Index of the largest fn(n) over [lo, hi] (the first on ties) and its value."""
+    idx = max(range(lo, hi + 1), key=fn)
+    return idx, fn(idx)
+
+
+def _envelope(sys: SystemSpec, which: str, n: int) -> Optional[GeometricTail]:
+    """The system's analytic envelope `which` at center n, or None."""
+    env_fn = getattr(sys.envelopes, which) if sys.envelopes else None
+    return env_fn(n) if env_fn else None
+
+
+def _green_norms(sys: SystemSpec, n: int, lo: int, hi: int) -> dict[int, float]:
+    """{q: |G(n, q)|} for q in [lo, hi]: one Green span, one operator norm per kernel."""
+    kind = sys.space.norm_kind
+    return {q: operator_norm(mat, kind) for q, mat in green_span(sys, n, lo, hi).items()}
+
+
+def _new_report(sys: SystemSpec, lo: int, hi: int) -> HypothesisReport:
+    """Report over [lo, hi] holding only the backward margin bc4."""
+    if lo > hi:
+        raise ValueError("window must be nonempty")
+    idx, margin = _worst(sys.contraction_margin, lo, hi)
+    return HypothesisReport(
+        window=(lo, hi), bc4_ok=margin < 1.0, bc4_worst_index=idx, bc4_worst_margin=margin
+    )
+
+
+def _basic_series(
+    sys: SystemSpec, m: int, w: int, gn: dict, opts: EstimateOptions
+) -> tuple[SeriesEstimate, SeriesEstimate]:
+    """The bc2 and bc3 sums at center m over [m - w, m + w]; gn[q] = |G(m, q)|."""
+
+    def series(weight, which):
+        left = [gn[m - d] * weight(m - d - 1) for d in range(1, w + 1)]
+        right = [gn[m + d] * weight(m + d - 1) for d in range(1, w + 1)]
+        env = _envelope(sys, which, m)
+        tail = env.one_sided(w) if env else None
+        return _estimate((m - w, m + w), left, right, gn[m] * weight(m - 1), tail, tail, opts)
+
+    return series(sys.f.mu, "bc2"), series(sys.f.gamma, "bc3")
+
+
+def _finish_basic(
+    report: HypothesisReport,
+    sys: SystemSpec,
+    per_m: list,
+    probes: int,
+    seed: int,
+    probe_extent: float,
+) -> HypothesisReport:
+    """Aggregate the per-center (bc2, bc3) estimates (sup over the window) and
+    spot-check bc1."""
+    lo, hi = report.window
+
+    def _aggregate(per_center: list[SeriesEstimate]) -> tuple[SeriesEstimate, float]:
+        verdict = _worst_verdict([e.verdict for e in per_center])
+        partial = max(e.partial_sum for e in per_center)
+        tails = [e.tail_bound for e in per_center]
+        tail = None if any(t is None for t in tails) else max(tails)
+        agg = SeriesEstimate(
+            partial, tail, verdict, (lo, hi), sum(e.terms_inspected for e in per_center)
+        )
+        bound = max(e.bound for e in per_center)
+        return agg, bound
+
+    report.bc2, report.n_bound = _aggregate([e2 for e2, _ in per_m])
+    report.bc3, report.q_bound = _aggregate([e3 for _, e3 in per_m])
+    report.bc1_sampled_ok = sample_coupling_bounds(
+        sys, (lo, hi), probes=probes, seed=seed, extent=probe_extent
+    )
+    return report
 
 
 def check_basic(
@@ -259,61 +341,13 @@ def check_basic(
     bc1 is spot-checked at seeded random probe points.
     """
     lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError("window must be nonempty")
+    report = _new_report(sys, lo, hi)
     w_in = inner_halfwidth if inner_halfwidth is not None else max((hi - lo) // 2, 8)
-    kind = sys.space.norm_kind
-    report = HypothesisReport(window=(lo, hi))
-
-    env2 = sys.envelopes.bc2 if sys.envelopes else None
-    env3 = sys.envelopes.bc3 if sys.envelopes else None
-
-    per_m_bc2: list[SeriesEstimate] = []
-    per_m_bc3: list[SeriesEstimate] = []
-    for m in range(lo, hi + 1):
-        span = green_span(sys, m, m - w_in, m + w_in)
-        gn = {q: operator_norm(mat, kind) for q, mat in span.items()}
-        left_mu, right_mu, left_ga, right_ga = [], [], [], []
-        for d in range(1, w_in + 1):
-            left_mu.append(gn[m - d] * sys.f.mu(m - d - 1))
-            right_mu.append(gn[m + d] * sys.f.mu(m + d - 1))
-            left_ga.append(gn[m - d] * sys.f.gamma(m - d - 1))
-            right_ga.append(gn[m + d] * sys.f.gamma(m + d - 1))
-        mid_mu = gn[m] * sys.f.mu(m - 1)
-        mid_ga = gn[m] * sys.f.gamma(m - 1)
-        win = (m - w_in, m + w_in)
-        t2 = env2(m).one_sided(w_in) if env2 else None
-        t3 = env3(m).one_sided(w_in) if env3 else None
-        per_m_bc2.append(_estimate(win, left_mu, right_mu, mid_mu, t2, t2, opts))
-        per_m_bc3.append(_estimate(win, left_ga, right_ga, mid_ga, t3, t3, opts))
-
-    def _aggregate(per_m: list[SeriesEstimate]) -> tuple[SeriesEstimate, float]:
-        verdict = _worst_verdict([e.verdict for e in per_m])
-        partial = max(e.partial_sum for e in per_m)
-        tails = [e.tail_bound for e in per_m]
-        tail = None if any(t is None for t in tails) else max(tails)
-        agg = SeriesEstimate(
-            partial, tail, verdict, (lo, hi), sum(e.terms_inspected for e in per_m)
-        )
-        bound = max(e.bound for e in per_m)
-        return agg, bound
-
-    report.bc2, report.n_bound = _aggregate(per_m_bc2)
-    report.bc3, report.q_bound = _aggregate(per_m_bc3)
-
-    worst_margin, worst_idx = -math.inf, lo
-    for n in range(lo, hi + 1):
-        margin = sys.contraction_margin(n)
-        if margin > worst_margin:
-            worst_margin, worst_idx = margin, n
-    report.bc4_ok = worst_margin < 1.0
-    report.bc4_worst_index = worst_idx
-    report.bc4_worst_margin = worst_margin
-
-    report.bc1_sampled_ok = sample_coupling_bounds(
-        sys, (lo, hi), probes=probes, seed=seed, extent=probe_extent
-    )
-    return report
+    per_m = [
+        _basic_series(sys, m, w_in, _green_norms(sys, m, m - w_in, m + w_in), opts)
+        for m in range(lo, hi + 1)
+    ]
+    return _finish_basic(report, sys, per_m, probes, seed, probe_extent)
 
 
 def sample_coupling_bounds(
@@ -350,52 +384,55 @@ def sample_coupling_bounds(
     return True
 
 
+def _advanced_terms(sys: SystemSpec, n: int, end: int, gn: dict, which: str) -> list[float]:
+    """Terms of an advanced sum on the side of `end`, outward from n, with
+    gn[q] = |G(n, q)|: |G(n,k+1)| gamma_k C_{k,n} of K_n / J_n for which =
+    "dxi", |G(n,k+1)| (gamma_k M_{k,n} + rho_k D_{k,n}) of ac9 for "deta"."""
+    if which == "dxi":
+        return [gn[k + 1] * sys.f.gamma(k) * c for k, c, _, _ in _lip_products(sys, n, end)]
+    return [
+        gn[k + 1] * (sys.f.gamma(k) * m + sys.f.rho(k) * d)
+        for k, _, m, d in _lip_products(sys, n, end)
+    ]
+
+
+def _advanced_first(
+    sys: SystemSpec, n: int, lo: int, hi: int, gn: dict, opts: EstimateOptions
+) -> tuple[SeriesEstimate, SeriesEstimate, float]:
+    env = _envelope(sys, "dxi", n)
+    k_tail = env.one_sided(n - lo) if env else None
+    j_tail = env.one_sided(hi - n) if env else None
+    past, future = _advanced_terms(sys, n, lo, gn, "dxi"), _advanced_terms(sys, n, hi, gn, "dxi")
+    k_est = _estimate((lo, n - 1), past, [], None, k_tail, None, opts)
+    j_est = _estimate((n + 1, hi), [], future, None, None, j_tail, opts)
+    return k_est, j_est, k_est.bound + j_est.bound + gn[n + 1] * sys.f.gamma(n)
+
+
 def check_advanced_first(
     sys: SystemSpec,
     n: int,
     window: tuple[int, int],
     opts: EstimateOptions = DEFAULT_ESTIMATE,
-) -> tuple[SeriesEstimate, SeriesEstimate, bool]:
-    """Evaluate the K_n (past) and J_n (future) derivative sums and test whether
-    K_n + J_n + |G(n,n+1)| gamma_n < 1 with tails included."""
+) -> tuple[SeriesEstimate, SeriesEstimate, float]:
+    """Evaluate the K_n (past) and J_n (future) derivative sums and the
+    contraction total K_n + J_n + |G(n,n+1)| gamma_n with tails included.
+
+    The total is infinite unless both sums converged, so ac3 holds exactly
+    when it is < 1.
+    """
     lo, hi = int(window[0]), int(window[1])
-    kind = sys.space.norm_kind
-    span = green_span(sys, n, lo + 1, hi + 1)
-    gn = {k: operator_norm(mat, kind) for k, mat in ((q - 1, m) for q, m in span.items())}
-
-    k_terms: list[float] = []
-    prod = 1.0
-    for k in range(n - 1, lo - 1, -1):
-        prod *= _backward_factor(sys, k)
-        k_terms.append(gn[k] * sys.f.gamma(k) * prod)
-    j_terms: list[float] = []
-    prod = 1.0
-    for k in range(n + 1, hi + 1):
-        prod *= sys.a_norm(k - 1) + sys.f.gamma(k - 1)
-        j_terms.append(gn[k] * sys.f.gamma(k) * prod)
-
-    env = sys.envelopes.dxi(n) if (sys.envelopes and sys.envelopes.dxi) else None
-    k_tail = env.one_sided(n - lo) if env else None
-    j_tail = env.one_sided(hi - n) if env else None
-    k_est = _estimate((lo, n - 1), k_terms, [], None, k_tail, None, opts)
-    j_est = _estimate((n + 1, hi), [], j_terms, None, None, j_tail, opts)
-    middle = gn[n] * sys.f.gamma(n)
-    bound = k_est.bound + j_est.bound + middle
-    ac3 = bool(
-        k_est.verdict == CONVERGED and j_est.verdict == CONVERGED and bound < 1.0
-    )
-    return k_est, j_est, ac3
+    return _advanced_first(sys, n, lo, hi, _green_norms(sys, n, lo + 1, hi + 1), opts)
 
 
-def first_variable_bound(
-    sys: SystemSpec,
-    n: int,
-    window: tuple[int, int],
-    opts: EstimateOptions = DEFAULT_ESTIMATE,
-) -> float:
-    """Certified upper bound on K_n + J_n + |G(n,n+1)| gamma_n (inf if uncertified)."""
-    k_est, j_est, _ = check_advanced_first(sys, n, window, opts)
-    return k_est.bound + j_est.bound + green_norm(sys, n, n + 1) * sys.f.gamma(n)
+def _advanced_second(
+    sys: SystemSpec, n: int, lo: int, hi: int, gn: dict, opts: EstimateOptions
+) -> SeriesEstimate:
+    middle = gn[n + 1] * (sys.f.gamma(n) + sys.f.rho(n))
+    env = _envelope(sys, "deta", n)
+    lt = env.one_sided(n - lo) if env else None
+    rt = env.one_sided(hi - n) if env else None
+    left, right = _advanced_terms(sys, n, lo, gn, "deta"), _advanced_terms(sys, n, hi, gn, "deta")
+    return _estimate((lo, hi), left, right, middle, lt, rt, opts)
 
 
 def check_advanced_second(
@@ -406,40 +443,13 @@ def check_advanced_second(
 ) -> SeriesEstimate:
     """Evaluate sum_k |G(n,k+1)| (gamma_k M_{k,n} + rho_k D_{k,n}) over the window."""
     lo, hi = int(window[0]), int(window[1])
-    kind = sys.space.norm_kind
-    span = green_span(sys, n, lo + 1, hi + 1)
-    gn = {k: operator_norm(mat, kind) for k, mat in ((q - 1, m) for q, m in span.items())}
-
-    left: list[float] = []
-    m_prod = d_prod = 1.0
-    for k in range(n - 1, lo - 1, -1):
-        m_prod *= _backward_factor(sys, k) + sys.g.sigma(k)
-        d_prod *= sys.g.sigma(k)
-        left.append(gn[k] * (sys.f.gamma(k) * m_prod + sys.f.rho(k) * d_prod))
-    right: list[float] = []
-    m_prod = d_prod = 1.0
-    for k in range(n + 1, hi + 1):
-        j = k - 1
-        m_prod *= sys.a_norm(j) + sys.f.gamma(j) + max(sys.f.rho(j), sys.g.tau(j))
-        d_prod *= sys.g.tau(j)
-        right.append(gn[k] * (sys.f.gamma(k) * m_prod + sys.f.rho(k) * d_prod))
-    middle = gn[n] * (sys.f.gamma(n) + sys.f.rho(n))
-
-    env = sys.envelopes.deta(n) if (sys.envelopes and sys.envelopes.deta) else None
-    lt = env.one_sided(n - lo) if env else None
-    rt = env.one_sided(hi - n) if env else None
-    return _estimate((lo, hi), left, right, middle, lt, rt, opts)
+    return _advanced_second(sys, n, lo, hi, _green_norms(sys, n, lo + 1, hi + 1), opts)
 
 
 def check_sigma_rho(sys: SystemSpec, window: tuple[int, int]) -> tuple[bool, int, float]:
     """sigma_n rho_n <= 1 over the window; returns (ok, worst index, worst value)."""
-    lo, hi = window
-    worst_val, worst_idx = -math.inf, lo
-    for n in range(lo, hi + 1):
-        v = sys.g.sigma(n) * sys.f.rho(n)
-        if v > worst_val:
-            worst_val, worst_idx = v, n
-    return worst_val <= 1.0, worst_idx, worst_val
+    idx, val = _worst(lambda n: sys.g.sigma(n) * sys.f.rho(n), window[0], window[1])
+    return val <= 1.0, idx, val
 
 
 def certify(
@@ -454,17 +464,10 @@ def certify(
 ) -> HypothesisReport:
     """Full hypothesis report: basic conditions over n_range plus the advanced
     series at every n in n_range with per-n windows of the given halfwidth."""
-    report = check_basic(
-        sys,
-        n_range,
-        probes=probes,
-        seed=seed,
-        probe_extent=probe_extent,
-        inner_halfwidth=window_halfwidth,
-        opts=opts,
-    )
+    lo, hi = int(n_range[0]), int(n_range[1])
     w = window_halfwidth
-    ok6, idx6, _ = check_sigma_rho(sys, (n_range[0] - w, n_range[1] + w))
+    report = _new_report(sys, lo, hi)
+    ok6, idx6, _ = check_sigma_rho(sys, (lo - w, hi + w))
     report.ac6_ok = ok6
     report.ac6_worst_index = idx6
     if not report.bc4_ok:
@@ -472,17 +475,21 @@ def certify(
         report.advanced_error = (
             f"backward margin >= 1 at n={report.bc4_worst_index}; advanced series skipped"
         )
-        return report
-    try:
-        for n in range(n_range[0], n_range[1] + 1):
-            k_est, j_est, ac3 = check_advanced_first(sys, n, (n - w, n + w), opts)
+    per_m = []
+    for n in range(lo, hi + 1):
+        # one span serves the basic sums (q in [n - w, n + w]) and the
+        # advanced ones (q = k + 1 for k in [n - w, n + w])
+        gn = _green_norms(sys, n, n - w, n + w + 1)
+        per_m.append(_basic_series(sys, n, w, gn, opts))
+        if report.advanced_error is not None:
+            continue
+        try:
+            k_est, j_est, total = _advanced_first(sys, n, n - w, n + w, gn, opts)
             report.ac2[n] = (k_est, j_est)
-            report.ac3[n] = ac3
-            report.ac3_bound[n] = (
-                k_est.bound + j_est.bound + green_norm(sys, n, n + 1) * sys.f.gamma(n)
-            )
+            report.ac3[n] = total < 1.0
+            report.ac3_bound[n] = total
             if include_second:
-                report.ac9[n] = check_advanced_second(sys, n, (n - w, n + w), opts)
-    except NonautolinError as exc:
-        report.advanced_error = str(exc)
-    return report
+                report.ac9[n] = _advanced_second(sys, n, n - w, n + w, gn, opts)
+        except NonautolinError as exc:
+            report.advanced_error = str(exc)
+    return _finish_basic(report, sys, per_m, probes, seed, probe_extent)

@@ -47,6 +47,34 @@ class TestCheckCommand:
         assert rep["hypothesis"]["bc2"]["partial_sum"] == 0.0
         assert rep["hypothesis"]["q_bound"] == 0.0
 
+    def test_envelope_bounds_a_partial_sum_above_the_cap(self, tmp_path):
+        # end_cfg's second-variable sum at n = 21 passes the explosion cap
+        # (1e6) inside the window, but its deta envelope bounds both tails
+        out = tmp_path / "rep.json"
+        rc = run(["check", "--system", "end_cfg", "--n-min", "21", "--n-max", "21",
+                  "--out", str(out)])
+        assert rc == 0
+        ac9 = load(out)["hypothesis"]["ac9"]["21"]
+        assert ac9["verdict"] == "converged"
+        assert ac9["partial_sum"] > 1e6 and ac9["tail_bound"] is not None
+
+    def test_overflowing_partial_sum_writes_valid_report(self, tmp_path):
+        jsonschema = pytest.importorskip("jsonschema")
+        import nonautolin
+
+        out = tmp_path / "rep.json"
+        rc = run(["check", "--system", "emo", "--c", "0.3", "--lambda", "0.05",
+                  "--window", "2000", "--n-min", "0", "--n-max", "0", "--out", str(out)])
+        assert rc == 1
+        rep = load(out)
+        schema = json.loads(
+            (Path(nonautolin.__file__).parent / "report_schema.json").read_text()
+        )
+        jsonschema.validate(rep, schema)
+        ac9 = rep["hypothesis"]["ac9"]["0"]
+        assert ac9["partial_sum"] is None and ac9["verdict"] == "divergent"
+        assert rep["verdict"] == "fail"
+
     def test_stdout_json(self, capsys):
         rc = run(["check", "--system", "remm", "--gamma-scale", "0.5",
                   "--n-min", "-3", "--n-max", "3", "--window", "20"])
@@ -193,25 +221,3 @@ class TestConfigHandling:
             RunConfig(system="ex1", n_min=5, n_max=1)
         with pytest.raises(ConfigError):
             RunConfig(system="bogus")
-
-    def test_nl_threads_cap(self, monkeypatch):
-        from nonautolin.cli import _worker_count
-
-        monkeypatch.setenv("NL_THREADS", "2")
-        assert _worker_count(100) == 2
-        monkeypatch.setenv("NL_THREADS", "1")
-        assert _worker_count(100) == 1
-        monkeypatch.delenv("NL_THREADS")
-        assert _worker_count(1) == 1
-
-    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
-        args = ["conjugate", "--system", "ex1", "--gamma-scale", "0.5",
-                "--n-min", "-2", "--n-max", "2", "--seed", "3"]
-        monkeypatch.setenv("NL_THREADS", "1")
-        assert run(args + ["--out", str(tmp_path / "serial.json")]) == 0
-        monkeypatch.setenv("NL_THREADS", "4")
-        assert run(args + ["--out", str(tmp_path / "pooled.json")]) == 0
-        a, b = load(tmp_path / "serial.json"), load(tmp_path / "pooled.json")
-        a.pop("timing")
-        b.pop("timing")
-        assert a == b

@@ -100,6 +100,24 @@ class TestEstimatorInternals:
         est = _estimate((0, 5), [6.0, 5.0], [], None, None, None, opts)
         assert est.verdict == DIVERGENT
 
+    def test_explosion_cap_yields_to_analytic_envelopes(self):
+        opts = EstimateOptions(explosion_cap=10.0)
+        # envelopes on both sides that carry terms: the tails are bounded
+        est = _estimate((-2, 2), [6.0, 5.0], [7.0, 4.0], 1.0, 0.5, 0.25, opts)
+        assert est.verdict == CONVERGED and est.tail_bound == 0.75
+        # a side without terms needs no envelope
+        est = _estimate((-2, 0), [6.0, 5.0], [], None, 0.5, None, opts)
+        assert est.verdict == CONVERGED
+        # one side with terms extrapolates: the cap still applies
+        est = _estimate((-2, 2), [6.0, 5.0], [7.0, 4.0], 1.0, 0.5, None, opts)
+        assert est.verdict == DIVERGENT
+
+    def test_non_finite_partial_sum_never_converges(self):
+        for bad in (math.inf, math.nan):
+            est = _estimate((-1, 1), [bad], [1.0], None, 0.5, 0.5, EstimateOptions())
+            assert est.verdict == DIVERGENT
+            assert est.to_json()["partial_sum"] is None
+
 
 class TestCheckBasic:
     def test_zero_coupling_exact_zero(self, rng):
@@ -143,20 +161,20 @@ class TestCheckBasic:
 class TestAdvancedFirst:
     def test_zero_coupling(self, rng):
         sys, _ = random_invertible_system(rng)
-        k_est, j_est, ok3 = check_advanced_first(sys, 0, (-30, 30))
+        k_est, j_est, total = check_advanced_first(sys, 0, (-30, 30))
         assert k_est.partial_sum == 0.0 and j_est.partial_sum == 0.0
-        assert ok3
+        assert total < 1.0
 
     def test_emo_divergent_every_n(self, emo):
         for n in range(-10, 11, 5):
-            _, j_est, ok3 = check_advanced_first(emo, n, (n - 50, n + 50))
+            _, j_est, total = check_advanced_first(emo, n, (n - 50, n + 50))
             assert j_est.verdict == DIVERGENT
-            assert not ok3
+            assert not total < 1.0
 
     def test_ex2_certified(self, ex2):
         for n in range(-10, 11, 5):
-            k_est, j_est, ok3 = check_advanced_first(ex2, n, (n - 40, n + 40))
-            assert ok3
+            k_est, j_est, total = check_advanced_first(ex2, n, (n - 40, n + 40))
+            assert total < 1.0
             assert k_est.bound + j_est.bound < 1.0
 
 
@@ -236,6 +254,37 @@ class TestCertify:
         back = json.loads(blob)
         assert back["basic_ok"] is True
         assert back["ac2"]["0"]["k_series"]["verdict"] == CONVERGED
+
+    def test_one_green_span_per_index(self, ex1, monkeypatch):
+        import nonautolin.hypotheses as hyp
+
+        calls = []
+        span = hyp.green_span
+
+        def counted(sys, m, lo, hi):
+            calls.append(m)
+            return span(sys, m, lo, hi)
+
+        monkeypatch.setattr(hyp, "green_span", counted)
+        rep = certify(ex1, n_range=(-3, 3), window_halfwidth=20, probes=4)
+        assert rep.overall_ok and len(rep.ac9) == 7
+        assert sorted(calls) == list(range(-3, 4))
+
+    def test_contraction_total_is_one_number(self):
+        # the check, the report and the engine read the same float
+        from nonautolin import ConjugacyEngine
+
+        w = 30
+        for name, kwargs in (("ex1", dict(lam=LN2, gamma_scale=0.9)),
+                             ("end_cfg", dict(gamma_scale=0.9))):
+            s = system_by_name(name, **kwargs)
+            rep = certify(s, n_range=(-3, 3), window_halfwidth=w, probes=4)
+            eng = ConjugacyEngine(s, advanced_halfwidth=w)
+            for n in range(-3, 4):
+                total = check_advanced_first(s, n, (n - w, n + w))[2]
+                assert isinstance(total, float) and total < 1.0
+                assert total == rep.ac3_bound[n] == eng.contraction(n), (name, n)
+                assert rep.ac3[n] is True
 
     def test_ac3_implies_converged_and_below_one(self, ex2):
         rep = certify(ex2, n_range=(-6, 6), window_halfwidth=40, probes=8)
