@@ -45,6 +45,10 @@ from .system import (
 
 THETA_CAP = 1e12
 BUDGET_MARGIN = 0.99  # keeps the summability budgets strict at gamma_scale = 1
+# Largest ex1/emo rate: e^{lam |n|}, which the transition products and the
+# dxi/deta envelope amplitudes reach, stays a finite double for |n| <= 70.
+LAM_MAX = 10.0
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,12 @@ class ExampleParams:
     rho_scale: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in ("ex1", "ex2", "remm", "end_cfg", "end", "emo"):
+        if self.variant not in BUILDERS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not (0.0 <= self.gamma_scale <= 1.0):
             raise ValueError("gamma_scale must lie in [0, 1]")
-        if self.variant in ("ex1", "emo") and self.lam <= 0.0:
-            raise ValueError("lam must be positive")
+        if self.variant in ("ex1", "emo") and not 0.0 < self.lam <= LAM_MAX:
+            raise ValueError(f"lam must lie in (0, {LAM_MAX:g}]")
         if self.dim_half is not None and self.dim_half < 1:
             raise ValueError("dim_half must be >= 1")
         if self.theta_ratio < 1.0:
@@ -89,14 +93,21 @@ def _geom_sum(r: float) -> float:
 
 
 def _prod_one_plus(r: float, cap: int = 20000) -> float:
-    """prod_{j in Z} (1 + r^{|j|}) for 0 <= r < 1."""
+    """prod_{j in Z} (1 + r^{|j|}) for 0 <= r < 1.
+
+    Raises ValueError when the product overflows a double, which happens
+    (near r = 1) before the cap truncates a finite product.
+    """
     total = math.log(2.0)
     for j in range(1, cap + 1):
         t = r**j
         total += 2.0 * math.log1p(t)
         if t < 1e-18:
             break
-    return math.exp(total)
+    try:
+        return math.exp(total)
+    except OverflowError:
+        raise ValueError(f"prod (1 + {r:g}^|j|) overflows a double") from None
 
 
 def _prod_inv_one_minus(gamma: Callable[[int], float], halfwidth: int = 96) -> float:
@@ -188,7 +199,9 @@ def make_ex1(params: ExampleParams) -> SystemSpec:
     budget = BUDGET_MARGIN / (el * big_m * _geom_sum(eml))
 
     def gamma(k: int) -> float:
-        return gs * min(1.0 / (math.exp(lam * (abs(k) + 1)) + el), budget * eml ** abs(k))
+        t = lam * (abs(k) + 1)
+        head = 1.0 / (math.exp(t) + el) if t < _LOG_MAX else 0.0  # below 1e-308 there
+        return gs * min(head, budget * eml ** abs(k))
 
     c_env = gs * min(eml, budget)  # gamma_k <= c_env * e^{-lam |k|}
     envelopes = TailEnvelopes(
@@ -380,7 +393,6 @@ BUILDERS: dict[str, Callable[[ExampleParams], SystemSpec]] = {
     "ex2": make_ex2,
     "remm": make_remm,
     "end_cfg": make_end,
-    "end": make_end,
     "emo": make_emo,
 }
 
@@ -392,5 +404,5 @@ def make_system(params: ExampleParams) -> SystemSpec:
 def system_by_name(name: str, **kwargs) -> SystemSpec:
     """Build a system from the family name and keyword overrides."""
     if name not in BUILDERS:
-        raise ValueError(f"unknown system {name!r}; choose from {sorted(set(BUILDERS))}")
+        raise ValueError(f"unknown system {name!r}; choose from {sorted(BUILDERS)}")
     return make_system(ExampleParams(variant=name, **kwargs))

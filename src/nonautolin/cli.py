@@ -155,33 +155,23 @@ def phase_conjugate(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, dict, bool]:
     grid = probe_grid(sys.space.dim_x + sys.space.dim_y, cfg.probes_per_axis,
                       cfg.probe_extent, rng)
     xi_b, eta_b = _split_probes(sys, grid)
-    engine = _engine(cfg, sys)
-    n_values = list(range(cfg.n_min, cfg.n_max + 1))
+    tables = _engine(cfg, sys).residual_tables(
+        range(cfg.n_min, cfg.n_max + 1), xi_b, eta_b, steps=cfg.steps
+    )
     probes = range(grid.shape[0])
-
-    inv_rows, inv_errors = [], []
-    for n in n_values:
-        try:
-            hvals, res = engine._round_trip(n, xi_b, eta_b)
-            tail = engine.series_window(n, cfg.series_tol).tail_bound
-        except NonautolinError as exc:
-            inv_errors.append({"n": n, "error": str(exc)})
-            continue
-        inv_rows += [_row(n, grid[i], hvals[:, i], float(res[i]), tail) for i in probes]
-
-    # equivariance windows reach n_max + steps; reuse the same engine caches
-    equi_rows, equi_errors = [], []
-    for n in n_values:
-        try:
-            fwd, dual = engine.equivariance_batch(n, xi_b, eta_b, steps=cfg.steps)
-            bvals = engine.bar_h(n, xi_b, eta_b)
-            tail = engine.series_window(n, cfg.series_tol).tail_bound
-        except NonautolinError as exc:
-            equi_errors.append({"n": n, "error": str(exc)})
-            continue
-        equi_rows += [
-            _row(n, grid[i], bvals[:, i], float(max(fwd[i], dual[i])), tail) for i in probes
-        ]
+    inv_rows, inv_errors, equi_rows, equi_errors = [], [], [], []
+    for n, res in tables.items():
+        if res.inverse_error is not None:
+            inv_errors.append({"n": n, "error": str(res.inverse_error)})
+        else:
+            inv_rows += [_row(n, grid[i], res.h[:, i], float(res.inverse[i]), res.tail_bound)
+                         for i in probes]
+        if res.equivariance_error is not None:
+            equi_errors.append({"n": n, "error": str(res.equivariance_error)})
+        else:
+            equi_rows += [_row(n, grid[i], res.bar_h[:, i],
+                               float(max(res.forward[i], res.dual[i])), res.tail_bound)
+                          for i in probes]
 
     inverse = _table(inv_rows, inv_errors, cfg.inverse_tol)
     equivariance = _table(equi_rows, equi_errors, cfg.equivariance_threshold)

@@ -23,6 +23,12 @@ truncation bias stays below the fixed-point residual target.
 
 Evaluations accept either a single state (dim,) or a column batch
 (dim, batch); trajectories and fixed points are then shared across the batch.
+
+The residual diagnostics test bar_H(H(p)) = p, H(bar_H(p)) = p and the
+equivariance of H and bar_H along `steps` steps of the linear and coupled
+maps.  The points at which the conjugacies are evaluated do not depend on
+them, so `residual_tables` runs index-major: one wide h and at most two wide
+bar_h solves per index m, shared by every base index whose steps reach m.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractionViolation, NoConvergence, WindowExhausted
+from .errors import ContractionViolation, NoConvergence, NonautolinError, WindowExhausted
 from .evolution import (DEFAULT_SOLVE, SolveOptions, _as_columns, _coupling_value,
                         _forward_step, coupled_trajectory)
 from .hypotheses import (
@@ -219,15 +225,9 @@ class ConjugacyEngine:
         With `iters` given, runs exactly that many Picard updates with no
         early stop (smooth in xi; used by the finite-difference harness).
         """
-        c = self.contraction(n)
-        eff_tol = min(self.series_tol, self.fp_tol * (1.0 - c) / 2.0)
-        if window is None:
-            win = self.series_window(n, eff_tol)
-            k_half = win.halfwidth
-            value_bound = win.value_bound
-        else:
+        c, k_half, value_bound = self._h_window(n)
+        if window is not None:
             k_half = int(window)
-            value_bound = self.series_window(n, eff_tol).value_bound
         xi_b, eta_b, single = self._columns(xi, eta)
 
         if iters is not None:
@@ -252,6 +252,13 @@ class ConjugacyEngine:
             u = -v
         raise NoConvergence(f"h fixed point at n={n}", cap, residuals[-1], self.fp_tol)
 
+    def _h_window(self, n: int) -> tuple[float, int, float]:
+        """(c(n), halfwidth, value bound) of h at n: its series window at the
+        tightened tolerance fp_tol (1 - c(n)) / 2."""
+        c = self.contraction(n)
+        win = self.series_window(n, min(self.series_tol, self.fp_tol * (1.0 - c) / 2.0))
+        return c, win.halfwidth, win.value_bound
+
     def h(self, n: int, xi, eta=None, iters: Optional[int] = None,
           window: Optional[int] = None) -> np.ndarray:
         return self.h_detailed(n, xi, eta, iters=iters, window=window)[0]
@@ -268,6 +275,92 @@ class ConjugacyEngine:
 
     # -- residual diagnostics -----------------------------------------------
 
+    def residual_tables(self, ns, xi, eta=None, steps: int = 10) -> dict[int, BaseResiduals]:
+        """Inverse and equivariance residuals at every base index in `ns`.
+
+        Evaluated index-major.  The probes' linear and coupled trajectories do
+        not depend on the conjugacies, so for each index m from min(ns) to
+        max(ns) + steps, in ascending order, the tables need one bar_h(m, .)
+        on every coupled point at m, one h(m, .) on every linear point at m
+        plus, when m is a base index, the round-trip points p + bar_h(m, p),
+        and at a base index one bar_h(m, p + h(m, p)) to close the round
+        trip.  Columns are laid out by (sorted ns, probe order) alone.
+
+        A NonautolinError at index m becomes the `equivariance_error` of
+        every base n with m in [n, n + steps] that has none yet, and the
+        `inverse_error` of n = m; the bases it hits take no further columns.
+        """
+        kind = self.sys.space.norm_kind
+        xi_b, eta_b, _ = self._columns(xi, eta)
+        batch = xi_b.shape[1]
+        out = {n: BaseResiduals() for n in sorted({int(n) for n in ns})}
+        if not out:
+            return out
+        live: dict[int, _Walk] = {}  # the bases whose steps reach m, ascending
+        for m in range(min(out), max(out) + steps + 1):
+            base = m in out
+            if base:
+                live[m] = _Walk(xi_b, xi_b, eta_b, np.zeros(batch), np.zeros(batch))
+            if not live:
+                continue
+            walks = list(live.values())
+            lin = np.hstack([w.lin for w in walks])
+            cpl = np.hstack([w.cpl for w in walks])
+            y = np.hstack([w.y for w in walks])
+            width = lin.shape[1]
+            try:
+                self._h_window(m)  # builds m's Green row at the wider h window first
+                bvals, tail, _ = self.bar_h_detailed(m, cpl, y)
+                if base:  # base m is the last block
+                    b0 = bvals[:, width - batch:]
+                    hvals = self.h(m, np.hstack([lin, xi_b + b0]), np.hstack([y, eta_b]))
+                    u0 = hvals[:, width - batch:width]
+                    closing = self.bar_h(m, xi_b + u0, eta_b)
+                else:
+                    hvals = self.h(m, lin, y)
+            except NonautolinError as exc:
+                for n in live:
+                    out[n].equivariance_error = exc
+                live.clear()
+                if base:
+                    out[m].inverse_error = exc
+                continue
+            if base:
+                rec = out[m]
+                rec.h, rec.bar_h, rec.tail_bound = u0, b0, tail
+                # H and bar_H leave y unchanged, so only x can miss the probe
+                rec.inverse = np.maximum(
+                    batch_vector_norm((xi_b + u0) + closing - xi_b, kind),
+                    batch_vector_norm((xi_b + b0) + hvals[:, width:] - xi_b, kind),
+                )
+            hx = lin + hvals[:, :width]  # H(m, linear points)
+            bx = cpl + bvals  # bar_H(m, coupled points)
+            # both trajectories step y with the same g, so again only x differs
+            for i, (n, w) in enumerate(live.items()):
+                if m > n:
+                    cols = slice(i * batch, (i + 1) * batch)
+                    fwd = batch_vector_norm(w.h_image - hx[:, cols], kind)
+                    dual = batch_vector_norm(w.bar_h_image - bx[:, cols], kind)
+                    w.forward, w.dual = np.maximum(w.forward, fwd), np.maximum(w.dual, dual)
+            first = next(iter(live))
+            if first + steps == m:  # only the oldest base can end here
+                w = live.pop(first)
+                out[first].forward, out[first].dual = w.forward, w.dual
+                if not live:
+                    continue
+            half = len(live) * batch
+            rest = slice(width - half, width)
+            x_c, _ = _forward_step(self.sys, m, np.hstack([hx[:, rest], cpl[:, rest]]),
+                                   np.hstack([y[:, rest], y[:, rest]]), coupled=True)
+            x_l, y_next = _forward_step(self.sys, m, np.hstack([bx[:, rest], lin[:, rest]]),
+                                        y[:, rest], coupled=False)
+            for i, w in enumerate(live.values()):
+                a, b = i * batch, (i + 1) * batch
+                w.h_image, w.cpl = x_c[:, a:b], x_c[:, half + a:half + b]
+                w.bar_h_image, w.lin = x_l[:, a:b], x_l[:, half + a:half + b]
+                w.y = y_next[:, a:b]
+        return out
+
     def equivariance_batch(self, n: int, xi, eta=None, steps: int = 10) -> tuple[np.ndarray, np.ndarray]:
         """Per-probe (forward, dual) equivariance residuals over `steps` steps.
 
@@ -276,26 +369,10 @@ class ConjugacyEngine:
         it with the linear map.  Both are zero for exact conjugacies.
         Accepts column batches; returns arrays of shape (batch,).
         """
-        sys = self.sys
-        kind = sys.space.norm_kind
-        xi_b, eta_b, _ = self._columns(xi, eta)
-        batch = xi_b.shape[1]
-
-        def residual(conj, coupled_image):
-            res = np.zeros(batch)
-            x, y = xi_b, eta_b
-            cx, cy = conj(n, x, y)
-            for j in range(n, n + steps):
-                sx, sy = _forward_step(sys, j, cx, cy, coupled_image)
-                x, y = _forward_step(sys, j, x, y, not coupled_image)
-                cx, cy = conj(j + 1, x, y)
-                r = np.maximum(
-                    batch_vector_norm(sx - cx, kind), batch_vector_norm(sy - cy, kind)
-                )
-                res = np.maximum(res, r)
-            return res
-
-        return residual(self.H, True), residual(self.bar_H, False)
+        res = self.residual_tables([n], xi, eta, steps)[n]
+        if res.equivariance_error is not None:
+            raise res.equivariance_error
+        return res.forward, res.dual
 
     def equivariance_detailed(self, n: int, xi, eta=None, steps: int = 10) -> tuple[float, float]:
         fwd, dual = self.equivariance_batch(n, xi, eta, steps)
@@ -307,23 +384,45 @@ class ConjugacyEngine:
 
     def inverse_residual_batch(self, n: int, xi, eta=None) -> np.ndarray:
         """Per-probe max of |bar_H(H(p)) - p| and |H(bar_H(p)) - p| in the pair norm."""
-        return self._round_trip(n, xi, eta)[1]
-
-    def _round_trip(self, n: int, xi, eta=None) -> tuple[np.ndarray, np.ndarray]:
-        """h(n, p) as columns, and the per-probe inverse residuals built on it."""
-        kind = self.sys.space.norm_kind
-        xi_b, eta_b, _ = self._columns(xi, eta)
-        u = self.h(n, xi_b, eta_b)
-        bx, by = self.bar_H(n, xi_b + u, eta_b)
-        r1 = np.maximum(
-            batch_vector_norm(bx - xi_b, kind), batch_vector_norm(by - eta_b, kind)
-        )
-        bx2, by2 = self.bar_H(n, xi_b, eta_b)
-        hx2, hy2 = self.H(n, bx2, by2)
-        r2 = np.maximum(
-            batch_vector_norm(hx2 - xi_b, kind), batch_vector_norm(hy2 - eta_b, kind)
-        )
-        return u, np.maximum(r1, r2)
+        res = self.residual_tables([n], xi, eta, steps=0)[n]
+        if res.inverse_error is not None:
+            raise res.inverse_error
+        return res.inverse
 
     def inverse_residual(self, n: int, xi, eta=None) -> float:
         return float(np.max(self.inverse_residual_batch(n, xi, eta)))
+
+
+@dataclass
+class BaseResiduals:
+    """`residual_tables`' results at one base index n, one entry per probe.
+
+    `h` and `bar_h` are h(n, p) and bar_h(n, p) as columns, `tail_bound` the
+    truncation bound of bar_h(n, .), `inverse` the max of |bar_H(H(p)) - p|
+    and |H(bar_H(p)) - p|, and `forward`/`dual` the equivariance residuals.
+    A field stays None when the error of its table is set.
+    """
+
+    h: Optional[np.ndarray] = None
+    bar_h: Optional[np.ndarray] = None
+    tail_bound: float = math.inf
+    inverse: Optional[np.ndarray] = None
+    forward: Optional[np.ndarray] = None
+    dual: Optional[np.ndarray] = None
+    inverse_error: Optional[NonautolinError] = None
+    equivariance_error: Optional[NonautolinError] = None
+
+
+@dataclass
+class _Walk:
+    """One base's probes at the current index of `residual_tables`: linear and
+    coupled states, driver states, the step images of the previous H and
+    bar_H values, and the running forward and dual residuals."""
+
+    lin: np.ndarray
+    cpl: np.ndarray
+    y: np.ndarray
+    forward: np.ndarray
+    dual: np.ndarray
+    h_image: Optional[np.ndarray] = None
+    bar_h_image: Optional[np.ndarray] = None

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nonautolin import (
@@ -17,7 +19,7 @@ from nonautolin import (
     operator_norm,
     system_by_name,
 )
-from nonautolin.catalog import _prod_one_plus
+from nonautolin.catalog import BUILDERS, LAM_MAX, _prod_one_plus
 
 from .conftest import LN2
 
@@ -37,8 +39,49 @@ class TestParams:
         with pytest.raises(ValueError):
             ExampleParams(variant="ex2", theta_ratio=0.5)
 
-    def test_end_alias(self):
-        assert make_system(ExampleParams(variant="end")).space.dim_y == 2
+    def test_end_cfg_has_planar_driver(self):
+        assert make_system(ExampleParams(variant="end_cfg")).space.dim_y == 2
+
+    def test_end_alias_is_gone(self):
+        with pytest.raises(ValueError):
+            ExampleParams(variant="end")
+
+    def test_lambda_range(self):
+        with pytest.raises(ValueError):
+            ExampleParams(variant="ex1", lam=40.0)
+        with pytest.raises(ValueError):
+            ExampleParams(variant="emo", lam=LAM_MAX * (1 + 1e-12))
+        with pytest.raises(ValueError):  # prod (1 + e^{-lam |j|}) overflows
+            system_by_name("ex1", lam=1e-4)
+        ExampleParams(variant="ex1", lam=LAM_MAX)
+
+    def test_gamma_finite_far_out(self):
+        # e^{lam (|k| + 1)} overflows a double here; gamma_k is then below 1e-308
+        s = system_by_name("ex1", lam=LN2, gamma_scale=1.0)
+        assert s.f.gamma(2000) == 0.0
+        assert 0.0 < s.f.gamma(1000) < 1e-300
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        variant=st.sampled_from(sorted(BUILDERS)),
+        lam=st.floats(1e-6, 800.0),
+        gamma_scale=st.floats(0.0, 1.0),
+        theta_ratio=st.floats(1.0, 1e6),
+    )
+    def test_builders_finite_or_value_error(self, variant, lam, gamma_scale, theta_ratio):
+        try:
+            s = make_system(ExampleParams(variant=variant, lam=lam, gamma_scale=gamma_scale,
+                                          theta_ratio=theta_ratio))
+        except ValueError:
+            return
+        env = s.envelopes
+        for k in range(-50, 51):
+            values = [s.f.gamma(k), s.f.mu(k), s.f.rho(k)]
+            for name in ("bc2", "bc3", "barh", "dxi", "deta"):
+                fn = getattr(env, name)
+                if fn is not None:
+                    values.append(fn(k).amplitude)
+            assert all(math.isfinite(v) for v in values), (k, values)
 
     def test_rotation_needs_room(self):
         with pytest.raises(ValueError):

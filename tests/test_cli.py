@@ -174,6 +174,17 @@ class TestConfigHandling:
             run(["check", "--system", "ex1", "--window", "not-an-int"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("lam", ["40", "1e-4"])
+    def test_out_of_range_lambda_exits_2(self, lam, capsys):
+        # lam = 40 overflowed e^{lam (|k| + 1)} in ex1's gamma, lam = 1e-4 the
+        # product prod (1 + e^{-lam |j|}) in its budget; both were tracebacks
+        assert run(["check", "--system", "ex1", "--lambda", lam]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_end_alias_exits_2(self, capsys):
+        assert run(["check", "--system", "end"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_missing_parameter_file(self, capsys):
         assert run(["check", "--system", "missing.json"]) == 2
 

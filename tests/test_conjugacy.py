@@ -17,6 +17,11 @@ from nonautolin import (
     green,
     system_by_name,
 )
+from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, phase_conjugate,
+                            probe_grid)
+from nonautolin.errors import NonautolinError
+from nonautolin.evolution import _forward_step
+from nonautolin.system import batch_vector_norm
 
 from .conftest import LN2, random_invertible_system
 
@@ -293,3 +298,107 @@ class TestContractionCertificate:
                     eng.bar_h(0, x1, eta) - eng.bar_h(0, x2, eta), kind
                 )
                 assert num <= c * den + 2 * eng.series_tol
+
+
+def reference_tables(eng, ns, xi, eta, steps):
+    """Per-n loop over the public engine calls: for each base n, h(n, p),
+    bar_h(n, p), the inverse residuals and the (forward, dual) equivariance
+    residuals, or None for a table whose evaluation raised."""
+    sys = eng.sys
+    kind = sys.space.norm_kind
+
+    def dist(a, b):
+        return np.maximum(batch_vector_norm(a[0] - b[0], kind),
+                          batch_vector_norm(a[1] - b[1], kind))
+
+    def walk(n, conj, coupled_image):
+        res = np.zeros(xi.shape[1])
+        x, y = xi, eta
+        image = conj(n, x, y)
+        for j in range(n, n + steps):
+            stepped = _forward_step(sys, j, *image, coupled_image)
+            x, y = _forward_step(sys, j, x, y, not coupled_image)
+            image = conj(j + 1, x, y)
+            res = np.maximum(res, dist(stepped, image))
+        return res
+
+    out = {}
+    for n in ns:
+        rec = {"inverse": None, "equivariance": None}
+        try:
+            u = eng.h(n, xi, eta)
+            b = eng.bar_h(n, xi, eta)
+            there = eng.bar_H(n, *eng.H(n, xi, eta))
+            back = eng.H(n, *eng.bar_H(n, xi, eta))
+            rec["inverse"] = (u, b, np.maximum(dist(there, (xi, eta)), dist(back, (xi, eta))))
+        except NonautolinError:
+            pass
+        try:
+            rec["equivariance"] = (walk(n, eng.H, True), walk(n, eng.bar_H, False))
+        except NonautolinError:
+            pass
+        out[n] = rec
+    return out
+
+
+class TestResidualTables:
+    def _probes(self, sys, per_axis):
+        grid = probe_grid(sys.space.dim_x + sys.space.dim_y, per_axis, 1.0,
+                          np.random.default_rng(3))
+        return _split_probes(sys, grid)
+
+    @pytest.mark.parametrize("name,kwargs,per_axis,ns,steps", [
+        ("ex1", dict(lam=LN2, gamma_scale=0.5), 4, range(-2, 3), 4),
+        ("end_cfg", dict(gamma_scale=0.9), 2, range(-1, 2), 3),
+    ])
+    def test_matches_per_n_reference(self, name, kwargs, per_axis, ns, steps):
+        # a tight fp_tol makes h's batch-dependent stopping point invisible
+        # in the equivariance residuals, which difference h at nearby indices
+        s = system_by_name(name, **kwargs)
+        xi, eta = self._probes(s, per_axis)
+        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13)
+        tables = eng.residual_tables(ns, xi, eta, steps=steps)
+        ref = reference_tables(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13),
+                               ns, xi, eta, steps)
+        assert list(tables) == list(ns)
+        for n, res in tables.items():
+            u, b, inverse = ref[n]["inverse"]
+            fwd, dual = ref[n]["equivariance"]
+            assert res.inverse_error is None and res.equivariance_error is None
+            assert_allclose(res.h, u, rtol=0, atol=eng.fp_tol)
+            assert_allclose(res.bar_h, b, rtol=0, atol=1e-13)
+            assert_allclose(res.inverse, inverse, rtol=0, atol=1e-12)
+            assert_allclose(res.forward, fwd, rtol=0, atol=1e-12)
+            assert_allclose(res.dual, dual, rtol=0, atol=1e-12)
+            assert res.tail_bound == eng.series_window(n, eng.series_tol).tail_bound
+
+    def test_one_h_solve_per_index(self, monkeypatch):
+        calls = []
+        h_detailed = ConjugacyEngine.h_detailed
+
+        def counted(self, n, *args, **kwargs):
+            calls.append(n)
+            return h_detailed(self, n, *args, **kwargs)
+
+        monkeypatch.setattr(ConjugacyEngine, "h_detailed", counted)
+        cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-2, n_max=2)
+        equi, inv, ok = phase_conjugate(cfg, build_system(cfg))
+        assert ok
+        assert calls == list(range(-2, 2 + cfg.steps + 1))  # 15, one per index
+        assert [r["n"] for r in inv["rows"]] == [n for n in range(-2, 3) for _ in range(25)]
+
+    def test_error_attribution_matches_reference(self):
+        # remm at full coupling: the contraction total reaches 1 at n >= 1,
+        # so h fails there, and every n whose steps reach it loses equivariance
+        cfg = RunConfig(system="remm", system_params={"gamma_scale": 1.0},
+                        n_min=-12, n_max=2, probes_per_axis=3, force=True)
+        s = build_system(cfg)
+        equi, inv, _ = phase_conjugate(cfg, s)
+        grid = probe_grid(s.space.dim_x, 3, 1.0, np.random.default_rng(cfg.seed))
+        xi, eta = _split_probes(s, grid)
+        ref = reference_tables(_engine(cfg, s), range(-12, 3), xi, eta, cfg.steps)
+        for table, key in ((inv, "inverse"), (equi, "equivariance")):
+            failed = {n for n, r in ref.items() if r[key] is None}
+            assert {e["n"] for e in table["errors"]} == failed
+        assert {e["n"] for e in inv["errors"]} == {1, 2}
+        assert {e["n"] for e in equi["errors"]} == set(range(-9, 3))
