@@ -71,6 +71,15 @@ class RunConfig:
     force: bool = False
 
     def __post_init__(self):
+        for name in ("window_halfwidth", "n_min", "n_max", "probes_per_axis", "steps",
+                     "bc_probes", "jacobian_probe_cap", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0 or self.steps < 0:
+            raise ConfigError("seed and steps must be >= 0")
+        if self.bc_probes < 1 or self.jacobian_probe_cap < 1:
+            raise ConfigError("bc_probes and jacobian_probe_cap must be >= 1")
         if self.series_tol <= 0 or self.fp_tol <= 0 or self.fd_step <= 0:
             raise ConfigError("tolerances must be positive")
         if self.probes_per_axis < 1:

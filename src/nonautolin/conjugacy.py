@@ -46,7 +46,6 @@ from .evolution import (DEFAULT_SOLVE, SolveOptions, _as_columns, _coupling_valu
 from .hypotheses import (
     CONVERGED,
     DEFAULT_ESTIMATE,
-    EstimateOptions,
     _envelope,
     _ratio_tail,
     check_advanced_first,
@@ -71,7 +70,6 @@ class ConjugacyEngine:
         series_tol: float = 1e-9,
         fp_tol: float = 1e-10,
         solve: SolveOptions = DEFAULT_SOLVE,
-        estimate_opts: EstimateOptions = DEFAULT_ESTIMATE,
         advanced_halfwidth: Optional[int] = None,
     ):
         if window_halfwidth < 1:
@@ -83,7 +81,6 @@ class ConjugacyEngine:
         self.series_tol = float(series_tol)
         self.fp_tol = float(fp_tol)
         self.solve = solve
-        self.estimate_opts = estimate_opts
         self.advanced_halfwidth = int(advanced_halfwidth or window_halfwidth)
         self.contraction_estimate: dict[int, float] = {}
         self._green_rows: dict[int, tuple[int, dict[int, np.ndarray]]] = {}
@@ -149,8 +146,8 @@ class ConjugacyEngine:
         k = min(8, cap)
         while True:
             left, right = terms(k)
-            lt, lv = _ratio_tail(left, self.estimate_opts)
-            rt, rv = _ratio_tail(right, self.estimate_opts)
+            lt, lv = _ratio_tail(left, DEFAULT_ESTIMATE)
+            rt, rv = _ratio_tail(right, DEFAULT_ESTIMATE)
             if lv == CONVERGED and rv == CONVERGED and (lt + rt) <= tol:
                 return k, lt + rt
             if k >= cap:
@@ -166,7 +163,7 @@ class ConjugacyEngine:
             if n in self.contraction_estimate:
                 return self.contraction_estimate[n]
         w = self.advanced_halfwidth
-        k_est, j_est, c = check_advanced_first(self.sys, n, (n - w, n + w), self.estimate_opts)
+        k_est, j_est, c = check_advanced_first(self.sys, n, (n - w, n + w), DEFAULT_ESTIMATE)
         if k_est.verdict != CONVERGED or j_est.verdict != CONVERGED:
             raise ContractionViolation(n, math.inf, what="first-variable series bound")
         if not c < 1.0:

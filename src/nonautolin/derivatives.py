@@ -1,30 +1,28 @@
 """Analytic first derivatives of the solution maps and conjugacies, plus the
 finite-difference validation harness.
 
+Every map is differentiated in the pair z = (xi, eta) at once: its Jacobian
+has the xi block in its first dim_x columns and the eta block in the rest.
 Solution-map Jacobians are ordered products of per-step factors along the
 trajectory: forward steps contribute A_j + df_j/du, backward steps contribute
-L_j = (A_j + df_j/du)^{-1} (invertible whenever |A_j^{-1}| gamma_j < 1).
-Second-variable Jacobians follow the chain rule, with the backward factor
-Ltilde_j = -L_j df_j/dv.
+L_j = (A_j + df_j/du)^{-1} (invertible whenever |A_j^{-1}| gamma_j < 1), and
+the eta columns pick up the driver chain rule and Ltilde_j = -L_j df_j/dv.
 
-The conjugacy derivatives are truncated series sharing the engine's Green
-rows but with their own tail envelopes (the mu-decay that controls the value
+The conjugacy derivative is a truncated series sharing the engine's Green
+rows but with its own tail envelopes (the mu-decay that controls the value
 series says nothing about derivative tails):
 
-    d bar_h / dxi  = - sum_k G(n,k+1) (df_k/du) d x2(k,n)/dxi
-    d bar_h / deta = - sum_k G(n,k+1) [ (df_k/du) d x2/deta + (df_k/dv) d y/deta ]
+    d bar_h / dz = - sum_k G(n,k+1) [ (df_k/du) d x2(k,n)/dz + (df_k/dv) d y(k,n)/dz ]
 
-and the fixed-point derivatives come from the resolvent formulas
+and the fixed-point derivative comes from the resolvent formula
 
-    R      = -(Id + d bar_h/du)^{-1} d bar_h/du      (at xi + h(n, xi, eta))
-    Rtilde = -(Id + d bar_h/du)^{-1} d bar_h/dv      (same base point),
+    d h / dz = -(Id + d bar_h/du)^{-1} d bar_h/dz      (at xi + h(n, xi, eta)),
 
 well-conditioned because |d bar_h/du| < 1 under the certified contraction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,8 +30,7 @@ import numpy as np
 
 from .conjugacy import ConjugacyEngine
 from .errors import SingularOperatorError
-from .evolution import (DEFAULT_SOLVE, SolveOptions, coupled_trajectory, evolve_coupled,
-                        evolve_driver)
+from .evolution import DEFAULT_SOLVE, SolveOptions, coupled_trajectory
 from .hypotheses import _advanced_terms, _envelope
 from .system import SystemSpec, operator_norm
 
@@ -85,44 +82,44 @@ def fd_jacobian_batch(fun_batch: Callable, point, step: float) -> np.ndarray:
     return (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * step)
 
 
+def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
+    return float(np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic)))
+
+
 def jacobian_report(analytic, fun: Callable, point, fd_step: float = 1e-6) -> JacobianReport:
     analytic = np.asarray(analytic, dtype=float)
     fd = fd_jacobian(fun, point, fd_step)
-    rel = float(np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic)))
-    return JacobianReport(analytic, fd, rel, fd_step)
+    return JacobianReport(analytic, fd, _rel_error(analytic, fd), fd_step)
 
 
-def best_jacobian_report(
-    analytic, fun: Callable, point, fd_steps=(1e-5, 1e-6), good_enough: float = 1e-6
-) -> JacobianReport:
-    """Evaluate at several steps and keep the closest; separates
-    finite-difference truncation error from genuine derivative bugs.
-    Later steps are skipped once a report is already below `good_enough`."""
-    best = None
+def _block_reports(analytic, fun_batch, point, blocks, fd_steps) -> dict[str, JacobianReport]:
+    """One report per named (kind, rows, cols) block of one Jacobian.
+
+    Each step runs one stencil over the whole point, and only while some
+    block's error still exceeds 1e-6; a block keeps the first step that
+    meets it, otherwise the step with the smaller error.
+    """
+    out: dict[str, JacobianReport] = {}
     for s in fd_steps:
-        rep = jacobian_report(analytic, fun, point, s)
-        if best is None or rep.rel_error < best.rel_error:
-            best = rep
-        if best.rel_error <= good_enough:
+        pending = [b for b in blocks if b[0] not in out or out[b[0]].rel_error > 1e-6]
+        if not pending:
             break
-    return best
-
-
-def _batch_report(analytic, fun_batch, point, fd_steps, good_enough: float = 1e-6) -> JacobianReport:
-    analytic = np.asarray(analytic, dtype=float)
-    best = None
-    for s in fd_steps:
         fd = fd_jacobian_batch(fun_batch, point, s)
-        rel = float(np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic)))
-        rep = JacobianReport(analytic, fd, rel, s)
-        if best is None or rep.rel_error < best.rel_error:
-            best = rep
-        if best.rel_error <= good_enough:
-            break
-    return best
+        for kind, rows, cols in pending:
+            a, d = analytic[rows, cols], fd[rows, cols]
+            rel = _rel_error(a, d)
+            if kind not in out or rel < out[kind].rel_error:
+                out[kind] = JacobianReport(a, d, rel, s)
+    return out
 
 
 # -- solution-map derivatives -------------------------------------------------
+
+
+def _pair(sys: SystemSpec, xi, eta) -> tuple[np.ndarray, np.ndarray]:
+    """xi and eta as float vectors, eta = 0 when absent."""
+    eta = np.zeros(sys.space.dim_y) if eta is None else np.asarray(eta, dtype=float)
+    return np.asarray(xi, dtype=float), eta
 
 
 def _backward_L(sys: SystemSpec, j: int, jx: np.ndarray) -> np.ndarray:
@@ -134,16 +131,17 @@ def _backward_L(sys: SystemSpec, j: int, jx: np.ndarray) -> np.ndarray:
         raise SingularOperatorError(j, f"A_j + df/du not invertible: {exc}") from exc
 
 
-def _tangents(sys: SystemSpec, states: dict, n: int, lo: int, hi: int, w0, v0):
-    """Propagate the tangents (W, V) = (dx_k, dy_k) from (w0, v0) at time n.
+def _tangents(sys: SystemSpec, states: dict, n: int, lo: int, hi: int):
+    """Propagate the tangents (W, V) = (dx_k/dz, dy_k/dz) in z = (xi, eta).
 
     Yields (k, df_k/du, df_k/dv, W_k, V_k) for k = n, ..., hi, then for
-    k = n - 1, ..., lo, along the coupled trajectory `states`.  Forward:
+    k = n - 1, ..., lo, along the coupled trajectory `states` through z at
+    time n, from the seed (W, V) = ([Id 0], [0 Id]).  Forward:
     W <- (A_k + df_k/du) W + df_k/dv V, V <- Dg_k V.  Backward:
-    V <- Dg_k^{-1} V, W <- L_k (W - df_k/dv V).  Seed (Id, 0) differentiates
-    in xi, (0, Id) in eta.
+    V <- Dg_k^{-1} V, W <- L_k (W - df_k/dv V).
     """
-    dy = sys.space.dim_y
+    dx, dy = sys.space.dim_x, sys.space.dim_y
+    w0, v0 = np.eye(dx, dx + dy), np.eye(dy, dx + dy, dx)
 
     def jacs(k):
         x, y = states[k]
@@ -167,61 +165,24 @@ def _tangents(sys: SystemSpec, states: dict, n: int, lo: int, hi: int, w0, v0):
         yield k, jx, jy, w, v
 
 
-def _seed(sys: SystemSpec, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """(W, V) at the base time: (Id, 0) for "dxi", (0, Id) for "deta"."""
-    dx, dy = sys.space.dim_x, sys.space.dim_y
-    if which == "dxi":
-        return np.eye(dx), np.zeros((dy, dx))
-    return np.zeros((dx, dy)), np.eye(dy)
-
-
-def _d_x2(sys: SystemSpec, k: int, n: int, xi, eta, opts: SolveOptions, which: str) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float) if eta is not None else np.zeros(sys.space.dim_y)
+def solution_jacobian(sys: SystemSpec, k: int, n: int, xi, eta=None,
+                      opts: SolveOptions = DEFAULT_SOLVE) -> np.ndarray:
+    """Jacobian of (xi, eta) -> (x2(k, n, xi, eta), y(k, n, eta)): the square
+    matrix [[dx2/dxi, dx2/deta], [0, dy/deta]] of size dim_x + dim_y."""
+    xi, eta = _pair(sys, xi, eta)
     lo, hi = min(k, n), max(k, n)
-    states = coupled_trajectory(sys, n, lo, hi, np.asarray(xi, dtype=float), eta, opts)
-    return next(w for kk, _, _, w, _ in _tangents(sys, states, n, lo, hi, *_seed(sys, which))
+    states = coupled_trajectory(sys, n, lo, hi, xi, eta, opts)
+    return next(np.vstack([w, v]) for kk, _, _, w, v in _tangents(sys, states, n, lo, hi)
                 if kk == k)
-
-
-def d_x2_dxi(sys: SystemSpec, k: int, n: int, xi, eta=None,
-             opts: SolveOptions = DEFAULT_SOLVE) -> np.ndarray:
-    """Jacobian of xi -> x2(k, n, xi, eta)."""
-    return _d_x2(sys, k, n, xi, eta, opts, "dxi")
-
-
-def d_y_deta(sys: SystemSpec, k: int, n: int, eta) -> np.ndarray:
-    """Jacobian of eta -> y(k, n, eta): ordered product of driver Jacobians."""
-    dy = sys.space.dim_y
-    jac = np.eye(dy)
-    y = np.asarray(eta, dtype=float)
-    if dy == 0 or k == n:
-        return jac
-    if k > n:
-        for j in range(n, k):
-            jac = np.asarray(sys.g.jac(j, y), dtype=float) @ jac
-            y = np.asarray(sys.g.eval(j, y), dtype=float)
-    else:
-        for j in range(n - 1, k - 1, -1):
-            y = np.asarray(sys.g.eval_inv(j, y), dtype=float)
-            jac = np.linalg.inv(np.asarray(sys.g.jac(j, y), dtype=float)) @ jac
-    return jac
-
-
-def d_x2_deta(sys: SystemSpec, k: int, n: int, xi, eta,
-              opts: SolveOptions = DEFAULT_SOLVE) -> np.ndarray:
-    """Jacobian of eta -> x2(k, n, xi, eta), recursive chain rule along the trajectory."""
-    return _d_x2(sys, k, n, xi, eta, opts, "deta")
 
 
 # -- conjugacy derivative series ----------------------------------------------
 
 
-def _derivative_window(
-    engine: ConjugacyEngine, n: int, which: str, tol: float
-) -> tuple[int, float]:
-    """(halfwidth, tail bound) for the dxi/deta derivative series at center n;
-    without an envelope the window is fitted on the state-free bounding terms
-    of the advanced conditions."""
+def _derivative_window(engine: ConjugacyEngine, n: int, which: str) -> int:
+    """Halfwidth of the dxi/deta derivative series at center n with tail
+    <= series_tol; without an envelope the window is fitted on the
+    state-free bounding terms of the advanced conditions."""
     sys = engine.sys
     kind = sys.space.norm_kind
 
@@ -230,75 +191,36 @@ def _derivative_window(
         gn = {j + 1: operator_norm(row[j], kind) for j in range(n - k, n + k + 1) if j != n}
         return [_advanced_terms(sys, n, end, gn, which) for end in (n - k, n + k)]
 
-    return engine._fit_window(n, _envelope(sys, which, n), tol, terms)
+    return engine._fit_window(n, _envelope(sys, which, n), engine.series_tol, terms)[0]
 
 
-def _d_barh(engine: ConjugacyEngine, n: int, xi, eta, window: Optional[int], which: str):
-    """- sum_k G(n,k+1) (df_k/du W_k + df_k/dv V_k) over the window, with
-    (W, V) the tangents in xi ("dxi") or eta ("deta"); returns (matrix, tail
-    bound, halfwidth)."""
+def barh_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarray, int]:
+    """d bar_h(n, .)/d(xi, eta) = - sum_k G(n,k+1) (df_k/du W_k + df_k/dv V_k)
+    over the wider of the dxi and (when dim_y > 0) deta derivative windows;
+    returns (matrix, halfwidth)."""
     sys = engine.sys
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float) if eta is not None else np.zeros(sys.space.dim_y)
-    if window is None:
-        k_half, tail = _derivative_window(engine, n, which, engine.series_tol)
-    else:
-        k_half, tail = int(window), math.inf
+    xi, eta = _pair(sys, xi, eta)
+    which = ("dxi", "deta") if sys.space.dim_y else ("dxi",)
+    k_half = max(_derivative_window(engine, n, w) for w in which)
     row = engine.green_row(n, k_half)
     lo, hi = n - k_half, n + k_half
     states = coupled_trajectory(sys, n, lo, hi, xi, eta, engine.solve)
-    w0, v0 = _seed(sys, which)
-    acc = np.zeros_like(w0)
-    for k, jx, jy, w, v in _tangents(sys, states, n, lo, hi, w0, v0):
-        acc += row[k] @ (jx @ w + jy @ v)
-    return -acc, tail, k_half
+    acc = sum(row[k] @ (jx @ w + jy @ v) for k, jx, jy, w, v in _tangents(sys, states, n, lo, hi))
+    return -acc, k_half
 
 
-def d_barh_dxi_detailed(
-    engine: ConjugacyEngine, n: int, xi, eta=None, window: Optional[int] = None
-) -> tuple[np.ndarray, float, int]:
-    return _d_barh(engine, n, xi, eta, window, "dxi")
+def h_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarray, int, int]:
+    """d h(n, .)/d(xi, eta) = -(Id + B_u)^{-1} [B_u | B_v], with [B_u | B_v]
+    the bar_h Jacobian at xi + h(n, xi, eta); returns (matrix, Picard
+    iterations, window) of that h solve."""
+    xi, eta = _pair(engine.sys, xi, eta)
+    u, _, iters, win = engine.h_detailed(n, xi, eta)
+    b, _ = barh_jacobian(engine, n, xi + u, eta)
+    dx = engine.sys.space.dim_x
+    return -np.linalg.solve(np.eye(dx) + b[:, :dx], b), iters, win
 
 
-def d_barh_dxi(engine: ConjugacyEngine, n: int, xi, eta=None,
-               window: Optional[int] = None) -> np.ndarray:
-    return d_barh_dxi_detailed(engine, n, xi, eta, window)[0]
-
-
-def d_barh_deta_detailed(
-    engine: ConjugacyEngine, n: int, xi, eta=None, window: Optional[int] = None
-) -> tuple[np.ndarray, float, int]:
-    return _d_barh(engine, n, xi, eta, window, "deta")
-
-
-def d_barh_deta(engine: ConjugacyEngine, n: int, xi, eta=None,
-                window: Optional[int] = None) -> np.ndarray:
-    return d_barh_deta_detailed(engine, n, xi, eta, window)[0]
-
-
-def d_h_dxi(engine: ConjugacyEngine, n: int, xi, eta=None) -> np.ndarray:
-    """R = -(Id + d bar_h/du)^{-1} d bar_h/du, evaluated at xi + h(n, xi, eta)."""
-    u = engine.h(n, xi, eta)
-    shifted = np.asarray(xi, dtype=float) + u
-    b = d_barh_dxi(engine, n, shifted, eta)
-    eye = np.eye(engine.sys.space.dim_x)
-    return -np.linalg.solve(eye + b, b)
-
-
-def d_h_deta(engine: ConjugacyEngine, n: int, xi, eta=None) -> np.ndarray:
-    """Rtilde = -(Id + d bar_h/du)^{-1} d bar_h/dv, evaluated at xi + h(n, xi, eta)."""
-    u = engine.h(n, xi, eta)
-    shifted = np.asarray(xi, dtype=float) + u
-    b = d_barh_dxi(engine, n, shifted, eta)
-    c = d_barh_deta(engine, n, shifted, eta)
-    eye = np.eye(engine.sys.space.dim_x)
-    return -np.linalg.solve(eye + b, c)
-
-
-# -- finite-difference validation wrappers -------------------------------------
-
-FD_KINDS = ("d_x2_dxi", "d_x2_deta", "d_y_deta", "d_barh_dxi", "d_barh_deta",
-            "d_h_dxi", "d_h_deta")
+# -- finite-difference validation ----------------------------------------------
 
 
 def validate_jacobians(
@@ -308,88 +230,45 @@ def validate_jacobians(
     eta=None,
     k: Optional[int] = None,
     fd_step: float = 1e-6,
-    kinds=FD_KINDS,
-    with_fallback_step: bool = True,
 ) -> dict[str, JacobianReport]:
-    """Analytic-vs-FD reports for the requested derivative kinds at one probe.
+    """Analytic-vs-FD reports of the seven derivative blocks at one probe.
 
-    Evaluations seen by the finite differences are pinned (fixed series
-    window, fixed fixed-point iteration count) so the sampled function is
-    smooth across the stencil; each +/- stencil runs as one batched call.
+    One stencil over z = (xi, eta) per map and step serves all of that
+    map's blocks.  Evaluations seen by the finite differences are pinned
+    (fixed series window, fixed fixed-point iteration count) so the sampled
+    function is smooth across the stencil.  Without a driver (dim_y = 0)
+    the bar_h and h eta blocks are left out.
     """
     sys = engine.sys
     dx, dy = sys.space.dim_x, sys.space.dim_y
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float) if eta is not None else np.zeros(dy)
+    xi, eta = _pair(sys, xi, eta)
     if k is None:
         k = n + 3
-    opts = engine.solve
-    steps = (fd_step * 10.0, fd_step) if with_fallback_step else (fd_step,)
-    out: dict[str, JacobianReport] = {}
+    z = np.concatenate([xi, eta])
+    steps = (fd_step * 10.0, fd_step)
+    x_part, y_part = slice(0, dx), slice(dx, dx + dy)
+    lo, hi = min(k, n), max(k, n)
 
-    def _cols(v, width):
-        return np.repeat(np.asarray(v, dtype=float).reshape(-1, 1), width, axis=1)
+    def solution(p):
+        return np.vstack(coupled_trajectory(sys, n, lo, hi, p[:dx], p[dx:], engine.solve)[k])
 
-    xi_for_eta = _cols(xi, 2 * dy) if dy else None
-    eta_for_xi = _cols(eta, 2 * dx)
-
-    if "d_x2_dxi" in kinds:
-        out["d_x2_dxi"] = _batch_report(
-            d_x2_dxi(sys, k, n, xi, eta, opts),
-            lambda z: evolve_coupled(sys, k, n, z, eta_for_xi, opts),
-            xi,
-            steps,
-        )
-    if "d_x2_deta" in kinds:
-        if dy:
-            out["d_x2_deta"] = _batch_report(
-                d_x2_deta(sys, k, n, xi, eta, opts),
-                lambda z: evolve_coupled(sys, k, n, xi_for_eta, z, opts),
-                eta,
-                steps,
-            )
-        else:
-            out["d_x2_deta"] = JacobianReport(
-                np.zeros((dx, 0)), np.zeros((dx, 0)), 0.0, fd_step
-            )
-    if "d_y_deta" in kinds:
-        out["d_y_deta"] = _batch_report(
-            d_y_deta(sys, k, n, eta),
-            lambda z: evolve_driver(sys, k, n, z),
-            eta,
-            steps,
-        )
-    if "d_barh_dxi" in kinds:
-        mat, _, _ = d_barh_dxi_detailed(engine, n, xi, eta)
-        mu_win = engine.series_window(n, engine.series_tol).halfwidth
-        out["d_barh_dxi"] = _batch_report(
-            mat, lambda z: engine.bar_h(n, z, eta_for_xi, window=mu_win), xi, steps
-        )
-    if "d_barh_deta" in kinds and dy:
-        mat, _, _ = d_barh_deta_detailed(engine, n, xi, eta)
-        mu_win = engine.series_window(n, engine.series_tol).halfwidth
-        out["d_barh_deta"] = _batch_report(
-            mat, lambda z: engine.bar_h(n, xi_for_eta, z, window=mu_win), eta, steps
-        )
-    if "d_h_dxi" in kinds or ("d_h_deta" in kinds and dy):
-        u, _, iters, win = engine.h_detailed(n, xi, eta)
-        pinned = iters + 4
-        shifted = xi + u
-        b = d_barh_dxi(engine, n, shifted, eta)
-        eye = np.eye(dx)
-        if "d_h_dxi" in kinds:
-            out["d_h_dxi"] = _batch_report(
-                -np.linalg.solve(eye + b, b),
-                lambda z: engine.h(n, z, eta_for_xi, iters=pinned, window=win),
-                xi,
-                steps,
-            )
-        if "d_h_deta" in kinds and dy:
-            c = d_barh_deta(engine, n, shifted, eta)
-            out["d_h_deta"] = _batch_report(
-                -np.linalg.solve(eye + b, c),
-                lambda z: engine.h(n, xi_for_eta, z, iters=pinned, window=win),
-                eta,
-                steps,
-            )
+    out = _block_reports(
+        solution_jacobian(sys, k, n, xi, eta, engine.solve), solution, z,
+        [("d_x2_dxi", x_part, x_part), ("d_x2_deta", x_part, y_part),
+         ("d_y_deta", y_part, y_part)],
+        steps,
+    )
+    mu_win = engine.series_window(n, engine.series_tol).halfwidth
+    out.update(_block_reports(
+        barh_jacobian(engine, n, xi, eta)[0],
+        lambda p: engine.bar_h(n, p[:dx], p[dx:], window=mu_win), z,
+        [("d_barh_dxi", x_part, x_part)] + ([("d_barh_deta", x_part, y_part)] if dy else []),
+        steps,
+    ))
+    mat, iters, win = h_jacobian(engine, n, xi, eta)
+    out.update(_block_reports(
+        mat, lambda p: engine.h(n, p[:dx], p[dx:], iters=iters + 4, window=win), z,
+        [("d_h_dxi", x_part, x_part)] + ([("d_h_deta", x_part, y_part)] if dy else []),
+        steps,
+    ))
     return out

@@ -160,7 +160,11 @@ def _estimate(
         bool(right_terms) and right_env_tail is None
     )
     exploded = partial > opts.explosion_cap and extrapolated
-    if exploded or not math.isfinite(partial) or DIVERGENT in (lv, rv):
+    # a NaN sum is an arithmetic failure (inf * 0 in an overflowed Green
+    # kernel), not a divergence witness
+    if math.isnan(partial):
+        return SeriesEstimate(partial, None, INCONCLUSIVE, window, inspected)
+    if exploded or math.isinf(partial) or DIVERGENT in (lv, rv):
         return SeriesEstimate(partial, None, DIVERGENT, window, inspected)
     if INCONCLUSIVE in (lv, rv):
         return SeriesEstimate(partial, None, INCONCLUSIVE, window, inspected)
@@ -459,7 +463,6 @@ def certify(
     probes: int = 64,
     seed: int = 0,
     probe_extent: float = 1.0,
-    include_second: bool = True,
     opts: EstimateOptions = DEFAULT_ESTIMATE,
 ) -> HypothesisReport:
     """Full hypothesis report: basic conditions over n_range plus the advanced
@@ -488,8 +491,7 @@ def certify(
             report.ac2[n] = (k_est, j_est)
             report.ac3[n] = total < 1.0
             report.ac3_bound[n] = total
-            if include_second:
-                report.ac9[n] = _advanced_second(sys, n, n - w, n + w, gn, opts)
+            report.ac9[n] = _advanced_second(sys, n, n - w, n + w, gn, opts)
         except NonautolinError as exc:
             report.advanced_error = str(exc)
     return _finish_basic(report, sys, per_m, probes, seed, probe_extent)

@@ -75,6 +75,20 @@ class TestCheckCommand:
         assert ac9["partial_sum"] is None and ac9["verdict"] == "divergent"
         assert rep["verdict"] == "fail"
 
+    def test_nan_green_span_is_inconclusive(self, tmp_path):
+        # at lambda = 10 a window of 80 overflows ex1's Green span to inf and
+        # its norms to NaN: an arithmetic failure, reported as inconclusive
+        out = tmp_path / "rep.json"
+        rc = run(["check", "--system", "ex1", "--lambda", "10", "--window", "80",
+                  "--n-min", "0", "--n-max", "0", "--out", str(out)])
+        assert rc == 1
+        rep = load(out)
+        hyp = rep["hypothesis"]
+        series = [hyp["bc2"], hyp["bc3"], *hyp["ac2"]["0"].values(), hyp["ac9"]["0"]]
+        assert [s["verdict"] for s in series] == ["inconclusive"] * 5
+        assert hyp["bc2"]["partial_sum"] is None
+        assert rep["verdict"] == "fail"
+
     def test_stdout_json(self, capsys):
         rc = run(["check", "--system", "remm", "--gamma-scale", "0.5",
                   "--n-min", "-3", "--n-max", "3", "--window", "20"])
@@ -224,6 +238,19 @@ class TestConfigHandling:
     def test_csv_format_requires_out(self, capsys):
         assert run(["check", "--system", "ex1", "--format", "csv",
                     "--n-min", "-1", "--n-max", "1"]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("window_halfwidth", 5.5), ("n_min", 1.0), ("n_max", "3"), ("probes_per_axis", True),
+        ("steps", 2.5), ("bc_probes", None), ("jacobian_probe_cap", 1.5), ("seed", 0.5),
+        ("seed", -1), ("steps", -1), ("bc_probes", 0), ("jacobian_probe_cap", 0),
+    ])
+    def test_parameter_file_bad_integer_exits_2(self, tmp_path, capsys, key, value):
+        # each of these ended in a traceback with exit code 1; zero bc probes
+        # passed bc1 without a single sample
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps({"system": "ex1", key: value}))
+        assert run(["check", "--system", str(pfile), "--n-min", "0", "--n-max", "0"]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_run_config_validation(self):
         with pytest.raises(ConfigError):

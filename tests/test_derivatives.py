@@ -7,29 +7,39 @@ from numpy.testing import assert_allclose
 from nonautolin import (
     ConjugacyEngine,
     SolveOptions,
-    d_barh_deta,
-    d_barh_dxi,
-    d_h_deta,
-    d_h_dxi,
-    d_x2_deta,
-    d_x2_dxi,
-    d_y_deta,
+    barh_jacobian,
     fd_jacobian,
     green_norm,
+    h_jacobian,
     jacobian_report,
     lip_C,
     lip_D,
     lip_M,
     operator_norm,
+    solution_jacobian,
     system_by_name,
     transition,
     validate_jacobians,
 )
-from nonautolin.derivatives import d_barh_deta_detailed, d_barh_dxi_detailed
 
 from .conftest import random_invertible_system
 
 TIGHT = SolveOptions(fixed_point_tol=3e-13, max_iters=400)
+
+
+# the blocks of the joint (xi, eta) Jacobians, for a system with dim_x = 2
+
+
+def x2_dxi(sys, k, n, xi, eta=None, opts=SolveOptions()):
+    return solution_jacobian(sys, k, n, xi, eta, opts)[:2, :2]
+
+
+def x2_deta(sys, k, n, xi, eta, opts=SolveOptions()):
+    return solution_jacobian(sys, k, n, xi, eta, opts)[:2, 2:]
+
+
+def y_deta(sys, k, n, eta):
+    return solution_jacobian(sys, k, n, np.zeros(2), eta)[2:, 2:]
 
 
 @pytest.fixture
@@ -60,7 +70,7 @@ class TestFdJacobian:
         from nonautolin import evolve_coupled
 
         xi = rng.uniform(-1, 1, 2)
-        analytic = d_x2_dxi(ex1_mild, 3, 0, xi, None, TIGHT)
+        analytic = x2_dxi(ex1_mild, 3, 0, xi, None, TIGHT)
         rep = jacobian_report(
             analytic,
             lambda z: evolve_coupled(ex1_mild, 3, 0, z, np.zeros(0), TIGHT),
@@ -73,17 +83,19 @@ class TestFdJacobian:
 class TestSolutionJacobians:
     def test_time_equal(self, ex1_mild, end_cfg):
         xi = np.array([0.1, 0.2])
-        assert_allclose(d_x2_dxi(ex1_mild, 0, 0, xi), np.eye(2), atol=0)
-        assert d_x2_deta(end_cfg, 0, 0, xi, np.zeros(2)).shape == (2, 2)
-        assert_allclose(d_x2_deta(end_cfg, 0, 0, xi, np.zeros(2)), 0.0, atol=0)
-        assert_allclose(d_y_deta(end_cfg, 0, 0, np.zeros(2)), np.eye(2), atol=0)
+        assert_allclose(x2_dxi(ex1_mild, 0, 0, xi), np.eye(2), atol=0)
+        assert solution_jacobian(ex1_mild, 0, 0, xi).shape == (2, 2)
+        assert x2_deta(end_cfg, 0, 0, xi, np.zeros(2)).shape == (2, 2)
+        assert_allclose(x2_deta(end_cfg, 0, 0, xi, np.zeros(2)), 0.0, atol=0)
+        assert_allclose(y_deta(end_cfg, 0, 0, np.zeros(2)), np.eye(2), atol=0)
+        assert_allclose(solution_jacobian(end_cfg, 0, 0, xi, np.zeros(2)), np.eye(4), atol=0)
 
     def test_zero_coupling_gives_transition(self, rng):
         sys, _ = random_invertible_system(rng)
         xi = rng.normal(size=2)
         for k in (4, -3):
             assert_allclose(
-                d_x2_dxi(sys, k, 0, xi),
+                x2_dxi(sys, k, 0, xi),
                 transition(sys, k, 0),
                 atol=1e-12,
             )
@@ -92,7 +104,7 @@ class TestSolutionJacobians:
         s = system_by_name("end_cfg", gamma_scale=0.9, rho_scale=0.0)
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         for k in (5, -4):
-            assert_allclose(d_x2_deta(s, k, 0, xi, eta, TIGHT), 0.0, atol=1e-14)
+            assert_allclose(x2_deta(s, k, 0, xi, eta, TIGHT), 0.0, atol=1e-14)
 
     def test_rotation_driver_closed_form(self, end_cfg):
         angle = 0.7  # end_cfg default rotation
@@ -100,7 +112,7 @@ class TestSolutionJacobians:
         for k in (4, -5):
             c, s = math.cos(k * angle), math.sin(k * angle)
             expect = np.array([[c, -s], [s, c]])
-            assert_allclose(d_y_deta(end_cfg, k, 0, eta), expect, atol=1e-12)
+            assert_allclose(y_deta(end_cfg, k, 0, eta), expect, atol=1e-12)
 
     @pytest.mark.parametrize("k", [5, -4])
     def test_fd_cross_validation(self, end_cfg, rng, k):
@@ -108,14 +120,14 @@ class TestSolutionJacobians:
 
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         rep = jacobian_report(
-            d_x2_dxi(end_cfg, k, 0, xi, eta, TIGHT),
+            x2_dxi(end_cfg, k, 0, xi, eta, TIGHT),
             lambda z: nl.evolve_coupled(end_cfg, k, 0, z, eta, TIGHT),
             xi,
             1e-6,
         )
         assert rep.rel_error <= 1e-5
         rep = jacobian_report(
-            d_x2_deta(end_cfg, k, 0, xi, eta, TIGHT),
+            x2_deta(end_cfg, k, 0, xi, eta, TIGHT),
             lambda z: nl.evolve_coupled(end_cfg, k, 0, xi, z, TIGHT),
             eta,
             1e-6,
@@ -140,9 +152,9 @@ class TestSolutionJacobians:
             k = n + int(rng.integers(-5, 6))
             xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
             kind = s.space.norm_kind
-            assert operator_norm(d_x2_dxi(s, k, n, xi, eta, TIGHT), kind) <= lip_C(s, k, n) * (1 + 1e-9)
-            assert operator_norm(d_y_deta(s, k, n, eta), kind) <= lip_D(s, k, n) * (1 + 1e-9)
-            assert operator_norm(d_x2_deta(s, k, n, xi, eta, TIGHT), kind) <= lip_M(s, k, n) * (1 + 1e-9)
+            assert operator_norm(x2_dxi(s, k, n, xi, eta, TIGHT), kind) <= lip_C(s, k, n) * (1 + 1e-9)
+            assert operator_norm(y_deta(s, k, n, eta), kind) <= lip_D(s, k, n) * (1 + 1e-9)
+            assert operator_norm(x2_deta(s, k, n, xi, eta, TIGHT), kind) <= lip_M(s, k, n) * (1 + 1e-9)
 
 
 class TestConjugacyDerivatives:
@@ -150,14 +162,14 @@ class TestConjugacyDerivatives:
         sys, _ = random_invertible_system(rng)
         eng = ConjugacyEngine(sys)
         xi = np.array([0.4, 0.1])
-        assert_allclose(d_barh_dxi(eng, 0, xi), 0.0, atol=0)
-        assert_allclose(d_h_dxi(eng, 0, xi), 0.0, atol=0)
+        assert_allclose(barh_jacobian(eng, 0, xi)[0], 0.0, atol=0)
+        assert_allclose(h_jacobian(eng, 0, xi)[0], 0.0, atol=0)
 
     def test_norm_bound_below_contraction(self, engine_ex1, rng):
         c = engine_ex1.contraction(0)
         for _ in range(10):
             xi = rng.uniform(-2, 2, 2)
-            b = d_barh_dxi(engine_ex1, 0, xi)
+            b = barh_jacobian(engine_ex1, 0, xi)[0]
             assert operator_norm(b, "max") <= c + 1e-10
             assert operator_norm(b, "max") < 1.0
 
@@ -166,7 +178,8 @@ class TestConjugacyDerivatives:
         s = engine_end.sys
         n = 0
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        mat, _, win = d_barh_deta_detailed(engine_end, n, xi, eta)
+        mat, win = barh_jacobian(engine_end, n, xi, eta)
+        mat = mat[:, 2:]
         total = sum(
             green_norm(s, n, k + 1)
             * (s.f.gamma(k) * lip_M(s, k, n) + s.f.rho(k) * lip_D(s, k, n))
@@ -179,7 +192,7 @@ class TestConjugacyDerivatives:
             dy = eng.sys.space.dim_y
             xi = rng.uniform(-1, 1, 2)
             eta = rng.uniform(-1, 1, dy)
-            mat, _, _ = d_barh_dxi_detailed(eng, 0, xi, eta)
+            mat = barh_jacobian(eng, 0, xi, eta)[0][:, :2]
             win = eng.series_window(0, eng.series_tol).halfwidth
             rep = jacobian_report(
                 mat, lambda z: eng.bar_h(0, z, eta, window=win), xi, 1e-6
@@ -188,7 +201,7 @@ class TestConjugacyDerivatives:
 
     def test_fd_barh_second_variable(self, engine_end, rng):
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        mat, _, _ = d_barh_deta_detailed(engine_end, 0, xi, eta)
+        mat = barh_jacobian(engine_end, 0, xi, eta)[0][:, 2:]
         win = engine_end.series_window(0, engine_end.series_tol).halfwidth
         rep = jacobian_report(
             mat, lambda z: engine_end.bar_h(0, xi, z, window=win), eta, 1e-6
@@ -199,8 +212,8 @@ class TestConjugacyDerivatives:
         s = system_by_name("end_cfg", gamma_scale=0.9, rho_scale=0.0)
         eng = ConjugacyEngine(s, solve=TIGHT)
         xi, eta = np.array([0.4, -0.1]), np.array([0.2, 0.9])
-        assert_allclose(d_barh_deta(eng, 0, xi, eta), 0.0, atol=1e-15)
-        assert_allclose(d_h_deta(eng, 0, xi, eta), 0.0, atol=1e-12)
+        assert_allclose(barh_jacobian(eng, 0, xi, eta)[0][:, 2:], 0.0, atol=1e-15)
+        assert_allclose(h_jacobian(eng, 0, xi, eta)[0][:, 2:], 0.0, atol=1e-12)
 
     def test_resolvent_consistency(self, engine_ex1, engine_end, rng):
         # differentiating the inverse identity: (Id + R)(Id + d bar_h/du|shifted) = Id
@@ -209,16 +222,14 @@ class TestConjugacyDerivatives:
             xi = rng.uniform(-1, 1, 2)
             eta = rng.uniform(-1, 1, dy)
             u = eng.h(0, xi, eta)
-            b = d_barh_dxi(eng, 0, xi + u, eta)
-            r = d_h_dxi(eng, 0, xi, eta)
+            b = barh_jacobian(eng, 0, xi + u, eta)[0][:, :2]
+            r = h_jacobian(eng, 0, xi, eta)[0][:, :2]
             eye = np.eye(2)
             assert np.max(np.abs((eye + r) @ (eye + b) - eye)) <= 1e-8
 
     def test_fd_h_both_variables(self, engine_end, rng):
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        reports = validate_jacobians(
-            engine_end, 0, xi, eta, kinds=("d_h_dxi", "d_h_deta")
-        )
+        reports = validate_jacobians(engine_end, 0, xi, eta)
         assert reports["d_h_dxi"].rel_error <= 1e-4
         assert reports["d_h_deta"].rel_error <= 1e-4
 
@@ -241,6 +252,35 @@ class TestValidateJacobians:
         assert "d_h_deta" not in reports
         assert reports["d_x2_deta"].analytic.shape == (2, 0)
         assert reports["d_x2_deta"].rel_error == 0.0
+
+    def test_one_stencil_per_map_two_h_solves(self, engine_end, rng):
+        # h_jacobian's solve plus one pinned stencil over (xi, eta) for both h
+        # blocks; separate xi and eta stencils made three h_detailed calls
+        calls = []
+        solve = engine_end.h_detailed
+        engine_end.h_detailed = lambda *a, **kw: (calls.append(a[0]), solve(*a, **kw))[1]
+        for n in (-3, 0, 3):
+            for _ in range(3):
+                before = len(calls)
+                xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+                reports = validate_jacobians(engine_end, n, xi, eta)
+                assert len(calls) - before == 2
+                assert all(rep.rel_error <= 1e-4 for rep in reports.values())
+
+    def test_blocks_of_the_joint_jacobians(self, engine_end, rng):
+        xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+        reports = validate_jacobians(engine_end, 1, xi, eta, k=4)
+        sol = solution_jacobian(engine_end.sys, 4, 1, xi, eta, engine_end.solve)
+        assert_allclose(sol[2:, :2], 0.0, atol=0)  # y does not depend on xi
+        assert_allclose(reports["d_x2_dxi"].analytic, sol[:2, :2], atol=0)
+        assert_allclose(reports["d_x2_deta"].analytic, sol[:2, 2:], atol=0)
+        assert_allclose(reports["d_y_deta"].analytic, sol[2:, 2:], atol=0)
+        b = barh_jacobian(engine_end, 1, xi, eta)[0]
+        assert_allclose(reports["d_barh_dxi"].analytic, b[:, :2], atol=0)
+        assert_allclose(reports["d_barh_deta"].analytic, b[:, 2:], atol=0)
+        r = h_jacobian(engine_end, 1, xi, eta)[0]
+        assert_allclose(reports["d_h_dxi"].analytic, r[:, :2], atol=0)
+        assert_allclose(reports["d_h_deta"].analytic, r[:, 2:], atol=0)
 
     def test_rel_error_definition(self):
         a = np.array([[2.0, 0.0], [0.0, 2.0]])
@@ -277,7 +317,7 @@ class TestNonlinearDriver:
         eta = rng.uniform(-1, 1, 2)
         for k in (5, -5):
             rep = jacobian_report(
-                d_y_deta(sys_nl, k, 0, eta),
+                y_deta(sys_nl, k, 0, eta),
                 lambda z: nl.evolve_driver(sys_nl, k, 0, z),
                 eta,
                 1e-6,
@@ -290,7 +330,7 @@ class TestNonlinearDriver:
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         for k in (4, -4):
             rep = jacobian_report(
-                d_x2_deta(sys_nl, k, 0, xi, eta, TIGHT),
+                x2_deta(sys_nl, k, 0, xi, eta, TIGHT),
                 lambda z: nl.evolve_coupled(sys_nl, k, 0, xi, z, TIGHT),
                 eta,
                 1e-6,

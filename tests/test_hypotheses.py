@@ -113,10 +113,21 @@ class TestEstimatorInternals:
         assert est.verdict == DIVERGENT
 
     def test_non_finite_partial_sum_never_converges(self):
-        for bad in (math.inf, math.nan):
+        for bad, verdict in ((math.inf, DIVERGENT), (math.nan, INCONCLUSIVE)):
             est = _estimate((-1, 1), [bad], [1.0], None, 0.5, 0.5, EstimateOptions())
-            assert est.verdict == DIVERGENT
+            assert est.verdict == verdict
             assert est.to_json()["partial_sum"] is None
+
+    def test_nan_partial_sum_is_inconclusive(self):
+        # NaN is an arithmetic failure, not a divergence witness, whatever
+        # the caps, envelopes and term runs say; an infinite sum still diverges
+        opts = EstimateOptions(explosion_cap=10.0, divergence_run=2)
+        for left_env in (0.5, None):
+            est = _estimate((-3, 3), [1.0, 2.0, math.nan], [20.0], None, left_env, None, opts)
+            assert est.verdict == INCONCLUSIVE
+            assert est.tail_bound is None and est.bound == math.inf
+        est = _estimate((-1, 1), [math.inf], [], None, None, None, opts)
+        assert est.verdict == DIVERGENT
 
 
 class TestCheckBasic:
