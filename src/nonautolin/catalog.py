@@ -75,6 +75,10 @@ class ExampleParams:
     def __post_init__(self):
         if self.variant not in BUILDERS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name in ("lam", "gamma_scale", "theta_ratio", "rotation_angle", "c", "rho_scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (0.0 <= self.gamma_scale <= 1.0):
             raise ValueError("gamma_scale must lie in [0, 1]")
         if self.variant in ("ex1", "emo") and not 0.0 < self.lam <= LAM_MAX:

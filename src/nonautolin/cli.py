@@ -76,6 +76,16 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("probe_extent", "series_tol", "fp_tol", "fd_step", "equivariance_threshold",
+                     "jacobian_threshold", "inverse_threshold"):
+            value = getattr(self, name)
+            if value is None and name == "inverse_threshold":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.force, bool):
+            raise ConfigError(f"force must be a bool, got {self.force!r}")
         if self.seed < 0 or self.steps < 0:
             raise ConfigError("seed and steps must be >= 0")
         if self.bc_probes < 1 or self.jacobian_probe_cap < 1:
@@ -310,44 +320,39 @@ def _probe_header(report: dict, probe_len: int) -> list:
     return cols
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_csv_tables(report: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for section in ("equivariance", "inverse"):
         table = report.get(section)
         if not table:
             continue
-        path = out_dir / f"{section}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            rows = table["rows"]
-            dims = (len(rows[0]["probe"]), len(rows[0]["value"])) if rows else (0, 0)
-            header = (
-                ["n"]
-                + _probe_header(report, dims[0])
-                + [f"value{i}" for i in range(dims[1])]
-                + ["residual", "tail_bound"]
-            )
-            writer.writerow(header)
-            for r in rows:
-                writer.writerow(
-                    [r["n"], *r["probe"], *r["value"], r["residual"], r["tail_bound"]]
-                )
+        rows = table["rows"]
+        dims = (len(rows[0]["probe"]), len(rows[0]["value"])) if rows else (0, 0)
+        header = (
+            ["n"]
+            + _probe_header(report, dims[0])
+            + [f"value{i}" for i in range(dims[1])]
+            + ["residual", "tail_bound"]
+        )
+        _write_csv(out_dir / f"{section}.csv", header,
+                   ([r["n"], *r["probe"], *r["value"], r["residual"], r["tail_bound"]]
+                    for r in rows))
     table = report.get("jacobians")
     if table:
-        path = out_dir / "jacobians.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            rows = table["rows"]
-            pdim = len(rows[0]["probe"]) if rows else 0
-            writer.writerow(
-                ["kind", "n"] + _probe_header(report, pdim)
-                + ["rel_error", "fd_step", "analytic_norm"]
-            )
-            for r in rows:
-                writer.writerow(
-                    [r["kind"], r["n"], *r["probe"], r["rel_error"], r["fd_step"],
-                     r["analytic_norm"]]
-                )
+        rows = table["rows"]
+        pdim = len(rows[0]["probe"]) if rows else 0
+        header = (["kind", "n"] + _probe_header(report, pdim)
+                  + ["rel_error", "fd_step", "analytic_norm"])
+        _write_csv(out_dir / "jacobians.csv", header,
+                   ([r["kind"], r["n"], *r["probe"], r["rel_error"], r["fd_step"],
+                     r["analytic_norm"]] for r in rows))
 
 
 def write_report(report: dict, out: Optional[str], fmt: str, command: str) -> None:
@@ -432,11 +437,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for key, target in _SYSTEM_KEYS.items():
         if key in file_overrides:
             system_params[target] = file_overrides.pop(key)
-    for flag, target in (("lam", "lam"), ("gamma_scale", "gamma_scale"), ("c", "c"),
-                         ("theta_ratio", "theta_ratio"), ("rotation_angle", "rotation_angle")):
-        v = getattr(args, flag)
-        if v is not None:
-            system_params[target] = v
+    for name in ("lam", "gamma_scale", "c", "theta_ratio", "rotation_angle"):
+        if getattr(args, name) is not None:
+            system_params[name] = getattr(args, name)
 
     cfg_kwargs = dict(
         system=system,

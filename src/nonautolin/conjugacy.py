@@ -34,7 +34,6 @@ bar_h solves per index m, shared by every base index whose steps reach m.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,51 +82,40 @@ class ConjugacyEngine:
         self.solve = solve
         self.advanced_halfwidth = int(advanced_halfwidth or window_halfwidth)
         self.contraction_estimate: dict[int, float] = {}
-        self._green_rows: dict[int, tuple[int, dict[int, np.ndarray]]] = {}
+        self._green_rows: dict[int, np.ndarray] = {}
         self._mu_windows: dict[tuple[int, float], SeriesWindow] = {}
-        self._lock = threading.Lock()
 
     # -- caches ------------------------------------------------------------
 
-    def green_row(self, n: int, halfwidth: int) -> dict[int, np.ndarray]:
-        """G(n, k+1) for k in [n - halfwidth, n + halfwidth], cached per n."""
-        with self._lock:
-            cached = self._green_rows.get(n)
-        if cached is not None and cached[0] >= halfwidth:
-            return cached[1]
-        span = green_span(self.sys, n, n - halfwidth + 1, n + halfwidth + 1)
-        row = {q - 1: mat for q, mat in span.items()}
-        with self._lock:
-            prev = self._green_rows.get(n)
-            if prev is None or prev[0] < halfwidth:
-                self._green_rows[n] = (halfwidth, row)
-            return self._green_rows[n][1]
-
-    def _mu_terms(self, n: int, halfwidth: int) -> dict[int, float]:
-        row = self.green_row(n, halfwidth)
-        kind = self.sys.space.norm_kind
-        return {
-            k: operator_norm(row[k], kind) * self.sys.f.mu(k)
-            for k in range(n - halfwidth, n + halfwidth + 1)
-        }
+    def green_row(self, n: int, halfwidth: int) -> np.ndarray:
+        """G(n, k+1) for k in [n - halfwidth, n + halfwidth] as a stack, with
+        G(n, k+1) at [k - n + halfwidth].  One stack is cached per n, the
+        widest built so far; narrower rows are its centre."""
+        row = self._green_rows.get(n)
+        if row is None or len(row) < 2 * halfwidth + 1:
+            row = self._green_rows[n] = green_span(self.sys, n, n - halfwidth + 1,
+                                                   n + halfwidth + 1)
+        cut = (len(row) - 2 * halfwidth - 1) // 2
+        return row[cut:len(row) - cut]
 
     def series_window(self, n: int, tol: float) -> SeriesWindow:
         """Window halfwidth for bar_h at center n with truncation error <= tol."""
         key = (n, float(tol))
-        with self._lock:
-            if key in self._mu_windows:
-                return self._mu_windows[key]
-        win = self._build_series_window(n, tol)
-        with self._lock:
-            return self._mu_windows.setdefault(key, win)
+        if key in self._mu_windows:
+            return self._mu_windows[key]
 
-    def _build_series_window(self, n: int, tol: float) -> SeriesWindow:
-        def terms(k):
-            mu = self._mu_terms(n, k)
-            return [mu[n - d] for d in range(1, k + 1)], [mu[n + d] for d in range(1, k + 1)]
+        def mu_terms(k):  # |G(n, j+1)| mu_j for j in [n - k, n + k]
+            mu = [self.sys.f.mu(j) for j in range(n - k, n + k + 1)]
+            return operator_norm(self.green_row(n, k), self.sys.space.norm_kind) * mu
 
-        k, tail = self._fit_window(n, _envelope(self.sys, "barh", n), tol, terms)
-        return SeriesWindow(k, tail, sum(self._mu_terms(n, k).values()) + tail)
+        def sides(k):
+            terms = mu_terms(k)
+            return terms[:k][::-1], terms[k + 1:]
+
+        k, tail = self._fit_window(n, _envelope(self.sys, "barh", n), tol, sides)
+        # the builtin sum adds the terms in index order
+        win = self._mu_windows[key] = SeriesWindow(k, tail, sum(mu_terms(k)) + tail)
+        return win
 
     def _fit_window(self, n: int, env, tol: float, terms) -> tuple[int, float]:
         """(halfwidth, two-sided tail) of a series at center n with tail <= tol.
@@ -159,17 +147,16 @@ class ConjugacyEngine:
     def contraction(self, n: int) -> float:
         """Certified bound on the first-variable Lipschitz constant of bar_h
         (K_n + J_n + |G(n,n+1)| gamma_n including tails); must be < 1 for h/H."""
-        with self._lock:
-            if n in self.contraction_estimate:
-                return self.contraction_estimate[n]
+        if n in self.contraction_estimate:
+            return self.contraction_estimate[n]
         w = self.advanced_halfwidth
         k_est, j_est, c = check_advanced_first(self.sys, n, (n - w, n + w), DEFAULT_ESTIMATE)
         if k_est.verdict != CONVERGED or j_est.verdict != CONVERGED:
             raise ContractionViolation(n, math.inf, what="first-variable series bound")
         if not c < 1.0:
             raise ContractionViolation(n, c, what="K + J + |G(n,n+1)|*gamma")
-        with self._lock:
-            return self.contraction_estimate.setdefault(n, c)
+        self.contraction_estimate[n] = c
+        return c
 
     # -- conjugacy evaluations ----------------------------------------------
 
@@ -199,7 +186,7 @@ class ConjugacyEngine:
         states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, self.solve)
         acc = np.zeros_like(xi_b)
         for k in range(n - k_half, n + k_half + 1):
-            acc += row[k] @ _coupling_value(sys, k, *states[k])
+            acc += row[k - n + k_half] @ _coupling_value(sys, k, *states[k])
         val = -acc
         return (val[:, 0] if single else val), tail, k_half
 

@@ -31,7 +31,7 @@ import numpy as np
 from .conjugacy import ConjugacyEngine
 from .errors import SingularOperatorError
 from .evolution import DEFAULT_SOLVE, SolveOptions, coupled_trajectory
-from .hypotheses import _advanced_terms, _envelope
+from .hypotheses import IndexConstants, _advanced_terms, _envelope
 from .system import SystemSpec, operator_norm
 
 
@@ -47,21 +47,12 @@ class JacobianReport:
 
 def fd_jacobian(fun: Callable, point, step: float) -> np.ndarray:
     """Central finite differences per coordinate: column i is
-    (fun(p + step e_i) - fun(p - step e_i)) / (2 step)."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-    cols = []
-    for i in range(p.size):
-        e = np.zeros_like(p)
-        e[i] = step
-        fp = np.atleast_1d(np.asarray(fun(p + e), dtype=float))
-        fm = np.atleast_1d(np.asarray(fun(p - e), dtype=float))
-        cols.append((fp - fm) / (2.0 * step))
-    if not cols:
-        out_dim = np.atleast_1d(np.asarray(fun(p), dtype=float)).size
-        return np.zeros((out_dim, 0))
-    return np.stack(cols, axis=1)
+    (fun(p + step e_i) - fun(p - step e_i)) / (2 step), with fun evaluated
+    one stencil point at a time."""
+    def fun_batch(points):
+        return np.stack([np.atleast_1d(np.asarray(fun(p), dtype=float)) for p in points.T], axis=1)
+
+    return fd_jacobian_batch(fun_batch, point, step)
 
 
 def fd_jacobian_batch(fun_batch: Callable, point, step: float) -> np.ndarray:
@@ -184,12 +175,12 @@ def _derivative_window(engine: ConjugacyEngine, n: int, which: str) -> int:
     <= series_tol; without an envelope the window is fitted on the
     state-free bounding terms of the advanced conditions."""
     sys = engine.sys
-    kind = sys.space.norm_kind
 
     def terms(k):
-        row = engine.green_row(n, k)
-        gn = {j + 1: operator_norm(row[j], kind) for j in range(n - k, n + k + 1) if j != n}
-        return [_advanced_terms(sys, n, end, gn, which) for end in (n - k, n + k)]
+        c = IndexConstants.of(sys, n - k, n + k)
+        g = operator_norm(engine.green_row(n, k), sys.space.norm_kind)
+        side = 0 if which == "dxi" else 1
+        return [_advanced_terms(c, g, n, end)[side] for end in (n - k, n + k)]
 
     return engine._fit_window(n, _envelope(sys, which, n), engine.series_tol, terms)[0]
 
@@ -205,7 +196,8 @@ def barh_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.nda
     row = engine.green_row(n, k_half)
     lo, hi = n - k_half, n + k_half
     states = coupled_trajectory(sys, n, lo, hi, xi, eta, engine.solve)
-    acc = sum(row[k] @ (jx @ w + jy @ v) for k, jx, jy, w, v in _tangents(sys, states, n, lo, hi))
+    acc = sum(row[k - lo] @ (jx @ w + jy @ v)
+              for k, jx, jy, w, v in _tangents(sys, states, n, lo, hi))
     return -acc, k_half
 
 

@@ -189,27 +189,6 @@ def _backward_factor(sys: SystemSpec, j: int) -> float:
     return inv_norm / denom
 
 
-def _lip_products(sys: SystemSpec, n: int, end: int):
-    """Yield (k, C_{k,n}, M_{k,n}, D_{k,n}) for k = n -/+ 1, ..., end, walking
-    outward from n and extending each product by one factor per step."""
-    c = m = d = 1.0
-    if end < n:
-        for k in range(n - 1, end - 1, -1):
-            bf, sigma = _backward_factor(sys, k), sys.g.sigma(k)
-            c *= bf
-            m *= bf + sigma
-            d *= sigma
-            yield k, c, m, d
-    else:
-        for k in range(n + 1, end + 1):
-            j = k - 1
-            step = sys.a_norm(j) + sys.f.gamma(j)
-            c *= step
-            m *= step + max(sys.f.rho(j), sys.g.tau(j))
-            d *= sys.g.tau(j)
-            yield k, c, m, d
-
-
 def lip_C(sys: SystemSpec, k: int, n: int) -> float:
     """First-variable Lipschitz product of x2(k, n, ., eta)."""
     if k == n:

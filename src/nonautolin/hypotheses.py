@@ -23,13 +23,13 @@ Condition ids used in reports:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import NonautolinError
-from .evolution import _lip_products
+from .errors import ContractionViolation, NonautolinError
 from .system import GeometricTail, SystemSpec, green_span, operator_norm
 
 CONVERGED = "converged"
@@ -106,7 +106,7 @@ def _has_divergence_run(terms: list, run_len: int) -> bool:
 
 def _ratio_tail(terms: list, opts: EstimateOptions) -> tuple[Optional[float], str]:
     """Tail estimate by geometric-ratio extrapolation from the outermost terms."""
-    if not terms:
+    if len(terms) == 0:
         return 0.0, CONVERGED
     chunk = terms[-opts.ratio_terms:]
     if all(t == 0.0 for t in chunk):
@@ -156,8 +156,8 @@ def _estimate(
     inspected = len(left_terms) + len(right_terms) + (0 if middle is None else 1)
     # the explosion cap is a heuristic like the ratio tail: analytic envelopes
     # on every side that has terms bound a large partial sum's tails outright
-    extrapolated = (bool(left_terms) and left_env_tail is None) or (
-        bool(right_terms) and right_env_tail is None
+    extrapolated = (len(left_terms) > 0 and left_env_tail is None) or (
+        len(right_terms) > 0 and right_env_tail is None
     )
     exploded = partial > opts.explosion_cap and extrapolated
     # a NaN sum is an arithmetic failure (inf * 0 in an overflowed Green
@@ -255,10 +255,10 @@ def _worst_verdict(verdicts) -> str:
     return CONVERGED
 
 
-def _worst(fn, lo: int, hi: int) -> tuple[int, float]:
-    """Index of the largest fn(n) over [lo, hi] (the first on ties) and its value."""
-    idx = max(range(lo, hi + 1), key=fn)
-    return idx, fn(idx)
+def _worst(values: np.ndarray, lo: int) -> tuple[int, float]:
+    """Index of the largest entry of values[k - lo] (the first on ties) and its value."""
+    i = int(np.argmax(values))
+    return lo + i, float(values[i])
 
 
 def _envelope(sys: SystemSpec, which: str, n: int) -> Optional[GeometricTail]:
@@ -267,35 +267,85 @@ def _envelope(sys: SystemSpec, which: str, n: int) -> Optional[GeometricTail]:
     return env_fn(n) if env_fn else None
 
 
-def _green_norms(sys: SystemSpec, n: int, lo: int, hi: int) -> dict[int, float]:
-    """{q: |G(n, q)|} for q in [lo, hi]: one Green span, one operator norm per kernel."""
-    kind = sys.space.norm_kind
-    return {q: operator_norm(mat, kind) for q, mat in green_span(sys, n, lo, hi).items()}
+class IndexConstants(namedtuple("IndexConstants", "lo mu gamma rho sigma tau step margin back")):
+    """The per-index constants of the series on [lo, hi], entry k of each
+    array at [k - lo].
+
+    `step` is the forward Lipschitz factor |A_k| + gamma_k, `margin` the
+    backward contraction rate |A_k^{-1}| gamma_k and `back` the backward
+    factor |A_k^{-1}| / (1 - margin_k), which holds only where margin_k < 1.
+    """
+
+    @staticmethod
+    def of(sys: SystemSpec, lo: int, hi: int) -> "IndexConstants":
+        fns = (sys.f.mu, sys.f.gamma, sys.f.rho, sys.g.sigma, sys.g.tau, sys.a_norm, sys.a_inv_norm)
+        mu, gamma, rho, sigma, tau, a, a_inv = np.array([[fn(k) for k in range(lo, hi + 1)]
+                                                         for fn in fns], dtype=float)
+        margin = a_inv * gamma
+        with np.errstate(divide="ignore"):
+            return IndexConstants(lo, mu, gamma, rho, sigma, tau, a + gamma, margin,
+                                  a_inv / (1.0 - margin))
+
+    def window(self, lo: int, hi: int) -> "IndexConstants":
+        """The constants on [lo, hi], a sub-window of this one."""
+        s = slice(lo - self.lo, hi - self.lo + 1)
+        return IndexConstants(lo, *(a[s] for a in self[1:]))
 
 
-def _new_report(sys: SystemSpec, lo: int, hi: int) -> HypothesisReport:
+def _lip_products(c: IndexConstants, n: int, end: int) -> tuple[np.ndarray, ...]:
+    """(C_{k,n}, M_{k,n}, D_{k,n}) for k = n -/+ 1, ..., end, in that order:
+    products walking outward from n, one factor per step.
+
+    A backward side raises ContractionViolation at the k nearest n with
+    margin_k >= 1, if there is one.
+    """
+    if end < n:
+        s = slice(end - c.lo, n - c.lo)
+        bad = np.flatnonzero(c.margin[s] >= 1.0)
+        if bad.size:
+            k = end + int(bad[-1])
+            raise ContractionViolation(k, float(c.margin[k - c.lo]))
+        lip_c, lip_d = c.back[s][::-1], c.sigma[s][::-1]
+        lip_m = lip_c + lip_d
+    else:
+        s = slice(n - c.lo, end - c.lo)
+        lip_c, lip_d = c.step[s], c.tau[s]
+        lip_m = lip_c + np.maximum(c.rho[s], lip_d)
+    with np.errstate(over="ignore"):  # a divergent series' products may reach inf
+        return np.cumprod(lip_c), np.cumprod(lip_m), np.cumprod(lip_d)
+
+
+def _green_norms(sys: SystemSpec, n: int, lo: int, hi: int) -> np.ndarray:
+    """|G(n, k + 1)| for k in [lo, hi], entry k at [k - lo]: one Green span,
+    one stacked operator norm."""
+    return operator_norm(green_span(sys, n, lo + 1, hi + 1), sys.space.norm_kind)
+
+
+def _new_report(c: IndexConstants, lo: int, hi: int) -> HypothesisReport:
     """Report over [lo, hi] holding only the backward margin bc4."""
     if lo > hi:
         raise ValueError("window must be nonempty")
-    idx, margin = _worst(sys.contraction_margin, lo, hi)
+    idx, margin = _worst(c.window(lo, hi).margin, lo)
     return HypothesisReport(
         window=(lo, hi), bc4_ok=margin < 1.0, bc4_worst_index=idx, bc4_worst_margin=margin
     )
 
 
 def _basic_series(
-    sys: SystemSpec, m: int, w: int, gn: dict, opts: EstimateOptions
+    sys: SystemSpec, m: int, w: int, c: IndexConstants, g: np.ndarray, opts: EstimateOptions
 ) -> tuple[SeriesEstimate, SeriesEstimate]:
-    """The bc2 and bc3 sums at center m over [m - w, m + w]; gn[q] = |G(m, q)|."""
+    """The bc2 and bc3 sums at center m over q in [m - w, m + w], with
+    g[k - c.lo] = |G(m, k + 1)| aligned with the constants c."""
+    mid = m - 1 - c.lo  # the center term q = m, k = m - 1
 
     def series(weight, which):
-        left = [gn[m - d] * weight(m - d - 1) for d in range(1, w + 1)]
-        right = [gn[m + d] * weight(m + d - 1) for d in range(1, w + 1)]
+        terms = g * weight
         env = _envelope(sys, which, m)
         tail = env.one_sided(w) if env else None
-        return _estimate((m - w, m + w), left, right, gn[m] * weight(m - 1), tail, tail, opts)
+        return _estimate((m - w, m + w), terms[mid - w:mid][::-1], terms[mid + 1:mid + w + 1],
+                         terms[mid], tail, tail, opts)
 
-    return series(sys.f.mu, "bc2"), series(sys.f.gamma, "bc3")
+    return series(c.mu, "bc2"), series(c.gamma, "bc3")
 
 
 def _finish_basic(
@@ -345,10 +395,12 @@ def check_basic(
     bc1 is spot-checked at seeded random probe points.
     """
     lo, hi = int(window[0]), int(window[1])
-    report = _new_report(sys, lo, hi)
     w_in = inner_halfwidth if inner_halfwidth is not None else max((hi - lo) // 2, 8)
+    consts = IndexConstants.of(sys, lo - w_in - 1, hi + w_in - 1)
+    report = _new_report(consts, lo, hi)
     per_m = [
-        _basic_series(sys, m, w_in, _green_norms(sys, m, m - w_in, m + w_in), opts)
+        _basic_series(sys, m, w_in, consts.window(m - w_in - 1, m + w_in - 1),
+                      _green_norms(sys, m, m - w_in - 1, m + w_in - 1), opts)
         for m in range(lo, hi + 1)
     ]
     return _finish_basic(report, sys, per_m, probes, seed, probe_extent)
@@ -388,28 +440,31 @@ def sample_coupling_bounds(
     return True
 
 
-def _advanced_terms(sys: SystemSpec, n: int, end: int, gn: dict, which: str) -> list[float]:
-    """Terms of an advanced sum on the side of `end`, outward from n, with
-    gn[q] = |G(n, q)|: |G(n,k+1)| gamma_k C_{k,n} of K_n / J_n for which =
-    "dxi", |G(n,k+1)| (gamma_k M_{k,n} + rho_k D_{k,n}) of ac9 for "deta"."""
-    if which == "dxi":
-        return [gn[k + 1] * sys.f.gamma(k) * c for k, c, _, _ in _lip_products(sys, n, end)]
-    return [
-        gn[k + 1] * (sys.f.gamma(k) * m + sys.f.rho(k) * d)
-        for k, _, m, d in _lip_products(sys, n, end)
-    ]
+def _advanced_terms(c: IndexConstants, g: np.ndarray, n: int, end: int) -> tuple[np.ndarray, ...]:
+    """Terms of the advanced sums on the side of `end`, outward from n, with
+    g[k - c.lo] = |G(n, k + 1)|: |G(n,k+1)| gamma_k C_{k,n} of K_n / J_n
+    ("dxi") and |G(n,k+1)| (gamma_k M_{k,n} + rho_k D_{k,n}) of ac9 ("deta")."""
+    lip_c, lip_m, lip_d = _lip_products(c, n, end)
+    ks = (np.arange(n - 1, end - 1, -1) if end < n else np.arange(n + 1, end + 1)) - c.lo
+    g, gamma, rho = g[ks], c.gamma[ks], c.rho[ks]
+    return g * gamma * lip_c, g * (gamma * lip_m + rho * lip_d)
 
 
-def _advanced_first(
-    sys: SystemSpec, n: int, lo: int, hi: int, gn: dict, opts: EstimateOptions
-) -> tuple[SeriesEstimate, SeriesEstimate, float]:
-    env = _envelope(sys, "dxi", n)
-    k_tail = env.one_sided(n - lo) if env else None
-    j_tail = env.one_sided(hi - n) if env else None
-    past, future = _advanced_terms(sys, n, lo, gn, "dxi"), _advanced_terms(sys, n, hi, gn, "dxi")
-    k_est = _estimate((lo, n - 1), past, [], None, k_tail, None, opts)
-    j_est = _estimate((n + 1, hi), [], future, None, None, j_tail, opts)
-    return k_est, j_est, k_est.bound + j_est.bound + gn[n + 1] * sys.f.gamma(n)
+def _advanced(
+    sys: SystemSpec, n: int, lo: int, hi: int, c: IndexConstants, g: np.ndarray,
+    opts: EstimateOptions,
+) -> tuple[SeriesEstimate, SeriesEstimate, float, SeriesEstimate]:
+    """K_n, J_n, their contraction total and the ac9 sum over [lo, hi] around
+    n, with g[k - c.lo] = |G(n, k + 1)|."""
+    (past, left), (future, right) = _advanced_terms(c, g, n, lo), _advanced_terms(c, g, n, hi)
+    dxi, deta = _envelope(sys, "dxi", n), _envelope(sys, "deta", n)
+    k_est = _estimate((lo, n - 1), past, [], None, dxi and dxi.one_sided(n - lo), None, opts)
+    j_est = _estimate((n + 1, hi), [], future, None, None, dxi and dxi.one_sided(hi - n), opts)
+    i = n - c.lo
+    total = float(k_est.bound + j_est.bound + g[i] * c.gamma[i])
+    second = _estimate((lo, hi), left, right, g[i] * (c.gamma[i] + c.rho[i]),
+                       deta and deta.one_sided(n - lo), deta and deta.one_sided(hi - n), opts)
+    return k_est, j_est, total, second
 
 
 def check_advanced_first(
@@ -425,18 +480,8 @@ def check_advanced_first(
     when it is < 1.
     """
     lo, hi = int(window[0]), int(window[1])
-    return _advanced_first(sys, n, lo, hi, _green_norms(sys, n, lo + 1, hi + 1), opts)
-
-
-def _advanced_second(
-    sys: SystemSpec, n: int, lo: int, hi: int, gn: dict, opts: EstimateOptions
-) -> SeriesEstimate:
-    middle = gn[n + 1] * (sys.f.gamma(n) + sys.f.rho(n))
-    env = _envelope(sys, "deta", n)
-    lt = env.one_sided(n - lo) if env else None
-    rt = env.one_sided(hi - n) if env else None
-    left, right = _advanced_terms(sys, n, lo, gn, "deta"), _advanced_terms(sys, n, hi, gn, "deta")
-    return _estimate((lo, hi), left, right, middle, lt, rt, opts)
+    return _advanced(sys, n, lo, hi, IndexConstants.of(sys, lo, hi),
+                     _green_norms(sys, n, lo, hi), opts)[:3]
 
 
 def check_advanced_second(
@@ -447,12 +492,14 @@ def check_advanced_second(
 ) -> SeriesEstimate:
     """Evaluate sum_k |G(n,k+1)| (gamma_k M_{k,n} + rho_k D_{k,n}) over the window."""
     lo, hi = int(window[0]), int(window[1])
-    return _advanced_second(sys, n, lo, hi, _green_norms(sys, n, lo + 1, hi + 1), opts)
+    return _advanced(sys, n, lo, hi, IndexConstants.of(sys, lo, hi),
+                     _green_norms(sys, n, lo, hi), opts)[3]
 
 
 def check_sigma_rho(sys: SystemSpec, window: tuple[int, int]) -> tuple[bool, int, float]:
     """sigma_n rho_n <= 1 over the window; returns (ok, worst index, worst value)."""
-    idx, val = _worst(lambda n: sys.g.sigma(n) * sys.f.rho(n), window[0], window[1])
+    c = IndexConstants.of(sys, window[0], window[1])
+    idx, val = _worst(c.sigma * c.rho, c.lo)
     return val <= 1.0, idx, val
 
 
@@ -469,10 +516,11 @@ def certify(
     series at every n in n_range with per-n windows of the given halfwidth."""
     lo, hi = int(n_range[0]), int(n_range[1])
     w = window_halfwidth
-    report = _new_report(sys, lo, hi)
-    ok6, idx6, _ = check_sigma_rho(sys, (lo - w, hi + w))
-    report.ac6_ok = ok6
-    report.ac6_worst_index = idx6
+    consts = IndexConstants.of(sys, lo - w - 1, hi + w)
+    report = _new_report(consts, lo, hi)
+    ac6 = consts.window(lo - w, hi + w)
+    report.ac6_worst_index, worst = _worst(ac6.sigma * ac6.rho, ac6.lo)
+    report.ac6_ok = worst <= 1.0
     if not report.bc4_ok:
         # the advanced products are undefined without the backward margin
         report.advanced_error = (
@@ -482,16 +530,18 @@ def certify(
     for n in range(lo, hi + 1):
         # one span serves the basic sums (q in [n - w, n + w]) and the
         # advanced ones (q = k + 1 for k in [n - w, n + w])
-        gn = _green_norms(sys, n, n - w, n + w + 1)
-        per_m.append(_basic_series(sys, n, w, gn, opts))
+        c = consts.window(n - w - 1, n + w)
+        g = _green_norms(sys, n, n - w - 1, n + w)
+        per_m.append(_basic_series(sys, n, w, c, g, opts))
         if report.advanced_error is not None:
             continue
         try:
-            k_est, j_est, total = _advanced_first(sys, n, n - w, n + w, gn, opts)
-            report.ac2[n] = (k_est, j_est)
-            report.ac3[n] = total < 1.0
-            report.ac3_bound[n] = total
-            report.ac9[n] = _advanced_second(sys, n, n - w, n + w, gn, opts)
+            k_est, j_est, total, second = _advanced(sys, n, n - w, n + w, c, g, opts)
         except NonautolinError as exc:
             report.advanced_error = str(exc)
+            continue
+        report.ac2[n] = (k_est, j_est)
+        report.ac3[n] = total < 1.0
+        report.ac3_bound[n] = total
+        report.ac9[n] = second
     return _finish_basic(report, sys, per_m, probes, seed, probe_extent)

@@ -23,7 +23,6 @@ where the weights P_n need not be projections.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
@@ -58,18 +57,21 @@ def batch_vector_norm(v: np.ndarray, kind: NormKind) -> np.ndarray:
     return np.linalg.norm(v, axis=0)
 
 
-def operator_norm(mat: np.ndarray, kind: NormKind) -> float:
-    """Induced operator norm.
+def operator_norm(mat: np.ndarray, kind: NormKind) -> float | np.ndarray:
+    """Induced operator norm of a matrix (a float), or of every matrix of a
+    (..., r, c) stack (an array of shape (...)).
 
     For the max vector norm this is the maximum absolute row sum (exact);
     for the euclidean norm it is the largest singular value.
     """
     m = np.asarray(mat, dtype=float)
-    if m.size == 0:
-        return 0.0
-    if kind == "max":
-        return float(np.max(np.sum(np.abs(m), axis=1)))
-    return float(np.linalg.norm(m, 2))
+    if m.shape[-2] == 0 or m.shape[-1] == 0:
+        out = np.zeros(m.shape[:-2])
+    elif kind == "max":
+        out = np.max(np.sum(np.abs(m), axis=-1), axis=-1)
+    else:
+        out = np.linalg.norm(m, 2, axis=(-2, -1))
+    return float(out) if m.ndim == 2 else out
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class OperatorSeq:
     Inverses come from `inv` when supplied (closed form) and are computed
     numerically otherwise; either way A_n @ A_n^{-1} must reproduce the
     identity to 1e-12 in the max operator norm.  Values are memoized per
-    index behind a lock so evaluators can be shared across workers.
+    index.
     """
 
     def __init__(
@@ -124,7 +126,6 @@ class OperatorSeq:
         self._norm_bound = norm_bound
         self._inv_norm_bound = inv_norm_bound
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     @staticmethod
     def constant(mat: np.ndarray, inv: Optional[np.ndarray] = None) -> "OperatorSeq":
@@ -136,12 +137,9 @@ class OperatorSeq:
         return OperatorSeq(lambda n: mat, lambda n: inv)
 
     def _cached(self, key, build):
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        value = build()
-        with self._lock:
-            return self._cache.setdefault(key, value)
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def matrix(self, n: int) -> np.ndarray:
         return self._cached(("a", n), lambda: np.asarray(self._matrix_fn(n), dtype=float))
@@ -180,7 +178,6 @@ class WeightSeq:
     def __init__(self, matrix: Callable[[int], np.ndarray]):
         self._matrix_fn = matrix
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     @staticmethod
     def constant(mat: np.ndarray) -> "WeightSeq":
@@ -188,15 +185,9 @@ class WeightSeq:
         return WeightSeq(lambda n: mat)
 
     def matrix(self, n: int) -> np.ndarray:
-        with self._lock:
-            if n in self._cache:
-                return self._cache[n]
-        value = np.asarray(self._matrix_fn(n), dtype=float)
-        with self._lock:
-            return self._cache.setdefault(n, value)
-
-    def norm(self, n: int, kind: NormKind) -> float:
-        return operator_norm(self.matrix(n), kind)
+        if n not in self._cache:
+            self._cache[n] = np.asarray(self._matrix_fn(n), dtype=float)
+        return self._cache[n]
 
 
 @dataclass
@@ -312,7 +303,6 @@ class GeometricTail:
             return None
         if self.amplitude == 0.0 or self.ratio == 0.0:
             return 1
-        k = 1
         # closed form, then nudge for float rounding
         est = math.log(target * (1.0 - self.ratio) / (sides * self.amplitude)) / math.log(self.ratio) - 1.0
         k = max(1, int(math.ceil(est)))
@@ -360,9 +350,6 @@ class SystemSpec:
     def a_inv_norm(self, n: int) -> float:
         return self.a.inv_norm(n, self.space.norm_kind)
 
-    def p_norm(self, n: int) -> float:
-        return self.p.norm(n, self.space.norm_kind)
-
     def contraction_margin(self, n: int) -> float:
         """|A_n^{-1}| * gamma_n; backward evolution requires this < 1."""
         return self.a_inv_norm(n) * self.f.gamma(n)
@@ -400,29 +387,26 @@ def green_norm(sys: SystemSpec, m: int, n: int) -> float:
     return operator_norm(green(sys, m, n), sys.space.norm_kind)
 
 
-def green_span(sys: SystemSpec, m: int, lo: int, hi: int) -> dict[int, np.ndarray]:
-    """Green kernels G(m, q) for every q in [lo, hi].
+def green_span(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:
+    """Green kernels G(m, q) for every q in [lo, hi] as one (hi - lo + 1, dim_x,
+    dim_x) stack, with G(m, q) at [q - lo].
 
     Uses the second-argument recurrences transition(m, q+1) =
     transition(m, q) @ A_q^{-1} and transition(m, q-1) = transition(m, q) @ A_{q-1},
     so the whole span costs one matrix product per step.
     """
-    if lo > hi:
-        return {}
     dx = sys.space.dim_x
-    eye = np.eye(dx)
-    trans: dict[int, np.ndarray] = {}
+    out = np.empty((max(hi - lo + 1, 0), dx, dx))
+    if lo > hi:
+        return out
     anchor = int(np.clip(m, lo, hi))
-    trans[anchor] = transition(sys, m, anchor)
+    out[anchor - lo] = transition(sys, m, anchor)
     for q in range(anchor + 1, hi + 1):
-        trans[q] = trans[q - 1] @ sys.a.inverse(q - 1)
+        out[q - lo] = out[q - 1 - lo] @ sys.a.inverse(q - 1)
     for q in range(anchor - 1, lo - 1, -1):
-        trans[q] = trans[q + 1] @ sys.a.matrix(q)
-    out: dict[int, np.ndarray] = {}
+        out[q - lo] = out[q + 1 - lo] @ sys.a.matrix(q)
+    eye = np.eye(dx)
     for q in range(lo, hi + 1):
         p = sys.p.matrix(q)
-        if m >= q:
-            out[q] = trans[q] @ p
-        else:
-            out[q] = -(trans[q] @ (eye - p))
+        out[q - lo] = out[q - lo] @ p if m >= q else -(out[q - lo] @ (eye - p))
     return out

@@ -53,7 +53,7 @@ def test_criterion_1_green_kernel_closed_forms():
         for n in range(-20, 21):
             span = green_span(s, n, -20, 20)
             for q in range(-20, 21):
-                got = operator_norm(span[q], "max")
+                got = operator_norm(span[q + 20], "max")
                 assert abs(got - math.exp(-lam * abs(n - q))) <= 1e-12
     for ratio in (1.0, 2.0):
         s = system_by_name("ex2", theta_ratio=ratio, rotation_angle=0.4, gamma_scale=0.9)
@@ -64,7 +64,7 @@ def test_criterion_1_green_kernel_closed_forms():
         for n in range(-20, 21):
             span = green_span(s, n, -20, 20)
             for q in range(-20, 21):
-                got = operator_norm(span[q], "euclidean")
+                got = operator_norm(span[q + 20], "euclidean")
                 expect = theta(q) / theta(n) if n >= q else 1.0
                 assert abs(got - expect) <= 1e-12
     elapsed = time.perf_counter() - started

@@ -252,6 +252,27 @@ class TestConfigHandling:
         assert run(["check", "--system", str(pfile), "--n-min", "0", "--n-max", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, file_params", [
+        (["check"], {"probe_extent": "x"}),
+        (["check"], {"probe_extent": float("nan")}),
+        (["check"], {"jacobian_threshold": "x"}),
+        (["check", "--system", "ex1", "--series-tol", "nan"], None),
+        (["conjugate", "--system", "ex1", "--fp-tol", "nan"], None),
+        (["derivatives", "--system", "ex1", "--fd-step", "inf"], None),
+        (["check", "--system", "ex2", "--theta-ratio", "inf"], None),
+        (["check", "--system", "ex1", "--rotation-angle", "nan"], None),
+        (["check", "--system", "emo", "--c", "nan"], None),
+    ])
+    def test_non_finite_or_non_numeric_float_exits_2(self, tmp_path, capsys, argv, file_params):
+        # each of these ended in a traceback with exit code 1, or (a string
+        # threshold) ran to exit code 0
+        if file_params is not None:
+            pfile = tmp_path / "params.json"
+            pfile.write_text(json.dumps({"system": "ex1", **file_params}))
+            argv = argv + ["--system", str(pfile)]
+        assert run(argv + ["--n-min", "0", "--n-max", "0"]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
     def test_run_config_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(system="ex1", series_tol=-1.0)
@@ -259,3 +280,5 @@ class TestConfigHandling:
             RunConfig(system="ex1", n_min=5, n_max=1)
         with pytest.raises(ConfigError):
             RunConfig(system="bogus")
+        with pytest.raises(ConfigError):
+            RunConfig(system="ex1", force=1)

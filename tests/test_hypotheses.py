@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +21,13 @@ from nonautolin import (
     check_advanced_first,
     check_advanced_second,
     check_basic,
+    lip_C,
+    lip_D,
+    lip_M,
     system_by_name,
 )
-from nonautolin.hypotheses import _estimate, _has_divergence_run, _ratio_tail
+from nonautolin.hypotheses import (IndexConstants, _estimate, _has_divergence_run,
+                                   _lip_products, _ratio_tail)
 
 from .conftest import LN2, random_invertible_system, with_coupling
 
@@ -399,3 +404,29 @@ class TestBruteForceSums:
             green_norm(ex1, 0, q) * ex1.f.gamma(q - 1) for q in range(-w, w + 1)
         )
         assert abs(rep.bc3.partial_sum - direct) <= 1e-14
+
+
+class TestArraySeries:
+    @pytest.mark.parametrize("name", ["end_cfg", "ex2"])
+    def test_lip_products_match_sequential_references(self, name):
+        # the references multiply from k inward, the arrays from n outward
+        s = system_by_name(name, gamma_scale=0.9)
+        w = 40
+        for n in (-5, 0, 5):
+            c = IndexConstants.of(s, n - w, n + w)
+            for end in (n - w, n + w):
+                ks = range(n - 1, end - 1, -1) if end < n else range(n + 1, end + 1)
+                for ref, prods in zip((lip_C, lip_M, lip_D), _lip_products(c, n, end)):
+                    assert len(prods) == w
+                    np.testing.assert_allclose(prods, [ref(s, k, n) for k in ks], rtol=1e-13)
+
+    def test_violation_beyond_bc4_window_stops_the_advanced_series(self):
+        # bc4 covers only n_range; the advanced series of n = -3 reach back to
+        # -23 and meet the violated margins, the one nearest n first
+        s = system_by_name("ex1", lam=LN2, gamma_scale=0.5)
+        gamma = s.f.gamma
+        s.f.gamma = lambda k: 0.9 if k in (-12, -15) else gamma(k)
+        rep = certify(s, n_range=(-3, 3), window_halfwidth=20, probes=4)
+        assert rep.bc4_ok is True
+        assert rep.advanced_error == "contraction violated at index -12: |A^-1|*gamma = 1.8 >= 1"
+        assert rep.ac2 == {} and rep.ac9 == {}

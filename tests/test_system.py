@@ -49,6 +49,14 @@ class TestOperatorNorm:
     def test_empty(self):
         assert operator_norm(np.zeros((0, 0)), "max") == 0.0
         assert vector_norm(np.zeros(0), "euclidean") == 0.0
+        assert operator_norm(np.zeros((3, 2, 0)), "euclidean").shape == (3,)
+
+    @pytest.mark.parametrize("kind", ["max", "euclidean"])
+    def test_stack_matches_per_matrix(self, rng, kind):
+        stack = rng.normal(size=(7, 4, 4))
+        got = operator_norm(stack, kind)
+        assert got.shape == (7,)
+        assert got.tolist() == [operator_norm(m, kind) for m in stack]
 
 
 class TestTransition:
@@ -129,7 +137,7 @@ class TestGreen:
     def test_green_span_matches_pointwise(self, ex2):
         span = green_span(ex2, 2, -5, 8)
         for q in range(-5, 9):
-            assert_allclose(span[q], green(ex2, 2, q), atol=1e-12)
+            assert_allclose(span[q + 5], green(ex2, 2, q), atol=1e-12)
 
 
 class TestGreenNorm:
@@ -153,7 +161,7 @@ class TestGreenNorm:
             span = green_span(s, n, -8, 9)
             for q in range(-8, 9):
                 assert_allclose(
-                    operator_norm(span[q], "max"),
+                    operator_norm(span[q + 8], "max"),
                     math.exp(-lam * abs(n - q)),
                     atol=1e-12,
                 )
