@@ -42,13 +42,7 @@ import numpy as np
 from .errors import ContractionViolation, NoConvergence, NonautolinError, WindowExhausted
 from .evolution import (DEFAULT_SOLVE, SolveOptions, _as_columns, _coupling_value,
                         _forward_step, coupled_trajectory)
-from .hypotheses import (
-    CONVERGED,
-    DEFAULT_ESTIMATE,
-    _envelope,
-    _ratio_tail,
-    check_advanced_first,
-)
+from .hypotheses import CONVERGED, IndexConstants, _advanced, _envelope, _ratio_tail
 from .system import SystemSpec, batch_vector_norm, green_span, operator_norm
 
 
@@ -134,8 +128,8 @@ class ConjugacyEngine:
         k = min(8, cap)
         while True:
             left, right = terms(k)
-            lt, lv = _ratio_tail(left, DEFAULT_ESTIMATE)
-            rt, rv = _ratio_tail(right, DEFAULT_ESTIMATE)
+            lt, lv = _ratio_tail(left)
+            rt, rv = _ratio_tail(right)
             if lv == CONVERGED and rv == CONVERGED and (lt + rt) <= tol:
                 return k, lt + rt
             if k >= cap:
@@ -146,11 +140,15 @@ class ConjugacyEngine:
 
     def contraction(self, n: int) -> float:
         """Certified bound on the first-variable Lipschitz constant of bar_h
-        (K_n + J_n + |G(n,n+1)| gamma_n including tails); must be < 1 for h/H."""
+        (K_n + J_n + |G(n,n+1)| gamma_n including tails); must be < 1 for h/H.
+        The same float as `certify`'s ac3_bound[n] at the advanced halfwidth,
+        read off the cached Green row of n."""
         if n in self.contraction_estimate:
             return self.contraction_estimate[n]
-        w = self.advanced_halfwidth
-        k_est, j_est, c = check_advanced_first(self.sys, n, (n - w, n + w), DEFAULT_ESTIMATE)
+        sys, w = self.sys, self.advanced_halfwidth
+        g = operator_norm(self.green_row(n, w), sys.space.norm_kind)
+        consts = IndexConstants.of(sys, n - w, n + w)
+        k_est, j_est, c, _ = _advanced(sys, n, n - w, n + w, consts, g)
         if k_est.verdict != CONVERGED or j_est.verdict != CONVERGED:
             raise ContractionViolation(n, math.inf, what="first-variable series bound")
         if not c < 1.0:
@@ -170,13 +168,13 @@ class ConjugacyEngine:
         return xi_b, eta_b, single
 
     def bar_h_detailed(
-        self, n: int, xi, eta=None, window: Optional[int] = None, tol: Optional[float] = None
+        self, n: int, xi, eta=None, window: Optional[int] = None
     ) -> tuple[np.ndarray, float, int]:
         """Series value, truncation-error bound and window halfwidth."""
         sys = self.sys
         xi_b, eta_b, single = self._columns(xi, eta)
         if window is None:
-            win = self.series_window(n, tol if tol is not None else self.series_tol)
+            win = self.series_window(n, self.series_tol)
             k_half, tail = win.halfwidth, win.tail_bound
         else:
             k_half = int(window)

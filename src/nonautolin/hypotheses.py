@@ -38,18 +38,11 @@ INCONCLUSIVE = "inconclusive"
 
 _SAMPLING_SLACK = 1e-9
 
-
-@dataclass(frozen=True)
-class EstimateOptions:
-    """Heuristics for the series estimator."""
-
-    explosion_cap: float = 1e6
-    divergence_run: int = 10
-    ratio_cutoff: float = 0.999
-    ratio_terms: int = 10
-
-
-DEFAULT_ESTIMATE = EstimateOptions()
+# Heuristics of the series estimator, for sides without an analytic envelope
+EXPLOSION_CAP = 1e6  # a larger partial sum is divergent
+DIVERGENCE_RUN = 10  # this many positive non-decreasing terms witness divergence
+RATIO_CUTOFF = 0.999  # no geometric tail is extrapolated from a larger ratio
+RATIO_TERMS = 10  # the outermost terms the ratio is read from
 
 
 def _json_number(x) -> Optional[float]:
@@ -104,34 +97,32 @@ def _has_divergence_run(terms: list, run_len: int) -> bool:
     return False
 
 
-def _ratio_tail(terms: list, opts: EstimateOptions) -> tuple[Optional[float], str]:
+def _ratio_tail(terms: list) -> tuple[Optional[float], str]:
     """Tail estimate by geometric-ratio extrapolation from the outermost terms."""
     if len(terms) == 0:
         return 0.0, CONVERGED
-    chunk = terms[-opts.ratio_terms:]
+    chunk = terms[-RATIO_TERMS:]
     if all(t == 0.0 for t in chunk):
         return 0.0, CONVERGED
     ratios = [b / a for a, b in zip(chunk, chunk[1:]) if a > 0.0 and b > 0.0]
     if not ratios:
         return None, INCONCLUSIVE
     r = max(ratios)
-    if r >= opts.ratio_cutoff:
+    if r >= RATIO_CUTOFF:
         return None, INCONCLUSIVE
     base = next(t for t in reversed(terms) if t > 0.0)
     return base * r / (1.0 - r), CONVERGED
 
 
-def _side_tail(
-    terms: list, envelope_tail: Optional[float], opts: EstimateOptions
-) -> tuple[Optional[float], str]:
+def _side_tail(terms: list, envelope_tail: Optional[float]) -> tuple[Optional[float], str]:
     # An analytic envelope certifies convergence outright; the run witness is
     # a heuristic for envelope-less systems only (legitimate series can rise
     # transiently toward the gamma peak before their decay sets in).
     if envelope_tail is not None:
         return envelope_tail, CONVERGED
-    if _has_divergence_run(terms, opts.divergence_run):
+    if _has_divergence_run(terms, DIVERGENCE_RUN):
         return None, DIVERGENT
-    return _ratio_tail(terms, opts)
+    return _ratio_tail(terms)
 
 
 def _estimate(
@@ -141,7 +132,6 @@ def _estimate(
     middle: Optional[float],
     left_env_tail: Optional[float],
     right_env_tail: Optional[float],
-    opts: EstimateOptions,
 ) -> SeriesEstimate:
     """Combine the two outward-ordered term lists into one estimate.
 
@@ -151,15 +141,15 @@ def _estimate(
     An absent side must be passed as an empty term list with tail None.
     """
     partial = (middle or 0.0) + float(np.sum(left_terms)) + float(np.sum(right_terms))
-    lt, lv = _side_tail(left_terms, left_env_tail, opts)
-    rt, rv = _side_tail(right_terms, right_env_tail, opts)
+    lt, lv = _side_tail(left_terms, left_env_tail)
+    rt, rv = _side_tail(right_terms, right_env_tail)
     inspected = len(left_terms) + len(right_terms) + (0 if middle is None else 1)
     # the explosion cap is a heuristic like the ratio tail: analytic envelopes
     # on every side that has terms bound a large partial sum's tails outright
     extrapolated = (len(left_terms) > 0 and left_env_tail is None) or (
         len(right_terms) > 0 and right_env_tail is None
     )
-    exploded = partial > opts.explosion_cap and extrapolated
+    exploded = partial > EXPLOSION_CAP and extrapolated
     # a NaN sum is an arithmetic failure (inf * 0 in an overflowed Green
     # kernel), not a divergence witness
     if math.isnan(partial):
@@ -185,12 +175,17 @@ class HypothesisReport:
     n_bound: Optional[float] = None
     q_bound: Optional[float] = None
     ac2: dict = field(default_factory=dict)  # n -> (K SeriesEstimate, J SeriesEstimate)
-    ac3: dict = field(default_factory=dict)  # n -> bool
     ac3_bound: dict = field(default_factory=dict)  # n -> float (K+J+middle incl. tails)
     ac6_ok: Optional[bool] = None
     ac6_worst_index: Optional[int] = None
     ac9: dict = field(default_factory=dict)  # n -> SeriesEstimate
     advanced_error: Optional[str] = None
+
+    @property
+    def ac3(self) -> dict:
+        """n -> whether the contraction total ac3_bound[n] is < 1 (it is
+        infinite unless K_n and J_n both converged)."""
+        return {n: total < 1.0 for n, total in self.ac3_bound.items()}
 
     @property
     def basic_ok(self) -> bool:
@@ -262,9 +257,14 @@ def _worst(values: np.ndarray, lo: int) -> tuple[int, float]:
 
 
 def _envelope(sys: SystemSpec, which: str, n: int) -> Optional[GeometricTail]:
-    """The system's analytic envelope `which` at center n, or None."""
+    """The system's analytic envelope `which` at center n; None when it has
+    none there or its amplitude overflows a double."""
     env_fn = getattr(sys.envelopes, which) if sys.envelopes else None
-    return env_fn(n) if env_fn else None
+    try:
+        env = env_fn(n) if env_fn else None
+    except OverflowError:  # a closed-form amplitude such as 2.0 ** |n|
+        return None
+    return env if env is not None and math.isfinite(env.amplitude) else None
 
 
 class IndexConstants(namedtuple("IndexConstants", "lo mu gamma rho sigma tau step margin back")):
@@ -321,18 +321,8 @@ def _green_norms(sys: SystemSpec, n: int, lo: int, hi: int) -> np.ndarray:
     return operator_norm(green_span(sys, n, lo + 1, hi + 1), sys.space.norm_kind)
 
 
-def _new_report(c: IndexConstants, lo: int, hi: int) -> HypothesisReport:
-    """Report over [lo, hi] holding only the backward margin bc4."""
-    if lo > hi:
-        raise ValueError("window must be nonempty")
-    idx, margin = _worst(c.window(lo, hi).margin, lo)
-    return HypothesisReport(
-        window=(lo, hi), bc4_ok=margin < 1.0, bc4_worst_index=idx, bc4_worst_margin=margin
-    )
-
-
 def _basic_series(
-    sys: SystemSpec, m: int, w: int, c: IndexConstants, g: np.ndarray, opts: EstimateOptions
+    sys: SystemSpec, m: int, w: int, c: IndexConstants, g: np.ndarray
 ) -> tuple[SeriesEstimate, SeriesEstimate]:
     """The bc2 and bc3 sums at center m over q in [m - w, m + w], with
     g[k - c.lo] = |G(m, k + 1)| aligned with the constants c."""
@@ -343,67 +333,23 @@ def _basic_series(
         env = _envelope(sys, which, m)
         tail = env.one_sided(w) if env else None
         return _estimate((m - w, m + w), terms[mid - w:mid][::-1], terms[mid + 1:mid + w + 1],
-                         terms[mid], tail, tail, opts)
+                         terms[mid], tail, tail)
 
     return series(c.mu, "bc2"), series(c.gamma, "bc3")
 
 
-def _finish_basic(
-    report: HypothesisReport,
-    sys: SystemSpec,
-    per_m: list,
-    probes: int,
-    seed: int,
-    probe_extent: float,
-) -> HypothesisReport:
-    """Aggregate the per-center (bc2, bc3) estimates (sup over the window) and
-    spot-check bc1."""
-    lo, hi = report.window
-
-    def _aggregate(per_center: list[SeriesEstimate]) -> tuple[SeriesEstimate, float]:
-        verdict = _worst_verdict([e.verdict for e in per_center])
-        partial = max(e.partial_sum for e in per_center)
-        tails = [e.tail_bound for e in per_center]
-        tail = None if any(t is None for t in tails) else max(tails)
-        agg = SeriesEstimate(
-            partial, tail, verdict, (lo, hi), sum(e.terms_inspected for e in per_center)
-        )
-        bound = max(e.bound for e in per_center)
-        return agg, bound
-
-    report.bc2, report.n_bound = _aggregate([e2 for e2, _ in per_m])
-    report.bc3, report.q_bound = _aggregate([e3 for _, e3 in per_m])
-    report.bc1_sampled_ok = sample_coupling_bounds(
-        sys, (lo, hi), probes=probes, seed=seed, extent=probe_extent
+def _sup(per_center: list[SeriesEstimate], window: tuple[int, int]) -> tuple[SeriesEstimate, float]:
+    """The per-center estimates of one basic sum aggregated over the window
+    (sup of partial sums and tails, worst verdict) and the sup of their bounds."""
+    tails = [e.tail_bound for e in per_center]
+    agg = SeriesEstimate(
+        max(e.partial_sum for e in per_center),
+        None if any(t is None for t in tails) else max(tails),
+        _worst_verdict([e.verdict for e in per_center]),
+        window,
+        sum(e.terms_inspected for e in per_center),
     )
-    return report
-
-
-def check_basic(
-    sys: SystemSpec,
-    window: tuple[int, int],
-    probes: int = 64,
-    seed: int = 0,
-    probe_extent: float = 1.0,
-    inner_halfwidth: Optional[int] = None,
-    opts: EstimateOptions = DEFAULT_ESTIMATE,
-) -> HypothesisReport:
-    """Certify the basic conditions over the given index window.
-
-    The sup over m runs over `window`; each inner sum runs over
-    [m - W, m + W] with W = inner_halfwidth (default: half the window span).
-    bc1 is spot-checked at seeded random probe points.
-    """
-    lo, hi = int(window[0]), int(window[1])
-    w_in = inner_halfwidth if inner_halfwidth is not None else max((hi - lo) // 2, 8)
-    consts = IndexConstants.of(sys, lo - w_in - 1, hi + w_in - 1)
-    report = _new_report(consts, lo, hi)
-    per_m = [
-        _basic_series(sys, m, w_in, consts.window(m - w_in - 1, m + w_in - 1),
-                      _green_norms(sys, m, m - w_in - 1, m + w_in - 1), opts)
-        for m in range(lo, hi + 1)
-    ]
-    return _finish_basic(report, sys, per_m, probes, seed, probe_extent)
+    return agg, max(e.bound for e in per_center)
 
 
 def sample_coupling_bounds(
@@ -451,56 +397,23 @@ def _advanced_terms(c: IndexConstants, g: np.ndarray, n: int, end: int) -> tuple
 
 
 def _advanced(
-    sys: SystemSpec, n: int, lo: int, hi: int, c: IndexConstants, g: np.ndarray,
-    opts: EstimateOptions,
+    sys: SystemSpec, n: int, lo: int, hi: int, c: IndexConstants, g: np.ndarray
 ) -> tuple[SeriesEstimate, SeriesEstimate, float, SeriesEstimate]:
     """K_n, J_n, their contraction total and the ac9 sum over [lo, hi] around
-    n, with g[k - c.lo] = |G(n, k + 1)|."""
+    n, with g[k - c.lo] = |G(n, k + 1)|.
+
+    The total K_n + J_n + |G(n,n+1)| gamma_n includes the tails and is
+    infinite unless both sums converged, so ac3 holds exactly when it is < 1.
+    """
     (past, left), (future, right) = _advanced_terms(c, g, n, lo), _advanced_terms(c, g, n, hi)
     dxi, deta = _envelope(sys, "dxi", n), _envelope(sys, "deta", n)
-    k_est = _estimate((lo, n - 1), past, [], None, dxi and dxi.one_sided(n - lo), None, opts)
-    j_est = _estimate((n + 1, hi), [], future, None, None, dxi and dxi.one_sided(hi - n), opts)
+    k_est = _estimate((lo, n - 1), past, [], None, dxi and dxi.one_sided(n - lo), None)
+    j_est = _estimate((n + 1, hi), [], future, None, None, dxi and dxi.one_sided(hi - n))
     i = n - c.lo
     total = float(k_est.bound + j_est.bound + g[i] * c.gamma[i])
     second = _estimate((lo, hi), left, right, g[i] * (c.gamma[i] + c.rho[i]),
-                       deta and deta.one_sided(n - lo), deta and deta.one_sided(hi - n), opts)
+                       deta and deta.one_sided(n - lo), deta and deta.one_sided(hi - n))
     return k_est, j_est, total, second
-
-
-def check_advanced_first(
-    sys: SystemSpec,
-    n: int,
-    window: tuple[int, int],
-    opts: EstimateOptions = DEFAULT_ESTIMATE,
-) -> tuple[SeriesEstimate, SeriesEstimate, float]:
-    """Evaluate the K_n (past) and J_n (future) derivative sums and the
-    contraction total K_n + J_n + |G(n,n+1)| gamma_n with tails included.
-
-    The total is infinite unless both sums converged, so ac3 holds exactly
-    when it is < 1.
-    """
-    lo, hi = int(window[0]), int(window[1])
-    return _advanced(sys, n, lo, hi, IndexConstants.of(sys, lo, hi),
-                     _green_norms(sys, n, lo, hi), opts)[:3]
-
-
-def check_advanced_second(
-    sys: SystemSpec,
-    n: int,
-    window: tuple[int, int],
-    opts: EstimateOptions = DEFAULT_ESTIMATE,
-) -> SeriesEstimate:
-    """Evaluate sum_k |G(n,k+1)| (gamma_k M_{k,n} + rho_k D_{k,n}) over the window."""
-    lo, hi = int(window[0]), int(window[1])
-    return _advanced(sys, n, lo, hi, IndexConstants.of(sys, lo, hi),
-                     _green_norms(sys, n, lo, hi), opts)[3]
-
-
-def check_sigma_rho(sys: SystemSpec, window: tuple[int, int]) -> tuple[bool, int, float]:
-    """sigma_n rho_n <= 1 over the window; returns (ok, worst index, worst value)."""
-    c = IndexConstants.of(sys, window[0], window[1])
-    idx, val = _worst(c.sigma * c.rho, c.lo)
-    return val <= 1.0, idx, val
 
 
 def certify(
@@ -510,38 +423,51 @@ def certify(
     probes: int = 64,
     seed: int = 0,
     probe_extent: float = 1.0,
-    opts: EstimateOptions = DEFAULT_ESTIMATE,
 ) -> HypothesisReport:
-    """Full hypothesis report: basic conditions over n_range plus the advanced
-    series at every n in n_range with per-n windows of the given halfwidth."""
+    """Certify the hypotheses over n_range with windows of halfwidth w.
+
+    The basic sums bc2/bc3 are sups over the centers m in n_range of sums
+    over q in [m - w, m + w]; bc4 covers n_range and ac6 [lo - w, hi + w].
+    The advanced series of every n in n_range run over [n - w, n + w].  bc1
+    is spot-checked at `probes` seeded random points.
+    """
     lo, hi = int(n_range[0]), int(n_range[1])
+    if lo > hi:
+        raise ValueError("window must be nonempty")
     w = window_halfwidth
     consts = IndexConstants.of(sys, lo - w - 1, hi + w)
-    report = _new_report(consts, lo, hi)
+    bc4_index, margin = _worst(consts.window(lo, hi).margin, lo)
     ac6 = consts.window(lo - w, hi + w)
-    report.ac6_worst_index, worst = _worst(ac6.sigma * ac6.rho, ac6.lo)
-    report.ac6_ok = worst <= 1.0
+    ac6_index, sigma_rho = _worst(ac6.sigma * ac6.rho, ac6.lo)
+    report = HypothesisReport(
+        window=(lo, hi), bc4_ok=margin < 1.0, bc4_worst_index=bc4_index,
+        bc4_worst_margin=margin, ac6_ok=sigma_rho <= 1.0, ac6_worst_index=ac6_index,
+    )
     if not report.bc4_ok:
         # the advanced products are undefined without the backward margin
-        report.advanced_error = (
-            f"backward margin >= 1 at n={report.bc4_worst_index}; advanced series skipped"
-        )
-    per_m = []
+        report.advanced_error = f"backward margin >= 1 at n={bc4_index}; advanced series skipped"
+    bc2, bc3 = [], []
     for n in range(lo, hi + 1):
         # one span serves the basic sums (q in [n - w, n + w]) and the
         # advanced ones (q = k + 1 for k in [n - w, n + w])
         c = consts.window(n - w - 1, n + w)
         g = _green_norms(sys, n, n - w - 1, n + w)
-        per_m.append(_basic_series(sys, n, w, c, g, opts))
+        e2, e3 = _basic_series(sys, n, w, c, g)
+        bc2.append(e2)
+        bc3.append(e3)
         if report.advanced_error is not None:
             continue
         try:
-            k_est, j_est, total, second = _advanced(sys, n, n - w, n + w, c, g, opts)
+            k_est, j_est, total, second = _advanced(sys, n, n - w, n + w, c, g)
         except NonautolinError as exc:
             report.advanced_error = str(exc)
             continue
         report.ac2[n] = (k_est, j_est)
-        report.ac3[n] = total < 1.0
         report.ac3_bound[n] = total
         report.ac9[n] = second
-    return _finish_basic(report, sys, per_m, probes, seed, probe_extent)
+    report.bc2, report.n_bound = _sup(bc2, (lo, hi))
+    report.bc3, report.q_bound = _sup(bc3, (lo, hi))
+    report.bc1_sampled_ok = sample_coupling_bounds(
+        sys, (lo, hi), probes=probes, seed=seed, extent=probe_extent
+    )
+    return report

@@ -10,6 +10,7 @@ from nonautolin import (
     SpaceSpec,
     SystemSpec,
     WeightSeq,
+    certify,
     system_by_name,
 )
 
@@ -44,6 +45,13 @@ def end_cfg():
 @pytest.fixture
 def emo():
     return system_by_name("emo", lam=1.0, c=0.01)
+
+
+def advanced_at(sys, n, w):
+    """(K_n, J_n, contraction total, ac9 sum) over [n - w, n + w], read from a
+    one-index `certify` report."""
+    rep = certify(sys, (n, n), w, probes=0)
+    return (*rep.ac2[n], rep.ac3_bound[n], rep.ac9[n])
 
 
 def random_invertible_system(rng, dim=2, count=12, norm_kind="max"):

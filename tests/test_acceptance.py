@@ -17,8 +17,7 @@ from nonautolin import (
     ConjugacyEngine,
     SolveOptions,
     backward_step_detailed,
-    check_advanced_first,
-    check_basic,
+    certify,
     evolve_coupled,
     evolve_driver,
     green_span,
@@ -79,16 +78,16 @@ def test_criterion_2_hypothesis_chains():
         ("ex2", dict(theta_ratio=2.0, rotation_angle=0.4, gamma_scale=0.9)),
     ):
         s = system_by_name(name, **kwargs)
-        basic = check_basic(s, (-10, 10), probes=32, inner_halfwidth=40)
-        assert basic.bc3.verdict == CONVERGED
-        assert basic.q_bound < 1.0
+        rep = certify(s, (-10, 10), 40, probes=32)
+        assert rep.bc3.verdict == CONVERGED
+        assert rep.q_bound < 1.0
         for n in range(-10, 11):
-            k_est, j_est, total = check_advanced_first(s, n, (n - 40, n + 40))
+            k_est, j_est = rep.ac2[n]
             assert k_est.verdict == CONVERGED and j_est.verdict == CONVERGED
-            assert total < 1.0, f"{name}: contraction fails at n={n}"
-    remm = system_by_name("remm", gamma_scale=1.0)
+            assert rep.ac3_bound[n] < 1.0, f"{name}: contraction fails at n={n}"
+    remm = certify(system_by_name("remm", gamma_scale=1.0), (-10, 10), 40, probes=32)
     for n in range(-10, 11):
-        k_est, j_est, _ = check_advanced_first(remm, n, (n - 40, n + 40))
+        k_est, j_est = remm.ac2[n]
         assert k_est.verdict == CONVERGED and math.isfinite(k_est.bound)
         assert j_est.verdict == CONVERGED and math.isfinite(j_est.bound)
     elapsed = time.perf_counter() - started
@@ -102,9 +101,9 @@ def test_criterion_3_divergence_detection():
         for lam in (0.1, 1.0):
             s = system_by_name("emo", lam=lam, c=c)
             for n in (-10, -5, 0, 5, 10):
-                _, j_est, total = check_advanced_first(s, n, (n - 50, n + 50))
-                assert j_est.verdict == DIVERGENT, f"c={c}, lam={lam}, n={n}"
-                assert not total < 1.0
+                rep = certify(s, (n, n), 50, probes=0)
+                assert rep.ac2[n][1].verdict == DIVERGENT, f"c={c}, lam={lam}, n={n}"
+                assert not rep.ac3_bound[n] < 1.0
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"criterion 3 runtime {elapsed:.2f}s >= 5s"
     report_line(3, "divergence detection", started)

@@ -10,9 +10,7 @@ from nonautolin import (
     CONVERGED,
     DIVERGENT,
     ExampleParams,
-    check_advanced_first,
-    check_advanced_second,
-    check_sigma_rho,
+    certify,
     green_norm,
     lip_C,
     make_system,
@@ -21,7 +19,7 @@ from nonautolin import (
 )
 from nonautolin.catalog import BUILDERS, LAM_MAX, _prod_one_plus
 
-from .conftest import LN2
+from .conftest import LN2, advanced_at
 
 
 def total_gamma(sys, halfwidth=200):
@@ -99,7 +97,7 @@ class TestEx1Chain:
         budget = math.exp(lam) * big_m * total_gamma(s)
         assert budget < 1.0
         for n in range(-10, 11, 2):
-            k_est, j_est, total = check_advanced_first(s, n, (n - 50, n + 50))
+            k_est, j_est, total, _ = advanced_at(s, n, 50)
             mid = green_norm(s, n, n + 1) * s.f.gamma(n)
             assert total < 1.0
             assert k_est.partial_sum + j_est.partial_sum + mid <= budget + 1e-12
@@ -124,14 +122,14 @@ class TestEx2Chain:
         budget = ratio * big_m * total_gamma(s)
         assert budget < 1.0
         for n in range(-10, 11, 2):
-            k_est, j_est, total = check_advanced_first(s, n, (n - 50, n + 50))
+            k_est, j_est, total, _ = advanced_at(s, n, 50)
             mid = green_norm(s, n, n + 1) * s.f.gamma(n)
             assert total < 1.0
             assert k_est.partial_sum + j_est.partial_sum + mid <= budget + 1e-12
 
     def test_zero_angle_passes(self):
         s = system_by_name("ex2", theta_ratio=2.0, rotation_angle=0.0, gamma_scale=0.9)
-        _, _, total = check_advanced_first(s, 0, (-40, 40))
+        total = advanced_at(s, 0, 40)[2]
         assert total < 1.0
 
 
@@ -140,7 +138,7 @@ class TestRemm:
         # K_n <= (2M)^{2|n|} * sum_{k<n} 2^{-|k|} with M = 1
         s = system_by_name("remm", gamma_scale=1.0)
         for n in range(-10, 11, 2):
-            k_est, j_est, _ = check_advanced_first(s, n, (n - 60, n + 60))
+            k_est, j_est, _, _ = advanced_at(s, n, 60)
             assert k_est.verdict == CONVERGED
             assert j_est.verdict == CONVERGED
             assert j_est.partial_sum == 0.0  # future-side kernels vanish (P = Id)
@@ -154,12 +152,12 @@ class TestRemm:
         n = 3
         n0 = 2 * abs(n) + 2
         s = system_by_name("remm", gamma_scale=2.0 ** (1 - n0))
-        _, _, total = check_advanced_first(s, n, (n - 60, n + 60))
+        total = advanced_at(s, n, 60)[2]
         assert total < 1.0
 
     def test_zero_scale(self):
         s = system_by_name("remm", gamma_scale=0.0)
-        k_est, j_est, total = check_advanced_first(s, 0, (-40, 40))
+        k_est, j_est, total, _ = advanced_at(s, 0, 40)
         assert k_est.partial_sum == 0.0 and j_est.partial_sum == 0.0
         assert total < 1.0
 
@@ -167,18 +165,20 @@ class TestRemm:
 class TestEnd:
     def test_second_variable_series_converges(self, end_cfg):
         for n in range(-5, 6):
-            est = check_advanced_second(end_cfg, n, (n - 40, n + 40))
+            est = advanced_at(end_cfg, n, 40)[3]
             assert est.verdict == CONVERGED
 
     def test_sigma_rho(self, end_cfg):
-        ok, _, worst = check_sigma_rho(end_cfg, (-40, 40))
-        assert ok and worst <= 1.0
+        # ac6 covers [n_min - w, n_max + w]
+        rep = certify(end_cfg, (0, 0), 40, probes=0)
+        worst = rep.ac6_worst_index
+        assert rep.ac6_ok and -40 <= worst <= 40
+        assert end_cfg.g.sigma(worst) * end_cfg.f.rho(worst) <= 1.0
 
     def test_rho_zero_drops_to_first_variable_series(self):
         s0 = system_by_name("end_cfg", gamma_scale=0.9, rho_scale=0.0)
         for n in (-2, 0, 3):
-            est = check_advanced_second(s0, n, (n - 40, n + 40))
-            k_est, j_est, _ = check_advanced_first(s0, n, (n - 40, n + 40))
+            k_est, j_est, _, est = advanced_at(s0, n, 40)
             mid = green_norm(s0, n, n + 1) * s0.f.gamma(n)
             # with rho == 0 and sigma == 1 the M product still carries the
             # driver term, so the second-variable series dominates the first
@@ -191,7 +191,7 @@ class TestEmo:
             for lam in (0.1, 1.0, 2.0):
                 s = system_by_name("emo", lam=lam, c=c)
                 for n in (-10, 0, 10):
-                    _, j_est, total = check_advanced_first(s, n, (n - 50, n + 50))
+                    _, j_est, total, _ = advanced_at(s, n, 50)
                     assert j_est.verdict == DIVERGENT
                     assert not total < 1.0
 
@@ -209,7 +209,7 @@ class TestEmo:
 
     def test_zero_constant_converges(self):
         s = system_by_name("emo", lam=1.0, c=0.0)
-        k_est, j_est, total = check_advanced_first(s, 0, (-50, 50))
+        k_est, j_est, total, _ = advanced_at(s, 0, 50)
         assert k_est.verdict == CONVERGED and j_est.verdict == CONVERGED
         assert total < 1.0
 
@@ -272,8 +272,8 @@ class TestEnvelopeDomination:
     def test_nested_windows_first_variable(self, name, kwargs, n):
         s = system_by_name(name, **kwargs)
         w1, w2 = 12, 36
-        k1, j1, _ = check_advanced_first(s, n, (n - w1, n + w1))
-        k2, j2, _ = check_advanced_first(s, n, (n - w2, n + w2))
+        k1, j1, _, _ = advanced_at(s, n, w1)
+        k2, j2, _, _ = advanced_at(s, n, w2)
         assert k2.partial_sum >= k1.partial_sum - 1e-15
         assert j2.partial_sum >= j1.partial_sum - 1e-15
         assert k2.partial_sum - k1.partial_sum <= k1.tail_bound + 1e-15
@@ -281,8 +281,8 @@ class TestEnvelopeDomination:
 
     @pytest.mark.parametrize("n", [-4, 0, 5])
     def test_nested_windows_second_variable(self, end_cfg, n):
-        e1 = check_advanced_second(end_cfg, n, (n - 12, n + 12))
-        e2 = check_advanced_second(end_cfg, n, (n - 36, n + 36))
+        e1 = advanced_at(end_cfg, n, 12)[3]
+        e2 = advanced_at(end_cfg, n, 36)[3]
         assert e2.partial_sum - e1.partial_sum <= e1.tail_bound + 1e-15
 
     @pytest.mark.parametrize(

@@ -178,6 +178,33 @@ class TestReportCommand:
         assert rep_a == rep_b
 
 
+class TestFarIndices:
+    # closed-form envelopes (2^|n|, 4^|n|, 9^|n|, e^{lam |n|}) and ex2's gamma
+    # overflow a double at these indices; they used to end in a traceback
+    @pytest.mark.parametrize("system,n", [("ex1", 1030), ("remm", 520), ("end_cfg", 330),
+                                          ("ex2", 1030)])
+    @pytest.mark.parametrize("command", [["check"], ["conjugate", "--force"]])
+    def test_overflowing_closed_forms_write_valid_reports(self, tmp_path, system, n, command):
+        jsonschema = pytest.importorskip("jsonschema")
+        import nonautolin
+
+        out = tmp_path / "rep.json"
+        rc = run([*command, "--system", system, "--n-min", str(n), "--n-max", str(n),
+                  "--window", "5", "--out", str(out)])
+        assert rc in (0, 1)
+        rep = load(out)
+        schema = json.loads(
+            (Path(nonautolin.__file__).parent / "report_schema.json").read_text()
+        )
+        jsonschema.validate(rep, schema)
+        hyp = rep["hypothesis"]
+        series = [hyp["bc2"], hyp["bc3"], *hyp["ac9"].values()]
+        series += [e for pair in hyp["ac2"].values() for e in pair.values()]
+        assert series
+        for est in series:
+            assert est["verdict"] != "converged" or est["tail_bound"] is not None
+
+
 class TestConfigHandling:
     def test_unknown_system_exits_2(self, capsys):
         assert run(["check", "--system", "nope"]) == 2

@@ -181,8 +181,8 @@ class TestH:
         class Jittery(ConjugacyEngine):
             _count = 0
 
-            def bar_h_detailed(self, n, xi, eta=None, window=None, tol=None):
-                val, tail, k = super().bar_h_detailed(n, xi, eta, window, tol)
+            def bar_h_detailed(self, n, xi, eta=None, window=None):
+                val, tail, k = super().bar_h_detailed(n, xi, eta, window)
                 self._count += 1
                 return val + (-1.0) ** self._count * 1e-8, tail, k
 
@@ -386,6 +386,26 @@ class TestResidualTables:
         assert ok
         assert calls == list(range(-2, 2 + cfg.steps + 1))  # 15, one per index
         assert [r["n"] for r in inv["rows"]] == [n for n in range(-2, 3) for _ in range(25)]
+
+    def test_one_green_span_per_index(self, monkeypatch):
+        # the contraction certificate reads the Green row the h and bar_h
+        # series use, so each index builds one span at the advanced halfwidth
+        import nonautolin.conjugacy as conj
+        import nonautolin.hypotheses as hyp
+
+        calls = []
+        span = conj.green_span
+
+        def counted(sys, m, lo, hi):
+            calls.append(m)
+            return span(sys, m, lo, hi)
+
+        for mod in (conj, hyp):
+            monkeypatch.setattr(mod, "green_span", counted)
+        cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-2, n_max=2)
+        _, _, ok = phase_conjugate(cfg, build_system(cfg))
+        assert ok
+        assert calls == list(range(-2, 2 + cfg.steps + 1))  # 15, one per index
 
     def test_error_attribution_matches_reference(self):
         # remm at full coupling: the contraction total reaches 1 at n >= 1,

@@ -11,16 +11,12 @@ from nonautolin import (
     INCONCLUSIVE,
     CouplingSpec,
     DriverSpec,
-    EstimateOptions,
     GeometricTail,
     OperatorSeq,
     SpaceSpec,
     SystemSpec,
     WeightSeq,
     certify,
-    check_advanced_first,
-    check_advanced_second,
-    check_basic,
     lip_C,
     lip_D,
     lip_M,
@@ -29,7 +25,7 @@ from nonautolin import (
 from nonautolin.hypotheses import (IndexConstants, _estimate, _has_divergence_run,
                                    _lip_products, _ratio_tail)
 
-from .conftest import LN2, random_invertible_system, with_coupling
+from .conftest import LN2, advanced_at, random_invertible_system, with_coupling
 
 
 def scaling_driver_system(tau, rho, gamma=0.0, lam=LN2):
@@ -77,68 +73,64 @@ class TestEstimatorInternals:
         assert not _has_divergence_run([1, 2, 3, 4, 5, 4, 3, 2, 1, 0.5, 0.2], 10)
 
     def test_ratio_tail_geometric(self):
-        opts = EstimateOptions()
         terms = [0.5**i for i in range(1, 25)]
-        tail, verdict = _ratio_tail(terms, opts)
+        tail, verdict = _ratio_tail(terms)
         assert verdict == CONVERGED
         true_tail = 0.5**24  # sum_{i>=25} 0.5^i = 0.5^24
         assert tail >= true_tail - 1e-15
         assert tail <= 4 * true_tail
 
     def test_ratio_tail_dead_series(self):
-        opts = EstimateOptions()
         # an all-zero inspected chunk means the series died: tail exactly 0
-        assert _ratio_tail([0.3] + [0.0] * 10, opts) == (0.0, CONVERGED)
-        assert _ratio_tail([], opts) == (0.0, CONVERGED)
+        assert _ratio_tail([0.3] + [0.0] * 10) == (0.0, CONVERGED)
+        assert _ratio_tail([]) == (0.0, CONVERGED)
         # trailing zeros after a positive term extrapolate conservatively
-        tail, verdict = _ratio_tail([0.3, 0.1, 0.0, 0.0, 0.0], opts)
+        tail, verdict = _ratio_tail([0.3, 0.1, 0.0, 0.0, 0.0])
         assert verdict == CONVERGED and tail >= 0.0
 
     def test_ratio_tail_slow_decay_inconclusive(self):
-        opts = EstimateOptions()
         terms = [0.9995**i for i in range(40)]
-        tail, verdict = _ratio_tail(terms, opts)
+        tail, verdict = _ratio_tail(terms)
         assert verdict == INCONCLUSIVE and tail is None
 
     def test_explosion_cap(self):
-        opts = EstimateOptions(explosion_cap=10.0)
-        est = _estimate((0, 5), [6.0, 5.0], [], None, None, None, opts)
+        # decaying terms whose extrapolated sum passes the 1e6 cap
+        est = _estimate((0, 5), [6e6, 5e6], [], None, None, None)
         assert est.verdict == DIVERGENT
 
     def test_explosion_cap_yields_to_analytic_envelopes(self):
-        opts = EstimateOptions(explosion_cap=10.0)
         # envelopes on both sides that carry terms: the tails are bounded
-        est = _estimate((-2, 2), [6.0, 5.0], [7.0, 4.0], 1.0, 0.5, 0.25, opts)
+        est = _estimate((-2, 2), [6e6, 5e6], [7e6, 4e6], 1e6, 0.5, 0.25)
         assert est.verdict == CONVERGED and est.tail_bound == 0.75
         # a side without terms needs no envelope
-        est = _estimate((-2, 0), [6.0, 5.0], [], None, 0.5, None, opts)
+        est = _estimate((-2, 0), [6e6, 5e6], [], None, 0.5, None)
         assert est.verdict == CONVERGED
         # one side with terms extrapolates: the cap still applies
-        est = _estimate((-2, 2), [6.0, 5.0], [7.0, 4.0], 1.0, 0.5, None, opts)
+        est = _estimate((-2, 2), [6e6, 5e6], [7e6, 4e6], 1e6, 0.5, None)
         assert est.verdict == DIVERGENT
 
     def test_non_finite_partial_sum_never_converges(self):
         for bad, verdict in ((math.inf, DIVERGENT), (math.nan, INCONCLUSIVE)):
-            est = _estimate((-1, 1), [bad], [1.0], None, 0.5, 0.5, EstimateOptions())
+            est = _estimate((-1, 1), [bad], [1.0], None, 0.5, 0.5)
             assert est.verdict == verdict
             assert est.to_json()["partial_sum"] is None
 
     def test_nan_partial_sum_is_inconclusive(self):
         # NaN is an arithmetic failure, not a divergence witness, whatever
-        # the caps, envelopes and term runs say; an infinite sum still diverges
-        opts = EstimateOptions(explosion_cap=10.0, divergence_run=2)
+        # the caps, envelopes and term runs (ten equal terms, one above 1e6)
+        # say; an infinite sum still diverges
         for left_env in (0.5, None):
-            est = _estimate((-3, 3), [1.0, 2.0, math.nan], [20.0], None, left_env, None, opts)
+            est = _estimate((-11, 1), [1.0] * 10 + [math.nan], [2e7], None, left_env, None)
             assert est.verdict == INCONCLUSIVE
             assert est.tail_bound is None and est.bound == math.inf
-        est = _estimate((-1, 1), [math.inf], [], None, None, None, opts)
+        est = _estimate((-1, 1), [math.inf], [], None, None, None)
         assert est.verdict == DIVERGENT
 
 
 class TestCheckBasic:
     def test_zero_coupling_exact_zero(self, rng):
         sys, _ = random_invertible_system(rng)
-        rep = check_basic(sys, (-5, 5), probes=16)
+        rep = certify(sys, (-5, 5), 8, probes=16)
         assert rep.bc2.partial_sum == 0.0
         assert rep.n_bound == 0.0
         assert rep.q_bound == 0.0
@@ -146,7 +138,7 @@ class TestCheckBasic:
         assert rep.bc4_ok
 
     def test_ex1_q_below_one(self, ex1):
-        rep = check_basic(ex1, (-10, 10), probes=32, inner_halfwidth=40)
+        rep = certify(ex1, (-10, 10), 40, probes=32)
         assert rep.bc3.verdict == CONVERGED
         assert rep.q_bound < 1.0
         assert rep.bc1_sampled_ok
@@ -154,7 +146,7 @@ class TestCheckBasic:
 
     def test_emo_basic_converges(self, emo):
         # constant gamma: the Green decay still sums the basic series
-        rep = check_basic(emo, (-5, 5), probes=16, inner_halfwidth=50)
+        rep = certify(emo, (-5, 5), 50, probes=16)
         assert rep.bc3.verdict == CONVERGED
         assert rep.q_bound < 1.0
 
@@ -163,13 +155,13 @@ class TestCheckBasic:
         lying = with_coupling(sys, 0.3)
         lying.f.gamma = lambda n: 1e-6  # claimed far below the actual slope
         lying.f.mu = lambda n: 1e-6
-        rep = check_basic(lying, (-3, 3), probes=64)
+        rep = certify(lying, (-3, 3), 8, probes=64)
         assert not rep.bc1_sampled_ok
 
     def test_bc4_worst_index(self, rng):
         sys, _ = random_invertible_system(rng)
         gam = with_coupling(sys, lambda n: 10.0 if n == 2 else 0.0)
-        rep = check_basic(gam, (-5, 5), probes=8)
+        rep = certify(gam, (-5, 5), 8, probes=8)
         assert not rep.bc4_ok
         assert rep.bc4_worst_index == 2
 
@@ -177,19 +169,19 @@ class TestCheckBasic:
 class TestAdvancedFirst:
     def test_zero_coupling(self, rng):
         sys, _ = random_invertible_system(rng)
-        k_est, j_est, total = check_advanced_first(sys, 0, (-30, 30))
+        k_est, j_est, total, _ = advanced_at(sys, 0, 30)
         assert k_est.partial_sum == 0.0 and j_est.partial_sum == 0.0
         assert total < 1.0
 
     def test_emo_divergent_every_n(self, emo):
         for n in range(-10, 11, 5):
-            _, j_est, total = check_advanced_first(emo, n, (n - 50, n + 50))
+            _, j_est, total, _ = advanced_at(emo, n, 50)
             assert j_est.verdict == DIVERGENT
             assert not total < 1.0
 
     def test_ex2_certified(self, ex2):
         for n in range(-10, 11, 5):
-            k_est, j_est, total = check_advanced_first(ex2, n, (n - 40, n + 40))
+            k_est, j_est, total, _ = advanced_at(ex2, n, 40)
             assert total < 1.0
             assert k_est.bound + j_est.bound < 1.0
 
@@ -197,13 +189,13 @@ class TestAdvancedFirst:
 class TestAdvancedSecond:
     def test_zero_series(self, rng):
         sys, _ = random_invertible_system(rng)
-        est = check_advanced_second(sys, 0, (-30, 30))
+        est = advanced_at(sys, 0, 30)[3]
         assert est.partial_sum == 0.0
         assert est.verdict == CONVERGED
 
     def test_end_converged(self, end_cfg):
         for n in (-5, 0, 5):
-            est = check_advanced_second(end_cfg, n, (n - 40, n + 40))
+            est = advanced_at(end_cfg, n, 40)[3]
             assert est.verdict == CONVERGED
 
     def test_expanding_driver_divergent(self):
@@ -211,25 +203,25 @@ class TestAdvancedSecond:
         # lam < ln 2 the Green decay cannot compensate: terms grow like
         # (2 e^{-lam})^d, a hand-checkable lower bound
         s = scaling_driver_system(tau=2.0, rho=0.05, lam=0.3)
-        est = check_advanced_second(s, 0, (-50, 50))
+        est = advanced_at(s, 0, 50)[3]
         assert est.verdict == DIVERGENT
 
     def test_explosion_cap_triggers(self):
         s = scaling_driver_system(tau=3.0, rho=1.0, lam=0.1)
-        est = check_advanced_second(s, 0, (-40, 40), EstimateOptions(explosion_cap=1e6))
+        est = advanced_at(s, 0, 40)[3]
         assert est.verdict == DIVERGENT
 
 
 class TestMonotonicity:
     def test_partial_sums_grow_with_window(self, ex1):
-        small = check_basic(ex1, (-3, 3), probes=8, inner_halfwidth=10)
-        large = check_basic(ex1, (-3, 3), probes=8, inner_halfwidth=40)
+        small = certify(ex1, (-3, 3), 10, probes=8)
+        large = certify(ex1, (-3, 3), 40, probes=8)
         assert large.bc2.partial_sum >= small.bc2.partial_sum - 1e-15
         assert large.bc3.partial_sum >= small.bc3.partial_sum - 1e-15
 
     def test_divergent_stays_divergent(self, emo):
         for w in (20, 50, 80):
-            _, j_est, _ = check_advanced_first(emo, 0, (-w, w))
+            j_est = advanced_at(emo, 0, w)[1]
             assert j_est.verdict == DIVERGENT
 
 
@@ -287,7 +279,7 @@ class TestCertify:
         assert sorted(calls) == list(range(-3, 4))
 
     def test_contraction_total_is_one_number(self):
-        # the check, the report and the engine read the same float
+        # a one-index report, a range report and the engine read the same float
         from nonautolin import ConjugacyEngine
 
         w = 30
@@ -297,7 +289,7 @@ class TestCertify:
             rep = certify(s, n_range=(-3, 3), window_halfwidth=w, probes=4)
             eng = ConjugacyEngine(s, advanced_halfwidth=w)
             for n in range(-3, 4):
-                total = check_advanced_first(s, n, (n - w, n + w))[2]
+                total = advanced_at(s, n, w)[2]
                 assert isinstance(total, float) and total < 1.0
                 assert total == rep.ac3_bound[n] == eng.contraction(n), (name, n)
                 assert rep.ac3[n] is True
@@ -313,11 +305,12 @@ class TestCertify:
 
 class TestWindowReporting:
     def test_estimates_carry_windows(self, ex1):
-        k_est, j_est, _ = check_advanced_first(ex1, 3, (-20, 30))
-        assert k_est.window == (-20, 2)
-        assert j_est.window == (4, 30)
-        assert k_est.terms_inspected == 23
-        assert j_est.terms_inspected == 27
+        k_est, j_est, _, second = advanced_at(ex1, 3, 20)
+        assert k_est.window == (-17, 2)
+        assert j_est.window == (4, 23)
+        assert second.window == (-17, 23)
+        assert k_est.terms_inspected == j_est.terms_inspected == 20
+        assert second.terms_inspected == 41
 
     def test_unbounded_weights_reported_not_rejected(self):
         # |P_n| growing with n is allowed; the report simply shows big sums
@@ -328,7 +321,7 @@ class TestWindowReporting:
             f=CouplingSpec.zero(2, 0),
             g=DriverSpec.trivial(),
         )
-        rep = check_basic(growing, (-5, 5), probes=8)
+        rep = certify(growing, (-5, 5), 8, probes=8)
         assert rep.bc2.verdict == CONVERGED  # zero coupling keeps sums zero
 
 
@@ -339,9 +332,8 @@ class TestEstimatorProperties:
         amp=st.floats(1e-6, 10.0),
     )
     def test_geometric_tail_dominates_true_tail(self, ratio, amp):
-        opts = EstimateOptions()
         terms = [amp * ratio**d for d in range(1, 30)]
-        tail, verdict = _ratio_tail(terms, opts)
+        tail, verdict = _ratio_tail(terms)
         assert verdict == CONVERGED
         true_tail = amp * ratio**30 / (1.0 - ratio)  # sum over d >= 30
         assert tail >= true_tail * (1.0 - 1e-9)
@@ -371,7 +363,7 @@ class TestBruteForceSums:
         from nonautolin import green_norm, lip_C
 
         n, w = 1, 25
-        k_est, j_est, _ = check_advanced_first(end_cfg, n, (n - w, n + w))
+        k_est, j_est, _, _ = advanced_at(end_cfg, n, w)
         k_direct = sum(
             green_norm(end_cfg, n, k + 1) * end_cfg.f.gamma(k) * lip_C(end_cfg, k, n)
             for k in range(n - w, n)
@@ -387,7 +379,7 @@ class TestBruteForceSums:
         from nonautolin import green_norm, lip_D, lip_M
 
         n, w = -2, 25
-        est = check_advanced_second(end_cfg, n, (n - w, n + w))
+        est = advanced_at(end_cfg, n, w)[3]
         direct = sum(
             green_norm(end_cfg, n, k + 1)
             * (end_cfg.f.gamma(k) * lip_M(end_cfg, k, n) + end_cfg.f.rho(k) * lip_D(end_cfg, k, n))
@@ -399,7 +391,7 @@ class TestBruteForceSums:
         from nonautolin import green_norm
 
         w = 20
-        rep = check_basic(ex1, (0, 0), probes=4, inner_halfwidth=w)
+        rep = certify(ex1, (0, 0), w, probes=4)
         direct = sum(
             green_norm(ex1, 0, q) * ex1.f.gamma(q - 1) for q in range(-w, w + 1)
         )
