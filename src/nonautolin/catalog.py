@@ -49,7 +49,6 @@ BUDGET_MARGIN = 0.99  # keeps the summability budgets strict at gamma_scale = 1
 # dxi/deta envelope amplitudes reach, stays a finite double for |n| <= 70.
 LAM_MAX = 10.0
 _LOG_MAX = math.log(np.finfo(float).max)
-_EXP2_MAX = np.finfo(float).maxexp  # 2.0 ** e overflows from e = 1024 on
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,7 @@ def make_ex2(params: ExampleParams) -> SystemSpec:
 
     def gamma(k: int) -> float:
         e = abs(k) + 1
-        head = 1.0 / (big_t * (2.0 ** e + 1.0)) if e < _EXP2_MAX else 0.0  # below 1e-308 there
+        head = 0.5 ** e / (big_t * (1.0 + 0.5 ** e))  # = 1 / (T (2^e + 1)), without 2^e
         return gs * min(head, budget * 0.5 ** abs(k))
 
     c_env = gs * min(1.0 / (2.0 * big_t), budget)

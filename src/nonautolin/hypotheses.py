@@ -119,7 +119,8 @@ def _side_tail(terms: list, envelope_tail: Optional[float]) -> tuple[Optional[fl
     # a heuristic for envelope-less systems only (legitimate series can rise
     # transiently toward the gamma peak before their decay sets in).
     if envelope_tail is not None:
-        return envelope_tail, CONVERGED
+        # an overflowed envelope's infinite tail bounds nothing
+        return (envelope_tail, CONVERGED) if math.isfinite(envelope_tail) else (None, INCONCLUSIVE)
     if _has_divergence_run(terms, DIVERGENCE_RUN):
         return None, DIVERGENT
     return _ratio_tail(terms)
@@ -256,15 +257,22 @@ def _worst(values: np.ndarray, lo: int) -> tuple[int, float]:
     return lo + i, float(values[i])
 
 
+# an envelope whose closed-form amplitude overflows a double: its tails are
+# infinite, so the sides it covers stay inconclusive and no window fits it
+_UNBOUNDED = GeometricTail(math.inf, 0.5)
+
+
 def _envelope(sys: SystemSpec, which: str, n: int) -> Optional[GeometricTail]:
-    """The system's analytic envelope `which` at center n; None when it has
-    none there or its amplitude overflows a double."""
+    """The system's analytic envelope `which` at center n: None when it has
+    none, `_UNBOUNDED` when its amplitude overflows a double."""
     env_fn = getattr(sys.envelopes, which) if sys.envelopes else None
-    try:
-        env = env_fn(n) if env_fn else None
-    except OverflowError:  # a closed-form amplitude such as 2.0 ** |n|
+    if env_fn is None:
         return None
-    return env if env is not None and math.isfinite(env.amplitude) else None
+    try:
+        env = env_fn(n)
+    except OverflowError:  # a closed-form amplitude such as 2.0 ** |n|
+        return _UNBOUNDED
+    return env if math.isfinite(env.amplitude) else _UNBOUNDED
 
 
 class IndexConstants(namedtuple("IndexConstants", "lo mu gamma rho sigma tau step margin back")):

@@ -298,8 +298,9 @@ class GeometricTail:
         return 2.0 * self.one_sided(halfwidth)
 
     def required_halfwidth(self, target: float, sides: int = 2) -> Optional[int]:
-        """Smallest halfwidth with the (two-)sided tail <= target, or None if target <= 0."""
-        if target <= 0.0:
+        """Smallest halfwidth with the (two-)sided tail <= target, or None if
+        target <= 0 or the amplitude is infinite."""
+        if target <= 0.0 or math.isinf(self.amplitude):
             return None
         if self.amplitude == 0.0 or self.ratio == 0.0:
             return 1

@@ -58,6 +58,10 @@ class TestParams:
         s = system_by_name("ex1", lam=LN2, gamma_scale=1.0)
         assert s.f.gamma(2000) == 0.0
         assert 0.0 < s.f.gamma(1000) < 1e-300
+        # ex2's 1 / (T (2^{|k|+1} + 1)) is computed without 2^{|k|+1}
+        s = system_by_name("ex2")
+        assert s.f.gamma(2000) == 0.0
+        assert 0.0 < s.f.gamma(1000) < 1e-300
 
     @settings(deadline=None, max_examples=40)
     @given(

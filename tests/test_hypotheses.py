@@ -126,6 +126,11 @@ class TestEstimatorInternals:
         est = _estimate((-1, 1), [math.inf], [], None, None, None)
         assert est.verdict == DIVERGENT
 
+    def test_infinite_envelope_tail_is_inconclusive(self):
+        # an overflowed envelope bounds nothing, not even all-zero terms
+        est = _estimate((-1, 1), [0.0], [0.0], 0.0, math.inf, 0.5)
+        assert est.verdict == INCONCLUSIVE and est.tail_bound is None
+
 
 class TestCheckBasic:
     def test_zero_coupling_exact_zero(self, rng):
@@ -293,6 +298,24 @@ class TestCertify:
                 assert isinstance(total, float) and total < 1.0
                 assert total == rep.ac3_bound[n] == eng.contraction(n), (name, n)
                 assert rep.ac3[n] is True
+
+    @pytest.mark.parametrize("name,n", [("ex1", 1030), ("ex2", 1030)])
+    def test_overflowed_envelope_certifies_nothing(self, name, n):
+        # ex1's dxi envelope and all of ex2's overflow a double here, where
+        # gamma underflows to 0: the envelopes must not turn into tails of 0
+        from nonautolin import ConjugacyEngine, WindowExhausted
+        from nonautolin.hypotheses import _UNBOUNDED, _envelope
+
+        s = system_by_name(name)
+        assert _envelope(s, "dxi", n) is _UNBOUNDED
+        rep = certify(s, n_range=(n, n), window_halfwidth=5, probes=4)
+        k_est, j_est = rep.ac2[n]
+        assert k_est.verdict == j_est.verdict == INCONCLUSIVE
+        assert rep.ac3_bound[n] == math.inf and not rep.overall_ok
+        if name == "ex2":
+            assert rep.bc2.verdict == rep.bc3.verdict == INCONCLUSIVE
+            with pytest.raises(WindowExhausted):
+                ConjugacyEngine(s).series_window(n, 1e-9)
 
     def test_ac3_implies_converged_and_below_one(self, ex2):
         rep = certify(ex2, n_range=(-6, 6), window_halfwidth=40, probes=8)
