@@ -27,7 +27,8 @@ Families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,7 +49,32 @@ BUDGET_MARGIN = 0.99  # keeps the summability budgets strict at gamma_scale = 1
 # Largest ex1/emo rate: e^{lam |n|}, which the transition products and the
 # dxi/deta envelope amplitudes reach, stays a finite double for |n| <= 70.
 LAM_MAX = 10.0
-_LOG_MAX = math.log(np.finfo(float).max)
+_FLOAT_MAX = float(np.finfo(float).max)
+_LOG_MAX = math.log(_FLOAT_MAX)
+
+# what a field of each declared type accepts: no bool is a number, every float is finite
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
+              and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX),
+    "bool": ("a bool", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(obj, error: type[Exception]) -> None:
+    """Raise `error` unless each dataclass field of `obj` holds a value of its
+    declared type (`int`, `float`, `bool`, `str`, or `Optional` of one)."""
+    for f in fields(obj):
+        value, declared = getattr(obj, f.name), f.type
+        if declared.startswith("Optional["):
+            if value is None:
+                continue
+            declared = declared[len("Optional["):-1]
+        if declared in _FIELD_TYPES:
+            kind, accepts = _FIELD_TYPES[declared]
+            if not accepts(value):
+                raise error(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +99,9 @@ class ExampleParams:
     rho_scale: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self, ValueError)
         if self.variant not in BUILDERS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("lam", "gamma_scale", "theta_ratio", "rotation_angle", "c", "rho_scale"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            raise ValueError(f"unknown system {self.variant!r}; choose from {sorted(BUILDERS)}")
         if not (0.0 <= self.gamma_scale <= 1.0):
             raise ValueError("gamma_scale must lie in [0, 1]")
         if self.variant in ("ex1", "emo") and not 0.0 < self.lam <= LAM_MAX:
@@ -374,10 +397,12 @@ def make_emo(params: ExampleParams) -> SystemSpec:
     a_inv = _block_diag(eml * np.eye(h), el * np.eye(h))
     p_mat = _block_diag(np.zeros((h, h)), np.eye(h))
 
+    # built once, here, so that a ratio e^{-lam} rounding to 1 fails the build
+    bc_tail, barh_tail = GeometricTail(c, eml), GeometricTail(c * el, eml)
     envelopes = TailEnvelopes(
-        bc2=lambda m: GeometricTail(c, eml),
-        bc3=lambda m: GeometricTail(c, eml),
-        barh=lambda n: GeometricTail(c * el, eml),
+        bc2=lambda m: bc_tail,
+        bc3=lambda m: bc_tail,
+        barh=lambda n: barh_tail,
         dxi=None,
         deta=None,
     )
@@ -409,6 +434,4 @@ def make_system(params: ExampleParams) -> SystemSpec:
 
 def system_by_name(name: str, **kwargs) -> SystemSpec:
     """Build a system from the family name and keyword overrides."""
-    if name not in BUILDERS:
-        raise ValueError(f"unknown system {name!r}; choose from {sorted(BUILDERS)}")
     return make_system(ExampleParams(variant=name, **kwargs))

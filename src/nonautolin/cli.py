@@ -21,13 +21,13 @@ import math
 import os
 import sys as _sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .catalog import BUILDERS, ExampleParams, make_system
+from .catalog import BUILDERS, ExampleParams, check_field_types, make_system
 from .conjugacy import ConjugacyEngine
 from .derivatives import validate_jacobians
 from .errors import ConfigError, NonautolinError
@@ -36,17 +36,6 @@ from .hypotheses import certify
 from .system import SystemSpec
 
 SCHEMA_VERSION = "1"
-
-_SYSTEM_KEYS = {
-    "lambda": "lam",
-    "lam": "lam",
-    "dim_half": "dim_half",
-    "gamma_scale": "gamma_scale",
-    "theta_ratio": "theta_ratio",
-    "rotation_angle": "rotation_angle",
-    "c": "c",
-    "rho_scale": "rho_scale",
-}
 
 
 @dataclass
@@ -71,21 +60,7 @@ class RunConfig:
     force: bool = False
 
     def __post_init__(self):
-        for name in ("window_halfwidth", "n_min", "n_max", "probes_per_axis", "steps",
-                     "bc_probes", "jacobian_probe_cap", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("probe_extent", "series_tol", "fp_tol", "fd_step", "equivariance_threshold",
-                     "jacobian_threshold", "inverse_threshold"):
-            value = getattr(self, name)
-            if value is None and name == "inverse_threshold":
-                continue
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(self.force, bool):
-            raise ConfigError(f"force must be a bool, got {self.force!r}")
+        check_field_types(self, ConfigError)
         if self.seed < 0 or self.steps < 0:
             raise ConfigError("seed and steps must be >= 0")
         if self.bc_probes < 1 or self.jacobian_probe_cap < 1:
@@ -99,9 +74,7 @@ class RunConfig:
         if self.n_min > self.n_max:
             raise ConfigError("n-min must be <= n-max")
         if self.system not in BUILDERS:
-            raise ConfigError(
-                f"unknown system {self.system!r}; choose from {sorted(set(BUILDERS))}"
-            )
+            raise ConfigError(f"unknown system {self.system!r}; choose from {sorted(BUILDERS)}")
 
     @property
     def n_range(self) -> tuple[int, int]:
@@ -112,9 +85,6 @@ class RunConfig:
         if self.inverse_threshold is not None:
             return self.inverse_threshold
         return self.fp_tol + 10.0 * self.series_tol
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def build_system(cfg: RunConfig) -> SystemSpec:
@@ -127,8 +97,6 @@ def build_system(cfg: RunConfig) -> SystemSpec:
 
 def probe_grid(dim: int, per_axis: int, extent: float, rng: np.random.Generator) -> np.ndarray:
     """Deterministic lattice plus seeded jitter; shape (n_probes, dim)."""
-    if dim == 0:
-        return np.zeros((1, 0))
     axis = np.linspace(-extent, extent, per_axis)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
@@ -270,7 +238,7 @@ def run_command(command: str, cfg: RunConfig) -> dict:
             "command": command,
             "dim_x": sys_spec.space.dim_x,
             "dim_y": sys_spec.space.dim_y,
-            **cfg.to_json(),
+            **asdict(cfg),
         },
         "hypothesis": None,
         "equivariance": None,
@@ -288,7 +256,6 @@ def run_command(command: str, cfg: RunConfig) -> dict:
     checks.append(hyp_ok)
 
     if command in ("conjugate", "report", "derivatives") and not hyp_ok and not cfg.force:
-        report["verdict"] = "fail"
         return report
 
     if command in ("conjugate", "report"):
@@ -313,46 +280,43 @@ def run_command(command: str, cfg: RunConfig) -> dict:
 # -- output writers ----------------------------------------------------------------
 
 
-def _probe_header(report: dict, probe_len: int) -> list:
-    dx = report["config"].get("dim_x", probe_len)
-    cols = [f"xi{i}" for i in range(min(dx, probe_len))]
-    cols += [f"eta{i}" for i in range(probe_len - len(cols))]
-    return cols
+# The columns of each CSV table, in order: one per row key, except that the
+# list-valued keys "probe" and "value" spread over one column per entry.
+_CSV_COLUMNS = {
+    "equivariance": ("n", "probe", "value", "residual", "tail_bound"),
+    "inverse": ("n", "probe", "value", "residual", "tail_bound"),
+    "jacobians": ("kind", "n", "probe", "rel_error", "fd_step", "analytic_norm"),
+}
+_LIST_KEYS = ("probe", "value")
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _header(report: dict, key: str, rows: list) -> list:
+    if key not in _LIST_KEYS:
+        return [key]
+    width = len(rows[0][key]) if rows else 0
+    if key == "value":
+        return [f"value{i}" for i in range(width)]
+    dx = min(report["config"].get("dim_x", width), width)
+    return [f"xi{i}" for i in range(dx)] + [f"eta{i}" for i in range(width - dx)]
 
 
-def _write_csv_tables(report: dict, out_dir: Path) -> None:
+def _write_directory(report: dict, out_dir: Path, text: str) -> None:
+    """report.json plus one CSV per result table of the report."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for section in ("equivariance", "inverse"):
+    (out_dir / "report.json").write_text(text + "\n")
+    for section, keys in _CSV_COLUMNS.items():
         table = report.get(section)
         if not table:
             continue
         rows = table["rows"]
-        dims = (len(rows[0]["probe"]), len(rows[0]["value"])) if rows else (0, 0)
-        header = (
-            ["n"]
-            + _probe_header(report, dims[0])
-            + [f"value{i}" for i in range(dims[1])]
-            + ["residual", "tail_bound"]
-        )
-        _write_csv(out_dir / f"{section}.csv", header,
-                   ([r["n"], *r["probe"], *r["value"], r["residual"], r["tail_bound"]]
-                    for r in rows))
-    table = report.get("jacobians")
-    if table:
-        rows = table["rows"]
-        pdim = len(rows[0]["probe"]) if rows else 0
-        header = (["kind", "n"] + _probe_header(report, pdim)
-                  + ["rel_error", "fd_step", "analytic_norm"])
-        _write_csv(out_dir / "jacobians.csv", header,
-                   ([r["kind"], r["n"], *r["probe"], r["rel_error"], r["fd_step"],
-                     r["analytic_norm"]] for r in rows))
+        with (out_dir / f"{section}.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([col for key in keys for col in _header(report, key, rows)])
+            writer.writerows(
+                [v for key in keys
+                 for v in (r[key] if key in _LIST_KEYS else [r[key]])]
+                for r in rows
+            )
 
 
 def write_report(report: dict, out: Optional[str], fmt: str, command: str) -> None:
@@ -361,18 +325,11 @@ def write_report(report: dict, out: Optional[str], fmt: str, command: str) -> No
         if fmt == "csv":
             raise ConfigError("--format csv requires --out <directory>")
         print(text)
-        return
-    out_path = Path(out)
-    if command == "report":
-        out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "report.json").write_text(text + "\n")
-        _write_csv_tables(report, out_path)
-    elif fmt == "csv":
-        _write_csv_tables(report, out_path)
-        (out_path / "report.json").write_text(text + "\n")
+    elif command == "report" or fmt == "csv":
+        _write_directory(report, Path(out), text)
     else:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text + "\n")
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text + "\n")
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -394,77 +351,57 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--system", required=True,
                        help="built-in name (ex1|ex2|remm|end_cfg|emo) or a JSON parameter file")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
+        # dest is the field a flag sets; None (not given) leaves the field to the file or default
+        p.add_argument("--lambda", dest="lam", type=float,
                        help="decay rate of the ex1/emo operator blocks")
-        p.add_argument("--gamma-scale", type=float, default=None,
-                       help="coupling envelope scale in [0, 1]")
-        p.add_argument("--c", type=float, default=None, help="emo constant coupling bound")
-        p.add_argument("--theta-ratio", type=float, default=None,
-                       help="ex2 ramp ratio bound T >= 1")
-        p.add_argument("--rotation-angle", type=float, default=None,
+        p.add_argument("--gamma-scale", type=float, help="coupling envelope scale in [0, 1]")
+        p.add_argument("--c", type=float, help="emo constant coupling bound")
+        p.add_argument("--theta-ratio", type=float, help="ex2 ramp ratio bound T >= 1")
+        p.add_argument("--rotation-angle", type=float,
                        help="rotation angle of the ex2/end_cfg isometry blocks")
-        p.add_argument("--window", type=int, default=40,
-                       help="series window halfwidth (default 40)")
-        p.add_argument("--n-min", type=int, default=-10)
-        p.add_argument("--n-max", type=int, default=10)
-        p.add_argument("--series-tol", type=float, default=1e-9)
-        p.add_argument("--fp-tol", type=float, default=1e-10)
-        p.add_argument("--fd-step", type=float, default=1e-6)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--window", dest="window_halfwidth", type=int, metavar="WINDOW",
+                       help=f"series window halfwidth (default {RunConfig.window_halfwidth})")
+        p.add_argument("--n-min", type=int)
+        p.add_argument("--n-max", type=int)
+        p.add_argument("--series-tol", type=float)
+        p.add_argument("--fp-tol", type=float)
+        p.add_argument("--fd-step", type=float)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", default=None, help="output file (json) or directory (csv/report)")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--force", action="store_true",
+        p.add_argument("--force", action="store_true", default=None,
                        help="run later phases even if hypothesis certification fails")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    system = args.system
-    file_overrides: dict = {}
-    if system.endswith(".json") or os.path.sep in system:
-        path = Path(system)
+    """Field defaults, overridden by the parameter file, overridden by the flags given.
+    The file may set the fields of ExampleParams but `variant` (`lambda` for `lam`)
+    and of RunConfig but `system_params` and `force`."""
+    system_keys = {f.name for f in fields(ExampleParams)} - {"variant"}
+    run_keys = {f.name for f in fields(RunConfig)} - {"system", "system_params", "force"}
+    settings = {"system": args.system}
+    if args.system.endswith(".json") or os.path.sep in args.system:
+        path = Path(args.system)
         if not path.exists():
-            raise ConfigError(f"parameter file not found: {system}")
+            raise ConfigError(f"parameter file not found: {args.system}")
         try:
-            file_overrides = json.loads(path.read_text())
+            settings = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot parse parameter file {system}: {exc}") from exc
-        if not isinstance(file_overrides, dict) or "system" not in file_overrides:
+            raise ConfigError(f"cannot parse parameter file {args.system}: {exc}") from exc
+        if not isinstance(settings, dict) or "system" not in settings:
             raise ConfigError("parameter file must be an object with a 'system' key")
-        system = file_overrides.pop("system")
-
-    system_params: dict = {}
-    for key, target in _SYSTEM_KEYS.items():
-        if key in file_overrides:
-            system_params[target] = file_overrides.pop(key)
-    for name in ("lam", "gamma_scale", "c", "theta_ratio", "rotation_angle"):
-        if getattr(args, name) is not None:
-            system_params[name] = getattr(args, name)
-
-    cfg_kwargs = dict(
-        system=system,
-        system_params=system_params,
-        window_halfwidth=args.window,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        series_tol=args.series_tol,
-        fp_tol=args.fp_tol,
-        fd_step=args.fd_step,
-        seed=args.seed,
-        force=args.force,
-    )
-    for key in ("probes_per_axis", "probe_extent", "steps", "bc_probes",
-                "jacobian_probe_cap", "equivariance_threshold", "jacobian_threshold",
-                "inverse_threshold", "window_halfwidth", "n_min", "n_max", "series_tol",
-                "fp_tol", "fd_step", "seed"):
-        if key in file_overrides:
-            cfg_kwargs[key] = file_overrides.pop(key)
-    if file_overrides:
-        raise ConfigError(f"unknown parameter-file keys: {sorted(file_overrides)}")
-    try:
-        return RunConfig(**cfg_kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        if "lambda" in settings:
+            if "lam" in settings:
+                raise ConfigError("parameter file gives both 'lambda' and 'lam'")
+            settings["lam"] = settings.pop("lambda")
+        unknown = set(settings) - system_keys - run_keys - {"system"}
+        if unknown:
+            raise ConfigError(f"unknown parameter-file keys: {sorted(unknown)}")
+    settings.update((k, v) for k, v in vars(args).items()
+                    if v is not None and k in system_keys | run_keys | {"force"})
+    system_params = {k: settings.pop(k) for k in list(settings) if k in system_keys}
+    return RunConfig(system_params=system_params, **settings)
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nonautolin.catalog import BUILDERS
 from nonautolin.cli import RunConfig, main
 from nonautolin.errors import ConfigError
 
@@ -256,6 +263,24 @@ class TestConfigHandling:
         pfile.write_text(json.dumps({"system": "ex1", "wat": 1}))
         assert run(["check", "--system", str(pfile)]) == 2
 
+    def test_parameter_file_accepts_every_field_but_force(self, tmp_path, capsys):
+        params = {
+            "system": "ex1", "lambda": 0.7, "dim_half": 1, "gamma_scale": 0.5,
+            "theta_ratio": 2.0, "rotation_angle": 0.0, "c": None, "rho_scale": 1.0,
+            "window_halfwidth": 8, "n_min": 0, "n_max": 0, "probes_per_axis": 2,
+            "probe_extent": 1.0, "series_tol": 1e-9, "fp_tol": 1e-10, "fd_step": 1e-6,
+            "seed": 0, "steps": 2, "bc_probes": 4, "jacobian_probe_cap": 2,
+            "equivariance_threshold": 1e-7, "jacobian_threshold": 1e-4,
+            "inverse_threshold": None,
+        }
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(params))
+        assert run(["check", "--system", str(pfile), "--out", str(tmp_path / "rep.json")]) == 0
+        for key, value in (("force", True), ("system_params", {}), ("variant", "ex1")):
+            pfile.write_text(json.dumps({**params, key: value}))
+            assert run(["check", "--system", str(pfile)]) == 2
+            assert "unknown parameter-file keys" in capsys.readouterr().err
+
     def test_flags_override_file(self, tmp_path):
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps({"system": "ex1", "gamma_scale": 0.9}))
@@ -264,6 +289,19 @@ class TestConfigHandling:
                   "--n-min", "-1", "--n-max", "1", "--out", str(out)])
         assert rc == 0
         assert load(out)["config"]["system_params"]["gamma_scale"] == 0.1
+
+    def test_flags_override_file_for_system_and_run_settings(self, tmp_path):
+        # the file used to win over --window, --n-min and the other run flags
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps({"system": "ex1", "gamma_scale": 0.9,
+                                     "window_halfwidth": 12, "n_min": -3, "n_max": 3}))
+        out = tmp_path / "rep.json"
+        rc = run(["check", "--system", str(pfile), "--gamma-scale", "0.2", "--window", "30",
+                  "--n-min", "0", "--n-max", "0", "--out", str(out)])
+        assert rc == 0
+        config = load(out)["config"]
+        assert config["system_params"] == {"gamma_scale": 0.2}
+        assert (config["window_halfwidth"], config["n_min"], config["n_max"]) == (30, 0, 0)
 
     def test_csv_format_requires_out(self, capsys):
         assert run(["check", "--system", "ex1", "--format", "csv",
@@ -276,10 +314,11 @@ class TestConfigHandling:
     ])
     def test_parameter_file_bad_integer_exits_2(self, tmp_path, capsys, key, value):
         # each of these ended in a traceback with exit code 1; zero bc probes
-        # passed bc1 without a single sample
+        # passed bc1 without a single sample.  The n range is in the file, as
+        # an --n-min or --n-max flag would override the value under test.
         pfile = tmp_path / "params.json"
-        pfile.write_text(json.dumps({"system": "ex1", key: value}))
-        assert run(["check", "--system", str(pfile), "--n-min", "0", "--n-max", "0"]) == 2
+        pfile.write_text(json.dumps({"system": "ex1", "n_min": 0, "n_max": 0, key: value}))
+        assert run(["check", "--system", str(pfile)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, file_params", [
@@ -292,15 +331,24 @@ class TestConfigHandling:
         (["check", "--system", "ex2", "--theta-ratio", "inf"], None),
         (["check", "--system", "ex1", "--rotation-angle", "nan"], None),
         (["check", "--system", "emo", "--c", "nan"], None),
+        (["check"], {"gamma_scale": True}),
+        (["check"], {"lambda": 0.5, "lam": 0.6}),
     ])
     def test_non_finite_or_non_numeric_float_exits_2(self, tmp_path, capsys, argv, file_params):
         # each of these ended in a traceback with exit code 1, or (a string
-        # threshold) ran to exit code 0
+        # threshold, a bool gamma_scale, a lam beside a lambda) ran to exit code 0
         if file_params is not None:
             pfile = tmp_path / "params.json"
             pfile.write_text(json.dumps({"system": "ex1", **file_params}))
             argv = argv + ["--system", str(pfile)]
         assert run(argv + ["--n-min", "0", "--n-max", "0"]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    def test_emo_ratio_rounding_to_one_exits_2(self, capsys):
+        # e^{-lambda} rounds to 1: emo's envelopes were built lazily, inside
+        # certify, and the ValueError ended in a traceback with exit code 1
+        assert run(["check", "--system", "emo", "--lambda", "1e-17",
+                    "--n-min", "0", "--n-max", "0", "--window", "3"]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
     def test_run_config_validation(self):
@@ -312,3 +360,42 @@ class TestConfigHandling:
             RunConfig(system="bogus")
         with pytest.raises(ConfigError):
             RunConfig(system="ex1", force=1)
+
+
+FLAG_FLOATS = st.sampled_from([0.0, -1.0, -1e300, 1e-300, 0.5, 1.0, 3.0, 1e300,
+                               math.nan, math.inf, -math.inf])
+FLOAT_FLAGS = ("--lambda", "--gamma-scale", "--c", "--theta-ratio", "--rotation-angle",
+               "--series-tol", "--fp-tol", "--fd-step")
+
+
+@st.composite
+def check_argv(draw):
+    argv = ["check", "--system", draw(st.sampled_from(sorted(BUILDERS)))]
+    for flag in draw(st.lists(st.sampled_from(FLOAT_FLAGS), unique=True)):
+        argv.append(f"{flag}={draw(FLAG_FLOATS)!r}")  # "=" keeps "-inf" a value, not a flag
+    n_min = draw(st.integers(-2, 2))
+    n_max = n_min + draw(st.integers(-1, 1))
+    window = draw(st.integers(-1, 8))
+    return argv + ["--n-min", str(n_min), "--n-max", str(n_max), "--window", str(window)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(argv=check_argv())
+def test_check_config_space_ends_in_report_or_config_error(argv):
+    """Every check configuration ends in a schema-valid report (exit 0 or 1)
+    or in a configuration error (exit 2), never in a traceback."""
+    jsonschema = pytest.importorskip("jsonschema")
+    import nonautolin
+
+    schema = json.loads((Path(nonautolin.__file__).parent / "report_schema.json").read_text())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        out = Path(tmp) / "rep.json"
+        rc = main(argv + ["--out", str(out)])
+        if rc == 2:
+            assert err.getvalue().startswith("configuration error:")
+        else:
+            assert rc in (0, 1)
+            rep = load(out)
+            jsonschema.validate(rep, schema)
+            assert rep["verdict"] == ("pass" if rc == 0 else "fail")
