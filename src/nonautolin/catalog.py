@@ -167,6 +167,25 @@ def _rotation_block(dim: int, angle: float) -> np.ndarray:
     return out
 
 
+def _hyperbolic_pair(lam: float, h: int) -> tuple[OperatorSeq, WeightSeq]:
+    """A = diag(e^lam Id, e^-lam Id) with its inverse and norms e^lam, and P
+    the lower block (ex1 and emo)."""
+    el, eml = math.exp(lam), math.exp(-lam)
+    a_mat = _block_diag(el * np.eye(h), eml * np.eye(h))
+    a_inv = _block_diag(eml * np.eye(h), el * np.eye(h))
+    return (OperatorSeq(lambda n: a_mat, lambda n: a_inv,
+                        norm_bound=lambda n: el, inv_norm_bound=lambda n: el),
+            WeightSeq.constant(_block_diag(np.zeros((h, h)), np.eye(h))))
+
+
+def _identity_pair(dim: int) -> tuple[OperatorSeq, WeightSeq]:
+    """A = P = Id with norms 1 (remm and end_cfg)."""
+    eye = np.eye(dim)
+    return (OperatorSeq(lambda n: eye, lambda n: eye,
+                        norm_bound=lambda n: 1.0, inv_norm_bound=lambda n: 1.0),
+            WeightSeq.constant(eye))
+
+
 def _tanh_coupling(
     dim_x: int,
     dim_y: int,
@@ -218,10 +237,6 @@ def make_ex1(params: ExampleParams) -> SystemSpec:
     dim_x = 2 * h
 
     el, eml = math.exp(lam), math.exp(-lam)
-    a_mat = _block_diag(el * np.eye(h), eml * np.eye(h))
-    a_inv = _block_diag(eml * np.eye(h), el * np.eye(h))
-    p_mat = _block_diag(np.zeros((h, h)), np.eye(h))
-
     big_m = _prod_one_plus(eml)
     budget = BUDGET_MARGIN / (el * big_m * _geom_sum(eml))
 
@@ -239,17 +254,15 @@ def make_ex1(params: ExampleParams) -> SystemSpec:
         deta=lambda n: GeometricTail(el * big_m * c_env * eml ** (-abs(n)), eml),
     )
 
-    sys = SystemSpec(
+    a, p = _hyperbolic_pair(lam, h)
+    return SystemSpec(
         space=SpaceSpec(dim_x=dim_x, dim_y=0, norm_kind="max"),
-        a=OperatorSeq(lambda n: a_mat, lambda n: a_inv,
-                      norm_bound=lambda n: el, inv_norm_bound=lambda n: el),
-        p=WeightSeq.constant(p_mat),
+        a=a, p=p,
         f=_tanh_coupling(dim_x, 0, gamma, lambda n: 0.0, "max"),
         g=DriverSpec.trivial(),
         envelopes=envelopes,
         label=f"ex1(lam={lam:g}, gamma_scale={gs:g})",
     )
-    return sys
 
 
 def make_ex2(params: ExampleParams) -> SystemSpec:
@@ -326,12 +339,10 @@ def make_remm(params: ExampleParams) -> SystemSpec:
         deta=lambda n: GeometricTail(p_inf * 0.5 * gs * 4.0 ** abs(n), 0.25),
     )
 
-    eye = np.eye(dim_x)
+    a, p = _identity_pair(dim_x)
     return SystemSpec(
         space=SpaceSpec(dim_x=dim_x, dim_y=0, norm_kind="max"),
-        a=OperatorSeq(lambda n: eye, lambda n: eye,
-                      norm_bound=lambda n: 1.0, inv_norm_bound=lambda n: 1.0),
-        p=WeightSeq.constant(eye),
+        a=a, p=p,
         f=_tanh_coupling(dim_x, 0, gamma, lambda n: 0.0, "max"),
         g=DriverSpec.trivial(),
         envelopes=envelopes,
@@ -370,12 +381,10 @@ def make_end(params: ExampleParams) -> SystemSpec:
         deta=lambda n: GeometricTail(mixed_amp(n), 0.5),
     )
 
-    eye = np.eye(dim_x)
+    a, p = _identity_pair(dim_x)
     return SystemSpec(
         space=SpaceSpec(dim_x=dim_x, dim_y=dim_y, norm_kind="euclidean"),
-        a=OperatorSeq(lambda n: eye, lambda n: eye,
-                      norm_bound=lambda n: 1.0, inv_norm_bound=lambda n: 1.0),
-        p=WeightSeq.constant(eye),
+        a=a, p=p,
         f=_tanh_coupling(dim_x, dim_y, gamma, rho, "euclidean"),
         g=DriverSpec.rotation(angle),
         envelopes=envelopes,
@@ -393,10 +402,6 @@ def make_emo(params: ExampleParams) -> SystemSpec:
     dim_x = 2 * h
 
     el, eml = math.exp(lam), math.exp(-lam)
-    a_mat = _block_diag(el * np.eye(h), eml * np.eye(h))
-    a_inv = _block_diag(eml * np.eye(h), el * np.eye(h))
-    p_mat = _block_diag(np.zeros((h, h)), np.eye(h))
-
     # built once, here, so that a ratio e^{-lam} rounding to 1 fails the build
     bc_tail, barh_tail = GeometricTail(c, eml), GeometricTail(c * el, eml)
     envelopes = TailEnvelopes(
@@ -407,11 +412,10 @@ def make_emo(params: ExampleParams) -> SystemSpec:
         deta=None,
     )
 
+    a, p = _hyperbolic_pair(lam, h)
     return SystemSpec(
         space=SpaceSpec(dim_x=dim_x, dim_y=0, norm_kind="max"),
-        a=OperatorSeq(lambda n: a_mat, lambda n: a_inv,
-                      norm_bound=lambda n: el, inv_norm_bound=lambda n: el),
-        p=WeightSeq.constant(p_mat),
+        a=a, p=p,
         f=_tanh_coupling(dim_x, 0, lambda n: c, lambda n: 0.0, "max"),
         g=DriverSpec.trivial(),
         envelopes=envelopes,

@@ -121,7 +121,7 @@ class ConjugacyEngine:
         """
         cap = self.window_halfwidth
         if env is not None:
-            k = env.required_halfwidth(tol, sides=2)
+            k = env.required_halfwidth(tol)
             if k is None or k > cap:
                 raise WindowExhausted(n, cap, tol, env.two_sided(cap))
             return k, env.two_sided(k)
@@ -195,28 +195,21 @@ class ConjugacyEngine:
         return self._shifted(xi, eta, self.bar_h(n, xi, eta))
 
     def h_detailed(
-        self,
-        n: int,
-        xi,
-        eta=None,
-        iters: Optional[int] = None,
-        window: Optional[int] = None,
-    ) -> tuple[np.ndarray, list, int, int]:
-        """Fixed-point value, residual history, iterations used and window.
+        self, n: int, xi, eta=None, iters: Optional[int] = None
+    ) -> tuple[np.ndarray, list, int]:
+        """Fixed-point value, residual history and iterations used.
 
         With `iters` given, runs exactly that many Picard updates with no
         early stop (smooth in xi; used by the finite-difference harness).
         """
         c, k_half, value_bound = self._h_window(n)
-        if window is not None:
-            k_half = int(window)
         xi_b, eta_b, single = self._columns(xi, eta)
 
         if iters is not None:
             u = np.zeros_like(xi_b)
             for _ in range(iters):
                 u = -self.bar_h(n, xi_b + u, eta_b, window=k_half)
-            return (u[:, 0] if single else u), [], iters, k_half
+            return (u[:, 0] if single else u), [], iters
 
         if c <= 0.0 or value_bound <= self.fp_tol:
             cap = 4
@@ -230,7 +223,7 @@ class ConjugacyEngine:
             res = float(np.max(batch_vector_norm(u + v, self.sys.space.norm_kind)))
             residuals.append(res)
             if res <= self.fp_tol:
-                return (u[:, 0] if single else u), residuals, it, k_half
+                return (u[:, 0] if single else u), residuals, it
             u = -v
         raise NoConvergence(f"h fixed point at n={n}", cap, residuals[-1], self.fp_tol)
 
@@ -241,9 +234,8 @@ class ConjugacyEngine:
         win = self.series_window(n, min(self.series_tol, self.fp_tol * (1.0 - c) / 2.0))
         return c, win.halfwidth, win.value_bound
 
-    def h(self, n: int, xi, eta=None, iters: Optional[int] = None,
-          window: Optional[int] = None) -> np.ndarray:
-        return self.h_detailed(n, xi, eta, iters=iters, window=window)[0]
+    def h(self, n: int, xi, eta=None, iters: Optional[int] = None) -> np.ndarray:
+        return self.h_detailed(n, xi, eta, iters=iters)[0]
 
     def H(self, n: int, xi, eta=None) -> tuple[np.ndarray, np.ndarray]:
         return self._shifted(xi, eta, self.h(n, xi, eta))
@@ -342,37 +334,6 @@ class ConjugacyEngine:
                 w.bar_h_image, w.lin = x_l[:, a:b], x_l[:, half + a:half + b]
                 w.y = y_next[:, a:b]
         return out
-
-    def equivariance_batch(self, n: int, xi, eta=None, steps: int = 10) -> tuple[np.ndarray, np.ndarray]:
-        """Per-probe (forward, dual) equivariance residuals over `steps` steps.
-
-        Forward: push the linear trajectory through H and step it with the
-        coupled map; dual: push the coupled trajectory through bar_H and step
-        it with the linear map.  Both are zero for exact conjugacies.
-        Accepts column batches; returns arrays of shape (batch,).
-        """
-        res = self.residual_tables([n], xi, eta, steps)[n]
-        if res.equivariance_error is not None:
-            raise res.equivariance_error
-        return res.forward, res.dual
-
-    def equivariance_detailed(self, n: int, xi, eta=None, steps: int = 10) -> tuple[float, float]:
-        fwd, dual = self.equivariance_batch(n, xi, eta, steps)
-        return float(np.max(fwd)), float(np.max(dual))
-
-    def equivariance_residual(self, n: int, xi, eta=None, steps: int = 10) -> float:
-        fwd, dual = self.equivariance_detailed(n, xi, eta, steps)
-        return max(fwd, dual)
-
-    def inverse_residual_batch(self, n: int, xi, eta=None) -> np.ndarray:
-        """Per-probe max of |bar_H(H(p)) - p| and |H(bar_H(p)) - p| in the pair norm."""
-        res = self.residual_tables([n], xi, eta, steps=0)[n]
-        if res.inverse_error is not None:
-            raise res.inverse_error
-        return res.inverse
-
-    def inverse_residual(self, n: int, xi, eta=None) -> float:
-        return float(np.max(self.inverse_residual_batch(n, xi, eta)))
 
 
 @dataclass

@@ -201,15 +201,15 @@ def barh_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.nda
     return -acc, k_half
 
 
-def h_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarray, int, int]:
+def h_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarray, int]:
     """d h(n, .)/d(xi, eta) = -(Id + B_u)^{-1} [B_u | B_v], with [B_u | B_v]
     the bar_h Jacobian at xi + h(n, xi, eta); returns (matrix, Picard
-    iterations, window) of that h solve."""
+    iterations) of that h solve."""
     xi, eta = _pair(engine.sys, xi, eta)
-    u, _, iters, win = engine.h_detailed(n, xi, eta)
+    u, _, iters = engine.h_detailed(n, xi, eta)
     b, _ = barh_jacobian(engine, n, xi + u, eta)
     dx = engine.sys.space.dim_x
-    return -np.linalg.solve(np.eye(dx) + b[:, :dx], b), iters, win
+    return -np.linalg.solve(np.eye(dx) + b[:, :dx], b), iters
 
 
 # -- finite-difference validation ----------------------------------------------
@@ -226,10 +226,10 @@ def validate_jacobians(
     """Analytic-vs-FD reports of the seven derivative blocks at one probe.
 
     One stencil over z = (xi, eta) per map and step serves all of that
-    map's blocks.  Evaluations seen by the finite differences are pinned
-    (fixed series window, fixed fixed-point iteration count) so the sampled
-    function is smooth across the stencil.  Without a driver (dim_y = 0)
-    the bar_h and h eta blocks are left out.
+    map's blocks.  The series windows depend on n alone, so the h stencil
+    pins only the fixed-point iteration count, which keeps the sampled
+    function smooth across the stencil.  Without a driver (dim_y = 0) the
+    bar_h and h eta blocks are left out.
     """
     sys = engine.sys
     dx, dy = sys.space.dim_x, sys.space.dim_y
@@ -250,16 +250,14 @@ def validate_jacobians(
          ("d_y_deta", y_part, y_part)],
         steps,
     )
-    mu_win = engine.series_window(n, engine.series_tol).halfwidth
     out.update(_block_reports(
-        barh_jacobian(engine, n, xi, eta)[0],
-        lambda p: engine.bar_h(n, p[:dx], p[dx:], window=mu_win), z,
+        barh_jacobian(engine, n, xi, eta)[0], lambda p: engine.bar_h(n, p[:dx], p[dx:]), z,
         [("d_barh_dxi", x_part, x_part)] + ([("d_barh_deta", x_part, y_part)] if dy else []),
         steps,
     ))
-    mat, iters, win = h_jacobian(engine, n, xi, eta)
+    mat, iters = h_jacobian(engine, n, xi, eta)
     out.update(_block_reports(
-        mat, lambda p: engine.h(n, p[:dx], p[dx:], iters=iters + 4, window=win), z,
+        mat, lambda p: engine.h(n, p[:dx], p[dx:], iters=iters + 4), z,
         [("d_h_dxi", x_part, x_part)] + ([("d_h_deta", x_part, y_part)] if dy else []),
         steps,
     ))

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractionViolation, NoConvergence
-from .system import SystemSpec, batch_vector_norm, transition
+from .system import SystemSpec, batch_vector_norm
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,6 @@ def evolve_driver(sys: SystemSpec, k: int, n: int, eta) -> np.ndarray:
     return y
 
 
-def evolve_linear(sys: SystemSpec, k: int, n: int, xi) -> np.ndarray:
-    """Solution of the uncoupled x-recursion: transition(k, n) @ xi."""
-    return transition(sys, k, n) @ np.asarray(xi, dtype=float)
-
-
 @dataclass
 class BackwardStepResult:
     value: np.ndarray
@@ -138,10 +133,6 @@ def backward_step_detailed(
     raise NoConvergence(f"backward step at j={j}", opts.max_iters, residual, tol)
 
 
-def backward_step(sys: SystemSpec, j: int, xi, eta, opts: Optional[SolveOptions] = None) -> np.ndarray:
-    return backward_step_detailed(sys, j, xi, eta, opts).value
-
-
 def evolve_coupled(
     sys: SystemSpec, k: int, n: int, xi, eta, opts: Optional[SolveOptions] = None
 ) -> np.ndarray:
@@ -176,7 +167,7 @@ def coupled_trajectory(
         )
         for j in range(n - 1, lo - 1, -1):
             y = np.asarray(sys.g.eval_inv(j, y), dtype=float) if sys.space.dim_y else y
-            x = backward_step(sys, j, x, y, per_step)
+            x = backward_step_detailed(sys, j, x, y, per_step).value
             states[j] = (x, y)
     return states
 

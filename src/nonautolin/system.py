@@ -101,9 +101,6 @@ class SpaceSpec:
     def norm_y(self, v) -> float:
         return vector_norm(v, self.norm_kind)
 
-    def norm_pair(self, x, y) -> float:
-        return max(self.norm_x(x), self.norm_y(y))
-
 
 class OperatorSeq:
     """Function-backed bi-infinite sequence of invertible operators A_n.
@@ -297,17 +294,17 @@ class GeometricTail:
     def two_sided(self, halfwidth: int) -> float:
         return 2.0 * self.one_sided(halfwidth)
 
-    def required_halfwidth(self, target: float, sides: int = 2) -> Optional[int]:
-        """Smallest halfwidth with the (two-)sided tail <= target, or None if
+    def required_halfwidth(self, target: float) -> Optional[int]:
+        """Smallest halfwidth with the two-sided tail <= target, or None if
         target <= 0 or the amplitude is infinite."""
         if target <= 0.0 or math.isinf(self.amplitude):
             return None
         if self.amplitude == 0.0 or self.ratio == 0.0:
             return 1
         # closed form, then nudge for float rounding
-        est = math.log(target * (1.0 - self.ratio) / (sides * self.amplitude)) / math.log(self.ratio) - 1.0
+        est = math.log(target * (1.0 - self.ratio) / (2 * self.amplitude)) / math.log(self.ratio) - 1.0
         k = max(1, int(math.ceil(est)))
-        while self.one_sided(k) * sides > target:
+        while self.two_sided(k) > target:
             k += 1
         return k
 

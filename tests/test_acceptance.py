@@ -151,19 +151,19 @@ def test_criterion_5_conjugacy_identities():
         eng = ConjugacyEngine(s, series_tol=series_tol, fp_tol=fp_tol)
         xi_b, eta_b = grid_for(s, per_axis=5)
         for n in (-5, 0, 5):
-            res = eng.inverse_residual_batch(n, xi_b, eta_b)
-            assert float(np.max(res)) <= budget, f"{name} round trip at n={n}"
-        fwd, dual = eng.equivariance_batch(0, xi_b, eta_b, steps=10)
-        assert float(np.max(np.maximum(fwd, dual))) <= 1e-7, name
+            res = eng.residual_tables([n], xi_b, eta_b, steps=0)[n]
+            assert float(np.max(res.inverse)) <= budget, f"{name} round trip at n={n}"
+        res = eng.residual_tables([0], xi_b, eta_b, steps=10)[0]
+        assert float(np.max(np.maximum(res.forward, res.dual))) <= 1e-7, name
 
     # uncoupled configuration: identities hold to machine precision
     s0 = system_by_name("ex1", lam=LN2, gamma_scale=0.0)
     eng0 = ConjugacyEngine(s0, series_tol=series_tol, fp_tol=fp_tol)
     xi_b, eta_b = grid_for(s0, per_axis=5)
-    res = eng0.inverse_residual_batch(0, xi_b, eta_b)
-    assert float(np.max(res)) <= 1e-12
-    fwd, dual = eng0.equivariance_batch(0, xi_b, eta_b, steps=10)
-    assert float(np.max(np.maximum(fwd, dual))) <= 1e-12
+    res = eng0.residual_tables([0], xi_b, eta_b, steps=0)[0]
+    assert float(np.max(res.inverse)) <= 1e-12
+    res = eng0.residual_tables([0], xi_b, eta_b, steps=10)[0]
+    assert float(np.max(np.maximum(res.forward, res.dual))) <= 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"criterion 5 runtime {elapsed:.2f}s >= 60s"
     report_line(5, "conjugacy inverse + equivariance", started)

@@ -369,29 +369,43 @@ FLOAT_FLAGS = ("--lambda", "--gamma-scale", "--c", "--theta-ratio", "--rotation-
 
 
 @st.composite
-def check_argv(draw):
-    argv = ["check", "--system", draw(st.sampled_from(sorted(BUILDERS)))]
+def run_argv(draw):
+    """A command line over the config space, plus a parameter file with the
+    system and the probe counts that keep every phase tiny."""
+    params = {
+        "system": draw(st.sampled_from(sorted(BUILDERS))),
+        "probes_per_axis": draw(st.integers(1, 2)),
+        "jacobian_probe_cap": 1,
+        "steps": draw(st.integers(0, 2)),
+        "bc_probes": draw(st.integers(1, 4)),
+    }
+    argv = [draw(st.sampled_from(("check", "conjugate", "derivatives")))]
+    if draw(st.booleans()):
+        argv.append("--force")
     for flag in draw(st.lists(st.sampled_from(FLOAT_FLAGS), unique=True)):
         argv.append(f"{flag}={draw(FLAG_FLOATS)!r}")  # "=" keeps "-inf" a value, not a flag
     n_min = draw(st.integers(-2, 2))
     n_max = n_min + draw(st.integers(-1, 1))
     window = draw(st.integers(-1, 8))
-    return argv + ["--n-min", str(n_min), "--n-max", str(n_max), "--window", str(window)]
+    return argv + ["--n-min", str(n_min), "--n-max", str(n_max), "--window", str(window)], params
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(argv=check_argv())
-def test_check_config_space_ends_in_report_or_config_error(argv):
-    """Every check configuration ends in a schema-valid report (exit 0 or 1)
-    or in a configuration error (exit 2), never in a traceback."""
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(run=run_argv())
+def test_check_config_space_ends_in_report_or_config_error(run):
+    """Every check, conjugate or derivatives configuration, forced or not,
+    ends in a schema-valid report (exit 0 or 1) or in a configuration error
+    (exit 2), never in a traceback."""
     jsonschema = pytest.importorskip("jsonschema")
     import nonautolin
 
+    argv, params = run
     schema = json.loads((Path(nonautolin.__file__).parent / "report_schema.json").read_text())
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-        out = Path(tmp) / "rep.json"
-        rc = main(argv + ["--out", str(out)])
+        pfile, out = Path(tmp) / "params.json", Path(tmp) / "rep.json"
+        pfile.write_text(json.dumps(params))
+        rc = main(argv + ["--system", str(pfile), "--out", str(out)])
         if rc == 2:
             assert err.getvalue().startswith("configuration error:")
         else:

@@ -140,7 +140,7 @@ class TestSolutionJacobians:
 
         xi = rng.uniform(-1, 1, 2)
         j = 0
-        t = ev.backward_step(ex1_mild, j, xi, np.zeros(0))
+        t = ev.backward_step_detailed(ex1_mild, j, xi, np.zeros(0)).value
         m = ex1_mild.a.matrix(j) + np.asarray(ex1_mild.f.jac_x(j, t, np.zeros(0)))
         ell = np.linalg.inv(m)
         assert_allclose(m @ ell, np.eye(2), atol=1e-10)
@@ -356,4 +356,4 @@ class TestNonlinearDriver:
         tol = engine_nl.fp_tol + 10 * engine_nl.series_tol
         for _ in range(5):
             xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-            assert engine_nl.inverse_residual(0, xi, eta) <= tol
+            assert np.max(engine_nl.residual_tables([0], xi, eta, steps=0)[0].inverse) <= tol

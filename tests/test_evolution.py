@@ -16,11 +16,9 @@ from nonautolin import (
     SpaceSpec,
     SystemSpec,
     WeightSeq,
-    backward_step,
     backward_step_detailed,
     evolve_coupled,
     evolve_driver,
-    evolve_linear,
     lip_C,
     lip_D,
     lip_M,
@@ -81,13 +79,15 @@ class TestDriver:
 
 
 class TestEvolveLinear:
+    """The uncoupled solution transition(k, n) @ xi."""
+
     def test_time_equal(self, ex1):
         xi = np.array([0.3, -0.8])
-        assert_allclose(evolve_linear(ex1, 2, 2, xi), xi, atol=0)
+        assert_allclose(transition(ex1, 2, 2) @ xi, xi, atol=0)
 
     def test_ex1_two_steps(self):
         s = system_by_name("ex1", lam=LN2, gamma_scale=0.9)
-        out = evolve_linear(s, 2, 0, np.array([1.0, 1.0]))
+        out = transition(s, 2, 0) @ np.array([1.0, 1.0])
         assert_allclose(out, np.array([4.0, 0.25]), rtol=1e-14)
 
     def test_matches_stepwise_oracle(self, rng):
@@ -96,14 +96,14 @@ class TestEvolveLinear:
         x = xi.copy()
         for j in range(-2, 5):
             x = mats[j % 12] @ x
-        assert_allclose(evolve_linear(sys, 5, -2, xi), x, atol=1e-10)
+        assert_allclose(transition(sys, 5, -2) @ xi, x, atol=1e-10)
 
 
 class TestBackwardStep:
     def test_linear_case_exact(self, rng):
         sys, _ = random_invertible_system(rng)
         xi = rng.normal(size=2)
-        out = backward_step(sys, 3, xi, np.zeros(0))
+        out = backward_step_detailed(sys, 3, xi, np.zeros(0)).value
         expect = sys.a.inverse(3) @ xi
         assert np.array_equal(out, expect)
 
@@ -119,7 +119,7 @@ class TestBackwardStep:
                 j = int(rng.integers(-10, 11))
                 xi = rng.uniform(-2, 2, s.space.dim_x)
                 eta = rng.uniform(-2, 2, dy)
-                t = backward_step(s, j, xi, eta)
+                t = backward_step_detailed(s, j, xi, eta).value
                 fwd = s.a.matrix(j) @ t + np.asarray(s.f.eval(j, t, eta))
                 assert np.max(np.abs(fwd - xi)) <= 1e-10
 
@@ -149,13 +149,13 @@ class TestBackwardStep:
         sys, _ = random_invertible_system(rng)
         bad = with_coupling(sys, 100.0)
         with pytest.raises(ContractionViolation):
-            backward_step(bad, 0, np.ones(2), np.zeros(0))
+            backward_step_detailed(bad, 0, np.ones(2), np.zeros(0))
 
     def test_no_convergence_when_budget_too_small(self):
         s = system_by_name("ex1", lam=LN2, gamma_scale=0.9)
         opts = SolveOptions(fixed_point_tol=1e-12, max_iters=1)
         with pytest.raises(NoConvergence):
-            backward_step(s, 0, np.array([5.0, 5.0]), np.zeros(0), opts)
+            backward_step_detailed(s, 0, np.array([5.0, 5.0]), np.zeros(0), opts)
 
 
 class TestEvolveCoupled:
@@ -169,7 +169,7 @@ class TestEvolveCoupled:
         for k in (-4, 3):
             assert_allclose(
                 evolve_coupled(sys, k, 0, xi, np.zeros(0)),
-                evolve_linear(sys, k, 0, xi),
+                transition(sys, k, 0) @ xi,
                 atol=1e-12,
             )
 

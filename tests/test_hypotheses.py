@@ -375,7 +375,7 @@ class TestEstimatorProperties:
     )
     def test_required_halfwidth_meets_target(self, amp, ratio, target):
         env = GeometricTail(amp, ratio)
-        k = env.required_halfwidth(target, sides=2)
+        k = env.required_halfwidth(target)
         assert k >= 1
         assert env.two_sided(k) <= target
 

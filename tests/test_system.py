@@ -216,7 +216,3 @@ class TestSpaceSpec:
             SpaceSpec(dim_x=1, dim_y=-1)
         with pytest.raises(ValueError):
             SpaceSpec(dim_x=1, norm_kind="manhattan")
-
-    def test_pair_norm_is_max_of_components(self):
-        sp = SpaceSpec(dim_x=2, dim_y=2, norm_kind="max")
-        assert sp.norm_pair(np.array([0.5, -2.0]), np.array([1.0, 0.0])) == 2.0
