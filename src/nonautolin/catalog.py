@@ -206,17 +206,20 @@ def _tanh_coupling(
             out = out + r * scale * np.tanh(np.asarray(y, dtype=float)[idx])
         return out
 
-    def jac_x(n, x, y):
-        d = 1.0 - np.tanh(np.asarray(x, dtype=float)) ** 2
-        return gamma(n) * scale * np.diag(d)
+    diag = np.arange(dim_x)
 
-    def jac_y(n, x, y):
-        out = np.zeros((dim_x, dim_y))
+    def jac_x(n, x, y):  # (dim_x, batch) columns -> (batch, dim_x, dim_x)
+        d = 1.0 - np.tanh(np.asarray(x, dtype=float)) ** 2
+        out = np.zeros((d.shape[1], dim_x, dim_x))
+        out[:, diag, diag] = (gamma(n) * scale * d).T
+        return out
+
+    def jac_y(n, x, y):  # -> (batch, dim_x, dim_y)
+        out = np.zeros((np.shape(x)[1], dim_x, dim_y))
         r = rho(n)
         if r != 0.0 and idx is not None:
             d = 1.0 - np.tanh(np.asarray(y, dtype=float)) ** 2
-            for i in range(dim_x):
-                out[i, idx[i]] = r * scale * d[idx[i]]
+            out[:, diag, idx] = (r * scale * d[idx]).T
         return out
 
     return CouplingSpec(

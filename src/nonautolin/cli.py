@@ -192,6 +192,12 @@ def _row(n: int, probe: np.ndarray, value: np.ndarray, residual: float,
 
 
 def phase_derivatives(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
+    """Jacobian rows at every probe of the three indices n_min, mid, n_max.
+
+    One validate_jacobians call takes all probes of one n as columns; when
+    it raises, that n is run again one probe at a time, so each error names
+    its probe.
+    """
     rng = np.random.default_rng(cfg.seed + 1)
     grid = probe_grid(sys.space.dim_x + sys.space.dim_y, cfg.probes_per_axis,
                       cfg.probe_extent, rng)
@@ -200,17 +206,26 @@ def phase_derivatives(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
         grid = grid[np.sort(take)]
     engine = _engine(cfg, sys, solve=SolveOptions(fixed_point_tol=3e-13, max_iters=400))
     n_values = sorted({cfg.n_min, (cfg.n_min + cfg.n_max) // 2, cfg.n_max})
-    dx = sys.space.dim_x
+    xi_b, eta_b = _split_probes(sys, grid)
+
+    def validate(n, xi, eta):
+        return validate_jacobians(engine, n, xi, eta, k=n + 3, fd_step=cfg.fd_step)
+
     rows, errors = [], []
     for n in n_values:
-        for probe in grid:
+        try:
+            per_probe = validate(n, xi_b, eta_b)
+        except NonautolinError:
+            per_probe = []
+            for i in range(grid.shape[0]):
+                try:
+                    per_probe.append(validate(n, xi_b[:, i], eta_b[:, i]))
+                except NonautolinError as exc:
+                    per_probe.append(exc)
+        for probe, reports in zip(grid, per_probe):
             point = [float(v) for v in probe]
-            try:
-                reports = validate_jacobians(
-                    engine, n, probe[:dx], probe[dx:], k=n + 3, fd_step=cfg.fd_step
-                )
-            except NonautolinError as exc:
-                errors.append({"n": int(n), "probe": point, "error": str(exc)})
+            if isinstance(reports, NonautolinError):
+                errors.append({"n": int(n), "probe": point, "error": str(reports)})
                 continue
             rows += [
                 {

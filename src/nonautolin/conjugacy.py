@@ -40,8 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractionViolation, NoConvergence, NonautolinError, WindowExhausted
-from .evolution import (DEFAULT_SOLVE, SolveOptions, _as_columns, _coupling_value,
-                        _forward_step, coupled_trajectory)
+from .evolution import (DEFAULT_SOLVE, SolveOptions, _coupling_value, _forward_step,
+                        _state_columns, coupled_trajectory)
 from .hypotheses import CONVERGED, IndexConstants, _advanced, _envelope, _ratio_tail
 from .system import SystemSpec, batch_vector_norm, green_span, operator_norm
 
@@ -87,8 +87,12 @@ class ConjugacyEngine:
         widest built so far; narrower rows are its centre."""
         row = self._green_rows.get(n)
         if row is None or len(row) < 2 * halfwidth + 1:
-            row = self._green_rows[n] = green_span(self.sys, n, n - halfwidth + 1,
-                                                   n + halfwidth + 1)
+            try:
+                row = green_span(self.sys, n, n - halfwidth + 1, n + halfwidth + 1)
+            except FloatingPointError as exc:
+                raise NonautolinError(
+                    f"arithmetic failure in the Green span at n={n}: {exc}") from exc
+            self._green_rows[n] = row
         cut = (len(row) - 2 * halfwidth - 1) // 2
         return row[cut:len(row) - cut]
 
@@ -158,21 +162,12 @@ class ConjugacyEngine:
 
     # -- conjugacy evaluations ----------------------------------------------
 
-    def _columns(self, xi, eta) -> tuple[np.ndarray, np.ndarray, bool]:
-        """xi and eta as (dim, batch) columns, eta = 0 when absent, and
-        whether xi was a single state."""
-        dx, dy = self.sys.space.dim_x, self.sys.space.dim_y
-        xi_b, single = _as_columns(xi, dx)
-        batch = xi_b.shape[1]
-        eta_b = np.zeros((dy, batch)) if eta is None else _as_columns(eta, dy, batch)[0]
-        return xi_b, eta_b, single
-
     def bar_h_detailed(
         self, n: int, xi, eta=None, window: Optional[int] = None
     ) -> tuple[np.ndarray, float, int]:
         """Series value, truncation-error bound and window halfwidth."""
         sys = self.sys
-        xi_b, eta_b, single = self._columns(xi, eta)
+        xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
         if window is None:
             win = self.series_window(n, self.series_tol)
             k_half, tail = win.halfwidth, win.tail_bound
@@ -203,7 +198,7 @@ class ConjugacyEngine:
         early stop (smooth in xi; used by the finite-difference harness).
         """
         c, k_half, value_bound = self._h_window(n)
-        xi_b, eta_b, single = self._columns(xi, eta)
+        xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
 
         if iters is not None:
             u = np.zeros_like(xi_b)
@@ -265,7 +260,7 @@ class ConjugacyEngine:
         `inverse_error` of n = m; the bases it hits take no further columns.
         """
         kind = self.sys.space.norm_kind
-        xi_b, eta_b, _ = self._columns(xi, eta)
+        xi_b, eta_b, _ = _state_columns(self.sys, xi, eta)
         batch = xi_b.shape[1]
         out = {n: BaseResiduals() for n in sorted({int(n) for n in ns})}
         if not out:

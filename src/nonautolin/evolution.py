@@ -57,6 +57,16 @@ def _as_columns(v, dim: int, batch: Optional[int] = None) -> tuple[np.ndarray, b
     return arr, False
 
 
+def _state_columns(sys: SystemSpec, xi, eta) -> tuple[np.ndarray, np.ndarray, bool]:
+    """xi and eta as (dim, batch) columns, eta = 0 when absent, and whether
+    xi was a single state."""
+    xi_b, single = _as_columns(xi, sys.space.dim_x)
+    batch = xi_b.shape[1]
+    dy = sys.space.dim_y
+    eta_b = np.zeros((dy, batch)) if eta is None else _as_columns(eta, dy, batch)[0]
+    return xi_b, eta_b, single
+
+
 def _coupling_value(sys: SystemSpec, j: int, x, y) -> np.ndarray:
     """f_j at a state or column batch, with the batch shape enforced."""
     out = np.asarray(sys.f.eval(j, x, y), dtype=float)
@@ -65,6 +75,17 @@ def _coupling_value(sys: SystemSpec, j: int, x, y) -> np.ndarray:
         if x_arr.shape[1] != 1:
             raise ValueError("coupling eval must broadcast column batches")
         out = out.reshape(-1, 1)
+    return out
+
+
+def _jacobian_stack(jac, j: int, states: tuple, rows: int, cols: int) -> np.ndarray:
+    """jac(j, *states) at (dim, batch) column states, enforced to be the
+    (batch, rows, cols) stack of the per-column Jacobians."""
+    batch = states[0].shape[1]
+    out = np.asarray(jac(j, *states), dtype=float)
+    if out.shape != (batch, rows, cols):
+        raise ValueError(f"Jacobian at j={j} must be a ({batch}, {rows}, {cols}) stack, "
+                         f"got shape {out.shape}")
     return out
 
 

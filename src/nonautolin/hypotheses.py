@@ -162,6 +162,12 @@ def _estimate(
     return SeriesEstimate(partial, lt + rt, CONVERGED, window, inspected)
 
 
+def _unknown(lo: int, hi: int) -> SeriesEstimate:
+    """The estimate of a series over [lo, hi] none of whose terms could be
+    computed."""
+    return SeriesEstimate(math.nan, None, INCONCLUSIVE, (lo, hi), 0)
+
+
 @dataclass
 class HypothesisReport:
     """Certification record: basic conditions plus per-n advanced conditions."""
@@ -459,7 +465,18 @@ def certify(
         # one span serves the basic sums (q in [n - w, n + w]) and the
         # advanced ones (q = k + 1 for k in [n - w, n + w])
         c = consts.window(n - w - 1, n + w)
-        g = _green_norms(sys, n, n - w - 1, n + w)
+        try:
+            g = _green_norms(sys, n, n - w - 1, n + w)
+        except FloatingPointError as exc:
+            # an overflowing span leaves every series of center n unknown
+            bc2.append(_unknown(n - w, n + w))
+            bc3.append(_unknown(n - w, n + w))
+            if report.advanced_error is None:
+                report.ac2[n] = (_unknown(n - w, n - 1), _unknown(n + 1, n + w))
+                report.ac3_bound[n] = math.inf
+                report.ac9[n] = _unknown(n - w, n + w)
+                report.advanced_error = f"arithmetic failure in the Green span at n={n}: {exc}"
+            continue
         e2, e3 = _basic_series(sys, n, w, c, g)
         bc2.append(e2)
         bc3.append(e3)

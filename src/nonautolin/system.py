@@ -192,7 +192,10 @@ class CouplingSpec:
     """Coupling maps f_n : X x Y -> X with their constants.
 
     `eval` must accept states of shape (dim_x,) and may also receive
-    (dim_x, batch) column batches (all built-ins broadcast).  The constants
+    (dim_x, batch) column batches (all built-ins broadcast).  `jac_x` and
+    `jac_y` receive (dim_x, batch) and (dim_y, batch) columns and return
+    the (batch, dim_x, dim_x) and (batch, dim_x, dim_y) stacks of the
+    per-column Jacobians.  The constants
     are the bound mu_n >= sup |f_n|, the first-variable Lipschitz constant
     gamma_n and the second-variable Lipschitz constant rho_n.
     """
@@ -211,8 +214,8 @@ class CouplingSpec:
 
         return CouplingSpec(
             eval=_f,
-            jac_x=lambda n, x, y: np.zeros((dim_x, dim_x)),
-            jac_y=lambda n, x, y: np.zeros((dim_x, dim_y)),
+            jac_x=lambda n, x, y: np.zeros((np.shape(x)[1], dim_x, dim_x)),
+            jac_y=lambda n, x, y: np.zeros((np.shape(x)[1], dim_x, dim_y)),
             mu=lambda n: 0.0,
             gamma=lambda n: 0.0,
             rho=lambda n: 0.0,
@@ -221,7 +224,11 @@ class CouplingSpec:
 
 @dataclass
 class DriverSpec:
-    """Driver maps g_n : Y -> Y, their inverses, Jacobians and Lipschitz constants."""
+    """Driver maps g_n : Y -> Y, their inverses, Jacobians and Lipschitz constants.
+
+    `jac` receives (dim_y, batch) columns and returns the (batch, dim_y,
+    dim_y) stack of the per-column Jacobians.
+    """
 
     eval: Callable[[int, np.ndarray], np.ndarray]
     eval_inv: Callable[[int, np.ndarray], np.ndarray]
@@ -239,7 +246,7 @@ class DriverSpec:
         return DriverSpec(
             eval=_id,
             eval_inv=_id,
-            jac=lambda n, y: np.zeros((0, 0)),
+            jac=lambda n, y: np.zeros((np.shape(y)[1], 0, 0)),
             tau=lambda n: 0.0,
             sigma=lambda n: 0.0,
         )
@@ -252,7 +259,7 @@ class DriverSpec:
         return DriverSpec(
             eval=_id,
             eval_inv=_id,
-            jac=lambda n, y: np.eye(dim_y),
+            jac=lambda n, y: np.broadcast_to(np.eye(dim_y), (np.shape(y)[1], dim_y, dim_y)),
             tau=lambda n: 1.0,
             sigma=lambda n: 1.0,
         )
@@ -266,7 +273,7 @@ class DriverSpec:
         return DriverSpec(
             eval=lambda n, y: rot @ y,
             eval_inv=lambda n, y: rot_inv @ y,
-            jac=lambda n, y: rot,
+            jac=lambda n, y: np.broadcast_to(rot, (np.shape(y)[1], 2, 2)),
             tau=lambda n: 1.0,
             sigma=lambda n: 1.0,
         )
@@ -391,20 +398,22 @@ def green_span(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:
 
     Uses the second-argument recurrences transition(m, q+1) =
     transition(m, q) @ A_q^{-1} and transition(m, q-1) = transition(m, q) @ A_{q-1},
-    so the whole span costs one matrix product per step.
+    so the whole span costs one matrix product per step.  A kernel that
+    overflows raises FloatingPointError.
     """
     dx = sys.space.dim_x
     out = np.empty((max(hi - lo + 1, 0), dx, dx))
     if lo > hi:
         return out
     anchor = int(np.clip(m, lo, hi))
-    out[anchor - lo] = transition(sys, m, anchor)
-    for q in range(anchor + 1, hi + 1):
-        out[q - lo] = out[q - 1 - lo] @ sys.a.inverse(q - 1)
-    for q in range(anchor - 1, lo - 1, -1):
-        out[q - lo] = out[q + 1 - lo] @ sys.a.matrix(q)
-    eye = np.eye(dx)
-    for q in range(lo, hi + 1):
-        p = sys.p.matrix(q)
-        out[q - lo] = out[q - lo] @ p if m >= q else -(out[q - lo] @ (eye - p))
+    with np.errstate(over="raise", invalid="raise"):
+        out[anchor - lo] = transition(sys, m, anchor)
+        for q in range(anchor + 1, hi + 1):
+            out[q - lo] = out[q - 1 - lo] @ sys.a.inverse(q - 1)
+        for q in range(anchor - 1, lo - 1, -1):
+            out[q - lo] = out[q + 1 - lo] @ sys.a.matrix(q)
+        eye = np.eye(dx)
+        for q in range(lo, hi + 1):
+            p = sys.p.matrix(q)
+            out[q - lo] = out[q - lo] @ p if m >= q else -(out[q - lo] @ (eye - p))
     return out

@@ -17,6 +17,14 @@ from nonautolin import (
 LN2 = math.log(2.0)
 
 
+def diag_stack(d):
+    """The (batch, dim, dim) stack of diagonal matrices whose diagonals are
+    the columns of the (dim, batch) array d: the batched Jacobian contract of
+    `CouplingSpec.jac_x`/`jac_y` and `DriverSpec.jac`."""
+    d = np.asarray(d, dtype=float)
+    return d.T[:, :, None] * np.eye(d.shape[0])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -113,10 +121,9 @@ def nonlinear_driver_system(dim_half=1):
         return out + rho(n) * np.tanh(np.asarray(y, dtype=float)[idx])
 
     def jac_y(n, x, y):
-        out = np.zeros((dim_x, dim_y))
         d = 1.0 - np.tanh(np.asarray(y, dtype=float)) ** 2
-        for i in range(dim_x):
-            out[i, idx[i]] = rho(n) * d[idx[i]]
+        out = np.zeros((d.shape[1], dim_x, dim_y))
+        out[:, np.arange(dim_x), idx] = (rho(n) * d[idx]).T
         return out
 
     eye = np.eye(dim_x)
@@ -127,7 +134,7 @@ def nonlinear_driver_system(dim_half=1):
         p=WeightSeq.constant(eye),
         f=CouplingSpec(
             eval=f,
-            jac_x=lambda n, x, y: gamma(n) * np.diag(1 - np.tanh(np.asarray(x)) ** 2),
+            jac_x=lambda n, x, y: gamma(n) * diag_stack(1 - np.tanh(np.asarray(x)) ** 2),
             jac_y=jac_y,
             mu=lambda n: gamma(n) + rho(n),
             gamma=gamma,
@@ -136,7 +143,7 @@ def nonlinear_driver_system(dim_half=1):
         g=DriverSpec(
             eval=g,
             eval_inv=g_inv,
-            jac=lambda n, y: np.diag(1.0 + a * (1.0 - np.tanh(np.asarray(y)) ** 2)),
+            jac=lambda n, y: diag_stack(1.0 + a * (1.0 - np.tanh(np.asarray(y)) ** 2)),
             tau=lambda n: 1.0 + a,
             sigma=lambda n: 1.0,
         ),
@@ -157,8 +164,8 @@ def with_coupling(sys, gamma, kind="max"):
             eval=lambda n, x, y: gamma_fn(n) * scale * np.tanh(np.asarray(x, dtype=float)),
             jac_x=lambda n, x, y: gamma_fn(n)
             * scale
-            * np.diag(1.0 - np.tanh(np.asarray(x, dtype=float)) ** 2),
-            jac_y=lambda n, x, y: np.zeros((dim, sys.space.dim_y)),
+            * diag_stack(1.0 - np.tanh(np.asarray(x, dtype=float)) ** 2),
+            jac_y=lambda n, x, y: np.zeros((np.shape(x)[1], dim, sys.space.dim_y)),
             mu=gamma_fn,
             gamma=gamma_fn,
             rho=lambda n: 0.0,

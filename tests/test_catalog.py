@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nonautolin import (
     CONVERGED,
@@ -20,6 +20,7 @@ from nonautolin import (
 from nonautolin.catalog import BUILDERS, LAM_MAX, _prod_one_plus
 
 from .conftest import LN2, advanced_at
+from .reference import fd_jacobian
 
 
 def total_gamma(sys, halfwidth=200):
@@ -244,11 +245,47 @@ class TestCouplingContracts:
             if dy:
                 f12 = np.asarray(s.f.eval(n, x1, y2))
                 assert s.space.norm_x(f11 - f12) <= rho * s.space.norm_y(y1 - y2) * (1 + 1e-12) + 1e-15
-            jx = np.asarray(s.f.jac_x(n, x1, y1))
+            jx = s.f.jac_x(n, x1[:, None], y1[:, None])[0]
             assert operator_norm(jx, s.space.norm_kind) <= ga * (1 + 1e-12) + 1e-15
             if dy:
-                jy = np.asarray(s.f.jac_y(n, x1, y1))
+                jy = s.f.jac_y(n, x1[:, None], y1[:, None])[0]
                 assert operator_norm(jy, s.space.norm_kind) <= rho * (1 + 1e-12) + 1e-15
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("ex1", dict(lam=LN2, gamma_scale=1.0)),
+            ("ex2", dict(theta_ratio=2.0, rotation_angle=0.4, gamma_scale=1.0)),
+            ("remm", dict(gamma_scale=1.0, dim_half=2)),
+            ("end_cfg", dict(gamma_scale=1.0)),
+            ("end_cfg", dict(gamma_scale=1.0, dim_half=2, rho_scale=0.3)),
+            ("emo", dict(lam=0.5, c=0.03)),
+        ],
+    )
+    def test_batched_jacobians_match_per_column_calls(self, name, kwargs, rng):
+        # jac_x, jac_y and g.jac take (dim, batch) columns and return one
+        # Jacobian per column: the per-column calls, and central differences
+        # of f_n and g_n
+        s = system_by_name(name, **kwargs)
+        dx, dy = s.space.dim_x, s.space.dim_y
+        batch = 5
+        x, y = rng.uniform(-3, 3, (dx, batch)), rng.uniform(-3, 3, (dy, batch))
+        for n in (-4, 0, 5):
+            jx, jy, jg = s.f.jac_x(n, x, y), s.f.jac_y(n, x, y), s.g.jac(n, y)
+            assert (jx.shape, jy.shape, jg.shape) == ((batch, dx, dx), (batch, dx, dy),
+                                                      (batch, dy, dy))
+            for i in range(batch):
+                xc, yc = x[:, i:i + 1], y[:, i:i + 1]
+                assert_array_equal(jx[i], s.f.jac_x(n, xc, yc)[0])
+                assert_array_equal(jy[i], s.f.jac_y(n, xc, yc)[0])
+                assert_array_equal(jg[i], s.g.jac(n, yc)[0])
+                fd_x = fd_jacobian(lambda v: s.f.eval(n, v, y[:, i]), x[:, i], 1e-6)
+                assert_allclose(jx[i], fd_x, atol=1e-8)
+                if dy:
+                    fd_y = fd_jacobian(lambda v: s.f.eval(n, x[:, i], v), y[:, i], 1e-6)
+                    assert_allclose(jy[i], fd_y, atol=1e-8)
+                    assert_allclose(jg[i], fd_jacobian(lambda v: s.g.eval(n, v), y[:, i], 1e-6),
+                                    atol=1e-8)
 
     def test_driver_isometry(self, end_cfg, rng):
         for _ in range(50):

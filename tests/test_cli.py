@@ -96,6 +96,35 @@ class TestCheckCommand:
         assert hyp["bc2"]["partial_sum"] is None
         assert rep["verdict"] == "fail"
 
+    @pytest.mark.parametrize("command", [["check"], ["conjugate", "--force"],
+                                         ["derivatives", "--force"]])
+    def test_overflowing_green_span_exits_1_without_warnings(self, tmp_path, command):
+        # the span's overflow is caught as an arithmetic failure, so no numpy
+        # warning reaches stderr and every phase still writes its report
+        import os
+        import subprocess
+        import sys
+
+        import nonautolin
+
+        out = tmp_path / "rep.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(nonautolin.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonautolin.cli", *command, "--system", "ex1",
+             "--lambda", "10", "--window", "80", "--n-min", "0", "--n-max", "0",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        rep = load(out)
+        failure = "arithmetic failure in the Green span at n=0"
+        assert rep["hypothesis"]["advanced_error"].startswith(failure)
+        for section in ("inverse", "equivariance", "jacobians"):
+            if rep[section] is not None:
+                errors = rep[section]["errors"]
+                assert errors and all(e["error"].startswith(failure) for e in errors)
+
     def test_stdout_json(self, capsys):
         rc = run(["check", "--system", "remm", "--gamma-scale", "0.5",
                   "--n-min", "-3", "--n-max", "3", "--window", "20"])

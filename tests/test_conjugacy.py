@@ -25,7 +25,7 @@ from nonautolin.errors import NonautolinError
 from nonautolin.evolution import _forward_step
 from nonautolin.system import batch_vector_norm
 
-from .conftest import LN2, random_invertible_system
+from .conftest import LN2, diag_stack, random_invertible_system
 
 
 def one_term_system(n0, c=0.05, lam=LN2):
@@ -49,8 +49,8 @@ def one_term_system(n0, c=0.05, lam=LN2):
         p=WeightSeq.constant(np.diag([0.0, 1.0])),
         f=CouplingSpec(
             eval=f,
-            jac_x=lambda n, x, y: gamma(n) * np.diag(1 - np.tanh(np.asarray(x)) ** 2),
-            jac_y=lambda n, x, y: np.zeros((2, 0)),
+            jac_x=lambda n, x, y: gamma(n) * diag_stack(1 - np.tanh(np.asarray(x)) ** 2),
+            jac_y=lambda n, x, y: np.zeros((np.shape(x)[1], 2, 0)),
             mu=gamma,
             gamma=gamma,
             rho=lambda n: 0.0,

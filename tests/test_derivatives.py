@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,8 @@ from nonautolin import (
     ConjugacyEngine,
     SolveOptions,
     barh_jacobian,
-    fd_jacobian,
     green_norm,
     h_jacobian,
-    jacobian_report,
     lip_C,
     lip_D,
     lip_M,
@@ -22,7 +21,12 @@ from nonautolin import (
     validate_jacobians,
 )
 
+from nonautolin.cli import RunConfig, _engine, build_system, phase_derivatives, probe_grid
+from nonautolin.derivatives import _rel_error
+from nonautolin.errors import NoConvergence, NonautolinError
+
 from .conftest import random_invertible_system
+from .reference import fd_jacobian, jacobian_report
 
 TIGHT = SolveOptions(fixed_point_tol=3e-13, max_iters=400)
 
@@ -141,7 +145,7 @@ class TestSolutionJacobians:
         xi = rng.uniform(-1, 1, 2)
         j = 0
         t = ev.backward_step_detailed(ex1_mild, j, xi, np.zeros(0)).value
-        m = ex1_mild.a.matrix(j) + np.asarray(ex1_mild.f.jac_x(j, t, np.zeros(0)))
+        m = ex1_mild.a.matrix(j) + ex1_mild.f.jac_x(j, t[:, None], np.zeros((0, 1)))[0]
         ell = np.linalg.inv(m)
         assert_allclose(m @ ell, np.eye(2), atol=1e-10)
 
@@ -253,19 +257,74 @@ class TestValidateJacobians:
         assert reports["d_x2_deta"].analytic.shape == (2, 0)
         assert reports["d_x2_deta"].rel_error == 0.0
 
-    def test_one_stencil_per_map_two_h_solves(self, engine_end, rng):
-        # h_jacobian's solve plus one pinned stencil over (xi, eta) for both h
-        # blocks; separate xi and eta stencils made three h_detailed calls
+    def test_one_h_solve_and_one_h_stencil_per_step_per_n(self, engine_end, rng):
+        # all probes of one n share one h solve, and each FD step that runs
+        # makes one pinned h stencil over (xi, eta) of every probe it needs;
+        # one probe at a time made two h_detailed calls per probe
         calls = []
         solve = engine_end.h_detailed
-        engine_end.h_detailed = lambda *a, **kw: (calls.append(a[0]), solve(*a, **kw))[1]
+        engine_end.h_detailed = lambda *a, **kw: (calls.append((a[0], kw.get("iters"))),
+                                                  solve(*a, **kw))[1]
         for n in (-3, 0, 3):
-            for _ in range(3):
-                before = len(calls)
-                xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-                reports = validate_jacobians(engine_end, n, xi, eta)
-                assert len(calls) - before == 2
-                assert all(rep.rel_error <= 1e-4 for rep in reports.values())
+            calls.clear()
+            xi, eta = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 3))
+            reports = validate_jacobians(engine_end, n, xi, eta)
+            assert len(reports) == 3
+            assert [c for c in calls if c[1] is None] == [(n, None)]
+            assert len(calls) in (2, 3)
+            assert all(rep.rel_error <= 1e-4 for r in reports for rep in r.values())
+
+    def test_second_step_runs_only_over_pending_probes(self, monkeypatch):
+        # at fd_step 1e-3 the coarse step 1e-2 meets 1e-6 at some probes of
+        # ex1 at n = -3 but not at others: the finer step runs over the rest
+        import nonautolin.derivatives as der
+
+        calls = []
+        fd_batch = der.fd_jacobian_batch
+
+        def recorded(fun, points, step):
+            fd = fd_batch(fun, points, step)
+            calls.append((step, np.array(points), fd))
+            return fd
+
+        monkeypatch.setattr(der, "fd_jacobian_batch", recorded)
+        s = system_by_name("ex1", gamma_scale=0.5)
+        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-10, solve=TIGHT)
+        xi = probe_grid(2, 3, 1.0, np.random.default_rng(5)).T.copy()
+        fd_step = 1e-3
+        coarse = fd_step * 10.0
+        reports = validate_jacobians(eng, -3, xi, None, fd_step=fd_step)
+        x, y = slice(0, 2), slice(2, 2)
+        maps = [{"d_x2_dxi": (x, x), "d_x2_deta": (x, y), "d_y_deta": (y, y)},
+                {"d_barh_dxi": (x, x)}, {"d_h_dxi": (x, x)}]
+        starts = [i for i, c in enumerate(calls) if c[0] == coarse]
+        assert len(starts) == 3 and starts[0] == 0
+        partial = False
+        for blocks, start, end in zip(maps, starts, starts[1:] + [len(calls)]):
+            _, points, fd = calls[start]
+            assert_allclose(points, xi, atol=0)
+            pending = [i for i, rep in enumerate(reports)
+                       if any(_rel_error(rep[k].analytic, fd[i][b]) > 1e-6
+                              for k, b in blocks.items())]
+            finer = calls[start + 1:end]
+            assert len(finer) == (1 if pending else 0)
+            if pending:
+                assert finer[0][0] == fd_step
+                assert_allclose(finer[0][1], xi[:, pending], atol=0)
+            for i, rep in enumerate(reports):
+                if i not in pending:
+                    assert all(rep[k].fd_step == coarse for k in blocks)
+            partial |= 0 < len(pending) < xi.shape[1]
+        assert partial
+
+    def test_unbatched_jacobian_is_rejected(self, ex1_mild):
+        # a jac_x on the old one-state contract returns a (dim_x,) diagonal
+        # for one column, not a (1, dim_x, dim_x) stack
+        f = dataclasses.replace(ex1_mild.f,
+                                jac_x=lambda n, x, y: np.diag(1 - np.tanh(np.asarray(x)) ** 2))
+        s = dataclasses.replace(ex1_mild, f=f)
+        with pytest.raises(ValueError, match="stack"):
+            solution_jacobian(s, 3, 0, np.array([0.1, 0.2]))
 
     def test_blocks_of_the_joint_jacobians(self, engine_end, rng):
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
@@ -287,6 +346,98 @@ class TestValidateJacobians:
         rep = jacobian_report(a, lambda v: a @ v + 1e-3, np.zeros(2), 1e-5)
         # rel_error = |A - FD|_F / max(1, |A|_F); the constant offset cancels
         assert rep.rel_error <= 1e-9
+
+
+def reference_jacobian_rows(cfg, sys):
+    """The derivatives phase one probe at a time: its (kind, n, probe,
+    fd_step, rel_error) rows and its (n, probe) errors."""
+    rng = np.random.default_rng(cfg.seed + 1)
+    grid = probe_grid(sys.space.dim_x + sys.space.dim_y, cfg.probes_per_axis,
+                      cfg.probe_extent, rng)
+    if grid.shape[0] > cfg.jacobian_probe_cap:
+        grid = grid[np.sort(rng.choice(grid.shape[0], size=cfg.jacobian_probe_cap,
+                                       replace=False))]
+    engine = _engine(cfg, sys, solve=TIGHT)
+    dx = sys.space.dim_x
+    rows, errors = [], []
+    for n in sorted({cfg.n_min, (cfg.n_min + cfg.n_max) // 2, cfg.n_max}):
+        for probe in grid:
+            try:
+                reports = validate_jacobians(engine, n, probe[:dx], probe[dx:], k=n + 3,
+                                             fd_step=cfg.fd_step)
+            except NonautolinError:
+                errors.append((n, list(probe)))
+                continue
+            rows += [(kind, n, list(probe), rep.fd_step, rep.rel_error)
+                     for kind, rep in reports.items()]
+    return rows, errors
+
+
+class TestDerivativesPhase:
+    @pytest.mark.parametrize("system,params,cap", [
+        ("ex1", {"gamma_scale": 0.5}, 4),
+        ("end_cfg", {"gamma_scale": 0.9}, 3),
+    ])
+    def test_matches_per_probe_reference(self, system, params, cap):
+        cfg = RunConfig(system=system, system_params=params, n_min=-2, n_max=2,
+                        jacobian_probe_cap=cap)
+        sys = build_system(cfg)
+        table, ok = phase_derivatives(cfg, sys)
+        ref_rows, ref_errors = reference_jacobian_rows(cfg, sys)
+        assert ok and not ref_errors and not table["errors"]
+        got = table["rows"]
+        assert [(r["kind"], r["n"], r["probe"]) for r in got] == [r[:3] for r in ref_rows]
+        assert [r["fd_step"] for r in got] == [r[3] for r in ref_rows]
+        assert_allclose([r["rel_error"] for r in got], [r[4] for r in ref_rows],
+                        rtol=0, atol=1e-8)
+
+    def test_one_h_solve_per_n(self, monkeypatch):
+        calls = []
+        h_detailed = ConjugacyEngine.h_detailed
+
+        def counted(self, n, *args, **kwargs):
+            if kwargs.get("iters") is None:
+                calls.append(n)
+            return h_detailed(self, n, *args, **kwargs)
+
+        monkeypatch.setattr(ConjugacyEngine, "h_detailed", counted)
+        cfg = RunConfig(system="end_cfg", system_params={"gamma_scale": 0.9}, n_min=-2,
+                        n_max=2, jacobian_probe_cap=4)
+        table, ok = phase_derivatives(cfg, build_system(cfg))
+        assert ok
+        assert calls == [-2, 0, 2]
+        assert len(table["rows"]) == 3 * 4 * 7
+
+    def test_per_probe_fallback_on_error(self, monkeypatch):
+        # an error in the batched call of one n re-runs that n one probe at a
+        # time, so the error names its probe and the other probes keep rows
+        import nonautolin.cli as cli
+
+        validate = cli.validate_jacobians
+        calls = []
+
+        def flaky(engine, n, xi, eta, **kwargs):
+            calls.append((n, np.ndim(xi)))
+            if n == 0 and (np.ndim(xi) == 2 or len(calls) == 4):
+                raise NoConvergence("forced", 1, 1.0, 0.5)
+            return validate(engine, n, xi, eta, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_jacobians", flaky)
+        cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-1, n_max=1,
+                        jacobian_probe_cap=3)
+        table, ok = phase_derivatives(cfg, build_system(cfg))
+        assert calls == [(-1, 2), (0, 2), (0, 1), (0, 1), (0, 1), (1, 2)]
+        assert not ok
+        probes = list(dict.fromkeys(tuple(r["probe"]) for r in table["rows"]))
+        assert len(probes) == 3
+        assert table["errors"] == [{"n": 0, "probe": list(probes[1]),
+                                    "error": str(NoConvergence("forced", 1, 1.0, 0.5))}]
+        kinds = ["d_x2_dxi", "d_x2_deta", "d_y_deta", "d_barh_dxi", "d_h_dxi"]
+        assert [(r["n"], tuple(r["probe"]), r["kind"]) for r in table["rows"]] == [
+            (n, p, k) for n in (-1, 0, 1) for p in probes
+            if (n, p) != (0, probes[1]) for k in kinds
+        ]
+        assert all(r["rel_error"] <= cfg.jacobian_threshold for r in table["rows"])
 
 
 class TestNonlinearDriver:

@@ -25,7 +25,7 @@ from nonautolin import (
 from nonautolin.hypotheses import (IndexConstants, _estimate, _has_divergence_run,
                                    _lip_products, _ratio_tail)
 
-from .conftest import LN2, advanced_at, random_invertible_system, with_coupling
+from .conftest import LN2, advanced_at, diag_stack, random_invertible_system, with_coupling
 
 
 def scaling_driver_system(tau, rho, gamma=0.0, lam=LN2):
@@ -46,8 +46,8 @@ def scaling_driver_system(tau, rho, gamma=0.0, lam=LN2):
         p=WeightSeq.constant(p),
         f=CouplingSpec(
             eval=f,
-            jac_x=lambda n, x, y: gamma * np.diag(1 - np.tanh(np.asarray(x)) ** 2),
-            jac_y=lambda n, x, y: rho * np.diag(1 - np.tanh(np.asarray(y)) ** 2),
+            jac_x=lambda n, x, y: gamma * diag_stack(1 - np.tanh(np.asarray(x)) ** 2),
+            jac_y=lambda n, x, y: rho * diag_stack(1 - np.tanh(np.asarray(y)) ** 2),
             mu=lambda n: gamma + rho,
             gamma=lambda n: gamma,
             rho=lambda n: rho,
@@ -55,7 +55,7 @@ def scaling_driver_system(tau, rho, gamma=0.0, lam=LN2):
         g=DriverSpec(
             eval=lambda n, y: tau * np.asarray(y, dtype=float),
             eval_inv=lambda n, y: np.asarray(y, dtype=float) / tau,
-            jac=lambda n, y: tau * np.eye(2),
+            jac=lambda n, y: tau * diag_stack(np.ones_like(np.asarray(y, dtype=float))),
             tau=lambda n: tau,
             sigma=lambda n: 1.0 / tau,
         ),
