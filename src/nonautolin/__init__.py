@@ -33,11 +33,6 @@ from .evolution import (
     SolveOptions,
     backward_step_detailed,
     coupled_trajectory,
-    evolve_coupled,
-    evolve_driver,
-    lip_C,
-    lip_D,
-    lip_M,
 )
 from .hypotheses import (
     CONVERGED,
@@ -57,7 +52,6 @@ from .system import (
     TailEnvelopes,
     WeightSeq,
     green,
-    green_norm,
     green_span,
     operator_norm,
     transition,
@@ -95,15 +89,9 @@ __all__ = [
     "barh_jacobian",
     "certify",
     "coupled_trajectory",
-    "evolve_coupled",
-    "evolve_driver",
     "green",
-    "green_norm",
     "green_span",
     "h_jacobian",
-    "lip_C",
-    "lip_D",
-    "lip_M",
     "make_emo",
     "make_end",
     "make_ex1",

@@ -7,12 +7,6 @@ coupled x-recursion solve, at each step j, the fixed-point equation
 
 by Picard iteration; the map is a contraction with rate |A_j^{-1}| gamma_j,
 which must be < 1.  T_j inverts the step map F_j(x, eta) = A_j x + f_j(x, eta).
-
-The module also evaluates the per-step Lipschitz products
-
-    lip_C(k, n): stretch of xi -> x2(k, n, xi, eta)
-    lip_D(k, n): stretch of eta -> y(k, n, eta)
-    lip_M(k, n): stretch of eta -> x2(k, n, xi, eta)
 """
 
 from __future__ import annotations
@@ -22,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractionViolation, NoConvergence
+from .errors import NoConvergence
 from .system import SystemSpec, batch_vector_norm
 
 
@@ -98,20 +92,6 @@ def _forward_step(sys: SystemSpec, j: int, x, y, coupled: bool = True):
     return x_next, (np.asarray(sys.g.eval(j, y), dtype=float) if sys.space.dim_y else y)
 
 
-def evolve_driver(sys: SystemSpec, k: int, n: int, eta) -> np.ndarray:
-    """Driver solution y(k, n, eta): composed g_j forward, composed g_j^{-1} backward."""
-    y = np.asarray(eta, dtype=float)
-    if sys.space.dim_y == 0:
-        return y.copy()
-    if k >= n:
-        for j in range(n, k):
-            y = np.asarray(sys.g.eval(j, y), dtype=float)
-    else:
-        for j in range(n - 1, k - 1, -1):
-            y = np.asarray(sys.g.eval_inv(j, y), dtype=float)
-    return y
-
-
 @dataclass
 class BackwardStepResult:
     value: np.ndarray
@@ -154,18 +134,6 @@ def backward_step_detailed(
     raise NoConvergence(f"backward step at j={j}", opts.max_iters, residual, tol)
 
 
-def evolve_coupled(
-    sys: SystemSpec, k: int, n: int, xi, eta, opts: Optional[SolveOptions] = None
-) -> np.ndarray:
-    """Solution x2(k, n, xi, eta) of the coupled x-recursion.
-
-    The state at k of `coupled_trajectory`, which splits the caller's
-    fixed-point tolerance across the n - k backward steps.
-    """
-    states = coupled_trajectory(sys, n, min(k, n), max(k, n), xi, eta, opts)
-    return np.array(states[k][0])
-
-
 def coupled_trajectory(
     sys: SystemSpec, n: int, lo: int, hi: int, xi, eta, opts: Optional[SolveOptions] = None
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -191,53 +159,3 @@ def coupled_trajectory(
             x = backward_step_detailed(sys, j, x, y, per_step).value
             states[j] = (x, y)
     return states
-
-
-def _backward_factor(sys: SystemSpec, j: int) -> float:
-    inv_norm = sys.a_inv_norm(j)
-    denom = 1.0 - sys.f.gamma(j) * inv_norm
-    if denom <= 0.0:
-        raise ContractionViolation(j, sys.f.gamma(j) * inv_norm)
-    return inv_norm / denom
-
-
-def lip_C(sys: SystemSpec, k: int, n: int) -> float:
-    """First-variable Lipschitz product of x2(k, n, ., eta)."""
-    if k == n:
-        return 1.0
-    prod = 1.0
-    if k > n:
-        for j in range(n, k):
-            prod *= sys.a_norm(j) + sys.f.gamma(j)
-    else:
-        for j in range(k, n):
-            prod *= _backward_factor(sys, j)
-    return prod
-
-
-def lip_D(sys: SystemSpec, k: int, n: int) -> float:
-    """Lipschitz product of eta -> y(k, n, eta)."""
-    if k == n:
-        return 1.0
-    prod = 1.0
-    if k > n:
-        for j in range(n, k):
-            prod *= sys.g.tau(j)
-    else:
-        for j in range(k, n):
-            prod *= sys.g.sigma(j)
-    return prod
-
-
-def lip_M(sys: SystemSpec, k: int, n: int) -> float:
-    """Second-variable Lipschitz product of x2(k, n, xi, .)."""
-    if k == n:
-        return 1.0
-    prod = 1.0
-    if k > n:
-        for j in range(n, k):
-            prod *= sys.a_norm(j) + sys.f.gamma(j) + max(sys.f.rho(j), sys.g.tau(j))
-    else:
-        for j in range(k, n):
-            prod *= _backward_factor(sys, j) + sys.g.sigma(j)
-    return prod

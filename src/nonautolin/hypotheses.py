@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractionViolation, NonautolinError
-from .system import GeometricTail, SystemSpec, green_span, operator_norm
+from .errors import ContractionViolation, NonautolinError, SingularOperatorError
+from .system import GeometricTail, SystemSpec, green_norm_rows
 
 CONVERGED = "converged"
 DIVERGENT = "divergent"
@@ -329,12 +329,6 @@ def _lip_products(c: IndexConstants, n: int, end: int) -> tuple[np.ndarray, ...]
         return np.cumprod(lip_c), np.cumprod(lip_m), np.cumprod(lip_d)
 
 
-def _green_norms(sys: SystemSpec, n: int, lo: int, hi: int) -> np.ndarray:
-    """|G(n, k + 1)| for k in [lo, hi], entry k at [k - lo]: one Green span,
-    one stacked operator norm."""
-    return operator_norm(green_span(sys, n, lo + 1, hi + 1), sys.space.norm_kind)
-
-
 def _basic_series(
     sys: SystemSpec, m: int, w: int, c: IndexConstants, g: np.ndarray
 ) -> tuple[SeriesEstimate, SeriesEstimate]:
@@ -407,7 +401,8 @@ def _advanced_terms(c: IndexConstants, g: np.ndarray, n: int, end: int) -> tuple
     lip_c, lip_m, lip_d = _lip_products(c, n, end)
     ks = (np.arange(n - 1, end - 1, -1) if end < n else np.arange(n + 1, end + 1)) - c.lo
     g, gamma, rho = g[ks], c.gamma[ks], c.rho[ks]
-    return g * gamma * lip_c, g * (gamma * lip_m + rho * lip_d)
+    with np.errstate(over="ignore", invalid="ignore"):  # _estimate judges inf and NaN sums
+        return g * gamma * lip_c, g * (gamma * lip_m + rho * lip_d)
 
 
 def _advanced(
@@ -443,18 +438,32 @@ def certify(
     The basic sums bc2/bc3 are sups over the centers m in n_range of sums
     over q in [m - w, m + w]; bc4 covers n_range and ac6 [lo - w, hi + w].
     The advanced series of every n in n_range run over [n - w, n + w].  bc1
-    is spot-checked at `probes` seeded random points.
+    is spot-checked at `probes` seeded random points.  An operator without
+    an inverse in [lo - w - 1, hi + w] leaves bc2/bc3 inconclusive and fails
+    bc4 at its index, with no advanced series.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo > hi:
         raise ValueError("window must be nonempty")
     w = window_halfwidth
-    consts = IndexConstants.of(sys, lo - w - 1, hi + w)
+    bc1 = sample_coupling_bounds(sys, (lo, hi), probes=probes, seed=seed, extent=probe_extent)
+    try:
+        consts = IndexConstants.of(sys, lo - w - 1, hi + w)
+        # one span per center serves the basic sums (q in [n - w, n + w]) and
+        # the advanced ones (q = k + 1 for k in [n - w, n + w])
+        g_rows, failed = green_norm_rows(sys, lo, hi, w)
+    except SingularOperatorError as exc:
+        # no A^{-1} at exc.index: bc4 fails there, and no span reaching it exists
+        return HypothesisReport(
+            window=(lo, hi), bc1_sampled_ok=bc1, bc2=_unknown(lo, hi), bc3=_unknown(lo, hi),
+            bc4_ok=False, bc4_worst_index=exc.index, bc4_worst_margin=math.inf,
+            n_bound=math.inf, q_bound=math.inf, advanced_error=f"{exc}; no series computed",
+        )
     bc4_index, margin = _worst(consts.window(lo, hi).margin, lo)
     ac6 = consts.window(lo - w, hi + w)
     ac6_index, sigma_rho = _worst(ac6.sigma * ac6.rho, ac6.lo)
     report = HypothesisReport(
-        window=(lo, hi), bc4_ok=margin < 1.0, bc4_worst_index=bc4_index,
+        window=(lo, hi), bc1_sampled_ok=bc1, bc4_ok=margin < 1.0, bc4_worst_index=bc4_index,
         bc4_worst_margin=margin, ac6_ok=sigma_rho <= 1.0, ac6_worst_index=ac6_index,
     )
     if not report.bc4_ok:
@@ -462,12 +471,7 @@ def certify(
         report.advanced_error = f"backward margin >= 1 at n={bc4_index}; advanced series skipped"
     bc2, bc3 = [], []
     for n in range(lo, hi + 1):
-        # one span serves the basic sums (q in [n - w, n + w]) and the
-        # advanced ones (q = k + 1 for k in [n - w, n + w])
-        c = consts.window(n - w - 1, n + w)
-        try:
-            g = _green_norms(sys, n, n - w - 1, n + w)
-        except FloatingPointError as exc:
+        if n in failed:
             # an overflowing span leaves every series of center n unknown
             bc2.append(_unknown(n - w, n + w))
             bc3.append(_unknown(n - w, n + w))
@@ -475,8 +479,10 @@ def certify(
                 report.ac2[n] = (_unknown(n - w, n - 1), _unknown(n + 1, n + w))
                 report.ac3_bound[n] = math.inf
                 report.ac9[n] = _unknown(n - w, n + w)
-                report.advanced_error = f"arithmetic failure in the Green span at n={n}: {exc}"
+                report.advanced_error = (f"arithmetic failure in the Green span at n={n}: "
+                                         f"{failed[n]}")
             continue
+        c, g = consts.window(n - w - 1, n + w), g_rows[n - lo]
         e2, e3 = _basic_series(sys, n, w, c, g)
         bc2.append(e2)
         bc3.append(e3)
@@ -492,7 +498,4 @@ def certify(
         report.ac9[n] = second
     report.bc2, report.n_bound = _sup(bc2, (lo, hi))
     report.bc3, report.q_bound = _sup(bc3, (lo, hi))
-    report.bc1_sampled_ok = sample_coupling_bounds(
-        sys, (lo, hi), probes=probes, seed=seed, extent=probe_extent
-    )
     return report

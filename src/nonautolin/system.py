@@ -388,10 +388,6 @@ def green(sys: SystemSpec, m: int, n: int) -> np.ndarray:
     return -(tr @ (np.eye(sys.space.dim_x) - p))
 
 
-def green_norm(sys: SystemSpec, m: int, n: int) -> float:
-    return operator_norm(green(sys, m, n), sys.space.norm_kind)
-
-
 def green_span(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:
     """Green kernels G(m, q) for every q in [lo, hi] as one (hi - lo + 1, dim_x,
     dim_x) stack, with G(m, q) at [q - lo].
@@ -417,3 +413,54 @@ def green_span(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:
             p = sys.p.matrix(q)
             out[q - lo] = out[q - lo] @ p if m >= q else -(out[q - lo] @ (eye - p))
     return out
+
+
+def green_norm_rows(sys: SystemSpec, lo: int, hi: int, w: int) -> tuple[np.ndarray, dict]:
+    """|G(n, q)| for every center n in [lo, hi] and q in [n - w, n + w + 1], at
+    [n - lo, q - n + w] of a (hi - lo + 1, 2w + 2) array, and {n: message} for
+    the centers whose span overflows (their rows are NaN).
+
+    Each half of the span slides from center to center by a first-argument
+    recurrence of the raw transitions, one batched product per center: the
+    past half (q <= n) upward, T(n+1, q) = A_n T(n, q), and the future half
+    (q > n) downward, T(n-1, q) = A_{n-1}^{-1} T(n, q), so no factor is ever
+    cancelled against its inverse.  One more batched product applies the
+    weights P_q or -(Id - P_q), and only the norms are kept.  The first
+    center, and the one after an overflowing center, builds its half from an
+    empty stack.
+    """
+    dx, kind = sys.space.dim_x, sys.space.norm_kind
+    eye = np.eye(dx)
+    p = np.array([sys.p.matrix(q) for q in range(lo - w, hi + w + 2)])
+    rows = np.full((hi - lo + 1, 2 * w + 2), np.nan)
+    failed: dict[int, str] = {}
+
+    def past(c, stack):  # the half of center c from that of c - 1
+        return np.concatenate((np.matmul(sys.a.matrix(c - 1), stack[-w:]), eye[None]))
+
+    def future(c, stack):  # the half of center c from that of c + 1
+        return np.matmul(sys.a.inverse(c), np.concatenate((eye[None], stack[:w])))
+
+    # per half: step, weights over [lo - w, hi + w + 1], columns, centers in
+    # sweep order, and the steps that build a center's half from scratch
+    halves = ((future, -(eye - p), slice(w + 1, 2 * w + 2), range(hi, lo - 1, -1),
+               lambda n: range(n + w, n - 1, -1)),
+              (past, p, slice(0, w + 1), range(lo, hi + 1), lambda n: range(n - w, n + 1)))
+    with np.errstate(over="raise", invalid="raise"):
+        for step, weights, cols, centers, scratch in halves:
+            stack = None
+            for n in centers:
+                try:
+                    if stack is None:
+                        stack = np.empty((0, dx, dx))
+                        for c in scratch(n):
+                            stack = step(c, stack)
+                    else:
+                        stack = step(n, stack)
+                    kernels = np.matmul(stack, weights[n - lo:][cols])
+                    rows[n - lo, cols] = operator_norm(kernels, kind)
+                except FloatingPointError as exc:
+                    failed.setdefault(n, str(exc))
+                    stack = None
+    rows[[n - lo for n in failed]] = np.nan
+    return rows, failed

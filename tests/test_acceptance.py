@@ -18,18 +18,15 @@ from nonautolin import (
     SolveOptions,
     backward_step_detailed,
     certify,
-    evolve_coupled,
-    evolve_driver,
     green_span,
-    lip_C,
-    lip_D,
-    lip_M,
     operator_norm,
     system_by_name,
     validate_jacobians,
 )
 from nonautolin.cli import main, probe_grid
 from nonautolin.derivatives import barh_jacobian
+
+from .reference import evolve_coupled, evolve_driver, lip_C, lip_D, lip_M
 
 LN2 = math.log(2.0)
 

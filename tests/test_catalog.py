@@ -11,8 +11,6 @@ from nonautolin import (
     DIVERGENT,
     ExampleParams,
     certify,
-    green_norm,
-    lip_C,
     make_system,
     operator_norm,
     system_by_name,
@@ -20,7 +18,7 @@ from nonautolin import (
 from nonautolin.catalog import BUILDERS, LAM_MAX, _prod_one_plus
 
 from .conftest import LN2, advanced_at
-from .reference import fd_jacobian
+from .reference import fd_jacobian, green_norm, lip_C
 
 
 def total_gamma(sys, halfwidth=200):

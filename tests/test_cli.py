@@ -132,6 +132,37 @@ class TestCheckCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["verdict"] == "pass"
 
+    def test_singular_operator_in_window_writes_valid_report(self, monkeypatch):
+        # A_{hi + w} has no inverse: certify reports it, in place of raising
+        # SingularOperatorError out of run_command
+        jsonschema = pytest.importorskip("jsonschema")
+        import numpy as np
+
+        import nonautolin
+        from nonautolin import cli
+        from nonautolin.system import (CouplingSpec, DriverSpec, OperatorSeq, SpaceSpec,
+                                       SystemSpec, WeightSeq)
+
+        singular = SystemSpec(
+            space=SpaceSpec(dim_x=2, dim_y=0, norm_kind="max"),
+            a=OperatorSeq(lambda n: np.diag([1.0, 0.0] if n == 5 else [2.0, 0.5])),
+            p=WeightSeq.constant(np.diag([0.0, 1.0])),
+            f=CouplingSpec.zero(2, 0),
+            g=DriverSpec.trivial(),
+        )
+        monkeypatch.setattr(cli, "build_system", lambda cfg: singular)
+        rep = cli.run_command("check", RunConfig(n_min=0, n_max=0, window_halfwidth=5))
+        rep = json.loads(json.dumps(rep, allow_nan=False))
+        schema = json.loads(
+            (Path(nonautolin.__file__).parent / "report_schema.json").read_text()
+        )
+        jsonschema.validate(rep, schema)
+        hyp = rep["hypothesis"]
+        assert hyp["bc2"]["verdict"] == hyp["bc3"]["verdict"] == "inconclusive"
+        assert hyp["bc4_ok"] is False and hyp["bc4_worst_index"] == 5
+        assert hyp["advanced_error"].startswith("singular operator at index 5")
+        assert rep["verdict"] == "fail"
+
 
 class TestConjugateCommand:
     def test_ex1_small_run(self, tmp_path):

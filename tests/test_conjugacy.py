@@ -26,6 +26,7 @@ from nonautolin.evolution import _forward_step
 from nonautolin.system import batch_vector_norm
 
 from .conftest import LN2, diag_stack, random_invertible_system
+from .reference import evolve_coupled, evolve_driver
 
 
 def one_term_system(n0, c=0.05, lam=LN2):
@@ -252,7 +253,7 @@ class TestEngineValidation:
 class TestBruteForceOracles:
     def test_bar_h_matches_direct_summation(self, engine_end, rng):
         # oracle: sum the defining series term by term from the public
-        # primitives (green / evolve_coupled / evolve_driver), no engine
+        # primitives and the reference solutions, no engine
         import nonautolin as nl
 
         s = engine_end.sys
@@ -261,8 +262,8 @@ class TestBruteForceOracles:
         got, tail, win = engine_end.bar_h_detailed(n, xi, eta)
         direct = np.zeros(2)
         for k in range(n - win, n + win + 1):
-            xk = nl.evolve_coupled(s, k, n, xi, eta)
-            yk = nl.evolve_driver(s, k, n, eta)
+            xk = evolve_coupled(s, k, n, xi, eta)
+            yk = evolve_driver(s, k, n, eta)
             direct -= nl.green(s, n, k + 1) @ np.asarray(s.f.eval(k, xk, yk))
         assert np.max(np.abs(got - direct)) <= 1e-11
 
@@ -392,14 +393,18 @@ class TestResidualTables:
         import nonautolin.hypotheses as hyp
 
         calls = []
-        span = conj.green_span
+        span, rows = conj.green_span, hyp.green_norm_rows
 
         def counted(sys, m, lo, hi):
             calls.append(m)
             return span(sys, m, lo, hi)
 
-        for mod in (conj, hyp):
-            monkeypatch.setattr(mod, "green_span", counted)
+        def counted_rows(sys, lo, hi, w):
+            calls.append(("rows", lo, hi))
+            return rows(sys, lo, hi, w)
+
+        monkeypatch.setattr(conj, "green_span", counted)
+        monkeypatch.setattr(hyp, "green_norm_rows", counted_rows)
         cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-2, n_max=2)
         _, _, ok = phase_conjugate(cfg, build_system(cfg))
         assert ok

@@ -9,11 +9,7 @@ from nonautolin import (
     ConjugacyEngine,
     SolveOptions,
     barh_jacobian,
-    green_norm,
     h_jacobian,
-    lip_C,
-    lip_D,
-    lip_M,
     operator_norm,
     solution_jacobian,
     system_by_name,
@@ -26,7 +22,8 @@ from nonautolin.derivatives import _rel_error
 from nonautolin.errors import NoConvergence, NonautolinError
 
 from .conftest import random_invertible_system
-from .reference import fd_jacobian, jacobian_report
+from .reference import (evolve_coupled, evolve_driver, fd_jacobian, green_norm, jacobian_report,
+                        lip_C, lip_D, lip_M)
 
 TIGHT = SolveOptions(fixed_point_tol=3e-13, max_iters=400)
 
@@ -71,8 +68,6 @@ class TestFdJacobian:
         assert got.shape == (2, 0)
 
     def test_agrees_with_analytic_solution_jacobian(self, ex1_mild, rng):
-        from nonautolin import evolve_coupled
-
         xi = rng.uniform(-1, 1, 2)
         analytic = x2_dxi(ex1_mild, 3, 0, xi, None, TIGHT)
         rep = jacobian_report(
@@ -120,19 +115,17 @@ class TestSolutionJacobians:
 
     @pytest.mark.parametrize("k", [5, -4])
     def test_fd_cross_validation(self, end_cfg, rng, k):
-        import nonautolin as nl
-
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         rep = jacobian_report(
             x2_dxi(end_cfg, k, 0, xi, eta, TIGHT),
-            lambda z: nl.evolve_coupled(end_cfg, k, 0, z, eta, TIGHT),
+            lambda z: evolve_coupled(end_cfg, k, 0, z, eta, TIGHT),
             xi,
             1e-6,
         )
         assert rep.rel_error <= 1e-5
         rep = jacobian_report(
             x2_deta(end_cfg, k, 0, xi, eta, TIGHT),
-            lambda z: nl.evolve_coupled(end_cfg, k, 0, xi, z, TIGHT),
+            lambda z: evolve_coupled(end_cfg, k, 0, xi, z, TIGHT),
             eta,
             1e-6,
         )
@@ -463,26 +456,22 @@ class TestNonlinearDriver:
             assert np.max(np.abs(back - y)) <= 1e-12
 
     def test_d_y_deta_fd_both_directions(self, sys_nl, rng):
-        import nonautolin as nl
-
         eta = rng.uniform(-1, 1, 2)
         for k in (5, -5):
             rep = jacobian_report(
                 y_deta(sys_nl, k, 0, eta),
-                lambda z: nl.evolve_driver(sys_nl, k, 0, z),
+                lambda z: evolve_driver(sys_nl, k, 0, z),
                 eta,
                 1e-6,
             )
             assert rep.rel_error <= 1e-6, k
 
     def test_d_x2_deta_fd_both_directions(self, sys_nl, rng):
-        import nonautolin as nl
-
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         for k in (4, -4):
             rep = jacobian_report(
                 x2_deta(sys_nl, k, 0, xi, eta, TIGHT),
-                lambda z: nl.evolve_coupled(sys_nl, k, 0, xi, z, TIGHT),
+                lambda z: evolve_coupled(sys_nl, k, 0, xi, z, TIGHT),
                 eta,
                 1e-6,
             )

@@ -17,16 +17,12 @@ from nonautolin import (
     SystemSpec,
     WeightSeq,
     backward_step_detailed,
-    evolve_coupled,
-    evolve_driver,
-    lip_C,
-    lip_D,
-    lip_M,
     system_by_name,
     transition,
 )
 
 from .conftest import LN2, random_invertible_system, with_coupling
+from .reference import evolve_coupled, evolve_driver, lip_C, lip_D, lip_M
 
 
 def rotation_system(angle, dim_x=2):

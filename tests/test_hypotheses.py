@@ -17,15 +17,15 @@ from nonautolin import (
     SystemSpec,
     WeightSeq,
     certify,
-    lip_C,
-    lip_D,
-    lip_M,
     system_by_name,
 )
+import nonautolin.hypotheses as hyp
 from nonautolin.hypotheses import (IndexConstants, _estimate, _has_divergence_run,
                                    _lip_products, _ratio_tail)
+from nonautolin.system import green_norm_rows
 
 from .conftest import LN2, advanced_at, diag_stack, random_invertible_system, with_coupling
+from .reference import green_norm, green_norm_rows_per_center, lip_C, lip_D, lip_M
 
 
 def scaling_driver_system(tau, rho, gamma=0.0, lam=LN2):
@@ -268,20 +268,24 @@ class TestCertify:
         assert back["basic_ok"] is True
         assert back["ac2"]["0"]["k_series"]["verdict"] == CONVERGED
 
-    def test_one_green_span_per_index(self, ex1, monkeypatch):
-        import nonautolin.hypotheses as hyp
+    def test_spans_slide_from_center_to_center(self, ex1, monkeypatch):
+        # each half of the span is built from scratch once (w + 1 steps) and
+        # then takes one step per center: 41 + w inverses, not 41 (w + 1)
+        counts = {"matrix": 0, "inverse": 0}
+        for name in counts:
+            method = getattr(ex1.a, name)
 
-        calls = []
-        span = hyp.green_span
+            def counted(n, name=name, method=method):
+                counts[name] += 1
+                return method(n)
 
-        def counted(sys, m, lo, hi):
-            calls.append(m)
-            return span(sys, m, lo, hi)
-
-        monkeypatch.setattr(hyp, "green_span", counted)
-        rep = certify(ex1, n_range=(-3, 3), window_halfwidth=20, probes=4)
-        assert rep.overall_ok and len(rep.ac9) == 7
-        assert sorted(calls) == list(range(-3, 4))
+            monkeypatch.setattr(ex1.a, name, counted)
+        w = 20
+        rep = certify(ex1, n_range=(-20, 20), window_halfwidth=w, probes=4)
+        assert rep.overall_ok and len(rep.ac9) == 41
+        assert counts["inverse"] == 41 + w
+        # the past half's steps, plus one per inverse built
+        assert counts["matrix"] <= 2 * (41 + w)
 
     def test_contraction_total_is_one_number(self):
         # a one-index report, a range report and the engine read the same float
@@ -383,8 +387,6 @@ class TestEstimatorProperties:
 class TestBruteForceSums:
     def test_advanced_first_matches_lip_product_sum(self, end_cfg):
         # oracle: assemble K_n and J_n directly from green_norm and lip_C
-        from nonautolin import green_norm, lip_C
-
         n, w = 1, 25
         k_est, j_est, _, _ = advanced_at(end_cfg, n, w)
         k_direct = sum(
@@ -399,8 +401,6 @@ class TestBruteForceSums:
         assert abs(j_est.partial_sum - j_direct) <= 1e-14
 
     def test_advanced_second_matches_lip_product_sum(self, end_cfg):
-        from nonautolin import green_norm, lip_D, lip_M
-
         n, w = -2, 25
         est = advanced_at(end_cfg, n, w)[3]
         direct = sum(
@@ -411,8 +411,6 @@ class TestBruteForceSums:
         assert abs(est.partial_sum - direct) <= 1e-14
 
     def test_basic_sums_match_direct_green_norms(self, ex1):
-        from nonautolin import green_norm
-
         w = 20
         rep = certify(ex1, (0, 0), w, probes=4)
         direct = sum(
@@ -445,3 +443,103 @@ class TestArraySeries:
         assert rep.bc4_ok is True
         assert rep.advanced_error == "contraction violated at index -12: |A^-1|*gamma = 1.8 >= 1"
         assert rep.ac2 == {} and rep.ac9 == {}
+
+
+def _verdicts(rep) -> list:
+    """Every verdict and flag of a report, in a fixed order."""
+    out = rep.to_json()
+    series = [out["bc2"], out["bc3"], *(e for pair in out["ac2"].values() for e in pair.values()),
+              *out["ac9"].values()]
+    return [s["verdict"] for s in series] + [out[k] for k in (
+        "ac3", "bc4_ok", "ac6_ok", "basic_ok", "advanced_series_ok", "advanced_error")]
+
+
+def _non_normal_system(seed, strength, norm_kind, dim=3):
+    """A_n = D_n + strength * U_n with D_n diagonal in [0.6, 1.4] and U_n
+    strictly upper triangular, a non-projection weight P and a small coupling."""
+    rng = np.random.default_rng(seed)
+    mats = {}
+
+    def a_mat(n):
+        if n not in mats:
+            r = np.random.default_rng([seed, n + 1000])
+            mats[n] = np.diag(r.uniform(0.6, 1.4, dim)) + strength * np.triu(
+                r.standard_normal((dim, dim)), 1)
+        return mats[n]
+
+    base = SystemSpec(
+        space=SpaceSpec(dim_x=dim, dim_y=0, norm_kind=norm_kind),
+        a=OperatorSeq(a_mat),
+        p=WeightSeq.constant(rng.uniform(-1.0, 1.0, (dim, dim))),
+        f=CouplingSpec.zero(dim, 0),
+        g=DriverSpec.trivial(),
+    )
+    return with_coupling(base, lambda k: 0.02 * 0.5 ** abs(k), kind=norm_kind)
+
+
+class TestSlidingSpans:
+    """`green_norm_rows` against one `green_span` per center."""
+
+    @pytest.mark.parametrize("name,kwargs,n_range,w", [
+        ("ex1", dict(gamma_scale=0.5), (-10, 10), 40),
+        ("ex2", dict(gamma_scale=0.9), (-100, 100), 200),
+        ("end_cfg", dict(gamma_scale=0.9), (-10, 10), 40),
+        ("remm", dict(gamma_scale=0.5), (-10, 10), 40),
+    ])
+    def test_bit_identical_on_builtins(self, name, kwargs, n_range, w):
+        s = system_by_name(name, **kwargs)
+        rows, failed = green_norm_rows(s, *n_range, w)
+        ref, ref_failed = green_norm_rows_per_center(s, *n_range, w)
+        assert failed == ref_failed == {}
+        assert rows.shape == (n_range[1] - n_range[0] + 1, 2 * w + 2)
+        assert np.array_equal(rows, ref)
+
+    @pytest.mark.parametrize("build,n_range,w", [
+        (lambda: system_by_name("ex2", gamma_scale=0.9, rotation_angle=0.3), (-20, 20), 60),
+        (lambda: _non_normal_system(7, 0.1, "max"), (-10, 10), 30),
+        (lambda: _non_normal_system(7, 2.0, "max"), (-10, 10), 30),
+        (lambda: _non_normal_system(8, 0.1, "euclidean"), (-10, 10), 30),
+        (lambda: _non_normal_system(8, 2.0, "euclidean"), (-10, 10), 30),
+    ])
+    def test_within_rounding_and_same_verdicts(self, build, n_range, w, monkeypatch):
+        # the sliding products associate the other way round: each norm moves
+        # by at most 8 L u relative, L = 2w + 2 the span length, u = 2^-53
+        s = build()
+        rows, failed = green_norm_rows(s, *n_range, w)
+        ref, ref_failed = green_norm_rows_per_center(s, *n_range, w)
+        assert failed == ref_failed == {}
+        bound = 8 * (2 * w + 2) * 2.0 ** -53
+        assert np.all(np.abs(rows - ref) <= bound * np.abs(ref))
+        slid = certify(s, n_range, w, probes=4)
+        monkeypatch.setattr(hyp, "green_norm_rows", green_norm_rows_per_center)
+        assert _verdicts(slid) == _verdicts(certify(s, n_range, w, probes=4))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_in_the_middle_of_the_range(self, monkeypatch):
+        # A_k = diag(2^k, 2^-k): the span of center n reaches 2^{+-S} with S
+        # growing in n, so only the upper centers overflow, the future half
+        # (at n >= 89 for w = 10) before the past half (n >= 108); the
+        # advanced terms of the centers below reach inf without a warning
+        def a_mat(k):
+            return np.diag([2.0 ** k, 2.0 ** -k])
+
+        s = with_coupling(SystemSpec(
+            space=SpaceSpec(dim_x=2, dim_y=0, norm_kind="max"),
+            a=OperatorSeq(a_mat, lambda k: a_mat(-k)),
+            p=WeightSeq.constant(np.diag([1.0, 0.0])),
+            f=CouplingSpec.zero(2, 0),
+            g=DriverSpec.trivial(),
+        ), lambda k: 1e-3 * 0.25 ** abs(k))
+        n_range, w = (70, 115), 10
+        rows, failed = green_norm_rows(s, *n_range, w)
+        ref_rows, ref_failed = green_norm_rows_per_center(s, *n_range, w)
+        assert failed == ref_failed
+        assert sorted(failed) == list(range(89, 116))
+        assert np.all(np.isnan(rows[89 - 70:]))
+        assert np.array_equal(rows[:89 - 70], ref_rows[:89 - 70])
+        rep = certify(s, n_range, w, probes=4)
+        monkeypatch.setattr(hyp, "green_norm_rows", green_norm_rows_per_center)
+        assert rep.to_json() == certify(s, n_range, w, probes=4).to_json()
+        assert rep.advanced_error == ("arithmetic failure in the Green span at n=89: "
+                                      "overflow encountered in matmul")
+        assert not rep.basic_ok and sorted(rep.ac9) == list(range(70, 90))
