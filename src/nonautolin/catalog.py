@@ -26,6 +26,7 @@ Families:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -195,7 +196,9 @@ def _tanh_coupling(
 ) -> CouplingSpec:
     """f_n(x, y) = gamma_n s(x) + rho_n t(y) with s, t smooth, bounded by 1,
     Lipschitz with constant 1 (componentwise tanh, scaled 1/sqrt(dim_x) in
-    euclidean spaces), so mu_n = gamma_n + rho_n."""
+    euclidean spaces), so mu_n = gamma_n + rho_n.  gamma and rho are memoized
+    per index as they are first asked for."""
+    gamma, rho = functools.cache(gamma), functools.cache(rho)
     scale = 1.0 if norm_kind == "max" else 1.0 / math.sqrt(dim_x)
     idx = np.array([i % dim_y for i in range(dim_x)]) if dim_y else None
 

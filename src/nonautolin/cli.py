@@ -335,16 +335,22 @@ def _write_directory(report: dict, out_dir: Path, text: str) -> None:
 
 
 def write_report(report: dict, out: Optional[str], fmt: str, command: str) -> None:
+    """The JSON report to stdout or to the file --out, or with CSV output the
+    report directory --out; an --out that cannot be written is a ConfigError."""
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out is None:
         if fmt == "csv":
             raise ConfigError("--format csv requires --out <directory>")
         print(text)
-    elif command == "report" or fmt == "csv":
-        _write_directory(report, Path(out), text)
-    else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text + "\n")
+        return
+    try:
+        if command == "report" or fmt == "csv":
+            _write_directory(report, Path(out), text)
+        else:
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            Path(out).write_text(text + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 # -- argument parsing ---------------------------------------------------------------

@@ -9,7 +9,10 @@ whose absolute truncation error over a window of halfwidth K is bounded by
 sum_{|k-n|>K} |G(n,k+1)| mu_k; the window is enlarged until that bound drops
 under `series_tol` (analytic envelope when the system has one, ratio
 extrapolation otherwise; the bounding terms are state-free, so the window
-depends only on n).
+depends only on n).  The series sums the coupling values its trajectory
+computed: every forward step and every backward fixed-point step returns
+f_k at the state it stepped from, so one bar_h is one trajectory walk plus
+one coupling evaluation, at the upper end of the window.
 
 The inverse direction is obtained pointwise from the fixed-point relation
 
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import ContractionViolation, NoConvergence, NonautolinError, WindowExhausted
 from .evolution import (DEFAULT_SOLVE, SolveOptions, _coupling_value, _forward_step,
-                        _state_columns, coupled_trajectory)
+                        _state_columns, _trajectory)
 from .hypotheses import CONVERGED, IndexConstants, _advanced, _envelope, _ratio_tail
 from .system import SystemSpec, batch_vector_norm, green_span, operator_norm
 
@@ -176,10 +179,12 @@ class ConjugacyEngine:
             env = _envelope(sys, "barh", n)
             tail = env.two_sided(k_half) if env else math.inf
         row = self.green_row(n, k_half)
-        states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, self.solve)
+        lo, hi = n - k_half, n + k_half
+        states, couplings = _trajectory(sys, n, lo, hi, xi_b, eta_b, self.solve)
+        couplings[hi] = _coupling_value(sys, hi, *states[hi])
         acc = np.zeros_like(xi_b)
-        for k in range(n - k_half, n + k_half + 1):
-            acc += row[k - n + k_half] @ _coupling_value(sys, k, *states[k])
+        for k in range(lo, hi + 1):
+            acc += row[k - lo] @ couplings[k]
         val = -acc
         return (val[:, 0] if single else val), tail, k_half
 
@@ -319,10 +324,10 @@ class ConjugacyEngine:
                     continue
             half = len(live) * batch
             rest = slice(width - half, width)
-            x_c, _ = _forward_step(self.sys, m, np.hstack([hx[:, rest], cpl[:, rest]]),
-                                   np.hstack([y[:, rest], y[:, rest]]), coupled=True)
-            x_l, y_next = _forward_step(self.sys, m, np.hstack([bx[:, rest], lin[:, rest]]),
-                                        y[:, rest], coupled=False)
+            x_c, _, _ = _forward_step(self.sys, m, np.hstack([hx[:, rest], cpl[:, rest]]),
+                                      np.hstack([y[:, rest], y[:, rest]]), coupled=True)
+            x_l, y_next, _ = _forward_step(self.sys, m, np.hstack([bx[:, rest], lin[:, rest]]),
+                                           y[:, rest], coupled=False)
             for i, w in enumerate(live.values()):
                 a, b = i * batch, (i + 1) * batch
                 w.h_image, w.cpl = x_c[:, a:b], x_c[:, half + a:half + b]

@@ -11,13 +11,13 @@ which must be < 1.  T_j inverts the step map F_j(x, eta) = A_j x + f_j(x, eta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NoConvergence
-from .system import SystemSpec, batch_vector_norm
+from .system import SystemSpec, _column_norms
 
 
 @dataclass(frozen=True)
@@ -84,20 +84,30 @@ def _jacobian_stack(jac, j: int, states: tuple, rows: int, cols: int) -> np.ndar
 
 
 def _forward_step(sys: SystemSpec, j: int, x, y, coupled: bool = True):
-    """(x_{j+1}, y_{j+1}) from (x_j, y_j) under the coupled system, or under
-    the uncoupled one when `coupled` is False."""
+    """(x_{j+1}, y_{j+1}, f_j(x_j, y_j)) from (x_j, y_j) under the coupled
+    system, or (x_{j+1}, y_{j+1}, None) under the uncoupled one when
+    `coupled` is False."""
     x_next = sys.a.matrix(j) @ x
+    fx = None
     if coupled:
-        x_next = x_next + _coupling_value(sys, j, x, y)
-    return x_next, (np.asarray(sys.g.eval(j, y), dtype=float) if sys.space.dim_y else y)
+        fx = _coupling_value(sys, j, x, y)
+        x_next = x_next + fx
+    return x_next, (np.asarray(sys.g.eval(j, y), dtype=float) if sys.space.dim_y else y), fx
+
+
+_max = np.maximum.reduce  # np.max without its wrapper
 
 
 @dataclass
 class BackwardStepResult:
+    """T_j(xi, eta) with its Picard record; `coupling` is f_j at the
+    returned value, the converged iterate's coupling value."""
+
     value: np.ndarray
     iterations: int
     residual: float
-    step_norms: list = field(default_factory=list)
+    step_norms: list
+    coupling: np.ndarray
 
 
 def backward_step_detailed(
@@ -113,23 +123,24 @@ def backward_step_detailed(
     """
     opts = opts or DEFAULT_SOLVE
     sys.require_backward_margin(j)
-    kind = sys.space.norm_kind
+    norms = _column_norms(sys.space.norm_kind)
     a = sys.a.matrix(j)
     a_inv = sys.a.inverse(j)
     x, single = _as_columns(xi, sys.space.dim_x)
-    scale = np.maximum(1.0, batch_vector_norm(x, kind))
+    scale = np.maximum(1.0, norms(x))
     base = a_inv @ x
     u = base
     steps: list = []
     tol = opts.fixed_point_tol
     for it in range(opts.max_iters + 1):
-        fu = _coupling_value(sys, j, u[:, 0] if single else u, eta).reshape(u.shape)
-        residual = float(np.max(batch_vector_norm(a @ u + fu - x, kind) / scale))
+        value = u[:, 0] if single else u
+        f_value = _coupling_value(sys, j, value, eta)
+        fu = f_value.reshape(u.shape)
+        residual = float(_max(norms(a @ u + fu - x) / scale))
         if residual <= tol:
-            value = u[:, 0] if single else u
-            return BackwardStepResult(value, it, residual, steps)
+            return BackwardStepResult(value, it, residual, steps, f_value)
         new = base - a_inv @ fu
-        steps.append(float(np.max(batch_vector_norm(new - u, kind))))
+        steps.append(float(_max(norms(new - u))))
         u = new
     raise NoConvergence(f"backward step at j={j}", opts.max_iters, residual, tol)
 
@@ -142,13 +153,23 @@ def coupled_trajectory(
     Batch-ready: xi may be (dim_x, batch) with eta (dim_y, batch).  One
     backward fixed-point solve per step, shared across the batch.
     """
+    return _trajectory(sys, n, lo, hi, xi, eta, opts)[0]
+
+
+def _trajectory(
+    sys: SystemSpec, n: int, lo: int, hi: int, xi, eta, opts: Optional[SolveOptions] = None
+) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], dict[int, np.ndarray]]:
+    """The states of `coupled_trajectory` and f_k(x_k, y_k) at every k in
+    [lo, hi): the coupling values its forward and backward steps computed."""
     opts = opts or DEFAULT_SOLVE
     x0 = np.asarray(xi, dtype=float)
     y0 = np.asarray(eta, dtype=float)
     states: dict[int, tuple[np.ndarray, np.ndarray]] = {n: (x0, y0)}
+    couplings: dict[int, np.ndarray] = {}
     x, y = x0, y0
     for j in range(n, hi):
-        x, y = states[j + 1] = _forward_step(sys, j, x, y)
+        x, y, couplings[j] = _forward_step(sys, j, x, y)
+        states[j + 1] = (x, y)
     x, y = x0, y0
     if lo < n:
         per_step = SolveOptions(
@@ -156,6 +177,7 @@ def coupled_trajectory(
         )
         for j in range(n - 1, lo - 1, -1):
             y = np.asarray(sys.g.eval_inv(j, y), dtype=float) if sys.space.dim_y else y
-            x = backward_step_detailed(sys, j, x, y, per_step).value
+            step = backward_step_detailed(sys, j, x, y, per_step)
+            x, couplings[j] = step.value, step.coupling
             states[j] = (x, y)
-    return states
+    return states, couplings

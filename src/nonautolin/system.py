@@ -52,9 +52,17 @@ def batch_vector_norm(v: np.ndarray, kind: NormKind) -> np.ndarray:
         return np.asarray([vector_norm(v, kind)])
     if v.shape[0] == 0:
         return np.zeros(v.shape[1])
+    return _column_norms(kind)(v)
+
+
+def _column_norms(kind: NormKind) -> Callable[[np.ndarray], np.ndarray]:
+    """The column norms of a (dim, batch) float array with dim >= 1 as bare
+    ufunc reductions, the values of np.max(|v|, axis=0) and
+    np.linalg.norm(v, axis=0) without their wrappers; the backward Picard
+    loop picks it once per step."""
     if kind == "max":
-        return np.max(np.abs(v), axis=0)
-    return np.linalg.norm(v, axis=0)
+        return lambda v: np.maximum.reduce(np.abs(v), axis=0)
+    return lambda v: np.sqrt(np.add.reduce(v * v, axis=0))
 
 
 def operator_norm(mat: np.ndarray, kind: NormKind) -> float | np.ndarray:

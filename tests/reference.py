@@ -1,7 +1,8 @@
 """Reference code the tests check the program against: finite-difference
 Jacobians evaluated one stencil point at a time, pointwise Green norms,
-solutions at one index, and the Lipschitz products multiplied one factor at
-a time (the program's series read them as `np.cumprod` arrays)."""
+solutions at one index, the bar_h series with a fresh coupling value per
+term, and the Lipschitz products multiplied one factor at a time (the
+program's series read them as `np.cumprod` arrays)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import numpy as np
 
 from nonautolin.derivatives import JacobianReport, _rel_error, fd_jacobian_batch
 from nonautolin.errors import ContractionViolation
-from nonautolin.evolution import SolveOptions, coupled_trajectory
+from nonautolin.evolution import (SolveOptions, _coupling_value, _state_columns,
+                                  coupled_trajectory)
 from nonautolin.system import SystemSpec, green, green_span, operator_norm
 
 
@@ -74,6 +76,22 @@ def evolve_coupled(
     """
     states = coupled_trajectory(sys, n, min(k, n), max(k, n), xi, eta, opts)
     return np.array(states[k][0])
+
+
+def bar_h_series(engine, n: int, xi, eta=None, window: Optional[int] = None) -> np.ndarray:
+    """bar_h(n, xi, eta) of `engine` summed term by term: the states of
+    `coupled_trajectory`, then a fresh f_k at every state k, added in index
+    order.  `window` None is the engine's series window at its series_tol."""
+    sys = engine.sys
+    xi_b, eta_b, single = _state_columns(sys, xi, eta)
+    k_half = engine.series_window(n, engine.series_tol).halfwidth if window is None else window
+    row = engine.green_row(n, k_half)
+    states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, engine.solve)
+    acc = np.zeros_like(xi_b)
+    for k in range(n - k_half, n + k_half + 1):
+        acc += row[k - n + k_half] @ _coupling_value(sys, k, *states[k])
+    val = -acc
+    return val[:, 0] if single else val
 
 
 def _backward_factor(sys: SystemSpec, j: int) -> float:

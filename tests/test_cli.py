@@ -367,6 +367,20 @@ class TestConfigHandling:
         assert run(["check", "--system", "ex1", "--format", "csv",
                     "--n-min", "-1", "--n-max", "1"]) == 2
 
+    @pytest.mark.parametrize("fmt, target", [("json", "directory"), ("csv", "file")])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, fmt, target):
+        # a JSON --out that is a directory, and a CSV --out directory that is a file
+        out = tmp_path / "taken"
+        if target == "directory":
+            out.mkdir()
+        else:
+            out.write_text("kept\n")
+        rc = run(["check", "--system", "ex1", "--n-min", "0", "--n-max", "0",
+                  "--format", fmt, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: cannot write {out}")
+        assert out.is_dir() if target == "directory" else out.read_text() == "kept\n"
+
     @pytest.mark.parametrize("key, value", [
         ("window_halfwidth", 5.5), ("n_min", 1.0), ("n_max", "3"), ("probes_per_axis", True),
         ("steps", 2.5), ("bc_probes", None), ("jacobian_probe_cap", 1.5), ("seed", 0.5),

@@ -22,11 +22,11 @@ from nonautolin import (
 from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, phase_conjugate,
                             probe_grid)
 from nonautolin.errors import NonautolinError
-from nonautolin.evolution import _forward_step
+from nonautolin.evolution import _forward_step, coupled_trajectory
 from nonautolin.system import batch_vector_norm
 
 from .conftest import LN2, diag_stack, random_invertible_system
-from .reference import evolve_coupled, evolve_driver
+from .reference import bar_h_series, evolve_coupled, evolve_driver
 
 
 def one_term_system(n0, c=0.05, lam=LN2):
@@ -129,6 +129,54 @@ class TestBarH:
             stepped = s.a.matrix(0) @ xi + np.asarray(s.f.eval(0, xi, np.zeros(0)))
             bx1, _ = engine_ex1.bar_H(1, stepped)
             assert np.max(np.abs(lin - bx1)) <= 10 * engine_ex1.series_tol
+
+
+LEAN_SWEEP_SYSTEMS = [
+    ("ex1", dict(lam=LN2, gamma_scale=0.5)),
+    ("end_cfg", dict(gamma_scale=0.9)),
+    ("ex2", dict(rotation_angle=0.4, gamma_scale=0.9)),
+]
+
+
+class TestLeanSweep:
+    """bar_h sums the coupling values its own trajectory computed."""
+
+    @pytest.mark.parametrize("name, kwargs", LEAN_SWEEP_SYSTEMS)
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("window", [None, 12])
+    def test_bit_identical_to_series_loop(self, name, kwargs, batch, window, rng):
+        sys = system_by_name(name, **kwargs)
+        eng = ConjugacyEngine(sys, window_halfwidth=160, advanced_halfwidth=40)
+        cols = () if batch is None else (batch,)
+        for n in (0, 3):
+            xi = rng.uniform(-1, 1, (sys.space.dim_x,) + cols)
+            eta = rng.uniform(-1, 1, (sys.space.dim_y,) + cols)
+            value = eng.bar_h(n, xi, eta, window=window)
+            assert value.shape == xi.shape
+            assert np.array_equal(value, bar_h_series(eng, n, xi, eta, window))
+
+    @pytest.mark.parametrize("name, kwargs", LEAN_SWEEP_SYSTEMS)
+    def test_no_coupling_call_beyond_the_trajectory(self, name, kwargs, rng):
+        sys = system_by_name(name, **kwargs)
+        calls = []
+        f_eval = sys.f.eval
+
+        def counted(j, x, y):
+            calls.append(j)
+            return f_eval(j, x, y)
+
+        sys.f.eval = counted
+        eng = ConjugacyEngine(sys, window_halfwidth=160, advanced_halfwidth=40)
+        n, k_half = 2, 15
+        xi = rng.uniform(-1, 1, (sys.space.dim_x, 4))
+        eta = rng.uniform(-1, 1, (sys.space.dim_y, 4))
+        coupled_trajectory(sys, n, n - k_half, n + k_half, xi, eta, eng.solve)
+        in_trajectory = len(calls)
+        calls.clear()
+        eng.bar_h(n, xi, eta, window=k_half)
+        # one f_k per state comes with its step; only the upper end needs its own
+        assert len(calls) <= in_trajectory + 1
+        assert set(calls) == set(range(n - k_half, n + k_half + 1))
 
 
 class TestH:
@@ -315,8 +363,8 @@ def reference_tables(eng, ns, xi, eta, steps):
         x, y = xi, eta
         image = conj(n, x, y)
         for j in range(n, n + steps):
-            stepped = _forward_step(sys, j, *image, coupled_image)
-            x, y = _forward_step(sys, j, x, y, not coupled_image)
+            stepped = _forward_step(sys, j, *image, coupled_image)[:2]
+            x, y, _ = _forward_step(sys, j, x, y, not coupled_image)
             image = conj(j + 1, x, y)
             res = np.maximum(res, dist(stepped, image))
         return res

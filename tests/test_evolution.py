@@ -119,6 +119,21 @@ class TestBackwardStep:
                 fwd = s.a.matrix(j) @ t + np.asarray(s.f.eval(j, t, eta))
                 assert np.max(np.abs(fwd - xi)) <= 1e-10
 
+    def test_coupling_is_f_at_the_value(self, rng):
+        for name, kwargs in [
+            ("ex1", dict(lam=LN2, gamma_scale=0.9)),
+            ("ex2", dict(theta_ratio=2.0, rotation_angle=0.4, gamma_scale=0.9)),
+            ("end_cfg", dict(gamma_scale=0.9)),
+        ]:
+            s = system_by_name(name, **kwargs)
+            for cols in ((), (3,)):
+                j = int(rng.integers(-10, 11))
+                xi = rng.uniform(-2, 2, (s.space.dim_x,) + cols)
+                eta = rng.uniform(-2, 2, (s.space.dim_y,) + cols)
+                res = backward_step_detailed(s, j, xi, eta)
+                assert res.coupling.shape == res.value.shape == xi.shape
+                assert np.array_equal(res.coupling, s.f.eval(j, res.value, eta))
+
     def test_iteration_count_bound(self):
         # contraction-rate oracle: count <= ceil(log(tol / |xi|) / log(rate)) + 2
         s = system_by_name("ex1", lam=LN2, gamma_scale=0.9)
