@@ -149,7 +149,8 @@ class ConjugacyEngine:
         """Certified bound on the first-variable Lipschitz constant of bar_h
         (K_n + J_n + |G(n,n+1)| gamma_n including tails); must be < 1 for h/H.
         The same float as `certify`'s ac3_bound[n] at the advanced halfwidth,
-        read off the cached Green row of n."""
+        read off the cached Green row of n, as both build it by the one Green
+        recurrence of `system` (oracle in tests/reference.py)."""
         if n in self.contraction_estimate:
             return self.contraction_estimate[n]
         sys, w = self.sys, self.advanced_halfwidth

@@ -243,11 +243,11 @@ def validate_jacobians(
     n: int,
     xi,
     eta=None,
-    k: Optional[int] = None,
     fd_step: float = 1e-6,
 ):
     """Analytic-vs-FD reports of the seven derivative blocks at each probe:
     a dict of reports for one state, a list of P dicts for (dim, P) columns.
+    The solution blocks are those of x2(k, n, .) and y(k, n, .) at k = n + 3.
 
     The probes share one h solve, one trajectory and tangent pass for the
     analytic Jacobians at the probes and at their h-shifted points, and per
@@ -261,17 +261,15 @@ def validate_jacobians(
     dx, dy = sys.space.dim_x, sys.space.dim_y
     xi_b, eta_b, single = _state_columns(sys, xi, eta)
     batch = xi_b.shape[1]
-    if k is None:
-        k = n + 3
+    k = n + 3
     u, _, iters = engine.h_detailed(n, xi_b, eta_b)
     b, _, sol = _barh_pass(engine, n, np.hstack([xi_b, xi_b + u]), np.hstack([eta_b, eta_b]), k)
     z = np.vstack([xi_b, eta_b])
     steps = (fd_step * 10.0, fd_step)
     x_part, y_part = slice(0, dx), slice(dx, dx + dy)
-    lo, hi = min(k, n), max(k, n)
 
     def solution(p):
-        return np.vstack(coupled_trajectory(sys, n, lo, hi, p[:dx], p[dx:], engine.solve)[k])
+        return np.vstack(coupled_trajectory(sys, n, n, k, p[:dx], p[dx:], engine.solve)[k])
 
     out: list = [{} for _ in range(batch)]
     _block_reports(

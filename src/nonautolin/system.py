@@ -396,31 +396,43 @@ def green(sys: SystemSpec, m: int, n: int) -> np.ndarray:
     return -(tr @ (np.eye(sys.space.dim_x) - p))
 
 
+def _half_steps(sys: SystemSpec, w: int) -> tuple[Callable, Callable]:
+    """The one Green recurrence: steps of the raw transitions T(c, q) to each
+    center c in turn, each half from an empty stack by default and keeping at
+    most w + 1 kernels: past, [A_{c-1} T, Id] (q <= c), and future, A_c^{-1}
+    [Id, T] (q > c); no factor ever meets its inverse."""
+    eye = np.eye(sys.space.dim_x)
+    empty = np.empty((0,) + eye.shape)
+
+    def past(centers, stack=empty):
+        for c in centers:
+            stack = np.concatenate((np.matmul(sys.a.matrix(c - 1), stack[-w:]), eye[None]))
+        return stack
+
+    def future(centers, stack=empty):
+        for c in centers:
+            stack = np.matmul(sys.a.inverse(c), np.concatenate((eye[None], stack[:w])))
+        return stack
+
+    return past, future
+
+
 def green_span(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:
     """Green kernels G(m, q) for every q in [lo, hi] as one (hi - lo + 1, dim_x,
-    dim_x) stack, with G(m, q) at [q - lo].
-
-    Uses the second-argument recurrences transition(m, q+1) =
-    transition(m, q) @ A_q^{-1} and transition(m, q-1) = transition(m, q) @ A_{q-1},
-    so the whole span costs one matrix product per step.  A kernel that
-    overflows raises FloatingPointError.
-    """
+    dim_x) stack, with G(m, q) at [q - lo], by the one Green recurrence run
+    from scratch for the center m over [min(lo, m), max(hi, m)], as in
+    `green_norm_rows`, then one batched product with the weights.  Overflow
+    raises FloatingPointError.  Oracle: tests/reference.py."""
     dx = sys.space.dim_x
-    out = np.empty((max(hi - lo + 1, 0), dx, dx))
     if lo > hi:
-        return out
-    anchor = int(np.clip(m, lo, hi))
+        return np.empty((0, dx, dx))
+    a, b = min(lo, m), max(hi, m)
+    past, future = _half_steps(sys, b - a + 1)
+    p = np.array([sys.p.matrix(q) for q in range(lo, hi + 1)])
+    p = np.where((np.arange(lo, hi + 1) > m)[:, None, None], -(np.eye(dx) - p), p)
     with np.errstate(over="raise", invalid="raise"):
-        out[anchor - lo] = transition(sys, m, anchor)
-        for q in range(anchor + 1, hi + 1):
-            out[q - lo] = out[q - 1 - lo] @ sys.a.inverse(q - 1)
-        for q in range(anchor - 1, lo - 1, -1):
-            out[q - lo] = out[q + 1 - lo] @ sys.a.matrix(q)
-        eye = np.eye(dx)
-        for q in range(lo, hi + 1):
-            p = sys.p.matrix(q)
-            out[q - lo] = out[q - lo] @ p if m >= q else -(out[q - lo] @ (eye - p))
-    return out
+        raw = np.concatenate((past(range(a, m + 1)), future(range(b - 1, m - 1, -1))))
+        return np.matmul(raw[lo - a:hi - a + 1], p)
 
 
 def green_norm_rows(sys: SystemSpec, lo: int, hi: int, w: int) -> tuple[np.ndarray, dict]:
@@ -428,30 +440,21 @@ def green_norm_rows(sys: SystemSpec, lo: int, hi: int, w: int) -> tuple[np.ndarr
     [n - lo, q - n + w] of a (hi - lo + 1, 2w + 2) array, and {n: message} for
     the centers whose span overflows (their rows are NaN).
 
-    Each half of the span slides from center to center by a first-argument
-    recurrence of the raw transitions, one batched product per center: the
-    past half (q <= n) upward, T(n+1, q) = A_n T(n, q), and the future half
-    (q > n) downward, T(n-1, q) = A_{n-1}^{-1} T(n, q), so no factor is ever
-    cancelled against its inverse.  One more batched product applies the
-    weights P_q or -(Id - P_q), and only the norms are kept.  The first
-    center, and the one after an overflowing center, builds its half from an
-    empty stack.
+    Each half of the span slides from center to center by the one Green
+    recurrence (`_half_steps`; oracle in tests/reference.py), one batched
+    product per center: the past half (q <= n) upward, T(n+1, q) = A_n T(n, q),
+    the future half (q > n) downward, T(n-1, q) = A_{n-1}^{-1} T(n, q); one
+    more applies the weights P_q or -(Id - P_q).  The first center, and the
+    one after an overflowing center, builds its half from scratch.
     """
     dx, kind = sys.space.dim_x, sys.space.norm_kind
-    eye = np.eye(dx)
     p = np.array([sys.p.matrix(q) for q in range(lo - w, hi + w + 2)])
     rows = np.full((hi - lo + 1, 2 * w + 2), np.nan)
     failed: dict[int, str] = {}
-
-    def past(c, stack):  # the half of center c from that of c - 1
-        return np.concatenate((np.matmul(sys.a.matrix(c - 1), stack[-w:]), eye[None]))
-
-    def future(c, stack):  # the half of center c from that of c + 1
-        return np.matmul(sys.a.inverse(c), np.concatenate((eye[None], stack[:w])))
-
+    past, future = _half_steps(sys, w)
     # per half: step, weights over [lo - w, hi + w + 1], columns, centers in
     # sweep order, and the steps that build a center's half from scratch
-    halves = ((future, -(eye - p), slice(w + 1, 2 * w + 2), range(hi, lo - 1, -1),
+    halves = ((future, -(np.eye(dx) - p), slice(w + 1, 2 * w + 2), range(hi, lo - 1, -1),
                lambda n: range(n + w, n - 1, -1)),
               (past, p, slice(0, w + 1), range(lo, hi + 1), lambda n: range(n - w, n + 1)))
     with np.errstate(over="raise", invalid="raise"):
@@ -459,12 +462,7 @@ def green_norm_rows(sys: SystemSpec, lo: int, hi: int, w: int) -> tuple[np.ndarr
             stack = None
             for n in centers:
                 try:
-                    if stack is None:
-                        stack = np.empty((0, dx, dx))
-                        for c in scratch(n):
-                            stack = step(c, stack)
-                    else:
-                        stack = step(n, stack)
+                    stack = step(scratch(n)) if stack is None else step((n,), stack)
                     kernels = np.matmul(stack, weights[n - lo:][cols])
                     rows[n - lo, cols] = operator_norm(kernels, kind)
                 except FloatingPointError as exc:

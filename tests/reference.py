@@ -1,8 +1,9 @@
 """Reference code the tests check the program against: finite-difference
-Jacobians evaluated one stencil point at a time, pointwise Green norms,
-solutions at one index, the bar_h series with a fresh coupling value per
-term, and the Lipschitz products multiplied one factor at a time (the
-program's series read them as `np.cumprod` arrays)."""
+Jacobians evaluated one stencil point at a time, pointwise Green norms, Green
+spans by the second-argument recurrence, solutions at one index, the bar_h
+series with a fresh coupling value per term, and the Lipschitz products
+multiplied one factor at a time (the program's series read them as
+`np.cumprod` arrays)."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from nonautolin.derivatives import JacobianReport, _rel_error, fd_jacobian_batch
 from nonautolin.errors import ContractionViolation
 from nonautolin.evolution import (SolveOptions, _coupling_value, _state_columns,
                                   coupled_trajectory)
-from nonautolin.system import SystemSpec, green, green_span, operator_norm
+from nonautolin.system import SystemSpec, green, operator_norm, transition
 
 
 def fd_jacobian(fun: Callable, point, step: float) -> np.ndarray:
@@ -37,16 +38,41 @@ def green_norm(sys: SystemSpec, m: int, n: int) -> float:
     return operator_norm(green(sys, m, n), sys.space.norm_kind)
 
 
+def green_span_by_columns(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:
+    """What `nonautolin.system.green_span` returns, by the second-argument
+    recurrences transition(m, q+1) = transition(m, q) @ A_q^{-1} and
+    transition(m, q-1) = transition(m, q) @ A_{q-1} from a `transition`
+    anchor, then the weights kernel by kernel.  A kernel that overflows
+    raises FloatingPointError."""
+    dx = sys.space.dim_x
+    out = np.empty((max(hi - lo + 1, 0), dx, dx))
+    if lo > hi:
+        return out
+    anchor = int(np.clip(m, lo, hi))
+    with np.errstate(over="raise", invalid="raise"):
+        out[anchor - lo] = transition(sys, m, anchor)
+        for q in range(anchor + 1, hi + 1):
+            out[q - lo] = out[q - 1 - lo] @ sys.a.inverse(q - 1)
+        for q in range(anchor - 1, lo - 1, -1):
+            out[q - lo] = out[q + 1 - lo] @ sys.a.matrix(q)
+        eye = np.eye(dx)
+        for q in range(lo, hi + 1):
+            p = sys.p.matrix(q)
+            out[q - lo] = out[q - lo] @ p if m >= q else -(out[q - lo] @ (eye - p))
+    return out
+
+
 def green_norm_rows_per_center(sys: SystemSpec, lo: int, hi: int,
                                w: int) -> tuple[np.ndarray, dict]:
-    """What `nonautolin.system.green_norm_rows` returns, from one `green_span`
-    per center: the centers whose span raises FloatingPointError have NaN rows
-    and their messages in the dict."""
+    """What `nonautolin.system.green_norm_rows` returns, from one
+    `green_span_by_columns` per center: the centers whose span raises
+    FloatingPointError have NaN rows and their messages in the dict."""
     rows = np.full((hi - lo + 1, 2 * w + 2), np.nan)
     failed = {}
     for n in range(lo, hi + 1):
         try:
-            rows[n - lo] = operator_norm(green_span(sys, n, n - w, n + w + 1), sys.space.norm_kind)
+            rows[n - lo] = operator_norm(green_span_by_columns(sys, n, n - w, n + w + 1),
+                                         sys.space.norm_kind)
         except FloatingPointError as exc:
             failed[n] = str(exc)
     return rows, failed

@@ -385,11 +385,14 @@ class TestConfigHandling:
         ("window_halfwidth", 5.5), ("n_min", 1.0), ("n_max", "3"), ("probes_per_axis", True),
         ("steps", 2.5), ("bc_probes", None), ("jacobian_probe_cap", 1.5), ("seed", 0.5),
         ("seed", -1), ("steps", -1), ("bc_probes", 0), ("jacobian_probe_cap", 0),
+        ("probe_extent", -1.0), ("probe_extent", 9e307),
     ])
     def test_parameter_file_bad_integer_exits_2(self, tmp_path, capsys, key, value):
-        # each of these ended in a traceback with exit code 1; zero bc probes
-        # passed bc1 without a single sample.  The n range is in the file, as
-        # an --n-min or --n-max flag would override the value under test.
+        # each of these ended in a traceback with exit code 1 (a negative
+        # probe_extent, or one with 2 * probe_extent overflowing, in the bc1
+        # sampler's rng.uniform); zero bc probes passed bc1 without a single
+        # sample.  The n range is in the file, as an --n-min or --n-max flag
+        # would override the value under test.
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps({"system": "ex1", "n_min": 0, "n_max": 0, key: value}))
         assert run(["check", "--system", str(pfile)]) == 2

@@ -234,7 +234,7 @@ class TestConjugacyDerivatives:
 class TestValidateJacobians:
     def test_full_set_on_end(self, engine_end, rng):
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        reports = validate_jacobians(engine_end, 1, xi, eta, k=4)
+        reports = validate_jacobians(engine_end, 1, xi, eta)
         assert set(reports) == {
             "d_x2_dxi", "d_x2_deta", "d_y_deta",
             "d_barh_dxi", "d_barh_deta", "d_h_dxi", "d_h_deta",
@@ -244,7 +244,7 @@ class TestValidateJacobians:
 
     def test_trivial_y_skips_eta_kinds(self, engine_ex1, rng):
         xi = rng.uniform(-1, 1, 2)
-        reports = validate_jacobians(engine_ex1, 0, xi, None, k=3)
+        reports = validate_jacobians(engine_ex1, 0, xi, None)
         assert "d_barh_deta" not in reports
         assert "d_h_deta" not in reports
         assert reports["d_x2_deta"].analytic.shape == (2, 0)
@@ -321,7 +321,7 @@ class TestValidateJacobians:
 
     def test_blocks_of_the_joint_jacobians(self, engine_end, rng):
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        reports = validate_jacobians(engine_end, 1, xi, eta, k=4)
+        reports = validate_jacobians(engine_end, 1, xi, eta)
         sol = solution_jacobian(engine_end.sys, 4, 1, xi, eta, engine_end.solve)
         assert_allclose(sol[2:, :2], 0.0, atol=0)  # y does not depend on xi
         assert_allclose(reports["d_x2_dxi"].analytic, sol[:2, :2], atol=0)
@@ -356,8 +356,7 @@ def reference_jacobian_rows(cfg, sys):
     for n in sorted({cfg.n_min, (cfg.n_min + cfg.n_max) // 2, cfg.n_max}):
         for probe in grid:
             try:
-                reports = validate_jacobians(engine, n, probe[:dx], probe[dx:], k=n + 3,
-                                             fd_step=cfg.fd_step)
+                reports = validate_jacobians(engine, n, probe[:dx], probe[dx:], fd_step=cfg.fd_step)
             except NonautolinError:
                 errors.append((n, list(probe)))
                 continue
@@ -487,7 +486,7 @@ class TestNonlinearDriver:
 
     def test_full_jacobian_set_on_fallback_windows(self, engine_nl, rng):
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        reports = validate_jacobians(engine_nl, 0, xi, eta, k=3)
+        reports = validate_jacobians(engine_nl, 0, xi, eta)
         assert len(reports) == 7
         for kind, rep in reports.items():
             assert rep.rel_error <= 1e-4, kind

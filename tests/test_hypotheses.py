@@ -22,10 +22,11 @@ from nonautolin import (
 import nonautolin.hypotheses as hyp
 from nonautolin.hypotheses import (IndexConstants, _estimate, _has_divergence_run,
                                    _lip_products, _ratio_tail)
-from nonautolin.system import green_norm_rows
+from nonautolin.system import green_norm_rows, green_span
 
 from .conftest import LN2, advanced_at, diag_stack, random_invertible_system, with_coupling
-from .reference import green_norm, green_norm_rows_per_center, lip_C, lip_D, lip_M
+from .reference import (green_norm, green_norm_rows_per_center, green_span_by_columns, lip_C,
+                        lip_D, lip_M)
 
 
 def scaling_driver_system(tau, rho, gamma=0.0, lam=LN2):
@@ -291,10 +292,13 @@ class TestCertify:
         # a one-index report, a range report and the engine read the same float
         from nonautolin import ConjugacyEngine
 
+        # on the non-diagonal A_n of the non-normal case the two agree only
+        # because green_span and green_norm_rows run the same recurrence
         w = 30
-        for name, kwargs in (("ex1", dict(lam=LN2, gamma_scale=0.9)),
-                             ("end_cfg", dict(gamma_scale=0.9))):
-            s = system_by_name(name, **kwargs)
+        for name, build in (("ex1", lambda: system_by_name("ex1", lam=LN2, gamma_scale=0.9)),
+                            ("end_cfg", lambda: system_by_name("end_cfg", gamma_scale=0.9)),
+                            ("non-normal", lambda: _non_normal_system(8, 0.1, "euclidean"))):
+            s = build()
             rep = certify(s, n_range=(-3, 3), window_halfwidth=w, probes=4)
             eng = ConjugacyEngine(s, advanced_halfwidth=w)
             for n in range(-3, 4):
@@ -478,7 +482,37 @@ def _non_normal_system(seed, strength, norm_kind, dim=3):
 
 
 class TestSlidingSpans:
-    """`green_norm_rows` against one `green_span` per center."""
+    """`green_norm_rows` and `green_span` against the second-argument
+    recurrence of `green_span_by_columns`."""
+
+    # (center, lo, hi): centers inside the span, and outside it on either side
+    SPANS = ((0, -30, 31), (5, -20, 20), (-40, -30, 31), (40, -30, 31), (3, 3, 3))
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "remm", "end_cfg"])
+    def test_green_span_bit_identical_on_builtins(self, name):
+        s = system_by_name(name)
+        for m, lo, hi in self.SPANS:
+            span = green_span(s, m, lo, hi)
+            assert span.shape == (hi - lo + 1, s.space.dim_x, s.space.dim_x)
+            assert np.array_equal(span, green_span_by_columns(s, m, lo, hi)), (m, lo, hi)
+
+    @pytest.mark.parametrize("build", [
+        lambda: system_by_name("ex2", rotation_angle=0.3),
+        lambda: _non_normal_system(7, 0.1, "max"),
+        lambda: _non_normal_system(7, 2.0, "max"),
+        lambda: _non_normal_system(8, 0.1, "euclidean"),
+        lambda: _non_normal_system(8, 2.0, "euclidean"),
+    ], ids=["ex2-rotated", "max-0.1", "max-2.0", "euclidean-0.1", "euclidean-2.0"])
+    def test_green_span_within_rounding(self, build):
+        # the two recurrences associate the products the other way round:
+        # each entry moves by at most 8 L u of its kernel's largest entry, L
+        # the length of the products, max(hi, m) - min(lo, m) + 1, u = 2^-53
+        s = build()
+        for m, lo, hi in self.SPANS:
+            span, ref = green_span(s, m, lo, hi), green_span_by_columns(s, m, lo, hi)
+            bound = 8 * (max(hi, m) - min(lo, m) + 1) * 2.0 ** -53
+            scale = np.max(np.abs(ref), axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(span - ref) <= bound * scale), (m, lo, hi)
 
     @pytest.mark.parametrize("name,kwargs,n_range,w", [
         ("ex1", dict(gamma_scale=0.5), (-10, 10), 40),
