@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractionViolation, NoConvergence, NonautolinError, WindowExhausted
-from .evolution import (DEFAULT_SOLVE, SolveOptions, _coupling_value, _forward_step,
+from .evolution import (DEFAULT_SOLVE, SolveOptions, _forward_step, _map_columns,
                         _state_columns, _trajectory)
 from .hypotheses import CONVERGED, IndexConstants, _advanced, _envelope, _ratio_tail
 from .system import SystemSpec, batch_vector_norm, green_span, operator_norm
@@ -182,7 +182,7 @@ class ConjugacyEngine:
         row = self.green_row(n, k_half)
         lo, hi = n - k_half, n + k_half
         states, couplings = _trajectory(sys, n, lo, hi, xi_b, eta_b, self.solve)
-        couplings[hi] = _coupling_value(sys, hi, *states[hi])
+        couplings[hi] = _map_columns(sys, "f.eval", hi, *states[hi])
         acc = np.zeros_like(xi_b)
         for k in range(lo, hi + 1):
             acc += row[k - lo] @ couplings[k]

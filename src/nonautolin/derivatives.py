@@ -34,7 +34,7 @@ import numpy as np
 
 from .conjugacy import ConjugacyEngine
 from .errors import SingularOperatorError
-from .evolution import (DEFAULT_SOLVE, SolveOptions, _jacobian_stack, _state_columns,
+from .evolution import (DEFAULT_SOLVE, SolveOptions, _map_columns, _state_columns,
                         coupled_trajectory)
 from .hypotheses import IndexConstants, _advanced_terms, _envelope
 from .system import SystemSpec, operator_norm
@@ -133,11 +133,7 @@ def _tangents(sys: SystemSpec, states: dict, n: int, lo: int, hi: int):
 
     def jacs(k):
         x, y = states[k]
-        return (y, _jacobian_stack(sys.f.jac_x, k, (x, y), dx, dx),
-                _jacobian_stack(sys.f.jac_y, k, (x, y), dx, dy))
-
-    def driver(k, y):
-        return _jacobian_stack(sys.g.jac, k, (y,), dy, dy)
+        return y, _map_columns(sys, "f.jac_x", k, x, y), _map_columns(sys, "f.jac_y", k, x, y)
 
     w, v = w0, v0
     for k in range(n, hi + 1):
@@ -146,12 +142,12 @@ def _tangents(sys: SystemSpec, states: dict, n: int, lo: int, hi: int):
         if k < hi:
             w = (sys.a.matrix(k) + jx) @ w + jy @ v
             if dy:
-                v = driver(k, y) @ v
+                v = _map_columns(sys, "g.jac", k, y) @ v
     w, v = w0, v0
     for k in range(n - 1, lo - 1, -1):
         y, jx, jy = jacs(k)
         if dy:
-            v = np.linalg.inv(driver(k, y)) @ v
+            v = np.linalg.inv(_map_columns(sys, "g.jac", k, y)) @ v
         w = _backward_L(sys, k, jx) @ (w - jy @ v)
         yield k, jx, jy, w, v
 

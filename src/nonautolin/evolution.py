@@ -37,18 +37,15 @@ class SolveOptions:
 DEFAULT_SOLVE = SolveOptions()
 
 
-def _as_columns(v, dim: int, batch: Optional[int] = None) -> tuple[np.ndarray, bool]:
+def _as_columns(v, dim: int, batch: int = 1) -> tuple[np.ndarray, bool]:
     """(dim, batch) columns of a state or batch, and whether it was one state;
     a single state is repeated `batch` times."""
     arr = np.asarray(v, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise ValueError(f"expected vector of length {dim}, got shape {arr.shape}")
-        b = batch or 1
-        return np.repeat(arr.reshape(dim, 1), b, axis=1) if b > 1 else arr.reshape(dim, 1), True
-    if arr.shape[0] != dim:
-        raise ValueError(f"expected ({dim}, batch) array, got shape {arr.shape}")
-    return arr, False
+    single = arr.ndim == 1
+    cols = np.repeat(arr[:, None], batch, axis=1) if single else arr
+    if cols.ndim != 2 or cols.shape[0] != dim:
+        raise ValueError(f"expected a ({dim},) state or ({dim}, batch) columns, got {arr.shape}")
+    return cols, single
 
 
 def _state_columns(sys: SystemSpec, xi, eta) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -61,38 +58,42 @@ def _state_columns(sys: SystemSpec, xi, eta) -> tuple[np.ndarray, np.ndarray, bo
     return xi_b, eta_b, single
 
 
-def _coupling_value(sys: SystemSpec, j: int, x, y) -> np.ndarray:
-    """f_j at a state or column batch, with the batch shape enforced."""
-    out = np.asarray(sys.f.eval(j, x, y), dtype=float)
-    x_arr = np.asarray(x)
-    if x_arr.ndim == 2 and out.ndim == 1:
-        if x_arr.shape[1] != 1:
-            raise ValueError("coupling eval must broadcast column batches")
-        out = out.reshape(-1, 1)
-    return out
-
-
-def _jacobian_stack(jac, j: int, states: tuple, rows: int, cols: int) -> np.ndarray:
-    """jac(j, *states) at (dim, batch) column states, enforced to be the
-    (batch, rows, cols) stack of the per-column Jacobians."""
-    batch = states[0].shape[1]
-    out = np.asarray(jac(j, *states), dtype=float)
-    if out.shape != (batch, rows, cols):
-        raise ValueError(f"Jacobian at j={j} must be a ({batch}, {rows}, {cols}) stack, "
-                         f"got shape {out.shape}")
+def _map_columns(sys: SystemSpec, name: str, j: int, *cols: np.ndarray) -> np.ndarray:
+    """The system map `name` at index j on (dim, batch) float columns: f.eval,
+    g.eval and g.eval_inv give columns of the same layout, f.jac_x, f.jac_y
+    and g.jac the (batch, rows, columns) stacks of the per-column Jacobians.
+    Every call of a coupling or driver map goes through here; a result of any
+    other shape raises ValueError naming the expected one."""
+    dx, dy, batch = sys.space.dim_x, sys.space.dim_y, cols[0].shape[1]
+    if name == "f.eval":
+        out, shape = sys.f.eval(j, *cols), (dx, batch)
+    elif name == "g.eval":
+        out, shape = sys.g.eval(j, *cols), (dy, batch)
+    elif name == "g.eval_inv":
+        out, shape = sys.g.eval_inv(j, *cols), (dy, batch)
+    elif name == "f.jac_x":
+        out, shape = sys.f.jac_x(j, *cols), (batch, dx, dx)
+    elif name == "f.jac_y":
+        out, shape = sys.f.jac_y(j, *cols), (batch, dx, dy)
+    else:
+        out, shape = sys.g.jac(j, *cols), (batch, dy, dy)
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        layout = "a stack" if len(shape) == 3 else "columns"
+        raise ValueError(f"{name} at j={j} must return {layout} of shape {shape}, got {out.shape}")
     return out
 
 
 def _forward_step(sys: SystemSpec, j: int, x, y, coupled: bool = True):
-    """(x_{j+1}, y_{j+1}, f_j(x_j, y_j)) from (x_j, y_j) under the coupled
-    system, or (x_{j+1}, y_{j+1}, None) under the uncoupled one when
-    `coupled` is False."""
+    """(x_{j+1}, y_{j+1}, f_j(x_j, y_j)) from (dim, batch) columns (x_j, y_j)
+    under the coupled system, or (x_{j+1}, y_{j+1}, None) under the uncoupled
+    one when `coupled` is False."""
     x_next = sys.a.matrix(j) @ x
-    fx = None
-    if coupled:
-        fx = _coupling_value(sys, j, x, y)
-        x_next = x_next + fx
-    return x_next, (np.asarray(sys.g.eval(j, y), dtype=float) if sys.space.dim_y else y), fx
+    y_next = _map_columns(sys, "g.eval", j, y) if sys.space.dim_y else y
+    if not coupled:
+        return x_next, y_next, None
+    fx = _map_columns(sys, "f.eval", j, x, y)
+    return x_next + fx, y_next, fx
 
 
 _max = np.maximum.reduce  # np.max without its wrapper
@@ -126,19 +127,19 @@ def backward_step_detailed(
     norms = _column_norms(sys.space.norm_kind)
     a = sys.a.matrix(j)
     a_inv = sys.a.inverse(j)
-    x, single = _as_columns(xi, sys.space.dim_x)
+    x, eta, single = _state_columns(sys, xi, eta)
     scale = np.maximum(1.0, norms(x))
     base = a_inv @ x
     u = base
     steps: list = []
     tol = opts.fixed_point_tol
     for it in range(opts.max_iters + 1):
-        value = u[:, 0] if single else u
-        f_value = _coupling_value(sys, j, value, eta)
-        fu = f_value.reshape(u.shape)
+        fu = _map_columns(sys, "f.eval", j, u, eta)
         residual = float(_max(norms(a @ u + fu - x) / scale))
         if residual <= tol:
-            return BackwardStepResult(value, it, residual, steps, f_value)
+            if single:
+                u, fu = u[:, 0], fu[:, 0]
+            return BackwardStepResult(u, it, residual, steps, fu)
         new = base - a_inv @ fu
         steps.append(float(_max(norms(new - u))))
         u = new
@@ -153,30 +154,31 @@ def coupled_trajectory(
     Batch-ready: xi may be (dim_x, batch) with eta (dim_y, batch).  One
     backward fixed-point solve per step, shared across the batch.
     """
-    return _trajectory(sys, n, lo, hi, xi, eta, opts)[0]
+    xi_b, eta_b, single = _state_columns(sys, xi, eta)
+    states = _trajectory(sys, n, lo, hi, xi_b, eta_b, opts)[0]
+    return {k: (x[:, 0], y[:, 0]) for k, (x, y) in states.items()} if single else states
 
 
 def _trajectory(
     sys: SystemSpec, n: int, lo: int, hi: int, xi, eta, opts: Optional[SolveOptions] = None
 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], dict[int, np.ndarray]]:
-    """The states of `coupled_trajectory` and f_k(x_k, y_k) at every k in
-    [lo, hi): the coupling values its forward and backward steps computed."""
+    """The states of `coupled_trajectory` through the (dim, batch) columns
+    (xi, eta) and f_k(x_k, y_k) at every k in [lo, hi): the coupling values
+    its forward and backward steps computed."""
     opts = opts or DEFAULT_SOLVE
-    x0 = np.asarray(xi, dtype=float)
-    y0 = np.asarray(eta, dtype=float)
-    states: dict[int, tuple[np.ndarray, np.ndarray]] = {n: (x0, y0)}
+    states: dict[int, tuple[np.ndarray, np.ndarray]] = {n: (xi, eta)}
     couplings: dict[int, np.ndarray] = {}
-    x, y = x0, y0
+    x, y = xi, eta
     for j in range(n, hi):
         x, y, couplings[j] = _forward_step(sys, j, x, y)
         states[j + 1] = (x, y)
-    x, y = x0, y0
+    x, y = xi, eta
     if lo < n:
         per_step = SolveOptions(
             fixed_point_tol=opts.fixed_point_tol / (n - lo), max_iters=opts.max_iters
         )
         for j in range(n - 1, lo - 1, -1):
-            y = np.asarray(sys.g.eval_inv(j, y), dtype=float) if sys.space.dim_y else y
+            y = _map_columns(sys, "g.eval_inv", j, y) if sys.space.dim_y else y
             step = backward_step_detailed(sys, j, x, y, per_step)
             x, couplings[j] = step.value, step.coupling
             states[j] = (x, y)

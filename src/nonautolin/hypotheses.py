@@ -30,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractionViolation, NonautolinError, SingularOperatorError
-from .system import GeometricTail, SystemSpec, green_norm_rows
+from .evolution import _map_columns
+from .system import GeometricTail, SystemSpec, _column_norms, green_norm_rows
 
 CONVERGED = "converged"
 DIVERGENT = "divergent"
@@ -367,10 +368,16 @@ def sample_coupling_bounds(
     seed: int = 0,
     extent: float = 1.0,
 ) -> bool:
-    """Spot-check |f_n| <= mu_n and the x/y Lipschitz constants at random probes."""
+    """Spot-check |f_n| <= mu_n and the x/y Lipschitz constants at random
+    probes, with f on the columns (x1, y), (x2, y), (x1, y2) as the pipeline calls it."""
     rng = np.random.default_rng(seed)
     dx, dy = sys.space.dim_x, sys.space.dim_y
     lo, hi = window
+    norms = _column_norms(sys.space.norm_kind)
+
+    def norm(v):
+        return float(norms(v[:, None])[0])
+
     for _ in range(probes):
         n = int(rng.integers(lo, hi + 1))
         x1 = rng.uniform(-extent, extent, dx)
@@ -378,19 +385,14 @@ def sample_coupling_bounds(
         y = rng.uniform(-extent, extent, dy)
         y2 = rng.uniform(-extent, extent, dy)
         mu, ga, rho = sys.f.mu(n), sys.f.gamma(n), sys.f.rho(n)
-        f1 = np.asarray(sys.f.eval(n, x1, y), dtype=float)
-        f2 = np.asarray(sys.f.eval(n, x2, y), dtype=float)
-        if sys.space.norm_x(f1) > mu * (1.0 + _SAMPLING_SLACK) + 1e-15:
+        f1, f2, f1b = _map_columns(sys, "f.eval", n, np.stack((x1, x2, x1), axis=1),
+                                   np.stack((y, y, y2), axis=1)).T
+        if norm(f1) > mu * (1.0 + _SAMPLING_SLACK) + 1e-15:
             return False
-        lhs = sys.space.norm_x(f1 - f2)
-        if lhs > ga * sys.space.norm_x(x1 - x2) * (1.0 + _SAMPLING_SLACK) + 1e-15:
+        if norm(f1 - f2) > ga * norm(x1 - x2) * (1.0 + _SAMPLING_SLACK) + 1e-15:
             return False
-        if dy:
-            f1b = np.asarray(sys.f.eval(n, x1, y2), dtype=float)
-            if sys.space.norm_x(f1 - f1b) > rho * sys.space.norm_y(y - y2) * (
-                1.0 + _SAMPLING_SLACK
-            ) + 1e-15:
-                return False
+        if dy and norm(f1 - f1b) > rho * norm(y - y2) * (1.0 + _SAMPLING_SLACK) + 1e-15:
+            return False
     return True
 
 

@@ -48,8 +48,6 @@ def vector_norm(v: np.ndarray, kind: NormKind) -> float:
 def batch_vector_norm(v: np.ndarray, kind: NormKind) -> np.ndarray:
     """Column-wise norms of a (dim, batch) array; returns shape (batch,)."""
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        return np.asarray([vector_norm(v, kind)])
     if v.shape[0] == 0:
         return np.zeros(v.shape[1])
     return _column_norms(kind)(v)
@@ -102,12 +100,6 @@ class SpaceSpec:
             raise ValueError("dim_y must be >= 0")
         if self.norm_kind not in ("max", "euclidean"):
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}")
-
-    def norm_x(self, v) -> float:
-        return vector_norm(v, self.norm_kind)
-
-    def norm_y(self, v) -> float:
-        return vector_norm(v, self.norm_kind)
 
 
 class OperatorSeq:
@@ -199,13 +191,12 @@ class WeightSeq:
 class CouplingSpec:
     """Coupling maps f_n : X x Y -> X with their constants.
 
-    `eval` must accept states of shape (dim_x,) and may also receive
-    (dim_x, batch) column batches (all built-ins broadcast).  `jac_x` and
-    `jac_y` receive (dim_x, batch) and (dim_y, batch) columns and return
-    the (batch, dim_x, dim_x) and (batch, dim_x, dim_y) stacks of the
-    per-column Jacobians.  The constants
-    are the bound mu_n >= sup |f_n|, the first-variable Lipschitz constant
-    gamma_n and the second-variable Lipschitz constant rho_n.
+    Every map receives (dim_x, batch) and (dim_y, batch) float columns, one
+    state per column: `eval` returns the (dim_x, batch) columns of f_n, and
+    `jac_x` and `jac_y` the (batch, dim_x, dim_x) and (batch, dim_x, dim_y)
+    stacks of the per-column Jacobians.  The constants are the bound
+    mu_n >= sup |f_n|, the first-variable Lipschitz constant gamma_n and the
+    second-variable Lipschitz constant rho_n.
     """
 
     eval: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
@@ -217,11 +208,8 @@ class CouplingSpec:
 
     @staticmethod
     def zero(dim_x: int, dim_y: int) -> "CouplingSpec":
-        def _f(n, x, y):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
         return CouplingSpec(
-            eval=_f,
+            eval=lambda n, x, y: np.zeros_like(x),
             jac_x=lambda n, x, y: np.zeros((np.shape(x)[1], dim_x, dim_x)),
             jac_y=lambda n, x, y: np.zeros((np.shape(x)[1], dim_x, dim_y)),
             mu=lambda n: 0.0,
@@ -234,8 +222,9 @@ class CouplingSpec:
 class DriverSpec:
     """Driver maps g_n : Y -> Y, their inverses, Jacobians and Lipschitz constants.
 
-    `jac` receives (dim_y, batch) columns and returns the (batch, dim_y,
-    dim_y) stack of the per-column Jacobians.
+    Every map receives (dim_y, batch) float columns, one state per column:
+    `eval` and `eval_inv` return (dim_y, batch) columns, `jac` the (batch,
+    dim_y, dim_y) stack of the per-column Jacobians.
     """
 
     eval: Callable[[int, np.ndarray], np.ndarray]
@@ -248,12 +237,9 @@ class DriverSpec:
     def trivial() -> "DriverSpec":
         # dim_y = 0: the driver acts on empty vectors; tau = sigma = 0 keeps
         # the second-variable Lipschitz products equal to the first-variable ones.
-        def _id(n, y):
-            return np.asarray(y, dtype=float)
-
         return DriverSpec(
-            eval=_id,
-            eval_inv=_id,
+            eval=lambda n, y: y,
+            eval_inv=lambda n, y: y,
             jac=lambda n, y: np.zeros((np.shape(y)[1], 0, 0)),
             tau=lambda n: 0.0,
             sigma=lambda n: 0.0,
@@ -261,12 +247,9 @@ class DriverSpec:
 
     @staticmethod
     def identity(dim_y: int) -> "DriverSpec":
-        def _id(n, y):
-            return np.asarray(y, dtype=float)
-
         return DriverSpec(
-            eval=_id,
-            eval_inv=_id,
+            eval=lambda n, y: y,
+            eval_inv=lambda n, y: y,
             jac=lambda n, y: np.broadcast_to(np.eye(dim_y), (np.shape(y)[1], dim_y, dim_y)),
             tau=lambda n: 1.0,
             sigma=lambda n: 1.0,
@@ -374,47 +357,40 @@ class SystemSpec:
         return margin
 
 
-def transition(sys: SystemSpec, m: int, n: int) -> np.ndarray:
-    """Transition operator moving time n to time m (ordered operator product)."""
-    dx = sys.space.dim_x
-    out = np.eye(dx)
-    if m > n:
-        for j in range(n, m):
-            out = sys.a.matrix(j) @ out
-    elif m < n:
-        for j in range(n - 1, m - 1, -1):
-            out = sys.a.inverse(j) @ out
-    return out
-
-
-def green(sys: SystemSpec, m: int, n: int) -> np.ndarray:
-    """Green kernel: transition(m,n) @ P_n for m >= n, else -transition(m,n) @ (Id - P_n)."""
-    p = sys.p.matrix(n)
-    tr = transition(sys, m, n)
-    if m >= n:
-        return tr @ p
-    return -(tr @ (np.eye(sys.space.dim_x) - p))
-
-
 def _half_steps(sys: SystemSpec, w: int) -> tuple[Callable, Callable]:
     """The one Green recurrence: steps of the raw transitions T(c, q) to each
-    center c in turn, each half from an empty stack by default and keeping at
-    most w + 1 kernels: past, [A_{c-1} T, Id] (q <= c), and future, A_c^{-1}
-    [Id, T] (q > c); no factor ever meets its inverse."""
+    center c in turn, each half keeping at most w + 1 kernels: past,
+    [A_{c-1} T, Id] (q <= c), from [Id] at its first center by default, and
+    future, A_c^{-1} [Id, T] (q > c), from an empty stack by default; no
+    factor ever meets its inverse, and none outside the centers' span is read."""
     eye = np.eye(sys.space.dim_x)
-    empty = np.empty((0,) + eye.shape)
 
-    def past(centers, stack=empty):
+    def past(centers, stack=None):
         for c in centers:
-            stack = np.concatenate((np.matmul(sys.a.matrix(c - 1), stack[-w:]), eye[None]))
+            stack = eye[None] if stack is None else np.concatenate(
+                (np.matmul(sys.a.matrix(c - 1), stack[max(len(stack) - w, 0):]), eye[None]))
         return stack
 
-    def future(centers, stack=empty):
+    def future(centers, stack=np.empty((0,) + eye.shape)):
         for c in centers:
             stack = np.matmul(sys.a.inverse(c), np.concatenate((eye[None], stack[:w])))
         return stack
 
     return past, future
+
+
+def transition(sys: SystemSpec, m: int, n: int) -> np.ndarray:
+    """Transition operator moving time n to time m (ordered operator product),
+    by the one Green recurrence."""
+    past, future = _half_steps(sys, abs(m - n))
+    if m >= n:
+        return past(range(n, m + 1))[0]
+    return future(range(n - 1, m - 1, -1))[-1]
+
+
+def green(sys: SystemSpec, m: int, n: int) -> np.ndarray:
+    """Green kernel: transition(m,n) @ P_n for m >= n, else -transition(m,n) @ (Id - P_n)."""
+    return green_span(sys, m, n, n)[0]
 
 
 def green_span(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Reference code the tests check the program against: finite-difference
-Jacobians evaluated one stencil point at a time, pointwise Green norms, Green
-spans by the second-argument recurrence, solutions at one index, the bar_h
-series with a fresh coupling value per term, and the Lipschitz products
-multiplied one factor at a time (the program's series read them as
-`np.cumprod` arrays)."""
+Jacobians evaluated one stencil point at a time, pointwise Green norms,
+transitions multiplied one factor at a time, Green spans by the
+second-argument recurrence, solutions at one index, the bar_h series with a
+fresh coupling value per term, and the Lipschitz products multiplied one
+factor at a time (the program's series read them as `np.cumprod` arrays)."""
 
 from __future__ import annotations
 
@@ -13,9 +13,8 @@ import numpy as np
 
 from nonautolin.derivatives import JacobianReport, _rel_error, fd_jacobian_batch
 from nonautolin.errors import ContractionViolation
-from nonautolin.evolution import (SolveOptions, _coupling_value, _state_columns,
-                                  coupled_trajectory)
-from nonautolin.system import SystemSpec, green, operator_norm, transition
+from nonautolin.evolution import SolveOptions, _state_columns, coupled_trajectory
+from nonautolin.system import SystemSpec, green, operator_norm
 
 
 def fd_jacobian(fun: Callable, point, step: float) -> np.ndarray:
@@ -38,19 +37,32 @@ def green_norm(sys: SystemSpec, m: int, n: int) -> float:
     return operator_norm(green(sys, m, n), sys.space.norm_kind)
 
 
+def transition_by_factors(sys: SystemSpec, m: int, n: int) -> np.ndarray:
+    """What `nonautolin.system.transition` returns, one factor at a time:
+    A_{m-1} ... A_n for m > n, Id for m = n, A_m^{-1} ... A_{n-1}^{-1} for m < n."""
+    out = np.eye(sys.space.dim_x)
+    if m > n:
+        for j in range(n, m):
+            out = sys.a.matrix(j) @ out
+    elif m < n:
+        for j in range(n - 1, m - 1, -1):
+            out = sys.a.inverse(j) @ out
+    return out
+
+
 def green_span_by_columns(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:
     """What `nonautolin.system.green_span` returns, by the second-argument
     recurrences transition(m, q+1) = transition(m, q) @ A_q^{-1} and
-    transition(m, q-1) = transition(m, q) @ A_{q-1} from a `transition`
-    anchor, then the weights kernel by kernel.  A kernel that overflows
-    raises FloatingPointError."""
+    transition(m, q-1) = transition(m, q) @ A_{q-1} from a
+    `transition_by_factors` anchor, then the weights kernel by kernel.  A
+    kernel that overflows raises FloatingPointError."""
     dx = sys.space.dim_x
     out = np.empty((max(hi - lo + 1, 0), dx, dx))
     if lo > hi:
         return out
     anchor = int(np.clip(m, lo, hi))
     with np.errstate(over="raise", invalid="raise"):
-        out[anchor - lo] = transition(sys, m, anchor)
+        out[anchor - lo] = transition_by_factors(sys, m, anchor)
         for q in range(anchor + 1, hi + 1):
             out[q - lo] = out[q - 1 - lo] @ sys.a.inverse(q - 1)
         for q in range(anchor - 1, lo - 1, -1):
@@ -115,7 +127,7 @@ def bar_h_series(engine, n: int, xi, eta=None, window: Optional[int] = None) -> 
     states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, engine.solve)
     acc = np.zeros_like(xi_b)
     for k in range(n - k_half, n + k_half + 1):
-        acc += row[k - n + k_half] @ _coupling_value(sys, k, *states[k])
+        acc += row[k - n + k_half] @ np.asarray(sys.f.eval(k, *states[k]), dtype=float)
     val = -acc
     return val[:, 0] if single else val
 

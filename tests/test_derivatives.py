@@ -9,6 +9,8 @@ from nonautolin import (
     ConjugacyEngine,
     SolveOptions,
     barh_jacobian,
+    certify,
+    coupled_trajectory,
     h_jacobian,
     operator_norm,
     solution_jacobian,
@@ -318,6 +320,31 @@ class TestValidateJacobians:
         s = dataclasses.replace(ex1_mild, f=f)
         with pytest.raises(ValueError, match="stack"):
             solution_jacobian(s, 3, 0, np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("name,owner,attr,entries", [
+        ("ex1", "f", "eval", ("bar_h", "coupled_trajectory", "certify")),
+        ("end_cfg", "g", "eval_inv", ("bar_h", "coupled_trajectory")),
+    ])
+    def test_unbatched_map_is_rejected(self, name, owner, attr, entries):
+        # a map on the old one-state contract flattens its (dim, batch)
+        # columns; the pipeline calls the coupling forward and in bc1, the
+        # inverse driver in the backward steps
+        s = system_by_name(name, gamma_scale=0.5)
+        spec = getattr(s, owner)
+        batched = getattr(spec, attr)
+        flat = dataclasses.replace(spec, **{attr: lambda n, *v: np.ravel(batched(n, *v))})
+        s = dataclasses.replace(s, **{owner: flat})
+        xi, eta = np.full(s.space.dim_x, 0.1), np.full(s.space.dim_y, 0.1)
+        calls = {
+            "bar_h": lambda: ConjugacyEngine(s).bar_h(0, xi, eta, window=4),
+            "coupled_trajectory": lambda: coupled_trajectory(s, 0, -3, 3, xi, eta),
+            "certify": lambda: certify(s, (-2, 2), 4, probes=2),
+        }
+        rows = s.space.dim_x if owner == "f" else s.space.dim_y
+        for entry in entries:
+            with pytest.raises(ValueError, match=rf"{owner}\.{attr} at j=-?\d+ must return "
+                                                 rf"columns of shape \({rows}, [13]\), got \("):
+                calls[entry]()
 
     def test_blocks_of_the_joint_jacobians(self, engine_end, rng):
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from nonautolin import (
 )
 import nonautolin.hypotheses as hyp
 from nonautolin.hypotheses import (IndexConstants, _estimate, _has_divergence_run,
-                                   _lip_products, _ratio_tail)
+                                   _lip_products, _ratio_tail, sample_coupling_bounds)
 from nonautolin.system import green_norm_rows, green_span
 
 from .conftest import LN2, advanced_at, diag_stack, random_invertible_system, with_coupling
@@ -163,6 +164,28 @@ class TestCheckBasic:
         lying.f.mu = lambda n: 1e-6
         rep = certify(lying, (-3, 3), 8, probes=64)
         assert not rep.bc1_sampled_ok
+
+    def test_bc1_hands_f_the_drawn_states_as_float_columns(self, end_cfg):
+        # f sees, per probe, the columns (x1, y), (x2, y), (x1, y2) of the
+        # seeded draws in their order n, x1, x2, y, y2
+        seen = []
+        f = end_cfg.f.eval
+
+        def spy(n, x, y):
+            seen.append((n, x, y))
+            return f(n, x, y)
+
+        s = dataclasses.replace(end_cfg, f=dataclasses.replace(end_cfg.f, eval=spy))
+        assert sample_coupling_bounds(s, (-5, 5), probes=8, seed=3, extent=2.0)
+        rng = np.random.default_rng(3)
+        assert len(seen) == 8
+        for n, x, y in seen:
+            assert n == int(rng.integers(-5, 6))
+            x1, x2, y1, y2 = (rng.uniform(-2.0, 2.0, 2) for _ in range(4))
+            for got, want in ((x, np.stack((x1, x2, x1), axis=1)),
+                              (y, np.stack((y1, y1, y2), axis=1))):
+                assert isinstance(got, np.ndarray) and got.dtype == np.float64
+                assert np.array_equal(got, want)
 
     def test_bc4_worst_index(self, rng):
         sys, _ = random_invertible_system(rng)
@@ -547,6 +570,38 @@ class TestSlidingSpans:
         slid = certify(s, n_range, w, probes=4)
         monkeypatch.setattr(hyp, "green_norm_rows", green_norm_rows_per_center)
         assert _verdicts(slid) == _verdicts(certify(s, n_range, w, probes=4))
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "end_cfg"])
+    def test_zero_halfwidth(self, name):
+        # w = 0 keeps one kernel per half, G(n, n) and G(n, n + 1)
+        s = system_by_name(name)
+        rows, failed = green_norm_rows(s, -2, 2, 0)
+        ref, ref_failed = green_norm_rows_per_center(s, -2, 2, 0)
+        assert failed == ref_failed == {}
+        assert rows.shape == (5, 2) and np.array_equal(rows, ref)
+        rep = certify(s, (-2, 2), 0, probes=2)
+        assert sorted(rep.ac3_bound) == list(range(-2, 3))
+
+    @pytest.mark.parametrize("w", [0, 3])
+    def test_no_operator_outside_the_span(self, w):
+        # the kernels over [lo, hi] need A_k for k in [lo, hi - 1] only, and
+        # the rows of the centers in [lo, hi] those of [lo - w, hi + w] only
+        base = system_by_name("ex1")
+
+        def guarded(first, last):
+            def a_mat(k):
+                if not first <= k <= last:
+                    raise IndexError(f"A_{k} lies outside [{first}, {last}]")
+                return base.a.matrix(k)
+
+            return dataclasses.replace(base, a=OperatorSeq(a_mat, base.a.inverse))
+
+        for m, lo, hi in ((0, -3, 3), (5, -3, 3), (-6, -3, 3), (2, 2, 2)):
+            s = guarded(min(lo, m), max(hi, m) - 1)
+            assert np.array_equal(green_span(s, m, lo, hi), green_span_by_columns(base, m, lo, hi))
+        rows, failed = green_norm_rows(guarded(-2 - w, 2 + w), -2, 2, w)
+        assert failed == {}
+        assert np.array_equal(rows, green_norm_rows_per_center(base, -2, 2, w)[0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_the_middle_of_the_range(self, monkeypatch):
