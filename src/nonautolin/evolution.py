@@ -50,11 +50,13 @@ def _as_columns(v, dim: int, batch: int = 1) -> tuple[np.ndarray, bool]:
 
 def _state_columns(sys: SystemSpec, xi, eta) -> tuple[np.ndarray, np.ndarray, bool]:
     """xi and eta as (dim, batch) columns, eta = 0 when absent, and whether
-    xi was a single state."""
+    xi was a single state; a 2-D eta must have the batch of xi."""
     xi_b, single = _as_columns(xi, sys.space.dim_x)
     batch = xi_b.shape[1]
     dy = sys.space.dim_y
     eta_b = np.zeros((dy, batch)) if eta is None else _as_columns(eta, dy, batch)[0]
+    if eta_b.shape[1] != batch:
+        raise ValueError(f"eta of shape {np.shape(eta)} does not match xi of shape {np.shape(xi)}")
     return xi_b, eta_b, single
 
 

@@ -374,24 +374,18 @@ def sample_coupling_bounds(
     dx, dy = sys.space.dim_x, sys.space.dim_y
     lo, hi = window
     norms = _column_norms(sys.space.norm_kind)
-
-    def norm(v):
-        return float(norms(v[:, None])[0])
-
     for _ in range(probes):
         n = int(rng.integers(lo, hi + 1))
-        x1 = rng.uniform(-extent, extent, dx)
-        x2 = rng.uniform(-extent, extent, dx)
-        y = rng.uniform(-extent, extent, dy)
-        y2 = rng.uniform(-extent, extent, dy)
+        x = rng.uniform(-extent, extent, (2, dx)).T  # columns x1, x2
+        y = rng.uniform(-extent, extent, (2, dy)).T  # columns y, y2
         mu, ga, rho = sys.f.mu(n), sys.f.gamma(n), sys.f.rho(n)
-        f1, f2, f1b = _map_columns(sys, "f.eval", n, np.stack((x1, x2, x1), axis=1),
-                                   np.stack((y, y, y2), axis=1)).T
-        if norm(f1) > mu * (1.0 + _SAMPLING_SLACK) + 1e-15:
+        f = _map_columns(sys, "f.eval", n, x[:, [0, 1, 0]], y[:, [0, 0, 1]])
+        f1, df_x, df_y = norms(np.concatenate((f[:, :1], f[:, :1] - f[:, 1:]), axis=1))
+        if f1 > mu * (1.0 + _SAMPLING_SLACK) + 1e-15:
             return False
-        if norm(f1 - f2) > ga * norm(x1 - x2) * (1.0 + _SAMPLING_SLACK) + 1e-15:
+        if df_x > ga * norms(np.diff(x))[0] * (1.0 + _SAMPLING_SLACK) + 1e-15:
             return False
-        if dy and norm(f1 - f1b) > rho * norm(y - y2) * (1.0 + _SAMPLING_SLACK) + 1e-15:
+        if dy and df_y > rho * norms(np.diff(y))[0] * (1.0 + _SAMPLING_SLACK) + 1e-15:
             return False
     return True
 

@@ -381,16 +381,21 @@ def _half_steps(sys: SystemSpec, w: int) -> tuple[Callable, Callable]:
 
 def transition(sys: SystemSpec, m: int, n: int) -> np.ndarray:
     """Transition operator moving time n to time m (ordered operator product),
-    by the one Green recurrence."""
-    past, future = _half_steps(sys, abs(m - n))
-    if m >= n:
-        return past(range(n, m + 1))[0]
-    return future(range(n - 1, m - 1, -1))[-1]
+    by the one Green recurrence keeping only T(c, n): |m - n| products; an
+    overflow gives inf, where green_span raises."""
+    past, future = _half_steps(sys, 1)
+    stack = np.eye(sys.space.dim_x)[None]
+    for c in range(n + 1, m + 1):
+        stack = past((c,), stack)[:1]
+    for c in range(n - 1, m - 1, -1):
+        stack = future((c,), stack)[1:]
+    return stack[0]
 
 
 def green(sys: SystemSpec, m: int, n: int) -> np.ndarray:
     """Green kernel: transition(m,n) @ P_n for m >= n, else -transition(m,n) @ (Id - P_n)."""
-    return green_span(sys, m, n, n)[0]
+    p = sys.p.matrix(n)
+    return transition(sys, m, n) @ (p if m >= n else p - np.eye(sys.space.dim_x))
 
 
 def green_span(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Reference code the tests check the program against: finite-difference
-Jacobians evaluated one stencil point at a time, pointwise Green norms,
-transitions multiplied one factor at a time, Green spans by the
+Jacobians evaluated one stencil point at a time, transitions multiplied one
+factor at a time with the Green kernels and norms built on them, Green spans by the
 second-argument recurrence, solutions at one index, the bar_h series with a
 fresh coupling value per term, and the Lipschitz products multiplied one
 factor at a time (the program's series read them as `np.cumprod` arrays)."""
@@ -14,7 +14,7 @@ import numpy as np
 from nonautolin.derivatives import JacobianReport, _rel_error, fd_jacobian_batch
 from nonautolin.errors import ContractionViolation
 from nonautolin.evolution import SolveOptions, _state_columns, coupled_trajectory
-from nonautolin.system import SystemSpec, green, operator_norm
+from nonautolin.system import SystemSpec, operator_norm
 
 
 def fd_jacobian(fun: Callable, point, step: float) -> np.ndarray:
@@ -33,10 +33,6 @@ def jacobian_report(analytic, fun: Callable, point, fd_step: float = 1e-6) -> Ja
     return JacobianReport(analytic, fd, _rel_error(analytic, fd), fd_step)
 
 
-def green_norm(sys: SystemSpec, m: int, n: int) -> float:
-    return operator_norm(green(sys, m, n), sys.space.norm_kind)
-
-
 def transition_by_factors(sys: SystemSpec, m: int, n: int) -> np.ndarray:
     """What `nonautolin.system.transition` returns, one factor at a time:
     A_{m-1} ... A_n for m > n, Id for m = n, A_m^{-1} ... A_{n-1}^{-1} for m < n."""
@@ -48,6 +44,20 @@ def transition_by_factors(sys: SystemSpec, m: int, n: int) -> np.ndarray:
         for j in range(n - 1, m - 1, -1):
             out = sys.a.inverse(j) @ out
     return out
+
+
+def green_by_factors(sys: SystemSpec, m: int, n: int) -> np.ndarray:
+    """What `nonautolin.system.green` returns, from `transition_by_factors`:
+    T(m, n) P_n for m >= n, -T(m, n) (Id - P_n) for m < n."""
+    p = sys.p.matrix(n)
+    tr = transition_by_factors(sys, m, n)
+    if m >= n:
+        return tr @ p
+    return -(tr @ (np.eye(sys.space.dim_x) - p))
+
+
+def green_norm(sys: SystemSpec, m: int, n: int) -> float:
+    return operator_norm(green_by_factors(sys, m, n), sys.space.norm_kind)
 
 
 def green_span_by_columns(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from nonautolin import (
     WeightSeq,
     WindowExhausted,
     backward_step_detailed,
-    green,
     system_by_name,
 )
 from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, phase_conjugate,
@@ -26,7 +25,7 @@ from nonautolin.evolution import _forward_step, coupled_trajectory
 from nonautolin.system import batch_vector_norm
 
 from .conftest import LN2, diag_stack, random_invertible_system
-from .reference import bar_h_series, evolve_coupled, evolve_driver
+from .reference import bar_h_series, evolve_coupled, evolve_driver, green_by_factors
 
 
 def one_term_system(n0, c=0.05, lam=LN2):
@@ -91,7 +90,7 @@ class TestBarH:
         eng = ConjugacyEngine(s, series_tol=1e-12)
         xi = np.array([0.8, -0.3])
         got = eng.bar_h(n0, xi)
-        expect = -(green(s, n0, n0 + 1) @ (0.04 * np.tanh(xi)))
+        expect = -(green_by_factors(s, n0, n0 + 1) @ (0.04 * np.tanh(xi)))
         assert_allclose(got, expect, atol=1e-15)
 
     def test_truncation_bound_reported(self, engine_ex1):
@@ -300,10 +299,8 @@ class TestEngineValidation:
 
 class TestBruteForceOracles:
     def test_bar_h_matches_direct_summation(self, engine_end, rng):
-        # oracle: sum the defining series term by term from the public
-        # primitives and the reference solutions, no engine
-        import nonautolin as nl
-
+        # oracle: sum the defining series term by term from the reference
+        # Green kernels and solutions, no engine
         s = engine_end.sys
         n = 1
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
@@ -312,7 +309,7 @@ class TestBruteForceOracles:
         for k in range(n - win, n + win + 1):
             xk = evolve_coupled(s, k, n, xi, eta)
             yk = evolve_driver(s, k, n, eta)
-            direct -= nl.green(s, n, k + 1) @ np.asarray(s.f.eval(k, xk, yk))
+            direct -= green_by_factors(s, n, k + 1) @ np.asarray(s.f.eval(k, xk, yk))
         assert np.max(np.abs(got - direct)) <= 1e-11
 
     def test_h_solves_declared_fixed_point(self, engine_ex1, engine_end, rng):

@@ -346,6 +346,13 @@ class TestValidateJacobians:
                                                  rf"columns of shape \({rows}, [13]\), got \("):
                 calls[entry]()
 
+    def test_mismatched_batches_are_rejected(self, end_cfg):
+        # a 2-D eta must have the batch of xi; the error names both shapes,
+        # not the coupling that would first meet them
+        xi, eta = np.full((2, 1), 0.1), np.full((2, 3), 0.1)
+        with pytest.raises(ValueError, match=r"eta of shape \(2, 3\) does not match xi of shape \(2, 1\)"):
+            coupled_trajectory(end_cfg, 0, -1, 1, xi, eta)
+
     def test_blocks_of_the_joint_jacobians(self, engine_end, rng):
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         reports = validate_jacobians(engine_end, 1, xi, eta)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from nonautolin import (
 )
 
 from .conftest import LN2, random_invertible_system
-from .reference import green_norm
+from .reference import green_by_factors, green_norm, transition_by_factors
 
 
 class TestOperatorNorm:
@@ -83,6 +84,14 @@ class TestTransition:
             atol=1e-10,
         )
 
+    def test_overflow_gives_inf_where_green_span_raises(self, ex1):
+        s = dataclasses.replace(ex1, a=OperatorSeq(lambda n: np.eye(2) * 1e200))
+        with np.errstate(all="ignore"):
+            assert np.isinf(transition(s, 2, 0)).any()
+            assert not np.isfinite(green(s, 2, 0)).all()
+        with pytest.raises(FloatingPointError):
+            green_span(s, 2, 0, 0)
+
     def test_inverse_identity(self, rng):
         sys, _ = random_invertible_system(rng)
         prod = transition(sys, 4, -3) @ transition(sys, -3, 4)
@@ -130,14 +139,14 @@ class TestGreen:
             g = green(ex2, m, n)
             p = ex2.p.matrix(n)
             if m >= n:
-                assert_allclose(g - transition(ex2, m, n) @ p, 0, atol=1e-12)
+                assert_allclose(g - transition_by_factors(ex2, m, n) @ p, 0, atol=1e-12)
             else:
-                assert_allclose(g + transition(ex2, m, n) @ (eye - p), 0, atol=1e-12)
+                assert_allclose(g + transition_by_factors(ex2, m, n) @ (eye - p), 0, atol=1e-12)
 
     def test_green_span_matches_pointwise(self, ex2):
         span = green_span(ex2, 2, -5, 8)
         for q in range(-5, 9):
-            assert_allclose(span[q + 5], green(ex2, 2, q), atol=1e-12)
+            assert_allclose(span[q + 5], green_by_factors(ex2, 2, q), atol=1e-12)
 
 
 class TestGreenNorm:
