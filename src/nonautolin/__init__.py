@@ -51,11 +51,8 @@ from .system import (
     SystemSpec,
     TailEnvelopes,
     WeightSeq,
-    green,
     green_span,
     operator_norm,
-    transition,
-    vector_norm,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +86,6 @@ __all__ = [
     "barh_jacobian",
     "certify",
     "coupled_trajectory",
-    "green",
     "green_span",
     "h_jacobian",
     "make_emo",
@@ -101,7 +97,5 @@ __all__ = [
     "operator_norm",
     "solution_jacobian",
     "system_by_name",
-    "transition",
     "validate_jacobians",
-    "vector_norm",
 ]

@@ -9,10 +9,10 @@ tail bounds.
 Families:
 
   ex1     hyperbolic block system A = diag(e^l Id, e^-l Id), P = lower block;
-          |green(m, n)| = e^{-l |m-n|}; gamma decays like e^{-l |k|}.
+          |G(m, n)| = e^{-l |m-n|}; gamma decays like e^{-l |k|}.
   ex2     nonhyperbolic system A = diag((theta_n/theta_{n+1}) Id, B_n) with
           isometric B_n and a nondecreasing ramp theta; P = upper block;
-          |green(m, n)| = theta_n/theta_m for m >= n, 1 for m < n.
+          |G(m, n)| = theta_n/theta_m for m >= n, 1 for m < n.
   remm    A = P = Id (no asymptotic behavior at all); gamma_k ~ (2M)^{-2|k|-1};
           the K/J sums are finite for every n but their total need not be < 1.
   end_cfg remm operators plus a planar-rotation driver (tau = sigma = 1) and a

@@ -46,7 +46,7 @@ from .errors import ContractionViolation, NoConvergence, NonautolinError, Window
 from .evolution import (DEFAULT_SOLVE, SolveOptions, _forward_step, _map_columns,
                         _state_columns, _trajectory)
 from .hypotheses import CONVERGED, IndexConstants, _advanced, _envelope, _ratio_tail
-from .system import SystemSpec, batch_vector_norm, green_span, operator_norm
+from .system import SystemSpec, _column_norms, green_span, operator_norm
 
 
 @dataclass
@@ -193,7 +193,7 @@ class ConjugacyEngine:
         return self.bar_h_detailed(n, xi, eta, window=window)[0]
 
     def bar_H(self, n: int, xi, eta=None) -> tuple[np.ndarray, np.ndarray]:
-        return self._shifted(xi, eta, self.bar_h(n, xi, eta))
+        return self._shifted(self.bar_h, n, xi, eta)
 
     def h_detailed(
         self, n: int, xi, eta=None, iters: Optional[int] = None
@@ -217,11 +217,12 @@ class ConjugacyEngine:
         else:
             cap = int(math.ceil(math.log(self.fp_tol / value_bound) / math.log(c))) + 16
         cap = max(cap, 8)
+        norms = _column_norms(self.sys.space.norm_kind)
         u = np.zeros_like(xi_b)
         residuals: list = []
         for it in range(cap):
             v = self.bar_h(n, xi_b + u, eta_b, window=k_half)
-            res = float(np.max(batch_vector_norm(u + v, self.sys.space.norm_kind)))
+            res = float(np.max(norms(u + v)))
             residuals.append(res)
             if res <= self.fp_tol:
                 return (u[:, 0] if single else u), residuals, it
@@ -239,14 +240,14 @@ class ConjugacyEngine:
         return self.h_detailed(n, xi, eta, iters=iters)[0]
 
     def H(self, n: int, xi, eta=None) -> tuple[np.ndarray, np.ndarray]:
-        return self._shifted(xi, eta, self.h(n, xi, eta))
+        return self._shifted(self.h, n, xi, eta)
 
-    def _shifted(self, xi, eta, u) -> tuple[np.ndarray, np.ndarray]:
-        """(xi + u, eta), with eta = 0 when absent."""
-        xi_arr = np.asarray(xi, dtype=float)
-        if eta is None:
-            return xi_arr + u, np.zeros((self.sys.space.dim_y,) + xi_arr.shape[1:])
-        return xi_arr + u, np.array(eta, dtype=float)
+    def _shifted(self, conj, n: int, xi, eta) -> tuple[np.ndarray, np.ndarray]:
+        """(xi + conj(n, xi, eta), eta) on the state columns of (xi, eta), a
+        single state unwrapped as bar_h and h do."""
+        xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
+        x = xi_b + conj(n, xi_b, eta_b)
+        return (x[:, 0], eta_b[:, 0]) if single else (x, eta_b)
 
     # -- residual diagnostics -----------------------------------------------
 
@@ -265,7 +266,7 @@ class ConjugacyEngine:
         every base n with m in [n, n + steps] that has none yet, and the
         `inverse_error` of n = m; the bases it hits take no further columns.
         """
-        kind = self.sys.space.norm_kind
+        norms = _column_norms(self.sys.space.norm_kind)
         xi_b, eta_b, _ = _state_columns(self.sys, xi, eta)
         batch = xi_b.shape[1]
         out = {n: BaseResiduals() for n in sorted({int(n) for n in ns})}
@@ -305,8 +306,8 @@ class ConjugacyEngine:
                 rec.h, rec.bar_h, rec.tail_bound = u0, b0, tail
                 # H and bar_H leave y unchanged, so only x can miss the probe
                 rec.inverse = np.maximum(
-                    batch_vector_norm((xi_b + u0) + closing - xi_b, kind),
-                    batch_vector_norm((xi_b + b0) + hvals[:, width:] - xi_b, kind),
+                    norms((xi_b + u0) + closing - xi_b),
+                    norms((xi_b + b0) + hvals[:, width:] - xi_b),
                 )
             hx = lin + hvals[:, :width]  # H(m, linear points)
             bx = cpl + bvals  # bar_H(m, coupled points)
@@ -314,8 +315,8 @@ class ConjugacyEngine:
             for i, (n, w) in enumerate(live.items()):
                 if m > n:
                     cols = slice(i * batch, (i + 1) * batch)
-                    fwd = batch_vector_norm(w.h_image - hx[:, cols], kind)
-                    dual = batch_vector_norm(w.bar_h_image - bx[:, cols], kind)
+                    fwd = norms(w.h_image - hx[:, cols])
+                    dual = norms(w.bar_h_image - bx[:, cols])
                     w.forward, w.dual = np.maximum(w.forward, fwd), np.maximum(w.dual, dual)
             first = next(iter(live))
             if first + steps == m:  # only the oldest base can end here

@@ -147,7 +147,10 @@ def _tangents(sys: SystemSpec, states: dict, n: int, lo: int, hi: int):
     for k in range(n - 1, lo - 1, -1):
         y, jx, jy = jacs(k)
         if dy:
-            v = np.linalg.inv(_map_columns(sys, "g.jac", k, y)) @ v
+            try:
+                v = np.linalg.inv(_map_columns(sys, "g.jac", k, y)) @ v
+            except np.linalg.LinAlgError as exc:
+                raise SingularOperatorError(k, f"Dg_k not invertible: {exc}") from exc
         w = _backward_L(sys, k, jx) @ (w - jy @ v)
         yield k, jx, jy, w, v
 
@@ -205,9 +208,12 @@ def _barh_pass(engine: ConjugacyEngine, n: int, xi_b, eta_b, k: Optional[int] = 
     return -acc, k_half, sol
 
 
-def _resolvent(b: np.ndarray, dx: int) -> np.ndarray:
-    """-(Id + B_u)^{-1} [B_u | B_v] for each matrix of the bar_h Jacobian stack b."""
-    return -np.linalg.solve(np.eye(dx) + b[:, :, :dx], b)
+def _resolvent(b: np.ndarray, dx: int, n: int) -> np.ndarray:
+    """-(Id + B_u)^{-1} [B_u | B_v] for each matrix of the bar_h(n, .) Jacobian stack b."""
+    try:
+        return -np.linalg.solve(np.eye(dx) + b[:, :, :dx], b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperatorError(n, f"Id + d bar_h/du not invertible: {exc}") from exc
 
 
 def barh_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarray, int]:
@@ -227,7 +233,7 @@ def h_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarra
     (dim, batch) columns."""
     xi_b, eta_b, single = _state_columns(engine.sys, xi, eta)
     u, _, iters = engine.h_detailed(n, xi_b, eta_b)
-    r = _resolvent(_barh_pass(engine, n, xi_b + u, eta_b)[0], engine.sys.space.dim_x)
+    r = _resolvent(_barh_pass(engine, n, xi_b + u, eta_b)[0], engine.sys.space.dim_x, n)
     return (r[0] if single else r), iters
 
 
@@ -281,7 +287,7 @@ def validate_jacobians(
 
     _block_reports(b[:batch], lambda p: engine.bar_h(n, p[:dx], p[dx:]), z,
                    conjugacy_blocks("d_barh"), steps, out)
-    _block_reports(_resolvent(b[batch:], dx),
+    _block_reports(_resolvent(b[batch:], dx, n),
                    lambda p: engine.h(n, p[:dx], p[dx:], iters=iters + 4), z,
                    conjugacy_blocks("d_h"), steps, out)
     return out[0] if single else out

@@ -8,7 +8,8 @@ class NonautolinError(Exception):
 
 
 class SingularOperatorError(NonautolinError):
-    """An operator A_n could not be inverted, or A_n @ A_n^{-1} failed the identity check."""
+    """An operator at an index (A_n, A_n + df/du, Dg_n or Id + d bar_h/du) could
+    not be inverted, or A_n @ A_n^{-1} failed the identity check."""
 
     def __init__(self, index: int, detail: str = ""):
         self.index = index

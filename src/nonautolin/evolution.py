@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NonautolinError
 from .system import SystemSpec, _column_norms
 
 
@@ -166,22 +166,28 @@ def _trajectory(
 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], dict[int, np.ndarray]]:
     """The states of `coupled_trajectory` through the (dim, batch) columns
     (xi, eta) and f_k(x_k, y_k) at every k in [lo, hi): the coupling values
-    its forward and backward steps computed."""
+    its forward and backward steps computed.  An overflow or invalid value
+    anywhere on the walk raises NonautolinError naming the step j."""
     opts = opts or DEFAULT_SOLVE
     states: dict[int, tuple[np.ndarray, np.ndarray]] = {n: (xi, eta)}
     couplings: dict[int, np.ndarray] = {}
     x, y = xi, eta
-    for j in range(n, hi):
-        x, y, couplings[j] = _forward_step(sys, j, x, y)
-        states[j + 1] = (x, y)
-    x, y = xi, eta
-    if lo < n:
-        per_step = SolveOptions(
-            fixed_point_tol=opts.fixed_point_tol / (n - lo), max_iters=opts.max_iters
-        )
-        for j in range(n - 1, lo - 1, -1):
-            y = _map_columns(sys, "g.eval_inv", j, y) if sys.space.dim_y else y
-            step = backward_step_detailed(sys, j, x, y, per_step)
-            x, couplings[j] = step.value, step.coupling
-            states[j] = (x, y)
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # once per walk, not per Picard step
+            for j in range(n, hi):
+                x, y, couplings[j] = _forward_step(sys, j, x, y)
+                states[j + 1] = (x, y)
+            x, y = xi, eta
+            if lo < n:
+                per_step = SolveOptions(
+                    fixed_point_tol=opts.fixed_point_tol / (n - lo), max_iters=opts.max_iters
+                )
+                for j in range(n - 1, lo - 1, -1):
+                    y = _map_columns(sys, "g.eval_inv", j, y) if sys.space.dim_y else y
+                    step = backward_step_detailed(sys, j, x, y, per_step)
+                    x, couplings[j] = step.value, step.coupling
+                    states[j] = (x, y)
+    except FloatingPointError as exc:
+        raise NonautolinError(
+            f"arithmetic failure in the coupled trajectory at j={j}: {exc}") from exc
     return states, couplings

@@ -5,17 +5,17 @@ A coupled system
     x_{n+1} = A_n x_n + f_n(x_n, y_n),    y_{n+1} = g_n(y_n)
 
 on X = R^dim_x, Y = R^dim_y is described by a `SystemSpec`.  This module
-holds the building blocks (operator, weight, coupling and driver sequences),
-the transition operators
+holds the building blocks (operator, weight, coupling and driver sequences)
+and `green_span`, which returns the Green kernels
 
-    transition(m, n) = A_{m-1} ... A_n          (m > n)
-                     = Id                        (m = n)
-                     = A_m^{-1} ... A_{n-1}^{-1} (m < n)
+    G(m, n) = T(m, n) P_n              (m >= n)
+            = -T(m, n) (Id - P_n)      (m < n)
 
-and the Green kernel
+of the transition operators
 
-    green(m, n) = transition(m, n) @ P_n             (m >= n)
-                = -transition(m, n) @ (Id - P_n)     (m < n),
+    T(m, n) = A_{m-1} ... A_n          (m > n)
+            = Id                        (m = n)
+            = A_m^{-1} ... A_{n-1}^{-1} (m < n),
 
 where the weights P_n need not be projections.
 """
@@ -35,29 +35,11 @@ NormKind = Literal["max", "euclidean"]
 INVERSE_CHECK_TOL = 1e-12
 
 
-def vector_norm(v: np.ndarray, kind: NormKind) -> float:
-    """Vector norm: max-norm or euclidean norm. Empty vectors have norm 0."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        return 0.0
-    if kind == "max":
-        return float(np.max(np.abs(v)))
-    return float(np.linalg.norm(v))
-
-
-def batch_vector_norm(v: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Column-wise norms of a (dim, batch) array; returns shape (batch,)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] == 0:
-        return np.zeros(v.shape[1])
-    return _column_norms(kind)(v)
-
-
 def _column_norms(kind: NormKind) -> Callable[[np.ndarray], np.ndarray]:
-    """The column norms of a (dim, batch) float array with dim >= 1 as bare
-    ufunc reductions, the values of np.max(|v|, axis=0) and
-    np.linalg.norm(v, axis=0) without their wrappers; the backward Picard
-    loop picks it once per step."""
+    """The one column norm: the norms of the columns of a (dim, batch) float
+    array with dim >= 1 as bare ufunc reductions, the values of
+    np.max(|v|, axis=0) and np.linalg.norm(v, axis=0) without their
+    wrappers; each caller picks it once per call, outside its loops."""
     if kind == "max":
         return lambda v: np.maximum.reduce(np.abs(v), axis=0)
     return lambda v: np.sqrt(np.add.reduce(v * v, axis=0))
@@ -377,25 +359,6 @@ def _half_steps(sys: SystemSpec, w: int) -> tuple[Callable, Callable]:
         return stack
 
     return past, future
-
-
-def transition(sys: SystemSpec, m: int, n: int) -> np.ndarray:
-    """Transition operator moving time n to time m (ordered operator product),
-    by the one Green recurrence keeping only T(c, n): |m - n| products; an
-    overflow gives inf, where green_span raises."""
-    past, future = _half_steps(sys, 1)
-    stack = np.eye(sys.space.dim_x)[None]
-    for c in range(n + 1, m + 1):
-        stack = past((c,), stack)[:1]
-    for c in range(n - 1, m - 1, -1):
-        stack = future((c,), stack)[1:]
-    return stack[0]
-
-
-def green(sys: SystemSpec, m: int, n: int) -> np.ndarray:
-    """Green kernel: transition(m,n) @ P_n for m >= n, else -transition(m,n) @ (Id - P_n)."""
-    p = sys.p.matrix(n)
-    return transition(sys, m, n) @ (p if m >= n else p - np.eye(sys.space.dim_x))
 
 
 def green_span(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from nonautolin import (
     SystemSpec,
     WeightSeq,
     certify,
+    green_span,
     system_by_name,
 )
 
@@ -53,6 +55,16 @@ def end_cfg():
 @pytest.fixture
 def emo():
     return system_by_name("emo", lam=1.0, c=0.01)
+
+
+def span_transition(sys, m, n):
+    """The transition T(m, n) as `green_span` computes it: with weights
+    P = Id, green_span(sys, m, q, q)[0] is T(m, q) for q <= m, and with
+    P = 0 it is -T(m, q) for q > m."""
+    eye = np.eye(sys.space.dim_x)
+    if n <= m:
+        return green_span(dataclasses.replace(sys, p=WeightSeq.constant(eye)), m, n, n)[0]
+    return -green_span(dataclasses.replace(sys, p=WeightSeq.constant(0 * eye)), m, n, n)[0]
 
 
 def advanced_at(sys, n, w):

@@ -34,8 +34,8 @@ def jacobian_report(analytic, fun: Callable, point, fd_step: float = 1e-6) -> Ja
 
 
 def transition_by_factors(sys: SystemSpec, m: int, n: int) -> np.ndarray:
-    """What `nonautolin.system.transition` returns, one factor at a time:
-    A_{m-1} ... A_n for m > n, Id for m = n, A_m^{-1} ... A_{n-1}^{-1} for m < n."""
+    """The transition T(m, n) multiplied one factor at a time: A_{m-1} ... A_n
+    for m > n, Id for m = n, A_m^{-1} ... A_{n-1}^{-1} for m < n."""
     out = np.eye(sys.space.dim_x)
     if m > n:
         for j in range(n, m):
@@ -47,8 +47,8 @@ def transition_by_factors(sys: SystemSpec, m: int, n: int) -> np.ndarray:
 
 
 def green_by_factors(sys: SystemSpec, m: int, n: int) -> np.ndarray:
-    """What `nonautolin.system.green` returns, from `transition_by_factors`:
-    T(m, n) P_n for m >= n, -T(m, n) (Id - P_n) for m < n."""
+    """The Green kernel G(m, n) from `transition_by_factors`: T(m, n) P_n for
+    m >= n, -T(m, n) (Id - P_n) for m < n."""
     p = sys.p.matrix(n)
     tr = transition_by_factors(sys, m, n)
     if m >= n:
@@ -60,12 +60,19 @@ def green_norm(sys: SystemSpec, m: int, n: int) -> float:
     return operator_norm(green_by_factors(sys, m, n), sys.space.norm_kind)
 
 
+def column_norms(v: np.ndarray, kind: str) -> np.ndarray:
+    """The max or euclidean norms of the columns of a (dim, batch) array by
+    np.linalg.norm, 0 for dim = 0."""
+    if v.shape[0] == 0:
+        return np.zeros(v.shape[1])
+    return np.linalg.norm(v, np.inf if kind == "max" else None, axis=0)
+
+
 def green_span_by_columns(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:
     """What `nonautolin.system.green_span` returns, by the second-argument
-    recurrences transition(m, q+1) = transition(m, q) @ A_q^{-1} and
-    transition(m, q-1) = transition(m, q) @ A_{q-1} from a
-    `transition_by_factors` anchor, then the weights kernel by kernel.  A
-    kernel that overflows raises FloatingPointError."""
+    recurrences T(m, q+1) = T(m, q) @ A_q^{-1} and T(m, q-1) = T(m, q) @
+    A_{q-1} from a `transition_by_factors` anchor, then the weights kernel
+    by kernel.  A kernel that overflows raises FloatingPointError."""
     dx = sys.space.dim_x
     out = np.empty((max(hi - lo + 1, 0), dx, dx))
     if lo > hi:

@@ -195,6 +195,35 @@ class TestConjugateCommand:
         assert rep["inverse"]["errors"]  # contraction violations per n
 
 
+    def test_non_finite_trajectory_exits_1_without_warnings(self, tmp_path):
+        # probes at 1e300 overflow within a few forward steps: each index
+        # names an arithmetic failure in its trajectory, and no numpy warning
+        # or Picard iteration on NaN follows
+        import os
+        import subprocess
+        import sys
+
+        import nonautolin
+
+        params = tmp_path / "huge.json"
+        params.write_text(json.dumps({"system": "ex1", "probe_extent": 1e300,
+                                      "n_min": 0, "n_max": 0}))
+        out = tmp_path / "rep.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(nonautolin.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonautolin.cli", "conjugate", "--force",
+             "--system", str(params), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        rep = load(out)
+        for section in ("inverse", "equivariance"):
+            errors = rep[section]["errors"]
+            assert [e["n"] for e in errors] == [0]
+            assert errors[0]["error"].startswith("arithmetic failure in the coupled trajectory at j=")
+
+
 class TestDerivativesCommand:
     def test_end_cfg_run(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -22,10 +22,10 @@ from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, pha
                             probe_grid)
 from nonautolin.errors import NonautolinError
 from nonautolin.evolution import _forward_step, coupled_trajectory
-from nonautolin.system import batch_vector_norm
 
 from .conftest import LN2, diag_stack, random_invertible_system
-from .reference import bar_h_series, evolve_coupled, evolve_driver, green_by_factors
+from .reference import (bar_h_series, column_norms, evolve_coupled, evolve_driver,
+                        green_by_factors)
 
 
 def one_term_system(n0, c=0.05, lam=LN2):
@@ -117,6 +117,20 @@ class TestBarH:
         assert np.array_equal(by, eta)
         _, hy = engine_end.H(1, xi, eta)
         assert np.array_equal(hy, eta)
+
+    def test_H_and_bar_H_state_layouts(self, engine_end, rng):
+        # H and bar_H coerce (xi, eta) as bar_h and h do: a single eta is
+        # repeated over the batch of xi, a single state stays one state, and
+        # a 2-D eta of another batch is rejected
+        xi, eta = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, 2)
+        for conj in (engine_end.H, engine_end.bar_H):
+            x, y = conj(0, xi, eta)
+            assert x.shape == y.shape == (2, 3)
+            assert np.array_equal(y, np.repeat(eta[:, None], 3, axis=1))
+            x, y = conj(0, xi[:, 0], eta)
+            assert x.shape == y.shape == (2,)
+            with pytest.raises(ValueError):
+                conj(0, xi, rng.uniform(-1, 1, (2, 2)))
 
     def test_bar_H_equivariance_step(self, engine_ex1, rng):
         # stepping bar_H(x) with the linear map matches bar_H of the coupled step
@@ -330,17 +344,15 @@ class TestContractionCertificate:
             c = eng.contraction(0)
             dy = eng.sys.space.dim_y
             kind = eng.sys.space.norm_kind
-            from nonautolin import vector_norm
-
             for _ in range(40):
                 eta = rng.uniform(-1, 1, dy)
-                x1, x2 = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
-                den = vector_norm(x1 - x2, kind)
+                x1, x2 = rng.uniform(-2, 2, (2, 1)), rng.uniform(-2, 2, (2, 1))
+                den = column_norms(x1 - x2, kind)[0]
                 if den < 1e-9:
                     continue
-                num = vector_norm(
+                num = column_norms(
                     eng.bar_h(0, x1, eta) - eng.bar_h(0, x2, eta), kind
-                )
+                )[0]
                 assert num <= c * den + 2 * eng.series_tol
 
 
@@ -352,8 +364,7 @@ def reference_tables(eng, ns, xi, eta, steps):
     kind = sys.space.norm_kind
 
     def dist(a, b):
-        return np.maximum(batch_vector_norm(a[0] - b[0], kind),
-                          batch_vector_norm(a[1] - b[1], kind))
+        return np.maximum(column_norms(a[0] - b[0], kind), column_norms(a[1] - b[1], kind))
 
     def walk(n, conj, coupled_image):
         res = np.zeros(xi.shape[1])

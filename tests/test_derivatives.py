@@ -15,17 +15,16 @@ from nonautolin import (
     operator_norm,
     solution_jacobian,
     system_by_name,
-    transition,
     validate_jacobians,
 )
 
 from nonautolin.cli import RunConfig, _engine, build_system, phase_derivatives, probe_grid
-from nonautolin.derivatives import _rel_error
-from nonautolin.errors import NoConvergence, NonautolinError
+from nonautolin.derivatives import _rel_error, _resolvent
+from nonautolin.errors import NoConvergence, NonautolinError, SingularOperatorError
 
 from .conftest import random_invertible_system
 from .reference import (evolve_coupled, evolve_driver, fd_jacobian, green_norm, jacobian_report,
-                        lip_C, lip_D, lip_M)
+                        lip_C, lip_D, lip_M, transition_by_factors)
 
 TIGHT = SolveOptions(fixed_point_tol=3e-13, max_iters=400)
 
@@ -97,7 +96,7 @@ class TestSolutionJacobians:
         for k in (4, -3):
             assert_allclose(
                 x2_dxi(sys, k, 0, xi),
-                transition(sys, k, 0),
+                transition_by_factors(sys, k, 0),
                 atol=1e-12,
             )
 
@@ -464,6 +463,25 @@ class TestDerivativesPhase:
             if (n, p) != (0, probes[1]) for k in kinds
         ]
         assert all(r["rel_error"] <= cfg.jacobian_threshold for r in table["rows"])
+
+
+    def test_singular_jacobians_are_listed_errors(self):
+        # a driver Jacobian that cannot be inverted on the backward steps,
+        # and Id + d bar_h/du that cannot be inverted in the resolvent, end
+        # in SingularOperatorError, which the phase lists per probe
+        cfg = RunConfig(system="end_cfg", system_params={"gamma_scale": 0.9}, n_min=0,
+                        n_max=0, jacobian_probe_cap=3)
+        sys = build_system(cfg)
+        sys = dataclasses.replace(sys, g=dataclasses.replace(
+            sys.g, jac=lambda n, y: np.zeros((y.shape[1], 2, 2))))
+        table, ok = phase_derivatives(cfg, sys)
+        assert not ok and not table["rows"]
+        assert [e["error"] for e in table["errors"]] == [
+            str(SingularOperatorError(-1, "Dg_k not invertible: Singular matrix"))] * 3
+        b = np.concatenate([-np.eye(2), np.ones((2, 2))], axis=1)[None]
+        with pytest.raises(SingularOperatorError) as err:
+            _resolvent(b, 2, 5)
+        assert err.value.index == 5
 
 
 class TestNonlinearDriver:

@@ -18,11 +18,11 @@ from nonautolin import (
     WeightSeq,
     backward_step_detailed,
     system_by_name,
-    transition,
 )
 
-from .conftest import LN2, random_invertible_system, with_coupling
-from .reference import evolve_coupled, evolve_driver, lip_C, lip_D, lip_M
+from .conftest import LN2, random_invertible_system, span_transition, with_coupling
+from .reference import (evolve_coupled, evolve_driver, lip_C, lip_D, lip_M,
+                        transition_by_factors)
 
 
 def rotation_system(angle, dim_x=2):
@@ -75,15 +75,15 @@ class TestDriver:
 
 
 class TestEvolveLinear:
-    """The uncoupled solution transition(k, n) @ xi."""
+    """The uncoupled solution T(k, n) @ xi, with T(k, n) read off `green_span`."""
 
     def test_time_equal(self, ex1):
         xi = np.array([0.3, -0.8])
-        assert_allclose(transition(ex1, 2, 2) @ xi, xi, atol=0)
+        assert_allclose(span_transition(ex1, 2, 2) @ xi, xi, atol=0)
 
     def test_ex1_two_steps(self):
         s = system_by_name("ex1", lam=LN2, gamma_scale=0.9)
-        out = transition(s, 2, 0) @ np.array([1.0, 1.0])
+        out = span_transition(s, 2, 0) @ np.array([1.0, 1.0])
         assert_allclose(out, np.array([4.0, 0.25]), rtol=1e-14)
 
     def test_matches_stepwise_oracle(self, rng):
@@ -92,7 +92,7 @@ class TestEvolveLinear:
         x = xi.copy()
         for j in range(-2, 5):
             x = mats[j % 12] @ x
-        assert_allclose(transition(sys, 5, -2) @ xi, x, atol=1e-10)
+        assert_allclose(span_transition(sys, 5, -2) @ xi, x, atol=1e-10)
 
 
 class TestBackwardStep:
@@ -180,7 +180,7 @@ class TestEvolveCoupled:
         for k in (-4, 3):
             assert_allclose(
                 evolve_coupled(sys, k, 0, xi, np.zeros(0)),
-                transition(sys, k, 0) @ xi,
+                transition_by_factors(sys, k, 0) @ xi,
                 atol=1e-12,
             )
 
