@@ -29,7 +29,7 @@ import numpy as np
 
 from .catalog import BUILDERS, ExampleParams, check_field_types, make_system
 from .conjugacy import ConjugacyEngine
-from .derivatives import validate_jacobians
+from .derivatives import jacobian_windows, validate_jacobians
 from .errors import ConfigError, NonautolinError
 from .evolution import SolveOptions
 from .hypotheses import certify
@@ -196,9 +196,14 @@ def _row(n: int, probe: np.ndarray, value: np.ndarray, residual: float,
 def phase_derivatives(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
     """Jacobian rows at every probe of the three indices n_min, mid, n_max.
 
-    One validate_jacobians call takes all probes of one n as columns; when
-    it raises, that n is run again one probe at a time, so each error names
-    its probe.
+    A probe z at which even the coarser step cannot resolve the threshold,
+    eps max(1, |z|) / (10 fd_step) > jacobian_threshold, is listed under
+    `errors` at every n: no finite difference can check a Jacobian there.
+    Per n, the setup that does not depend on the probe (`jacobian_windows`)
+    runs first; its error is listed for every other probe.  Otherwise one
+    validate_jacobians call takes the other probes as columns; when it
+    raises, that n is run again one probe at a time, so each error names its
+    probe.
     """
     rng = np.random.default_rng(cfg.seed + 1)
     grid = probe_grid(sys.space.dim_x + sys.space.dim_y, cfg.probes_per_axis,
@@ -209,25 +214,45 @@ def phase_derivatives(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
     engine = _engine(cfg, sys, solve=SolveOptions(fixed_point_tol=3e-13, max_iters=400))
     n_values = sorted({cfg.n_min, (cfg.n_min + cfg.n_max) // 2, cfg.n_max})
     xi_b, eta_b = _split_probes(sys, grid)
+    unresolved = {}
+    for i, probe in enumerate(grid):  # Python floats: an overflow reads inf
+        resolution = (_sys.float_info.epsilon * max(1.0, float(np.max(np.abs(probe))))
+                      / (10.0 * cfg.fd_step))
+        if not resolution <= cfg.jacobian_threshold:
+            unresolved[i] = (f"finite-difference resolution eps max(1, |z|) / (10 fd_step) = "
+                             f"{resolution:.3g} exceeds the Jacobian threshold "
+                             f"{cfg.jacobian_threshold:g}")
+    live = [i for i in range(grid.shape[0]) if i not in unresolved]
 
-    def validate(n, xi, eta):
-        return validate_jacobians(engine, n, xi, eta, fd_step=cfg.fd_step)
+    def validate(n) -> list:  # reports or an error message per live probe
+        if not live:
+            return []
+        try:
+            return validate_jacobians(engine, n, xi_b[:, live], eta_b[:, live],
+                                      fd_step=cfg.fd_step)
+        except NonautolinError:
+            out = []
+            for i in live:
+                try:
+                    out.append(validate_jacobians(engine, n, xi_b[:, i], eta_b[:, i],
+                                                  fd_step=cfg.fd_step))
+                except NonautolinError as exc:
+                    out.append(str(exc))
+            return out
 
     rows, errors = [], []
     for n in n_values:
+        per_probe = dict(unresolved)  # probe index -> reports, or an error message
         try:
-            per_probe = validate(n, xi_b, eta_b)
-        except NonautolinError:
-            per_probe = []
-            for i in range(grid.shape[0]):
-                try:
-                    per_probe.append(validate(n, xi_b[:, i], eta_b[:, i]))
-                except NonautolinError as exc:
-                    per_probe.append(exc)
-        for probe, reports in zip(grid, per_probe):
-            point = [float(v) for v in probe]
-            if isinstance(reports, NonautolinError):
-                errors.append({"n": int(n), "probe": point, "error": str(reports)})
+            jacobian_windows(engine, n)
+        except NonautolinError as exc:  # no probe is at fault
+            per_probe.update((i, str(exc)) for i in live)
+        else:
+            per_probe.update(zip(live, validate(n)))
+        for i, probe in enumerate(grid):
+            point, reports = [float(v) for v in probe], per_probe[i]
+            if isinstance(reports, str):
+                errors.append({"n": int(n), "probe": point, "error": reports})
                 continue
             rows += [
                 {

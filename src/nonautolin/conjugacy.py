@@ -19,10 +19,11 @@ The inverse direction is obtained pointwise from the fixed-point relation
     h(n, xi, eta) = -bar_h(n, xi + h(n, xi, eta), eta),
     H(n, xi, eta) = (xi + h(n, xi, eta), eta),
 
-solved by Picard iteration from 0.  The iteration contracts at the certified
-first-variable bound c(n) = K_n + J_n + |G(n,n+1)| gamma_n, which must be
-< 1; the inner series tolerance is tightened to fp_tol (1 - c(n)) / 2 so the
-truncation bias stays below the fixed-point residual target.
+solved from 0 by Anderson-mixed fixed-point iteration.  The map contracts at
+the certified first-variable bound c(n) = K_n + J_n + |G(n,n+1)| gamma_n,
+which must be < 1; the inner series tolerance is tightened to
+fp_tol (1 - c(n)) / 2 so the truncation bias stays below the fixed-point
+residual target.
 
 Evaluations accept either a single state (dim,) or a column batch
 (dim, batch); trajectories and fixed points are then shared across the batch.
@@ -43,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractionViolation, NoConvergence, NonautolinError, WindowExhausted
-from .evolution import (DEFAULT_SOLVE, SolveOptions, _forward_step, _map_columns,
+from .evolution import (DEFAULT_SOLVE, SolveOptions, _checked, _dot, _forward_step,
                         _state_columns, _trajectory)
 from .hypotheses import CONVERGED, IndexConstants, _advanced, _envelope, _ratio_tail
 from .system import SystemSpec, _column_norms, green_span, operator_norm
@@ -182,10 +183,10 @@ class ConjugacyEngine:
         row = self.green_row(n, k_half)
         lo, hi = n - k_half, n + k_half
         states, couplings = _trajectory(sys, n, lo, hi, xi_b, eta_b, self.solve)
-        couplings[hi] = _map_columns(sys, "f.eval", hi, *states[hi])
+        couplings[hi] = _checked(sys.f.eval(hi, *states[hi]), xi_b.shape, "f.eval", hi)
         acc = np.zeros_like(xi_b)
         for k in range(lo, hi + 1):
-            acc += row[k - lo] @ couplings[k]
+            acc += _dot(row[k - lo], couplings[k])
         val = -acc
         return (val[:, 0] if single else val), tail, k_half
 
@@ -195,49 +196,55 @@ class ConjugacyEngine:
     def bar_H(self, n: int, xi, eta=None) -> tuple[np.ndarray, np.ndarray]:
         return self._shifted(self.bar_h, n, xi, eta)
 
-    def h_detailed(
-        self, n: int, xi, eta=None, iters: Optional[int] = None
-    ) -> tuple[np.ndarray, list, int]:
+    def h_detailed(self, n: int, xi, eta=None) -> tuple[np.ndarray, list, int]:
         """Fixed-point value, residual history and iterations used.
 
-        With `iters` given, runs exactly that many Picard updates with no
-        early stop (smooth in xi; used by the finite-difference harness).
+        Solves u = -bar_h(n, xi + u, eta) from u = 0 by type-II Anderson
+        mixing of depth 2, column by column (Walker & Ni, "Anderson
+        acceleration for fixed-point iterations", SIAM J. Numer. Anal. 49,
+        2011): each column's next iterate combines its last values of
+        -bar_h with the weights that best cancel its last residuals.  The
+        safeguard: whenever the max residual fails to shrink, the step is a
+        plain Picard step and the history restarts there.  The iteration cap
+        is the a-priori Picard count.  The stop test |u + bar_h(n, xi + u,
+        eta)| <= fp_tol on every column does not depend on how u was
+        produced: bar_h contracts at rate c(n) in its first variable, so
+        every returned column satisfies |u - h(n, xi, eta)| <= fp_tol /
+        (1 - c(n)).
         """
-        c, k_half, value_bound = self._h_window(n)
+        k_half, cap = self._h_window(n)
         xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
-
-        if iters is not None:
-            u = np.zeros_like(xi_b)
-            for _ in range(iters):
-                u = -self.bar_h(n, xi_b + u, eta_b, window=k_half)
-            return (u[:, 0] if single else u), [], iters
-
-        if c <= 0.0 or value_bound <= self.fp_tol:
-            cap = 4
-        else:
-            cap = int(math.ceil(math.log(self.fp_tol / value_bound) / math.log(c))) + 16
-        cap = max(cap, 8)
         norms = _column_norms(self.sys.space.norm_kind)
         u = np.zeros_like(xi_b)
         residuals: list = []
+        values: list = []  # the last (-bar_h(xi + u), residual) pairs since a restart
         for it in range(cap):
-            v = self.bar_h(n, xi_b + u, eta_b, window=k_half)
-            res = float(np.max(norms(u + v)))
+            g = -self.bar_h(n, xi_b + u, eta_b, window=k_half)
+            f = g - u
+            res = float(np.max(norms(f)))
+            if residuals and not res < residuals[-1]:
+                values.clear()
             residuals.append(res)
             if res <= self.fp_tol:
                 return (u[:, 0] if single else u), residuals, it
-            u = -v
+            values = values[-_ANDERSON_DEPTH:] + [(g, f)]
+            u = g if len(values) == 1 else _anderson_step(values)
         raise NoConvergence(f"h fixed point at n={n}", cap, residuals[-1], self.fp_tol)
 
-    def _h_window(self, n: int) -> tuple[float, int, float]:
-        """(c(n), halfwidth, value bound) of h at n: its series window at the
-        tightened tolerance fp_tol (1 - c(n)) / 2."""
+    def _h_window(self, n: int) -> tuple[int, int]:
+        """(halfwidth, iteration cap) of h at n: its series window at the
+        tightened tolerance fp_tol (1 - c(n)) / 2, and the Picard count that
+        brings the window's value bound under fp_tol at rate c(n), plus 16."""
         c = self.contraction(n)
         win = self.series_window(n, min(self.series_tol, self.fp_tol * (1.0 - c) / 2.0))
-        return c, win.halfwidth, win.value_bound
+        if c <= 0.0 or win.value_bound <= self.fp_tol:
+            cap = 4
+        else:
+            cap = int(math.ceil(math.log(self.fp_tol / win.value_bound) / math.log(c))) + 16
+        return win.halfwidth, max(cap, 8)
 
-    def h(self, n: int, xi, eta=None, iters: Optional[int] = None) -> np.ndarray:
-        return self.h_detailed(n, xi, eta, iters=iters)[0]
+    def h(self, n: int, xi, eta=None) -> np.ndarray:
+        return self.h_detailed(n, xi, eta)[0]
 
     def H(self, n: int, xi, eta=None) -> tuple[np.ndarray, np.ndarray]:
         return self._shifted(self.h, n, xi, eta)
@@ -336,6 +343,28 @@ class ConjugacyEngine:
                 w.bar_h_image, w.lin = x_l[:, a:b], x_l[:, half + a:half + b]
                 w.y = y_next[:, a:b]
         return out
+
+
+_ANDERSON_DEPTH = 2  # residual differences per Anderson step
+_RELATIVE_REG = 1e-10  # of the trace of a column's normal equations
+_ABSOLUTE_REG = 1e-300
+
+
+def _anderson_step(values: list) -> np.ndarray:
+    """The type-II Anderson iterate from the (dim, batch) pairs (g_i, f_i) =
+    (G(u_i), G(u_i) - u_i) of the last iterates, oldest first: per column,
+    g - dG gamma with gamma minimising |f - dF gamma|_2 over the differences
+    dF, dG of consecutive pairs.  All columns' normal equations are solved
+    in one batched call, regularised relative to their trace and by an
+    absolute floor, since an exactly converged column has dF = 0."""
+    g, f = values[-1]
+    d_g = np.stack([b[0] - a[0] for a, b in zip(values, values[1:])], axis=-1)
+    d_f = np.stack([b[1] - a[1] for a, b in zip(values, values[1:])], axis=-1)
+    gram = np.einsum("dbi,dbj->bij", d_f, d_f)
+    diag = np.einsum("bii->b", gram) * _RELATIVE_REG + _ABSOLUTE_REG
+    gram += diag[:, None, None] * np.eye(d_f.shape[-1])
+    gamma = np.linalg.solve(gram, np.einsum("dbi,db->bi", d_f, f)[..., None])[..., 0]
+    return g - np.einsum("dbi,bi->db", d_g, gamma)
 
 
 @dataclass

@@ -36,6 +36,9 @@ class SolveOptions:
 
 DEFAULT_SOLVE = SolveOptions()
 
+_max = np.maximum.reduce  # np.max without its wrapper
+_dot = np.dot  # the product of @ on 2-D arrays, with less call overhead
+
 
 def _as_columns(v, dim: int, batch: int = 1) -> tuple[np.ndarray, bool]:
     """(dim, batch) columns of a state or batch, and whether it was one state;
@@ -60,25 +63,13 @@ def _state_columns(sys: SystemSpec, xi, eta) -> tuple[np.ndarray, np.ndarray, bo
     return xi_b, eta_b, single
 
 
-def _map_columns(sys: SystemSpec, name: str, j: int, *cols: np.ndarray) -> np.ndarray:
-    """The system map `name` at index j on (dim, batch) float columns: f.eval,
-    g.eval and g.eval_inv give columns of the same layout, f.jac_x, f.jac_y
-    and g.jac the (batch, rows, columns) stacks of the per-column Jacobians.
-    Every call of a coupling or driver map goes through here; a result of any
-    other shape raises ValueError naming the expected one."""
-    dx, dy, batch = sys.space.dim_x, sys.space.dim_y, cols[0].shape[1]
-    if name == "f.eval":
-        out, shape = sys.f.eval(j, *cols), (dx, batch)
-    elif name == "g.eval":
-        out, shape = sys.g.eval(j, *cols), (dy, batch)
-    elif name == "g.eval_inv":
-        out, shape = sys.g.eval_inv(j, *cols), (dy, batch)
-    elif name == "f.jac_x":
-        out, shape = sys.f.jac_x(j, *cols), (batch, dx, dx)
-    elif name == "f.jac_y":
-        out, shape = sys.f.jac_y(j, *cols), (batch, dx, dy)
-    else:
-        out, shape = sys.g.jac(j, *cols), (batch, dy, dy)
+def _checked(out, shape: tuple, name: str, j: int) -> np.ndarray:
+    """The result `out` of the system map `name` at index j as a float array
+    of `shape`: (dim, batch) columns for f.eval, g.eval and g.eval_inv, the
+    (batch, rows, columns) stack of per-column Jacobians for f.jac_x, f.jac_y
+    and g.jac.  Every call of a coupling or driver map in the package passes
+    its result through here; a result of any other shape raises ValueError
+    naming the expected one."""
     out = np.asarray(out, dtype=float)
     if out.shape != shape:
         layout = "a stack" if len(shape) == 3 else "columns"
@@ -90,26 +81,24 @@ def _forward_step(sys: SystemSpec, j: int, x, y, coupled: bool = True):
     """(x_{j+1}, y_{j+1}, f_j(x_j, y_j)) from (dim, batch) columns (x_j, y_j)
     under the coupled system, or (x_{j+1}, y_{j+1}, None) under the uncoupled
     one when `coupled` is False."""
-    x_next = sys.a.matrix(j) @ x
-    y_next = _map_columns(sys, "g.eval", j, y) if sys.space.dim_y else y
+    x_next = _dot(sys.a.matrix(j), x)
+    y_next = _checked(sys.g.eval(j, y), y.shape, "g.eval", j) if sys.space.dim_y else y
     if not coupled:
         return x_next, y_next, None
-    fx = _map_columns(sys, "f.eval", j, x, y)
+    fx = _checked(sys.f.eval(j, x, y), x.shape, "f.eval", j)
     return x_next + fx, y_next, fx
-
-
-_max = np.maximum.reduce  # np.max without its wrapper
 
 
 @dataclass
 class BackwardStepResult:
-    """T_j(xi, eta) with its Picard record; `coupling` is f_j at the
-    returned value, the converged iterate's coupling value."""
+    """T_j(xi, eta) with its Picard record: `residuals` holds the scaled
+    defect of every iterate, the last of them `residual`, and `coupling` is
+    f_j at the returned value, the converged iterate's coupling value."""
 
     value: np.ndarray
     iterations: int
     residual: float
-    step_norms: list
+    residuals: list
     coupling: np.ndarray
 
 
@@ -121,8 +110,9 @@ def backward_step_detailed(
     Picard iteration from the initial guess A_j^{-1} xi (exact when f == 0).
     The residual is the defect |A_j u + f_j(u, eta) - xi| in the space norm,
     measured relative to max(1, |xi|): backward trajectories can grow
-    exponentially, and the achievable defect scales with the data.  Step
-    sizes contract at rate <= |A_j^{-1}| gamma_j.
+    exponentially, and the achievable defect scales with the data.  As
+    A_j u_{k+1} = xi - f_j(u_k), the defect of u_{k+1} is f_j(u_{k+1}) -
+    f_j(u_k), so successive defects contract at rate <= |A_j^{-1}| gamma_j.
     """
     opts = opts or DEFAULT_SOLVE
     sys.require_backward_margin(j)
@@ -130,21 +120,24 @@ def backward_step_detailed(
     a = sys.a.matrix(j)
     a_inv = sys.a.inverse(j)
     x, eta, single = _state_columns(sys, xi, eta)
+    f, shape = sys.f.eval, x.shape
     scale = np.maximum(1.0, norms(x))
-    base = a_inv @ x
+    base = _dot(a_inv, x)
     u = base
-    steps: list = []
+    residuals: list = []
     tol = opts.fixed_point_tol
     for it in range(opts.max_iters + 1):
-        fu = _map_columns(sys, "f.eval", j, u, eta)
-        residual = float(_max(norms(a @ u + fu - x) / scale))
+        fu = _checked(f(j, u, eta), shape, "f.eval", j)
+        defect = _dot(a, u)
+        defect += fu
+        defect -= x
+        residual = float(_max(norms(defect) / scale))
+        residuals.append(residual)
         if residual <= tol:
             if single:
                 u, fu = u[:, 0], fu[:, 0]
-            return BackwardStepResult(u, it, residual, steps, fu)
-        new = base - a_inv @ fu
-        steps.append(float(_max(norms(new - u))))
-        u = new
+            return BackwardStepResult(u, it, residual, residuals, fu)
+        u = base - _dot(a_inv, fu)
     raise NoConvergence(f"backward step at j={j}", opts.max_iters, residual, tol)
 
 
@@ -183,7 +176,8 @@ def _trajectory(
                     fixed_point_tol=opts.fixed_point_tol / (n - lo), max_iters=opts.max_iters
                 )
                 for j in range(n - 1, lo - 1, -1):
-                    y = _map_columns(sys, "g.eval_inv", j, y) if sys.space.dim_y else y
+                    if sys.space.dim_y:
+                        y = _checked(sys.g.eval_inv(j, y), y.shape, "g.eval_inv", j)
                     step = backward_step_detailed(sys, j, x, y, per_step)
                     x, couplings[j] = step.value, step.coupling
                     states[j] = (x, y)

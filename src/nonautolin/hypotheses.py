@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractionViolation, NonautolinError, SingularOperatorError
-from .evolution import _map_columns
+from .evolution import _checked
 from .system import GeometricTail, SystemSpec, _column_norms, green_norm_rows
 
 CONVERGED = "converged"
@@ -379,7 +379,7 @@ def sample_coupling_bounds(
         x = rng.uniform(-extent, extent, (2, dx)).T  # columns x1, x2
         y = rng.uniform(-extent, extent, (2, dy)).T  # columns y, y2
         mu, ga, rho = sys.f.mu(n), sys.f.gamma(n), sys.f.rho(n)
-        f = _map_columns(sys, "f.eval", n, x[:, [0, 1, 0]], y[:, [0, 0, 1]])
+        f = _checked(sys.f.eval(n, x[:, [0, 1, 0]], y[:, [0, 0, 1]]), (dx, 3), "f.eval", n)
         f1, df_x, df_y = norms(np.concatenate((f[:, :1], f[:, :1] - f[:, 1:]), axis=1))
         if f1 > mu * (1.0 + _SAMPLING_SLACK) + 1e-15:
             return False

@@ -2,8 +2,9 @@
 Jacobians evaluated one stencil point at a time, transitions multiplied one
 factor at a time with the Green kernels and norms built on them, Green spans by the
 second-argument recurrence, solutions at one index, the bar_h series with a
-fresh coupling value per term, and the Lipschitz products multiplied one
-factor at a time (the program's series read them as `np.cumprod` arrays)."""
+fresh coupling value per term, h by plain Picard iteration one state at a
+time, and the Lipschitz products multiplied one factor at a time (the
+program's series read them as `np.cumprod` arrays)."""
 
 from __future__ import annotations
 
@@ -147,6 +148,27 @@ def bar_h_series(engine, n: int, xi, eta=None, window: Optional[int] = None) -> 
         acc += row[k - n + k_half] @ np.asarray(sys.f.eval(k, *states[k]), dtype=float)
     val = -acc
     return val[:, 0] if single else val
+
+
+def h_by_picard(engine, n: int, xi, eta=None, updates: Optional[int] = None):
+    """h(n, xi, eta) of `engine` at one state by plain Picard iteration
+    u <- -bar_h(n, xi + u, eta) from u = 0 over h's series window (the
+    window at tolerance min(series_tol, fp_tol (1 - c(n)) / 2)): until
+    |u + bar_h(n, xi + u, eta)| <= fp_tol, or exactly `updates` times when
+    given.  Returns (u, number of updates made)."""
+    c = engine.contraction(n)
+    k_half = engine.series_window(
+        n, min(engine.series_tol, engine.fp_tol * (1.0 - c) / 2.0)).halfwidth
+    xi = np.asarray(xi, dtype=float)
+    u = np.zeros_like(xi)
+    for it in range(10_000 if updates is None else updates + 1):
+        v = engine.bar_h(n, xi + u, eta, window=k_half)
+        if it == updates or (updates is None and
+                             column_norms((u + v)[:, None], engine.sys.space.norm_kind)[0]
+                             <= engine.fp_tol):
+            return u, it
+        u = -v
+    raise AssertionError(f"Picard reference for h at n={n} did not converge")
 
 
 def _backward_factor(sys: SystemSpec, j: int) -> float:

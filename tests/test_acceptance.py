@@ -129,7 +129,7 @@ def test_criterion_4_backward_solver():
             margin = s.contraction_margin(j)
             ratios = [
                 b / a
-                for a, b in zip(res.step_norms, res.step_norms[1:])
+                for a, b in zip(res.residuals, res.residuals[1:])
                 if a > 1e-12
             ]
             assert all(r <= margin + 0.01 for r in ratios)

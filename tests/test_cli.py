@@ -225,6 +225,20 @@ class TestConjugateCommand:
 
 
 class TestDerivativesCommand:
+    def test_unresolvable_probes_are_listed_errors(self):
+        # at |z| ~ 1e200 the steps 1e-5 and 1e-6 are below the probes' ulp,
+        # so no finite difference can check a Jacobian: each probe is an
+        # error naming the resolution, not seven rows at rel_error 1.0
+        from nonautolin.cli import run_command
+
+        cfg = RunConfig(system="ex1", probe_extent=1e200, n_min=0, n_max=0, force=True)
+        rep = run_command("derivatives", cfg)
+        jac = rep["jacobians"]
+        assert rep["verdict"] == "fail" and not jac["ok"] and not jac["rows"]
+        assert len(jac["errors"]) == cfg.jacobian_probe_cap
+        assert all(e["n"] == 0 and e["error"].startswith("finite-difference resolution")
+                   for e in jac["errors"])
+
     def test_end_cfg_run(self, tmp_path):
         out = tmp_path / "rep.json"
         rc = run(["derivatives", "--system", "end_cfg", "--gamma-scale", "0.9",

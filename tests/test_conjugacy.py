@@ -20,12 +20,13 @@ from nonautolin import (
 )
 from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, phase_conjugate,
                             probe_grid)
+from nonautolin.derivatives import _h_stencil
 from nonautolin.errors import NonautolinError
 from nonautolin.evolution import _forward_step, coupled_trajectory
 
 from .conftest import LN2, diag_stack, random_invertible_system
 from .reference import (bar_h_series, column_norms, evolve_coupled, evolve_driver,
-                        green_by_factors)
+                        green_by_factors, h_by_picard)
 
 
 def one_term_system(n0, c=0.05, lam=LN2):
@@ -255,11 +256,34 @@ class TestH:
             eng.h(0, np.array([0.5, -0.5]))
 
     def test_pinned_iteration_mode(self, engine_ex1):
+        # the FD stencil's h is plain Picard with a count of its own: the
+        # updates until the stop test passes, then 4 more
         xi = np.array([0.7, 0.2])
-        _, _, iters = engine_ex1.h_detailed(0, xi)
-        pinned = engine_ex1.h(0, xi, iters=iters + 4)
+        _, iters = h_by_picard(engine_ex1, 0, xi)
+        pinned = _h_stencil(engine_ex1, 0, xi[:, None])[:, 0]
+        assert np.array_equal(pinned, h_by_picard(engine_ex1, 0, xi, updates=iters + 4)[0])
         free = engine_ex1.h(0, xi)
         assert np.max(np.abs(pinned - free)) <= engine_ex1.fp_tol
+
+    @pytest.mark.parametrize("name,params", [
+        ("ex1", {"gamma_scale": 0.5}),
+        ("remm", {"gamma_scale": 0.5}),
+        ("end_cfg", {"gamma_scale": 0.9}),
+    ])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_anderson_matches_picard_reference(self, name, params, n):
+        # any u passing the stop test is within fp_tol / (1 - c(n)) of h, so
+        # the Anderson and Picard values are within twice that of each other
+        s = system_by_name(name, **params)
+        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-10)
+        rng = np.random.default_rng(100 + n)
+        xi = rng.uniform(-1, 1, (s.space.dim_x, 6))
+        eta = rng.uniform(-1, 1, (s.space.dim_y, 6))
+        bound = 2.0 * eng.fp_tol / (1.0 - eng.contraction(n))
+        got = eng.h(n, xi, eta)
+        for i in range(6):
+            ref, _ = h_by_picard(eng, n, xi[:, i], eta[:, i])
+            assert np.max(np.abs(got[:, i] - ref)) <= bound, (name, n, i)
 
 
 class TestEquivariance:

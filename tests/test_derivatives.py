@@ -251,21 +251,28 @@ class TestValidateJacobians:
         assert reports["d_x2_deta"].analytic.shape == (2, 0)
         assert reports["d_x2_deta"].rel_error == 0.0
 
-    def test_one_h_solve_and_one_h_stencil_per_step_per_n(self, engine_end, rng):
+    def test_one_h_solve_and_one_h_stencil_per_step_per_n(self, engine_end, rng,
+                                                          monkeypatch):
         # all probes of one n share one h solve, and each FD step that runs
-        # makes one pinned h stencil over (xi, eta) of every probe it needs;
+        # makes one Picard h stencil over (xi, eta) of every probe it needs;
         # one probe at a time made two h_detailed calls per probe
-        calls = []
+        import nonautolin.derivatives as der
+
+        calls, stencils = [], []
         solve = engine_end.h_detailed
-        engine_end.h_detailed = lambda *a, **kw: (calls.append((a[0], kw.get("iters"))),
-                                                  solve(*a, **kw))[1]
+        engine_end.h_detailed = lambda *a, **kw: (calls.append(a[0]), solve(*a, **kw))[1]
+        stencil = der._h_stencil
+        monkeypatch.setattr(der, "_h_stencil", lambda engine, n, p: (
+            stencils.append((n, p.shape[1])), stencil(engine, n, p))[1])
         for n in (-3, 0, 3):
             calls.clear()
+            stencils.clear()
             xi, eta = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 3))
             reports = validate_jacobians(engine_end, n, xi, eta)
             assert len(reports) == 3
-            assert [c for c in calls if c[1] is None] == [(n, None)]
-            assert len(calls) in (2, 3)
+            assert calls == [n]
+            assert len(stencils) in (1, 2) and stencils[0] == (n, 3 * 2 * 4)
+            assert all(m == n for m, _ in stencils)
             assert all(rep.rel_error <= 1e-4 for r in reports for rep in r.values())
 
     def test_second_step_runs_only_over_pending_probes(self, monkeypatch):
@@ -421,8 +428,7 @@ class TestDerivativesPhase:
         h_detailed = ConjugacyEngine.h_detailed
 
         def counted(self, n, *args, **kwargs):
-            if kwargs.get("iters") is None:
-                calls.append(n)
+            calls.append(n)
             return h_detailed(self, n, *args, **kwargs)
 
         monkeypatch.setattr(ConjugacyEngine, "h_detailed", counted)
@@ -432,6 +438,16 @@ class TestDerivativesPhase:
         assert ok
         assert calls == [-2, 0, 2]
         assert len(table["rows"]) == 3 * 4 * 7
+        # emo has no contraction certificate: the error does not depend on
+        # the probe, so it is listed for every probe with no h solve at all
+        calls.clear()
+        cfg = RunConfig(system="emo", system_params={"c": 0.01}, n_min=0, n_max=0,
+                        jacobian_probe_cap=4, force=True)
+        table, ok = phase_derivatives(cfg, build_system(cfg))
+        assert not ok and not table["rows"] and calls == []
+        assert len(table["errors"]) == 4
+        assert len({e["error"] for e in table["errors"]}) == 1
+        assert "contraction" in table["errors"][0]["error"]
 
     def test_per_probe_fallback_on_error(self, monkeypatch):
         # an error in the batched call of one n re-runs that n one probe at a

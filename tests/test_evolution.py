@@ -152,7 +152,7 @@ class TestBackwardStep:
         rate = s.a_inv_norm(j) * s.f.gamma(j)
         res = backward_step_detailed(s, j, rng.uniform(-2, 2, 2), np.zeros(0))
         ratios = [
-            b / a for a, b in zip(res.step_norms, res.step_norms[1:]) if a > 1e-12
+            b / a for a, b in zip(res.residuals, res.residuals[1:]) if a > 1e-12
         ]
         assert all(r <= rate + 0.01 for r in ratios)
 
