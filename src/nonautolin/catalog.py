@@ -86,8 +86,9 @@ class ExampleParams:
     family (1.0 saturates it, 0.0 uncouples the system).  `c` is the
     constant coupling bound of the emo family (defaults to 0.05 *
     gamma_scale).  `rho_scale` scales the second-variable envelope of
-    end_cfg.  `dim_half` is the dimension of the factor space (None picks
-    the family default).
+    end_cfg.  `dim_half` is the dimension of the factor space and
+    `rotation_angle` the angle of the ex2/end_cfg rotations (None picks the
+    family default: 0 for ex2, 0.7 for end_cfg).
     """
 
     variant: str = "ex1"
@@ -95,7 +96,7 @@ class ExampleParams:
     dim_half: Optional[int] = None
     gamma_scale: float = 0.9
     theta_ratio: float = 2.0
-    rotation_angle: float = 0.0
+    rotation_angle: Optional[float] = None
     c: Optional[float] = None
     rho_scale: float = 1.0
 
@@ -278,7 +279,8 @@ def make_ex2(params: ExampleParams) -> SystemSpec:
     gs = params.gamma_scale
     dim_x = 2 * h
 
-    rot = _rotation_block(h, params.rotation_angle)
+    angle = 0.0 if params.rotation_angle is None else params.rotation_angle
+    rot = _rotation_block(h, angle)
     cap_log = math.log(THETA_CAP)
     lt = math.log(big_t) if big_t > 1.0 else 0.0
 
@@ -323,7 +325,7 @@ def make_ex2(params: ExampleParams) -> SystemSpec:
         f=_tanh_coupling(dim_x, 0, gamma, lambda n: 0.0, "euclidean"),
         g=DriverSpec.trivial(),
         envelopes=envelopes,
-        label=f"ex2(T={big_t:g}, gamma_scale={gs:g}, angle={params.rotation_angle:g})",
+        label=f"ex2(T={big_t:g}, gamma_scale={gs:g}, angle={angle:g})",
     )
 
 
@@ -366,7 +368,7 @@ def make_end(params: ExampleParams) -> SystemSpec:
     gs = params.gamma_scale
     rs = params.rho_scale
     dim_x, dim_y = 2 * h, 2
-    angle = params.rotation_angle if params.rotation_angle else 0.7
+    angle = 0.7 if params.rotation_angle is None else params.rotation_angle
 
     def gamma(k: int) -> float:
         return gs * (1.0 / 3.0) * (1.0 / 9.0) ** abs(k)

@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", type=float, help="emo constant coupling bound")
         p.add_argument("--theta-ratio", type=float, help="ex2 ramp ratio bound T >= 1")
         p.add_argument("--rotation-angle", type=float,
-                       help="rotation angle of the ex2/end_cfg isometry blocks")
+                       help="ex2/end_cfg rotation angle (default 0 for ex2, 0.7 for end_cfg)")
         p.add_argument("--window", dest="window_halfwidth", type=int, metavar="WINDOW",
                        help=f"series window halfwidth (default {RunConfig.window_halfwidth})")
         p.add_argument("--n-min", type=int)
@@ -435,6 +435,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"parameter file not found: {args.system}")
         try:
             settings = json.loads(path.read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read parameter file {args.system}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot parse parameter file {args.system}: {exc}") from exc
         if not isinstance(settings, dict) or "system" not in settings:

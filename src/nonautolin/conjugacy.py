@@ -88,11 +88,13 @@ class ConjugacyEngine:
     def green_row(self, n: int, halfwidth: int) -> np.ndarray:
         """G(n, k+1) for k in [n - halfwidth, n + halfwidth] as a stack, with
         G(n, k+1) at [k - n + halfwidth].  One stack is cached per n, the
-        widest built so far; narrower rows are its centre."""
+        widest built so far and at least `advanced_halfwidth` wide, the row
+        `contraction(n)` reads; narrower rows are its centre."""
         row = self._green_rows.get(n)
         if row is None or len(row) < 2 * halfwidth + 1:
+            w = max(halfwidth, self.advanced_halfwidth)
             try:
-                row = green_span(self.sys, n, n - halfwidth + 1, n + halfwidth + 1)
+                row = green_span(self.sys, n, n - w + 1, n + w + 1)
             except FloatingPointError as exc:
                 raise NonautolinError(
                     f"arithmetic failure in the Green span at n={n}: {exc}") from exc
@@ -232,16 +234,16 @@ class ConjugacyEngine:
         raise NoConvergence(f"h fixed point at n={n}", cap, residuals[-1], self.fp_tol)
 
     def _h_window(self, n: int) -> tuple[int, int]:
-        """(halfwidth, iteration cap) of h at n: its series window at the
+        """(halfwidth, iteration cap >= 8) of h at n: its series window at the
         tightened tolerance fp_tol (1 - c(n)) / 2, and the Picard count that
         brings the window's value bound under fp_tol at rate c(n), plus 16."""
         c = self.contraction(n)
         win = self.series_window(n, min(self.series_tol, self.fp_tol * (1.0 - c) / 2.0))
         if c <= 0.0 or win.value_bound <= self.fp_tol:
-            cap = 4
+            cap = 8
         else:
             cap = int(math.ceil(math.log(self.fp_tol / win.value_bound) / math.log(c))) + 16
-        return win.halfwidth, max(cap, 8)
+        return win.halfwidth, cap
 
     def h(self, n: int, xi, eta=None) -> np.ndarray:
         return self.h_detailed(n, xi, eta)[0]
@@ -267,7 +269,9 @@ class ConjugacyEngine:
         on every coupled point at m, one h(m, .) on every linear point at m
         plus, when m is a base index, the round-trip points p + bar_h(m, p),
         and at a base index one bar_h(m, p + h(m, p)) to close the round
-        trip.  Columns are laid out by (sorted ns, probe order) alone.
+        trip.  The live bases' probes are flat column blocks, one per base in
+        ascending order: a starting base appends its block, the retiring
+        oldest base drops the first.
 
         A NonautolinError at index m becomes the `equivariance_error` of
         every base n with m in [n, n + steps] that has none yet, and the
@@ -279,20 +283,20 @@ class ConjugacyEngine:
         out = {n: BaseResiduals() for n in sorted({int(n) for n in ns})}
         if not out:
             return out
-        live: dict[int, _Walk] = {}  # the bases whose steps reach m, ascending
+        live: list[int] = []  # the bases whose steps reach m, ascending
         for m in range(min(out), max(out) + steps + 1):
             base = m in out
             if base:
-                live[m] = _Walk(xi_b, xi_b, eta_b, np.zeros(batch), np.zeros(batch))
+                if not live:  # the blocks restart
+                    lin = cpl = h_img = bh_img = xi_b[:, :0]
+                    y, fwd, dual = eta_b[:, :0], np.zeros(0), np.zeros(0)
+                live.append(m)
+                lin, cpl, y = np.hstack([lin, xi_b]), np.hstack([cpl, xi_b]), np.hstack([y, eta_b])
+                fwd, dual = np.append(fwd, np.zeros(batch)), np.append(dual, np.zeros(batch))
             if not live:
                 continue
-            walks = list(live.values())
-            lin = np.hstack([w.lin for w in walks])
-            cpl = np.hstack([w.cpl for w in walks])
-            y = np.hstack([w.y for w in walks])
             width = lin.shape[1]
             try:
-                self._h_window(m)  # builds m's Green row at the wider h window first
                 bvals, tail, _ = self.bar_h_detailed(m, cpl, y)
                 if base:  # base m is the last block
                     b0 = bvals[:, width - batch:]
@@ -312,36 +316,26 @@ class ConjugacyEngine:
                 rec = out[m]
                 rec.h, rec.bar_h, rec.tail_bound = u0, b0, tail
                 # H and bar_H leave y unchanged, so only x can miss the probe
-                rec.inverse = np.maximum(
-                    norms((xi_b + u0) + closing - xi_b),
-                    norms((xi_b + b0) + hvals[:, width:] - xi_b),
-                )
+                rec.inverse = np.maximum(norms(xi_b + u0 + closing - xi_b),
+                                         norms(xi_b + b0 + hvals[:, width:] - xi_b))
             hx = lin + hvals[:, :width]  # H(m, linear points)
             bx = cpl + bvals  # bar_H(m, coupled points)
-            # both trajectories step y with the same g, so again only x differs
-            for i, (n, w) in enumerate(live.items()):
-                if m > n:
-                    cols = slice(i * batch, (i + 1) * batch)
-                    fwd = norms(w.h_image - hx[:, cols])
-                    dual = norms(w.bar_h_image - bx[:, cols])
-                    w.forward, w.dual = np.maximum(w.forward, fwd), np.maximum(w.dual, dual)
-            first = next(iter(live))
-            if first + steps == m:  # only the oldest base can end here
-                w = live.pop(first)
-                out[first].forward, out[first].dual = w.forward, w.dual
+            # the images cover the bases started before m; both trajectories
+            # step y with the same g, so again only x differs
+            old = h_img.shape[1]
+            fwd = np.concatenate([np.maximum(fwd[:old], norms(h_img - hx[:, :old])), fwd[old:]])
+            dual = np.concatenate([np.maximum(dual[:old], norms(bh_img - bx[:, :old])), dual[old:]])
+            if live[0] + steps == m:  # only the oldest base can end here
+                first = out[live.pop(0)]
+                first.forward, first.dual = fwd[:batch], dual[:batch]
                 if not live:
                     continue
-            half = len(live) * batch
-            rest = slice(width - half, width)
-            x_c, _, _ = _forward_step(self.sys, m, np.hstack([hx[:, rest], cpl[:, rest]]),
-                                      np.hstack([y[:, rest], y[:, rest]]), coupled=True)
-            x_l, y_next, _ = _forward_step(self.sys, m, np.hstack([bx[:, rest], lin[:, rest]]),
-                                           y[:, rest], coupled=False)
-            for i, w in enumerate(live.values()):
-                a, b = i * batch, (i + 1) * batch
-                w.h_image, w.cpl = x_c[:, a:b], x_c[:, half + a:half + b]
-                w.bar_h_image, w.lin = x_l[:, a:b], x_l[:, half + a:half + b]
-                w.y = y_next[:, a:b]
+            cut = width - len(live) * batch  # past the retired block, if any
+            hx, bx, lin, cpl, y = (a[:, cut:] for a in (hx, bx, lin, cpl, y))
+            fwd, dual, half = fwd[cut:], dual[cut:], width - cut
+            x_c = _forward_step(self.sys, m, np.hstack([hx, cpl]), np.hstack([y, y]))[0]
+            x_l, y, _ = _forward_step(self.sys, m, np.hstack([bx, lin]), y, coupled=False)
+            h_img, cpl, bh_img, lin = x_c[:, :half], x_c[:, half:], x_l[:, :half], x_l[:, half:]
         return out
 
 
@@ -385,18 +379,3 @@ class BaseResiduals:
     dual: Optional[np.ndarray] = None
     inverse_error: Optional[NonautolinError] = None
     equivariance_error: Optional[NonautolinError] = None
-
-
-@dataclass
-class _Walk:
-    """One base's probes at the current index of `residual_tables`: linear and
-    coupled states, driver states, the step images of the previous H and
-    bar_H values, and the running forward and dual residuals."""
-
-    lin: np.ndarray
-    cpl: np.ndarray
-    y: np.ndarray
-    forward: np.ndarray
-    dual: np.ndarray
-    h_image: Optional[np.ndarray] = None
-    bar_h_image: Optional[np.ndarray] = None

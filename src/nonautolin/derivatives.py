@@ -28,7 +28,7 @@ trajectory with batched matrix products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -196,25 +196,20 @@ def _barh_halfwidth(engine: ConjugacyEngine, n: int) -> int:
     return max(_derivative_window(engine, n, w) for w in which)
 
 
-def _barh_pass(engine: ConjugacyEngine, n: int, xi_b, eta_b, k: Optional[int] = None):
+def _barh_pass(engine: ConjugacyEngine, n: int, xi_b, eta_b):
     """One trajectory and tangent pass through the (dim, batch) columns:
     the (batch, dim_x, dim_x + dim_y) stack of d bar_h(n, .)/dz over the
-    wider of the dxi and (when dim_y > 0) deta derivative windows, its
-    halfwidth, and, when k is given, the stack of solution Jacobians at k
-    (None otherwise)."""
+    wider of the dxi and (when dim_y > 0) deta derivative windows, and its
+    halfwidth."""
     sys = engine.sys
     k_half = _barh_halfwidth(engine, n)
     row = engine.green_row(n, k_half)
     lo, hi = n - k_half, n + k_half
-    t_lo, t_hi = (lo, hi) if k is None else (min(lo, k), max(hi, k))
-    states = coupled_trajectory(sys, n, t_lo, t_hi, xi_b, eta_b, engine.solve)
-    acc, sol = 0.0, None
-    for kk, jx, jy, w, v in _tangents(sys, states, n, t_lo, t_hi):
-        if lo <= kk <= hi:
-            acc = acc + row[kk - lo] @ (jx @ w + jy @ v)
-        if kk == k:
-            sol = np.concatenate([w, v], axis=1)
-    return -acc, k_half, sol
+    states = coupled_trajectory(sys, n, lo, hi, xi_b, eta_b, engine.solve)
+    acc = 0.0
+    for k, jx, jy, w, v in _tangents(sys, states, n, lo, hi):
+        acc = acc + row[k - lo] @ (jx @ w + jy @ v)
+    return -acc, k_half
 
 
 def _resolvent(b: np.ndarray, dx: int, n: int) -> np.ndarray:
@@ -231,7 +226,7 @@ def barh_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.nda
     returns (matrix, halfwidth), with a (batch, ., .) stack of matrices for
     (dim, batch) columns."""
     xi_b, eta_b, single = _state_columns(engine.sys, xi, eta)
-    b, k_half, _ = _barh_pass(engine, n, xi_b, eta_b)
+    b, k_half = _barh_pass(engine, n, xi_b, eta_b)
     return (b[0] if single else b), k_half
 
 
@@ -301,12 +296,12 @@ def validate_jacobians(
     The solution blocks are those of x2(k, n, .) and y(k, n, .) at k = n + 3.
 
     The probes share one h solve, one trajectory and tangent pass for the
-    analytic Jacobians at the probes and at their h-shifted points, and per
-    map and step one stencil over z = (xi, eta) of the probes that still need
-    it.  The series windows depend on n alone, and the h stencil sets one
-    plain Picard count per call (`_h_stencil`), which keeps the sampled
-    function smooth across the stencil.  Without a driver (dim_y = 0) the
-    bar_h and h eta blocks are left out.
+    analytic bar_h Jacobians at the probes and at their h-shifted points, one
+    3-step walk for the solution Jacobians, and per map and step one stencil
+    over z = (xi, eta) of the probes that still need it.  The series windows
+    depend on n alone; the h stencil sets one plain Picard count per call
+    (`_h_stencil`), keeping the sampled function smooth across the stencil.
+    Without a driver (dim_y = 0) the bar_h and h eta blocks are left out.
     """
     sys = engine.sys
     dx, dy = sys.space.dim_x, sys.space.dim_y
@@ -314,7 +309,7 @@ def validate_jacobians(
     batch = xi_b.shape[1]
     k = n + 3
     u = engine.h_detailed(n, xi_b, eta_b)[0]
-    b, _, sol = _barh_pass(engine, n, np.hstack([xi_b, xi_b + u]), np.hstack([eta_b, eta_b]), k)
+    b = _barh_pass(engine, n, np.hstack([xi_b, xi_b + u]), np.hstack([eta_b, eta_b]))[0]
     z = np.vstack([xi_b, eta_b])
     steps = (fd_step * 10.0, fd_step)
     x_part, y_part = slice(0, dx), slice(dx, dx + dy)
@@ -324,7 +319,7 @@ def validate_jacobians(
 
     out: list = [{} for _ in range(batch)]
     _block_reports(
-        sol[:batch], solution, z,
+        solution_jacobian(sys, k, n, xi_b, eta_b, engine.solve), solution, z,
         [("d_x2_dxi", x_part, x_part), ("d_x2_deta", x_part, y_part),
          ("d_y_deta", y_part, y_part)],
         steps, out,

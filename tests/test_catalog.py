@@ -90,6 +90,16 @@ class TestParams:
         s = system_by_name("ex2", dim_half=1, rotation_angle=0.0)
         assert s.space.dim_x == 2
 
+    def test_rotation_angle_none_picks_the_family_default(self):
+        assert "angle=0.7" in system_by_name("end_cfg").label
+        assert "angle=0)" in system_by_name("ex2").label
+        # an explicit 0 is kept: end_cfg's driver is then the identity
+        s = system_by_name("end_cfg", rotation_angle=0.0)
+        assert "angle=0)" in s.label
+        y = np.array([[0.4, -1.0], [-0.2, 0.5]])
+        assert np.array_equal(s.g.eval(3, y), y)
+        assert np.array_equal(s.g.jac(3, y), np.broadcast_to(np.eye(2), (2, 2, 2)))
+
 
 class TestEx1Chain:
     @pytest.mark.parametrize("lam", [0.5, LN2, 1.0])

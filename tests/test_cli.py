@@ -342,6 +342,14 @@ class TestConfigHandling:
     def test_missing_parameter_file(self, capsys):
         assert run(["check", "--system", "missing.json"]) == 2
 
+    @pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff\xfe{}")],
+                             ids=["directory", "not_utf8"])
+    def test_unreadable_parameter_file_exits_2(self, make, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        make(path)
+        assert run(["check", "--system", str(path)]) == 2
+        assert "configuration error: cannot read parameter file" in capsys.readouterr().err
+
     def test_parameter_file_round_trip(self, tmp_path):
         params = {
             "system": "ex2",

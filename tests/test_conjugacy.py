@@ -21,7 +21,7 @@ from nonautolin import (
 from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, phase_conjugate,
                             probe_grid)
 from nonautolin.derivatives import _h_stencil
-from nonautolin.errors import NonautolinError
+from nonautolin.errors import NoConvergence, NonautolinError
 from nonautolin.evolution import _forward_step, coupled_trajectory
 
 from .conftest import LN2, diag_stack, random_invertible_system
@@ -441,15 +441,54 @@ class TestResidualTables:
                                ns, xi, eta, steps)
         assert list(tables) == list(ns)
         for n, res in tables.items():
-            u, b, inverse = ref[n]["inverse"]
-            fwd, dual = ref[n]["equivariance"]
             assert res.inverse_error is None and res.equivariance_error is None
+            self._assert_matches(eng, n, res, ref[n])
+
+    @staticmethod
+    def _assert_matches(eng, n, res, ref):
+        if ref["inverse"] is not None:
+            u, b, inverse = ref["inverse"]
             assert_allclose(res.h, u, rtol=0, atol=eng.fp_tol)
             assert_allclose(res.bar_h, b, rtol=0, atol=1e-13)
             assert_allclose(res.inverse, inverse, rtol=0, atol=1e-12)
+            assert res.tail_bound == eng.series_window(n, eng.series_tol).tail_bound
+        if ref["equivariance"] is not None:
+            fwd, dual = ref["equivariance"]
             assert_allclose(res.forward, fwd, rtol=0, atol=1e-12)
             assert_allclose(res.dual, dual, rtol=0, atol=1e-12)
-            assert res.tail_bound == eng.series_window(n, eng.series_tol).tail_bound
+
+    def test_blocks_restart_after_an_error_and_a_gap(self, monkeypatch):
+        # h fails at index 1 alone: bases -1, 0 and 1 lose their equivariance
+        # and base 1 its inverse; bases 2 and 3 start fresh blocks after the
+        # error, and base 7 after a gap, and all three match the reference,
+        # read only once the walk is done
+        h_detailed = ConjugacyEngine.h_detailed
+        blocks = []  # (m, probe blocks of the h solve at m)
+
+        def failing(self, n, xi, *args, **kwargs):
+            blocks.append((n, xi.shape[1] // batch))
+            if n == 1:
+                raise NoConvergence("h fixed point at n=1", 0, 1.0, self.fp_tol)
+            return h_detailed(self, n, xi, *args, **kwargs)
+
+        monkeypatch.setattr(ConjugacyEngine, "h_detailed", failing)
+        s = system_by_name("ex1", lam=LN2, gamma_scale=0.5)
+        xi, eta = self._probes(s, 3)
+        batch = xi.shape[1]
+        ns = [-1, 0, 1, 2, 3, 7]
+        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13)
+        tables = eng.residual_tables(ns, xi, eta, steps=2)
+        # the live bases' blocks, plus the round trip at a base index
+        assert blocks == [(-1, 2), (0, 3), (1, 4), (2, 2), (3, 3), (4, 2), (5, 1),
+                          (7, 2), (8, 1), (9, 1)]
+        ref = reference_tables(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13),
+                               ns, xi, eta, 2)
+        assert [n for n, res in tables.items() if res.inverse_error] == [1]
+        assert [n for n, res in tables.items() if res.equivariance_error] == [-1, 0, 1]
+        for n, res in tables.items():
+            assert (res.inverse is None) == (ref[n]["inverse"] is None)
+            assert (res.forward is None) == (ref[n]["equivariance"] is None)
+            self._assert_matches(eng, n, res, ref[n])
 
     def test_one_h_solve_per_index(self, monkeypatch):
         calls = []

@@ -165,6 +165,17 @@ class TestCheckBasic:
         rep = certify(lying, (-3, 3), 8, probes=64)
         assert not rep.bc1_sampled_ok
 
+    @pytest.mark.parametrize("understated", ["gamma", "rho"])
+    def test_bc1_catches_an_understated_lipschitz_constant(self, understated):
+        # mu = gamma + rho bounds |f| truthfully, so the x- (gamma) or the
+        # y-Lipschitz check (rho) is the one that fails
+        s = scaling_driver_system(tau=1.0, rho=0.1, gamma=0.1)
+        lying = dataclasses.replace(s, f=dataclasses.replace(s.f, **{understated: lambda n: 0.01}))
+        assert sample_coupling_bounds(s, (-3, 3), probes=16)
+        assert certify(s, (-3, 3), 8, probes=16).basic_ok
+        assert not sample_coupling_bounds(lying, (-3, 3), probes=16)
+        assert not certify(lying, (-3, 3), 8, probes=16).basic_ok
+
     def test_bc1_hands_f_the_drawn_states_as_float_columns(self, end_cfg):
         # f sees, per probe, the columns (x1, y), (x2, y), (x1, y2) of the
         # seeded draws in their order n, x1, x2, y, y2
