@@ -434,7 +434,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"parameter file not found: {args.system}")
         try:
-            settings = json.loads(path.read_text())
+            settings = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read parameter file {args.system}: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -291,7 +291,9 @@ class ConjugacyEngine:
                     lin = cpl = h_img = bh_img = xi_b[:, :0]
                     y, fwd, dual = eta_b[:, :0], np.zeros(0), np.zeros(0)
                 live.append(m)
-                lin, cpl, y = np.hstack([lin, xi_b]), np.hstack([cpl, xi_b]), np.hstack([y, eta_b])
+                lin = np.hstack([lin, xi_b])
+                cpl = np.hstack([cpl, xi_b])
+                y = np.hstack([y, eta_b])
                 fwd, dual = np.append(fwd, np.zeros(batch)), np.append(dual, np.zeros(batch))
             if not live:
                 continue
@@ -316,8 +318,10 @@ class ConjugacyEngine:
                 rec = out[m]
                 rec.h, rec.bar_h, rec.tail_bound = u0, b0, tail
                 # H and bar_H leave y unchanged, so only x can miss the probe
-                rec.inverse = np.maximum(norms(xi_b + u0 + closing - xi_b),
-                                         norms(xi_b + b0 + hvals[:, width:] - xi_b))
+                rec.inverse = np.maximum(
+                    norms((xi_b + u0) + closing - xi_b),
+                    norms((xi_b + b0) + hvals[:, width:] - xi_b),
+                )
             hx = lin + hvals[:, :width]  # H(m, linear points)
             bx = cpl + bvals  # bar_H(m, coupled points)
             # the images cover the bases started before m; both trajectories
@@ -333,9 +337,12 @@ class ConjugacyEngine:
             cut = width - len(live) * batch  # past the retired block, if any
             hx, bx, lin, cpl, y = (a[:, cut:] for a in (hx, bx, lin, cpl, y))
             fwd, dual, half = fwd[cut:], dual[cut:], width - cut
-            x_c = _forward_step(self.sys, m, np.hstack([hx, cpl]), np.hstack([y, y]))[0]
-            x_l, y, _ = _forward_step(self.sys, m, np.hstack([bx, lin]), y, coupled=False)
-            h_img, cpl, bh_img, lin = x_c[:, :half], x_c[:, half:], x_l[:, :half], x_l[:, half:]
+            x_c, _, _ = _forward_step(self.sys, m, np.hstack([hx, cpl]),
+                                      np.hstack([y, y]), coupled=True)
+            x_l, y, _ = _forward_step(self.sys, m, np.hstack([bx, lin]),
+                                      y, coupled=False)
+            h_img, cpl = x_c[:, :half], x_c[:, half:]
+            bh_img, lin = x_l[:, :half], x_l[:, half:]
         return out
 
 
