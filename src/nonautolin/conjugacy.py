@@ -170,9 +170,14 @@ class ConjugacyEngine:
     # -- conjugacy evaluations ----------------------------------------------
 
     def bar_h_detailed(
-        self, n: int, xi, eta=None, window: Optional[int] = None
+        self, n: int, xi, eta=None, window: Optional[int] = None, *, guess: Optional[dict] = None
     ) -> tuple[np.ndarray, float, int]:
-        """Series value, truncation-error bound and window halfwidth."""
+        """Series value, truncation-error bound and window halfwidth.
+
+        `guess` is for the outer loops of the h solves alone: the coupling
+        dict of the solve's previous walk over the same columns and window,
+        which the walk overwrites with its own (see `_trajectory`).  Without
+        it the walk starts every backward step cold."""
         sys = self.sys
         xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
         if window is None:
@@ -184,7 +189,7 @@ class ConjugacyEngine:
             tail = env.two_sided(k_half) if env else math.inf
         row = self.green_row(n, k_half)
         lo, hi = n - k_half, n + k_half
-        states, couplings = _trajectory(sys, n, lo, hi, xi_b, eta_b, self.solve)
+        states, couplings = _trajectory(sys, n, lo, hi, xi_b, eta_b, self.solve, guess)
         couplings[hi] = _checked(sys.f.eval(hi, *states[hi]), xi_b.shape, "f.eval", hi)
         acc = np.zeros_like(xi_b)
         for k in range(lo, hi + 1):
@@ -213,6 +218,16 @@ class ConjugacyEngine:
         produced: bar_h contracts at rate c(n) in its first variable, so
         every returned column satisfies |u - h(n, xi, eta)| <= fp_tol /
         (1 - c(n)).
+
+        Each walk after the first starts its backward steps from the
+        couplings of the previous walk, column by column (`_trajectory`).
+        The per-step defect test that ends each step is the one a cold walk
+        meets, so each sampled bar_h is held to the same accuracy, and the
+        bound on |u - h| above holds as it stands.  The walks stay smooth in
+        each column's data, as the d_h stencil (`derivatives._h_stencil`),
+        which walks the same way, needs: a column's guess is its own
+        previous coupling, and each step's Picard count is shared by the
+        batch.  The guesses live only for this call.
         """
         k_half, cap = self._h_window(n)
         xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
@@ -220,8 +235,9 @@ class ConjugacyEngine:
         u = np.zeros_like(xi_b)
         residuals: list = []
         values: list = []  # the last (-bar_h(xi + u), residual) pairs since a restart
+        guess: dict = {}  # the previous walk's couplings
         for it in range(cap):
-            g = -self.bar_h(n, xi_b + u, eta_b, window=k_half)
+            g = -self.bar_h_detailed(n, xi_b + u, eta_b, window=k_half, guess=guess)[0]
             f = g - u
             res = float(np.max(norms(f)))
             if residuals and not res < residuals[-1]:

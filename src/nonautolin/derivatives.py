@@ -67,14 +67,22 @@ def fd_jacobian_batch(fun_batch: Callable, point, step: float) -> np.ndarray:
         out = np.asarray(fun_batch(cols), dtype=float)
         fd = np.zeros((batch, out.shape[0], 0))
         return fd[0] if single else fd
+    vals = np.asarray(fun_batch(_fd_stencil(cols, step)), dtype=float)
+    vals = vals.reshape(-1, batch, 2 * d)
+    fd = ((vals[:, :, 0::2] - vals[:, :, 1::2]) / (2.0 * step)).transpose(1, 0, 2)
+    return fd[0] if single else fd
+
+
+def _fd_stencil(cols: np.ndarray, step: float) -> np.ndarray:
+    """The (d, batch 2 d) central-difference stencil of the (d, batch)
+    columns, d >= 1: column i's points z + step e_k and z - step e_k, in
+    that order for k = 0, ..., d - 1, then column i + 1's."""
+    d, batch = cols.shape
     stencil = np.repeat(cols[:, :, None], 2 * d, axis=2)
     for i in range(d):
         stencil[i, :, 2 * i] += step
         stencil[i, :, 2 * i + 1] -= step
-    vals = np.asarray(fun_batch(stencil.reshape(d, batch * 2 * d)), dtype=float)
-    vals = vals.reshape(-1, batch, 2 * d)
-    fd = ((vals[:, :, 0::2] - vals[:, :, 1::2]) / (2.0 * step)).transpose(1, 0, 2)
-    return fd[0] if single else fd
+    return stencil.reshape(d, batch * 2 * d)
 
 
 def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -258,19 +266,29 @@ def _h_stencil(engine: ConjugacyEngine, n: int, p: np.ndarray) -> np.ndarray:
     Neither h_detailed's Anderson iterate nor its count would do: the
     mixing weights and restarts are not smooth in p, and the count, smaller
     than the Picard count, leaves a wider derivative gap.
+
+    Each walk after the first starts its backward steps from the previous
+    walk's couplings (`_trajectory`).  That keeps the map smooth: a
+    column's guess is its own previous coupling, a smooth function of that
+    column alone, and every backward step's Picard count, like N, is shared
+    by the batch.  It keeps the stop test's meaning too: each step ends on
+    the defect test a cold walk meets, so every sampled bar_h has a cold
+    walk's accuracy and a column passing the test is within fp_tol / (1 -
+    c(n)) of h.
     """
     dx = engine.sys.space.dim_x
     xi, eta = p[:dx], p[dx:]
     k_half, cap = engine._h_window(n)
     norms = _column_norms(engine.sys.space.norm_kind)
     u = np.zeros_like(xi)
+    guess: dict = {}  # the previous walk's couplings
     for _ in range(cap):
-        v = engine.bar_h(n, xi + u, eta, window=k_half)
+        v = engine.bar_h_detailed(n, xi + u, eta, window=k_half, guess=guess)[0]
         res = float(np.max(norms(u + v)))
         u = -v
         if res <= engine.fp_tol:
             for _ in range(_STENCIL_EXTRA_UPDATES - 1):
-                u = -engine.bar_h(n, xi + u, eta, window=k_half)
+                u = -engine.bar_h_detailed(n, xi + u, eta, window=k_half, guess=guess)[0]
             return u
     raise NoConvergence(f"h stencil at n={n}", cap, res, engine.fp_tol)
 
@@ -298,18 +316,18 @@ def validate_jacobians(
     The probes share one h solve, one trajectory and tangent pass for the
     analytic bar_h Jacobians at the probes and at their h-shifted points, one
     3-step walk for the solution Jacobians, and per map and step one stencil
-    over z = (xi, eta) of the probes that still need it.  The series windows
-    depend on n alone; the h stencil sets one plain Picard count per call
-    (`_h_stencil`), keeping the sampled function smooth across the stencil.
-    Without a driver (dim_y = 0) the bar_h and h eta blocks are left out.
+    over z = (xi, eta) of the probes that still need it.  The h solve is the
+    first d_h stencil call, at the coarser step over every probe, with the
+    probes' own columns appended.  The series windows depend on n alone; the
+    h stencil sets one plain Picard count per call (`_h_stencil`), keeping
+    the sampled function smooth across the stencil.  Without a driver
+    (dim_y = 0) the bar_h and h eta blocks are left out.
     """
     sys = engine.sys
     dx, dy = sys.space.dim_x, sys.space.dim_y
     xi_b, eta_b, single = _state_columns(sys, xi, eta)
     batch = xi_b.shape[1]
     k = n + 3
-    u = engine.h_detailed(n, xi_b, eta_b)[0]
-    b = _barh_pass(engine, n, np.hstack([xi_b, xi_b + u]), np.hstack([eta_b, eta_b]))[0]
     z = np.vstack([xi_b, eta_b])
     steps = (fd_step * 10.0, fd_step)
     x_part, y_part = slice(0, dx), slice(dx, dx + dy)
@@ -324,6 +342,11 @@ def validate_jacobians(
          ("d_y_deta", y_part, y_part)],
         steps, out,
     )
+    # the h solve: no probe has its d_h blocks yet, so the first d_h
+    # stencil is the coarser step's over all of z; it runs here, z appended
+    first = _h_stencil(engine, n, np.hstack([_fd_stencil(z, steps[0]), z]))
+    u, unread = first[:, -batch:], [first[:, :-batch]]
+    b = _barh_pass(engine, n, np.hstack([xi_b, xi_b + u]), np.hstack([eta_b, eta_b]))[0]
 
     def conjugacy_blocks(name):  # no eta block without a driver
         blocks = [(f"{name}_dxi", x_part, x_part)]
@@ -332,6 +355,6 @@ def validate_jacobians(
     _block_reports(b[:batch], lambda p: engine.bar_h(n, p[:dx], p[dx:]), z,
                    conjugacy_blocks("d_barh"), steps, out)
     _block_reports(_resolvent(b[batch:], dx, n),
-                   lambda p: _h_stencil(engine, n, p), z,
+                   lambda p: unread.pop() if unread else _h_stencil(engine, n, p), z,
                    conjugacy_blocks("d_h"), steps, out)
     return out[0] if single else out

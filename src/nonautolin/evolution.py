@@ -102,31 +102,33 @@ class BackwardStepResult:
     coupling: np.ndarray
 
 
-def backward_step_detailed(
-    sys: SystemSpec, j: int, xi, eta, opts: Optional[SolveOptions] = None
-) -> BackwardStepResult:
-    """Solve F_j(u, eta) = xi for u, i.e. evaluate T_j(xi, eta).
+def _backward_picard(sys: SystemSpec, j: int, x: np.ndarray, eta: np.ndarray, guess,
+                     tol: float, max_iters: int, norms) -> tuple[np.ndarray, np.ndarray, list]:
+    """The one Picard kernel of the backward steps: u with A_j u + f_j(u, eta)
+    = x on the (dim_x, batch) columns x, eta, with f_j(u, eta) and the scaled
+    defect of every iterate.  `norms` is the space's column norm, picked once
+    per walk by the caller.
 
-    Picard iteration from the initial guess A_j^{-1} xi (exact when f == 0).
-    The residual is the defect |A_j u + f_j(u, eta) - xi| in the space norm,
-    measured relative to max(1, |xi|): backward trajectories can grow
-    exponentially, and the achievable defect scales with the data.  As
-    A_j u_{k+1} = xi - f_j(u_k), the defect of u_{k+1} is f_j(u_{k+1}) -
-    f_j(u_k), so successive defects contract at rate <= |A_j^{-1}| gamma_j.
+    Iteration starts from A_j^{-1} (x - guess), with `guess` a previous
+    value of f_j near the answer, or from A_j^{-1} x when it is None; both
+    are exact when f == 0.  The stop test does not look at the start: the
+    defect d = A_j u + f_j(u) - x of the returned u is at most tol max(1,
+    |x|) per column, and as T_j contracts at rate |A_j^{-1}| gamma_j, every
+    u that passes it satisfies |u - T_j(x)| <= |A_j^{-1}| |d| / (1 -
+    |A_j^{-1}| gamma_j), however it was reached, so a warm-started walk
+    and the bar_h and h built on it keep a cold walk's accuracy.  The
+    iteration count is the largest over the columns, shared by the batch,
+    so with each column's guess a smooth function of that column's data,
+    the returned u is one too.
     """
-    opts = opts or DEFAULT_SOLVE
     sys.require_backward_margin(j)
-    norms = _column_norms(sys.space.norm_kind)
-    a = sys.a.matrix(j)
-    a_inv = sys.a.inverse(j)
-    x, eta, single = _state_columns(sys, xi, eta)
+    a, a_inv = sys.a.matrix(j), sys.a.inverse(j)
     f, shape = sys.f.eval, x.shape
     scale = np.maximum(1.0, norms(x))
     base = _dot(a_inv, x)
-    u = base
+    u = base if guess is None else base - _dot(a_inv, guess)
     residuals: list = []
-    tol = opts.fixed_point_tol
-    for it in range(opts.max_iters + 1):
+    for _ in range(max_iters + 1):
         fu = _checked(f(j, u, eta), shape, "f.eval", j)
         defect = _dot(a, u)
         defect += fu
@@ -134,11 +136,31 @@ def backward_step_detailed(
         residual = float(_max(norms(defect) / scale))
         residuals.append(residual)
         if residual <= tol:
-            if single:
-                u, fu = u[:, 0], fu[:, 0]
-            return BackwardStepResult(u, it, residual, residuals, fu)
+            return u, fu, residuals
         u = base - _dot(a_inv, fu)
-    raise NoConvergence(f"backward step at j={j}", opts.max_iters, residual, tol)
+    raise NoConvergence(f"backward step at j={j}", max_iters, residual, tol)
+
+
+def backward_step_detailed(
+    sys: SystemSpec, j: int, xi, eta, opts: Optional[SolveOptions] = None
+) -> BackwardStepResult:
+    """Solve F_j(u, eta) = xi for u, i.e. evaluate T_j(xi, eta).
+
+    Picard iteration from the initial guess A_j^{-1} xi (exact when f == 0),
+    by the kernel every backward step of a trajectory runs.  The residual is
+    the defect |A_j u + f_j(u, eta) - xi| in the space norm, measured
+    relative to max(1, |xi|): backward trajectories can grow exponentially,
+    and the achievable defect scales with the data.  As A_j u_{k+1} = xi -
+    f_j(u_k), the defect of u_{k+1} is f_j(u_{k+1}) - f_j(u_k), so
+    successive defects contract at rate <= |A_j^{-1}| gamma_j.
+    """
+    opts = opts or DEFAULT_SOLVE
+    x, eta, single = _state_columns(sys, xi, eta)
+    u, fu, residuals = _backward_picard(sys, j, x, eta, None, opts.fixed_point_tol,
+                                        opts.max_iters, _column_norms(sys.space.norm_kind))
+    if single:
+        u, fu = u[:, 0], fu[:, 0]
+    return BackwardStepResult(u, len(residuals) - 1, residuals[-1], residuals, fu)
 
 
 def coupled_trajectory(
@@ -155,15 +177,29 @@ def coupled_trajectory(
 
 
 def _trajectory(
-    sys: SystemSpec, n: int, lo: int, hi: int, xi, eta, opts: Optional[SolveOptions] = None
+    sys: SystemSpec, n: int, lo: int, hi: int, xi, eta, opts: Optional[SolveOptions] = None,
+    guess: Optional[dict] = None,
 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], dict[int, np.ndarray]]:
     """The states of `coupled_trajectory` through the (dim, batch) columns
     (xi, eta) and f_k(x_k, y_k) at every k in [lo, hi): the coupling values
     its forward and backward steps computed.  An overflow or invalid value
-    anywhere on the walk raises NonautolinError naming the step j."""
+    anywhere on the walk raises NonautolinError naming the step j.
+
+    Each backward step j solves its fixed point by `_backward_picard` to the
+    per-step tolerance fixed_point_tol / (n - lo) of its defect.  `guess`,
+    when given, is the coupling dict of an earlier walk of the same solve,
+    over the same columns: step j then starts from A_j^{-1} (x_{j+1} -
+    guess[j]), and the walk writes its own couplings into that dict, which
+    it returns, so the earlier walk's arrays are released as it goes.  The
+    stop test is the same from any start, so a warm walk's states are held
+    to the same bound on their defects as a cold walk's.  Column i's guess
+    is its own earlier coupling, a smooth function of its own data, and
+    each step's Picard count is shared by the batch, so the sampled walk
+    stays a smooth function of each column.
+    """
     opts = opts or DEFAULT_SOLVE
     states: dict[int, tuple[np.ndarray, np.ndarray]] = {n: (xi, eta)}
-    couplings: dict[int, np.ndarray] = {}
+    couplings: dict[int, np.ndarray] = {} if guess is None else guess
     x, y = xi, eta
     try:
         with np.errstate(over="raise", invalid="raise"):  # once per walk, not per Picard step
@@ -172,14 +208,14 @@ def _trajectory(
                 states[j + 1] = (x, y)
             x, y = xi, eta
             if lo < n:
-                per_step = SolveOptions(
-                    fixed_point_tol=opts.fixed_point_tol / (n - lo), max_iters=opts.max_iters
-                )
+                tol, max_iters = opts.fixed_point_tol / (n - lo), opts.max_iters
+                norms = _column_norms(sys.space.norm_kind)
+                g_inv = sys.g.eval_inv if sys.space.dim_y else None
                 for j in range(n - 1, lo - 1, -1):
-                    if sys.space.dim_y:
-                        y = _checked(sys.g.eval_inv(j, y), y.shape, "g.eval_inv", j)
-                    step = backward_step_detailed(sys, j, x, y, per_step)
-                    x, couplings[j] = step.value, step.coupling
+                    if g_inv is not None:
+                        y = _checked(g_inv(j, y), y.shape, "g.eval_inv", j)
+                    x, couplings[j], _ = _backward_picard(sys, j, x, y, couplings.get(j), tol,
+                                                          max_iters, norms)
                     states[j] = (x, y)
     except FloatingPointError as exc:
         raise NonautolinError(

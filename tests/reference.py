@@ -14,7 +14,7 @@ import numpy as np
 
 from nonautolin.derivatives import JacobianReport, _rel_error, fd_jacobian_batch
 from nonautolin.errors import ContractionViolation
-from nonautolin.evolution import SolveOptions, _state_columns, coupled_trajectory
+from nonautolin.evolution import SolveOptions, _state_columns, _trajectory, coupled_trajectory
 from nonautolin.system import SystemSpec, operator_norm
 
 
@@ -134,6 +134,16 @@ def evolve_coupled(
     return np.array(states[k][0])
 
 
+def _series_sum(engine, n: int, k_half: int, states: dict) -> np.ndarray:
+    """-sum_k G(n, k+1) f_k over the window of halfwidth k_half, with a fresh
+    f_k at every state k of `states`, added in index order."""
+    row = engine.green_row(n, k_half)
+    acc = np.zeros_like(states[n][0])
+    for k in range(n - k_half, n + k_half + 1):
+        acc += row[k - n + k_half] @ np.asarray(engine.sys.f.eval(k, *states[k]), dtype=float)
+    return -acc
+
+
 def bar_h_series(engine, n: int, xi, eta=None, window: Optional[int] = None) -> np.ndarray:
     """bar_h(n, xi, eta) of `engine` summed term by term: the states of
     `coupled_trajectory`, then a fresh f_k at every state k, added in index
@@ -141,32 +151,43 @@ def bar_h_series(engine, n: int, xi, eta=None, window: Optional[int] = None) -> 
     sys = engine.sys
     xi_b, eta_b, single = _state_columns(sys, xi, eta)
     k_half = engine.series_window(n, engine.series_tol).halfwidth if window is None else window
-    row = engine.green_row(n, k_half)
     states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, engine.solve)
-    acc = np.zeros_like(xi_b)
-    for k in range(n - k_half, n + k_half + 1):
-        acc += row[k - n + k_half] @ np.asarray(sys.f.eval(k, *states[k]), dtype=float)
-    val = -acc
+    val = _series_sum(engine, n, k_half, states)
     return val[:, 0] if single else val
 
 
-def h_by_picard(engine, n: int, xi, eta=None, updates: Optional[int] = None):
+def h_by_picard(engine, n: int, xi, eta=None, updates: Optional[int] = None,
+                warm: bool = False):
     """h(n, xi, eta) of `engine` at one state by plain Picard iteration
     u <- -bar_h(n, xi + u, eta) from u = 0 over h's series window (the
     window at tolerance min(series_tol, fp_tol (1 - c(n)) / 2)): until
     |u + bar_h(n, xi + u, eta)| <= fp_tol, or exactly `updates` times when
-    given.  Returns (u, number of updates made)."""
+    given.  Returns (u, number of updates made).
+
+    By default every bar_h is the engine's own, a cold walk.  With `warm`,
+    each walk after the first is `evolution._trajectory` given the
+    couplings of the previous walk as its guess, and bar_h is summed from
+    its states like `bar_h_series`."""
     c = engine.contraction(n)
     k_half = engine.series_window(
         n, min(engine.series_tol, engine.fp_tol * (1.0 - c) / 2.0)).halfwidth
-    xi = np.asarray(xi, dtype=float)
-    u = np.zeros_like(xi)
+    xi_b, eta_b, _ = _state_columns(engine.sys, xi, eta)
+    guess: dict = {}
+
+    def bar_h(x):
+        if not warm:
+            return engine.bar_h(n, x, eta_b, window=k_half)
+        states, _ = _trajectory(engine.sys, n, n - k_half, n + k_half, x, eta_b,
+                                engine.solve, guess)
+        return _series_sum(engine, n, k_half, states)
+
+    u = np.zeros_like(xi_b)
     for it in range(10_000 if updates is None else updates + 1):
-        v = engine.bar_h(n, xi + u, eta, window=k_half)
+        v = bar_h(xi_b + u)
         if it == updates or (updates is None and
-                             column_norms((u + v)[:, None], engine.sys.space.norm_kind)[0]
+                             column_norms(u + v, engine.sys.space.norm_kind)[0]
                              <= engine.fp_tol):
-            return u, it
+            return u[:, 0], it
         u = -v
     raise AssertionError(f"Picard reference for h at n={n} did not converge")
 

@@ -246,7 +246,7 @@ class TestH:
         class Jittery(ConjugacyEngine):
             _count = 0
 
-            def bar_h_detailed(self, n, xi, eta=None, window=None):
+            def bar_h_detailed(self, n, xi, eta=None, window=None, *, guess=None):
                 val, tail, k = super().bar_h_detailed(n, xi, eta, window)
                 self._count += 1
                 return val + (-1.0) ** self._count * 1e-8, tail, k
@@ -257,11 +257,13 @@ class TestH:
 
     def test_pinned_iteration_mode(self, engine_ex1):
         # the FD stencil's h is plain Picard with a count of its own: the
-        # updates until the stop test passes, then 4 more
+        # updates until the stop test passes, then 4 more, each walk after
+        # the first warm-started from the previous walk's couplings
         xi = np.array([0.7, 0.2])
-        _, iters = h_by_picard(engine_ex1, 0, xi)
+        _, iters = h_by_picard(engine_ex1, 0, xi, warm=True)
         pinned = _h_stencil(engine_ex1, 0, xi[:, None])[:, 0]
-        assert np.array_equal(pinned, h_by_picard(engine_ex1, 0, xi, updates=iters + 4)[0])
+        assert np.array_equal(pinned, h_by_picard(engine_ex1, 0, xi, updates=iters + 4,
+                                                  warm=True)[0])
         free = engine_ex1.h(0, xi)
         assert np.max(np.abs(pinned - free)) <= engine_ex1.fp_tol
 

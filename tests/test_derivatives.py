@@ -253,9 +253,10 @@ class TestValidateJacobians:
 
     def test_one_h_solve_and_one_h_stencil_per_step_per_n(self, engine_end, rng,
                                                           monkeypatch):
-        # all probes of one n share one h solve, and each FD step that runs
-        # makes one Picard h stencil over (xi, eta) of every probe it needs;
-        # one probe at a time made two h_detailed calls per probe
+        # all probes of one n share one h solve, the first Picard h stencil,
+        # which appends the probes to the coarser step's stencil over (xi,
+        # eta) of every probe; the finer step, when it runs, makes one more
+        # over the probes it needs, and no h_detailed call is made
         import nonautolin.derivatives as der
 
         calls, stencils = [], []
@@ -270,10 +271,37 @@ class TestValidateJacobians:
             xi, eta = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 3))
             reports = validate_jacobians(engine_end, n, xi, eta)
             assert len(reports) == 3
-            assert calls == [n]
-            assert len(stencils) in (1, 2) and stencils[0] == (n, 3 * 2 * 4)
+            assert calls == []
+            assert len(stencils) in (1, 2) and stencils[0] == (n, 3 + 3 * 2 * 4)
             assert all(m == n for m, _ in stencils)
             assert all(rep.rel_error <= 1e-4 for r in reports for rep in r.values())
+
+    @pytest.mark.parametrize("name, params", [("ex1", {"gamma_scale": 0.5}),
+                                              ("end_cfg", {"gamma_scale": 0.9})])
+    def test_no_state_between_calls(self, name, params, rng):
+        # the warm guesses live inside one solve: a fresh engine and one that
+        # has served other solves give the same bits
+        s = system_by_name(name, **params)
+        dx, dy = s.space.dim_x, s.space.dim_y
+        xi, eta = rng.uniform(-1, 1, (dx, 3)), rng.uniform(-1, 1, (dy, 3))
+
+        def results(eng):
+            reports = validate_jacobians(eng, 1, xi, eta)
+            return ([eng.h(1, xi, eta), eng.bar_h(1, xi, eta)]
+                    + [v for r in reports for rep in r.values()
+                       for v in (rep.analytic, rep.finite_difference, rep.rel_error,
+                                 rep.fd_step)])
+
+        fresh = results(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-10, solve=TIGHT))
+        used = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-10, solve=TIGHT)
+        for n in (1, 2):
+            other_xi, other_eta = 0.5 * xi + 0.1, eta - 0.2
+            used.h(n, other_xi, other_eta)
+            used.bar_h(n, other_xi, other_eta)
+            validate_jacobians(used, n, other_xi, other_eta)
+        again = results(used)
+        assert len(again) == len(fresh)
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, again))
 
     def test_second_step_runs_only_over_pending_probes(self, monkeypatch):
         # at fd_step 1e-3 the coarse step 1e-2 meets 1e-6 at some probes of
@@ -424,27 +452,37 @@ class TestDerivativesPhase:
                         rtol=0, atol=1e-8)
 
     def test_one_h_solve_per_n(self, monkeypatch):
-        calls = []
-        h_detailed = ConjugacyEngine.h_detailed
+        # the h solve of each n is its first h stencil, over the 4 probes
+        # and their 4 * 2 * 4 stencil points; no h_detailed call is made
+        import nonautolin.derivatives as der
+
+        calls, stencils = [], []
+        h_detailed, stencil = ConjugacyEngine.h_detailed, der._h_stencil
 
         def counted(self, n, *args, **kwargs):
             calls.append(n)
             return h_detailed(self, n, *args, **kwargs)
 
         monkeypatch.setattr(ConjugacyEngine, "h_detailed", counted)
+        monkeypatch.setattr(der, "_h_stencil", lambda engine, n, p: (
+            stencils.append((n, p.shape[1])), stencil(engine, n, p))[1])
         cfg = RunConfig(system="end_cfg", system_params={"gamma_scale": 0.9}, n_min=-2,
                         n_max=2, jacobian_probe_cap=4)
         table, ok = phase_derivatives(cfg, build_system(cfg))
         assert ok
-        assert calls == [-2, 0, 2]
+        assert calls == []
+        for n in (-2, 0, 2):
+            mine = [width for m, width in stencils if m == n]
+            assert len(mine) in (1, 2) and mine[0] == 4 + 4 * 2 * 4
+        assert [m for m, _ in stencils] == sorted(m for m, _ in stencils)
         assert len(table["rows"]) == 3 * 4 * 7
         # emo has no contraction certificate: the error does not depend on
         # the probe, so it is listed for every probe with no h solve at all
-        calls.clear()
+        stencils.clear()
         cfg = RunConfig(system="emo", system_params={"c": 0.01}, n_min=0, n_max=0,
                         jacobian_probe_cap=4, force=True)
         table, ok = phase_derivatives(cfg, build_system(cfg))
-        assert not ok and not table["rows"] and calls == []
+        assert not ok and not table["rows"] and calls == [] and stencils == []
         assert len(table["errors"]) == 4
         assert len({e["error"] for e in table["errors"]}) == 1
         assert "contraction" in table["errors"][0]["error"]

@@ -20,8 +20,10 @@ from nonautolin import (
     system_by_name,
 )
 
+from nonautolin.evolution import _trajectory
+
 from .conftest import LN2, random_invertible_system, span_transition, with_coupling
-from .reference import (evolve_coupled, evolve_driver, lip_C, lip_D, lip_M,
+from .reference import (column_norms, evolve_coupled, evolve_driver, lip_C, lip_D, lip_M,
                         transition_by_factors)
 
 
@@ -167,6 +169,85 @@ class TestBackwardStep:
         opts = SolveOptions(fixed_point_tol=1e-12, max_iters=1)
         with pytest.raises(NoConvergence):
             backward_step_detailed(s, 0, np.array([5.0, 5.0]), np.zeros(0), opts)
+
+
+WALK_SYSTEMS = [
+    ("ex1", dict(lam=LN2, gamma_scale=0.9)),
+    ("remm", dict(gamma_scale=0.5)),
+    ("end_cfg", dict(gamma_scale=0.9)),
+]
+
+
+def _walk_columns(s, rng, batch=5):
+    return (rng.uniform(-1, 1, (s.space.dim_x, batch)),
+            rng.uniform(-1, 1, (s.space.dim_y, batch)))
+
+
+class TestWarmWalk:
+    """A walk given the couplings of an earlier walk starts each backward
+    step from them, and ends each step on the same defect test."""
+
+    N, LO = 2, -18
+    OPTS = SolveOptions(fixed_point_tol=1e-12, max_iters=200)
+
+    @pytest.mark.parametrize("name, kwargs", WALK_SYSTEMS)
+    def test_within_the_per_step_bound_of_a_cold_walk(self, name, kwargs, rng):
+        s = system_by_name(name, **kwargs)
+        n, lo, kind = self.N, self.LO, s.space.norm_kind
+        tol = self.OPTS.fixed_point_tol / (n - lo)
+        xi, eta = _walk_columns(s, rng)
+        _, guess = _trajectory(s, n, lo, n, xi + 1e-3 * rng.uniform(-1, 1, xi.shape), eta,
+                               self.OPTS)
+        warm, couplings = _trajectory(s, n, lo, n, xi, eta, self.OPTS, guess)
+        cold, _ = _trajectory(s, n, lo, n, xi, eta, self.OPTS)
+        assert couplings is guess
+        bound = np.zeros(xi.shape[1])
+        for j in range(n - 1, lo - 1, -1):
+            (w, y), (x_next, _), c_next = warm[j], warm[j + 1], cold[j + 1][0]
+            assert np.array_equal(y, cold[j][1])
+            # the defect each step stopped on, as the kernel computes it
+            defect = np.dot(s.a.matrix(j), w) + couplings[j] - x_next
+            scale = np.maximum(1.0, column_norms(x_next, kind))
+            assert np.max(column_norms(defect, kind) / scale) <= tol
+            assert np.array_equal(couplings[j], s.f.eval(j, w, y))
+            # |u - T_j(x)| <= L_j |defect| for both walks, and T_j is
+            # L_j-Lipschitz, with L_j = |A_j^{-1}| / (1 - |A_j^{-1}| gamma_j);
+            # 8 eps covers the rounding of the computed defect
+            lip = s.a_inv_norm(j) / (1.0 - s.a_inv_norm(j) * s.f.gamma(j))
+            slack = (tol + 8 * np.finfo(float).eps) * (
+                scale + np.maximum(1.0, column_norms(c_next, kind)))
+            bound = lip * (bound + slack)
+            assert np.all(column_norms(w - cold[j][0], kind) <= bound), j
+
+    @pytest.mark.parametrize("name, kwargs", WALK_SYSTEMS)
+    def test_zero_coupling_makes_one_evaluation_per_step(self, name, kwargs, rng):
+        s = system_by_name(name, **kwargs)
+        s.f = CouplingSpec.zero(s.space.dim_x, s.space.dim_y)
+        calls = []
+        f_eval = s.f.eval
+        s.f.eval = lambda j, x, y: (calls.append(j), f_eval(j, x, y))[1]
+        xi, eta = _walk_columns(s, rng)
+        n, lo = self.N, self.LO
+        _, guess = _trajectory(s, n, lo, n, 2.0 * xi, eta, self.OPTS)
+        calls.clear()
+        warm, _ = _trajectory(s, n, lo, n, xi, eta, self.OPTS, guess)
+        assert calls == list(range(n - 1, lo - 1, -1))
+        for j in range(lo, n):
+            assert np.array_equal(warm[j][0], s.a.inverse(j) @ warm[j + 1][0])
+
+    @pytest.mark.parametrize("name, kwargs", WALK_SYSTEMS)
+    def test_backward_step_is_a_one_step_cold_walk(self, name, kwargs, rng):
+        s = system_by_name(name, **kwargs)
+        for j in (-7, 0, 4):
+            xi, eta = _walk_columns(s, rng)
+            states, couplings = _trajectory(s, j + 1, j, j + 1, xi, eta, self.OPTS)
+            x, y = states[j]
+            step = backward_step_detailed(s, j, xi, y, self.OPTS)
+            assert np.array_equal(step.value, x)
+            assert np.array_equal(step.coupling, couplings[j])
+            one = backward_step_detailed(s, j, xi[:, 0], y[:, 0], self.OPTS)
+            single, _ = _trajectory(s, j + 1, j, j + 1, xi[:, :1], eta[:, :1], self.OPTS)
+            assert np.array_equal(one.value, single[j][0][:, 0])
 
 
 class TestEvolveCoupled:
