@@ -192,10 +192,12 @@ def _trajectory(
     guess[j]), and the walk writes its own couplings into that dict, which
     it returns, so the earlier walk's arrays are released as it goes.  The
     stop test is the same from any start, so a warm walk's states are held
-    to the same bound on their defects as a cold walk's.  Column i's guess
-    is its own earlier coupling, a smooth function of its own data, and
-    each step's Picard count is shared by the batch, so the sampled walk
-    stays a smooth function of each column.
+    to the same bound on their defects as a cold walk's, the bar_h summed
+    from them is as accurate, and an h solve's stop test |u + bar_h(n, xi
+    + u, eta)| <= fp_tol still gives |u - h| <= fp_tol / (1 - c(n)).
+    Column i's guess is its own earlier coupling, a smooth function of its
+    own data, and each step's Picard count is shared by the batch, so the
+    sampled walk stays a smooth function of each column.
     """
     opts = opts or DEFAULT_SOLVE
     states: dict[int, tuple[np.ndarray, np.ndarray]] = {n: (xi, eta)}
