@@ -204,16 +204,16 @@ def _tanh_coupling(
     idx = np.array([i % dim_y for i in range(dim_x)]) if dim_y else None
 
     def f(n, x, y):
-        out = gamma(n) * scale * np.tanh(np.asarray(x, dtype=float))
+        out = gamma(n) * scale * np.tanh(x)
         r = rho(n)
         if r != 0.0 and idx is not None:
-            out = out + r * scale * np.tanh(np.asarray(y, dtype=float)[idx])
+            out = out + r * scale * np.tanh(y[idx])
         return out
 
     diag = np.arange(dim_x)
 
     def jac_x(n, x, y):  # (dim_x, batch) columns -> (batch, dim_x, dim_x)
-        d = 1.0 - np.tanh(np.asarray(x, dtype=float)) ** 2
+        d = 1.0 - np.tanh(x) ** 2
         out = np.zeros((d.shape[1], dim_x, dim_x))
         out[:, diag, diag] = (gamma(n) * scale * d).T
         return out
@@ -222,7 +222,7 @@ def _tanh_coupling(
         out = np.zeros((np.shape(x)[1], dim_x, dim_y))
         r = rho(n)
         if r != 0.0 and idx is not None:
-            d = 1.0 - np.tanh(np.asarray(y, dtype=float)) ** 2
+            d = 1.0 - np.tanh(y) ** 2
             out[:, diag, idx] = (r * scale * d[idx]).T
         return out
 

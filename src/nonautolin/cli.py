@@ -29,7 +29,7 @@ import numpy as np
 
 from .catalog import BUILDERS, ExampleParams, check_field_types, make_system
 from .conjugacy import ConjugacyEngine
-from .derivatives import jacobian_windows, validate_jacobians
+from .derivatives import validate_jacobians
 from .errors import ConfigError, NonautolinError
 from .evolution import SolveOptions
 from .hypotheses import certify
@@ -199,11 +199,11 @@ def phase_derivatives(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
     A probe z at which even the coarser step cannot resolve the threshold,
     eps max(1, |z|) / (10 fd_step) > jacobian_threshold, is listed under
     `errors` at every n: no finite difference can check a Jacobian there.
-    Per n, the setup that does not depend on the probe (`jacobian_windows`)
-    runs first; its error is listed for every other probe.  Otherwise one
-    validate_jacobians call takes the other probes as columns; when it
-    raises, that n is run again one probe at a time, so each error names its
-    probe.
+    Per n, one validate_jacobians call takes the other probes as columns;
+    when it raises, that n is run again one probe at a time, so each error
+    names its probe.  An error that does not depend on the probe (the
+    contraction certificate or a series window) is then listed for every
+    probe, each call raising it before any walk.
     """
     rng = np.random.default_rng(cfg.seed + 1)
     grid = probe_grid(sys.space.dim_x + sys.space.dim_y, cfg.probes_per_axis,
@@ -224,31 +224,20 @@ def phase_derivatives(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
                              f"{cfg.jacobian_threshold:g}")
     live = [i for i in range(grid.shape[0]) if i not in unresolved]
 
-    def validate(n) -> list:  # reports or an error message per live probe
-        if not live:
-            return []
-        try:
-            return validate_jacobians(engine, n, xi_b[:, live], eta_b[:, live],
-                                      fd_step=cfg.fd_step)
-        except NonautolinError:
-            out = []
-            for i in live:
-                try:
-                    out.append(validate_jacobians(engine, n, xi_b[:, i], eta_b[:, i],
-                                                  fd_step=cfg.fd_step))
-                except NonautolinError as exc:
-                    out.append(str(exc))
-            return out
-
     rows, errors = [], []
     for n in n_values:
         per_probe = dict(unresolved)  # probe index -> reports, or an error message
         try:
-            jacobian_windows(engine, n)
-        except NonautolinError as exc:  # no probe is at fault
-            per_probe.update((i, str(exc)) for i in live)
-        else:
-            per_probe.update(zip(live, validate(n)))
+            if live:
+                per_probe.update(zip(live, validate_jacobians(
+                    engine, n, xi_b[:, live], eta_b[:, live], fd_step=cfg.fd_step)))
+        except NonautolinError:
+            for i in live:
+                try:
+                    per_probe[i] = validate_jacobians(engine, n, xi_b[:, i], eta_b[:, i],
+                                                      fd_step=cfg.fd_step)
+                except NonautolinError as exc:
+                    per_probe[i] = str(exc)
         for i, probe in enumerate(grid):
             point, reports = [float(v) for v in probe], per_probe[i]
             if isinstance(reports, str):

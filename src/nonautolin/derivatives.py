@@ -27,6 +27,7 @@ trajectory with batched matrix products.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,27 +51,17 @@ class JacobianReport:
     fd_step: float
 
 
-def fd_jacobian_batch(fun_batch: Callable, point, step: float) -> np.ndarray:
+def fd_jacobian_batch(fun_batch: Callable, points: np.ndarray, step: float) -> np.ndarray:
     """Central differences with the whole +/- stencil evaluated in one
-    batched call: fun_batch maps (dim, batch) columns to (out, batch).
-
-    A (dim,) point gives the (out, dim) Jacobian; (dim, P) columns give the
-    (P, out, dim) stack of their Jacobians from one call over all P stencils.
-    """
+    batched call: fun_batch maps (dim, batch) columns to (out, batch), and
+    the (dim, P) columns `points`, dim >= 1, give the (P, out, dim) stack of
+    their Jacobians from one call over all P stencils."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    p = np.asarray(point, dtype=float)
-    single = p.ndim == 1
-    cols = p[:, None] if single else p
-    d, batch = cols.shape
-    if d == 0:
-        out = np.asarray(fun_batch(cols), dtype=float)
-        fd = np.zeros((batch, out.shape[0], 0))
-        return fd[0] if single else fd
-    vals = np.asarray(fun_batch(_fd_stencil(cols, step)), dtype=float)
+    d, batch = points.shape
+    vals = np.asarray(fun_batch(_fd_stencil(points, step)), dtype=float)
     vals = vals.reshape(-1, batch, 2 * d)
-    fd = ((vals[:, :, 0::2] - vals[:, :, 1::2]) / (2.0 * step)).transpose(1, 0, 2)
-    return fd[0] if single else fd
+    return ((vals[:, :, 0::2] - vals[:, :, 1::2]) / (2.0 * step)).transpose(1, 0, 2)
 
 
 def _fd_stencil(cols: np.ndarray, step: float) -> np.ndarray:
@@ -115,16 +106,6 @@ def _block_reports(analytic, fun_batch, points, blocks, fd_steps, out: list) -> 
 # -- solution-map derivatives -------------------------------------------------
 
 
-def _backward_L(sys: SystemSpec, j: int, jx: np.ndarray) -> np.ndarray:
-    """L_j = (A_j + df_j/du)^{-1} per column, with df_j/du = jx the
-    (batch, dim_x, dim_x) stack at the trajectory points."""
-    sys.require_backward_margin(j)
-    try:
-        return np.linalg.inv(sys.a.matrix(j) + jx)
-    except np.linalg.LinAlgError as exc:  # cannot occur under the margin; defensive
-        raise SingularOperatorError(j, f"A_j + df/du not invertible: {exc}") from exc
-
-
 def _tangents(sys: SystemSpec, states: dict, n: int, lo: int, hi: int):
     """Propagate the tangents (W, V) = (dx_k/dz, dy_k/dz) in z = (xi, eta).
 
@@ -163,7 +144,12 @@ def _tangents(sys: SystemSpec, states: dict, n: int, lo: int, hi: int):
                 v = np.linalg.inv(driver_jac(k, y)) @ v
             except np.linalg.LinAlgError as exc:
                 raise SingularOperatorError(k, f"Dg_k not invertible: {exc}") from exc
-        w = _backward_L(sys, k, jx) @ (w - jy @ v)
+        # L_k = (A_k + df_k/du)^{-1}: the walk through `states` required the
+        # backward margin at k, which makes it invertible
+        try:
+            w = np.linalg.inv(sys.a.matrix(k) + jx) @ (w - jy @ v)
+        except np.linalg.LinAlgError as exc:
+            raise SingularOperatorError(k, f"A_j + df/du not invertible: {exc}") from exc
         yield k, jx, jy, w, v
 
 
@@ -183,41 +169,22 @@ def solution_jacobian(sys: SystemSpec, k: int, n: int, xi, eta=None,
 # -- conjugacy derivative series ----------------------------------------------
 
 
-def _derivative_window(engine: ConjugacyEngine, n: int, which: str) -> int:
-    """Halfwidth of the dxi/deta derivative series at center n with tail
-    <= series_tol; without an envelope the window is fitted on the
-    state-free bounding terms of the advanced conditions."""
+def _barh_halfwidth(engine: ConjugacyEngine, n: int) -> int:
+    """Halfwidth of the bar_h Jacobian series at center n: the wider of the
+    dxi and (when dim_y > 0) deta derivative windows, each with tail <=
+    series_tol; without an envelope a window is fitted on the state-free
+    bounding terms of the advanced conditions."""
     sys = engine.sys
 
-    def terms(k):
+    def terms(side, k):
         c = IndexConstants.of(sys, n - k, n + k)
         g = operator_norm(engine.green_row(n, k), sys.space.norm_kind)
-        side = 0 if which == "dxi" else 1
         return [_advanced_terms(c, g, n, end)[side] for end in (n - k, n + k)]
 
-    return engine._fit_window(n, _envelope(sys, which, n), engine.series_tol, terms)[0]
-
-
-def _barh_halfwidth(engine: ConjugacyEngine, n: int) -> int:
-    """The wider of the dxi and (when dim_y > 0) deta derivative windows at n."""
-    which = ("dxi", "deta") if engine.sys.space.dim_y else ("dxi",)
-    return max(_derivative_window(engine, n, w) for w in which)
-
-
-def _barh_pass(engine: ConjugacyEngine, n: int, xi_b, eta_b):
-    """One trajectory and tangent pass through the (dim, batch) columns:
-    the (batch, dim_x, dim_x + dim_y) stack of d bar_h(n, .)/dz over the
-    wider of the dxi and (when dim_y > 0) deta derivative windows, and its
-    halfwidth."""
-    sys = engine.sys
-    k_half = _barh_halfwidth(engine, n)
-    row = engine.green_row(n, k_half)
-    lo, hi = n - k_half, n + k_half
-    states = coupled_trajectory(sys, n, lo, hi, xi_b, eta_b, engine.solve)
-    acc = 0.0
-    for k, jx, jy, w, v in _tangents(sys, states, n, lo, hi):
-        acc = acc + row[k - lo] @ (jx @ w + jy @ v)
-    return -acc, k_half
+    which = ("dxi", "deta") if sys.space.dim_y else ("dxi",)
+    return max(engine._fit_window(n, _envelope(sys, kind, n), engine.series_tol,
+                                  functools.partial(terms, side))[0]
+               for side, kind in enumerate(which))
 
 
 def _resolvent(b: np.ndarray, dx: int, n: int) -> np.ndarray:
@@ -230,12 +197,20 @@ def _resolvent(b: np.ndarray, dx: int, n: int) -> np.ndarray:
 
 def barh_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarray, int]:
     """d bar_h(n, .)/d(xi, eta) = - sum_k G(n,k+1) (df_k/du W_k + df_k/dv V_k)
-    over the wider of the dxi and (when dim_y > 0) deta derivative windows;
-    returns (matrix, halfwidth), with a (batch, ., .) stack of matrices for
-    (dim, batch) columns."""
-    xi_b, eta_b, single = _state_columns(engine.sys, xi, eta)
-    b, k_half = _barh_pass(engine, n, xi_b, eta_b)
-    return (b[0] if single else b), k_half
+    over the wider of the dxi and (when dim_y > 0) deta derivative windows,
+    from one trajectory and tangent pass; returns (matrix, halfwidth), with
+    the (batch, dim_x, dim_x + dim_y) stack of matrices for (dim, batch)
+    columns."""
+    sys = engine.sys
+    xi_b, eta_b, single = _state_columns(sys, xi, eta)
+    k_half = _barh_halfwidth(engine, n)
+    row = engine.green_row(n, k_half)
+    lo, hi = n - k_half, n + k_half
+    states = coupled_trajectory(sys, n, lo, hi, xi_b, eta_b, engine.solve)
+    acc = 0.0
+    for k, jx, jy, w, v in _tangents(sys, states, n, lo, hi):
+        acc = acc + row[k - lo] @ (jx @ w + jy @ v)
+    return -(acc[0] if single else acc), k_half
 
 
 def h_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarray, int]:
@@ -245,7 +220,7 @@ def h_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarra
     columns."""
     xi_b, eta_b, single = _state_columns(engine.sys, xi, eta)
     u, _, iters = engine.h_detailed(n, xi_b, eta_b)
-    r = _resolvent(_barh_pass(engine, n, xi_b + u, eta_b)[0], engine.sys.space.dim_x, n)
+    r = _resolvent(barh_jacobian(engine, n, xi_b + u, eta_b)[0], engine.sys.space.dim_x, n)
     return (r[0] if single else r), iters
 
 
@@ -293,15 +268,6 @@ def _h_stencil(engine: ConjugacyEngine, n: int, p: np.ndarray) -> np.ndarray:
     raise NoConvergence(f"h stencil at n={n}", cap, res, engine.fp_tol)
 
 
-def jacobian_windows(engine: ConjugacyEngine, n: int) -> None:
-    """Run the part of `validate_jacobians` at n that does not depend on the
-    probe, and raise what it raises: the contraction certificate c(n), h's
-    series window and the derivative windows (the engine caches their Green
-    rows and c(n))."""
-    engine._h_window(n)
-    _barh_halfwidth(engine, n)
-
-
 def validate_jacobians(
     engine: ConjugacyEngine,
     n: int,
@@ -318,14 +284,21 @@ def validate_jacobians(
     3-step walk for the solution Jacobians, and per map and step one stencil
     over z = (xi, eta) of the probes that still need it.  The h solve is the
     first d_h stencil call, at the coarser step over every probe, with the
-    probes' own columns appended.  The series windows depend on n alone; the
-    h stencil sets one plain Picard count per call (`_h_stencil`), keeping
-    the sampled function smooth across the stencil.  Without a driver
-    (dim_y = 0) the bar_h and h eta blocks are left out.
+    probes' own columns appended.  The h stencil sets one plain Picard count
+    per call (`_h_stencil`), keeping the sampled function smooth across the
+    stencil.  Without a driver (dim_y = 0) the bar_h and h eta blocks are
+    left out.
+
+    What depends on n alone runs first, before any walk: the contraction
+    certificate c(n), h's series window and the bar_h derivative windows
+    (the engine caches their Green rows and c(n)).  So an error there, the
+    same for every probe, costs no walk.
     """
     sys = engine.sys
     dx, dy = sys.space.dim_x, sys.space.dim_y
     xi_b, eta_b, single = _state_columns(sys, xi, eta)
+    engine._h_window(n)
+    _barh_halfwidth(engine, n)
     batch = xi_b.shape[1]
     k = n + 3
     z = np.vstack([xi_b, eta_b])
@@ -346,7 +319,7 @@ def validate_jacobians(
     # stencil is the coarser step's over all of z; it runs here, z appended
     first = _h_stencil(engine, n, np.hstack([_fd_stencil(z, steps[0]), z]))
     u, unread = first[:, -batch:], [first[:, :-batch]]
-    b = _barh_pass(engine, n, np.hstack([xi_b, xi_b + u]), np.hstack([eta_b, eta_b]))[0]
+    b = barh_jacobian(engine, n, np.hstack([xi_b, xi_b + u]), np.hstack([eta_b, eta_b]))[0]
 
     def conjugacy_blocks(name):  # no eta block without a driver
         blocks = [(f"{name}_dxi", x_part, x_part)]

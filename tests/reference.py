@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from nonautolin.derivatives import JacobianReport, _rel_error, fd_jacobian_batch
+from nonautolin.derivatives import JacobianReport, _rel_error
 from nonautolin.errors import ContractionViolation
 from nonautolin.evolution import SolveOptions, _state_columns, _trajectory, coupled_trajectory
 from nonautolin.system import SystemSpec, operator_norm
@@ -21,11 +21,17 @@ from nonautolin.system import SystemSpec, operator_norm
 def fd_jacobian(fun: Callable, point, step: float) -> np.ndarray:
     """Central finite differences per coordinate: column i is
     (fun(p + step e_i) - fun(p - step e_i)) / (2 step), with fun evaluated
-    one stencil point at a time."""
-    def fun_batch(points):
-        return np.stack([np.atleast_1d(np.asarray(fun(p), dtype=float)) for p in points.T], axis=1)
-
-    return fd_jacobian_batch(fun_batch, point, step)
+    one stencil point at a time (a (out, 0) matrix for an empty point)."""
+    p = np.asarray(point, dtype=float)
+    if p.size == 0:
+        return np.zeros((np.size(fun(p)), 0))
+    columns = []
+    for i in range(p.size):
+        e = np.zeros(p.size)
+        e[i] = step
+        diff = np.asarray(fun(p + e), dtype=float) - np.asarray(fun(p - e), dtype=float)
+        columns.append(np.atleast_1d(diff / (2.0 * step)))
+    return np.stack(columns, axis=1)
 
 
 def jacobian_report(analytic, fun: Callable, point, fd_step: float = 1e-6) -> JacobianReport:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from nonautolin import (
     ConjugacyEngine,
+    GeometricTail,
     SolveOptions,
     barh_jacobian,
     certify,
@@ -19,7 +20,7 @@ from nonautolin import (
 )
 
 from nonautolin.cli import RunConfig, _engine, build_system, phase_derivatives, probe_grid
-from nonautolin.derivatives import _rel_error, _resolvent
+from nonautolin.derivatives import _rel_error, _resolvent, fd_jacobian_batch
 from nonautolin.errors import NoConvergence, NonautolinError, SingularOperatorError
 
 from .conftest import random_invertible_system
@@ -67,6 +68,24 @@ class TestFdJacobian:
     def test_empty_input(self):
         got = fd_jacobian(lambda v: np.array([1.0, 2.0]), np.zeros(0), 1e-6)
         assert got.shape == (2, 0)
+
+    def test_batch_matches_reference_and_closed_form(self, rng):
+        # F(x0, x1, x2) = (x0^2 x1 + sin x2, exp(x0) - x1 x2^3) on 4 columns:
+        # a non-square Jacobian that differs per column, so a stencil that
+        # swaps + and -, coordinates or columns disagrees with both oracles
+        def fun(p):
+            return np.array([p[0] ** 2 * p[1] + np.sin(p[2]), np.exp(p[0]) - p[1] * p[2] ** 3])
+
+        def exact(p):
+            return np.array([[2 * p[0] * p[1], p[0] ** 2, np.cos(p[2])],
+                             [np.exp(p[0]), -p[2] ** 3, -3 * p[1] * p[2] ** 2]])
+
+        points = rng.uniform(-1, 1, (3, 4))
+        got = fd_jacobian_batch(fun, points, 1e-5)
+        assert got.shape == (4, 2, 3)
+        for i in range(4):
+            assert_allclose(got[i], fd_jacobian(fun, points[:, i], 1e-5), rtol=0, atol=1e-12)
+            assert_allclose(got[i], exact(points[:, i]), rtol=0, atol=1e-8)
 
     def test_agrees_with_analytic_solution_jacobian(self, ex1_mild, rng):
         xi = rng.uniform(-1, 1, 2)
@@ -518,6 +537,25 @@ class TestDerivativesPhase:
         ]
         assert all(r["rel_error"] <= cfg.jacobian_threshold for r in table["rows"])
 
+    def test_derivative_window_error_is_listed_per_probe(self, monkeypatch):
+        # a deta envelope too slow for the window cap: the bar_h derivative
+        # window raises before any walk, and every probe lists that error
+        import nonautolin.derivatives as der
+
+        walks = []
+        for name in ("_h_stencil", "coupled_trajectory"):
+            monkeypatch.setattr(der, name, lambda *a, name=name, **kw: walks.append(name))
+        cfg = RunConfig(system="end_cfg", system_params={"gamma_scale": 0.9}, n_min=0,
+                        n_max=0, jacobian_probe_cap=3)
+        sys = build_system(cfg)
+        sys = dataclasses.replace(sys, envelopes=dataclasses.replace(
+            sys.envelopes, deta=lambda n: GeometricTail(1e300, 0.999)))
+        table, ok = phase_derivatives(cfg, sys)
+        assert not ok and not table["rows"] and walks == []
+        assert len(table["errors"]) == 3
+        assert len({tuple(e["probe"]) for e in table["errors"]}) == 3
+        assert all(e["n"] == 0 and "series window at n=0 exhausted" in e["error"]
+                   for e in table["errors"])
 
     def test_singular_jacobians_are_listed_errors(self):
         # a driver Jacobian that cannot be inverted on the backward steps,
