@@ -67,6 +67,8 @@ class RunConfig:
             raise ConfigError("bc_probes and jacobian_probe_cap must be >= 1")
         if self.series_tol <= 0 or self.fp_tol <= 0 or self.fd_step <= 0:
             raise ConfigError("tolerances must be positive")
+        if not min(self.equivariance_threshold, self.jacobian_threshold, self.inverse_tol) > 0:
+            raise ConfigError("thresholds must be positive")
         if self.probes_per_axis < 1:
             raise ConfigError("probes_per_axis must be >= 1")
         if not (self.probe_extent >= 0 and math.isfinite(2 * self.probe_extent)):

@@ -46,7 +46,8 @@ import numpy as np
 from .errors import ContractionViolation, NoConvergence, NonautolinError, WindowExhausted
 from .evolution import (DEFAULT_SOLVE, SolveOptions, _checked, _dot, _forward_step,
                         _state_columns, _trajectory)
-from .hypotheses import CONVERGED, IndexConstants, _advanced, _envelope, _ratio_tail
+from .hypotheses import (CONVERGED, IndexConstants, _advanced, _advanced_terms, _envelope,
+                         _ratio_tail)
 from .system import SystemSpec, _column_norms, green_span, operator_norm
 
 
@@ -82,6 +83,7 @@ class ConjugacyEngine:
         self.contraction_estimate: dict[int, float] = {}
         self._green_rows: dict[int, np.ndarray] = {}
         self._mu_windows: dict[tuple[int, float], SeriesWindow] = {}
+        self._derivative_windows: dict[int, int] = {}
 
     # -- caches ------------------------------------------------------------
 
@@ -120,6 +122,26 @@ class ConjugacyEngine:
         # the builtin sum adds the terms in index order
         win = self._mu_windows[key] = SeriesWindow(k, tail, sum(mu_terms(k)) + tail)
         return win
+
+    def derivative_window(self, n: int) -> int:
+        """Halfwidth of the bar_h Jacobian series at center n, cached per n:
+        the wider of the dxi and (when dim_y > 0) deta derivative windows,
+        each with tail <= series_tol; without an envelope a window is fitted
+        on the state-free bounding terms of the advanced conditions."""
+        if n in self._derivative_windows:
+            return self._derivative_windows[n]
+
+        def terms(k, side):
+            c = IndexConstants.of(self.sys, n - k, n + k)
+            g = operator_norm(self.green_row(n, k), self.sys.space.norm_kind)
+            return [_advanced_terms(c, g, n, end)[side] for end in (n - k, n + k)]
+
+        which = ("dxi", "deta") if self.sys.space.dim_y else ("dxi",)
+        k = self._derivative_windows[n] = max(
+            self._fit_window(n, _envelope(self.sys, kind, n), self.series_tol,
+                             lambda w: terms(w, side))[0]
+            for side, kind in enumerate(which))
+        return k
 
     def _fit_window(self, n: int, env, tol: float, terms) -> tuple[int, float]:
         """(halfwidth, two-sided tail) of a series at center n with tail <= tol.
@@ -203,53 +225,63 @@ class ConjugacyEngine:
     def bar_H(self, n: int, xi, eta=None) -> tuple[np.ndarray, np.ndarray]:
         return self._shifted(self.bar_h, n, xi, eta)
 
-    def h_detailed(self, n: int, xi, eta=None) -> tuple[np.ndarray, list, int]:
+    def h_detailed(self, n: int, xi, eta=None, *, smooth: bool = False
+                   ) -> tuple[np.ndarray, list, int]:
         """Fixed-point value, residual history and iterations used.
 
-        Solves u = -bar_h(n, xi + u, eta) from u = 0 by type-II Anderson
-        mixing of depth 2, column by column (Walker & Ni, "Anderson
-        acceleration for fixed-point iterations", SIAM J. Numer. Anal. 49,
-        2011): each column's next iterate combines its last values of
-        -bar_h with the weights that best cancel its last residuals.  The
-        safeguard: whenever the max residual fails to shrink, the step is a
-        plain Picard step and the history restarts there.  The iteration cap
-        is the a-priori Picard count.  The stop test |u + bar_h(n, xi + u,
-        eta)| <= fp_tol on every column does not depend on how u was
-        produced: bar_h contracts at rate c(n) in its first variable, so
-        every returned column satisfies |u - h(n, xi, eta)| <= fp_tol /
-        (1 - c(n)).
+        Solves u = -bar_h(n, xi + u, eta) from u = 0 until every column
+        passes the stop test |u + bar_h(n, xi + u, eta)| <= fp_tol, within
+        the a-priori Picard count of `h_window`; the iterations returned are
+        those before the stop test.  Each walk after the first starts from
+        the previous walk's couplings.  Why a passing column is then within
+        fp_tol / (1 - c(n)) of h(n, xi, eta), however u was produced, and
+        why the walks stay smooth in each column's data: `_trajectory`.
 
-        Each walk after the first starts its backward steps from the
-        couplings of the previous walk, column by column (`_trajectory`).
-        The per-step defect test that ends each step is the one a cold walk
-        meets, so each sampled bar_h is held to the same accuracy, and the
-        bound on |u - h| above holds as it stands.  The walks stay smooth in
-        each column's data, as the d_h stencil (`derivatives._h_stencil`),
-        which walks the same way, needs: a column's guess is its own
-        previous coupling, and each step's Picard count is shared by the
-        batch.  The guesses live only for this call.
+        By default each column's iterates are type-II Anderson-mixed with
+        depth 2 (Walker & Ni, "Anderson acceleration for fixed-point
+        iterations", SIAM J. Numer. Anal. 49, 2011): the next iterate
+        combines the column's last values of -bar_h with the weights that
+        best cancel its last residuals, and whenever the max residual fails
+        to shrink, the step is a plain Picard step and the history restarts.
+
+        `smooth=True`, the mode of the d_h finite-difference stencil, is
+        plain Picard iteration with 4 further updates after the stop test.
+        The N-fold Picard composition, one N for every column, is smooth in
+        the data, and its derivative approaches dh like c(n)^N; the extra
+        updates push that gap well under the stop test.  The Anderson
+        iterate cannot serve a stencil: its weights and restarts are not
+        smooth in the data, and its count, smaller than Picard's, would
+        leave a wider derivative gap.
         """
-        k_half, cap = self._h_window(n)
+        k_half, cap = self.h_window(n)
         xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
         norms = _column_norms(self.sys.space.norm_kind)
+        guess: dict = {}  # the previous walk's couplings
+
+        def update(u):
+            return -self.bar_h_detailed(n, xi_b + u, eta_b, window=k_half, guess=guess)[0]
+
         u = np.zeros_like(xi_b)
         residuals: list = []
         values: list = []  # the last (-bar_h(xi + u), residual) pairs since a restart
-        guess: dict = {}  # the previous walk's couplings
         for it in range(cap):
-            g = -self.bar_h_detailed(n, xi_b + u, eta_b, window=k_half, guess=guess)[0]
+            g = update(u)
             f = g - u
             res = float(np.max(norms(f)))
             if residuals and not res < residuals[-1]:
                 values.clear()
             residuals.append(res)
             if res <= self.fp_tol:
+                if smooth:  # 4 further updates, g the first of them
+                    u = g
+                    for _ in range(3):
+                        u = update(u)
                 return (u[:, 0] if single else u), residuals, it
             values = values[-_ANDERSON_DEPTH:] + [(g, f)]
-            u = g if len(values) == 1 else _anderson_step(values)
+            u = g if smooth or len(values) == 1 else _anderson_step(values)
         raise NoConvergence(f"h fixed point at n={n}", cap, residuals[-1], self.fp_tol)
 
-    def _h_window(self, n: int) -> tuple[int, int]:
+    def h_window(self, n: int) -> tuple[int, int]:
         """(halfwidth, iteration cap >= 8) of h at n: its series window at the
         tightened tolerance fp_tol (1 - c(n)) / 2, and the Picard count that
         brings the window's value bound under fp_tol at rate c(n), plus 16."""

@@ -27,18 +27,16 @@ trajectory with batched matrix products.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .conjugacy import ConjugacyEngine
-from .errors import NoConvergence, SingularOperatorError
+from .errors import SingularOperatorError
 from .evolution import (DEFAULT_SOLVE, SolveOptions, _checked, _state_columns,
                         coupled_trajectory)
-from .hypotheses import IndexConstants, _advanced_terms, _envelope
-from .system import SystemSpec, _column_norms, operator_norm
+from .system import SystemSpec
 
 
 @dataclass
@@ -169,24 +167,6 @@ def solution_jacobian(sys: SystemSpec, k: int, n: int, xi, eta=None,
 # -- conjugacy derivative series ----------------------------------------------
 
 
-def _barh_halfwidth(engine: ConjugacyEngine, n: int) -> int:
-    """Halfwidth of the bar_h Jacobian series at center n: the wider of the
-    dxi and (when dim_y > 0) deta derivative windows, each with tail <=
-    series_tol; without an envelope a window is fitted on the state-free
-    bounding terms of the advanced conditions."""
-    sys = engine.sys
-
-    def terms(side, k):
-        c = IndexConstants.of(sys, n - k, n + k)
-        g = operator_norm(engine.green_row(n, k), sys.space.norm_kind)
-        return [_advanced_terms(c, g, n, end)[side] for end in (n - k, n + k)]
-
-    which = ("dxi", "deta") if sys.space.dim_y else ("dxi",)
-    return max(engine._fit_window(n, _envelope(sys, kind, n), engine.series_tol,
-                                  functools.partial(terms, side))[0]
-               for side, kind in enumerate(which))
-
-
 def _resolvent(b: np.ndarray, dx: int, n: int) -> np.ndarray:
     """-(Id + B_u)^{-1} [B_u | B_v] for each matrix of the bar_h(n, .) Jacobian stack b."""
     try:
@@ -197,13 +177,12 @@ def _resolvent(b: np.ndarray, dx: int, n: int) -> np.ndarray:
 
 def barh_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarray, int]:
     """d bar_h(n, .)/d(xi, eta) = - sum_k G(n,k+1) (df_k/du W_k + df_k/dv V_k)
-    over the wider of the dxi and (when dim_y > 0) deta derivative windows,
-    from one trajectory and tangent pass; returns (matrix, halfwidth), with
-    the (batch, dim_x, dim_x + dim_y) stack of matrices for (dim, batch)
-    columns."""
+    over the engine's `derivative_window(n)`, from one trajectory and tangent
+    pass; returns (matrix, halfwidth), with the (batch, dim_x, dim_x +
+    dim_y) stack of matrices for (dim, batch) columns."""
     sys = engine.sys
     xi_b, eta_b, single = _state_columns(sys, xi, eta)
-    k_half = _barh_halfwidth(engine, n)
+    k_half = engine.derivative_window(n)
     row = engine.green_row(n, k_half)
     lo, hi = n - k_half, n + k_half
     states = coupled_trajectory(sys, n, lo, hi, xi_b, eta_b, engine.solve)
@@ -227,47 +206,6 @@ def h_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarra
 # -- finite-difference validation ----------------------------------------------
 
 
-_STENCIL_EXTRA_UPDATES = 4
-
-
-def _h_stencil(engine: ConjugacyEngine, n: int, p: np.ndarray) -> np.ndarray:
-    """h(n, .) on the (dim_x + dim_y, batch) stencil columns p by plain
-    Picard iteration from 0 with one count for the whole call: the updates
-    run until every column passes h_detailed's stop test, then 4 more.
-
-    The sampled map is then the N-fold Picard composition with one N for
-    every column, smooth in p, and its derivative approaches dh like
-    c(n)^N; the extra updates push that gap well under the stop test.
-    Neither h_detailed's Anderson iterate nor its count would do: the
-    mixing weights and restarts are not smooth in p, and the count, smaller
-    than the Picard count, leaves a wider derivative gap.
-
-    Each walk after the first starts its backward steps from the previous
-    walk's couplings (`_trajectory`).  That keeps the map smooth: a
-    column's guess is its own previous coupling, a smooth function of that
-    column alone, and every backward step's Picard count, like N, is shared
-    by the batch.  It keeps the stop test's meaning too: each step ends on
-    the defect test a cold walk meets, so every sampled bar_h has a cold
-    walk's accuracy and a column passing the test is within fp_tol / (1 -
-    c(n)) of h.
-    """
-    dx = engine.sys.space.dim_x
-    xi, eta = p[:dx], p[dx:]
-    k_half, cap = engine._h_window(n)
-    norms = _column_norms(engine.sys.space.norm_kind)
-    u = np.zeros_like(xi)
-    guess: dict = {}  # the previous walk's couplings
-    for _ in range(cap):
-        v = engine.bar_h_detailed(n, xi + u, eta, window=k_half, guess=guess)[0]
-        res = float(np.max(norms(u + v)))
-        u = -v
-        if res <= engine.fp_tol:
-            for _ in range(_STENCIL_EXTRA_UPDATES - 1):
-                u = -engine.bar_h_detailed(n, xi + u, eta, window=k_half, guess=guess)[0]
-            return u
-    raise NoConvergence(f"h stencil at n={n}", cap, res, engine.fp_tol)
-
-
 def validate_jacobians(
     engine: ConjugacyEngine,
     n: int,
@@ -282,23 +220,22 @@ def validate_jacobians(
     The probes share one h solve, one trajectory and tangent pass for the
     analytic bar_h Jacobians at the probes and at their h-shifted points, one
     3-step walk for the solution Jacobians, and per map and step one stencil
-    over z = (xi, eta) of the probes that still need it.  The h solve is the
-    first d_h stencil call, at the coarser step over every probe, with the
-    probes' own columns appended.  The h stencil sets one plain Picard count
-    per call (`_h_stencil`), keeping the sampled function smooth across the
-    stencil.  Without a driver (dim_y = 0) the bar_h and h eta blocks are
-    left out.
+    over z = (xi, eta) of the probes that still need it.  Each d_h stencil
+    is one smooth `ConjugacyEngine.h_detailed` solve (see there); the
+    first, at the coarser step over every probe, has the probes' own
+    columns appended and is their h solve.  Without a driver (dim_y = 0)
+    the bar_h and h eta blocks are left out.
 
     What depends on n alone runs first, before any walk: the contraction
-    certificate c(n), h's series window and the bar_h derivative windows
-    (the engine caches their Green rows and c(n)).  So an error there, the
-    same for every probe, costs no walk.
+    certificate c(n), h's window and the bar_h derivative window, all
+    cached on the engine.  So an error there, the same for every probe,
+    costs no walk.
     """
     sys = engine.sys
     dx, dy = sys.space.dim_x, sys.space.dim_y
     xi_b, eta_b, single = _state_columns(sys, xi, eta)
-    engine._h_window(n)
-    _barh_halfwidth(engine, n)
+    engine.h_window(n)
+    engine.derivative_window(n)
     batch = xi_b.shape[1]
     k = n + 3
     z = np.vstack([xi_b, eta_b])
@@ -307,6 +244,9 @@ def validate_jacobians(
 
     def solution(p):
         return np.vstack(coupled_trajectory(sys, n, n, k, p[:dx], p[dx:], engine.solve)[k])
+
+    def h_smooth(p):
+        return engine.h_detailed(n, p[:dx], p[dx:], smooth=True)[0]
 
     out: list = [{} for _ in range(batch)]
     _block_reports(
@@ -317,7 +257,7 @@ def validate_jacobians(
     )
     # the h solve: no probe has its d_h blocks yet, so the first d_h
     # stencil is the coarser step's over all of z; it runs here, z appended
-    first = _h_stencil(engine, n, np.hstack([_fd_stencil(z, steps[0]), z]))
+    first = h_smooth(np.hstack([_fd_stencil(z, steps[0]), z]))
     u, unread = first[:, -batch:], [first[:, :-batch]]
     b = barh_jacobian(engine, n, np.hstack([xi_b, xi_b + u]), np.hstack([eta_b, eta_b]))[0]
 
@@ -328,6 +268,6 @@ def validate_jacobians(
     _block_reports(b[:batch], lambda p: engine.bar_h(n, p[:dx], p[dx:]), z,
                    conjugacy_blocks("d_barh"), steps, out)
     _block_reports(_resolvent(b[batch:], dx, n),
-                   lambda p: unread.pop() if unread else _h_stencil(engine, n, p), z,
+                   lambda p: unread.pop() if unread else h_smooth(p), z,
                    conjugacy_blocks("d_h"), steps, out)
     return out[0] if single else out

@@ -197,7 +197,8 @@ def _trajectory(
     + u, eta)| <= fp_tol still gives |u - h| <= fp_tol / (1 - c(n)).
     Column i's guess is its own earlier coupling, a smooth function of its
     own data, and each step's Picard count is shared by the batch, so the
-    sampled walk stays a smooth function of each column.
+    sampled walk stays a smooth function of each column, as the smooth h
+    solves of the d_h stencil need (`ConjugacyEngine.h_detailed`).
     """
     opts = opts or DEFAULT_SOLVE
     states: dict[int, tuple[np.ndarray, np.ndarray]] = {n: (xi, eta)}

@@ -472,6 +472,19 @@ class TestConfigHandling:
         assert run(argv + ["--n-min", "0", "--n-max", "0"]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["equivariance_threshold", "jacobian_threshold",
+                                     "inverse_threshold"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_threshold_exits_2(self, tmp_path, capsys, key, value):
+        # each of these ran every phase and exited 1, with every table
+        # failing a threshold that no residual or error can meet
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps({"system": "ex1", "n_min": 0, "n_max": 0, key: value}))
+        assert run(["report", "--system", str(pfile), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: thresholds must be positive")
+        assert not (tmp_path / "rep").exists()
+
     def test_emo_ratio_rounding_to_one_exits_2(self, capsys):
         # e^{-lambda} rounds to 1: emo's envelopes were built lazily, inside
         # certify, and the ValueError ended in a traceback with exit code 1

@@ -20,7 +20,6 @@ from nonautolin import (
 )
 from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, phase_conjugate,
                             probe_grid)
-from nonautolin.derivatives import _h_stencil
 from nonautolin.errors import NoConvergence, NonautolinError
 from nonautolin.evolution import _forward_step, coupled_trajectory
 
@@ -256,12 +255,13 @@ class TestH:
             eng.h(0, np.array([0.5, -0.5]))
 
     def test_pinned_iteration_mode(self, engine_ex1):
-        # the FD stencil's h is plain Picard with a count of its own: the
-        # updates until the stop test passes, then 4 more, each walk after
-        # the first warm-started from the previous walk's couplings
+        # the FD stencil's smooth h is plain Picard: the updates until the
+        # stop test passes, then 4 more, each walk after the first
+        # warm-started from the previous walk's couplings
         xi = np.array([0.7, 0.2])
         _, iters = h_by_picard(engine_ex1, 0, xi, warm=True)
-        pinned = _h_stencil(engine_ex1, 0, xi[:, None])[:, 0]
+        pinned, _, count = engine_ex1.h_detailed(0, xi, smooth=True)
+        assert count == iters
         assert np.array_equal(pinned, h_by_picard(engine_ex1, 0, xi, updates=iters + 4,
                                                   warm=True)[0])
         free = engine_ex1.h(0, xi)

@@ -270,29 +270,23 @@ class TestValidateJacobians:
         assert reports["d_x2_deta"].analytic.shape == (2, 0)
         assert reports["d_x2_deta"].rel_error == 0.0
 
-    def test_one_h_solve_and_one_h_stencil_per_step_per_n(self, engine_end, rng,
-                                                          monkeypatch):
-        # all probes of one n share one h solve, the first Picard h stencil,
+    def test_one_h_solve_and_one_h_stencil_per_step_per_n(self, engine_end, rng):
+        # all probes of one n share one h solve, the first smooth h stencil,
         # which appends the probes to the coarser step's stencil over (xi,
         # eta) of every probe; the finer step, when it runs, makes one more
-        # over the probes it needs, and no h_detailed call is made
-        import nonautolin.derivatives as der
-
-        calls, stencils = [], []
+        # over the probes it needs, and no other h_detailed call is made
+        stencils = []
         solve = engine_end.h_detailed
-        engine_end.h_detailed = lambda *a, **kw: (calls.append(a[0]), solve(*a, **kw))[1]
-        stencil = der._h_stencil
-        monkeypatch.setattr(der, "_h_stencil", lambda engine, n, p: (
-            stencils.append((n, p.shape[1])), stencil(engine, n, p))[1])
+        engine_end.h_detailed = lambda n, xi, eta, **kw: (
+            stencils.append((n, xi.shape[1], kw)), solve(n, xi, eta, **kw))[1]
         for n in (-3, 0, 3):
-            calls.clear()
             stencils.clear()
             xi, eta = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 3))
             reports = validate_jacobians(engine_end, n, xi, eta)
             assert len(reports) == 3
-            assert calls == []
-            assert len(stencils) in (1, 2) and stencils[0] == (n, 3 + 3 * 2 * 4)
-            assert all(m == n for m, _ in stencils)
+            assert all(kw == {"smooth": True} for _, _, kw in stencils)
+            assert len(stencils) in (1, 2) and stencils[0][:2] == (n, 3 + 3 * 2 * 4)
+            assert all(m == n for m, _, _ in stencils)
             assert all(rep.rel_error <= 1e-4 for r in reports for rep in r.values())
 
     @pytest.mark.parametrize("name, params", [("ex1", {"gamma_scale": 0.5}),
@@ -471,29 +465,26 @@ class TestDerivativesPhase:
                         rtol=0, atol=1e-8)
 
     def test_one_h_solve_per_n(self, monkeypatch):
-        # the h solve of each n is its first h stencil, over the 4 probes
-        # and their 4 * 2 * 4 stencil points; no h_detailed call is made
-        import nonautolin.derivatives as der
+        # the h solve of each n is its first smooth h stencil, over the 4
+        # probes and their 4 * 2 * 4 stencil points; no other h_detailed
+        # call is made
+        stencils = []
+        h_detailed = ConjugacyEngine.h_detailed
 
-        calls, stencils = [], []
-        h_detailed, stencil = ConjugacyEngine.h_detailed, der._h_stencil
-
-        def counted(self, n, *args, **kwargs):
-            calls.append(n)
-            return h_detailed(self, n, *args, **kwargs)
+        def counted(self, n, xi, eta, **kwargs):
+            stencils.append((n, xi.shape[1], kwargs))
+            return h_detailed(self, n, xi, eta, **kwargs)
 
         monkeypatch.setattr(ConjugacyEngine, "h_detailed", counted)
-        monkeypatch.setattr(der, "_h_stencil", lambda engine, n, p: (
-            stencils.append((n, p.shape[1])), stencil(engine, n, p))[1])
         cfg = RunConfig(system="end_cfg", system_params={"gamma_scale": 0.9}, n_min=-2,
                         n_max=2, jacobian_probe_cap=4)
         table, ok = phase_derivatives(cfg, build_system(cfg))
         assert ok
-        assert calls == []
+        assert all(kw == {"smooth": True} for _, _, kw in stencils)
         for n in (-2, 0, 2):
-            mine = [width for m, width in stencils if m == n]
+            mine = [width for m, width, _ in stencils if m == n]
             assert len(mine) in (1, 2) and mine[0] == 4 + 4 * 2 * 4
-        assert [m for m, _ in stencils] == sorted(m for m, _ in stencils)
+        assert [m for m, _, _ in stencils] == sorted(m for m, _, _ in stencils)
         assert len(table["rows"]) == 3 * 4 * 7
         # emo has no contraction certificate: the error does not depend on
         # the probe, so it is listed for every probe with no h solve at all
@@ -501,7 +492,7 @@ class TestDerivativesPhase:
         cfg = RunConfig(system="emo", system_params={"c": 0.01}, n_min=0, n_max=0,
                         jacobian_probe_cap=4, force=True)
         table, ok = phase_derivatives(cfg, build_system(cfg))
-        assert not ok and not table["rows"] and calls == [] and stencils == []
+        assert not ok and not table["rows"] and stencils == []
         assert len(table["errors"]) == 4
         assert len({e["error"] for e in table["errors"]}) == 1
         assert "contraction" in table["errors"][0]["error"]
@@ -543,8 +534,10 @@ class TestDerivativesPhase:
         import nonautolin.derivatives as der
 
         walks = []
-        for name in ("_h_stencil", "coupled_trajectory"):
-            monkeypatch.setattr(der, name, lambda *a, name=name, **kw: walks.append(name))
+        monkeypatch.setattr(ConjugacyEngine, "h_detailed",
+                            lambda *a, **kw: walks.append("h_detailed"))
+        monkeypatch.setattr(der, "coupled_trajectory",
+                            lambda *a, **kw: walks.append("coupled_trajectory"))
         cfg = RunConfig(system="end_cfg", system_params={"gamma_scale": 0.9}, n_min=0,
                         n_max=0, jacobian_probe_cap=3)
         sys = build_system(cfg)
@@ -634,6 +627,26 @@ class TestNonlinearDriver:
         assert len(reports) == 7
         for kind, rep in reports.items():
             assert rep.rel_error <= 1e-4, kind
+
+    def test_derivative_windows_fitted_once_per_n(self, engine_nl, rng, monkeypatch):
+        # with no envelope each derivative window is fitted by doubling from
+        # halfwidth 8, so the fits are the IndexConstants.of calls over 8
+        # on each side of n: one engine fits the dxi and deta windows once
+        # per n, however many passes read them
+        from nonautolin.hypotheses import IndexConstants
+
+        fits, of = [], IndexConstants.of
+
+        def counted(sys, lo, hi):
+            if hi - lo == 16:
+                fits.append((lo + hi) // 2)
+            return of(sys, lo, hi)
+
+        monkeypatch.setattr(IndexConstants, "of", staticmethod(counted))
+        xi, eta = rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 4))
+        for n in (-2, 0, 2):
+            validate_jacobians(engine_nl, n, xi, eta)
+        assert fits == [-2, -2, 0, 0, 2, 2]  # dxi and deta, once per n
 
     def test_round_trip_on_fallback_windows(self, engine_nl, rng):
         tol = engine_nl.fp_tol + 10 * engine_nl.series_tol
