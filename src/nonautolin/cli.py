@@ -31,7 +31,6 @@ from .catalog import BUILDERS, ExampleParams, check_field_types, make_system
 from .conjugacy import ConjugacyEngine
 from .derivatives import validate_jacobians
 from .errors import ConfigError, NonautolinError
-from .evolution import SolveOptions
 from .hypotheses import certify
 from .system import SystemSpec
 
@@ -49,7 +48,7 @@ class RunConfig:
     probe_extent: float = 1.0
     series_tol: float = 1e-9
     fp_tol: float = 1e-10
-    fd_step: float = 1e-6
+    fd_step: float = 1e-5
     seed: int = 0
     steps: int = 10
     bc_probes: int = 64
@@ -117,15 +116,14 @@ def _split_probes(sys: SystemSpec, probes: np.ndarray) -> tuple[np.ndarray, np.n
 # -- phases ---------------------------------------------------------------------
 
 
-def _engine(cfg: RunConfig, sys: SystemSpec, **kwargs) -> ConjugacyEngine:
-    """The engine of a conjugacy phase: window cap four check windows (at least 64)."""
+def _engine(cfg: RunConfig, sys: SystemSpec) -> ConjugacyEngine:
+    """The engine of the conjugate and derivatives phases: window cap 4 check windows, >= 64."""
     return ConjugacyEngine(
         sys,
         window_halfwidth=max(cfg.window_halfwidth * 4, 64),
         series_tol=cfg.series_tol,
         fp_tol=cfg.fp_tol,
         advanced_halfwidth=cfg.window_halfwidth,
-        **kwargs,
     )
 
 
@@ -141,14 +139,14 @@ def phase_check(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
     return report.to_json(), report.overall_ok
 
 
-def phase_conjugate(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, dict, bool]:
+def phase_conjugate(cfg: RunConfig, engine: ConjugacyEngine) -> tuple[dict, dict, bool]:
+    sys = engine.sys
     rng = np.random.default_rng(cfg.seed)
     grid = probe_grid(sys.space.dim_x + sys.space.dim_y, cfg.probes_per_axis,
                       cfg.probe_extent, rng)
     xi_b, eta_b = _split_probes(sys, grid)
-    tables = _engine(cfg, sys).residual_tables(
-        range(cfg.n_min, cfg.n_max + 1), xi_b, eta_b, steps=cfg.steps
-    )
+    tables = engine.residual_tables(range(cfg.n_min, cfg.n_max + 1), xi_b, eta_b,
+                                    steps=cfg.steps)
     probes = range(grid.shape[0])
     inv_rows, inv_errors, equi_rows, equi_errors = [], [], [], []
     for n, res in tables.items():
@@ -195,11 +193,11 @@ def _row(n: int, probe: np.ndarray, value: np.ndarray, residual: float,
     }
 
 
-def phase_derivatives(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
+def phase_derivatives(cfg: RunConfig, engine: ConjugacyEngine) -> tuple[dict, bool]:
     """Jacobian rows at every probe of the three indices n_min, mid, n_max.
 
-    A probe z at which even the coarser step cannot resolve the threshold,
-    eps max(1, |z|) / (10 fd_step) > jacobian_threshold, is listed under
+    A probe z at which the step cannot resolve the threshold,
+    eps max(1, |z|) / fd_step > jacobian_threshold, is listed under
     `errors` at every n: no finite difference can check a Jacobian there.
     Per n, one validate_jacobians call takes the other probes as columns;
     when it raises, that n is run again one probe at a time, so each error
@@ -207,21 +205,21 @@ def phase_derivatives(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
     contraction certificate or a series window) is then listed for every
     probe, each call raising it before any walk.
     """
+    sys = engine.sys
     rng = np.random.default_rng(cfg.seed + 1)
     grid = probe_grid(sys.space.dim_x + sys.space.dim_y, cfg.probes_per_axis,
                       cfg.probe_extent, rng)
     if grid.shape[0] > cfg.jacobian_probe_cap:
         take = rng.choice(grid.shape[0], size=cfg.jacobian_probe_cap, replace=False)
         grid = grid[np.sort(take)]
-    engine = _engine(cfg, sys, solve=SolveOptions(fixed_point_tol=3e-13, max_iters=400))
     n_values = sorted({cfg.n_min, (cfg.n_min + cfg.n_max) // 2, cfg.n_max})
     xi_b, eta_b = _split_probes(sys, grid)
     unresolved = {}
     for i, probe in enumerate(grid):  # Python floats: an overflow reads inf
         resolution = (_sys.float_info.epsilon * max(1.0, float(np.max(np.abs(probe))))
-                      / (10.0 * cfg.fd_step))
+                      / cfg.fd_step)
         if not resolution <= cfg.jacobian_threshold:
-            unresolved[i] = (f"finite-difference resolution eps max(1, |z|) / (10 fd_step) = "
+            unresolved[i] = (f"finite-difference resolution eps max(1, |z|) / fd_step = "
                              f"{resolution:.3g} exceeds the Jacobian threshold "
                              f"{cfg.jacobian_threshold:g}")
     live = [i for i in range(grid.shape[0]) if i not in unresolved]
@@ -291,9 +289,10 @@ def run_command(command: str, cfg: RunConfig) -> dict:
     if command in ("conjugate", "report", "derivatives") and not hyp_ok and not cfg.force:
         return report
 
+    engine = _engine(cfg, sys_spec)
     if command in ("conjugate", "report"):
         t0 = time.perf_counter()
-        equi, inv, ok = phase_conjugate(cfg, sys_spec)
+        equi, inv, ok = phase_conjugate(cfg, engine)
         report["equivariance"] = equi
         report["inverse"] = inv
         report["timing"]["conjugate"] = time.perf_counter() - t0
@@ -301,7 +300,7 @@ def run_command(command: str, cfg: RunConfig) -> dict:
 
     if command in ("derivatives", "report"):
         t0 = time.perf_counter()
-        jac, ok = phase_derivatives(cfg, sys_spec)
+        jac, ok = phase_derivatives(cfg, engine)
         report["jacobians"] = jac
         report["timing"]["derivatives"] = time.perf_counter() - t0
         checks.append(ok)

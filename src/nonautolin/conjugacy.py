@@ -70,8 +70,8 @@ class ConjugacyEngine:
         solve: SolveOptions = DEFAULT_SOLVE,
         advanced_halfwidth: Optional[int] = None,
     ):
-        if window_halfwidth < 1:
-            raise ValueError("window_halfwidth must be >= 1")
+        if window_halfwidth < 1 or (advanced_halfwidth is not None and advanced_halfwidth < 1):
+            raise ValueError("window_halfwidth and advanced_halfwidth must be >= 1")
         if series_tol <= 0.0 or fp_tol <= 0.0:
             raise ValueError("series_tol and fp_tol must be positive")
         self.sys = sys

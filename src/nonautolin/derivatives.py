@@ -54,18 +54,15 @@ def fd_jacobian_batch(fun_batch: Callable, points: np.ndarray, step: float) -> n
     batched call: fun_batch maps (dim, batch) columns to (out, batch), and
     the (dim, P) columns `points`, dim >= 1, give the (P, out, dim) stack of
     their Jacobians from one call over all P stencils."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    d, batch = points.shape
-    vals = np.asarray(fun_batch(_fd_stencil(points, step)), dtype=float)
-    vals = vals.reshape(-1, batch, 2 * d)
-    return ((vals[:, :, 0::2] - vals[:, :, 1::2]) / (2.0 * step)).transpose(1, 0, 2)
+    return _fd_quotients(fun_batch(_fd_stencil(points, step)), points.shape, step)
 
 
 def _fd_stencil(cols: np.ndarray, step: float) -> np.ndarray:
     """The (d, batch 2 d) central-difference stencil of the (d, batch)
     columns, d >= 1: column i's points z + step e_k and z - step e_k, in
     that order for k = 0, ..., d - 1, then column i + 1's."""
+    if step <= 0.0:
+        raise ValueError("step must be positive")
     d, batch = cols.shape
     stencil = np.repeat(cols[:, :, None], 2 * d, axis=2)
     for i in range(d):
@@ -74,31 +71,25 @@ def _fd_stencil(cols: np.ndarray, step: float) -> np.ndarray:
     return stencil.reshape(d, batch * 2 * d)
 
 
+def _fd_quotients(vals, shape: tuple, step: float) -> np.ndarray:
+    """The (batch, out, d) stack of central differences from a map's (out,
+    batch 2 d) values on the `_fd_stencil` of (d, batch) columns."""
+    d, batch = shape
+    vals = np.asarray(vals, dtype=float).reshape(-1, batch, 2 * d)
+    return ((vals[:, :, 0::2] - vals[:, :, 1::2]) / (2.0 * step)).transpose(1, 0, 2)
+
+
 def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic)))
 
 
-def _block_reports(analytic, fun_batch, points, blocks, fd_steps, out: list) -> None:
+def _block_reports(analytic, fd, blocks, fd_step: float, out: list) -> None:
     """Add to out[i] one report per named (kind, rows, cols) block of the
-    Jacobian analytic[i] at probe column i of `points`.
-
-    Each step runs one stencil over the probes that still have a block whose
-    error exceeds 1e-6; a block keeps the first step that meets it,
-    otherwise the step with the smaller error.
-    """
-    for s in fd_steps:
-        pending = [[b for b in blocks if b[0] not in rep or rep[b[0]].rel_error > 1e-6]
-                   for rep in out]
-        probes = [i for i, p in enumerate(pending) if p]
-        if not probes:
-            break
-        fd = fd_jacobian_batch(fun_batch, points[:, probes], s)
-        for i, d in zip(probes, fd):
-            for kind, rows, cols in pending[i]:
-                a, f = analytic[i][rows, cols], d[rows, cols]
-                rel = _rel_error(a, f)
-                if kind not in out[i] or rel < out[i][kind].rel_error:
-                    out[i][kind] = JacobianReport(a, f, rel, s)
+    analytic Jacobian analytic[i] and its central difference fd[i]."""
+    for rep, a, f in zip(out, analytic, fd):
+        for kind, rows, cols in blocks:
+            rep[kind] = JacobianReport(a[rows, cols], f[rows, cols],
+                                       _rel_error(a[rows, cols], f[rows, cols]), fd_step)
 
 
 # -- solution-map derivatives -------------------------------------------------
@@ -211,20 +202,20 @@ def validate_jacobians(
     n: int,
     xi,
     eta=None,
-    fd_step: float = 1e-6,
+    fd_step: float = 1e-5,
 ):
-    """Analytic-vs-FD reports of the seven derivative blocks at each probe:
-    a dict of reports for one state, a list of P dicts for (dim, P) columns.
+    """Analytic-vs-FD reports of the derivative blocks at each probe: a
+    dict of reports for one state, a list of P dicts for (dim, P) columns.
     The solution blocks are those of x2(k, n, .) and y(k, n, .) at k = n + 3.
+    Without a driver (dim_y = 0) every *_deta block is left out: seven
+    blocks with a driver, three without.
 
     The probes share one h solve, one trajectory and tangent pass for the
     analytic bar_h Jacobians at the probes and at their h-shifted points, one
-    3-step walk for the solution Jacobians, and per map and step one stencil
-    over z = (xi, eta) of the probes that still need it.  Each d_h stencil
-    is one smooth `ConjugacyEngine.h_detailed` solve (see there); the
-    first, at the coarser step over every probe, has the probes' own
-    columns appended and is their h solve.  Without a driver (dim_y = 0)
-    the bar_h and h eta blocks are left out.
+    3-step walk for the solution Jacobians, and per map one central-difference
+    stencil at `fd_step` over z = (xi, eta) of every probe.  The d_h stencil
+    is one smooth `ConjugacyEngine.h_detailed` solve (see there) with the
+    probes' own columns appended: it is also their h solve.
 
     What depends on n alone runs first, before any walk: the contraction
     certificate c(n), h's window and the bar_h derivative window, all
@@ -239,35 +230,25 @@ def validate_jacobians(
     batch = xi_b.shape[1]
     k = n + 3
     z = np.vstack([xi_b, eta_b])
-    steps = (fd_step * 10.0, fd_step)
-    x_part, y_part = slice(0, dx), slice(dx, dx + dy)
+    x, y = slice(0, dx), slice(dx, dx + dy)
+    out: list = [{} for _ in range(batch)]
+
+    def report(analytic, fd, blocks):  # every *_deta block needs a driver
+        _block_reports(analytic, fd, [b for b in blocks if dy or not b[0].endswith("_deta")],
+                       fd_step, out)
 
     def solution(p):
         return np.vstack(coupled_trajectory(sys, n, n, k, p[:dx], p[dx:], engine.solve)[k])
 
-    def h_smooth(p):
-        return engine.h_detailed(n, p[:dx], p[dx:], smooth=True)[0]
-
-    out: list = [{} for _ in range(batch)]
-    _block_reports(
-        solution_jacobian(sys, k, n, xi_b, eta_b, engine.solve), solution, z,
-        [("d_x2_dxi", x_part, x_part), ("d_x2_deta", x_part, y_part),
-         ("d_y_deta", y_part, y_part)],
-        steps, out,
-    )
-    # the h solve: no probe has its d_h blocks yet, so the first d_h
-    # stencil is the coarser step's over all of z; it runs here, z appended
-    first = h_smooth(np.hstack([_fd_stencil(z, steps[0]), z]))
-    u, unread = first[:, -batch:], [first[:, :-batch]]
-    b = barh_jacobian(engine, n, np.hstack([xi_b, xi_b + u]), np.hstack([eta_b, eta_b]))[0]
-
-    def conjugacy_blocks(name):  # no eta block without a driver
-        blocks = [(f"{name}_dxi", x_part, x_part)]
-        return (blocks + [(f"{name}_deta", x_part, y_part)]) if dy else blocks
-
-    _block_reports(b[:batch], lambda p: engine.bar_h(n, p[:dx], p[dx:]), z,
-                   conjugacy_blocks("d_barh"), steps, out)
-    _block_reports(_resolvent(b[batch:], dx, n),
-                   lambda p: unread.pop() if unread else h_smooth(p), z,
-                   conjugacy_blocks("d_h"), steps, out)
+    report(solution_jacobian(sys, k, n, xi_b, eta_b, engine.solve),
+           fd_jacobian_batch(solution, z, fd_step),
+           [("d_x2_dxi", x, x), ("d_x2_deta", x, y), ("d_y_deta", y, y)])
+    cols = np.hstack([_fd_stencil(z, fd_step), z])  # the d_h stencil, then the probes
+    h_vals = engine.h_detailed(n, cols[:dx], cols[dx:], smooth=True)[0]
+    b = barh_jacobian(engine, n, np.hstack([xi_b, xi_b + h_vals[:, -batch:]]),
+                      np.hstack([eta_b, eta_b]))[0]
+    report(b[:batch], fd_jacobian_batch(lambda p: engine.bar_h(n, p[:dx], p[dx:]), z, fd_step),
+           [("d_barh_dxi", x, x), ("d_barh_deta", x, y)])
+    report(_resolvent(b[batch:], dx, n), _fd_quotients(h_vals[:, :-batch], z.shape, fd_step),
+           [("d_h_dxi", x, x), ("d_h_deta", x, y)])
     return out[0] if single else out

@@ -440,7 +440,7 @@ def certify(
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo > hi:
-        raise ValueError("window must be nonempty")
+        raise ValueError("n_range must be nonempty")
     w = window_halfwidth
     bc1 = sample_coupling_bounds(sys, (lo, hi), probes=probes, seed=seed, extent=probe_extent)
     try:

@@ -275,6 +275,30 @@ class TestReportCommand:
         )
         jsonschema.validate(load(out / "report.json"), schema)
 
+    def test_one_engine_serves_both_phases(self, monkeypatch):
+        # report builds one engine, after the check gate, for the conjugate
+        # and derivatives phases; the derivatives rows it gives are those of
+        # a fresh engine
+        import nonautolin.cli as cli
+
+        built = []
+        engine_cls = cli.ConjugacyEngine
+
+        def counted(*args, **kwargs):
+            built.append(engine_cls(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "ConjugacyEngine", counted)
+        gated = RunConfig(system="emo", system_params={"c": 0.01}, n_min=0, n_max=0)
+        assert cli.run_command("report", gated)["verdict"] == "fail" and built == []
+        cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-1, n_max=1,
+                        jacobian_probe_cap=4)
+        rep = cli.run_command("report", cfg)
+        assert rep["verdict"] == "pass" and len(built) == 1
+        monkeypatch.undo()
+        fresh, ok = cli.phase_derivatives(cfg, cli._engine(cfg, cli.build_system(cfg)))
+        assert ok and rep["jacobians"]["rows"] == fresh["rows"]
+
     def test_determinism(self, tmp_path):
         args = ["report", "--system", "ex1", "--gamma-scale", "0.5",
                 "--n-min", "-1", "--n-max", "1", "--seed", "7"]

@@ -321,6 +321,13 @@ class TestEngineValidation:
             ConjugacyEngine(ex1_mild, fp_tol=-1.0)
         with pytest.raises(ValueError):
             ConjugacyEngine(ex1_mild, window_halfwidth=0)
+        # an advanced halfwidth of None is the window cap; below 1 it is an
+        # error, not the cap (0) or an IndexError on the first contraction (-3)
+        assert ConjugacyEngine(ex1_mild, window_halfwidth=50).advanced_halfwidth == 50
+        assert ConjugacyEngine(ex1_mild, advanced_halfwidth=7).advanced_halfwidth == 7
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="advanced_halfwidth must be >= 1"):
+                ConjugacyEngine(ex1_mild, advanced_halfwidth=bad)
 
     def test_contraction_cached(self, engine_ex1):
         c1 = engine_ex1.contraction(0)
@@ -502,7 +509,7 @@ class TestResidualTables:
 
         monkeypatch.setattr(ConjugacyEngine, "h_detailed", counted)
         cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-2, n_max=2)
-        equi, inv, ok = phase_conjugate(cfg, build_system(cfg))
+        equi, inv, ok = phase_conjugate(cfg, _engine(cfg, build_system(cfg)))
         assert ok
         assert calls == list(range(-2, 2 + cfg.steps + 1))  # 15, one per index
         assert [r["n"] for r in inv["rows"]] == [n for n in range(-2, 3) for _ in range(25)]
@@ -527,7 +534,7 @@ class TestResidualTables:
         monkeypatch.setattr(conj, "green_span", counted)
         monkeypatch.setattr(hyp, "green_norm_rows", counted_rows)
         cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-2, n_max=2)
-        _, _, ok = phase_conjugate(cfg, build_system(cfg))
+        _, _, ok = phase_conjugate(cfg, _engine(cfg, build_system(cfg)))
         assert ok
         assert calls == list(range(-2, 2 + cfg.steps + 1))  # 15, one per index
 
@@ -537,7 +544,7 @@ class TestResidualTables:
         cfg = RunConfig(system="remm", system_params={"gamma_scale": 1.0},
                         n_min=-12, n_max=2, probes_per_axis=3, force=True)
         s = build_system(cfg)
-        equi, inv, _ = phase_conjugate(cfg, s)
+        equi, inv, _ = phase_conjugate(cfg, _engine(cfg, s))
         grid = probe_grid(s.space.dim_x, 3, 1.0, np.random.default_rng(cfg.seed))
         xi, eta = _split_probes(s, grid)
         ref = reference_tables(_engine(cfg, s), range(-12, 3), xi, eta, cfg.steps)

@@ -20,7 +20,7 @@ from nonautolin import (
 )
 
 from nonautolin.cli import RunConfig, _engine, build_system, phase_derivatives, probe_grid
-from nonautolin.derivatives import _rel_error, _resolvent, fd_jacobian_batch
+from nonautolin.derivatives import _resolvent, fd_jacobian_batch
 from nonautolin.errors import NoConvergence, NonautolinError, SingularOperatorError
 
 from .conftest import random_invertible_system
@@ -265,16 +265,13 @@ class TestValidateJacobians:
     def test_trivial_y_skips_eta_kinds(self, engine_ex1, rng):
         xi = rng.uniform(-1, 1, 2)
         reports = validate_jacobians(engine_ex1, 0, xi, None)
-        assert "d_barh_deta" not in reports
-        assert "d_h_deta" not in reports
-        assert reports["d_x2_deta"].analytic.shape == (2, 0)
-        assert reports["d_x2_deta"].rel_error == 0.0
+        # no d_x2_deta, d_y_deta, d_barh_deta or d_h_deta without a driver
+        assert set(reports) == {"d_x2_dxi", "d_barh_dxi", "d_h_dxi"}
 
     def test_one_h_solve_and_one_h_stencil_per_step_per_n(self, engine_end, rng):
-        # all probes of one n share one h solve, the first smooth h stencil,
-        # which appends the probes to the coarser step's stencil over (xi,
-        # eta) of every probe; the finer step, when it runs, makes one more
-        # over the probes it needs, and no other h_detailed call is made
+        # all probes of one n share one h solve, the one smooth h stencil,
+        # which appends the probes to the stencil over (xi, eta) of every
+        # probe; no other h_detailed call is made
         stencils = []
         solve = engine_end.h_detailed
         engine_end.h_detailed = lambda n, xi, eta, **kw: (
@@ -285,8 +282,7 @@ class TestValidateJacobians:
             reports = validate_jacobians(engine_end, n, xi, eta)
             assert len(reports) == 3
             assert all(kw == {"smooth": True} for _, _, kw in stencils)
-            assert len(stencils) in (1, 2) and stencils[0][:2] == (n, 3 + 3 * 2 * 4)
-            assert all(m == n for m, _, _ in stencils)
+            assert len(stencils) == 1 and stencils[0][:2] == (n, 3 + 3 * 2 * 4)
             assert all(rep.rel_error <= 1e-4 for r in reports for rep in r.values())
 
     @pytest.mark.parametrize("name, params", [("ex1", {"gamma_scale": 0.5}),
@@ -316,48 +312,40 @@ class TestValidateJacobians:
         assert len(again) == len(fresh)
         assert all(np.array_equal(a, b) for a, b in zip(fresh, again))
 
-    def test_second_step_runs_only_over_pending_probes(self, monkeypatch):
-        # at fd_step 1e-3 the coarse step 1e-2 meets 1e-6 at some probes of
-        # ex1 at n = -3 but not at others: the finer step runs over the rest
+    @pytest.mark.parametrize("name", ["ex1", "end_cfg"])
+    def test_one_stencil_per_map(self, name, monkeypatch):
+        # one central-difference stencil per map, all at fd_step over every
+        # probe: the solution map and bar_h each evaluate theirs in one
+        # batched call, and h in one smooth h_detailed call that also holds
+        # the probes' own columns
         import nonautolin.derivatives as der
 
-        calls = []
-        fd_batch = der.fd_jacobian_batch
+        stencils, smooth, barh_widths = [], [], []
+        stencil = der._fd_stencil
+        monkeypatch.setattr(der, "_fd_stencil", lambda cols, step: (
+            stencils.append((np.array(cols), step)), stencil(cols, step))[1])
+        s = system_by_name(name, gamma_scale=0.5)
+        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-10)
+        h_detailed, bar_h = eng.h_detailed, eng.bar_h
+        eng.h_detailed = lambda n, xi, eta, **kw: (
+            smooth.append((xi.shape[1], kw)), h_detailed(n, xi, eta, **kw))[1]
+        eng.bar_h = lambda n, xi, eta, **kw: (
+            barh_widths.append(xi.shape[1]), bar_h(n, xi, eta, **kw))[1]
+        dx, dy = s.space.dim_x, s.space.dim_y
+        batch, fd_step = 3, 2e-5
+        xi = probe_grid(dx + dy, 2, 1.0, np.random.default_rng(5))[:batch].T.copy()
+        reports = validate_jacobians(eng, 1, xi[:dx], xi[dx:], fd_step=fd_step)
+        assert len(stencils) == 3
+        assert all(np.array_equal(cols, xi) and step == fd_step for cols, step in stencils)
+        assert smooth == [(batch * (1 + 2 * (dx + dy)), {"smooth": True})]
+        assert barh_widths == [batch * 2 * (dx + dy)]
+        assert all(rep.fd_step == fd_step for r in reports for rep in r.values())
+        assert all(len(r) == (7 if dy else 3) for r in reports)
 
-        def recorded(fun, points, step):
-            fd = fd_batch(fun, points, step)
-            calls.append((step, np.array(points), fd))
-            return fd
-
-        monkeypatch.setattr(der, "fd_jacobian_batch", recorded)
-        s = system_by_name("ex1", gamma_scale=0.5)
-        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-10, solve=TIGHT)
-        xi = probe_grid(2, 3, 1.0, np.random.default_rng(5)).T.copy()
-        fd_step = 1e-3
-        coarse = fd_step * 10.0
-        reports = validate_jacobians(eng, -3, xi, None, fd_step=fd_step)
-        x, y = slice(0, 2), slice(2, 2)
-        maps = [{"d_x2_dxi": (x, x), "d_x2_deta": (x, y), "d_y_deta": (y, y)},
-                {"d_barh_dxi": (x, x)}, {"d_h_dxi": (x, x)}]
-        starts = [i for i, c in enumerate(calls) if c[0] == coarse]
-        assert len(starts) == 3 and starts[0] == 0
-        partial = False
-        for blocks, start, end in zip(maps, starts, starts[1:] + [len(calls)]):
-            _, points, fd = calls[start]
-            assert_allclose(points, xi, atol=0)
-            pending = [i for i, rep in enumerate(reports)
-                       if any(_rel_error(rep[k].analytic, fd[i][b]) > 1e-6
-                              for k, b in blocks.items())]
-            finer = calls[start + 1:end]
-            assert len(finer) == (1 if pending else 0)
-            if pending:
-                assert finer[0][0] == fd_step
-                assert_allclose(finer[0][1], xi[:, pending], atol=0)
-            for i, rep in enumerate(reports):
-                if i not in pending:
-                    assert all(rep[k].fd_step == coarse for k in blocks)
-            partial |= 0 < len(pending) < xi.shape[1]
-        assert partial
+    @pytest.mark.parametrize("fd_step", [0.0, -1e-6])
+    def test_nonpositive_fd_step_is_rejected(self, engine_ex1, fd_step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            validate_jacobians(engine_ex1, 0, np.array([0.1, 0.2]), fd_step=fd_step)
 
     def test_unbatched_jacobian_is_rejected(self, ex1_mild):
         # a jac_x on the old one-state contract returns a (dim_x,) diagonal
@@ -431,7 +419,7 @@ def reference_jacobian_rows(cfg, sys):
     if grid.shape[0] > cfg.jacobian_probe_cap:
         grid = grid[np.sort(rng.choice(grid.shape[0], size=cfg.jacobian_probe_cap,
                                        replace=False))]
-    engine = _engine(cfg, sys, solve=TIGHT)
+    engine = _engine(cfg, sys)
     dx = sys.space.dim_x
     rows, errors = [], []
     for n in sorted({cfg.n_min, (cfg.n_min + cfg.n_max) // 2, cfg.n_max}):
@@ -455,7 +443,7 @@ class TestDerivativesPhase:
         cfg = RunConfig(system=system, system_params=params, n_min=-2, n_max=2,
                         jacobian_probe_cap=cap)
         sys = build_system(cfg)
-        table, ok = phase_derivatives(cfg, sys)
+        table, ok = phase_derivatives(cfg, _engine(cfg, sys))
         ref_rows, ref_errors = reference_jacobian_rows(cfg, sys)
         assert ok and not ref_errors and not table["errors"]
         got = table["rows"]
@@ -465,7 +453,7 @@ class TestDerivativesPhase:
                         rtol=0, atol=1e-8)
 
     def test_one_h_solve_per_n(self, monkeypatch):
-        # the h solve of each n is its first smooth h stencil, over the 4
+        # the h solve of each n is its one smooth h stencil, over the 4
         # probes and their 4 * 2 * 4 stencil points; no other h_detailed
         # call is made
         stencils = []
@@ -478,12 +466,12 @@ class TestDerivativesPhase:
         monkeypatch.setattr(ConjugacyEngine, "h_detailed", counted)
         cfg = RunConfig(system="end_cfg", system_params={"gamma_scale": 0.9}, n_min=-2,
                         n_max=2, jacobian_probe_cap=4)
-        table, ok = phase_derivatives(cfg, build_system(cfg))
+        table, ok = phase_derivatives(cfg, _engine(cfg, build_system(cfg)))
         assert ok
         assert all(kw == {"smooth": True} for _, _, kw in stencils)
         for n in (-2, 0, 2):
             mine = [width for m, width, _ in stencils if m == n]
-            assert len(mine) in (1, 2) and mine[0] == 4 + 4 * 2 * 4
+            assert mine == [4 + 4 * 2 * 4]
         assert [m for m, _, _ in stencils] == sorted(m for m, _, _ in stencils)
         assert len(table["rows"]) == 3 * 4 * 7
         # emo has no contraction certificate: the error does not depend on
@@ -491,7 +479,7 @@ class TestDerivativesPhase:
         stencils.clear()
         cfg = RunConfig(system="emo", system_params={"c": 0.01}, n_min=0, n_max=0,
                         jacobian_probe_cap=4, force=True)
-        table, ok = phase_derivatives(cfg, build_system(cfg))
+        table, ok = phase_derivatives(cfg, _engine(cfg, build_system(cfg)))
         assert not ok and not table["rows"] and stencils == []
         assert len(table["errors"]) == 4
         assert len({e["error"] for e in table["errors"]}) == 1
@@ -514,14 +502,14 @@ class TestDerivativesPhase:
         monkeypatch.setattr(cli, "validate_jacobians", flaky)
         cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-1, n_max=1,
                         jacobian_probe_cap=3)
-        table, ok = phase_derivatives(cfg, build_system(cfg))
+        table, ok = phase_derivatives(cfg, _engine(cfg, build_system(cfg)))
         assert calls == [(-1, 2), (0, 2), (0, 1), (0, 1), (0, 1), (1, 2)]
         assert not ok
         probes = list(dict.fromkeys(tuple(r["probe"]) for r in table["rows"]))
         assert len(probes) == 3
         assert table["errors"] == [{"n": 0, "probe": list(probes[1]),
                                     "error": str(NoConvergence("forced", 1, 1.0, 0.5))}]
-        kinds = ["d_x2_dxi", "d_x2_deta", "d_y_deta", "d_barh_dxi", "d_h_dxi"]
+        kinds = ["d_x2_dxi", "d_barh_dxi", "d_h_dxi"]
         assert [(r["n"], tuple(r["probe"]), r["kind"]) for r in table["rows"]] == [
             (n, p, k) for n in (-1, 0, 1) for p in probes
             if (n, p) != (0, probes[1]) for k in kinds
@@ -543,7 +531,7 @@ class TestDerivativesPhase:
         sys = build_system(cfg)
         sys = dataclasses.replace(sys, envelopes=dataclasses.replace(
             sys.envelopes, deta=lambda n: GeometricTail(1e300, 0.999)))
-        table, ok = phase_derivatives(cfg, sys)
+        table, ok = phase_derivatives(cfg, _engine(cfg, sys))
         assert not ok and not table["rows"] and walks == []
         assert len(table["errors"]) == 3
         assert len({tuple(e["probe"]) for e in table["errors"]}) == 3
@@ -559,7 +547,7 @@ class TestDerivativesPhase:
         sys = build_system(cfg)
         sys = dataclasses.replace(sys, g=dataclasses.replace(
             sys.g, jac=lambda n, y: np.zeros((y.shape[1], 2, 2))))
-        table, ok = phase_derivatives(cfg, sys)
+        table, ok = phase_derivatives(cfg, _engine(cfg, sys))
         assert not ok and not table["rows"]
         assert [e["error"] for e in table["errors"]] == [
             str(SingularOperatorError(-1, "Dg_k not invertible: Singular matrix"))] * 3

@@ -286,6 +286,10 @@ class TestCertify:
         assert rep.ac3[0]  # contraction holds near the gamma peak
         assert not rep.ac3[10]  # but not far out: K_n grows like 4^{|n|}
 
+    def test_empty_n_range_is_rejected(self, ex1):
+        with pytest.raises(ValueError, match="n_range must be nonempty"):
+            certify(ex1, n_range=(3, 1), window_halfwidth=10, probes=4)
+
     def test_bc4_failure_skips_advanced(self, rng):
         sys, _ = random_invertible_system(rng)
         bad = with_coupling(sys, 10.0)
