@@ -11,8 +11,11 @@ under `series_tol` (analytic envelope when the system has one, ratio
 extrapolation otherwise; the bounding terms are state-free, so the window
 depends only on n).  The series sums the coupling values its trajectory
 computed: every forward step and every backward fixed-point step returns
-f_k at the state it stepped from, so one bar_h is one trajectory walk plus
-one coupling evaluation, at the upper end of the window.
+f_k at the state it stepped from, and the walk evaluates f at the upper end
+of the window, so one bar_h is one trajectory walk, and the sum one product
+of the Green row with the window's stacked couplings.  bar_h at several
+centres is one sweep over all of their columns, neighbouring walks sharing
+each step's kernel call (`evolution._trajectory`).
 
 The inverse direction is obtained pointwise from the fixed-point relation
 
@@ -31,21 +34,22 @@ Evaluations accept either a single state (dim,) or a column batch
 The residual diagnostics test bar_H(H(p)) = p, H(bar_H(p)) = p and the
 equivariance of H and bar_H along `steps` steps of the linear and coupled
 maps.  The points at which the conjugacies are evaluated do not depend on
-them, so `residual_tables` runs index-major: one wide h and at most two wide
-bar_h solves per index m, shared by every base index whose steps reach m.
+them, so `residual_tables` advances in blocks of consecutive indices m: per
+block one h and two bar_h solves over all its centres, each index's columns
+those of every base index whose steps reach m.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ContractionViolation, NoConvergence, NonautolinError, WindowExhausted
-from .evolution import (DEFAULT_SOLVE, SolveOptions, _checked, _dot, _forward_step,
-                        _state_columns, _trajectory)
+from .evolution import (DEFAULT_SOLVE, SolveOptions, Span, _checked, _dot, _forward_step,
+                        _max, _state_columns, _trajectory)
 from .hypotheses import (CONVERGED, IndexConstants, _advanced, _advanced_terms, _envelope,
                          _ratio_tail)
 from .system import SystemSpec, _column_norms, green_span, operator_norm
@@ -192,32 +196,42 @@ class ConjugacyEngine:
     # -- conjugacy evaluations ----------------------------------------------
 
     def bar_h_detailed(
-        self, n: int, xi, eta=None, window: Optional[int] = None, *, guess: Optional[dict] = None
+        self, n: int, xi, eta=None, window: Optional[int] = None
     ) -> tuple[np.ndarray, float, int]:
-        """Series value, truncation-error bound and window halfwidth.
-
-        `guess` is for the outer loops of the h solves alone: the coupling
-        dict of the solve's previous walk over the same columns and window,
-        which the walk overwrites with its own (see `_trajectory`).  Without
-        it the walk starts every backward step cold."""
-        sys = self.sys
+        """Series value, truncation-error bound and window halfwidth."""
         xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
         if window is None:
             win = self.series_window(n, self.series_tol)
             k_half, tail = win.halfwidth, win.tail_bound
         else:
             k_half = int(window)
-            env = _envelope(sys, "barh", n)
+            env = _envelope(self.sys, "barh", n)
             tail = env.two_sided(k_half) if env else math.inf
-        row = self.green_row(n, k_half)
-        lo, hi = n - k_half, n + k_half
-        states, couplings = _trajectory(sys, n, lo, hi, xi_b, eta_b, self.solve, guess)
-        couplings[hi] = _checked(sys.f.eval(hi, *states[hi]), xi_b.shape, "f.eval", hi)
-        acc = np.zeros_like(xi_b)
-        for k in range(lo, hi + 1):
-            acc += _dot(row[k - lo], couplings[k])
-        val = -acc
+        val = self._series(_spans([(n, k_half, xi_b.shape[1])]), xi_b, eta_b)
         return (val[:, 0] if single else val), tail, k_half
+
+    def _series(self, spans: list, xi: np.ndarray, eta: np.ndarray,
+                couplings: Optional[list] = None, warm: bool = False) -> np.ndarray:
+        """bar_h(n, ., .) at the (dim, batch) columns (xi, eta) of every span,
+        n its centre and [lo, hi] its window: one `_trajectory` sweep over all
+        of them, which fills `couplings` (fresh lists when None; see there
+        for `warm`), then per span one product of its Green row with its
+        stacked couplings.  That product adds the terms in another order than
+        index order: per column and component the two sums differ by at most
+        2 gamma_m sum_k |G(n,k+1)| |f_k|, with m = (2K+1) dim_x terms and
+        gamma_m = m u / (1 - m u), u = 2^-53 (Higham, "Accuracy and Stability
+        of Numerical Algorithms", 2nd ed., §3.1)."""
+        if couplings is None:
+            couplings = _coupling_lists(spans)
+        _trajectory(self.sys, spans, xi, eta, self.solve, couplings, warm)
+        out = np.empty_like(xi)
+        pos = 0
+        for s, window in zip(spans, couplings):
+            row = self.green_row(s.n, s.n - s.lo)  # side by side, as np.vstack stacks f_k
+            out[:, pos:pos + s.count] = -_dot(row.transpose(1, 0, 2).reshape(len(xi), -1),
+                                              np.vstack(window))
+            pos += s.count
+        return out
 
     def bar_h(self, n: int, xi, eta=None, window: Optional[int] = None) -> np.ndarray:
         return self.bar_h_detailed(n, xi, eta, window=window)[0]
@@ -227,22 +241,36 @@ class ConjugacyEngine:
 
     def h_detailed(self, n: int, xi, eta=None, *, smooth: bool = False
                    ) -> tuple[np.ndarray, list, int]:
-        """Fixed-point value, residual history and iterations used.
+        """Fixed-point value, residual history and iterations used: `_solve_h`
+        with one centre."""
+        xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
+        u, ((residuals, iters),) = self._solve_h([n], [xi_b.shape[1]], xi_b, eta_b, smooth)
+        return (u[:, 0] if single else u), residuals, iters
 
-        Solves u = -bar_h(n, xi + u, eta) from u = 0 until every column
-        passes the stop test |u + bar_h(n, xi + u, eta)| <= fp_tol, within
-        the a-priori Picard count of `h_window`; the iterations returned are
-        those before the stop test.  Each walk after the first starts from
-        the previous walk's couplings.  Why a passing column is then within
-        fp_tol / (1 - c(n)) of h(n, xi, eta), however u was produced, and
-        why the walks stay smooth in each column's data: `_trajectory`.
+    def _solve_h(self, centres: list, counts: list, xi: np.ndarray, eta: np.ndarray,
+                 smooth: bool = False) -> tuple[np.ndarray, list]:
+        """h(n, ., .) at the (dim, batch) columns (xi, eta), the first
+        counts[0] columns at centres[0], the next counts[1] at centres[1], and
+        so on, with the centres ascending; returns the values and each
+        centre's (residual history, iterations used).
+
+        Each centre solves u = -bar_h(n, xi + u, eta) from u = 0 until all its
+        columns pass the stop test |u + bar_h(n, xi + u, eta)| <= fp_tol,
+        within the a-priori Picard count of `h_window(n)`; the iterations
+        returned are those before the stop test.  Each iteration is one
+        `_series` sweep over the centres still iterating, each walk after the
+        first started from the previous walk's couplings.  Why a passing
+        column is then within fp_tol / (1 - c(n)) of h(n, xi, eta), however u
+        was produced, and why the walks stay smooth in each column's data:
+        `_trajectory`.
 
         By default each column's iterates are type-II Anderson-mixed with
         depth 2 (Walker & Ni, "Anderson acceleration for fixed-point
         iterations", SIAM J. Numer. Anal. 49, 2011): the next iterate
         combines the column's last values of -bar_h with the weights that
-        best cancel its last residuals, and whenever the max residual fails
-        to shrink, the step is a plain Picard step and the history restarts.
+        best cancel its last residuals, and whenever its centre's max
+        residual fails to shrink, the step is a plain Picard step and the
+        centre's history restarts.  No history or restart mixes centres.
 
         `smooth=True`, the mode of the d_h finite-difference stencil, is
         plain Picard iteration with 4 further updates after the stop test.
@@ -253,33 +281,60 @@ class ConjugacyEngine:
         smooth in the data, and its count, smaller than Picard's, would
         leave a wider derivative gap.
         """
-        k_half, cap = self.h_window(n)
-        xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
+        windows = [self.h_window(n) for n in centres]
+        caps = [cap for _, cap in windows]
+        spans = _spans([(n, k, b) for n, (k, _), b in zip(centres, windows, counts)])
+        couplings = _coupling_lists(spans)
+        starts = np.cumsum([0] + list(counts))
         norms = _column_norms(self.sys.space.norm_kind)
-        guess: dict = {}  # the previous walk's couplings
-
-        def update(u):
-            return -self.bar_h_detailed(n, xi_b + u, eta_b, window=k_half, guess=guess)[0]
-
-        u = np.zeros_like(xi_b)
-        residuals: list = []
-        values: list = []  # the last (-bar_h(xi + u), residual) pairs since a restart
-        for it in range(cap):
-            g = update(u)
-            f = g - u
-            res = float(np.max(norms(f)))
-            if residuals and not res < residuals[-1]:
-                values.clear()
-            residuals.append(res)
-            if res <= self.fp_tol:
-                if smooth:  # 4 further updates, g the first of them
-                    u = g
-                    for _ in range(3):
-                        u = update(u)
-                return (u[:, 0] if single else u), residuals, it
-            values = values[-_ANDERSON_DEPTH:] + [(g, f)]
-            u = g if smooth or len(values) == 1 else _anderson_step(values)
-        raise NoConvergence(f"h fixed point at n={n}", cap, residuals[-1], self.fp_tol)
+        u = np.zeros_like(xi)
+        residuals: list = [[] for _ in centres]
+        values: list = [[] for _ in centres]  # the last (-bar_h(xi + u), residual) pairs
+        iters: list = [0] * len(centres)
+        extra = [0] * len(centres)  # smooth updates still to make after the stop test
+        live = list(range(len(centres)))
+        walks = 0
+        while live:
+            cols = (slice(None) if len(live) == len(centres) else
+                    np.concatenate([np.arange(starts[i], starts[i + 1]) for i in live]))
+            u_live = u[:, cols]
+            g = -self._series([spans[i] for i in live], xi[:, cols] + u_live, eta[:, cols],
+                              [couplings[i] for i in live], warm=walks > 0)
+            f = g - u_live
+            r = norms(f)
+            walks += 1
+            pos, still = 0, []
+            for i in live:
+                here, mine = slice(pos, pos + counts[i]), slice(starts[i], starts[i + 1])
+                pos += counts[i]
+                if extra[i]:
+                    u[:, mine] = g[:, here]
+                    extra[i] -= 1
+                    if extra[i]:
+                        still.append(i)
+                    continue
+                res = float(_max(r[here]))
+                if residuals[i] and not res < residuals[i][-1]:
+                    values[i].clear()
+                residuals[i].append(res)
+                if res <= self.fp_tol:
+                    iters[i] = len(residuals[i]) - 1
+                    if smooth:  # 4 further updates, g the first of them
+                        u[:, mine] = g[:, here]
+                        extra[i] = 3
+                        still.append(i)
+                    continue
+                if len(residuals[i]) == caps[i]:
+                    raise NoConvergence(f"h fixed point at n={centres[i]}", caps[i], res,
+                                        self.fp_tol)
+                values[i] = values[i][-_ANDERSON_DEPTH:] + [(g[:, here], f[:, here])]
+                u[:, mine] = (g[:, here] if smooth or len(values[i]) == 1
+                              else _anderson_step(values[i]))
+                still.append(i)
+            for i in set(live) - set(still):  # its couplings hold arrays live centres share
+                couplings[i] = None
+            live = still
+        return u, list(zip(residuals, iters))
 
     def h_window(self, n: int) -> tuple[int, int]:
         """(halfwidth, iteration cap >= 8) of h at n: its series window at the
@@ -311,88 +366,161 @@ class ConjugacyEngine:
     def residual_tables(self, ns, xi, eta=None, steps: int = 10) -> dict[int, BaseResiduals]:
         """Inverse and equivariance residuals at every base index in `ns`.
 
-        Evaluated index-major.  The probes' linear and coupled trajectories do
-        not depend on the conjugacies, so for each index m from min(ns) to
-        max(ns) + steps, in ascending order, the tables need one bar_h(m, .)
-        on every coupled point at m, one h(m, .) on every linear point at m
-        plus, when m is a base index, the round-trip points p + bar_h(m, p),
-        and at a base index one bar_h(m, p + h(m, p)) to close the round
-        trip.  The live bases' probes are flat column blocks, one per base in
-        ascending order: a starting base appends its block, the retiring
-        oldest base drops the first.
+        The probes' linear and coupled trajectories do not depend on the
+        conjugacies, so the tables advance over the indices m from min(ns) to
+        max(ns) + steps in blocks of `_BLOCK` consecutive indices.  At index m
+        they need bar_h(m, .) on every coupled point at m, h(m, .) on every
+        linear point at m plus, when m is a base index, the round-trip points
+        p + bar_h(m, p), and at a base index bar_h(m, p + h(m, p)) to close
+        the round trip.  A block solves each of the three as one multi-centre
+        solve over all its indices (`_residual_block`).
 
-        A NonautolinError at index m becomes the `equivariance_error` of
-        every base n with m in [n, n + steps] that has none yet, and the
-        `inverse_error` of n = m; the bases it hits take no further columns.
+        A NonautolinError in a block of several indices reruns that block one
+        index at a time, so an error is attributed as if the tables advanced
+        index by index: an error at index m becomes the
+        `equivariance_error` of every base n with m in [n, n + steps] that
+        has none yet, and the `inverse_error` of n = m; the bases it hits
+        take no further columns.
         """
-        norms = _column_norms(self.sys.space.norm_kind)
         xi_b, eta_b, _ = _state_columns(self.sys, xi, eta)
-        batch = xi_b.shape[1]
         out = {n: BaseResiduals() for n in sorted({int(n) for n in ns})}
         if not out:
             return out
-        live: list[int] = []  # the bases whose steps reach m, ascending
-        for m in range(min(out), max(out) + steps + 1):
-            base = m in out
-            if base:
-                if not live:  # the blocks restart
-                    lin = cpl = h_img = bh_img = xi_b[:, :0]
-                    y, fwd, dual = eta_b[:, :0], np.zeros(0), np.zeros(0)
-                live.append(m)
-                lin = np.hstack([lin, xi_b])
-                cpl = np.hstack([cpl, xi_b])
-                y = np.hstack([y, eta_b])
-                fwd, dual = np.append(fwd, np.zeros(batch)), np.append(dual, np.zeros(batch))
-            if not live:
-                continue
-            width = lin.shape[1]
+        none = np.zeros((0, xi_b.shape[1]))
+        idle = _Live((), xi_b[:, :0], xi_b[:, :0], eta_b[:, :0], xi_b[:, :0], xi_b[:, :0],
+                     none, none)
+        live, m, end, alone = idle, min(out), max(out) + steps, 0
+        while m <= end:
+            block = range(m, min(m + (1 if alone else _BLOCK), end + 1))
             try:
-                bvals, tail, _ = self.bar_h_detailed(m, cpl, y)
-                if base:  # base m is the last block
-                    b0 = bvals[:, width - batch:]
-                    hvals = self.h(m, np.hstack([lin, xi_b + b0]), np.hstack([y, eta_b]))
-                    u0 = hvals[:, width - batch:width]
-                    closing = self.bar_h(m, xi_b + u0, eta_b)
-                else:
-                    hvals = self.h(m, lin, y)
+                live, results = self._residual_block(block, live, out, xi_b, eta_b, steps)
             except NonautolinError as exc:
-                for n in live:
-                    out[n].equivariance_error = exc
-                live.clear()
-                if base:
-                    out[m].inverse_error = exc
-                continue
-            if base:
-                rec = out[m]
-                rec.h, rec.bar_h, rec.tail_bound = u0, b0, tail
-                # H and bar_H leave y unchanged, so only x can miss the probe
-                rec.inverse = np.maximum(
-                    norms((xi_b + u0) + closing - xi_b),
-                    norms((xi_b + b0) + hvals[:, width:] - xi_b),
-                )
-            hx = lin + hvals[:, :width]  # H(m, linear points)
-            bx = cpl + bvals  # bar_H(m, coupled points)
-            # the images cover the bases started before m; both trajectories
-            # step y with the same g, so again only x differs
-            old = h_img.shape[1]
-            fwd = np.concatenate([np.maximum(fwd[:old], norms(h_img - hx[:, :old])), fwd[old:]])
-            dual = np.concatenate([np.maximum(dual[:old], norms(bh_img - bx[:, :old])), dual[old:]])
-            if live[0] + steps == m:  # only the oldest base can end here
-                first = out[live.pop(0)]
-                first.forward, first.dual = fwd[:batch], dual[:batch]
-                if not live:
+                if len(block) > 1:  # rerun the block one index at a time
+                    alone = len(block)
                     continue
-            cut = width - len(live) * batch  # past the retired block, if any
-            hx, bx, lin, cpl, y = (a[:, cut:] for a in (hx, bx, lin, cpl, y))
-            fwd, dual, half = fwd[cut:], dual[cut:], width - cut
-            x_c, _, _ = _forward_step(self.sys, m, np.hstack([hx, cpl]),
-                                      np.hstack([y, y]), coupled=True)
-            x_l, y, _ = _forward_step(self.sys, m, np.hstack([bx, lin]),
-                                      y, coupled=False)
-            h_img, cpl = x_c[:, :half], x_c[:, half:]
-            bh_img, lin = x_l[:, :half], x_l[:, half:]
+                for n in live.bases + ((m,) if m in out else ()):
+                    out[n].equivariance_error = exc
+                if m in out:
+                    out[m].inverse_error = exc
+                live, results = idle, []
+            for n, fields in results:
+                vars(out[n]).update(fields)
+            alone = max(alone - 1, 0)
+            m = block.stop
         return out
 
+    def _residual_block(self, block: range, live: _Live, out: dict, xi: np.ndarray,
+                        eta: np.ndarray, steps: int) -> tuple[_Live, list]:
+        """The bases live after the consecutive indices `block`, and the
+        (base, fields) results the block completed, from the bases `live`
+        after the index before it.
+
+        In order: the probes' linear and coupled points are stepped to every
+        index of the block; one bar_h solve over the block's centres takes
+        the coupled points, the probes at a base index among them; one h
+        solve takes the linear points and the round trips; one bar_h solve
+        closes the round trips; then the images of H and bar_H at each index
+        are stepped to the next and compared.  Any arithmetic failure raises
+        NonautolinError, which names the index of a one-index block."""
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return self._block_results(block, live, out, xi, eta, steps)
+        except FloatingPointError as exc:
+            raise NonautolinError(
+                f"arithmetic failure in the residual tables at m={block[0]}: {exc}") from exc
+
+    def _block_results(self, block: range, live: _Live, out: dict, xi: np.ndarray,
+                       eta: np.ndarray, steps: int) -> tuple[_Live, list]:
+        """`_residual_block` under its floating-point trap."""
+        sys, batch = self.sys, xi.shape[1]
+        norms = _column_norms(sys.space.norm_kind)
+        at = []  # (m, bases, lin, cpl, y) at each index of the block with live bases
+        bases, lin, cpl, y = live.bases, live.lin, live.cpl, live.y
+        for m in block:
+            if bases:
+                lin = _dot(sys.a.matrix(m - 1), lin)
+                cpl, y, _ = _forward_step(sys, m - 1, cpl, y)
+            if m in out:
+                bases += (m,)
+                lin, cpl, y = np.hstack([lin, xi]), np.hstack([cpl, xi]), np.hstack([y, eta])
+            if bases:
+                at.append((m, bases, lin, cpl, y))
+                if bases[0] + steps == m:  # only the oldest base can end here
+                    bases, lin, cpl, y = bases[1:], lin[:, batch:], cpl[:, batch:], y[:, batch:]
+        if not at:
+            return live, []
+        ms, _, lins, cpls, ys = zip(*at)
+        wins = [self.series_window(m, self.series_tol) for m in ms]
+        widths = [c.shape[1] for c in cpls]
+        bars = _split(self._series(_spans(zip(ms, [w.halfwidth for w in wins], widths)),
+                                   np.hstack(cpls), np.hstack(ys)), widths)
+        # h on the linear points and, at a base index, the round trips
+        h_x, h_eta, counts = [], [], []
+        for m, lin, y, b in zip(ms, lins, ys, bars):
+            h_x += [lin, xi + b[:, -batch:]] if m in out else [lin]
+            h_eta += [y, eta] if m in out else [y]
+            counts.append(lin.shape[1] + batch * (m in out))
+        hs = _split(self._solve_h(list(ms), counts, np.hstack(h_x), np.hstack(h_eta))[0],
+                    counts)
+        trips = [(m, w, h) for m, w, h in zip(ms, wins, hs) if m in out]
+        if trips:  # bar_h(m, p + h(m, p)) closes the round trips
+            closing = self._series(_spans((m, w.halfwidth, batch) for m, w, _ in trips),
+                                   np.hstack([xi + h[:, -2 * batch:-batch]
+                                              for *_, h in trips]),
+                                   np.tile(eta, len(trips)))
+
+        results: list = []
+        prev = live
+        for (m, bases, lin, cpl, y), win, b, h in zip(at, wins, bars, hs):
+            hx, bx = lin + h[:, :lin.shape[1]], cpl + b  # H(m, lin), bar_H(m, cpl)
+            fwd, dual, old = prev.fwd, prev.dual, len(prev.bases)
+            if old:  # the images at m of H and bar_H at m - 1
+                j = m - 1
+                h_img = _dot(sys.a.matrix(j), prev.hx) + _checked(
+                    sys.f.eval(j, prev.hx, prev.y), prev.hx.shape, "f.eval", j)
+                bh_img = _dot(sys.a.matrix(j), prev.bx)
+                # both trajectories step y with the same g, so only x differs
+                fwd = np.maximum(fwd, norms(h_img - hx[:, :old * batch]).reshape(old, batch))
+                dual = np.maximum(dual, norms(bh_img - bx[:, :old * batch]).reshape(old, batch))
+            if m in out:
+                u0, b0 = h[:, -2 * batch:-batch], b[:, -batch:]
+                back, closing = closing[:, :batch], closing[:, batch:]
+                # H and bar_H leave y unchanged, so only x can miss the probe
+                results.append((m, {"h": u0, "bar_h": b0, "tail_bound": win.tail_bound,
+                                    "inverse": np.maximum(norms((xi + u0) + back - xi),
+                                                          norms((xi + b0) + h[:, -batch:] - xi))}))
+                fwd, dual = np.vstack([fwd, np.zeros(batch)]), np.vstack([dual, np.zeros(batch)])
+            if bases[0] + steps == m:
+                results.append((bases[0], {"forward": fwd[0], "dual": dual[0]}))
+                bases, fwd, dual = bases[1:], fwd[1:], dual[1:]
+                lin, cpl, y, hx, bx = (v[:, batch:] for v in (lin, cpl, y, hx, bx))
+            prev = _Live(bases, lin, cpl, y, hx, bx, fwd, dual)
+        return prev, results
+
+
+def _split(cols: np.ndarray, counts: list) -> list:
+    """The (dim, batch) columns `cols` cut into consecutive pieces of `counts` columns."""
+    return np.split(cols, np.cumsum(counts)[:-1], axis=1)
+
+
+def _spans(centres) -> list:
+    """The `Span`s of (n, halfwidth, count) triples, ascending in n."""
+    return [Span(n, n - k_half, n + k_half, count) for n, k_half, count in centres]
+
+
+def _coupling_lists(spans: list) -> list:
+    """Empty coupling lists for a `_trajectory` sweep over `spans`."""
+    return [[None] * (s.hi - s.lo + 1) for s in spans]
+
+
+# Indices per residual block of `residual_tables`.  A longer block shares
+# each kernel call among more centres but holds more couplings at once.  On
+# `report --system ex1 --gamma-scale 0.5` (perfbench ex1_report, 2-core
+# x86_64, three interleaved runs per length) wall_s fell from 0.35-0.47 s at
+# 2 and 0.29-0.35 s at 4 to 0.22-0.29 s at 8, no lower at 11 or 16, while
+# peak_rss_mb rose from 41.0 MB at 2 to 41.4-41.5 at 8, 41.6 at 11 and
+# 42.2-43.0 at 16, against 40.9 MB for one index at a time.
+_BLOCK = 8
 
 _ANDERSON_DEPTH = 2  # residual differences per Anderson step
 _RELATIVE_REG = 1e-10  # of the trace of a column's normal equations
@@ -414,6 +542,23 @@ def _anderson_step(values: list) -> np.ndarray:
     gram += diag[:, None, None] * np.eye(d_f.shape[-1])
     gamma = np.linalg.solve(gram, np.einsum("dbi,db->bi", d_f, f)[..., None])[..., 0]
     return g - np.einsum("dbi,bi->db", d_g, gamma)
+
+
+class _Live(NamedTuple):
+    """The bases of `residual_tables` whose steps reach past index m - 1,
+    ascending, after that index: their probes' columns, base after base, as
+    linear points, coupled points and y at m - 1, and H and bar_H at m - 1
+    of those points, with the (bases, batch) running maxima of the forward
+    and dual residuals."""
+
+    bases: tuple
+    lin: np.ndarray
+    cpl: np.ndarray
+    y: np.ndarray
+    hx: np.ndarray
+    bx: np.ndarray
+    fwd: np.ndarray
+    dual: np.ndarray
 
 
 @dataclass

@@ -12,7 +12,7 @@ which must be < 1.  T_j inverts the step map F_j(x, eta) = A_j x + f_j(x, eta).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -172,55 +172,133 @@ def coupled_trajectory(
     backward fixed-point solve per step, shared across the batch.
     """
     xi_b, eta_b, single = _state_columns(sys, xi, eta)
-    states = _trajectory(sys, n, lo, hi, xi_b, eta_b, opts)[0]
+    states = {n: (xi_b, eta_b)}
+    _trajectory(sys, [Span(n, lo, hi, xi_b.shape[1])], xi_b, eta_b, opts, states=states)
     return {k: (x[:, 0], y[:, 0]) for k, (x, y) in states.items()} if single else states
 
 
-def _trajectory(
-    sys: SystemSpec, n: int, lo: int, hi: int, xi, eta, opts: Optional[SolveOptions] = None,
-    guess: Optional[dict] = None,
-) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], dict[int, np.ndarray]]:
-    """The states of `coupled_trajectory` through the (dim, batch) columns
-    (xi, eta) and f_k(x_k, y_k) at every k in [lo, hi): the coupling values
-    its forward and backward steps computed.  An overflow or invalid value
-    anywhere on the walk raises NonautolinError naming the step j.
+class Span(NamedTuple):
+    """One centre of a `_trajectory` sweep: `count` consecutive columns
+    through their (xi, eta) at time n, walked over [lo, hi], lo <= n <= hi."""
 
-    Each backward step j solves its fixed point by `_backward_picard` to the
-    per-step tolerance fixed_point_tol / (n - lo) of its defect.  `guess`,
-    when given, is the coupling dict of an earlier walk of the same solve,
-    over the same columns: step j then starts from A_j^{-1} (x_{j+1} -
-    guess[j]), and the walk writes its own couplings into that dict, which
-    it returns, so the earlier walk's arrays are released as it goes.  The
-    stop test is the same from any start, so a warm walk's states are held
-    to the same bound on their defects as a cold walk's, the bar_h summed
-    from them is as accurate, and an h solve's stop test |u + bar_h(n, xi
-    + u, eta)| <= fp_tol still gives |u - h| <= fp_tol / (1 - c(n)).
-    Column i's guess is its own earlier coupling, a smooth function of its
-    own data, and each step's Picard count is shared by the batch, so the
-    sampled walk stays a smooth function of each column, as the smooth h
-    solves of the d_h stencil need (`ConjugacyEngine.h_detailed`).
+    n: int
+    lo: int
+    hi: int
+    count: int
+
+
+def _trajectory(
+    sys: SystemSpec, spans: list, xi, eta, opts: Optional[SolveOptions] = None,
+    couplings: Optional[list] = None, warm: bool = False, states: Optional[dict] = None,
+) -> None:
+    """The one walk of the package: a sweep over the (dim, batch) columns
+    (xi, eta), laid out by the `Span`s in ascending order of their centres,
+    each span's columns walked forward from its centre n to hi and backward
+    to lo.  At each j one `_forward_step` steps every column whose centre
+    is <= j < its hi, and one `_backward_picard` call every column whose lo
+    is <= j < its centre, so the walks of neighbouring centres share each
+    step's coupling evaluation.  One span is exactly a single walk.
+
+    With `couplings`, one list of hi - lo + 1 entries per span, the sweep
+    puts f_k(x_k, y_k) of the span's columns, (dim_x, count), at every k
+    of its window, the upper end included, in entry k - lo.  With `warm`,
+    these hold the couplings of an earlier sweep of the same solve over the
+    same columns and windows: backward step j of a column starts from
+    A_j^{-1} (x_{j+1} - that guess), and the step's own coupling replaces
+    it.  With `states`, a dict, a one-span sweep also records (x_k, y_k) at
+    every k of [lo, hi] but n, which the caller sets.  An overflow or
+    invalid value anywhere on the sweep raises NonautolinError naming the
+    step j.
+
+    Each backward step solves its fixed point by `_backward_picard` to the
+    per-step tolerance fixed_point_tol / (n - lo) of its defect, the
+    smallest over the spans it steps.  The stop test is the same from any
+    start, so a warm walk's states are held to the same bound on their
+    defects as a cold walk's, the bar_h summed from them is as accurate,
+    and an h solve's stop test |u + bar_h(n, xi + u, eta)| <= fp_tol still
+    gives |u - h| <= fp_tol / (1 - c(n)).  Column i's guess is its own
+    earlier coupling, a smooth function of its own data, and each step's
+    Picard count is shared by the batch, so the sampled walk stays a smooth
+    function of each column, as the smooth h solves of the d_h stencil
+    need (`ConjugacyEngine.h_detailed`).
     """
     opts = opts or DEFAULT_SOLVE
-    states: dict[int, tuple[np.ndarray, np.ndarray]] = {n: (xi, eta)}
-    couplings: dict[int, np.ndarray] = {} if guess is None else guess
-    x, y = xi, eta
+    starts = np.cumsum([0] + [s.count for s in spans]).tolist()
+    top = couplings is not None  # whether f is needed at the upper end
+
+    def columns(now, prev, x, y):
+        """The states of the spans `now`, and where each span's couplings
+        go: a span of `prev` keeps its columns of (x, y), a new one starts
+        from its (xi, eta); each run of consecutive spans from one source
+        is one slice."""
+        held, pos = {}, 0
+        for i in prev:
+            held[i] = pos
+            pos += spans[i].count
+        runs: list = []  # [held, start, stop]
+        targets, pos = [], 0  # (coupling list, its lo, the span's columns)
+        for i in now:
+            a = held.get(i, starts[i])
+            if runs and runs[-1][0] == (i in held) and runs[-1][2] == a:
+                runs[-1][2] += spans[i].count
+            else:
+                runs.append([i in held, a, a + spans[i].count])
+            if top:
+                targets.append((couplings[i], spans[i].lo, slice(pos, pos + spans[i].count)))
+            pos += spans[i].count
+        cols = [(x[:, a:b], y[:, a:b]) if kept else (xi[:, a:b], eta[:, a:b])
+                for kept, a, b in runs]
+        if len(cols) == 1:
+            return cols[0] + (targets,)
+        return np.hstack([c[0] for c in cols]), np.hstack([c[1] for c in cols]), targets
+
+    def segments(window, backward):
+        """(steps, spans) in sweep order: the runs of j over which the set
+        of spans whose half-open `window` holds j stays the same."""
+        ends = sorted({e for s in spans for e in window(s)})
+        runs = []
+        for a, b in zip(ends, ends[1:]):
+            inside = tuple(i for i, s in enumerate(spans) if window(s)[0] <= a < window(s)[1])
+            if inside:
+                runs.append((range(b - 1, a - 1, -1) if backward else range(a, b), inside))
+        return runs[::-1] if backward else runs
+
+    x = y = None
+    j = spans[0].n
     try:
-        with np.errstate(over="raise", invalid="raise"):  # once per walk, not per Picard step
-            for j in range(n, hi):
-                x, y, couplings[j] = _forward_step(sys, j, x, y)
-                states[j + 1] = (x, y)
-            x, y = xi, eta
-            if lo < n:
-                tol, max_iters = opts.fixed_point_tol / (n - lo), opts.max_iters
-                norms = _column_norms(sys.space.norm_kind)
-                g_inv = sys.g.eval_inv if sys.space.dim_y else None
-                for j in range(n - 1, lo - 1, -1):
+        with np.errstate(over="raise", invalid="raise"):  # once per sweep, not per Picard step
+            prev: tuple = ()
+            for steps, now in segments(lambda s: (s.n, s.hi + top), False):
+                x, y, targets = columns(now, prev, x, y)
+                prev, end = now, max(spans[i].hi for i in now)
+                for j in steps:
+                    if j == end:  # every window ends at j: its coupling alone
+                        fx = _checked(sys.f.eval(j, x, y), x.shape, "f.eval", j)
+                    else:
+                        x, y, fx = _forward_step(sys, j, x, y)
+                        if states is not None:
+                            states[j + 1] = (x, y)
+                    for out, lo, cols in targets:
+                        out[j - lo] = fx[:, cols]
+            norms = _column_norms(sys.space.norm_kind)
+            g_inv = sys.g.eval_inv if sys.space.dim_y else None
+            prev = ()
+            for steps, now in segments(lambda s: (s.lo, s.n), True):
+                x, y, targets = columns(now, prev, x, y)
+                prev = now
+                tol = opts.fixed_point_tol / max(spans[i].n - spans[i].lo for i in now)
+                for j in steps:
                     if g_inv is not None:
                         y = _checked(g_inv(j, y), y.shape, "g.eval_inv", j)
-                    x, couplings[j], _ = _backward_picard(sys, j, x, y, couplings.get(j), tol,
-                                                          max_iters, norms)
-                    states[j] = (x, y)
+                    guess = None
+                    if warm:
+                        guess = [out[j - lo] for out, lo, _ in targets]
+                        guess = guess[0] if len(guess) == 1 else np.hstack(guess)
+                    x, fx, _ = _backward_picard(sys, j, x, y, guess, tol, opts.max_iters, norms)
+                    for out, lo, cols in targets:
+                        out[j - lo] = fx[:, cols]
+                    if states is not None:
+                        states[j] = (x, y)
     except FloatingPointError as exc:
         raise NonautolinError(
             f"arithmetic failure in the coupled trajectory at j={j}: {exc}") from exc
-    return states, couplings

@@ -14,7 +14,8 @@ import numpy as np
 
 from nonautolin.derivatives import JacobianReport, _rel_error
 from nonautolin.errors import ContractionViolation
-from nonautolin.evolution import SolveOptions, _state_columns, _trajectory, coupled_trajectory
+from nonautolin.evolution import (SolveOptions, Span, _state_columns, _trajectory,
+                                  coupled_trajectory)
 from nonautolin.system import SystemSpec, operator_norm
 
 
@@ -150,6 +151,22 @@ def _series_sum(engine, n: int, k_half: int, states: dict) -> np.ndarray:
     return -acc
 
 
+def reordering_bound(engine, n: int, k_half: int, states: dict) -> np.ndarray:
+    """Per column and component, 2 gamma_m sum_k |G(n, k+1)| |f_k| over the
+    window of halfwidth k_half at the states of `states`, with absolute
+    values taken entrywise, m = (2 k_half + 1) dim_x products per component
+    and gamma_m = m u / (1 - m u), u = 2^-53: two sums of those products in
+    any two orders differ by at most this (Higham, "Accuracy and Stability
+    of Numerical Algorithms", 2nd ed., §3.1)."""
+    row = engine.green_row(n, k_half)
+    m = (2 * k_half + 1) * engine.sys.space.dim_x
+    gamma = m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
+    acc = np.zeros_like(states[n][0])
+    for k in range(n - k_half, n + k_half + 1):
+        acc += np.abs(row[k - n + k_half]) @ np.abs(engine.sys.f.eval(k, *states[k]))
+    return 2.0 * gamma * acc
+
+
 def bar_h_series(engine, n: int, xi, eta=None, window: Optional[int] = None) -> np.ndarray:
     """bar_h(n, xi, eta) of `engine` summed term by term: the states of
     `coupled_trajectory`, then a fresh f_k at every state k, added in index
@@ -171,20 +188,23 @@ def h_by_picard(engine, n: int, xi, eta=None, updates: Optional[int] = None,
     given.  Returns (u, number of updates made).
 
     By default every bar_h is the engine's own, a cold walk.  With `warm`,
-    each walk after the first is `evolution._trajectory` given the
-    couplings of the previous walk as its guess, and bar_h is summed from
+    each walk after the first is a one-span `evolution._trajectory` started
+    warm from the couplings of the previous walk, and bar_h is summed from
     its states like `bar_h_series`."""
     c = engine.contraction(n)
     k_half = engine.series_window(
         n, min(engine.series_tol, engine.fp_tol * (1.0 - c) / 2.0)).halfwidth
     xi_b, eta_b, _ = _state_columns(engine.sys, xi, eta)
-    guess: dict = {}
+    couplings: list = []  # the previous walk's, once there was one
 
     def bar_h(x):
         if not warm:
             return engine.bar_h(n, x, eta_b, window=k_half)
-        states, _ = _trajectory(engine.sys, n, n - k_half, n + k_half, x, eta_b,
-                                engine.solve, guess)
+        states, started = {n: (x, eta_b)}, bool(couplings)
+        if not started:
+            couplings.append([None] * (2 * k_half + 1))
+        _trajectory(engine.sys, [Span(n, n - k_half, n + k_half, x.shape[1])], x, eta_b,
+                    engine.solve, couplings, started, states)
         return _series_sum(engine, n, k_half, states)
 
     u = np.zeros_like(xi_b)

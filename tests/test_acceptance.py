@@ -15,7 +15,6 @@ from nonautolin import (
     CONVERGED,
     DIVERGENT,
     ConjugacyEngine,
-    SolveOptions,
     backward_step_detailed,
     certify,
     green_span,
@@ -23,7 +22,7 @@ from nonautolin import (
     system_by_name,
     validate_jacobians,
 )
-from nonautolin.cli import main, probe_grid
+from nonautolin.cli import RunConfig, _engine, main, probe_grid
 from nonautolin.derivatives import barh_jacobian
 
 from .reference import evolve_coupled, evolve_driver, lip_C, lip_D, lip_M
@@ -200,7 +199,6 @@ def test_criterion_6_lipschitz_envelopes():
 
 def test_criterion_7_smoothness_validation():
     started = time.perf_counter()
-    solve = SolveOptions(fixed_point_tol=3e-13, max_iters=400)
     rng = np.random.default_rng(31)
     cases = (
         ("ex1", dict(lam=LN2, gamma_scale=0.9)),
@@ -209,7 +207,7 @@ def test_criterion_7_smoothness_validation():
     )
     for name, kwargs in cases:
         s = system_by_name(name, **kwargs)
-        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-10, solve=solve)
+        eng = _engine(RunConfig(), s)
         dx, dy = s.space.dim_x, s.space.dim_y
         eye = np.eye(dx)
         for n in (-3, 0, 3):

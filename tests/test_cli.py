@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonautolin.catalog import BUILDERS
-from nonautolin.cli import RunConfig, main
+from nonautolin.cli import RunConfig, _report_text, main, run_command
 from nonautolin.errors import ConfigError
 
 
@@ -310,6 +310,44 @@ class TestReportCommand:
         rep_a.pop("timing")
         rep_b.pop("timing")
         assert rep_a == rep_b
+
+
+class TestReportText:
+    """The report writer lays out the indentation itself and encodes the
+    scalars with json's C encoder; its bytes are json.dumps's."""
+
+    @staticmethod
+    def _dumps(report):
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+
+    @pytest.mark.parametrize("command, system", [("check", "ex2"), ("conjugate", "end_cfg"),
+                                                 ("derivatives", "remm"), ("report", "ex1")])
+    def test_bytes_equal_json_dumps(self, command, system):
+        cfg = RunConfig(system=system, n_min=0, n_max=1, probes_per_axis=2, steps=2)
+        report = run_command(command, cfg)
+        assert report[{"check": "hypothesis", "conjugate": "inverse", "derivatives": "jacobians",
+                       "report": "jacobians"}[command]] is not None
+        assert _report_text(report) == self._dumps(report)
+
+    def test_bytes_equal_json_dumps_on_odd_values(self):
+        report = {"b": {}, "a": [1, 2.5, True, None, "x, y: [z]", [], {}, -0.0, 5e-324, 10 ** 20],
+                  "keys": [{3: 1, 1.5: 2}, {True: 3}, {None: 4}], "tuple": ("t", (1, 2.0)),
+                  "text": "\u00e9\n\"q\"\\", "nested": [[1, 2], [{"k": [3.0]}]],
+                  "tables": [[{"a": 1.0, "b": None, "c": [1, 2.0], "d": "x"},
+                              {"a": 2.5, "b": 0.5, "c": [3.0, 4.0], "d": "y, [z]"}],
+                             [{"v": [1.0, 2.0]}, {"v": [3.0]}], [{"w": {"k": 1}}, {"w": 2}],
+                             [{"p": 1}, {"q": 2}], [{"r": True}, {"r": -7}]]}
+        assert _report_text(report) == self._dumps(report)
+
+    @pytest.mark.parametrize("bad", [{"x": float("nan")}, {"x": [1.0, float("inf")]},
+                                     {"rows": [{"residual": float("-inf")}]}, {"x": object()},
+                                     {(1, 2): 3}])
+    def test_a_value_json_rejects_raises_as_json_dumps_does(self, bad):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            self._dumps(bad)
+        with pytest.raises(expected.type) as got:
+            _report_text(bad)
+        assert str(got.value) == str(expected.value)
 
 
 class TestFarIndices:

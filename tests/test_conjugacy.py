@@ -16,16 +16,18 @@ from nonautolin import (
     WeightSeq,
     WindowExhausted,
     backward_step_detailed,
+    operator_norm,
     system_by_name,
 )
 from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, phase_conjugate,
                             probe_grid)
+from nonautolin.conjugacy import _spans
 from nonautolin.errors import NoConvergence, NonautolinError
-from nonautolin.evolution import _forward_step, coupled_trajectory
+from nonautolin.evolution import _forward_step, _state_columns, coupled_trajectory
 
 from .conftest import LN2, diag_stack, random_invertible_system
 from .reference import (bar_h_series, column_norms, evolve_coupled, evolve_driver,
-                        green_by_factors, h_by_picard)
+                        green_by_factors, h_by_picard, reordering_bound)
 
 
 def one_term_system(n0, c=0.05, lam=LN2):
@@ -158,6 +160,11 @@ class TestLeanSweep:
     @pytest.mark.parametrize("batch", [None, 5])
     @pytest.mark.parametrize("window", [None, 12])
     def test_bit_identical_to_series_loop(self, name, kwargs, batch, window, rng):
+        # the terms bar_h sums are bit for bit the series loop's: each
+        # coupling its walk computed is the loop's fresh f_k at the same
+        # state.  It adds them as one product over the stacked window, in
+        # another order than the loop's index order, so the two sums agree
+        # within the stated rounding bound of that reordering
         sys = system_by_name(name, **kwargs)
         eng = ConjugacyEngine(sys, window_halfwidth=160, advanced_halfwidth=40)
         cols = () if batch is None else (batch,)
@@ -166,7 +173,17 @@ class TestLeanSweep:
             eta = rng.uniform(-1, 1, (sys.space.dim_y,) + cols)
             value = eng.bar_h(n, xi, eta, window=window)
             assert value.shape == xi.shape
-            assert np.array_equal(value, bar_h_series(eng, n, xi, eta, window))
+            k_half = eng.series_window(n, eng.series_tol).halfwidth if window is None else window
+            xi_b, eta_b, _ = _state_columns(sys, xi, eta)
+            couplings = [[None] * (2 * k_half + 1)]
+            summed = eng._series(_spans([(n, k_half, xi_b.shape[1])]), xi_b, eta_b, couplings)
+            assert np.array_equal(summed, value.reshape(summed.shape))
+            states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, eng.solve)
+            for k in range(n - k_half, n + k_half + 1):
+                assert np.array_equal(couplings[0][k - n + k_half], sys.f.eval(k, *states[k]))
+            bound = reordering_bound(eng, n, k_half, states)
+            diff = np.abs(summed - bar_h_series(eng, n, xi_b, eta_b, window))
+            assert np.all(diff <= bound), (diff.max(), bound.min())
 
     @pytest.mark.parametrize("name, kwargs", LEAN_SWEEP_SYSTEMS)
     def test_no_coupling_call_beyond_the_trajectory(self, name, kwargs, rng):
@@ -245,10 +262,9 @@ class TestH:
         class Jittery(ConjugacyEngine):
             _count = 0
 
-            def bar_h_detailed(self, n, xi, eta=None, window=None, *, guess=None):
-                val, tail, k = super().bar_h_detailed(n, xi, eta, window)
+            def _series(self, *args, **kwargs):
                 self._count += 1
-                return val + (-1.0) ** self._count * 1e-8, tail, k
+                return super()._series(*args, **kwargs) + (-1.0) ** self._count * 1e-8
 
         eng = Jittery(ex1_mild, series_tol=1e-9, fp_tol=1e-12)
         with pytest.raises(NoConvergence):
@@ -257,13 +273,23 @@ class TestH:
     def test_pinned_iteration_mode(self, engine_ex1):
         # the FD stencil's smooth h is plain Picard: the updates until the
         # stop test passes, then 4 more, each walk after the first
-        # warm-started from the previous walk's couplings
+        # warm-started from the previous walk's couplings.  The reference
+        # sums each bar_h in index order: every update may differ by the
+        # reordering bound, at most 2 gamma_m times the window's value bound
+        # in the max norm, and the contraction at rate c keeps the sum of
+        # those differences under that bound / (1 - c)
         xi = np.array([0.7, 0.2])
         _, iters = h_by_picard(engine_ex1, 0, xi, warm=True)
         pinned, _, count = engine_ex1.h_detailed(0, xi, smooth=True)
         assert count == iters
-        assert np.array_equal(pinned, h_by_picard(engine_ex1, 0, xi, updates=iters + 4,
-                                                  warm=True)[0])
+        c = engine_ex1.contraction(0)
+        k_half, _ = engine_ex1.h_window(0)
+        win = engine_ex1.series_window(0, min(engine_ex1.series_tol,
+                                              engine_ex1.fp_tol * (1 - c) / 2))
+        m = (2 * k_half + 1) * 2
+        bound = 2 * m * 2.0 ** -53 / (1 - m * 2.0 ** -53) * win.value_bound / (1 - c)
+        ref = h_by_picard(engine_ex1, 0, xi, updates=iters + 4, warm=True)[0]
+        assert np.max(np.abs(pinned - ref)) <= bound
         free = engine_ex1.h(0, xi)
         assert np.max(np.abs(pinned - free)) <= engine_ex1.fp_tol
 
@@ -389,6 +415,124 @@ class TestContractionCertificate:
                 assert num <= c * den + 2 * eng.series_tol
 
 
+BLOCK_SYSTEMS = [("ex1", {"gamma_scale": 0.5}), ("remm", {"gamma_scale": 0.5}),
+                 ("end_cfg", {"gamma_scale": 0.9})]
+
+
+def _block_engine(name, params):
+    cfg = RunConfig(system=name, system_params=params)
+    return _engine(cfg, build_system(cfg))
+
+
+def _walk_error_bound(eng, n, lo, states):
+    """Per column, a bound on |x_k - x'_k| at every k in [lo, n) between two
+    walks through the same (xi, eta) at n whose backward steps j each pass
+    the defect test at tolerance <= fixed_point_tol / (n - lo), `states` the
+    second walk's: |u - T_j(x)| <= L_j |defect| for each, and T_j is
+    L_j-Lipschitz, L_j = |A_j^{-1}| / (1 - |A_j^{-1}| gamma_j); 8 eps covers
+    the rounding of the computed defect.  The forward steps are the same
+    arithmetic on the same columns, and so is the y walk."""
+    sys, kind = eng.sys, eng.sys.space.norm_kind
+    tol = eng.solve.fixed_point_tol / (n - lo)
+    err, out = np.zeros(states[n][0].shape[1]), {}
+    for j in range(n - 1, lo - 1, -1):
+        scale = np.maximum(1.0, column_norms(states[j + 1][0], kind))
+        lip = sys.a_inv_norm(j) / (1.0 - sys.a_inv_norm(j) * sys.f.gamma(j))
+        err = out[j] = lip * (err + (tol + 8 * np.finfo(float).eps) * (2 * scale + err))
+    return out
+
+
+class TestBlockSolves:
+    """One multi-centre sweep against the one-centre calls it replaces, at
+    centres whose windows and caps differ (remm: 15-34 and 17-57, end_cfg:
+    34-99 and 17-56)."""
+
+    @pytest.mark.parametrize("name, params", BLOCK_SYSTEMS)
+    def test_bar_h_matches_one_centre_calls(self, name, params):
+        # the block and a one-centre walk differ by their backward steps'
+        # defects (the block may share a tighter tolerance and more Picard
+        # iterations) and by the rounding of the two sums
+        eng = _block_engine(name, params)
+        sys, kind = eng.sys, eng.sys.space.norm_kind
+        rng = np.random.default_rng(7)
+        centres, per = [-10, -4, -1, 0, 2, 5, 11, 20], 3
+        xi = rng.uniform(-1, 1, (sys.space.dim_x, per * len(centres)))
+        eta = rng.uniform(-1, 1, (sys.space.dim_y, per * len(centres)))
+        wins = [eng.series_window(n, eng.series_tol).halfwidth for n in centres]
+        block = eng._series(_spans([(n, k, per) for n, k in zip(centres, wins)]), xi, eta)
+        for i, (n, k) in enumerate(zip(centres, wins)):
+            cols = slice(per * i, per * (i + 1))
+            one = eng.bar_h(n, xi[:, cols], eta[:, cols])
+            states = coupled_trajectory(sys, n, n - k, n + k, xi[:, cols], eta[:, cols],
+                                        eng.solve)
+            err = _walk_error_bound(eng, n, n - k, states)
+            m = (2 * k + 1) * sys.space.dim_x
+            gamma_m = m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+            row = operator_norm(eng.green_row(n, k), kind)
+            walks = sum(row[j - n + k] * sys.f.gamma(j) * err[j] for j in range(n - k, n))
+            bound = (column_norms(reordering_bound(eng, n, k, states), kind)
+                     + (1 + gamma_m) * walks)
+            assert np.all(column_norms(block[:, cols] - one, kind) <= bound), n
+
+    @pytest.mark.parametrize("name, params", BLOCK_SYSTEMS)
+    def test_h_within_the_stop_test_bound_at_each_centre(self, name, params):
+        eng = _block_engine(name, params)
+        sys = eng.sys
+        rng = np.random.default_rng(8)
+        centres, per = [-4, 0, 2, 8], 2
+        xi = rng.uniform(-1, 1, (sys.space.dim_x, per * len(centres)))
+        eta = rng.uniform(-1, 1, (sys.space.dim_y, per * len(centres)))
+        u, records = eng._solve_h(centres, [per] * len(centres), xi, eta)
+        for i, n in enumerate(centres):
+            bound = 2.0 * eng.fp_tol / (1.0 - eng.contraction(n))
+            residuals, iters = records[i]
+            assert residuals[-1] <= eng.fp_tol and len(residuals) == iters + 1
+            for c in range(per * i, per * (i + 1)):
+                ref, _ = h_by_picard(eng, n, xi[:, c], eta[:, c])
+                assert np.max(np.abs(u[:, c] - ref)) <= bound, (n, c)
+
+    @pytest.mark.parametrize("name, params", BLOCK_SYSTEMS)
+    @pytest.mark.parametrize("fault", ["cap", "contraction"])
+    def test_an_error_at_one_index_of_a_block_stays_there(self, name, params, fault):
+        # index 1 fails alone, by its h cap (NoConvergence) or its
+        # certificate (ContractionViolation), inside a block of several
+        # indices: only base 1 loses its inverse, only the bases whose steps
+        # reach 1 lose their equivariance, and every other table matches the
+        # reference on an engine with the same fault
+        s = system_by_name(name, **params)
+        dim = s.space.dim_x + s.space.dim_y
+        xi, eta = _split_probes(s, probe_grid(dim, 2, 1.0, np.random.default_rng(3)))
+
+        def faulty():
+            eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13)
+            if fault == "cap":
+                h_window = eng.h_window
+                eng.h_window = lambda n: (h_window(n)[0], 1) if n == 1 else h_window(n)
+            else:
+                contraction = eng.contraction
+
+                def broken(n):
+                    if n == 1:
+                        raise ContractionViolation(n, 1.5, what="injected")
+                    return contraction(n)
+
+                eng.contraction = broken
+            return eng
+
+        ns, steps = range(-2, 4), 2
+        eng = faulty()
+        tables = eng.residual_tables(ns, xi, eta, steps=steps)
+        error = NoConvergence if fault == "cap" else ContractionViolation
+        assert [n for n, r in tables.items() if r.inverse_error] == [1]
+        assert isinstance(tables[1].inverse_error, error)
+        assert [n for n, r in tables.items() if r.equivariance_error] == [-1, 0, 1]
+        ref = reference_tables(faulty(), ns, xi, eta, steps)
+        for n, res in tables.items():
+            # any two h that pass the stop test are within 2 fp_tol / (1 - c(n))
+            bound = None if n == 1 else 2 * eng.fp_tol / (1 - eng.contraction(n))
+            TestResidualTables._assert_matches(eng, n, res, ref[n], h_atol=bound)
+
+
 def reference_tables(eng, ns, xi, eta, steps):
     """Per-n loop over the public engine calls: for each base n, h(n, p),
     bar_h(n, p), the inverse residuals and the (forward, dual) equivariance
@@ -454,12 +598,12 @@ class TestResidualTables:
             self._assert_matches(eng, n, res, ref[n])
 
     @staticmethod
-    def _assert_matches(eng, n, res, ref):
+    def _assert_matches(eng, n, res, ref, h_atol=None):
         assert (res.inverse is None) == (ref["inverse"] is None)
         assert (res.forward is None) == (ref["equivariance"] is None)
         if ref["inverse"] is not None:
             u, b, inverse = ref["inverse"]
-            assert_allclose(res.h, u, rtol=0, atol=eng.fp_tol)
+            assert_allclose(res.h, u, rtol=0, atol=eng.fp_tol if h_atol is None else h_atol)
             assert_allclose(res.bar_h, b, rtol=0, atol=1e-13)
             assert_allclose(res.inverse, inverse, rtol=0, atol=1e-12)
             assert res.tail_bound == eng.series_window(n, eng.series_tol).tail_bound
@@ -468,30 +612,41 @@ class TestResidualTables:
             assert_allclose(res.forward, fwd, rtol=0, atol=1e-12)
             assert_allclose(res.dual, dual, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def _completed_h_solves(monkeypatch, fail_at=None):
+        """The {centre: columns} of every `_solve_h` call that returns, in
+        order; a call whose centres include `fail_at` raises NoConvergence
+        instead."""
+        solve_h = ConjugacyEngine._solve_h
+        done = []
+
+        def recorded(self, centres, counts, *args, **kwargs):
+            if fail_at in centres:
+                raise NoConvergence(f"h fixed point at n={fail_at}", 0, 1.0, self.fp_tol)
+            out = solve_h(self, centres, counts, *args, **kwargs)
+            done.append(dict(zip(centres, counts)))
+            return out
+
+        monkeypatch.setattr(ConjugacyEngine, "_solve_h", recorded)
+        return done
+
     def test_blocks_restart_after_an_error_and_a_gap(self, monkeypatch):
         # h fails at index 1 alone: bases -1, 0 and 1 lose their equivariance
-        # and base 1 its inverse; bases 2 and 3 start fresh blocks after the
-        # error, and base 7 after a gap, and all three match the reference,
-        # read only once the walk is done
-        h_detailed = ConjugacyEngine.h_detailed
-        blocks = []  # (m, probe blocks of the h solve at m)
-
-        def failing(self, n, xi, *args, **kwargs):
-            blocks.append((n, xi.shape[1] // batch))
-            if n == 1:
-                raise NoConvergence("h fixed point at n=1", 0, 1.0, self.fp_tol)
-            return h_detailed(self, n, xi, *args, **kwargs)
-
-        monkeypatch.setattr(ConjugacyEngine, "h_detailed", failing)
+        # and base 1 its inverse; bases 2 and 3 start afresh after the error,
+        # and base 7 after a gap.  Each other index's columns (its live
+        # bases' probes, plus the round trips at a base index) go through
+        # exactly one completed h solve, and the tables match the reference
         s = system_by_name("ex1", lam=LN2, gamma_scale=0.5)
         xi, eta = self._probes(s, 3)
         batch = xi.shape[1]
+        done = self._completed_h_solves(monkeypatch, fail_at=1)
         ns = [-1, 0, 1, 2, 3, 7]
         eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13)
         tables = eng.residual_tables(ns, xi, eta, steps=2)
-        # the live bases' blocks, plus the round trip at a base index
-        assert blocks == [(-1, 2), (0, 3), (1, 4), (2, 2), (3, 3), (4, 2), (5, 1),
-                          (7, 2), (8, 1), (9, 1)]
+        solved = [m for cols in done for m in cols]
+        assert sorted(solved) == [-1, 0, 2, 3, 4, 5, 7, 8, 9]
+        assert {m: c // batch for cols in done for m, c in cols.items()} == {
+            -1: 2, 0: 3, 2: 2, 3: 3, 4: 2, 5: 1, 7: 2, 8: 1, 9: 1}
         ref = reference_tables(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13),
                                ns, xi, eta, 2)
         assert [n for n, res in tables.items() if res.inverse_error] == [1]
@@ -500,19 +655,27 @@ class TestResidualTables:
             self._assert_matches(eng, n, res, ref[n])
 
     def test_one_h_solve_per_index(self, monkeypatch):
-        calls = []
-        h_detailed = ConjugacyEngine.h_detailed
-
-        def counted(self, n, *args, **kwargs):
-            calls.append(n)
-            return h_detailed(self, n, *args, **kwargs)
-
-        monkeypatch.setattr(ConjugacyEngine, "h_detailed", counted)
-        cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-2, n_max=2)
-        equi, inv, ok = phase_conjugate(cfg, _engine(cfg, build_system(cfg)))
-        assert ok
-        assert calls == list(range(-2, 2 + cfg.steps + 1))  # 15, one per index
-        assert [r["n"] for r in inv["rows"]] == [n for n in range(-2, 3) for _ in range(25)]
+        # every index from n_min to n_max + steps has its columns solved
+        # once, in blocks of several indices, and the tables match the
+        # reference
+        s = system_by_name("ex1", lam=LN2, gamma_scale=0.5)
+        xi, eta = self._probes(s, 2)
+        batch = xi.shape[1]
+        done = self._completed_h_solves(monkeypatch)
+        ns, steps = range(-2, 3), 10
+        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13)
+        tables = eng.residual_tables(ns, xi, eta, steps=steps)
+        solved = [m for cols in done for m in cols]
+        assert sorted(solved) == list(range(-2, 2 + steps + 1))  # 15, each once
+        assert len(done) < len(solved)
+        live = {m: sum(n <= m <= n + steps for n in ns) for m in solved}
+        assert {m: c for cols in done for m, c in cols.items()} == {
+            m: batch * (live[m] + (m in ns)) for m in solved}
+        ref = reference_tables(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13),
+                               ns, xi, eta, steps)
+        for n, res in tables.items():
+            assert res.inverse_error is None and res.equivariance_error is None
+            self._assert_matches(eng, n, res, ref[n])
 
     def test_one_green_span_per_index(self, monkeypatch):
         # the contraction certificate reads the Green row the h and bar_h

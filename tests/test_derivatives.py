@@ -27,7 +27,10 @@ from .conftest import random_invertible_system
 from .reference import (evolve_coupled, evolve_driver, fd_jacobian, green_norm, jacobian_report,
                         lip_C, lip_D, lip_M, transition_by_factors)
 
-TIGHT = SolveOptions(fixed_point_tol=3e-13, max_iters=400)
+def cli_engine(sys):
+    """The engine the conjugate and derivatives phases run at the default
+    RunConfig, with its default backward solve."""
+    return _engine(RunConfig(), sys)
 
 
 # the blocks of the joint (xi, eta) Jacobians, for a system with dim_x = 2
@@ -47,12 +50,12 @@ def y_deta(sys, k, n, eta):
 
 @pytest.fixture
 def engine_ex1(ex1_mild):
-    return ConjugacyEngine(ex1_mild, series_tol=1e-9, fp_tol=1e-10, solve=TIGHT)
+    return cli_engine(ex1_mild)
 
 
 @pytest.fixture
 def engine_end(end_cfg):
-    return ConjugacyEngine(end_cfg, series_tol=1e-9, fp_tol=1e-10, solve=TIGHT)
+    return cli_engine(end_cfg)
 
 
 class TestFdJacobian:
@@ -89,10 +92,10 @@ class TestFdJacobian:
 
     def test_agrees_with_analytic_solution_jacobian(self, ex1_mild, rng):
         xi = rng.uniform(-1, 1, 2)
-        analytic = x2_dxi(ex1_mild, 3, 0, xi, None, TIGHT)
+        analytic = x2_dxi(ex1_mild, 3, 0, xi, None)
         rep = jacobian_report(
             analytic,
-            lambda z: evolve_coupled(ex1_mild, 3, 0, z, np.zeros(0), TIGHT),
+            lambda z: evolve_coupled(ex1_mild, 3, 0, z, np.zeros(0)),
             xi,
             1e-6,
         )
@@ -123,7 +126,7 @@ class TestSolutionJacobians:
         s = system_by_name("end_cfg", gamma_scale=0.9, rho_scale=0.0)
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         for k in (5, -4):
-            assert_allclose(x2_deta(s, k, 0, xi, eta, TIGHT), 0.0, atol=1e-14)
+            assert_allclose(x2_deta(s, k, 0, xi, eta), 0.0, atol=1e-14)
 
     def test_rotation_driver_closed_form(self, end_cfg):
         angle = 0.7  # end_cfg default rotation
@@ -137,15 +140,15 @@ class TestSolutionJacobians:
     def test_fd_cross_validation(self, end_cfg, rng, k):
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         rep = jacobian_report(
-            x2_dxi(end_cfg, k, 0, xi, eta, TIGHT),
-            lambda z: evolve_coupled(end_cfg, k, 0, z, eta, TIGHT),
+            x2_dxi(end_cfg, k, 0, xi, eta),
+            lambda z: evolve_coupled(end_cfg, k, 0, z, eta),
             xi,
             1e-6,
         )
         assert rep.rel_error <= 1e-5
         rep = jacobian_report(
-            x2_deta(end_cfg, k, 0, xi, eta, TIGHT),
-            lambda z: evolve_coupled(end_cfg, k, 0, xi, z, TIGHT),
+            x2_deta(end_cfg, k, 0, xi, eta),
+            lambda z: evolve_coupled(end_cfg, k, 0, xi, z),
             eta,
             1e-6,
         )
@@ -169,9 +172,9 @@ class TestSolutionJacobians:
             k = n + int(rng.integers(-5, 6))
             xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
             kind = s.space.norm_kind
-            assert operator_norm(x2_dxi(s, k, n, xi, eta, TIGHT), kind) <= lip_C(s, k, n) * (1 + 1e-9)
+            assert operator_norm(x2_dxi(s, k, n, xi, eta), kind) <= lip_C(s, k, n) * (1 + 1e-9)
             assert operator_norm(y_deta(s, k, n, eta), kind) <= lip_D(s, k, n) * (1 + 1e-9)
-            assert operator_norm(x2_deta(s, k, n, xi, eta, TIGHT), kind) <= lip_M(s, k, n) * (1 + 1e-9)
+            assert operator_norm(x2_deta(s, k, n, xi, eta), kind) <= lip_M(s, k, n) * (1 + 1e-9)
 
 
 class TestConjugacyDerivatives:
@@ -227,7 +230,7 @@ class TestConjugacyDerivatives:
 
     def test_rho_zero_and_y_free_coupling_zero_eta_jacobian(self):
         s = system_by_name("end_cfg", gamma_scale=0.9, rho_scale=0.0)
-        eng = ConjugacyEngine(s, solve=TIGHT)
+        eng = cli_engine(s)
         xi, eta = np.array([0.4, -0.1]), np.array([0.2, 0.9])
         assert_allclose(barh_jacobian(eng, 0, xi, eta)[0][:, 2:], 0.0, atol=1e-15)
         assert_allclose(h_jacobian(eng, 0, xi, eta)[0][:, 2:], 0.0, atol=1e-12)
@@ -301,8 +304,8 @@ class TestValidateJacobians:
                        for v in (rep.analytic, rep.finite_difference, rep.rel_error,
                                  rep.fd_step)])
 
-        fresh = results(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-10, solve=TIGHT))
-        used = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-10, solve=TIGHT)
+        fresh = results(cli_engine(s))
+        used = cli_engine(s)
         for n in (1, 2):
             other_xi, other_eta = 0.5 * xi + 0.1, eta - 0.2
             used.h(n, other_xi, other_eta)
@@ -570,7 +573,7 @@ class TestNonlinearDriver:
 
     @pytest.fixture
     def engine_nl(self, sys_nl):
-        return ConjugacyEngine(sys_nl, series_tol=1e-9, fp_tol=1e-10, solve=TIGHT)
+        return cli_engine(sys_nl)
 
     def test_driver_inverse_is_exact(self, sys_nl, rng):
         for _ in range(20):
@@ -594,8 +597,8 @@ class TestNonlinearDriver:
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         for k in (4, -4):
             rep = jacobian_report(
-                x2_deta(sys_nl, k, 0, xi, eta, TIGHT),
-                lambda z: evolve_coupled(sys_nl, k, 0, xi, z, TIGHT),
+                x2_deta(sys_nl, k, 0, xi, eta),
+                lambda z: evolve_coupled(sys_nl, k, 0, xi, z),
                 eta,
                 1e-6,
             )

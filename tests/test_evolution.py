@@ -20,7 +20,7 @@ from nonautolin import (
     system_by_name,
 )
 
-from nonautolin.evolution import _trajectory
+from nonautolin.evolution import Span, _trajectory
 
 from .conftest import LN2, random_invertible_system, span_transition, with_coupling
 from .reference import (column_norms, evolve_coupled, evolve_driver, lip_C, lip_D, lip_M,
@@ -178,6 +178,18 @@ WALK_SYSTEMS = [
 ]
 
 
+def _walk(s, n, lo, hi, xi, eta, opts, guess=None):
+    """One-span `_trajectory` over [lo, hi]: (states, couplings), the
+    couplings a list with f_k at [k - lo]; with `guess`, an earlier walk's
+    couplings, the walk starts warm from them and overwrites them with its
+    own."""
+    states = {n: (xi, eta)}
+    couplings = [None] * (hi - lo + 1) if guess is None else guess
+    _trajectory(s, [Span(n, lo, hi, xi.shape[1])], xi, eta, opts, [couplings],
+                guess is not None, states)
+    return states, couplings
+
+
 def _walk_columns(s, rng, batch=5):
     return (rng.uniform(-1, 1, (s.space.dim_x, batch)),
             rng.uniform(-1, 1, (s.space.dim_y, batch)))
@@ -196,20 +208,19 @@ class TestWarmWalk:
         n, lo, kind = self.N, self.LO, s.space.norm_kind
         tol = self.OPTS.fixed_point_tol / (n - lo)
         xi, eta = _walk_columns(s, rng)
-        _, guess = _trajectory(s, n, lo, n, xi + 1e-3 * rng.uniform(-1, 1, xi.shape), eta,
-                               self.OPTS)
-        warm, couplings = _trajectory(s, n, lo, n, xi, eta, self.OPTS, guess)
-        cold, _ = _trajectory(s, n, lo, n, xi, eta, self.OPTS)
+        _, guess = _walk(s, n, lo, n, xi + 1e-3 * rng.uniform(-1, 1, xi.shape), eta, self.OPTS)
+        warm, couplings = _walk(s, n, lo, n, xi, eta, self.OPTS, guess)
+        cold, _ = _walk(s, n, lo, n, xi, eta, self.OPTS)
         assert couplings is guess
         bound = np.zeros(xi.shape[1])
         for j in range(n - 1, lo - 1, -1):
             (w, y), (x_next, _), c_next = warm[j], warm[j + 1], cold[j + 1][0]
             assert np.array_equal(y, cold[j][1])
             # the defect each step stopped on, as the kernel computes it
-            defect = np.dot(s.a.matrix(j), w) + couplings[j] - x_next
+            defect = np.dot(s.a.matrix(j), w) + couplings[j - lo] - x_next
             scale = np.maximum(1.0, column_norms(x_next, kind))
             assert np.max(column_norms(defect, kind) / scale) <= tol
-            assert np.array_equal(couplings[j], s.f.eval(j, w, y))
+            assert np.array_equal(couplings[j - lo], s.f.eval(j, w, y))
             # |u - T_j(x)| <= L_j |defect| for both walks, and T_j is
             # L_j-Lipschitz, with L_j = |A_j^{-1}| / (1 - |A_j^{-1}| gamma_j);
             # 8 eps covers the rounding of the computed defect
@@ -228,10 +239,11 @@ class TestWarmWalk:
         s.f.eval = lambda j, x, y: (calls.append(j), f_eval(j, x, y))[1]
         xi, eta = _walk_columns(s, rng)
         n, lo = self.N, self.LO
-        _, guess = _trajectory(s, n, lo, n, 2.0 * xi, eta, self.OPTS)
+        _, guess = _walk(s, n, lo, n, 2.0 * xi, eta, self.OPTS)
         calls.clear()
-        warm, _ = _trajectory(s, n, lo, n, xi, eta, self.OPTS, guess)
-        assert calls == list(range(n - 1, lo - 1, -1))
+        warm, _ = _walk(s, n, lo, n, xi, eta, self.OPTS, guess)
+        # the upper end n, then one evaluation per backward step
+        assert calls == list(range(n, lo - 1, -1))
         for j in range(lo, n):
             assert np.array_equal(warm[j][0], s.a.inverse(j) @ warm[j + 1][0])
 
@@ -240,14 +252,51 @@ class TestWarmWalk:
         s = system_by_name(name, **kwargs)
         for j in (-7, 0, 4):
             xi, eta = _walk_columns(s, rng)
-            states, couplings = _trajectory(s, j + 1, j, j + 1, xi, eta, self.OPTS)
+            states, couplings = _walk(s, j + 1, j, j + 1, xi, eta, self.OPTS)
             x, y = states[j]
             step = backward_step_detailed(s, j, xi, y, self.OPTS)
             assert np.array_equal(step.value, x)
-            assert np.array_equal(step.coupling, couplings[j])
+            assert np.array_equal(step.coupling, couplings[0])
             one = backward_step_detailed(s, j, xi[:, 0], y[:, 0], self.OPTS)
-            single, _ = _trajectory(s, j + 1, j, j + 1, xi[:, :1], eta[:, :1], self.OPTS)
+            single, _ = _walk(s, j + 1, j, j + 1, xi[:, :1], eta[:, :1], self.OPTS)
             assert np.array_equal(one.value, single[j][0][:, 0])
+
+
+class TestSweep:
+    """Several spans in one `_trajectory`: each step is one kernel call over
+    every column whose window covers it."""
+
+    SPANS = [Span(-2, -9, 5, 2), Span(0, -20, 20, 3), Span(1, -4, 30, 1), Span(6, 2, 9, 2)]
+
+    @pytest.mark.parametrize("name, kwargs", WALK_SYSTEMS)
+    def test_one_call_per_step_at_every_span_s_own_tolerance(self, name, kwargs, rng,
+                                                             monkeypatch):
+        import nonautolin.evolution as ev
+
+        s = system_by_name(name, **kwargs)
+        steps, evals = [], []
+        kernel, f_eval = ev._backward_picard, s.f.eval
+        monkeypatch.setattr(ev, "_backward_picard", lambda sys, j, x, y, guess, tol, *rest: (
+            steps.append((j, x.shape[1], tol)), kernel(sys, j, x, y, guess, tol, *rest))[1])
+        s.f.eval = lambda j, x, y: (evals.append((j, x.shape[1])), f_eval(j, x, y))[1]
+        xi, eta = _walk_columns(s, rng, batch=sum(sp.count for sp in self.SPANS))
+        couplings = [[None] * (sp.hi - sp.lo + 1) for sp in self.SPANS]
+        _trajectory(s, self.SPANS, xi, eta, TestWarmWalk.OPTS, couplings)
+        lo, hi = min(sp.lo for sp in self.SPANS), max(sp.hi for sp in self.SPANS)
+        assert [j for j, _, _ in steps] == [  # none at j = 1, which no window covers
+            j for j in range(self.SPANS[-1].n - 1, lo - 1, -1)
+            if any(sp.lo <= j < sp.n for sp in self.SPANS)]
+        for j, width, tol in steps:
+            covering = [sp for sp in self.SPANS if sp.lo <= j < sp.n]
+            assert width == sum(sp.count for sp in covering)
+            assert tol <= min(TestWarmWalk.OPTS.fixed_point_tol / (sp.n - sp.lo)
+                              for sp in covering)
+        # the forward steps and the upper ends: one evaluation per j
+        forward = [(j, w) for j, w in evals if j >= self.SPANS[0].n][:hi - self.SPANS[0].n + 1]
+        assert forward == [(j, sum(sp.count for sp in self.SPANS if sp.n <= j <= sp.hi))
+                           for j in range(self.SPANS[0].n, hi + 1)]
+        for sp, window in zip(self.SPANS, couplings):
+            assert all(c.shape == (s.space.dim_x, sp.count) for c in window)
 
 
 class TestEvolveCoupled:
