@@ -375,9 +375,12 @@ class ConjugacyEngine:
         the round trip.  A block solves each of the three as one multi-centre
         solve over all its indices (`_residual_block`).
 
-        A NonautolinError in a block of several indices reruns that block one
-        index at a time, so an error is attributed as if the tables advanced
-        index by index: an error at index m becomes the
+        The windows and the contraction certificate of each index are
+        fitted before any walk of its block, and a block ends before the
+        first index where they raise, whose error is then that index's.  A
+        NonautolinError in the walks of a block of several indices reruns
+        that block one index at a time.  So an error is attributed as if the
+        tables advanced index by index: an error at index m becomes the
         `equivariance_error` of every base n with m in [n, n + steps] that
         has none yet, and the `inverse_error` of n = m; the bases it hits
         take no further columns.
@@ -392,7 +395,12 @@ class ConjugacyEngine:
         live, m, end, alone = idle, min(out), max(out) + steps, 0
         while m <= end:
             block = range(m, min(m + (1 if alone else _BLOCK), end + 1))
+            unfit = self._first_unfit(block, live, out, steps)
+            if unfit is not None:  # the indices before it run as a block
+                block = range(m, max(unfit[0], m + 1))
             try:
+                if unfit is not None and unfit[0] == m:
+                    raise unfit[1]
                 live, results = self._residual_block(block, live, out, xi_b, eta_b, steps)
             except NonautolinError as exc:
                 if len(block) > 1:  # rerun the block one index at a time
@@ -408,6 +416,21 @@ class ConjugacyEngine:
             alone = max(alone - 1, 0)
             m = block.stop
         return out
+
+    def _first_unfit(self, block: range, live: _Live, out: dict,
+                     steps: int) -> Optional[tuple[int, NonautolinError]]:
+        """(m, error) for the first index m of `block` that some base's steps
+        reach and whose series window, h window or contraction certificate
+        raises, or None.  All three depend on m alone and are cached."""
+        for m in block:
+            if any(n + steps >= m for n in live.bases) or any(
+                    block[0] <= n <= m <= n + steps for n in out):
+                try:
+                    self.series_window(m, self.series_tol)
+                    self.h_window(m)
+                except NonautolinError as exc:
+                    return m, exc
+        return None
 
     def _residual_block(self, block: range, live: _Live, out: dict, xi: np.ndarray,
                         eta: np.ndarray, steps: int) -> tuple[_Live, list]:
