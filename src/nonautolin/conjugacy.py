@@ -41,6 +41,7 @@ those of every base index whose steps reach m.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -230,6 +231,7 @@ class ConjugacyEngine:
             row = self.green_row(s.n, s.n - s.lo)  # side by side, as np.vstack stacks f_k
             out[:, pos:pos + s.count] = -_dot(row.transpose(1, 0, 2).reshape(len(xi), -1),
                                               np.vstack(window))
+            window[s.n - s.lo:] = [None] * (s.hi - s.n + 1)  # a warm walk reads k < n only
             pos += s.count
         return out
 
@@ -368,11 +370,12 @@ class ConjugacyEngine:
 
         The probes' linear and coupled trajectories do not depend on the
         conjugacies, so the tables advance over the indices m from min(ns) to
-        max(ns) + steps in blocks of `_BLOCK` consecutive indices.  At index m
-        they need bar_h(m, .) on every coupled point at m, h(m, .) on every
-        linear point at m plus, when m is a base index, the round-trip points
-        p + bar_h(m, p), and at a base index bar_h(m, p + h(m, p)) to close
-        the round trip.  A block solves each of the three as one multi-centre
+        max(ns) + steps in blocks of at most `_BLOCK` consecutive indices,
+        which past the first take no more than `_BLOCK_COLUMNS` columns
+        together.  At index m they need bar_h(m, .) on every coupled point at
+        m, h(m, .) on every linear point at m plus, when m is a base index,
+        the round-trip points p + bar_h(m, p), and at a base index
+        bar_h(m, p + h(m, p)) to close the round trip.  A block solves each of the three as one multi-centre
         solve over all its indices (`_residual_block`).
 
         The windows and the contraction certificate of each index are
@@ -392,9 +395,19 @@ class ConjugacyEngine:
         none = np.zeros((0, xi_b.shape[1]))
         idle = _Live((), xi_b[:, :0], xi_b[:, :0], eta_b[:, :0], xi_b[:, :0], xi_b[:, :0],
                      none, none)
+        bases, batch = list(out), xi_b.shape[1]
+
+        def width(k):  # an index's columns: its bases' probes and round trips, at most
+            return batch * (bisect.bisect_right(bases, k) - bisect.bisect_left(bases, k - steps)
+                            + (k in out))
+
         live, m, end, alone = idle, min(out), max(out) + steps, 0
         while m <= end:
-            block = range(m, min(m + (1 if alone else _BLOCK), end + 1))
+            stop, cols, last = m + 1, width(m), min(end, m + (0 if alone else _BLOCK - 1))
+            while stop <= last and cols + width(stop) <= _BLOCK_COLUMNS:
+                cols += width(stop)
+                stop += 1
+            block = range(m, stop)
             unfit = self._first_unfit(block, live, out, steps)
             if unfit is not None:  # the indices before it run as a block
                 block = range(m, max(unfit[0], m + 1))
@@ -445,80 +458,82 @@ class ConjugacyEngine:
         closes the round trips; then the images of H and bar_H at each index
         are stepped to the next and compared.  Any arithmetic failure raises
         NonautolinError, which names the index of a one-index block."""
+        sys, batch = self.sys, xi.shape[1]
+        norms = _column_norms(sys.space.norm_kind)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return self._block_results(block, live, out, xi, eta, steps)
+                at = []  # (m, bases, lin, cpl, y) at each index of the block with live bases
+                bases, lin, cpl, y = live.bases, live.lin, live.cpl, live.y
+                for m in block:
+                    if bases:
+                        lin = _dot(sys.a.matrix(m - 1), lin)
+                        cpl, y, _ = _forward_step(sys, m - 1, cpl, y)
+                    if m in out:
+                        bases += (m,)
+                        lin, cpl, y = (np.hstack([lin, xi]), np.hstack([cpl, xi]),
+                                       np.hstack([y, eta]))
+                    if bases:
+                        at.append((m, bases, lin, cpl, y))
+                        if bases[0] + steps == m:  # only the oldest base can end here
+                            bases, lin, cpl, y = (bases[1:], lin[:, batch:], cpl[:, batch:],
+                                                  y[:, batch:])
+                if not at:
+                    return live, []
+                ms, _, lins, cpls, ys = zip(*at)
+                wins = [self.series_window(m, self.series_tol) for m in ms]
+                widths = [c.shape[1] for c in cpls]
+                bars = _split(self._series(_spans(zip(ms, [w.halfwidth for w in wins], widths)),
+                                           np.hstack(cpls), np.hstack(ys)), widths)
+                # h on the linear points and, at a base index, the round trips
+                h_x, h_eta, counts = [], [], []
+                for m, lin, y, b in zip(ms, lins, ys, bars):
+                    h_x += [lin, xi + b[:, -batch:]] if m in out else [lin]
+                    h_eta += [y, eta] if m in out else [y]
+                    counts.append(lin.shape[1] + batch * (m in out))
+                hs = _split(self._solve_h(list(ms), counts, np.hstack(h_x),
+                                          np.hstack(h_eta))[0], counts)
+                trips = [(m, w, h) for m, w, h in zip(ms, wins, hs) if m in out]
+                if trips:  # bar_h(m, p + h(m, p)) closes the round trips
+                    closing = self._series(_spans((m, w.halfwidth, batch) for m, w, _ in trips),
+                                           np.hstack([xi + h[:, -2 * batch:-batch]
+                                                      for *_, h in trips]),
+                                           np.tile(eta, len(trips)))
+
+                results: list = []
+                prev = live
+                for (m, bases, lin, cpl, y), win, b, h in zip(at, wins, bars, hs):
+                    hx, bx = lin + h[:, :lin.shape[1]], cpl + b  # H(m, lin), bar_H(m, cpl)
+                    fwd, dual, old = prev.fwd, prev.dual, len(prev.bases)
+                    if old:  # the images at m of H and bar_H at m - 1
+                        j = m - 1
+                        # `_forward_step` without its g.eval: both trajectories step y
+                        # with the same g, so only x differs
+                        h_img = _dot(sys.a.matrix(j), prev.hx) + _checked(
+                            sys.f.eval(j, prev.hx, prev.y), prev.hx.shape, "f.eval", j)
+                        bh_img = _dot(sys.a.matrix(j), prev.bx)
+                        fwd = np.maximum(
+                            fwd, norms(h_img - hx[:, :old * batch]).reshape(old, batch))
+                        dual = np.maximum(
+                            dual, norms(bh_img - bx[:, :old * batch]).reshape(old, batch))
+                    if m in out:
+                        u0, b0 = h[:, -2 * batch:-batch], b[:, -batch:]
+                        back, closing = closing[:, :batch], closing[:, batch:]
+                        # H and bar_H leave y unchanged, so only x can miss the probe
+                        results.append((m, {
+                            "h": u0, "bar_h": b0, "tail_bound": win.tail_bound,
+                            "inverse": np.maximum(norms((xi + u0) + back - xi),
+                                                  norms((xi + b0) + h[:, -batch:] - xi))}))
+                        fwd = np.vstack([fwd, np.zeros(batch)])
+                        dual = np.vstack([dual, np.zeros(batch)])
+                    if bases[0] + steps == m:
+                        results.append((bases[0], {"forward": fwd[0], "dual": dual[0]}))
+                        bases, fwd, dual = bases[1:], fwd[1:], dual[1:]
+                        lin, cpl, y, hx, bx = (v[:, batch:] for v in (lin, cpl, y, hx, bx))
+                    prev = _Live(bases, lin, cpl, y, hx, bx, fwd, dual)
+                return prev, results
         except FloatingPointError as exc:
             raise NonautolinError(
                 f"arithmetic failure in the residual tables at m={block[0]}: {exc}") from exc
-
-    def _block_results(self, block: range, live: _Live, out: dict, xi: np.ndarray,
-                       eta: np.ndarray, steps: int) -> tuple[_Live, list]:
-        """`_residual_block` under its floating-point trap."""
-        sys, batch = self.sys, xi.shape[1]
-        norms = _column_norms(sys.space.norm_kind)
-        at = []  # (m, bases, lin, cpl, y) at each index of the block with live bases
-        bases, lin, cpl, y = live.bases, live.lin, live.cpl, live.y
-        for m in block:
-            if bases:
-                lin = _dot(sys.a.matrix(m - 1), lin)
-                cpl, y, _ = _forward_step(sys, m - 1, cpl, y)
-            if m in out:
-                bases += (m,)
-                lin, cpl, y = np.hstack([lin, xi]), np.hstack([cpl, xi]), np.hstack([y, eta])
-            if bases:
-                at.append((m, bases, lin, cpl, y))
-                if bases[0] + steps == m:  # only the oldest base can end here
-                    bases, lin, cpl, y = bases[1:], lin[:, batch:], cpl[:, batch:], y[:, batch:]
-        if not at:
-            return live, []
-        ms, _, lins, cpls, ys = zip(*at)
-        wins = [self.series_window(m, self.series_tol) for m in ms]
-        widths = [c.shape[1] for c in cpls]
-        bars = _split(self._series(_spans(zip(ms, [w.halfwidth for w in wins], widths)),
-                                   np.hstack(cpls), np.hstack(ys)), widths)
-        # h on the linear points and, at a base index, the round trips
-        h_x, h_eta, counts = [], [], []
-        for m, lin, y, b in zip(ms, lins, ys, bars):
-            h_x += [lin, xi + b[:, -batch:]] if m in out else [lin]
-            h_eta += [y, eta] if m in out else [y]
-            counts.append(lin.shape[1] + batch * (m in out))
-        hs = _split(self._solve_h(list(ms), counts, np.hstack(h_x), np.hstack(h_eta))[0],
-                    counts)
-        trips = [(m, w, h) for m, w, h in zip(ms, wins, hs) if m in out]
-        if trips:  # bar_h(m, p + h(m, p)) closes the round trips
-            closing = self._series(_spans((m, w.halfwidth, batch) for m, w, _ in trips),
-                                   np.hstack([xi + h[:, -2 * batch:-batch]
-                                              for *_, h in trips]),
-                                   np.tile(eta, len(trips)))
-
-        results: list = []
-        prev = live
-        for (m, bases, lin, cpl, y), win, b, h in zip(at, wins, bars, hs):
-            hx, bx = lin + h[:, :lin.shape[1]], cpl + b  # H(m, lin), bar_H(m, cpl)
-            fwd, dual, old = prev.fwd, prev.dual, len(prev.bases)
-            if old:  # the images at m of H and bar_H at m - 1
-                j = m - 1
-                h_img = _dot(sys.a.matrix(j), prev.hx) + _checked(
-                    sys.f.eval(j, prev.hx, prev.y), prev.hx.shape, "f.eval", j)
-                bh_img = _dot(sys.a.matrix(j), prev.bx)
-                # both trajectories step y with the same g, so only x differs
-                fwd = np.maximum(fwd, norms(h_img - hx[:, :old * batch]).reshape(old, batch))
-                dual = np.maximum(dual, norms(bh_img - bx[:, :old * batch]).reshape(old, batch))
-            if m in out:
-                u0, b0 = h[:, -2 * batch:-batch], b[:, -batch:]
-                back, closing = closing[:, :batch], closing[:, batch:]
-                # H and bar_H leave y unchanged, so only x can miss the probe
-                results.append((m, {"h": u0, "bar_h": b0, "tail_bound": win.tail_bound,
-                                    "inverse": np.maximum(norms((xi + u0) + back - xi),
-                                                          norms((xi + b0) + h[:, -batch:] - xi))}))
-                fwd, dual = np.vstack([fwd, np.zeros(batch)]), np.vstack([dual, np.zeros(batch)])
-            if bases[0] + steps == m:
-                results.append((bases[0], {"forward": fwd[0], "dual": dual[0]}))
-                bases, fwd, dual = bases[1:], fwd[1:], dual[1:]
-                lin, cpl, y, hx, bx = (v[:, batch:] for v in (lin, cpl, y, hx, bx))
-            prev = _Live(bases, lin, cpl, y, hx, bx, fwd, dual)
-        return prev, results
 
 
 def _split(cols: np.ndarray, counts: list) -> list:
@@ -544,6 +559,15 @@ def _coupling_lists(spans: list) -> list:
 # peak_rss_mb rose from 41.0 MB at 2 to 41.4-41.5 at 8, 41.6 at 11 and
 # 42.2-43.0 at 16, against 40.9 MB for one index at a time.
 _BLOCK = 8
+# Columns per residual block, past its first index.  A coupling evaluation
+# costs about 13 us plus 0.014 us per column, so at 4,096 columns a shared
+# call saves under a fifth of its time, while the couplings a sweep holds
+# grow with its columns.  ex1_report's blocks (at most 2,400 columns) are
+# not cut; `report --system end_cfg --gamma-scale 0.9` (625 probes per base,
+# up to 7,500 columns per index) runs almost one index at a time, and its
+# peak_rss_mb reads 106 MB, against 199 MB with 8-index blocks and 126 MB
+# for the walks before the blocks, its conjugate phase 8.5 s (9.0 s).
+_BLOCK_COLUMNS = 4096
 
 _ANDERSON_DEPTH = 2  # residual differences per Anderson step
 _RELATIVE_REG = 1e-10  # of the trace of a column's normal equations

@@ -21,9 +21,9 @@ from nonautolin import (
 )
 from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, phase_conjugate,
                             probe_grid)
-from nonautolin.conjugacy import _spans
+from nonautolin.conjugacy import _coupling_lists, _spans
 from nonautolin.errors import NoConvergence, NonautolinError
-from nonautolin.evolution import _forward_step, _state_columns, coupled_trajectory
+from nonautolin.evolution import _forward_step, _state_columns, _trajectory, coupled_trajectory
 
 from .conftest import LN2, diag_stack, random_invertible_system
 from .reference import (bar_h_series, column_norms, evolve_coupled, evolve_driver,
@@ -175,12 +175,18 @@ class TestLeanSweep:
             assert value.shape == xi.shape
             k_half = eng.series_window(n, eng.series_tol).halfwidth if window is None else window
             xi_b, eta_b, _ = _state_columns(sys, xi, eta)
-            couplings = [[None] * (2 * k_half + 1)]
-            summed = eng._series(_spans([(n, k_half, xi_b.shape[1])]), xi_b, eta_b, couplings)
-            assert np.array_equal(summed, value.reshape(summed.shape))
+            spans = _spans([(n, k_half, xi_b.shape[1])])
+            couplings = _coupling_lists(spans)
+            _trajectory(sys, spans, xi_b, eta_b, eng.solve, couplings)
             states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, eng.solve)
-            for k in range(n - k_half, n + k_half + 1):
+            window_ks = range(n - k_half, n + k_half + 1)
+            for k in window_ks:
                 assert np.array_equal(couplings[0][k - n + k_half], sys.f.eval(k, *states[k]))
+            kept = _coupling_lists(spans)
+            summed = eng._series(spans, xi_b, eta_b, kept)
+            assert np.array_equal(summed, value.reshape(summed.shape))
+            # only the backward couplings, those a warm walk reads, outlive the sum
+            assert [c is None for c in kept[0]] == [k >= n for k in window_ks]
             bound = reordering_bound(eng, n, k_half, states)
             diff = np.abs(summed - bar_h_series(eng, n, xi_b, eta_b, window))
             assert np.all(diff <= bound), (diff.max(), bound.min())
@@ -671,6 +677,41 @@ class TestResidualTables:
         live = {m: sum(n <= m <= n + steps for n in ns) for m in solved}
         assert {m: c for cols in done for m, c in cols.items()} == {
             m: batch * (live[m] + (m in ns)) for m in solved}
+        ref = reference_tables(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13),
+                               ns, xi, eta, steps)
+        for n, res in tables.items():
+            assert res.inverse_error is None and res.equivariance_error is None
+            self._assert_matches(eng, n, res, ref[n])
+        # the conjugate phase on the program's engine: every index solved
+        # once, and both tables list their rows base by base, probe by probe
+        done.clear()
+        cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-2, n_max=2)
+        equi, inv, ok = phase_conjugate(cfg, _engine(cfg, build_system(cfg)))
+        assert ok
+        indices = list(range(-2, 2 + cfg.steps + 1))
+        assert sorted(m for cols in done for m in cols) == indices and len(done) < len(indices)
+        grid = probe_grid(2, cfg.probes_per_axis, cfg.probe_extent,
+                          np.random.default_rng(cfg.seed))
+        order = [(n, list(p)) for n in range(-2, 3) for p in grid]
+        for table in (inv, equi):
+            assert [(r["n"], r["probe"]) for r in table["rows"]] == order  # 5 x 25 rows
+
+    def test_blocks_bounded_by_columns(self, monkeypatch):
+        # past its first index a block takes no more than _BLOCK_COLUMNS
+        # columns, and the tables do not depend on where the blocks end
+        import nonautolin.conjugacy as conj
+
+        s = system_by_name("ex1", lam=LN2, gamma_scale=0.5)
+        xi, eta = self._probes(s, 2)
+        batch = xi.shape[1]
+        monkeypatch.setattr(conj, "_BLOCK_COLUMNS", 7 * batch)
+        done = self._completed_h_solves(monkeypatch)
+        ns, steps = range(-2, 3), 4
+        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13)
+        tables = eng.residual_tables(ns, xi, eta, steps=steps)
+        assert sorted(m for cols in done for m in cols) == list(range(-2, 2 + steps + 1))
+        assert [list(cols) for cols in done] == [[-2, -1], [0], [1], [2], [3, 4], [5, 6]]
+        assert all(len(cols) == 1 or sum(cols.values()) <= 7 * batch for cols in done)
         ref = reference_tables(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13),
                                ns, xi, eta, steps)
         for n, res in tables.items():
