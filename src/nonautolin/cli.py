@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
-import operator
 import os
 import sys as _sys
 import time
@@ -359,92 +357,36 @@ _compact = json.encoder.c_make_encoder(None, None, json.encoder.encode_basestrin
 _string = json.encoder.encode_basestring_ascii
 
 
-def _column(values: list, pad: str) -> Optional[list]:
-    """The texts of one key's values over the rows of a table, each on the
-    line whose newline and indent is `pad`, or None if one is a container
-    other than a list of floats.  A column of finite floats, of ints, of
-    strings or of equal-length lists of finite floats is one C-level map."""
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {str}:
-        return list(map(_string, values))
-    if kinds == {list} and len(set(map(len, values))) == 1 and values[0]:
-        flat = list(itertools.chain.from_iterable(values))
-        if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
-            inner = pad + "  "
-            items = zip(*[map(float.__repr__, flat)] * len(values[0]))
-            return ["[" + inner + text + pad + "]" for text in map(("," + inner).join, items)]
-    if any(isinstance(v, (dict, list, tuple)) for v in values):
-        return None
-    return ["".join(_compact(v, 0)) for v in values]
-
-
-def _table_rows(rows: list, pad: str) -> Optional[list]:
-    """The texts of a list of dicts with one set of string keys, each row on
-    the line whose newline and indent is `pad`, one `_column` per key, or
-    None if the rows are not such a table."""
-    if set(map(type, rows)) != {dict} or not rows[0]:
-        return None
-    keys = sorted(rows[0])
-    if (not all(isinstance(k, str) for k in keys)
-            or not all(map(rows[0].keys().__eq__, map(dict.keys, rows)))):
-        return None
-    inner = pad + "  "
-    columns = [_column(list(map(operator.itemgetter(k), rows)), inner) for k in keys]
-    if any(c is None for c in columns):
-        return None
-    prefixes = [_string(k) + ": " for k in keys]
-    return ["{" + inner + ("," + inner).join(map(str.__add__, prefixes, texts)) + pad + "}"
-            for texts in zip(*columns)]
-
-
-def _indented(obj, pad: str, out: list) -> None:
-    """Append to `out` the text of json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False) on the line whose newline and indent is `pad`.  The
-    containers are laid out here, lists of rows a column at a time
-    (`_table_rows`), and every scalar is written by the C encoder, which
-    writes each as the indenting encoder does."""
+def _indented(obj, pad: str) -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    on the line whose newline and indent is `pad`.  The containers are laid
+    out here, each joined as soon as its items are, and every scalar is
+    written by the C encoder, which writes each as the indenting encoder
+    does."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
-        sep = "{" + inner
+        items = []
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):  # json's key rule: floats, ints, True/False/None
                 if not (key is None or isinstance(key, (int, float))):
                     raise TypeError(f"key of type {type(key).__name__}")
                 key = "".join(_compact(key, 0))
-            out.append(sep + _string(key) + ": ")
-            _indented(value, inner, out)
-            sep = "," + inner
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        rows = _table_rows(obj, inner)
-        if rows is not None:
-            out.append("[" + inner + ("," + inner).join(rows) + pad + "]")
-            return
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _indented(value, inner, out)
-            sep = "," + inner
-        out.append(pad + "]")
-    else:
-        out.append("".join(_compact(obj, 0)))
+            items.append(_string(key) + ": " + _indented(value, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in obj]) + pad + "]"
+    return "".join(_compact(obj, 0))
 
 
 def _report_text(report: dict) -> str:
     """json.dumps(report, indent=2, sort_keys=True, allow_nan=False), byte
     for byte, without the pure-Python encoder that indenting takes; a report
     it cannot encode goes through json.dumps, which raises as it does."""
-    out: list = []
     try:
-        _indented(report, "\n", out)
+        return _indented(report, "\n")
     except (TypeError, ValueError):
         json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
         raise
-    return "".join(out)
 
 
 def write_report(report: dict, out: Optional[str], fmt: str, command: str) -> None:
