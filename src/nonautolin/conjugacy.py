@@ -217,11 +217,13 @@ class ConjugacyEngine:
         n its centre and [lo, hi] its window: one `_trajectory` sweep over all
         of them, which fills `couplings` (fresh lists when None; see there
         for `warm`), then per span one product of its Green row with its
-        stacked couplings.  That product adds the terms in another order than
-        index order: per column and component the two sums differ by at most
-        2 gamma_m sum_k |G(n,k+1)| |f_k|, with m = (2K+1) dim_x terms and
-        gamma_m = m u / (1 - m u), u = 2^-53 (Higham, "Accuracy and Stability
-        of Numerical Algorithms", 2nd ed., §3.1)."""
+        stacked couplings, after which only its backward couplings, those a
+        warm walk reads, stay in its list.  That product adds the terms in
+        another order than index order: per column and component the two
+        sums differ by at most 2 gamma_m sum_k |G(n,k+1)| |f_k|, with
+        m = (2K+1) dim_x terms and gamma_m = m u / (1 - m u), u = 2^-53
+        (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+        §3.1)."""
         if couplings is None:
             couplings = _coupling_lists(spans)
         _trajectory(self.sys, spans, xi, eta, self.solve, couplings, warm)
@@ -231,7 +233,7 @@ class ConjugacyEngine:
             row = self.green_row(s.n, s.n - s.lo)  # side by side, as np.vstack stacks f_k
             out[:, pos:pos + s.count] = -_dot(row.transpose(1, 0, 2).reshape(len(xi), -1),
                                               np.vstack(window))
-            window[s.n - s.lo:] = [None] * (s.hi - s.n + 1)  # a warm walk reads k < n only
+            window[s.n - s.lo:] = [None] * (s.hi - s.n + 1)
             pos += s.count
         return out
 
@@ -261,10 +263,10 @@ class ConjugacyEngine:
         within the a-priori Picard count of `h_window(n)`; the iterations
         returned are those before the stop test.  Each iteration is one
         `_series` sweep over the centres still iterating, each walk after the
-        first started from the previous walk's couplings.  Why a passing
-        column is then within fp_tol / (1 - c(n)) of h(n, xi, eta), however u
-        was produced, and why the walks stay smooth in each column's data:
-        `_trajectory`.
+        first started from the previous walk's backward couplings.  Why a
+        passing column is then within fp_tol / (1 - c(n)) of h(n, xi, eta),
+        however u was produced, and why the walks stay smooth in each
+        column's data: `_trajectory`.
 
         By default each column's iterates are type-II Anderson-mixed with
         depth 2 (Walker & Ni, "Anderson acceleration for fixed-point
@@ -375,8 +377,9 @@ class ConjugacyEngine:
         together.  At index m they need bar_h(m, .) on every coupled point at
         m, h(m, .) on every linear point at m plus, when m is a base index,
         the round-trip points p + bar_h(m, p), and at a base index
-        bar_h(m, p + h(m, p)) to close the round trip.  A block solves each of the three as one multi-centre
-        solve over all its indices (`_residual_block`).
+        bar_h(m, p + h(m, p)) to close the round trip.  A block solves each
+        of the three as one multi-centre solve over all its indices
+        (`_residual_block`).
 
         The windows and the contraction certificate of each index are
         fitted before any walk of its block, and a block ends before the
@@ -564,9 +567,10 @@ _BLOCK = 8
 # call saves under a fifth of its time, while the couplings a sweep holds
 # grow with its columns.  ex1_report's blocks (at most 2,400 columns) are
 # not cut; `report --system end_cfg --gamma-scale 0.9` (625 probes per base,
-# up to 7,500 columns per index) runs almost one index at a time, and its
-# peak_rss_mb reads 106 MB, against 199 MB with 8-index blocks and 126 MB
-# for the walks before the blocks, its conjugate phase 8.5 s (9.0 s).
+# up to 7,500 columns per index) runs almost one index at a time, with a
+# peak resident set of 103 MB and a conjugate phase of 8.6-9.4 s, against
+# about 200 MB and 9.8-11.1 s with 8-index blocks, and 130 MB and 9.1-9.9 s
+# with one walk per index and solve.
 _BLOCK_COLUMNS = 4096
 
 _ANDERSON_DEPTH = 2  # residual differences per Anderson step
