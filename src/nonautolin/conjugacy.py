@@ -137,9 +137,9 @@ class ConjugacyEngine:
             return self._derivative_windows[n]
 
         def terms(k, side):
-            c = IndexConstants.of(self.sys, n - k, n + k)
+            c = IndexConstants.of(self.sys, n - k, n + k).rows(2 * k + 1)
             g = operator_norm(self.green_row(n, k), self.sys.space.norm_kind)
-            return [_advanced_terms(c, g, n, end)[side] for end in (n - k, n + k)]
+            return [t[0] for t in _advanced_terms(c, g[None], k)[side]]
 
         which = ("dxi", "deta") if self.sys.space.dim_y else ("dxi",)
         k = self._derivative_windows[n] = max(
@@ -185,8 +185,8 @@ class ConjugacyEngine:
             return self.contraction_estimate[n]
         sys, w = self.sys, self.advanced_halfwidth
         g = operator_norm(self.green_row(n, w), sys.space.norm_kind)
-        consts = IndexConstants.of(sys, n - w, n + w)
-        k_est, j_est, c, _ = _advanced(sys, n, n - w, n + w, consts, g)
+        consts = IndexConstants.of(sys, n - w, n + w).rows(2 * w + 1)
+        ((k_est, j_est, c, _),) = _advanced(sys, consts, g[None], w)
         if k_est.verdict != CONVERGED or j_est.verdict != CONVERGED:
             raise ContractionViolation(n, math.inf, what="first-variable series bound")
         if not c < 1.0:
@@ -208,7 +208,8 @@ class ConjugacyEngine:
             k_half = int(window)
             env = _envelope(self.sys, "barh", n)
             tail = env.two_sided(k_half) if env else math.inf
-        val = self._series(_spans([(n, k_half, xi_b.shape[1])]), xi_b, eta_b)
+        spans = _spans([(n, k_half, xi_b.shape[1])])
+        val = self._series(spans, xi_b, eta_b) if xi_b.size else xi_b  # no columns, no walk
         return (val[:, 0] if single else val), tail, k_half
 
     def _series(self, spans: list, xi: np.ndarray, eta: np.ndarray,
@@ -248,6 +249,8 @@ class ConjugacyEngine:
         """Fixed-point value, residual history and iterations used: `_solve_h`
         with one centre."""
         xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
+        if not xi_b.size:  # no columns, nothing to solve
+            return xi_b, [], 0
         u, ((residuals, iters),) = self._solve_h([n], [xi_b.shape[1]], xi_b, eta_b, smooth)
         return (u[:, 0] if single else u), residuals, iters
 
@@ -393,6 +396,8 @@ class ConjugacyEngine:
         """
         xi_b, eta_b, _ = _state_columns(self.sys, xi, eta)
         out = {n: BaseResiduals() for n in sorted({int(n) for n in ns})}
+        if not xi_b.size:  # no probes: empty tables, no walk
+            return {n: BaseResiduals(xi_b, xi_b, math.inf, *[np.zeros(0)] * 3) for n in out}
         if not out:
             return out
         none = np.zeros((0, xi_b.shape[1]))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractionViolation, NonautolinError, SingularOperatorError
 from .evolution import _checked
-from .system import GeometricTail, SystemSpec, _column_norms, green_norm_rows
+from .system import GeometricTail, SystemSpec, _chunks, _column_norms, green_norm_rows
 
 CONVERGED = "converged"
 DIVERGENT = "divergent"
@@ -134,6 +134,7 @@ def _estimate(
     middle: Optional[float],
     left_env_tail: Optional[float],
     right_env_tail: Optional[float],
+    partial: Optional[float] = None,
 ) -> SeriesEstimate:
     """Combine the two outward-ordered term lists into one estimate.
 
@@ -141,8 +142,10 @@ def _estimate(
     one-sided series with no center term.  The env tails are analytic
     bounds on the sum beyond each side's window (None: extrapolate).
     An absent side must be passed as an empty term list with tail None.
+    `partial` is the sum of all terms, when the caller has it.
     """
-    partial = (middle or 0.0) + float(np.sum(left_terms)) + float(np.sum(right_terms))
+    if partial is None:
+        partial = (middle or 0.0) + float(np.sum(left_terms)) + float(np.sum(right_terms))
     lt, lv = _side_tail(left_terms, left_env_tail)
     rt, rv = _side_tail(right_terms, right_env_tail)
     inspected = len(left_terms) + len(right_terms) + (0 if middle is None else 1)
@@ -306,45 +309,30 @@ class IndexConstants(namedtuple("IndexConstants", "lo mu gamma rho sigma tau ste
         s = slice(lo - self.lo, hi - self.lo + 1)
         return IndexConstants(lo, *(a[s] for a in self[1:]))
 
+    def rows(self, width: int) -> "IndexConstants":
+        """The windows of `width` indices sliding over these constants, one
+        row each: the constant of k in row i at [i, k - lo - i]."""
+        windows = np.lib.stride_tricks.sliding_window_view(np.array(self[1:]), width, axis=1)
+        return IndexConstants(self.lo, *windows)
 
-def _lip_products(c: IndexConstants, n: int, end: int) -> tuple[np.ndarray, ...]:
-    """(C_{k,n}, M_{k,n}, D_{k,n}) for k = n -/+ 1, ..., end, in that order:
-    products walking outward from n, one factor per step.
 
-    A backward side raises ContractionViolation at the k nearest n with
-    margin_k >= 1, if there is one.
+def _lip_products(r: IndexConstants, w: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """((C, M, D) past, (C, M, D) future): C_{k,n}, M_{k,n} and D_{k,n} for
+    k = n - 1, ..., n - w and k = n + 1, ..., n + w as (centers, w) arrays,
+    r the `rows(2w + 1)` of the centers n = r.lo + w + i: products walking
+    outward from n, a cumprod along each row.  Raises ContractionViolation at
+    the first center whose past side meets a margin_k >= 1, at the k nearest it.
     """
-    if end < n:
-        s = slice(end - c.lo, n - c.lo)
-        bad = np.flatnonzero(c.margin[s] >= 1.0)
-        if bad.size:
-            k = end + int(bad[-1])
-            raise ContractionViolation(k, float(c.margin[k - c.lo]))
-        lip_c, lip_d = c.back[s][::-1], c.sigma[s][::-1]
-        lip_m = lip_c + lip_d
-    else:
-        s = slice(n - c.lo, end - c.lo)
-        lip_c, lip_d = c.step[s], c.tau[s]
-        lip_m = lip_c + np.maximum(c.rho[s], lip_d)
+    bad = r.margin[:, :w] >= 1.0
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        j = int(np.flatnonzero(bad[i])[-1])
+        raise ContractionViolation(r.lo + i + j, float(r.margin[i, j]))
+    back, sigma = r.back[:, :w][:, ::-1], r.sigma[:, :w][:, ::-1]
+    step, tau, rho = r.step[:, w:2 * w], r.tau[:, w:2 * w], r.rho[:, w:2 * w]
     with np.errstate(over="ignore"):  # a divergent series' products may reach inf
-        return np.cumprod(lip_c), np.cumprod(lip_m), np.cumprod(lip_d)
-
-
-def _basic_series(
-    sys: SystemSpec, m: int, w: int, c: IndexConstants, g: np.ndarray
-) -> tuple[SeriesEstimate, SeriesEstimate]:
-    """The bc2 and bc3 sums at center m over q in [m - w, m + w], with
-    g[k - c.lo] = |G(m, k + 1)| aligned with the constants c."""
-    mid = m - 1 - c.lo  # the center term q = m, k = m - 1
-
-    def series(weight, which):
-        terms = g * weight
-        env = _envelope(sys, which, m)
-        tail = env.one_sided(w) if env else None
-        return _estimate((m - w, m + w), terms[mid - w:mid][::-1], terms[mid + 1:mid + w + 1],
-                         terms[mid], tail, tail)
-
-    return series(c.mu, "bc2"), series(c.gamma, "bc3")
+        return tuple(tuple(np.cumprod(f, axis=1) for f in side) for side in (
+            (back, back + sigma, sigma), (step, step + np.maximum(rho, tau), tau)))
 
 
 def _sup(per_center: list[SeriesEstimate], window: tuple[int, int]) -> tuple[SeriesEstimate, float]:
@@ -390,35 +378,39 @@ def sample_coupling_bounds(
     return True
 
 
-def _advanced_terms(c: IndexConstants, g: np.ndarray, n: int, end: int) -> tuple[np.ndarray, ...]:
-    """Terms of the advanced sums on the side of `end`, outward from n, with
-    g[k - c.lo] = |G(n, k + 1)|: |G(n,k+1)| gamma_k C_{k,n} of K_n / J_n
-    ("dxi") and |G(n,k+1)| (gamma_k M_{k,n} + rho_k D_{k,n}) of ac9 ("deta")."""
-    lip_c, lip_m, lip_d = _lip_products(c, n, end)
-    ks = (np.arange(n - 1, end - 1, -1) if end < n else np.arange(n + 1, end + 1)) - c.lo
-    g, gamma, rho = g[ks], c.gamma[ks], c.rho[ks]
+def _advanced_terms(r: IndexConstants, g: np.ndarray, w: int) -> tuple:
+    """Terms of the advanced sums at the centers of `_lip_products`, with
+    g[i, k - n + w] = |G(n, k + 1)| for k in [n - w, n + w] at the center n
+    of row i: ((past, future) of |G(n,k+1)| gamma_k C_{k,n}, the K_n / J_n
+    terms ("dxi"), (past, future) of |G(n,k+1)| (gamma_k M_{k,n} +
+    rho_k D_{k,n}), the ac9 terms ("deta")), each (centers, w), outward from n."""
+    sides = (lambda a: a[:, :w][:, ::-1], lambda a: a[:, w + 1:])
     with np.errstate(over="ignore", invalid="ignore"):  # _estimate judges inf and NaN sums
-        return g * gamma * lip_c, g * (gamma * lip_m + rho * lip_d)
+        return tuple(zip(*((s(g) * s(r.gamma) * c, s(g) * (s(r.gamma) * m + s(r.rho) * d))
+                           for s, (c, m, d) in zip(sides, _lip_products(r, w)))))
 
 
-def _advanced(
-    sys: SystemSpec, n: int, lo: int, hi: int, c: IndexConstants, g: np.ndarray
-) -> tuple[SeriesEstimate, SeriesEstimate, float, SeriesEstimate]:
-    """K_n, J_n, their contraction total and the ac9 sum over [lo, hi] around
-    n, with g[k - c.lo] = |G(n, k + 1)|.
+def _advanced(sys: SystemSpec, r: IndexConstants, g: np.ndarray, w: int) -> list:
+    """(K_n, J_n, their contraction total, the ac9 sum) over [n - w, n + w]
+    at each center n of `_advanced_terms`, each center's terms summed
+    array-wide.
 
     The total K_n + J_n + |G(n,n+1)| gamma_n includes the tails and is
     infinite unless both sums converged, so ac3 holds exactly when it is < 1.
     """
-    (past, left), (future, right) = _advanced_terms(c, g, n, lo), _advanced_terms(c, g, n, hi)
-    dxi, deta = _envelope(sys, "dxi", n), _envelope(sys, "deta", n)
-    k_est = _estimate((lo, n - 1), past, [], None, dxi and dxi.one_sided(n - lo), None)
-    j_est = _estimate((n + 1, hi), [], future, None, None, dxi and dxi.one_sided(hi - n))
-    i = n - c.lo
-    total = float(k_est.bound + j_est.bound + g[i] * c.gamma[i])
-    second = _estimate((lo, hi), left, right, g[i] * (c.gamma[i] + c.rho[i]),
-                       deta and deta.one_sided(n - lo), deta and deta.one_sided(hi - n))
-    return k_est, j_est, total, second
+    (past, future), (left, right) = _advanced_terms(r, g, w)
+    first, second = g[:, w] * r.gamma[:, w], g[:, w] * (r.gamma[:, w] + r.rho[:, w])
+    sums = zip(past.sum(axis=1), future.sum(axis=1), second + left.sum(axis=1) + right.sum(axis=1))
+    out = []
+    for i, (k_sum, j_sum, eta_sum) in enumerate(sums):
+        n = r.lo + w + i
+        dxi, deta = _envelope(sys, "dxi", n), _envelope(sys, "deta", n)
+        xi_tail, eta_tail = dxi and dxi.one_sided(w), deta and deta.one_sided(w)
+        k_est = _estimate((n - w, n - 1), past[i], [], None, xi_tail, None, k_sum)
+        j_est = _estimate((n + 1, n + w), [], future[i], None, None, xi_tail, j_sum)
+        out.append((k_est, j_est, float(k_est.bound + j_est.bound + first[i]), _estimate(
+            (n - w, n + w), left[i], right[i], second[i], eta_tail, eta_tail, eta_sum)))
+    return out
 
 
 def certify(
@@ -466,32 +458,40 @@ def certify(
         # the advanced products are undefined without the backward margin
         report.advanced_error = f"backward margin >= 1 at n={bc4_index}; advanced series skipped"
     bc2, bc3 = [], []
-    for n in range(lo, hi + 1):
-        if n in failed:
-            # an overflowing span leaves every series of center n unknown
-            bc2.append(_unknown(n - w, n + w))
-            bc3.append(_unknown(n - w, n + w))
-            if report.advanced_error is None:
-                report.ac2[n] = (_unknown(n - w, n - 1), _unknown(n + 1, n + w))
-                report.ac3_bound[n] = math.inf
-                report.ac9[n] = _unknown(n - w, n + w)
-                report.advanced_error = (f"arithmetic failure in the Green span at n={n}: "
-                                         f"{failed[n]}")
-            continue
-        c, g = consts.window(n - w - 1, n + w), g_rows[n - lo]
-        e2, e3 = _basic_series(sys, n, w, c, g)
-        bc2.append(e2)
-        bc3.append(e3)
+    # array-wide over chunks of centers; a violated margin below lo reaches
+    # every center up to it, so only the first center can raise one
+    rows = consts.rows(2 * w + 2)  # row n - lo: the constants on [n - w - 1, n + w]
+
+    def part(a, b, skip):  # the rows of the centers in [a, b), from column skip on
+        return IndexConstants(a - w - 1 + skip, *(x[a - lo:b - lo, skip:] for x in rows[1:]))
+
+    for chunk in _chunks(range(lo, hi + 1), 2 * w + 2):
+        a, b = chunk[0], chunk[-1] + 1
+        g, r = g_rows[a - lo:b - lo], part(a, b, 0)
+        for weight, which, out in ((r.mu, "bc2", bc2), (r.gamma, "bc3", bc3)):
+            terms = g * weight
+            left, right = terms[:, :w][:, ::-1], terms[:, w + 1:2 * w + 1]
+            sums = terms[:, w] + left.sum(axis=1) + right.sum(axis=1)
+            for i, n in enumerate(chunk):
+                env = _envelope(sys, which, n)
+                tail = env.one_sided(w) if env else None
+                out.append(_unknown(n - w, n + w) if n in failed else _estimate(
+                    (n - w, n + w), left[i], right[i], terms[i, w], tail, tail, sums[i]))
         if report.advanced_error is not None:
             continue
+        stop = min((n for n in chunk if n in failed), default=b)
         try:
-            k_est, j_est, total, second = _advanced(sys, n, n - w, n + w, c, g)
+            results = _advanced(sys, part(a, stop, 1), g[:stop - a, 1:], w) if stop > a else []
         except NonautolinError as exc:
             report.advanced_error = str(exc)
             continue
-        report.ac2[n] = (k_est, j_est)
-        report.ac3_bound[n] = total
-        report.ac9[n] = second
+        for n, (k_est, j_est, total, second) in zip(chunk, results):
+            report.ac2[n], report.ac3_bound[n], report.ac9[n] = (k_est, j_est), total, second
+        if stop < b:  # an overflowing span leaves every series of its center unknown
+            report.ac2[stop] = (_unknown(stop - w, stop - 1), _unknown(stop + 1, stop + w))
+            report.ac3_bound[stop], report.ac9[stop] = math.inf, _unknown(stop - w, stop + w)
+            report.advanced_error = (f"arithmetic failure in the Green span at n={stop}: "
+                                     f"{failed[stop]}")
     report.bc2, report.n_bound = _sup(bc2, (lo, hi))
     report.bc3, report.q_bound = _sup(bc3, (lo, hi))
     return report

@@ -49,8 +49,19 @@ def operator_norm(mat: np.ndarray, kind: NormKind) -> float | np.ndarray:
     """Induced operator norm of a matrix (a float), or of every matrix of a
     (..., r, c) stack (an array of shape (...)).
 
-    For the max vector norm this is the maximum absolute row sum (exact);
-    for the euclidean norm it is the largest singular value.
+    For the max vector norm this is the maximum absolute row sum (exact).
+    For the euclidean norm it is sqrt(lambda_max) of the q x q Gram matrix G
+    of the smaller side of S = 2^-e M (p x q after a transpose), 2^e the power
+    of two above max |m_ij|: an exact scaling to |s_ij| < 1 and ||S||_2 >= 1/2,
+    so G cannot overflow and underflow adds under u ||S||_2^2.  The computed
+    G + E has |E| <= gamma_p |S|^T |S| (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., §3.5), so ||E||_2 <= q gamma_p ||S||_2^2;
+    eigvalsh returns lambda_max of G + E + F, ||F||_2 <= c_q u ||G + E||_2
+    with c_q modest (LAPACK Users' Guide, §4.7).  By Weyl's bound lambda_max
+    moves by delta = q gamma_p + c_q u (1 + q gamma_p) relative at most, the
+    norm by delta / 2 + u to first order (u = 2^-53, gamma_p = p u/(1 - p u)).
+    For both kinds an inf entry gives inf, a NaN entry NaN, and a norm past
+    the largest double inf unless over="raise".
     """
     m = np.asarray(mat, dtype=float)
     if m.shape[-2] == 0 or m.shape[-1] == 0:
@@ -58,7 +69,15 @@ def operator_norm(mat: np.ndarray, kind: NormKind) -> float | np.ndarray:
     elif kind == "max":
         out = np.max(np.sum(np.abs(m), axis=-1), axis=-1)
     else:
-        out = np.linalg.norm(m, 2, axis=(-2, -1))
+        # each matrix's max |m_ij|, reduced along the stack: a copy entries-first is faster
+        big = np.abs(m).reshape(-1, m.shape[-2] * m.shape[-1]).T.copy().max(axis=0)
+        big = big.reshape(m.shape[:-2])
+        ok = np.isfinite(big)
+        e = np.frexp(np.where(ok, big, 0.0))[1]
+        s = np.ldexp(m, -e[..., None, None], out=np.zeros(m.shape), where=ok[..., None, None])
+        st = np.swapaxes(s, -1, -2).copy()  # contiguous, for matmul's fast path
+        lam = np.linalg.eigvalsh(st @ s if m.shape[-2] > m.shape[-1] else s @ st)[..., -1]
+        out = np.where(ok, np.ldexp(np.sqrt(lam), e), big)
     return float(out) if m.ndim == 2 else out
 
 
@@ -379,6 +398,18 @@ def green_span(sys: SystemSpec, m: int, lo: int, hi: int) -> np.ndarray:
         return np.matmul(raw[lo - a:hi - a + 1], p)
 
 
+# Kernels per norm call of green_norm_rows and terms per row of certify's series chunks.
+# On `check --system ex2 --n-min -100 --n-max 100 --window 200`: peak RSS 38.8 / 40.1 /
+# 42.6 MB at 2,048 / 4,096 / 8,192 (38.8 with SVD norms); the rows 50 / 53 / 74 ms, 58 at 1.
+_CHUNK = 2048
+
+
+def _chunks(centers: range, width: int) -> list:
+    """`centers` in runs of at most max(1, _CHUNK // width) consecutive ones."""
+    per = max(1, _CHUNK // width)
+    return [centers[i:i + per] for i in range(0, len(centers), per)]
+
+
 def green_norm_rows(sys: SystemSpec, lo: int, hi: int, w: int) -> tuple[np.ndarray, dict]:
     """|G(n, q)| for every center n in [lo, hi] and q in [n - w, n + w + 1], at
     [n - lo, q - n + w] of a (hi - lo + 1, 2w + 2) array, and {n: message} for
@@ -389,7 +420,8 @@ def green_norm_rows(sys: SystemSpec, lo: int, hi: int, w: int) -> tuple[np.ndarr
     product per center: the past half (q <= n) upward, T(n+1, q) = A_n T(n, q),
     the future half (q > n) downward, T(n-1, q) = A_{n-1}^{-1} T(n, q); one
     more applies the weights P_q or -(Id - P_q).  The first center, and the
-    one after an overflowing center, builds its half from scratch.
+    one after an overflowing center, builds its half from scratch.  One
+    operator_norm call takes the kernels of a chunk of centers (`_CHUNK`).
     """
     dx, kind = sys.space.dim_x, sys.space.norm_kind
     p = np.array([sys.p.matrix(q) for q in range(lo - w, hi + w + 2)])
@@ -404,13 +436,16 @@ def green_norm_rows(sys: SystemSpec, lo: int, hi: int, w: int) -> tuple[np.ndarr
     with np.errstate(over="raise", invalid="raise"):
         for step, weights, cols, centers, scratch in halves:
             stack = None
-            for n in centers:
-                try:
-                    stack = step(scratch(n)) if stack is None else step((n,), stack)
-                    kernels = np.matmul(stack, weights[n - lo:][cols])
-                    rows[n - lo, cols] = operator_norm(kernels, kind)
-                except FloatingPointError as exc:
-                    failed.setdefault(n, str(exc))
-                    stack = None
+            for chunk in _chunks(centers, w + 1):
+                kernels = np.zeros((len(chunk), w + 1, dx, dx))
+                for i, n in enumerate(chunk):
+                    try:
+                        stack = step(scratch(n)) if stack is None else step((n,), stack)
+                        np.matmul(stack, weights[n - lo:][cols], out=kernels[i])
+                    except FloatingPointError as exc:
+                        failed.setdefault(n, str(exc))
+                        stack = None
+                with np.errstate(over="ignore"):  # a norm past the largest double is inf
+                    rows[[n - lo for n in chunk], cols] = operator_norm(kernels, kind)
     rows[[n - lo for n in failed]] = np.nan
     return rows, failed

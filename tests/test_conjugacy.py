@@ -134,6 +134,25 @@ class TestBarH:
             with pytest.raises(ValueError):
                 conj(0, xi, rng.uniform(-1, 1, (2, 2)))
 
+    @pytest.mark.parametrize("name", ["ex1", "end_cfg"])
+    def test_empty_batch(self, name, engine_ex1, engine_end):
+        # no columns in, no columns out, and no walk
+        eng = engine_ex1 if name == "ex1" else engine_end
+        dx, dy = eng.sys.space.dim_x, eng.sys.space.dim_y
+        xi, eta = np.zeros((dx, 0)), np.zeros((dy, 0))
+        assert eng.bar_h(0, xi, eta).shape == eng.h(0, xi, eta).shape == (dx, 0)
+        for conj in (eng.H, eng.bar_H):
+            x, y = conj(0, xi, eta)
+            assert x.shape == (dx, 0) and y.shape == (dy, 0)
+        value, residuals, iters = eng.h_detailed(0, xi, eta)
+        assert value.shape == (dx, 0) and residuals == [] and iters == 0
+        tables = eng.residual_tables(range(-1, 2), xi, eta, steps=3)
+        assert sorted(tables) == [-1, 0, 1]
+        for res in tables.values():
+            assert res.h.shape == res.bar_h.shape == (dx, 0)
+            assert res.inverse.shape == res.forward.shape == res.dual.shape == (0,)
+            assert res.inverse_error is None and res.equivariance_error is None
+
     def test_bar_H_equivariance_step(self, engine_ex1, rng):
         # stepping bar_H(x) with the linear map matches bar_H of the coupled step
         s = engine_ex1.sys

@@ -21,6 +21,7 @@ from nonautolin import (
     system_by_name,
 )
 import nonautolin.hypotheses as hyp
+import nonautolin.system as system_module
 from nonautolin.hypotheses import (IndexConstants, _estimate, _has_divergence_run,
                                    _lip_products, _ratio_tail, sample_coupling_bounds)
 from nonautolin.system import green_norm_rows, green_span
@@ -469,11 +470,11 @@ class TestArraySeries:
         w = 40
         for n in (-5, 0, 5):
             c = IndexConstants.of(s, n - w, n + w)
-            for end in (n - w, n + w):
-                ks = range(n - 1, end - 1, -1) if end < n else range(n + 1, end + 1)
-                for ref, prods in zip((lip_C, lip_M, lip_D), _lip_products(c, n, end)):
-                    assert len(prods) == w
-                    np.testing.assert_allclose(prods, [ref(s, k, n) for k in ks], rtol=1e-13)
+            for ks, side in zip((range(n - 1, n - w - 1, -1), range(n + 1, n + w + 1)),
+                                _lip_products(c.rows(2 * w + 1), w)):
+                for ref, prods in zip((lip_C, lip_M, lip_D), side):
+                    assert prods.shape == (1, w)
+                    np.testing.assert_allclose(prods[0], [ref(s, k, n) for k in ks], rtol=1e-13)
 
     def test_violation_beyond_bc4_window_stops_the_advanced_series(self):
         # bc4 covers only n_range; the advanced series of n = -3 reach back to
@@ -485,6 +486,67 @@ class TestArraySeries:
         assert rep.bc4_ok is True
         assert rep.advanced_error == "contraction violated at index -12: |A^-1|*gamma = 1.8 >= 1"
         assert rep.ac2 == {} and rep.ac9 == {}
+
+
+def _overflowing_system():
+    """A_k = diag(2^k, 2^-k): the spans of the centers n >= 89 overflow at
+    w = 10 (TestSlidingSpans.test_overflow_in_the_middle_of_the_range)."""
+    def a_mat(k):
+        return np.diag([2.0 ** k, 2.0 ** -k])
+
+    return with_coupling(SystemSpec(
+        space=SpaceSpec(dim_x=2, dim_y=0, norm_kind="max"),
+        a=OperatorSeq(a_mat, lambda k: a_mat(-k)),
+        p=WeightSeq.constant(np.diag([1.0, 0.0])),
+        f=CouplingSpec.zero(2, 0),
+        g=DriverSpec.trivial(),
+    ), lambda k: 1e-3 * 0.25 ** abs(k))
+
+
+class TestChunks:
+    """`green_norm_rows` and `certify` take their centers in chunks of
+    `system._CHUNK` kernels or terms; any chunk size gives the same results."""
+
+    @pytest.mark.parametrize("build,n_range,w", [
+        (_overflowing_system, (70, 115), 10),
+        (lambda: system_by_name("ex2", gamma_scale=0.9, rotation_angle=0.3), (-20, 20), 30),
+    ], ids=["overflow", "ex2-rotated"])
+    def test_green_norm_rows(self, build, n_range, w, monkeypatch):
+        # 46 or 41 centers: one per norm call, seven (a non-divisor), all;
+        # the first overflowing center (89) falls mid-chunk
+        s = build()
+        rows, failed = green_norm_rows(s, *n_range, w)
+        for chunk in (1, 7 * (w + 1)):
+            monkeypatch.setattr(system_module, "_CHUNK", chunk)
+            got, got_failed = green_norm_rows(s, *n_range, w)
+            assert got_failed == failed
+            assert np.array_equal(got, rows, equal_nan=True)
+
+    @pytest.mark.parametrize("case", ["violation", "emo", "overflow"])
+    def test_certify(self, case, monkeypatch):
+        # a violated margin below n_range reaches the first three centers,
+        # across chunks of 3 (a non-divisor of 7); emo's tails are extrapolated
+        if case == "violation":
+            s = system_by_name("ex1", lam=LN2, gamma_scale=0.5)
+            gamma = s.f.gamma
+            s.f.gamma = lambda k: 0.9 if k in (-12, -15) else gamma(k)
+            args = ((-3, 3), 20)
+        elif case == "emo":
+            s, args = system_by_name("emo"), ((-4, 4), 12)
+        else:
+            s, args = _overflowing_system(), ((70, 115), 10)
+        rep = certify(s, *args, probes=4).to_json()
+        w = args[1]
+        for chunk in (1, 3 * (2 * w + 2)):
+            monkeypatch.setattr(system_module, "_CHUNK", chunk)
+            assert certify(s, *args, probes=4).to_json() == rep
+        if case == "violation":
+            assert rep["advanced_error"].startswith("contraction violated at index -12")
+        elif case == "emo":  # a ratio tail, and divergence runs in every advanced sum
+            assert rep["bc2"]["verdict"] == "converged" and rep["bc2"]["tail_bound"] > 0.0
+            assert rep["ac9"] and all(e["verdict"] == "divergent" for e in rep["ac9"].values())
+        else:
+            assert rep["advanced_error"].endswith("at n=89: overflow encountered in matmul")
 
 
 def _verdicts(rep) -> list:

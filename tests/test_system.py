@@ -17,6 +17,7 @@ from nonautolin import (
 )
 
 from .conftest import LN2, random_invertible_system, span_transition
+from .test_hypotheses import _non_normal_system
 from .reference import green_by_factors, green_norm, transition_by_factors
 
 
@@ -54,6 +55,58 @@ class TestOperatorNorm:
         got = operator_norm(stack, kind)
         assert got.shape == (7,)
         assert got.tolist() == [operator_norm(m, kind) for m in stack]
+
+    @pytest.mark.parametrize("kind", ["max", "euclidean"])
+    def test_non_finite_entries(self, kind):
+        # an inf entry gives inf, a NaN entry NaN (also beside an inf), with
+        # no FloatingPointError under the callers' errstate
+        mats = np.array([[[1.0, np.inf], [0.0, 2.0]], [[1.0, np.nan], [0.0, 2.0]],
+                         [[np.nan, -np.inf], [0.0, 2.0]], [[3.0, 0.0], [0.0, -4.0]]])
+        with np.errstate(over="raise", invalid="raise"):
+            got = operator_norm(mats, kind)
+            singles = [operator_norm(m, kind) for m in mats]
+        assert np.isinf(got[0]) and np.isnan(got[1]) and np.isnan(got[2])
+        assert got[3] == 4.0
+        np.testing.assert_array_equal(got, singles)
+
+
+def _gram_bound(rows: int, cols: int) -> float:
+    """operator_norm's bound on its euclidean relative error, delta / 2 + u
+    with delta = q gamma_p + c_q u (1 + q gamma_p), taking c_q = q, plus an
+    SVD's own error, max(rows, cols) u (LAPACK Users' Guide, §4.9)."""
+    u = 2.0 ** -53
+    p, q = max(rows, cols), min(rows, cols)
+    gamma_p = p * u / (1 - p * u)
+    return (q * gamma_p + q * u * (1 + q * gamma_p)) / 2 + u + p * u
+
+
+class TestEuclideanNormOracle:
+    """operator_norm(., "euclidean") against np.linalg.svd(compute_uv=False)."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3), (1, 1)])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600, 1e300, 1e-300])
+    def test_random_stacks(self, rng, shape, scale):
+        full = rng.normal(size=(200,) + shape)
+        rank1 = rng.normal(size=(50, shape[0], 1)) * rng.normal(size=(50, 1, shape[1]))
+        stack = np.concatenate((full, rank1, np.zeros((3,) + shape))) * scale
+        got = operator_norm(stack, "euclidean")
+        ref = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        assert np.all(np.abs(got - ref) <= _gram_bound(*shape) * ref)
+        assert np.all(got[-3:] == 0.0) and np.all(ref[:-3] > 0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: system_by_name("ex2", rotation_angle=0.3),
+        lambda: system_by_name("end_cfg", gamma_scale=0.9),
+        lambda: _non_normal_system(8, 2.0, "euclidean"),
+    ], ids=["ex2-rotated", "end_cfg", "non-normal"])
+    def test_green_rows(self, build):
+        s = build()
+        dx = s.space.dim_x
+        for n in (-10, 0, 7):
+            kernels = green_span(s, n, n - 30, n + 31)
+            got = operator_norm(kernels, "euclidean")
+            ref = np.linalg.svd(kernels, compute_uv=False)[..., 0]
+            assert np.all(np.abs(got - ref) <= _gram_bound(dx, dx) * ref), n
 
 
 class TestTransition:
