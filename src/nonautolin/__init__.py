@@ -29,11 +29,7 @@ from .errors import (
     SingularOperatorError,
     WindowExhausted,
 )
-from .evolution import (
-    SolveOptions,
-    backward_step_detailed,
-    coupled_trajectory,
-)
+from .evolution import SolveOptions, coupled_trajectory
 from .hypotheses import (
     CONVERGED,
     DIVERGENT,
@@ -82,7 +78,6 @@ __all__ = [
     "TailEnvelopes",
     "WeightSeq",
     "WindowExhausted",
-    "backward_step_detailed",
     "barh_jacobian",
     "certify",
     "coupled_trajectory",

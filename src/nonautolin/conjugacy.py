@@ -49,8 +49,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ContractionViolation, NoConvergence, NonautolinError, WindowExhausted
-from .evolution import (DEFAULT_SOLVE, SolveOptions, Span, _checked, _dot, _forward_step,
-                        _max, _state_columns, _trajectory)
+from .evolution import (DEFAULT_SOLVE, SolveOptions, Span, _dot, _forward_step, _max,
+                        _state_columns, _trajectory)
 from .hypotheses import (CONVERGED, IndexConstants, _advanced, _advanced_terms, _envelope,
                          _ratio_tail)
 from .system import SystemSpec, _column_norms, green_span, operator_norm
@@ -199,13 +199,16 @@ class ConjugacyEngine:
     def bar_h_detailed(
         self, n: int, xi, eta=None, window: Optional[int] = None
     ) -> tuple[np.ndarray, float, int]:
-        """Series value, truncation-error bound and window halfwidth."""
+        """Series value, truncation-error bound and window halfwidth; a
+        negative `window` raises ValueError."""
         xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
         if window is None:
             win = self.series_window(n, self.series_tol)
             k_half, tail = win.halfwidth, win.tail_bound
         else:
             k_half = int(window)
+            if k_half < 0:
+                raise ValueError(f"window must be >= 0, got {window}")
             env = _envelope(self.sys, "barh", n)
             tail = env.two_sided(k_half) if env else math.inf
         spans = _spans([(n, k_half, xi_b.shape[1])])
@@ -375,14 +378,13 @@ class ConjugacyEngine:
 
         The probes' linear and coupled trajectories do not depend on the
         conjugacies, so the tables advance over the indices m from min(ns) to
-        max(ns) + steps in blocks of at most `_BLOCK` consecutive indices,
-        which past the first take no more than `_BLOCK_COLUMNS` columns
-        together.  At index m they need bar_h(m, .) on every coupled point at
-        m, h(m, .) on every linear point at m plus, when m is a base index,
-        the round-trip points p + bar_h(m, p), and at a base index
-        bar_h(m, p + h(m, p)) to close the round trip.  A block solves each
-        of the three as one multi-centre solve over all its indices
-        (`_residual_block`).
+        max(ns) + steps in blocks of consecutive indices; a block of several
+        takes no more than `_BLOCK_COLUMNS` columns together.  At index
+        m they need bar_h(m, .) on every coupled point at m, h(m, .) on
+        every linear point at m plus, when m is a base index, the round-trip
+        points p + bar_h(m, p), and at a base index bar_h(m, p + h(m, p)) to
+        close the round trip.  A block solves each of the three as one
+        multi-centre solve over all its indices (`_residual_block`).
 
         The windows and the contraction certificate of each index are
         fitted before any walk of its block, and a block ends before the
@@ -392,8 +394,10 @@ class ConjugacyEngine:
         tables advanced index by index: an error at index m becomes the
         `equivariance_error` of every base n with m in [n, n + steps] that
         has none yet, and the `inverse_error` of n = m; the bases it hits
-        take no further columns.
+        take no further columns.  A negative `steps` raises ValueError.
         """
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
         xi_b, eta_b, _ = _state_columns(self.sys, xi, eta)
         out = {n: BaseResiduals() for n in sorted({int(n) for n in ns})}
         if not xi_b.size:  # no probes: empty tables, no walk
@@ -411,7 +415,7 @@ class ConjugacyEngine:
 
         live, m, end, alone = idle, min(out), max(out) + steps, 0
         while m <= end:
-            stop, cols, last = m + 1, width(m), min(end, m + (0 if alone else _BLOCK - 1))
+            stop, cols, last = m + 1, width(m), m if alone else end
             while stop <= last and cols + width(stop) <= _BLOCK_COLUMNS:
                 cols += width(stop)
                 stop += 1
@@ -513,12 +517,8 @@ class ConjugacyEngine:
                     hx, bx = lin + h[:, :lin.shape[1]], cpl + b  # H(m, lin), bar_H(m, cpl)
                     fwd, dual, old = prev.fwd, prev.dual, len(prev.bases)
                     if old:  # the images at m of H and bar_H at m - 1
-                        j = m - 1
-                        # `_forward_step` without its g.eval: both trajectories step y
-                        # with the same g, so only x differs
-                        h_img = _dot(sys.a.matrix(j), prev.hx) + _checked(
-                            sys.f.eval(j, prev.hx, prev.y), prev.hx.shape, "f.eval", j)
-                        bh_img = _dot(sys.a.matrix(j), prev.bx)
+                        h_img = _forward_step(sys, m - 1, prev.hx, prev.y)[0]
+                        bh_img = _dot(sys.a.matrix(m - 1), prev.bx)
                         fwd = np.maximum(
                             fwd, norms(h_img - hx[:, :old * batch]).reshape(old, batch))
                         dual = np.maximum(
@@ -559,24 +559,17 @@ def _coupling_lists(spans: list) -> list:
     return [[None] * (s.hi - s.lo + 1) for s in spans]
 
 
-# Indices per residual block of `residual_tables`.  A longer block shares
-# each kernel call among more centres but holds more couplings at once.  On
-# `report --system ex1 --gamma-scale 0.5` (perfbench ex1_report, 2-core
-# x86_64, three interleaved runs per length) wall_s fell from 0.35-0.47 s at
-# 2 and 0.29-0.35 s at 4 to 0.22-0.29 s at 8, no lower at 11 or 16, while
-# peak_rss_mb rose from 41.0 MB at 2 to 41.4-41.5 at 8, 41.6 at 11 and
-# 42.2-43.0 at 16, against 40.9 MB for one index at a time.
-_BLOCK = 8
-# Columns per residual block, past its first index.  A coupling evaluation
-# costs about 13 us plus 0.014 us per column, so at 4,096 columns a shared
-# call saves under a fifth of its time, while the couplings a sweep holds
-# grow with its columns.  ex1_report's blocks (at most 2,400 columns) are
-# not cut; `report --system end_cfg --gamma-scale 0.9` (625 probes per base,
-# up to 7,500 columns per index) runs almost one index at a time, with a
-# peak resident set of 103 MB and a conjugate phase of 8.6-9.4 s, against
-# about 200 MB and 9.8-11.1 s with 8-index blocks, and 130 MB and 9.1-9.9 s
-# with one walk per index and solve.
-_BLOCK_COLUMNS = 4096
+# Columns per residual block, the one bound on how many indices a block of
+# `residual_tables` takes: past its first index a block takes indices while
+# its columns stay within it.  A longer block shares each kernel call among
+# more centres but holds more couplings at once.  2,100 is seven of ex1's
+# widest indices (300 columns).  perfbench ex1_report (2-core x86_64) reads a
+# peak_rss_mb of 40.6 MB at 1,800, 40.3-40.7 at 2,100, 41.0 at 2,250, 41.4
+# at 2,400 and 44.0 at 4,096, with four blocks at 2,100 and three at 2,400,
+# and no wall_s change past the run-to-run spread.  `conjugate --system end_cfg
+# --gamma-scale 0.9` (up to 7,500 columns per index) runs one index at a time
+# but for [19, 20], or [11, 12] with n in [-2, 2].
+_BLOCK_COLUMNS = 2100
 
 _ANDERSON_DEPTH = 2  # residual differences per Anderson step
 _RELATIVE_REG = 1e-10  # of the trace of a column's normal equations

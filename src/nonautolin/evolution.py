@@ -77,29 +77,13 @@ def _checked(out, shape: tuple, name: str, j: int) -> np.ndarray:
     return out
 
 
-def _forward_step(sys: SystemSpec, j: int, x, y, coupled: bool = True):
+def _forward_step(sys: SystemSpec, j: int, x, y):
     """(x_{j+1}, y_{j+1}, f_j(x_j, y_j)) from (dim, batch) columns (x_j, y_j)
-    under the coupled system, or (x_{j+1}, y_{j+1}, None) under the uncoupled
-    one when `coupled` is False."""
+    under the coupled system: the one place that forms A_j x + f_j(x, y)."""
     x_next = _dot(sys.a.matrix(j), x)
     y_next = _checked(sys.g.eval(j, y), y.shape, "g.eval", j) if sys.space.dim_y else y
-    if not coupled:
-        return x_next, y_next, None
     fx = _checked(sys.f.eval(j, x, y), x.shape, "f.eval", j)
     return x_next + fx, y_next, fx
-
-
-@dataclass
-class BackwardStepResult:
-    """T_j(xi, eta) with its Picard record: `residuals` holds the scaled
-    defect of every iterate, the last of them `residual`, and `coupling` is
-    f_j at the returned value, the converged iterate's coupling value."""
-
-    value: np.ndarray
-    iterations: int
-    residual: float
-    residuals: list
-    coupling: np.ndarray
 
 
 def _backward_picard(sys: SystemSpec, j: int, x: np.ndarray, eta: np.ndarray, guess,
@@ -116,7 +100,9 @@ def _backward_picard(sys: SystemSpec, j: int, x: np.ndarray, eta: np.ndarray, gu
     |x|) per column, and as T_j contracts at rate |A_j^{-1}| gamma_j, every
     u that passes it satisfies |u - T_j(x)| <= |A_j^{-1}| |d| / (1 -
     |A_j^{-1}| gamma_j), however it was reached, so a warm-started walk
-    and the bar_h and h built on it keep a cold walk's accuracy.  The
+    and the bar_h and h built on it keep a cold walk's accuracy.  As A_j
+    u_{k+1} = x - f_j(u_k), the defect of u_{k+1} is f_j(u_{k+1}) -
+    f_j(u_k), so successive defects contract at rate |A_j^{-1}| gamma_j.  The
     iteration count is the largest over the columns, shared by the batch,
     so with each column's guess a smooth function of that column's data,
     the returned u is one too.
@@ -141,36 +127,17 @@ def _backward_picard(sys: SystemSpec, j: int, x: np.ndarray, eta: np.ndarray, gu
     raise NoConvergence(f"backward step at j={j}", max_iters, residual, tol)
 
 
-def backward_step_detailed(
-    sys: SystemSpec, j: int, xi, eta, opts: Optional[SolveOptions] = None
-) -> BackwardStepResult:
-    """Solve F_j(u, eta) = xi for u, i.e. evaluate T_j(xi, eta).
-
-    Picard iteration from the initial guess A_j^{-1} xi (exact when f == 0),
-    by the kernel every backward step of a trajectory runs.  The residual is
-    the defect |A_j u + f_j(u, eta) - xi| in the space norm, measured
-    relative to max(1, |xi|): backward trajectories can grow exponentially,
-    and the achievable defect scales with the data.  As A_j u_{k+1} = xi -
-    f_j(u_k), the defect of u_{k+1} is f_j(u_{k+1}) - f_j(u_k), so
-    successive defects contract at rate <= |A_j^{-1}| gamma_j.
-    """
-    opts = opts or DEFAULT_SOLVE
-    x, eta, single = _state_columns(sys, xi, eta)
-    u, fu, residuals = _backward_picard(sys, j, x, eta, None, opts.fixed_point_tol,
-                                        opts.max_iters, _column_norms(sys.space.norm_kind))
-    if single:
-        u, fu = u[:, 0], fu[:, 0]
-    return BackwardStepResult(u, len(residuals) - 1, residuals[-1], residuals, fu)
-
-
 def coupled_trajectory(
     sys: SystemSpec, n: int, lo: int, hi: int, xi, eta, opts: Optional[SolveOptions] = None
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """All coupled states (x_k, y_k) for k in [lo, hi] through (xi, eta) at time n.
 
     Batch-ready: xi may be (dim_x, batch) with eta (dim_y, batch).  One
-    backward fixed-point solve per step, shared across the batch.
+    backward fixed-point solve per step, shared across the batch.  Raises
+    ValueError unless lo <= n <= hi.
     """
+    if not lo <= n <= hi:
+        raise ValueError(f"coupled_trajectory needs lo <= n <= hi, got n={n} in [{lo}, {hi}]")
     xi_b, eta_b, single = _state_columns(sys, xi, eta)
     states = {n: (xi_b, eta_b)}
     _trajectory(sys, [Span(n, lo, hi, xi_b.shape[1])], xi_b, eta_b, opts, states=states)

@@ -428,11 +428,15 @@ def certify(
     The advanced series of every n in n_range run over [n - w, n + w].  bc1
     is spot-checked at `probes` seeded random points.  An operator without
     an inverse in [lo - w - 1, hi + w] leaves bc2/bc3 inconclusive and fails
-    bc4 at its index, with no advanced series.
+    bc4 at its index, with no advanced series.  An empty n_range, probes < 1
+    or w < 0 raises ValueError.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo > hi:
         raise ValueError("n_range must be nonempty")
+    if probes < 1 or window_halfwidth < 0:
+        raise ValueError(f"certify needs probes >= 1 and window_halfwidth >= 0, "
+                         f"got probes={probes}, window_halfwidth={window_halfwidth}")
     w = window_halfwidth
     bc1 = sample_coupling_bounds(sys, (lo, hi), probes=probes, seed=seed, extent=probe_extent)
     try:

@@ -15,6 +15,8 @@ from nonautolin import (
     green_span,
     system_by_name,
 )
+from nonautolin.evolution import DEFAULT_SOLVE, _backward_picard, _state_columns
+from nonautolin.system import _column_norms
 
 LN2 = math.log(2.0)
 
@@ -57,6 +59,18 @@ def emo():
     return system_by_name("emo", lam=1.0, c=0.01)
 
 
+def backward_step(sys, j, xi, eta, opts=DEFAULT_SOLVE):
+    """T_j(xi, eta) by the package's one Picard kernel, started cold:
+    (value, f_j at the value, the scaled defect of every iterate), the
+    iterations used being len(defects) - 1, for one state or (dim, batch)
+    columns.  The kernel takes eta as y_j; a walk's backward step applies
+    g_j^{-1} first."""
+    x, y, single = _state_columns(sys, xi, eta)
+    u, fu, residuals = _backward_picard(sys, j, x, y, None, opts.fixed_point_tol,
+                                        opts.max_iters, _column_norms(sys.space.norm_kind))
+    return (u[:, 0], fu[:, 0], residuals) if single else (u, fu, residuals)
+
+
 def span_transition(sys, m, n):
     """The transition T(m, n) as `green_span` computes it: with weights
     P = Id, green_span(sys, m, q, q)[0] is T(m, q) for q <= m, and with
@@ -70,7 +84,7 @@ def span_transition(sys, m, n):
 def advanced_at(sys, n, w):
     """(K_n, J_n, contraction total, ac9 sum) over [n - w, n + w], read from a
     one-index `certify` report."""
-    rep = certify(sys, (n, n), w, probes=0)
+    rep = certify(sys, (n, n), w, probes=1)
     return (*rep.ac2[n], rep.ac3_bound[n], rep.ac9[n])
 
 

@@ -183,7 +183,7 @@ class TestEnd:
 
     def test_sigma_rho(self, end_cfg):
         # ac6 covers [n_min - w, n_max + w]
-        rep = certify(end_cfg, (0, 0), 40, probes=0)
+        rep = certify(end_cfg, (0, 0), 40, probes=1)
         worst = rep.ac6_worst_index
         assert rep.ac6_ok and -40 <= worst <= 40
         assert end_cfg.g.sigma(worst) * end_cfg.f.rho(worst) <= 1.0

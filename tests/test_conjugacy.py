@@ -15,7 +15,6 @@ from nonautolin import (
     SystemSpec,
     WeightSeq,
     WindowExhausted,
-    backward_step_detailed,
     operator_norm,
     system_by_name,
 )
@@ -380,6 +379,17 @@ class TestEngineValidation:
             with pytest.raises(ValueError, match="advanced_halfwidth must be >= 1"):
                 ConjugacyEngine(ex1_mild, advanced_halfwidth=bad)
 
+    def test_rejects_negative_window_and_steps(self, engine_ex1):
+        # a negative window holds no term of the series, and negative steps
+        # no equivariance step; both name the argument, and 0 is allowed
+        xi = np.array([0.3, -0.2])
+        with pytest.raises(ValueError, match="window must be >= 0, got -1"):
+            engine_ex1.bar_h(0, xi, window=-1)
+        with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
+            engine_ex1.residual_tables([0, 1], xi, steps=-1)
+        assert engine_ex1.bar_h(0, xi, window=0).shape == (2,)
+        assert engine_ex1.residual_tables([0], xi, steps=0)[0].forward.shape == (1,)
+
     def test_contraction_cached(self, engine_ex1):
         c1 = engine_ex1.contraction(0)
         assert engine_ex1.contraction_estimate[0] == c1
@@ -568,13 +578,19 @@ def reference_tables(eng, ns, xi, eta, steps):
     def dist(a, b):
         return np.maximum(column_norms(a[0] - b[0], kind), column_norms(a[1] - b[1], kind))
 
-    def walk(n, conj, coupled_image):
+    def linear_step(j, x, y):  # (A_j x, g_j(y)), the uncoupled system's step
+        return sys.a.matrix(j) @ x, (sys.g.eval(j, y) if sys.space.dim_y else y)
+
+    def coupled_step(j, x, y):
+        return _forward_step(sys, j, x, y)[:2]
+
+    def walk(n, conj, image_step, point_step):
         res = np.zeros(xi.shape[1])
         x, y = xi, eta
         image = conj(n, x, y)
         for j in range(n, n + steps):
-            stepped = _forward_step(sys, j, *image, coupled_image)[:2]
-            x, y, _ = _forward_step(sys, j, x, y, not coupled_image)
+            stepped = image_step(j, *image)
+            x, y = point_step(j, x, y)
             image = conj(j + 1, x, y)
             res = np.maximum(res, dist(stepped, image))
         return res
@@ -591,7 +607,8 @@ def reference_tables(eng, ns, xi, eta, steps):
         except NonautolinError:
             pass
         try:
-            rec["equivariance"] = (walk(n, eng.H, True), walk(n, eng.bar_H, False))
+            rec["equivariance"] = (walk(n, eng.H, coupled_step, linear_step),
+                                   walk(n, eng.bar_H, linear_step, coupled_step))
         except NonautolinError:
             pass
         out[n] = rec
@@ -737,6 +754,19 @@ class TestResidualTables:
             assert res.inverse_error is None and res.equivariance_error is None
             self._assert_matches(eng, n, res, ref[n])
 
+    def test_default_block_bound_on_the_bench_config(self, monkeypatch):
+        # the conjugate phase of `report --system ex1 --gamma-scale 0.5` runs
+        # four blocks, each within the default _BLOCK_COLUMNS
+        import nonautolin.conjugacy as conj
+
+        done = self._completed_h_solves(monkeypatch)
+        cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5})
+        _, _, ok = phase_conjugate(cfg, _engine(cfg, build_system(cfg)))
+        assert ok
+        assert [list(cols) for cols in done] == [
+            list(range(-10, 1)), list(range(1, 8)), list(range(8, 17)), list(range(17, 21))]
+        assert all(sum(cols.values()) <= conj._BLOCK_COLUMNS for cols in done)
+
     def test_one_green_span_per_index(self, monkeypatch):
         # the contraction certificate reads the Green row the h and bar_h
         # series use, so each index builds one span at the advanced halfwidth
@@ -786,8 +816,6 @@ def test_fields_the_benchmark_reads(ex1_mild):
     xi = np.array([0.5, -0.5])
     _, residuals, iters = eng.h_detailed(0, xi)
     assert type(iters) is int and iters >= 1 and len(residuals) == iters + 1
-    step = backward_step_detailed(ex1_mild, 0, xi, np.zeros(0))
-    assert type(step.iterations) is int and step.iterations >= 1
     win = eng.series_window(0, eng.series_tol).halfwidth
     assert type(win) is int and eng.bar_h_detailed(0, xi)[2] == win
     pinned = eng.bar_h(0, xi, np.zeros(0), window=win)

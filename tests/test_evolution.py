@@ -16,13 +16,14 @@ from nonautolin import (
     SpaceSpec,
     SystemSpec,
     WeightSeq,
-    backward_step_detailed,
+    coupled_trajectory,
     system_by_name,
 )
 
 from nonautolin.evolution import Span, _trajectory
 
-from .conftest import LN2, random_invertible_system, span_transition, with_coupling
+from .conftest import (LN2, backward_step, random_invertible_system, span_transition,
+                       with_coupling)
 from .reference import (column_norms, evolve_coupled, evolve_driver, lip_C, lip_D, lip_M,
                         transition_by_factors)
 
@@ -101,7 +102,7 @@ class TestBackwardStep:
     def test_linear_case_exact(self, rng):
         sys, _ = random_invertible_system(rng)
         xi = rng.normal(size=2)
-        out = backward_step_detailed(sys, 3, xi, np.zeros(0)).value
+        out = backward_step(sys, 3, xi, np.zeros(0))[0]
         expect = sys.a.inverse(3) @ xi
         assert np.array_equal(out, expect)
 
@@ -117,7 +118,7 @@ class TestBackwardStep:
                 j = int(rng.integers(-10, 11))
                 xi = rng.uniform(-2, 2, s.space.dim_x)
                 eta = rng.uniform(-2, 2, dy)
-                t = backward_step_detailed(s, j, xi, eta).value
+                t = backward_step(s, j, xi, eta)[0]
                 fwd = s.a.matrix(j) @ t + np.asarray(s.f.eval(j, t, eta))
                 assert np.max(np.abs(fwd - xi)) <= 1e-10
 
@@ -132,9 +133,9 @@ class TestBackwardStep:
                 j = int(rng.integers(-10, 11))
                 xi = rng.uniform(-2, 2, (s.space.dim_x,) + cols)
                 eta = rng.uniform(-2, 2, (s.space.dim_y,) + cols)
-                res = backward_step_detailed(s, j, xi, eta)
-                assert res.coupling.shape == res.value.shape == xi.shape
-                assert np.array_equal(res.coupling, s.f.eval(j, res.value, eta))
+                value, coupling, _ = backward_step(s, j, xi, eta)
+                assert coupling.shape == value.shape == xi.shape
+                assert np.array_equal(coupling, s.f.eval(j, value, eta))
 
     def test_iteration_count_bound(self):
         # contraction-rate oracle: count <= ceil(log(tol / |xi|) / log(rate)) + 2
@@ -144,17 +145,17 @@ class TestBackwardStep:
         assert 0 < rate < 1
         xi = np.array([1.0, -1.0])
         opts = SolveOptions(fixed_point_tol=1e-12, max_iters=500)
-        res = backward_step_detailed(s, j, xi, np.zeros(0), opts)
+        residuals = backward_step(s, j, xi, np.zeros(0), opts)[2]
         bound = math.ceil(math.log(opts.fixed_point_tol / 1.0) / math.log(rate)) + 2
-        assert res.iterations <= bound
+        assert len(residuals) - 1 <= bound
 
     def test_observed_rate_below_margin(self, rng):
         s = system_by_name("ex1", lam=LN2, gamma_scale=0.9)
         j = 1
         rate = s.a_inv_norm(j) * s.f.gamma(j)
-        res = backward_step_detailed(s, j, rng.uniform(-2, 2, 2), np.zeros(0))
+        residuals = backward_step(s, j, rng.uniform(-2, 2, 2), np.zeros(0))[2]
         ratios = [
-            b / a for a, b in zip(res.residuals, res.residuals[1:]) if a > 1e-12
+            b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-12
         ]
         assert all(r <= rate + 0.01 for r in ratios)
 
@@ -162,13 +163,13 @@ class TestBackwardStep:
         sys, _ = random_invertible_system(rng)
         bad = with_coupling(sys, 100.0)
         with pytest.raises(ContractionViolation):
-            backward_step_detailed(bad, 0, np.ones(2), np.zeros(0))
+            backward_step(bad, 0, np.ones(2), np.zeros(0))
 
     def test_no_convergence_when_budget_too_small(self):
         s = system_by_name("ex1", lam=LN2, gamma_scale=0.9)
         opts = SolveOptions(fixed_point_tol=1e-12, max_iters=1)
         with pytest.raises(NoConvergence):
-            backward_step_detailed(s, 0, np.array([5.0, 5.0]), np.zeros(0), opts)
+            backward_step(s, 0, np.array([5.0, 5.0]), np.zeros(0), opts)
 
 
 WALK_SYSTEMS = [
@@ -246,20 +247,6 @@ class TestWarmWalk:
         assert calls == list(range(n, lo - 1, -1))
         for j in range(lo, n):
             assert np.array_equal(warm[j][0], s.a.inverse(j) @ warm[j + 1][0])
-
-    @pytest.mark.parametrize("name, kwargs", WALK_SYSTEMS)
-    def test_backward_step_is_a_one_step_cold_walk(self, name, kwargs, rng):
-        s = system_by_name(name, **kwargs)
-        for j in (-7, 0, 4):
-            xi, eta = _walk_columns(s, rng)
-            states, couplings = _walk(s, j + 1, j, j + 1, xi, eta, self.OPTS)
-            x, y = states[j]
-            step = backward_step_detailed(s, j, xi, y, self.OPTS)
-            assert np.array_equal(step.value, x)
-            assert np.array_equal(step.coupling, couplings[0])
-            one = backward_step_detailed(s, j, xi[:, 0], y[:, 0], self.OPTS)
-            single, _ = _walk(s, j + 1, j, j + 1, xi[:, :1], eta[:, :1], self.OPTS)
-            assert np.array_equal(one.value, single[j][0][:, 0])
 
 
 class TestSweep:
@@ -341,6 +328,12 @@ class TestEvolveCoupled:
         back = evolve_coupled(ex1, -1, 0, xi, np.zeros(0))
         fwd = ex1.a.matrix(-1) @ back + np.asarray(ex1.f.eval(-1, back, np.zeros(0)))
         assert np.max(np.abs(fwd - xi)) <= 1e-9
+
+    @pytest.mark.parametrize("n, lo, hi", [(0, 3, 1), (0, 2, 5), (4, -2, 3)])
+    def test_window_must_hold_the_start(self, ex1, n, lo, hi):
+        # states are promised on [lo, hi] through the state at n, so n must lie in it
+        with pytest.raises(ValueError, match="lo <= n <= hi"):
+            coupled_trajectory(ex1, n, lo, hi, np.array([0.1, 0.2]), np.zeros(0))
 
 
 class TestLipschitzProducts:

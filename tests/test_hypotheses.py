@@ -291,6 +291,18 @@ class TestCertify:
         with pytest.raises(ValueError, match="n_range must be nonempty"):
             certify(ex1, n_range=(3, 1), window_halfwidth=10, probes=4)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(probes=0), "probes=0"), (dict(probes=-3), "probes=-3"),
+        (dict(window_halfwidth=-2), "window_halfwidth=-2"),
+    ])
+    def test_bad_probes_and_window_are_rejected(self, ex1, kwargs, named):
+        # zero probes would report bc1 sampled ok from no sample, and a
+        # negative window would reach numpy as a negative dimension
+        args = dict(n_range=(0, 0), window_halfwidth=10, probes=4) | kwargs
+        with pytest.raises(ValueError, match=named):
+            certify(ex1, **args)
+        assert certify(ex1, n_range=(0, 0), window_halfwidth=0, probes=1).window == (0, 0)
+
     def test_bc4_failure_skips_advanced(self, rng):
         sys, _ = random_invertible_system(rng)
         bad = with_coupling(sys, 10.0)
