@@ -147,23 +147,20 @@ def phase_conjugate(cfg: RunConfig, engine: ConjugacyEngine) -> tuple[dict, dict
     xi_b, eta_b = _split_probes(sys, grid)
     tables = engine.residual_tables(range(cfg.n_min, cfg.n_max + 1), xi_b, eta_b,
                                     steps=cfg.steps)
-    probes = range(grid.shape[0])
-    inv_rows, inv_errors, equi_rows, equi_errors = [], [], [], []
+    inverse, equivariance = ([], []), ([], [])  # (rows, errors)
     for n, res in tables.items():
-        if res.inverse_error is not None:
-            inv_errors.append({"n": n, "error": str(res.inverse_error)})
-        else:
-            inv_rows += [_row(n, grid[i], res.h[:, i], float(res.inverse[i]), res.tail_bound)
-                         for i in probes]
-        if res.equivariance_error is not None:
-            equi_errors.append({"n": n, "error": str(res.equivariance_error)})
-        else:
-            equi_rows += [_row(n, grid[i], res.bar_h[:, i],
-                               float(max(res.forward[i], res.dual[i])), res.tail_bound)
-                          for i in probes]
-
-    inverse = _table(inv_rows, inv_errors, cfg.inverse_tol)
-    equivariance = _table(equi_rows, equi_errors, cfg.equivariance_threshold)
+        equi = None if res.forward is None else np.maximum(res.forward, res.dual)
+        for (rows, errors), failed, value, residual in (
+                (inverse, res.inverse_errors, res.h, res.inverse),
+                (equivariance, res.equivariance_errors, res.bar_h, equi)):
+            for i, probe in enumerate(grid):  # a probe with an error has no row
+                if i in failed:
+                    errors.append({"n": n, "probe": [float(v) for v in probe],
+                                   "error": str(failed[i])})
+                else:
+                    rows.append(_row(n, probe, value[:, i], float(residual[i]), res.tail_bound))
+    inverse = _table(*inverse, cfg.inverse_tol)
+    equivariance = _table(*equivariance, cfg.equivariance_threshold)
     return equivariance, inverse, bool(inverse["ok"] and equivariance["ok"])
 
 
@@ -199,11 +196,9 @@ def phase_derivatives(cfg: RunConfig, engine: ConjugacyEngine) -> tuple[dict, bo
     A probe z at which the step cannot resolve the threshold,
     eps max(1, |z|) / fd_step > jacobian_threshold, is listed under
     `errors` at every n: no finite difference can check a Jacobian there.
-    Per n, one validate_jacobians call takes the other probes as columns;
-    when it raises, that n is run again one probe at a time, so each error
-    names its probe.  An error that does not depend on the probe (the
-    contraction certificate or a series window) is then listed for every
-    probe, each call raising it before any walk.
+    Per n, one validate_jacobians call takes the other probes as columns.
+    It gives each probe its reports, or its error when its blocks are not
+    finite; when it raises, its error is listed for every one of them.
     """
     sys = engine.sys
     rng = np.random.default_rng(cfg.seed + 1)
@@ -228,32 +223,18 @@ def phase_derivatives(cfg: RunConfig, engine: ConjugacyEngine) -> tuple[dict, bo
     for n in n_values:
         per_probe = dict(unresolved)  # probe index -> reports, or an error message
         try:
-            if live:
-                per_probe.update(zip(live, validate_jacobians(
-                    engine, n, xi_b[:, live], eta_b[:, live], fd_step=cfg.fd_step)))
-        except NonautolinError:
-            for i in live:
-                try:
-                    per_probe[i] = validate_jacobians(engine, n, xi_b[:, i], eta_b[:, i],
-                                                      fd_step=cfg.fd_step)
-                except NonautolinError as exc:
-                    per_probe[i] = str(exc)
+            per_probe.update(zip(live, validate_jacobians(
+                engine, n, xi_b[:, live], eta_b[:, live], fd_step=cfg.fd_step) if live else []))
+        except NonautolinError as exc:
+            per_probe.update(dict.fromkeys(live, str(exc)))
         for i, probe in enumerate(grid):
             point, reports = [float(v) for v in probe], per_probe[i]
             if isinstance(reports, str):
                 errors.append({"n": int(n), "probe": point, "error": reports})
                 continue
-            rows += [
-                {
-                    "kind": kind,
-                    "n": int(n),
-                    "probe": point,
-                    "rel_error": rep.rel_error,
-                    "fd_step": rep.fd_step,
-                    "analytic_norm": float(np.linalg.norm(rep.analytic)),
-                }
-                for kind, rep in reports.items()
-            ]
+            rows += [{"kind": kind, "n": int(n), "probe": point, "rel_error": rep.rel_error,
+                      "fd_step": rep.fd_step, "analytic_norm": float(np.linalg.norm(rep.analytic))}
+                     for kind, rep in reports.items()]
     table = _table(rows, errors, cfg.jacobian_threshold, key="rel_error")
     return table, table["ok"]
 

@@ -29,21 +29,17 @@ fp_tol (1 - c(n)) / 2 so the truncation bias stays below the fixed-point
 residual target.
 
 Evaluations accept either a single state (dim,) or a column batch
-(dim, batch); trajectories and fixed points are then shared across the batch.
-
-The residual diagnostics test bar_H(H(p)) = p, H(bar_H(p)) = p and the
-equivariance of H and bar_H along `steps` steps of the linear and coupled
-maps.  The points at which the conjugacies are evaluated do not depend on
-them, so `residual_tables` advances in blocks of consecutive indices m: per
-block one h and two bar_h solves over all its centres, each index's columns
-those of every base index whose steps reach m.
+(dim, batch), which shares its walks and iteration counts; a value that is
+not finite stays in its own column.  `residual_tables` tests bar_H(H(p)) = p,
+H(bar_H(p)) = p and the equivariance of H and bar_H along the linear and
+coupled maps.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -77,7 +73,7 @@ class ConjugacyEngine:
     ):
         if window_halfwidth < 1 or (advanced_halfwidth is not None and advanced_halfwidth < 1):
             raise ValueError("window_halfwidth and advanced_halfwidth must be >= 1")
-        if series_tol <= 0.0 or fp_tol <= 0.0:
+        if not (series_tol > 0.0 and fp_tol > 0.0):  # NaN too
             raise ValueError("series_tol and fp_tol must be positive")
         self.sys = sys
         self.window_halfwidth = int(window_halfwidth)
@@ -89,6 +85,7 @@ class ConjugacyEngine:
         self._green_rows: dict[int, np.ndarray] = {}
         self._mu_windows: dict[tuple[int, float], SeriesWindow] = {}
         self._derivative_windows: dict[int, int] = {}
+        self._backward_checked: set[int] = set()  # j whose A_j^{-1} and margin hold
 
     # -- caches ------------------------------------------------------------
 
@@ -215,6 +212,7 @@ class ConjugacyEngine:
         val = self._series(spans, xi_b, eta_b) if xi_b.size else xi_b  # no columns, no walk
         return (val[:, 0] if single else val), tail, k_half
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite column stays in its column
     def _series(self, spans: list, xi: np.ndarray, eta: np.ndarray,
                 couplings: Optional[list] = None, warm: bool = False) -> np.ndarray:
         """bar_h(n, ., .) at the (dim, batch) columns (xi, eta) of every span,
@@ -250,29 +248,32 @@ class ConjugacyEngine:
     def h_detailed(self, n: int, xi, eta=None, *, smooth: bool = False
                    ) -> tuple[np.ndarray, list, int]:
         """Fixed-point value, residual history and iterations used: `_solve_h`
-        with one centre."""
+        with one centre, whose NoConvergence it raises."""
         xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
         if not xi_b.size:  # no columns, nothing to solve
             return xi_b, [], 0
-        u, ((residuals, iters),) = self._solve_h([n], [xi_b.shape[1]], xi_b, eta_b, smooth)
+        u, ((residuals, iters, error),) = self._solve_h([n], [xi_b.shape[1]], xi_b, eta_b, smooth)
+        if error:
+            raise error
         return (u[:, 0] if single else u), residuals, iters
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite column stays in its column
     def _solve_h(self, centres: list, counts: list, xi: np.ndarray, eta: np.ndarray,
                  smooth: bool = False) -> tuple[np.ndarray, list]:
         """h(n, ., .) at the (dim, batch) columns (xi, eta), the first
         counts[0] columns at centres[0], the next counts[1] at centres[1], and
         so on, with the centres ascending; returns the values and each
-        centre's (residual history, iterations used).
+        centre's (residual history, iterations used, NoConvergence or None).
 
-        Each centre solves u = -bar_h(n, xi + u, eta) from u = 0 until all its
-        columns pass the stop test |u + bar_h(n, xi + u, eta)| <= fp_tol,
-        within the a-priori Picard count of `h_window(n)`; the iterations
-        returned are those before the stop test.  Each iteration is one
-        `_series` sweep over the centres still iterating, each walk after the
-        first started from the previous walk's backward couplings.  Why a
-        passing column is then within fp_tol / (1 - c(n)) of h(n, xi, eta),
-        however u was produced, and why the walks stay smooth in each
-        column's data: `_trajectory`.
+        Each centre solves u = -bar_h(n, xi + u, eta) from u = 0, one
+        `_series` sweep per iteration over the centres still iterating (each
+        walk after the first warm from the last one's backward couplings),
+        until its finite columns pass |u + bar_h(n, xi + u, eta)| <= fp_tol or
+        it reaches the Picard count of `h_window(n)`; the iterations returned
+        are those before the stop test.  A column with a non-finite residual,
+        or not passed at that count, ends as NaN.  Why a passing column is
+        within fp_tol / (1 - c(n)) of h however u was produced, and why the
+        walks stay smooth in each column's data: `_trajectory`.
 
         By default each column's iterates are type-II Anderson-mixed with
         depth 2 (Walker & Ni, "Anderson acceleration for fixed-point
@@ -301,6 +302,7 @@ class ConjugacyEngine:
         residuals: list = [[] for _ in centres]
         values: list = [[] for _ in centres]  # the last (-bar_h(xi + u), residual) pairs
         iters: list = [0] * len(centres)
+        errors: list = [None] * len(centres)
         extra = [0] * len(centres)  # smooth updates still to make after the stop test
         live = list(range(len(centres)))
         walks = 0
@@ -323,7 +325,11 @@ class ConjugacyEngine:
                     if extra[i]:
                         still.append(i)
                     continue
-                res = float(_max(r[here]))
+                r_i = r[here]
+                res = float(_max(r_i))
+                if not math.isfinite(res):  # the largest finite residual, 0 if none is
+                    u[:, mine] = np.where(np.isfinite(r_i), u[:, mine], math.nan)
+                    res = float(_max(r_i, where=np.isfinite(r_i), initial=0.0))
                 if residuals[i] and not res < residuals[i][-1]:
                     values[i].clear()
                 residuals[i].append(res)
@@ -335,8 +341,10 @@ class ConjugacyEngine:
                         still.append(i)
                     continue
                 if len(residuals[i]) == caps[i]:
-                    raise NoConvergence(f"h fixed point at n={centres[i]}", caps[i], res,
-                                        self.fp_tol)
+                    errors[i] = NoConvergence(f"h fixed point at n={centres[i]}", caps[i], res,
+                                              self.fp_tol)
+                    u[:, mine] = np.where(r_i <= self.fp_tol, u[:, mine], math.nan)
+                    continue
                 values[i] = values[i][-_ANDERSON_DEPTH:] + [(g[:, here], f[:, here])]
                 u[:, mine] = (g[:, here] if smooth or len(values[i]) == 1
                               else _anderson_step(values[i]))
@@ -344,7 +352,7 @@ class ConjugacyEngine:
             for i in set(live) - set(still):  # its couplings hold arrays live centres share
                 couplings[i] = None
             live = still
-        return u, list(zip(residuals, iters))
+        return u, list(zip(residuals, iters, errors))
 
     def h_window(self, n: int) -> tuple[int, int]:
         """(halfwidth, iteration cap >= 8) of h at n: its series window at the
@@ -378,23 +386,21 @@ class ConjugacyEngine:
 
         The probes' linear and coupled trajectories do not depend on the
         conjugacies, so the tables advance over the indices m from min(ns) to
-        max(ns) + steps in blocks of consecutive indices; a block of several
-        takes no more than `_BLOCK_COLUMNS` columns together.  At index
-        m they need bar_h(m, .) on every coupled point at m, h(m, .) on
-        every linear point at m plus, when m is a base index, the round-trip
-        points p + bar_h(m, p), and at a base index bar_h(m, p + h(m, p)) to
-        close the round trip.  A block solves each of the three as one
-        multi-centre solve over all its indices (`_residual_block`).
+        max(ns) + steps in blocks of consecutive indices, a block of several
+        within `_BLOCK_COLUMNS` columns.  A block solves, each as one
+        multi-centre solve, bar_h(m, .) on the coupled points at each of its
+        indices m, h(m, .) on the linear points and at a base index the round
+        trips p + bar_h(m, p), and bar_h(m, p + h(m, p)) closing them
+        (`_residual_block`).
 
-        The windows and the contraction certificate of each index are
-        fitted before any walk of its block, and a block ends before the
-        first index where they raise, whose error is then that index's.  A
-        NonautolinError in the walks of a block of several indices reruns
-        that block one index at a time.  So an error is attributed as if the
-        tables advanced index by index: an error at index m becomes the
-        `equivariance_error` of every base n with m in [n, n + steps] that
-        has none yet, and the `inverse_error` of n = m; the bases it hits
-        take no further columns.  A negative `steps` raises ValueError.
+        A row is a claim about one probe: one whose values turn non-finite
+        at index m has that index's error (`_residual_block`).  What fails
+        for every probe at m is checked before any walk of its block, which
+        ends before m (`_first_unfit`); that error, or one escaping the walks
+        of a block, at each of its indices, goes to each probe with none yet,
+        in the `equivariance_errors` of each base n with m in [n, n + steps]
+        and the `inverse_errors` of n = m, and the bases it hits take no
+        further columns.  A negative `steps` raises ValueError.
         """
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
@@ -404,19 +410,19 @@ class ConjugacyEngine:
             return {n: BaseResiduals(xi_b, xi_b, math.inf, *[np.zeros(0)] * 3) for n in out}
         if not out:
             return out
-        none = np.zeros((0, xi_b.shape[1]))
-        idle = _Live((), xi_b[:, :0], xi_b[:, :0], eta_b[:, :0], xi_b[:, :0], xi_b[:, :0],
-                     none, none)
         bases, batch = list(out), xi_b.shape[1]
+        none = np.zeros((0, batch))
+        idle = _Live((), xi_b[:, :0], xi_b[:, :0], eta_b[:, :0], xi_b[:, :0], xi_b[:, :0],
+                     none, none, np.empty((0, batch), dtype=object))
 
         def width(k):  # an index's columns: its bases' probes and round trips, at most
             return batch * (bisect.bisect_right(bases, k) - bisect.bisect_left(bases, k - steps)
                             + (k in out))
 
-        live, m, end, alone = idle, min(out), max(out) + steps, 0
+        live, m, end = idle, min(out), max(out) + steps
         while m <= end:
-            stop, cols, last = m + 1, width(m), m if alone else end
-            while stop <= last and cols + width(stop) <= _BLOCK_COLUMNS:
+            stop, cols = m + 1, width(m)
+            while stop <= end and cols + width(stop) <= _BLOCK_COLUMNS:
                 cols += width(stop)
                 stop += 1
             block = range(m, stop)
@@ -427,36 +433,39 @@ class ConjugacyEngine:
                 if unfit is not None and unfit[0] == m:
                     raise unfit[1]
                 live, results = self._residual_block(block, live, out, xi_b, eta_b, steps)
-            except NonautolinError as exc:
-                if len(block) > 1:  # rerun the block one index at a time
-                    alone = len(block)
-                    continue
-                for n in live.bases + ((m,) if m in out else ()):
-                    out[n].equivariance_error = exc
-                if m in out:
-                    out[m].inverse_error = exc
-                live, results = idle, []
+            except NonautolinError as exc:  # a probe it hits keeps an earlier error
+                new = [n for n in block if n in out]
+                results = [(n, {"equivariance_errors": _errors(fail, exc)}) for n, fail in zip(
+                    live.bases + tuple(new), [*live.fail, *[[None] * batch] * len(new)])]
+                results += [(n, {"inverse_errors": dict.fromkeys(range(batch), exc)}) for n in new]
+                live = idle
             for n, fields in results:
                 vars(out[n]).update(fields)
-            alone = max(alone - 1, 0)
             m = block.stop
         return out
 
     def _first_unfit(self, block: range, live: _Live, out: dict,
                      steps: int) -> Optional[tuple[int, NonautolinError]]:
         """(m, error) for the first index m of `block` that some base's steps
-        reach and whose series window, h window or contraction certificate
-        raises, or None.  All three depend on m alone and are cached."""
+        reach and whose series window, h window, contraction certificate or
+        backward steps raise, or None: the steps of h's window, the widest at
+        m, each checked once per engine for A_j^{-1} and |A_j^{-1}| gamma_j < 1."""
         for m in block:
             if any(n + steps >= m for n in live.bases) or any(
                     block[0] <= n <= m <= n + steps for n in out):
                 try:
                     self.series_window(m, self.series_tol)
-                    self.h_window(m)
+                    k_half = self.h_window(m)[0]
+                    for j in range(m - k_half, m):
+                        if j not in self._backward_checked:
+                            self.sys.require_backward_margin(j)
+                            self.sys.a.inverse(j)
+                            self._backward_checked.add(j)
                 except NonautolinError as exc:
                     return m, exc
         return None
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite column stays in its column
     def _residual_block(self, block: range, live: _Live, out: dict, xi: np.ndarray,
                         eta: np.ndarray, steps: int) -> tuple[_Live, list]:
         """The bases live after the consecutive indices `block`, and the
@@ -468,80 +477,84 @@ class ConjugacyEngine:
         the coupled points, the probes at a base index among them; one h
         solve takes the linear points and the round trips; one bar_h solve
         closes the round trips; then the images of H and bar_H at each index
-        are stepped to the next and compared.  Any arithmetic failure raises
-        NonautolinError, which names the index of a one-index block."""
+        are stepped to the next and compared.  A probe's values turn
+        non-finite at the first m where its inverse residual or a running
+        maximum of its equivariance residuals, from 0 |H(n, p)| and 0
+        |bar_H(n, p)|, is not finite; its error is h's NoConvergence at m, if
+        any, or names m."""
         sys, batch = self.sys, xi.shape[1]
         norms = _column_norms(sys.space.norm_kind)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                at = []  # (m, bases, lin, cpl, y) at each index of the block with live bases
-                bases, lin, cpl, y = live.bases, live.lin, live.cpl, live.y
-                for m in block:
-                    if bases:
-                        lin = _dot(sys.a.matrix(m - 1), lin)
-                        cpl, y, _ = _forward_step(sys, m - 1, cpl, y)
-                    if m in out:
-                        bases += (m,)
-                        lin, cpl, y = (np.hstack([lin, xi]), np.hstack([cpl, xi]),
-                                       np.hstack([y, eta]))
-                    if bases:
-                        at.append((m, bases, lin, cpl, y))
-                        if bases[0] + steps == m:  # only the oldest base can end here
-                            bases, lin, cpl, y = (bases[1:], lin[:, batch:], cpl[:, batch:],
-                                                  y[:, batch:])
-                if not at:
-                    return live, []
-                ms, _, lins, cpls, ys = zip(*at)
-                wins = [self.series_window(m, self.series_tol) for m in ms]
-                widths = [c.shape[1] for c in cpls]
-                bars = _split(self._series(_spans(zip(ms, [w.halfwidth for w in wins], widths)),
-                                           np.hstack(cpls), np.hstack(ys)), widths)
-                # h on the linear points and, at a base index, the round trips
-                h_x, h_eta, counts = [], [], []
-                for m, lin, y, b in zip(ms, lins, ys, bars):
-                    h_x += [lin, xi + b[:, -batch:]] if m in out else [lin]
-                    h_eta += [y, eta] if m in out else [y]
-                    counts.append(lin.shape[1] + batch * (m in out))
-                hs = _split(self._solve_h(list(ms), counts, np.hstack(h_x),
-                                          np.hstack(h_eta))[0], counts)
-                trips = [(m, w, h) for m, w, h in zip(ms, wins, hs) if m in out]
-                if trips:  # bar_h(m, p + h(m, p)) closes the round trips
-                    closing = self._series(_spans((m, w.halfwidth, batch) for m, w, _ in trips),
-                                           np.hstack([xi + h[:, -2 * batch:-batch]
-                                                      for *_, h in trips]),
-                                           np.tile(eta, len(trips)))
+        at = []  # (m, bases, lin, cpl, y) at each index of the block with live bases
+        bases, lin, cpl, y = live.bases, live.lin, live.cpl, live.y
+        for m in block:
+            if bases:
+                lin = _dot(sys.a.matrix(m - 1), lin)
+                cpl, y, _ = _forward_step(sys, m - 1, cpl, y)
+            if m in out:
+                bases += (m,)
+                lin, cpl, y = np.hstack([lin, xi]), np.hstack([cpl, xi]), np.hstack([y, eta])
+            if bases:
+                at.append((m, bases, lin, cpl, y))
+                if bases[0] + steps == m:  # only the oldest base can end here
+                    bases, lin, cpl, y = bases[1:], lin[:, batch:], cpl[:, batch:], y[:, batch:]
+        if not at:
+            return live, []
+        ms, _, lins, cpls, ys = zip(*at)
+        wins = [self.series_window(m, self.series_tol) for m in ms]
+        widths = [c.shape[1] for c in cpls]
+        bars = _split(self._series(_spans(zip(ms, [w.halfwidth for w in wins], widths)),
+                                   np.hstack(cpls), np.hstack(ys)), widths)
+        # h on the linear points and, at a base index, the round trips
+        h_x, h_eta, counts = [], [], []
+        for m, lin, y, b in zip(ms, lins, ys, bars):
+            h_x += [lin, xi + b[:, -batch:]] if m in out else [lin]
+            h_eta += [y, eta] if m in out else [y]
+            counts.append(lin.shape[1] + batch * (m in out))
+        u, records = self._solve_h(list(ms), counts, np.hstack(h_x), np.hstack(h_eta))
+        hs = _split(u, counts)
+        errors = {m: cap or NonautolinError(f"non-finite value in the residual tables at m={m}")
+                  for m, (*_, cap) in zip(ms, records)}  # of a probe turning non-finite at m
+        trips = [(m, w, h) for m, w, h in zip(ms, wins, hs) if m in out]
+        if trips:  # bar_h(m, p + h(m, p)) closes the round trips
+            closing = self._series(_spans((m, w.halfwidth, batch) for m, w, _ in trips),
+                                   np.hstack([xi + h[:, -2 * batch:-batch] for *_, h in trips]),
+                                   np.tile(eta, len(trips)))
 
-                results: list = []
-                prev = live
-                for (m, bases, lin, cpl, y), win, b, h in zip(at, wins, bars, hs):
-                    hx, bx = lin + h[:, :lin.shape[1]], cpl + b  # H(m, lin), bar_H(m, cpl)
-                    fwd, dual, old = prev.fwd, prev.dual, len(prev.bases)
-                    if old:  # the images at m of H and bar_H at m - 1
-                        h_img = _forward_step(sys, m - 1, prev.hx, prev.y)[0]
-                        bh_img = _dot(sys.a.matrix(m - 1), prev.bx)
-                        fwd = np.maximum(
-                            fwd, norms(h_img - hx[:, :old * batch]).reshape(old, batch))
-                        dual = np.maximum(
-                            dual, norms(bh_img - bx[:, :old * batch]).reshape(old, batch))
-                    if m in out:
-                        u0, b0 = h[:, -2 * batch:-batch], b[:, -batch:]
-                        back, closing = closing[:, :batch], closing[:, batch:]
-                        # H and bar_H leave y unchanged, so only x can miss the probe
-                        results.append((m, {
-                            "h": u0, "bar_h": b0, "tail_bound": win.tail_bound,
-                            "inverse": np.maximum(norms((xi + u0) + back - xi),
-                                                  norms((xi + b0) + h[:, -batch:] - xi))}))
-                        fwd = np.vstack([fwd, np.zeros(batch)])
-                        dual = np.vstack([dual, np.zeros(batch)])
-                    if bases[0] + steps == m:
-                        results.append((bases[0], {"forward": fwd[0], "dual": dual[0]}))
-                        bases, fwd, dual = bases[1:], fwd[1:], dual[1:]
-                        lin, cpl, y, hx, bx = (v[:, batch:] for v in (lin, cpl, y, hx, bx))
-                    prev = _Live(bases, lin, cpl, y, hx, bx, fwd, dual)
-                return prev, results
-        except FloatingPointError as exc:
-            raise NonautolinError(
-                f"arithmetic failure in the residual tables at m={block[0]}: {exc}") from exc
+        results: list = []
+        prev = live
+        for (m, bases, lin, cpl, y), win, b, h in zip(at, wins, bars, hs):
+            hx, bx = lin + h[:, :lin.shape[1]], cpl + b  # H(m, lin), bar_H(m, cpl)
+            fwd, dual, fail, old = prev.fwd, prev.dual, prev.fail, len(prev.bases)
+            if old:  # the images at m of H and bar_H at m - 1
+                h_img = _forward_step(sys, m - 1, prev.hx, prev.y)[0]
+                bh_img = _dot(sys.a.matrix(m - 1), prev.bx)
+                fwd = np.maximum(fwd, norms(h_img - hx[:, :old * batch]).reshape(old, batch))
+                dual = np.maximum(dual, norms(bh_img - bx[:, :old * batch]).reshape(old, batch))
+            if m in out:
+                u0, b0 = h[:, -2 * batch:-batch], b[:, -batch:]
+                back, closing = closing[:, :batch], closing[:, batch:]
+                # H and bar_H leave y unchanged, so only x can miss the probe
+                inverse = np.maximum(norms((xi + u0) + back - xi),
+                                     norms((xi + b0) + h[:, -batch:] - xi))
+                results.append((m, {"h": u0, "bar_h": b0, "tail_bound": win.tail_bound,
+                                    "inverse": inverse, "inverse_errors": _errors(
+                                        np.where(np.isfinite(inverse), None, errors[m]))}))
+                fwd = np.vstack([fwd, 0.0 * norms(hx[:, -batch:])])
+                dual = np.vstack([dual, 0.0 * norms(bx[:, -batch:])])
+                fail = np.vstack([fail, np.full((1, batch), None)])
+            fail = np.where(~np.isfinite(fwd + dual) & np.equal(fail, None), errors[m], fail)
+            if bases[0] + steps == m:
+                results.append((bases[0], {"forward": fwd[0], "dual": dual[0],
+                                           "equivariance_errors": _errors(fail[0])}))
+                bases, fwd, dual, fail = bases[1:], fwd[1:], dual[1:], fail[1:]
+                lin, cpl, y, hx, bx = (v[:, batch:] for v in (lin, cpl, y, hx, bx))
+            prev = _Live(bases, lin, cpl, y, hx, bx, fwd, dual, fail)
+        return prev, results
+
+
+def _errors(fail, exc: Optional[NonautolinError] = None) -> dict:
+    """{probe: error} of one base's row of `_Live.fail`, `exc` that of each probe with none."""
+    return {i: e or exc for i, e in enumerate(fail) if e or exc}
 
 
 def _split(cols: np.ndarray, counts: list) -> list:
@@ -559,16 +572,11 @@ def _coupling_lists(spans: list) -> list:
     return [[None] * (s.hi - s.lo + 1) for s in spans]
 
 
-# Columns per residual block, the one bound on how many indices a block of
-# `residual_tables` takes: past its first index a block takes indices while
-# its columns stay within it.  A longer block shares each kernel call among
-# more centres but holds more couplings at once.  2,100 is seven of ex1's
-# widest indices (300 columns).  perfbench ex1_report (2-core x86_64) reads a
-# peak_rss_mb of 40.6 MB at 1,800, 40.3-40.7 at 2,100, 41.0 at 2,250, 41.4
-# at 2,400 and 44.0 at 4,096, with four blocks at 2,100 and three at 2,400,
-# and no wall_s change past the run-to-run spread.  `conjugate --system end_cfg
-# --gamma-scale 0.9` (up to 7,500 columns per index) runs one index at a time
-# but for [19, 20], or [11, 12] with n in [-2, 2].
+# Columns per residual block: past its first index a block of `residual_tables`
+# takes indices while its columns stay within it.  A longer block shares each
+# kernel call among more centres but holds more couplings at once; 2,100, seven
+# of ex1's widest indices, gave perfbench ex1_report its lowest peak_rss_mb
+# (2-core x86_64; the sweep from 1,800 to 4,096 is in CHANGES.md).
 _BLOCK_COLUMNS = 2100
 
 _ANDERSON_DEPTH = 2  # residual differences per Anderson step
@@ -598,7 +606,7 @@ class _Live(NamedTuple):
     ascending, after that index: their probes' columns, base after base, as
     linear points, coupled points and y at m - 1, and H and bar_H at m - 1
     of those points, with the (bases, batch) running maxima of the forward
-    and dual residuals."""
+    and dual residuals and of each probe's error, None while it has none."""
 
     bases: tuple
     lin: np.ndarray
@@ -608,6 +616,7 @@ class _Live(NamedTuple):
     bx: np.ndarray
     fwd: np.ndarray
     dual: np.ndarray
+    fail: np.ndarray
 
 
 @dataclass
@@ -617,7 +626,9 @@ class BaseResiduals:
     `h` and `bar_h` are h(n, p) and bar_h(n, p) as columns, `tail_bound` the
     truncation bound of bar_h(n, .), `inverse` the max of |bar_H(H(p)) - p|
     and |H(bar_H(p)) - p|, and `forward`/`dual` the equivariance residuals.
-    A field stays None when the error of its table is set.
+    `inverse_errors` and `equivariance_errors` map a probe to the error
+    that took its row from that table, where its entries are not finite, or
+    where the arrays stay None when one error took every row.
     """
 
     h: Optional[np.ndarray] = None
@@ -626,5 +637,5 @@ class BaseResiduals:
     inverse: Optional[np.ndarray] = None
     forward: Optional[np.ndarray] = None
     dual: Optional[np.ndarray] = None
-    inverse_error: Optional[NonautolinError] = None
-    equivariance_error: Optional[NonautolinError] = None
+    inverse_errors: dict = field(default_factory=dict)
+    equivariance_errors: dict = field(default_factory=dict)

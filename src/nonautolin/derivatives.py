@@ -197,15 +197,11 @@ def h_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarra
 # -- finite-difference validation ----------------------------------------------
 
 
-def validate_jacobians(
-    engine: ConjugacyEngine,
-    n: int,
-    xi,
-    eta=None,
-    fd_step: float = 1e-5,
-):
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite column stays in its column
+def validate_jacobians(engine: ConjugacyEngine, n: int, xi, eta=None, fd_step: float = 1e-5):
     """Analytic-vs-FD reports of the derivative blocks at each probe: a
-    dict of reports for one state, a list of P dicts for (dim, P) columns.
+    dict of reports for one state, a list of P dicts for (dim, P) columns;
+    a probe with a non-finite block gets a string naming them in its place.
     The solution blocks are those of x2(k, n, .) and y(k, n, .) at k = n + 3.
     Without a driver (dim_y = 0) every *_deta block is left out: seven
     blocks with a driver, three without.
@@ -251,4 +247,8 @@ def validate_jacobians(
            [("d_barh_dxi", x, x), ("d_barh_deta", x, y)])
     report(_resolvent(b[batch:], dx, n), _fd_quotients(h_vals[:, :-batch], z.shape, fd_step),
            [("d_h_dxi", x, x), ("d_h_deta", x, y)])
+    for i, reports in enumerate(out):  # a block with a non-finite entry has one rel_error
+        bad = [kind for kind, r in reports.items() if not np.isfinite(r.rel_error)]
+        if bad:
+            out[i] = f"non-finite Jacobian blocks at n={n}: {', '.join(bad)}"
     return out[0] if single else out

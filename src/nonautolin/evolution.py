@@ -11,12 +11,13 @@ which must be < 1.  T_j inverts the step map F_j(x, eta) = A_j x + f_j(x, eta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NoConvergence, NonautolinError
+from .errors import NoConvergence
 from .system import SystemSpec, _column_norms
 
 
@@ -28,7 +29,7 @@ class SolveOptions:
     max_iters: int = 200
 
     def __post_init__(self):
-        if self.fixed_point_tol <= 0.0:
+        if not self.fixed_point_tol > 0.0:  # NaN too
             raise ValueError("fixed_point_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -103,9 +104,9 @@ def _backward_picard(sys: SystemSpec, j: int, x: np.ndarray, eta: np.ndarray, gu
     and the bar_h and h built on it keep a cold walk's accuracy.  As A_j
     u_{k+1} = x - f_j(u_k), the defect of u_{k+1} is f_j(u_{k+1}) -
     f_j(u_k), so successive defects contract at rate |A_j^{-1}| gamma_j.  The
-    iteration count is the largest over the columns, shared by the batch,
-    so with each column's guess a smooth function of that column's data,
-    the returned u is one too.
+    iteration count is the largest over the finite columns, shared by the
+    batch, so with each column's guess a smooth function of that column's
+    data, the returned u is one too.
     """
     sys.require_backward_margin(j)
     a, a_inv = sys.a.matrix(j), sys.a.inverse(j)
@@ -119,7 +120,10 @@ def _backward_picard(sys: SystemSpec, j: int, x: np.ndarray, eta: np.ndarray, gu
         defect = _dot(a, u)
         defect += fu
         defect -= x
-        residual = float(_max(norms(defect) / scale))
+        r = norms(defect) / scale
+        residual = float(_max(r))
+        if not math.isfinite(residual):  # the largest finite defect, 0 if none is
+            residual = float(_max(r, where=np.isfinite(r), initial=0.0))
         residuals.append(residual)
         if residual <= tol:
             return u, fu, residuals
@@ -142,6 +146,12 @@ def coupled_trajectory(
     states = {n: (xi_b, eta_b)}
     _trajectory(sys, [Span(n, lo, hi, xi_b.shape[1])], xi_b, eta_b, opts, states=states)
     return {k: (x[:, 0], y[:, 0]) for k, (x, y) in states.items()} if single else states
+
+
+def _nan_unless_finite(fx: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The couplings fx, NaN in each column whose state (x, y) is not finite."""
+    finite = np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0)
+    return fx if finite.all() else np.where(finite, fx, math.nan)
 
 
 class Span(NamedTuple):
@@ -173,9 +183,9 @@ def _trajectory(
     same columns and windows: backward step j of a column starts from
     A_j^{-1} (x_{j+1} - that guess), and the step's own coupling replaces
     it.  With `states`, a dict, a one-span sweep also records (x_k, y_k) at
-    every k of [lo, hi] but n, which the caller sets.  An overflow or
-    invalid value anywhere on the sweep raises NonautolinError naming the
-    step j.
+    every k of [lo, hi] but n, which the caller sets.  A non-finite value
+    stays in its column, which the Picard stop test skips, and stays so to
+    lo and hi, A_j being invertible: there its coupling is set to NaN.
 
     Each backward step solves its fixed point by `_backward_picard` to the
     per-step tolerance fixed_point_tol / (n - lo) of its defect, the
@@ -231,41 +241,39 @@ def _trajectory(
         return runs[::-1] if backward else runs
 
     x = y = None
-    j = spans[0].n
-    try:
-        with np.errstate(over="raise", invalid="raise"):  # once per sweep, not per Picard step
-            prev: tuple = ()
-            for steps, now in segments(lambda s: (s.n, s.hi + top), False):
-                x, y, targets = columns(now, prev, x, y)
-                prev, end = now, max(spans[i].hi for i in now)
-                for j in steps:
-                    if j == end:  # every window ends at j: its coupling alone
-                        fx = _checked(sys.f.eval(j, x, y), x.shape, "f.eval", j)
-                    else:
-                        x, y, fx = _forward_step(sys, j, x, y)
-                        if states is not None:
-                            states[j + 1] = (x, y)
-                    for out, lo, cols in targets:
-                        out[j - lo] = fx[:, cols]
-            norms = _column_norms(sys.space.norm_kind)
-            g_inv = sys.g.eval_inv if sys.space.dim_y else None
-            prev = ()
-            for steps, now in segments(lambda s: (s.lo, s.n), True):
-                x, y, targets = columns(now, prev, x, y)
-                prev = now
-                tol = opts.fixed_point_tol / max(spans[i].n - spans[i].lo for i in now)
-                for j in steps:
-                    if g_inv is not None:
-                        y = _checked(g_inv(j, y), y.shape, "g.eval_inv", j)
-                    guess = None
-                    if warm:
-                        guess = [out[j - lo] for out, lo, _ in targets]
-                        guess = guess[0] if len(guess) == 1 else np.hstack(guess)
-                    x, fx, _ = _backward_picard(sys, j, x, y, guess, tol, opts.max_iters, norms)
-                    for out, lo, cols in targets:
-                        out[j - lo] = fx[:, cols]
+    with np.errstate(over="ignore", invalid="ignore"):  # once per sweep, not per Picard step
+        prev: tuple = ()
+        for steps, now in segments(lambda s: (s.n, s.hi + top), False):
+            x, y, targets = columns(now, prev, x, y)
+            prev, end = now, max(spans[i].hi for i in now)
+            for j in steps:
+                x_j, y_j = x, y
+                if j == end:  # every window ends at j: its coupling alone
+                    fx = _checked(sys.f.eval(j, x, y), x.shape, "f.eval", j)
+                else:
+                    x, y, fx = _forward_step(sys, j, x, y)
                     if states is not None:
-                        states[j] = (x, y)
-    except FloatingPointError as exc:
-        raise NonautolinError(
-            f"arithmetic failure in the coupled trajectory at j={j}: {exc}") from exc
+                        states[j + 1] = (x, y)
+                for out, lo, cols in targets:  # hi = lo + len(out) - 1
+                    out[j - lo] = (fx[:, cols] if j - lo < len(out) - 1 else
+                                   _nan_unless_finite(fx[:, cols], x_j[:, cols], y_j[:, cols]))
+        norms = _column_norms(sys.space.norm_kind)
+        g_inv = sys.g.eval_inv if sys.space.dim_y else None
+        prev = ()
+        for steps, now in segments(lambda s: (s.lo, s.n), True):
+            x, y, targets = columns(now, prev, x, y)
+            prev = now
+            tol = opts.fixed_point_tol / max(spans[i].n - spans[i].lo for i in now)
+            for j in steps:
+                if g_inv is not None:
+                    y = _checked(g_inv(j, y), y.shape, "g.eval_inv", j)
+                guess = None
+                if warm:
+                    guess = [out[j - lo] for out, lo, _ in targets]
+                    guess = guess[0] if len(guess) == 1 else np.hstack(guess)
+                x, fx, _ = _backward_picard(sys, j, x, y, guess, tol, opts.max_iters, norms)
+                for out, lo, cols in targets:
+                    out[j - lo] = (fx[:, cols] if j > lo else
+                                   _nan_unless_finite(fx[:, cols], x[:, cols], y[:, cols]))
+                if states is not None:
+                    states[j] = (x, y)

@@ -199,3 +199,21 @@ def with_coupling(sys, gamma, kind="max"):
         g=sys.g,
         envelopes=None,
     )
+
+
+def blowup_system(limit, name="remm", **params):
+    """The built-in system `name` with a coupling that is NaN, with its
+    Jacobians, in every column whose state has |x| > limit: a map that
+    leaves the floats past a set |x|."""
+    sys = system_by_name(name, **params)
+    f = sys.f
+
+    def past(x):  # the columns past the limit
+        return np.max(np.abs(np.asarray(x, dtype=float)), axis=0) > limit
+
+    return dataclasses.replace(sys, f=dataclasses.replace(
+        f,
+        eval=lambda n, x, y: np.where(past(x), np.nan, f.eval(n, x, y)),
+        jac_x=lambda n, x, y: np.where(past(x)[:, None, None], np.nan, f.jac_x(n, x, y)),
+        jac_y=lambda n, x, y: np.where(past(x)[:, None, None], np.nan, f.jac_y(n, x, y)),
+    ))

@@ -196,14 +196,21 @@ class TestConjugateCommand:
 
 
     def test_non_finite_trajectory_exits_1_without_warnings(self, tmp_path):
-        # probes at 1e300 overflow within a few forward steps: each index
-        # names an arithmetic failure in its trajectory, and no numpy warning
-        # or Picard iteration on NaN follows
+        # probes at 1e300 overflow within a few steps of their walks: each
+        # probe whose values turn non-finite loses its own rows, its error
+        # naming the index where they did, and no numpy warning or Picard
+        # iteration on NaN follows.  All but the centre probe overflow at
+        # n = 0 itself; the centre one, within 1.25e299 of 0, keeps its
+        # inverse row and overflows at a later index of its equivariance steps
         import os
+        import re
         import subprocess
         import sys
 
+        import numpy as np
+
         import nonautolin
+        from nonautolin.cli import probe_grid
 
         params = tmp_path / "huge.json"
         params.write_text(json.dumps({"system": "ex1", "probe_extent": 1e300,
@@ -218,13 +225,78 @@ class TestConjugateCommand:
         assert proc.returncode == 1
         assert proc.stderr == ""
         rep = load(out)
+        grid = probe_grid(2, 5, 1e300, np.random.default_rng(0)).tolist()
+        centre = 12
+        assert np.max(np.abs(grid[centre])) < 1.25e299
         for section in ("inverse", "equivariance"):
-            errors = rep[section]["errors"]
-            assert [e["n"] for e in errors] == [0]
-            assert errors[0]["error"].startswith("arithmetic failure in the coupled trajectory at j=")
+            rows, errors = rep[section]["rows"], rep[section]["errors"]
+            at = {grid.index(e["probe"]): e for e in errors}
+            assert len(at) == len(errors) and all(e["n"] == 0 for e in errors)
+            assert sorted([*at, *(grid.index(r["probe"]) for r in rows)]) == list(range(25))
+            for i, e in at.items():
+                m = re.fullmatch(r"non-finite value in the residual tables at m=(\d+)",
+                                 e["error"])
+                assert m and (int(m[1]) > 0) == (i == centre), (i, e)
+        assert [r["probe"] for r in rep["inverse"]["rows"]] == [grid[centre]]
+        assert not rep["equivariance"]["rows"]
+
+    def test_an_overflowing_probe_loses_only_its_rows(self, tmp_path, capsys):
+        # at 1e296 only the probes at x_1 = +-1e296, grid indices 0-4 and
+        # 20-24, overflow, in the walks of index 10 of their equivariance
+        # steps: the report is schema-valid, the inverse table keeps its 25
+        # rows, and the equivariance table has rows for exactly the other
+        # 15 probes and one error for each of those 10
+        jsonschema = pytest.importorskip("jsonschema")
+        import numpy as np
+
+        import nonautolin
+        from nonautolin.cli import probe_grid
+
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"system": "ex1", "probe_extent": 1e296,
+                                      "n_min": 0, "n_max": 0}))
+        out = tmp_path / "rep.json"
+        assert run(["conjugate", "--system", str(params), "--force", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        rep = load(out)
+        schema = json.loads(
+            (Path(nonautolin.__file__).parent / "report_schema.json").read_text()
+        )
+        jsonschema.validate(rep, schema)
+        grid = probe_grid(2, 5, 1e296, np.random.default_rng(0)).tolist()
+        inv, equi = rep["inverse"], rep["equivariance"]
+        assert [r["probe"] for r in inv["rows"]] == grid and not inv["errors"]
+        assert [grid.index(r["probe"]) for r in equi["rows"]] == list(range(5, 20))
+        assert [grid.index(e["probe"]) for e in equi["errors"]] == [*range(5), *range(20, 25)]
+        assert all(e["n"] == 0 and e["error"] == "non-finite value in the residual tables at m=10"
+                   for e in equi["errors"])
+        # an error entry names its probe
+        table = {**equi, "errors": [{"n": 0, "error": "x"}]}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**rep, "equivariance": table}, schema)
 
 
 class TestDerivativesCommand:
+    def test_non_finite_blocks_are_listed_per_probe(self, tmp_path, capsys, monkeypatch):
+        # at fd_step 1e300 the walks of every probe's d_h stencil overflow:
+        # the one batched validate_jacobians call of n = 0 lists one error per
+        # probe, naming the blocks that are not finite, and no row
+        import nonautolin.cli as cli
+
+        calls = []
+        validate = cli.validate_jacobians
+        monkeypatch.setattr(cli, "validate_jacobians",
+                            lambda *a, **kw: calls.append(a[1]) or validate(*a, **kw))
+        out = tmp_path / "rep.json"
+        assert run(["derivatives", "--system", "ex1", "--fd-step", "1e300", "--n-min", "0",
+                    "--n-max", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "" and calls == [0]
+        jac = load(out)["jacobians"]
+        assert not jac["rows"] and len(jac["errors"]) == 12
+        assert len({tuple(e["probe"]) for e in jac["errors"]}) == 12
+        assert all(e["n"] == 0 and e["error"].startswith("non-finite Jacobian blocks at n=0: ")
+                   for e in jac["errors"])
+
     def test_unresolvable_probes_are_listed_errors(self):
         # at |z| ~ 1e200 the steps 1e-5 and 1e-6 are below the probes' ulp,
         # so no finite difference can check a Jacobian: each probe is an

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from nonautolin.conjugacy import _coupling_lists, _spans
 from nonautolin.errors import NoConvergence, NonautolinError
 from nonautolin.evolution import _forward_step, _state_columns, _trajectory, coupled_trajectory
 
-from .conftest import LN2, diag_stack, random_invertible_system
+from .conftest import LN2, blowup_system, diag_stack, random_invertible_system
 from .reference import (bar_h_series, column_norms, evolve_coupled, evolve_driver,
                         green_by_factors, h_by_picard, reordering_bound)
 
@@ -150,7 +151,7 @@ class TestBarH:
         for res in tables.values():
             assert res.h.shape == res.bar_h.shape == (dx, 0)
             assert res.inverse.shape == res.forward.shape == res.dual.shape == (0,)
-            assert res.inverse_error is None and res.equivariance_error is None
+            assert not res.inverse_errors and not res.equivariance_errors
 
     def test_bar_H_equivariance_step(self, engine_ex1, rng):
         # stepping bar_H(x) with the linear map matches bar_H of the coupled step
@@ -365,10 +366,15 @@ class TestEquivariance:
 
 class TestEngineValidation:
     def test_rejects_bad_tolerances(self, ex1_mild):
-        with pytest.raises(ValueError):
-            ConjugacyEngine(ex1_mild, series_tol=0.0)
-        with pytest.raises(ValueError):
-            ConjugacyEngine(ex1_mild, fp_tol=-1.0)
+        # NaN passed a `<= 0` test and failed in the first window fit, as
+        # "cannot convert float NaN to integer"
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="series_tol and fp_tol must be positive"):
+                ConjugacyEngine(ex1_mild, series_tol=bad)
+            with pytest.raises(ValueError, match="series_tol and fp_tol must be positive"):
+                ConjugacyEngine(ex1_mild, fp_tol=bad)
+            with pytest.raises(ValueError, match="fixed_point_tol must be positive"):
+                SolveOptions(fixed_point_tol=bad)
         with pytest.raises(ValueError):
             ConjugacyEngine(ex1_mild, window_halfwidth=0)
         # an advanced halfwidth of None is the window cap; below 1 it is an
@@ -520,20 +526,46 @@ class TestBlockSolves:
         u, records = eng._solve_h(centres, [per] * len(centres), xi, eta)
         for i, n in enumerate(centres):
             bound = 2.0 * eng.fp_tol / (1.0 - eng.contraction(n))
-            residuals, iters = records[i]
-            assert residuals[-1] <= eng.fp_tol and len(residuals) == iters + 1
+            residuals, iters, error = records[i]
+            assert residuals[-1] <= eng.fp_tol and len(residuals) == iters + 1 and error is None
             for c in range(per * i, per * (i + 1)):
                 ref, _ = h_by_picard(eng, n, xi[:, c], eta[:, c])
                 assert np.max(np.abs(u[:, c] - ref)) <= bound, (n, c)
 
     @pytest.mark.parametrize("name, params", BLOCK_SYSTEMS)
+    def test_a_nan_column_stays_in_its_column(self, name, params):
+        # a NaN column at centre 0, in place of a copy of its neighbour,
+        # leaves every centre's iterations and residuals, and the finite
+        # columns bit for bit, as they are with the copy; the column itself
+        # ends NaN, and no RuntimeWarning is raised.  (It replaces a column,
+        # so no other column moves: the kernels of a matrix product may
+        # round a column by its place in the batch.)
+        eng = _block_engine(name, params)
+        sys = eng.sys
+        rng = np.random.default_rng(8)
+        centres, per = [-1, 0, 2], 3
+        xi = rng.uniform(-1, 1, (sys.space.dim_x, per * len(centres)))
+        eta = rng.uniform(-1, 1, (sys.space.dim_y, per * len(centres)))
+        xi[:, per + 1], eta[:, per + 1] = xi[:, per], eta[:, per]
+        u, records = eng._solve_h(centres, [per] * len(centres), xi, eta)
+        xi[:, per + 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_records = eng._solve_h(centres, [per] * len(centres), xi, eta)
+        assert got_records == records
+        assert all(error is None and iters > 1 for _, iters, error in records)
+        assert np.array_equal(np.delete(got, per + 1, axis=1), np.delete(u, per + 1, axis=1))
+        assert np.isnan(got[:, per + 1]).all()
+
+    @pytest.mark.parametrize("name, params", BLOCK_SYSTEMS)
     @pytest.mark.parametrize("fault", ["cap", "contraction"])
     def test_an_error_at_one_index_of_a_block_stays_there(self, name, params, fault):
-        # index 1 fails alone, by its h cap (NoConvergence) or its
-        # certificate (ContractionViolation), inside a block of several
-        # indices: only base 1 loses its inverse, only the bases whose steps
-        # reach 1 lose their equivariance, and every other table matches the
-        # reference on an engine with the same fault
+        # index 1 fails alone, by its h cap (NoConvergence, every column
+        # unconverged) or its certificate (ContractionViolation), inside a
+        # block of several indices: only base 1 loses its inverse rows, only
+        # the bases whose steps reach 1 lose their equivariance rows, each
+        # for every probe, and every other table matches the reference on an
+        # engine with the same fault
         s = system_by_name(name, **params)
         dim = s.space.dim_x + s.space.dim_y
         xi, eta = _split_probes(s, probe_grid(dim, 2, 1.0, np.random.default_rng(3)))
@@ -558,9 +590,10 @@ class TestBlockSolves:
         eng = faulty()
         tables = eng.residual_tables(ns, xi, eta, steps=steps)
         error = NoConvergence if fault == "cap" else ContractionViolation
-        assert [n for n, r in tables.items() if r.inverse_error] == [1]
-        assert isinstance(tables[1].inverse_error, error)
-        assert [n for n, r in tables.items() if r.equivariance_error] == [-1, 0, 1]
+        assert [n for n, r in tables.items() if r.inverse_errors] == [1]
+        assert sorted(tables[1].inverse_errors) == list(range(xi.shape[1]))
+        assert all(isinstance(e, error) for e in tables[1].inverse_errors.values())
+        assert [n for n, r in tables.items() if r.equivariance_errors] == [-1, 0, 1]
         ref = reference_tables(faulty(), ns, xi, eta, steps)
         for n, res in tables.items():
             # any two h that pass the stop test are within 2 fp_tol / (1 - c(n))
@@ -636,35 +669,41 @@ class TestResidualTables:
                                ns, xi, eta, steps)
         assert list(tables) == list(ns)
         for n, res in tables.items():
-            assert res.inverse_error is None and res.equivariance_error is None
+            assert not res.inverse_errors and not res.equivariance_errors
             self._assert_matches(eng, n, res, ref[n])
 
     @staticmethod
-    def _assert_matches(eng, n, res, ref, h_atol=None):
-        assert (res.inverse is None) == (ref["inverse"] is None)
-        assert (res.forward is None) == (ref["equivariance"] is None)
+    def _assert_matches(eng, n, res, ref, h_atol=None, probes=None):
+        """`res` at the probe indices `probes` (all by default) against the
+        reference `ref` on those probes alone: a table lists an error for
+        each of them where the reference has None, and none where it has
+        values, which then match."""
+        if probes is None:  # the inverse arrays are None only when every probe has its error
+            probes = list(range(len(res.inverse_errors) if res.inverse is None
+                                else len(res.inverse)))
+        for table, errors in (("inverse", res.inverse_errors),
+                              ("equivariance", res.equivariance_errors)):
+            assert [i in errors for i in probes] == [ref[table] is None] * len(probes), table
         if ref["inverse"] is not None:
             u, b, inverse = ref["inverse"]
-            assert_allclose(res.h, u, rtol=0, atol=eng.fp_tol if h_atol is None else h_atol)
-            assert_allclose(res.bar_h, b, rtol=0, atol=1e-13)
-            assert_allclose(res.inverse, inverse, rtol=0, atol=1e-12)
+            assert_allclose(res.h[:, probes], u, rtol=0,
+                            atol=eng.fp_tol if h_atol is None else h_atol)
+            assert_allclose(res.bar_h[:, probes], b, rtol=0, atol=1e-13)
+            assert_allclose(res.inverse[probes], inverse, rtol=0, atol=1e-12)
             assert res.tail_bound == eng.series_window(n, eng.series_tol).tail_bound
         if ref["equivariance"] is not None:
             fwd, dual = ref["equivariance"]
-            assert_allclose(res.forward, fwd, rtol=0, atol=1e-12)
-            assert_allclose(res.dual, dual, rtol=0, atol=1e-12)
+            assert_allclose(res.forward[probes], fwd, rtol=0, atol=1e-12)
+            assert_allclose(res.dual[probes], dual, rtol=0, atol=1e-12)
 
     @staticmethod
-    def _completed_h_solves(monkeypatch, fail_at=None):
+    def _completed_h_solves(monkeypatch):
         """The {centre: columns} of every `_solve_h` call that returns, in
-        order; a call whose centres include `fail_at` raises NoConvergence
-        instead."""
+        order."""
         solve_h = ConjugacyEngine._solve_h
         done = []
 
         def recorded(self, centres, counts, *args, **kwargs):
-            if fail_at in centres:
-                raise NoConvergence(f"h fixed point at n={fail_at}", 0, 1.0, self.fp_tol)
             out = solve_h(self, centres, counts, *args, **kwargs)
             done.append(dict(zip(centres, counts)))
             return out
@@ -673,28 +712,86 @@ class TestResidualTables:
         return done
 
     def test_blocks_restart_after_an_error_and_a_gap(self, monkeypatch):
-        # h fails at index 1 alone: bases -1, 0 and 1 lose their equivariance
-        # and base 1 its inverse; bases 2 and 3 start afresh after the error,
-        # and base 7 after a gap.  Each other index's columns (its live
-        # bases' probes, plus the round trips at a base index) go through
-        # exactly one completed h solve, and the tables match the reference
+        # h reaches its cap of one iteration at index 1, which leaves every
+        # probe unconverged but the one at 0 (h = 0 passes the first stop
+        # test), and index 5 has no contraction certificate.  The cap takes
+        # only those probes' rows, the inverse rows of base 1 and the
+        # equivariance rows of the bases -1, 0 and 1 whose steps reach it,
+        # each error the NoConvergence of h at 1; the probe at 0 keeps every
+        # row.  The certificate takes every equivariance row of base 3, whose
+        # steps reach 5, and ends the block before 5; the blocks restart
+        # after it, with base 7 after a gap.  Each other index's columns (its
+        # live bases' probes, plus the round trips at a base index) go
+        # through exactly one h solve, and each group of probes matches the
+        # reference run on that group alone
         s = system_by_name("ex1", lam=LN2, gamma_scale=0.5)
         xi, eta = self._probes(s, 3)
+        xi[:, 0] = 0.0
         batch = xi.shape[1]
-        done = self._completed_h_solves(monkeypatch, fail_at=1)
-        ns = [-1, 0, 1, 2, 3, 7]
-        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13)
-        tables = eng.residual_tables(ns, xi, eta, steps=2)
-        solved = [m for cols in done for m in cols]
-        assert sorted(solved) == [-1, 0, 2, 3, 4, 5, 7, 8, 9]
-        assert {m: c // batch for cols in done for m, c in cols.items()} == {
-            -1: 2, 0: 3, 2: 2, 3: 3, 4: 2, 5: 1, 7: 2, 8: 1, 9: 1}
-        ref = reference_tables(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13),
-                               ns, xi, eta, 2)
-        assert [n for n, res in tables.items() if res.inverse_error] == [1]
-        assert [n for n, res in tables.items() if res.equivariance_error] == [-1, 0, 1]
+        done = self._completed_h_solves(monkeypatch)
+        ns, steps = [-1, 0, 1, 2, 3, 7], 2
+
+        def faulty():
+            eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13)
+            h_window, contraction = eng.h_window, eng.contraction
+            eng.h_window = lambda n: (h_window(n)[0], 1) if n == 1 else h_window(n)
+
+            def broken(n):
+                if n == 5:
+                    raise ContractionViolation(n, 1.5, what="injected")
+                return contraction(n)
+
+            eng.contraction = broken
+            return eng
+
+        eng = faulty()
+        tables = eng.residual_tables(ns, xi, eta, steps=steps)
+        assert [list(cols) for cols in done] == [[-1, 0, 1, 2, 3, 4], [7, 8, 9]]
+        live = {m: sum(n <= m <= n + steps for n in ns) for cols in done for m in cols}
+        assert {m: c for cols in done for m, c in cols.items()} == {
+            m: batch * (live[m] + (m in ns)) for m in live}
+        rest = list(range(1, batch))
+        capped = str(NoConvergence("h fixed point at n=1", 1, 0.0, eng.fp_tol)).split(" (")[0]
         for n, res in tables.items():
-            self._assert_matches(eng, n, res, ref[n])
+            assert sorted(res.inverse_errors) == (rest if n == 1 else [])
+            assert sorted(res.equivariance_errors) == (
+                rest if n in (-1, 0, 1) else list(range(batch)) if n == 3 else [])
+            for e in [*res.inverse_errors.values(), *res.equivariance_errors.values()]:
+                assert isinstance(e, ContractionViolation if n == 3 else NoConvergence)
+                assert n == 3 or str(e).startswith(capped)
+        for probes in ([0], rest):
+            ref = reference_tables(faulty(), ns, xi[:, probes], eta[:, probes], steps)
+            for n, res in tables.items():
+                # any two h that pass the stop test are within 2 fp_tol / (1 - c(n))
+                bound = 2 * eng.fp_tol / (1 - eng.contraction(n))
+                self._assert_matches(eng, n, res, ref[n], h_atol=bound, probes=probes)
+
+    def test_a_coupling_that_blows_up_fails_only_the_probes_past_it(self):
+        # past |x| = 2 the coupling is NaN.  A = Id and sum gamma < 0.2 keep
+        # every state of a walk, and H and bar_H, within 0.5 of its probe, so
+        # the probes with a coordinate beyond 2.5 (all but the centre one of
+        # the 3 x 3 grid over [-4, 4]^2) cross 2 at each base index n and
+        # lose every row there, each error naming n; the centre probe, inside
+        # 1.5, matches the reference run on it alone
+        s = blowup_system(2.0, "remm", gamma_scale=0.2)
+        grid = probe_grid(2, 3, 4.0, np.random.default_rng(3))
+        xi, eta = _split_probes(s, grid)
+        crossing = np.max(np.abs(grid), axis=1)
+        assert np.sum(crossing > 2.5) == 8 and np.sum(crossing < 1.5) == 1
+        past, inside = np.flatnonzero(crossing > 2.5).tolist(), np.flatnonzero(crossing < 1.5)
+        ns, steps = range(-1, 3), 2
+        eng = ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13)
+        tables = eng.residual_tables(ns, xi, eta, steps=steps)
+        for n, res in tables.items():
+            for errors in (res.inverse_errors, res.equivariance_errors):
+                assert sorted(errors) == past
+                assert {str(e) for e in errors.values()} == {
+                    f"non-finite value in the residual tables at m={n}"}
+        ref = reference_tables(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13), ns,
+                               xi[:, inside], eta[:, inside], steps)
+        for n, res in tables.items():
+            bound = 2 * eng.fp_tol / (1 - eng.contraction(n))
+            self._assert_matches(eng, n, res, ref[n], h_atol=bound, probes=inside.tolist())
 
     def test_one_h_solve_per_index(self, monkeypatch):
         # every index from n_min to n_max + steps has its columns solved
@@ -716,7 +813,7 @@ class TestResidualTables:
         ref = reference_tables(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13),
                                ns, xi, eta, steps)
         for n, res in tables.items():
-            assert res.inverse_error is None and res.equivariance_error is None
+            assert not res.inverse_errors and not res.equivariance_errors
             self._assert_matches(eng, n, res, ref[n])
         # the conjugate phase on the program's engine: every index solved
         # once, and both tables list their rows base by base, probe by probe
@@ -751,7 +848,7 @@ class TestResidualTables:
         ref = reference_tables(ConjugacyEngine(s, series_tol=1e-9, fp_tol=1e-13),
                                ns, xi, eta, steps)
         for n, res in tables.items():
-            assert res.inverse_error is None and res.equivariance_error is None
+            assert not res.inverse_errors and not res.equivariance_errors
             self._assert_matches(eng, n, res, ref[n])
 
     def test_default_block_bound_on_the_bench_config(self, monkeypatch):

@@ -23,7 +23,7 @@ from nonautolin.cli import RunConfig, _engine, build_system, phase_derivatives, 
 from nonautolin.derivatives import _resolvent, fd_jacobian_batch
 from nonautolin.errors import NoConvergence, NonautolinError, SingularOperatorError
 
-from .conftest import backward_step, random_invertible_system
+from .conftest import backward_step, blowup_system, random_invertible_system
 from .reference import (evolve_coupled, evolve_driver, fd_jacobian, green_norm, jacobian_report,
                         lip_C, lip_D, lip_M, transition_by_factors)
 
@@ -413,7 +413,7 @@ class TestValidateJacobians:
 
 def reference_jacobian_rows(cfg, sys):
     """The derivatives phase one probe at a time: its (kind, n, probe,
-    fd_step, rel_error) rows and its (n, probe) errors."""
+    fd_step, rel_error) rows and its (n, probe) errors, raised or returned."""
     rng = np.random.default_rng(cfg.seed + 1)
     grid = probe_grid(sys.space.dim_x + sys.space.dim_y, cfg.probes_per_axis,
                       cfg.probe_extent, rng)
@@ -428,6 +428,8 @@ def reference_jacobian_rows(cfg, sys):
             try:
                 reports = validate_jacobians(engine, n, probe[:dx], probe[dx:], fd_step=cfg.fd_step)
             except NonautolinError:
+                reports = "raised"
+            if isinstance(reports, str):
                 errors.append((n, list(probe)))
                 continue
             rows += [(kind, n, list(probe), rep.fd_step, rep.rel_error)
@@ -452,6 +454,29 @@ class TestDerivativesPhase:
         assert [r["fd_step"] for r in got] == [r[3] for r in ref_rows]
         assert_allclose([r["rel_error"] for r in got], [r[4] for r in ref_rows],
                         rtol=0, atol=1e-8)
+
+    def test_a_coupling_that_blows_up_fails_only_the_probes_past_it(self):
+        # past |x| = 2 the coupling is NaN, and A = Id with sum gamma < 0.2
+        # keeps every walk within 0.5 of its probe: the probes beyond 2.5
+        # get an error naming their non-finite blocks from the one batched
+        # call of each n, and the others keep rows that match the phase run
+        # one probe at a time
+        cfg = RunConfig(system="remm", system_params={"gamma_scale": 0.2}, n_min=-1, n_max=1,
+                        probes_per_axis=3, probe_extent=4.0, jacobian_probe_cap=9)
+        sys = blowup_system(2.0, "remm", gamma_scale=0.2)
+        table, ok = phase_derivatives(cfg, _engine(cfg, sys))
+        ref_rows, ref_errors = reference_jacobian_rows(cfg, sys)
+        inside = {tuple(p) for _, _, p, *_ in ref_rows}
+        assert len(inside) == 1 and all(np.max(np.abs(p)) < 1.5 for p in inside)
+        assert len(ref_errors) == 3 * 8 and all(np.max(np.abs(p)) > 2.5 for _, p in ref_errors)
+        assert [(e["n"], e["probe"]) for e in table["errors"]] == ref_errors
+        assert all(e["error"].startswith(f"non-finite Jacobian blocks at n={e['n']}: ")
+                   for e in table["errors"])
+        got = table["rows"]
+        assert [(r["kind"], r["n"], r["probe"]) for r in got] == [r[:3] for r in ref_rows]
+        assert_allclose([r["rel_error"] for r in got], [r[4] for r in ref_rows],
+                        rtol=0, atol=1e-8)
+        assert not ok
 
     def test_one_h_solve_per_n(self, monkeypatch):
         # the h solve of each n is its one smooth h stencil, over the 4
@@ -487,33 +512,36 @@ class TestDerivativesPhase:
         assert "contraction" in table["errors"][0]["error"]
 
     def test_per_probe_fallback_on_error(self, monkeypatch):
-        # an error in the batched call of one n re-runs that n one probe at a
-        # time, so the error names its probe and the other probes keep rows
+        # h reaches its cap at n = 0: the one batched call of that n raises
+        # NoConvergence, which is listed once for each probe, naming it,
+        # with no call per probe; the other n keep every row
         import nonautolin.cli as cli
 
         validate = cli.validate_jacobians
         calls = []
 
-        def flaky(engine, n, xi, eta, **kwargs):
+        def counted(engine, n, xi, eta, **kwargs):
             calls.append((n, np.ndim(xi)))
-            if n == 0 and (np.ndim(xi) == 2 or len(calls) == 4):
-                raise NoConvergence("forced", 1, 1.0, 0.5)
             return validate(engine, n, xi, eta, **kwargs)
 
-        monkeypatch.setattr(cli, "validate_jacobians", flaky)
+        monkeypatch.setattr(cli, "validate_jacobians", counted)
         cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-1, n_max=1,
                         jacobian_probe_cap=3)
-        table, ok = phase_derivatives(cfg, _engine(cfg, build_system(cfg)))
-        assert calls == [(-1, 2), (0, 2), (0, 1), (0, 1), (0, 1), (1, 2)]
+        engine = _engine(cfg, build_system(cfg))
+        h_window = engine.h_window
+        engine.h_window = lambda n: (h_window(n)[0], 1) if n == 0 else h_window(n)
+        table, ok = phase_derivatives(cfg, engine)
+        assert calls == [(-1, 2), (0, 2), (1, 2)]
         assert not ok
         probes = list(dict.fromkeys(tuple(r["probe"]) for r in table["rows"]))
         assert len(probes) == 3
-        assert table["errors"] == [{"n": 0, "probe": list(probes[1]),
-                                    "error": str(NoConvergence("forced", 1, 1.0, 0.5))}]
+        assert [(e["n"], tuple(e["probe"])) for e in table["errors"]] == [(0, p) for p in probes]
+        assert len({e["error"] for e in table["errors"]}) == 1
+        assert table["errors"][0]["error"].startswith(
+            "h fixed point at n=0: no convergence after 1 iterations")
         kinds = ["d_x2_dxi", "d_barh_dxi", "d_h_dxi"]
         assert [(r["n"], tuple(r["probe"]), r["kind"]) for r in table["rows"]] == [
-            (n, p, k) for n in (-1, 0, 1) for p in probes
-            if (n, p) != (0, probes[1]) for k in kinds
+            (n, p, k) for n in (-1, 1) for p in probes for k in kinds
         ]
         assert all(r["rel_error"] <= cfg.jacobian_threshold for r in table["rows"])
 
@@ -539,16 +567,24 @@ class TestDerivativesPhase:
         assert all(e["n"] == 0 and "series window at n=0 exhausted" in e["error"]
                    for e in table["errors"])
 
-    def test_singular_jacobians_are_listed_errors(self):
+    def test_singular_jacobians_are_listed_errors(self, monkeypatch):
         # a driver Jacobian that cannot be inverted on the backward steps,
         # and Id + d bar_h/du that cannot be inverted in the resolvent, end
-        # in SingularOperatorError, which the phase lists per probe
+        # in SingularOperatorError, which the phase lists per probe from its
+        # one validate_jacobians call
+        import nonautolin.cli as cli
+
+        calls = []
+        validate = cli.validate_jacobians
+        monkeypatch.setattr(cli, "validate_jacobians",
+                            lambda *a, **kw: calls.append(a[1]) or validate(*a, **kw))
         cfg = RunConfig(system="end_cfg", system_params={"gamma_scale": 0.9}, n_min=0,
                         n_max=0, jacobian_probe_cap=3)
         sys = build_system(cfg)
         sys = dataclasses.replace(sys, g=dataclasses.replace(
             sys.g, jac=lambda n, y: np.zeros((y.shape[1], 2, 2))))
         table, ok = phase_derivatives(cfg, _engine(cfg, sys))
+        assert calls == [0]
         assert not ok and not table["rows"]
         assert [e["error"] for e in table["errors"]] == [
             str(SingularOperatorError(-1, "Dg_k not invertible: Singular matrix"))] * 3

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,29 @@ class TestBackwardStep:
         bad = with_coupling(sys, 100.0)
         with pytest.raises(ContractionViolation):
             backward_step(bad, 0, np.ones(2), np.zeros(0))
+
+    @pytest.mark.parametrize("name, kwargs", [("ex1", dict(lam=LN2, gamma_scale=0.9)),
+                                              ("end_cfg", dict(gamma_scale=0.9))])
+    def test_a_nan_column_stays_in_its_column(self, name, kwargs, rng):
+        # an all-NaN column in place of a copy of its neighbour, which adds
+        # no defect of its own, leaves the iteration count and every defect,
+        # and the other columns' values and couplings bit for bit, as they
+        # are with the copy; no RuntimeWarning is raised.  (It replaces
+        # a column, so no other column moves: the kernels of a matrix
+        # product may round a column by its place in the batch.)
+        s = system_by_name(name, **kwargs)
+        xi = rng.uniform(-2, 2, (s.space.dim_x, 5))
+        eta = rng.uniform(-2, 2, (s.space.dim_y, 5))
+        xi[:, 2], eta[:, 2] = xi[:, 1], eta[:, 1]
+        value, coupling, residuals = backward_step(s, 1, xi, eta)
+        xi[:, 2], eta[:, 2] = np.nan, np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_coupling, got_residuals = backward_step(s, 1, xi, eta)
+        assert got_residuals == residuals and len(residuals) > 2
+        assert np.array_equal(np.delete(got, 2, axis=1), np.delete(value, 2, axis=1))
+        assert np.array_equal(np.delete(got_coupling, 2, axis=1), np.delete(coupling, 2, axis=1))
+        assert np.isnan(got_coupling[:, 2]).all()
 
     def test_no_convergence_when_budget_too_small(self):
         s = system_by_name("ex1", lam=LN2, gamma_scale=0.9)
