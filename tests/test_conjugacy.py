@@ -536,8 +536,9 @@ class TestBlockSolves:
     def test_a_nan_column_stays_in_its_column(self, name, params):
         # a NaN column at centre 0, in place of a copy of its neighbour,
         # leaves every centre's iterations and residuals, and the finite
-        # columns bit for bit, as they are with the copy; the column itself
-        # ends NaN, and no RuntimeWarning is raised.  (It replaces a column,
+        # columns bit for bit, as they are with the copy, and the iterations
+        # as without the column; the column itself ends NaN, and no
+        # RuntimeWarning is raised.  (It replaces a column,
         # so no other column moves: the kernels of a matrix product may
         # round a column by its place in the batch.)
         eng = _block_engine(name, params)
@@ -554,6 +555,9 @@ class TestBlockSolves:
             got, got_records = eng._solve_h(centres, [per] * len(centres), xi, eta)
         assert got_records == records
         assert all(error is None and iters > 1 for _, iters, error in records)
+        without = eng._solve_h(centres, [per, per - 1, per], np.delete(xi, per + 1, axis=1),
+                               np.delete(eta, per + 1, axis=1))[1]
+        assert [iters for _, iters, _ in without] == [iters for _, iters, _ in records]
         assert np.array_equal(np.delete(got, per + 1, axis=1), np.delete(u, per + 1, axis=1))
         assert np.isnan(got[:, per + 1]).all()
 

@@ -185,6 +185,8 @@ class TestBackwardStep:
             warnings.simplefilter("error")
             got, got_coupling, got_residuals = backward_step(s, 1, xi, eta)
         assert got_residuals == residuals and len(residuals) > 2
+        alone = backward_step(s, 1, np.delete(xi, 2, axis=1), np.delete(eta, 2, axis=1))[2]
+        assert len(alone) == len(residuals)  # the count of the batch without that column
         assert np.array_equal(np.delete(got, 2, axis=1), np.delete(value, 2, axis=1))
         assert np.array_equal(np.delete(got_coupling, 2, axis=1), np.delete(coupling, 2, axis=1))
         assert np.isnan(got_coupling[:, 2]).all()
