@@ -140,6 +140,14 @@ def phase_check(cfg: RunConfig, sys: SystemSpec) -> tuple[dict, bool]:
 
 
 def phase_conjugate(cfg: RunConfig, engine: ConjugacyEngine) -> tuple[dict, dict, bool]:
+    """The equivariance and inverse tables over n_min..n_max at the probes.
+
+    A residual is a difference of values of the probe's magnitude, so a
+    probe p with eps max(1, |p|) > threshold, where that difference cannot
+    resolve the threshold, is listed under the table's `errors` at every n,
+    as `phase_derivatives` lists one with fd_step 1.  A probe's error from
+    the walks (`ConjugacyEngine.residual_tables`) is listed in its place.
+    """
     sys = engine.sys
     rng = np.random.default_rng(cfg.seed)
     grid = probe_grid(sys.space.dim_x + sys.space.dim_y, cfg.probes_per_axis,
@@ -147,21 +155,35 @@ def phase_conjugate(cfg: RunConfig, engine: ConjugacyEngine) -> tuple[dict, dict
     xi_b, eta_b = _split_probes(sys, grid)
     tables = engine.residual_tables(range(cfg.n_min, cfg.n_max + 1), xi_b, eta_b,
                                     steps=cfg.steps)
-    inverse, equivariance = ([], []), ([], [])  # (rows, errors)
+    thresholds = {"inverse": cfg.inverse_tol, "equivariance": cfg.equivariance_threshold}
+    resolution = [_resolution(probe) for probe in grid]
+    unresolved = {name: {i: f"residual resolution eps max(1, |p|) = {r:.3g} exceeds the "
+                            f"{name} threshold {threshold:g}"
+                         for i, r in enumerate(resolution) if not r <= threshold}
+                  for name, threshold in thresholds.items()}
+    out: dict = {name: ([], []) for name in thresholds}  # (rows, errors)
     for n, res in tables.items():
         equi = None if res.forward is None else np.maximum(res.forward, res.dual)
-        for (rows, errors), failed, value, residual in (
-                (inverse, res.inverse_errors, res.h, res.inverse),
-                (equivariance, res.equivariance_errors, res.bar_h, equi)):
+        for name, failed, value, residual in (
+                ("inverse", res.inverse_errors, res.h, res.inverse),
+                ("equivariance", res.equivariance_errors, res.bar_h, equi)):
+            rows, errors = out[name]
             for i, probe in enumerate(grid):  # a probe with an error has no row
-                if i in failed:
+                error = failed.get(i) or unresolved[name].get(i)
+                if error:
                     errors.append({"n": n, "probe": [float(v) for v in probe],
-                                   "error": str(failed[i])})
+                                   "error": str(error)})
                 else:
                     rows.append(_row(n, probe, value[:, i], float(residual[i]), res.tail_bound))
-    inverse = _table(*inverse, cfg.inverse_tol)
-    equivariance = _table(*equivariance, cfg.equivariance_threshold)
+    inverse, equivariance = (_table(*out[name], thresholds[name]) for name in thresholds)
     return equivariance, inverse, bool(inverse["ok"] and equivariance["ok"])
+
+
+def _resolution(probe: np.ndarray, step: float = 1.0) -> float:
+    """eps max(1, |probe|) / step, |.| the max norm, as a Python float (inf
+    on overflow): what a difference of values of the probe's size, divided
+    by `step`, can resolve."""
+    return _sys.float_info.epsilon * max(1.0, float(np.max(np.abs(probe)))) / step
 
 
 def _table(rows: list, errors: list, threshold: float, key: str = "residual") -> dict:
@@ -210,9 +232,8 @@ def phase_derivatives(cfg: RunConfig, engine: ConjugacyEngine) -> tuple[dict, bo
     n_values = sorted({cfg.n_min, (cfg.n_min + cfg.n_max) // 2, cfg.n_max})
     xi_b, eta_b = _split_probes(sys, grid)
     unresolved = {}
-    for i, probe in enumerate(grid):  # Python floats: an overflow reads inf
-        resolution = (_sys.float_info.epsilon * max(1.0, float(np.max(np.abs(probe))))
-                      / cfg.fd_step)
+    for i, probe in enumerate(grid):
+        resolution = _resolution(probe, cfg.fd_step)
         if not resolution <= cfg.jacobian_threshold:
             unresolved[i] = (f"finite-difference resolution eps max(1, |z|) / fd_step = "
                              f"{resolution:.3g} exceeds the Jacobian threshold "

@@ -9,11 +9,14 @@ whose absolute truncation error over a window of halfwidth K is bounded by
 sum_{|k-n|>K} |G(n,k+1)| mu_k; the window is enlarged until that bound drops
 under `series_tol` (analytic envelope when the system has one, ratio
 extrapolation otherwise; the bounding terms are state-free, so the window
-depends only on n).  The series sums the coupling values its trajectory
-computed: every forward step and every backward fixed-point step returns
-f_k at the state it stepped from, and the walk evaluates f at the upper end
-of the window, so one bar_h is one trajectory walk, and the sum one product
-of the Green row with the window's stacked couplings.  bar_h at several
+depends only on n).  A walk covers the window's span, each side of
+[n - K, n + K] cut back to the outermost k with G(n, k+1) != 0: with every
+future kernel 0 (A = P = Id) it takes no forward step, with every past
+kernel 0 (P = 0) no backward one.  The series sums the coupling values its
+trajectory computed: every forward step and every backward fixed-point step
+returns f_k at the state it stepped from, and the walk evaluates f at the
+upper end of its span, so one bar_h is one trajectory walk, and the sum one
+product of the Green row with the span's stacked couplings.  bar_h at several
 centres is one sweep over all of their columns, neighbouring walks sharing
 each step's kernel call (`evolution._trajectory`).
 
@@ -85,6 +88,7 @@ class ConjugacyEngine:
         self._green_rows: dict[int, np.ndarray] = {}
         self._mu_windows: dict[tuple[int, float], SeriesWindow] = {}
         self._derivative_windows: dict[int, int] = {}
+        self._span_ends: dict[tuple[int, int], tuple[int, int]] = {}
         self._backward_checked: set[int] = set()  # j whose A_j^{-1} and margin hold
 
     # -- caches ------------------------------------------------------------
@@ -93,7 +97,8 @@ class ConjugacyEngine:
         """G(n, k+1) for k in [n - halfwidth, n + halfwidth] as a stack, with
         G(n, k+1) at [k - n + halfwidth].  One stack is cached per n, the
         widest built so far and at least `advanced_halfwidth` wide, the row
-        `contraction(n)` reads; narrower rows are its centre."""
+        `contraction(n)` reads and `_spans` cuts to the non-zero kernels;
+        narrower rows are its centre."""
         row = self._green_rows.get(n)
         if row is None or len(row) < 2 * halfwidth + 1:
             w = max(halfwidth, self.advanced_halfwidth)
@@ -105,6 +110,21 @@ class ConjugacyEngine:
             self._green_rows[n] = row
         cut = (len(row) - 2 * halfwidth - 1) // 2
         return row[cut:len(row) - cut]
+
+    def _spans(self, centres) -> list:
+        """The `Span`s of (n, halfwidth K, count) triples, ascending in n: each
+        side of [n - K, n + K] cut back to the outermost k whose kernel
+        G(n, k+1) has a non-zero entry, n kept (cached per (n, K)).  A term
+        cut off is G f = 0 at every finite state, so no other term changes."""
+        out = []
+        for n, k_half, count in centres:
+            ends = self._span_ends.get((n, k_half))
+            if ends is None:
+                live = np.flatnonzero(self.green_row(n, k_half).any(axis=(1, 2))) + (n - k_half)
+                ends = self._span_ends[n, k_half] = (int(live.min(initial=n)),
+                                                     int(live.max(initial=n)))
+            out.append(Span(n, *ends, count))
+        return out
 
     def series_window(self, n: int, tol: float) -> SeriesWindow:
         """Window halfwidth for bar_h at center n with truncation error <= tol."""
@@ -208,31 +228,34 @@ class ConjugacyEngine:
                 raise ValueError(f"window must be >= 0, got {window}")
             env = _envelope(self.sys, "barh", n)
             tail = env.two_sided(k_half) if env else math.inf
-        spans = _spans([(n, k_half, xi_b.shape[1])])
-        val = self._series(spans, xi_b, eta_b) if xi_b.size else xi_b  # no columns, no walk
+        val = (self._series(self._spans([(n, k_half, xi_b.shape[1])]), xi_b, eta_b)
+               if xi_b.size else xi_b)  # no columns, no walk
         return (val[:, 0] if single else val), tail, k_half
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite column stays in its column
     def _series(self, spans: list, xi: np.ndarray, eta: np.ndarray,
                 couplings: Optional[list] = None, warm: bool = False) -> np.ndarray:
         """bar_h(n, ., .) at the (dim, batch) columns (xi, eta) of every span,
-        n its centre and [lo, hi] its window: one `_trajectory` sweep over all
-        of them, which fills `couplings` (fresh lists when None; see there
-        for `warm`), then per span one product of its Green row with its
-        stacked couplings, after which only its backward couplings, those a
-        warm walk reads, stay in its list.  That product adds the terms in
-        another order than index order: per column and component the two
-        sums differ by at most 2 gamma_m sum_k |G(n,k+1)| |f_k|, with
-        m = (2K+1) dim_x terms and gamma_m = m u / (1 - m u), u = 2^-53
-        (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
-        §3.1)."""
+        n its centre and [lo, hi] its window, as `_spans` cuts it: one
+        `_trajectory` sweep over all of them, which fills `couplings` (fresh
+        lists when None; see there for `warm`), then per span one product of
+        the Green row sliced to [lo, hi] with its stacked couplings, after
+        which only its backward couplings, those a warm walk reads, stay in
+        its list.  That product adds the terms in another order than index
+        order, and without the kernels `_spans` cut: per column and
+        component the two sums differ by at most 2 gamma_m sum_k |G(n,k+1)|
+        |f_k|, with m = (2K+1) dim_x terms and gamma_m = m u / (1 - m u),
+        u = 2^-53 (Higham, "Accuracy and Stability of Numerical Algorithms",
+        2nd ed., §3.1)."""
         if couplings is None:
             couplings = _coupling_lists(spans)
         _trajectory(self.sys, spans, xi, eta, self.solve, couplings, warm)
         out = np.empty_like(xi)
         pos = 0
         for s, window in zip(spans, couplings):
-            row = self.green_row(s.n, s.n - s.lo)  # side by side, as np.vstack stacks f_k
+            w = max(s.n - s.lo, s.hi - s.n)
+            row = self.green_row(s.n, w)[s.lo - s.n + w:s.hi - s.n + w + 1]
+            # side by side, as np.vstack stacks f_k
             out[:, pos:pos + s.count] = -_dot(row.transpose(1, 0, 2).reshape(len(xi), -1),
                                               np.vstack(window))
             window[s.n - s.lo:] = [None] * (s.hi - s.n + 1)
@@ -294,7 +317,7 @@ class ConjugacyEngine:
         """
         windows = [self.h_window(n) for n in centres]
         caps = [cap for _, cap in windows]
-        spans = _spans([(n, k, b) for n, (k, _), b in zip(centres, windows, counts)])
+        spans = self._spans([(n, k, b) for n, (k, _), b in zip(centres, windows, counts)])
         couplings = _coupling_lists(spans)
         starts = np.cumsum([0] + list(counts))
         norms = _column_norms(self.sys.space.norm_kind)
@@ -448,15 +471,16 @@ class ConjugacyEngine:
                      steps: int) -> Optional[tuple[int, NonautolinError]]:
         """(m, error) for the first index m of `block` that some base's steps
         reach and whose series window, h window, contraction certificate or
-        backward steps raise, or None: the steps of h's window, the widest at
-        m, each checked once per engine for A_j^{-1} and |A_j^{-1}| gamma_j < 1."""
+        backward steps raise, or None: the backward steps of h's span, the
+        widest at m and the only ones its walks take, each checked once per
+        engine for A_j^{-1} and |A_j^{-1}| gamma_j < 1."""
         for m in block:
             if any(n + steps >= m for n in live.bases) or any(
                     block[0] <= n <= m <= n + steps for n in out):
                 try:
                     self.series_window(m, self.series_tol)
-                    k_half = self.h_window(m)[0]
-                    for j in range(m - k_half, m):
+                    (span,) = self._spans([(m, self.h_window(m)[0], 0)])
+                    for j in range(span.lo, m):
                         if j not in self._backward_checked:
                             self.sys.require_backward_margin(j)
                             self.sys.a.inverse(j)
@@ -502,7 +526,7 @@ class ConjugacyEngine:
         ms, _, lins, cpls, ys = zip(*at)
         wins = [self.series_window(m, self.series_tol) for m in ms]
         widths = [c.shape[1] for c in cpls]
-        bars = _split(self._series(_spans(zip(ms, [w.halfwidth for w in wins], widths)),
+        bars = _split(self._series(self._spans(zip(ms, [w.halfwidth for w in wins], widths)),
                                    np.hstack(cpls), np.hstack(ys)), widths)
         # h on the linear points and, at a base index, the round trips
         h_x, h_eta, counts = [], [], []
@@ -516,7 +540,7 @@ class ConjugacyEngine:
                   for m, (*_, cap) in zip(ms, records)}  # of a probe turning non-finite at m
         trips = [(m, w, h) for m, w, h in zip(ms, wins, hs) if m in out]
         if trips:  # bar_h(m, p + h(m, p)) closes the round trips
-            closing = self._series(_spans((m, w.halfwidth, batch) for m, w, _ in trips),
+            closing = self._series(self._spans((m, w.halfwidth, batch) for m, w, _ in trips),
                                    np.hstack([xi + h[:, -2 * batch:-batch] for *_, h in trips]),
                                    np.tile(eta, len(trips)))
 
@@ -560,11 +584,6 @@ def _errors(fail, exc: Optional[NonautolinError] = None) -> dict:
 def _split(cols: np.ndarray, counts: list) -> list:
     """The (dim, batch) columns `cols` cut into consecutive pieces of `counts` columns."""
     return np.split(cols, np.cumsum(counts)[:-1], axis=1)
-
-
-def _spans(centres) -> list:
-    """The `Span`s of (n, halfwidth, count) triples, ascending in n."""
-    return [Span(n, n - k_half, n + k_half, count) for n, k_half, count in centres]
 
 
 def _coupling_lists(spans: list) -> list:

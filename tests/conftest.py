@@ -217,3 +217,20 @@ def blowup_system(limit, name="remm", **params):
         jac_x=lambda n, x, y: np.where(past(x)[:, None, None], np.nan, f.jac_x(n, x, y)),
         jac_y=lambda n, x, y: np.where(past(x)[:, None, None], np.nan, f.jac_y(n, x, y)),
     ))
+
+
+def expanding_system(lam=LN2, c=0.1):
+    """P = 0 under the expanding A = diag(e^lam, e^{2 lam}), with the coupling
+    c 2^{-|n|} tanh(x) and no envelopes: every past kernel G(n, k+1), k < n,
+    is T(n, k+1) P = 0, so a bar_h walk needs no backward step."""
+    a = np.diag([math.exp(lam), math.exp(2 * lam)])
+    a_inv = np.diag([math.exp(-lam), math.exp(-2 * lam)])
+    base = SystemSpec(
+        space=SpaceSpec(dim_x=2, dim_y=0, norm_kind="max"),
+        a=OperatorSeq(lambda n: a, lambda n: a_inv, norm_bound=lambda n: math.exp(2 * lam),
+                      inv_norm_bound=lambda n: math.exp(-lam)),
+        p=WeightSeq.constant(np.zeros((2, 2))),
+        f=CouplingSpec.zero(2, 0),
+        g=DriverSpec.trivial(),
+    )
+    return with_coupling(base, lambda n: c * 0.5 ** abs(n))

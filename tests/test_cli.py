@@ -195,13 +195,28 @@ class TestConjugateCommand:
         assert rep["inverse"]["errors"]  # contraction violations per n
 
 
+    def test_a_threshold_no_residual_resolves_is_a_probe_error(self):
+        # eps max(1, |p|) >= eps > 1e-17: no inverse residual resolves that
+        # threshold, so each probe has an inverse error at each n in place of
+        # its row, while the equivariance table, at 1e-7, keeps every row
+        rep = run_command("conjugate", RunConfig(n_min=0, n_max=1, steps=2,
+                                                 inverse_threshold=1e-17))
+        inv, equi = rep["inverse"], rep["equivariance"]
+        assert not inv["rows"] and inv["max_residual"] is None and not inv["ok"]
+        assert sorted((e["n"], tuple(e["probe"])) for e in inv["errors"]) == sorted(
+            (r["n"], tuple(r["probe"])) for r in equi["rows"])
+        assert len(inv["errors"]) == 50 and all(
+            e["error"].endswith("exceeds the inverse threshold 1e-17") for e in inv["errors"])
+        assert not equi["errors"] and equi["ok"] and rep["verdict"] == "fail"
+
     def test_non_finite_trajectory_exits_1_without_warnings(self, tmp_path):
         # probes at 1e300 overflow within a few steps of their walks: each
         # probe whose values turn non-finite loses its own rows, its error
         # naming the index where they did, and no numpy warning or Picard
         # iteration on NaN follows.  All but the centre probe overflow at
-        # n = 0 itself; the centre one, within 1.25e299 of 0, keeps its
-        # inverse row and overflows at a later index of its equivariance steps
+        # n = 0 itself; the centre one, within 1.25e299 of 0, overflows at a
+        # later index of its equivariance steps, and its inverse residual,
+        # which no difference at its size resolves, is an error too
         import os
         import re
         import subprocess
@@ -234,18 +249,20 @@ class TestConjugateCommand:
             assert len(at) == len(errors) and all(e["n"] == 0 for e in errors)
             assert sorted([*at, *(grid.index(r["probe"]) for r in rows)]) == list(range(25))
             for i, e in at.items():
+                if section == "inverse" and i == centre:
+                    assert e["error"].startswith("residual resolution eps max(1, |p|) = "), e
+                    continue
                 m = re.fullmatch(r"non-finite value in the residual tables at m=(\d+)",
                                  e["error"])
                 assert m and (int(m[1]) > 0) == (i == centre), (i, e)
-        assert [r["probe"] for r in rep["inverse"]["rows"]] == [grid[centre]]
-        assert not rep["equivariance"]["rows"]
+            assert not rows
 
     def test_an_overflowing_probe_loses_only_its_rows(self, tmp_path, capsys):
         # at 1e296 only the probes at x_1 = +-1e296, grid indices 0-4 and
         # 20-24, overflow, in the walks of index 10 of their equivariance
-        # steps: the report is schema-valid, the inverse table keeps its 25
-        # rows, and the equivariance table has rows for exactly the other
-        # 15 probes and one error for each of those 10
+        # steps: the report is schema-valid, and the equivariance table has
+        # one such error for each of those 10.  No residual at that size
+        # resolves a threshold, so every other row is a resolution error
         jsonschema = pytest.importorskip("jsonschema")
         import numpy as np
 
@@ -265,11 +282,17 @@ class TestConjugateCommand:
         jsonschema.validate(rep, schema)
         grid = probe_grid(2, 5, 1e296, np.random.default_rng(0)).tolist()
         inv, equi = rep["inverse"], rep["equivariance"]
-        assert [r["probe"] for r in inv["rows"]] == grid and not inv["errors"]
-        assert [grid.index(r["probe"]) for r in equi["rows"]] == list(range(5, 20))
-        assert [grid.index(e["probe"]) for e in equi["errors"]] == [*range(5), *range(20, 25)]
-        assert all(e["n"] == 0 and e["error"] == "non-finite value in the residual tables at m=10"
-                   for e in equi["errors"])
+        unresolved = "residual resolution eps max(1, |p|) = "
+        assert not inv["rows"] and not equi["rows"]
+        assert [e["probe"] for e in inv["errors"]] == [e["probe"] for e in equi["errors"]] == grid
+        assert all(e["n"] == 0 and e["error"].startswith(unresolved)
+                   and e["error"].endswith("exceeds the inverse threshold 1.01e-08")
+                   for e in inv["errors"])
+        overflow = [i for i, e in enumerate(equi["errors"])
+                    if e["error"] == "non-finite value in the residual tables at m=10"]
+        assert overflow == [*range(5), *range(20, 25)]
+        assert all(e["n"] == 0 and e["error"].startswith(unresolved)
+                   for e in equi["errors"][5:20])
         # an error entry names its probe
         table = {**equi, "errors": [{"n": 0, "error": "x"}]}
         with pytest.raises(jsonschema.ValidationError):

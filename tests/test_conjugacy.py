@@ -21,11 +21,13 @@ from nonautolin import (
 )
 from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, phase_conjugate,
                             probe_grid)
-from nonautolin.conjugacy import _coupling_lists, _spans
+from nonautolin.conjugacy import _coupling_lists
+from nonautolin.derivatives import barh_jacobian
 from nonautolin.errors import NoConvergence, NonautolinError
 from nonautolin.evolution import _forward_step, _state_columns, _trajectory, coupled_trajectory
 
-from .conftest import LN2, blowup_system, diag_stack, random_invertible_system
+from .conftest import (LN2, blowup_system, diag_stack, expanding_system,
+                       random_invertible_system)
 from .reference import (bar_h_series, column_norms, evolve_coupled, evolve_driver,
                         green_by_factors, h_by_picard, reordering_bound)
 
@@ -194,13 +196,14 @@ class TestLeanSweep:
             assert value.shape == xi.shape
             k_half = eng.series_window(n, eng.series_tol).halfwidth if window is None else window
             xi_b, eta_b, _ = _state_columns(sys, xi, eta)
-            spans = _spans([(n, k_half, xi_b.shape[1])])
+            spans = eng._spans([(n, k_half, xi_b.shape[1])])
             couplings = _coupling_lists(spans)
             _trajectory(sys, spans, xi_b, eta_b, eng.solve, couplings)
             states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, eng.solve)
-            window_ks = range(n - k_half, n + k_half + 1)
+            # the walk's span: [n - K, n] where every future kernel is 0 (end_cfg)
+            window_ks = range(spans[0].lo, spans[0].hi + 1)
             for k in window_ks:
-                assert np.array_equal(couplings[0][k - n + k_half], sys.f.eval(k, *states[k]))
+                assert np.array_equal(couplings[0][k - spans[0].lo], sys.f.eval(k, *states[k]))
             kept = _coupling_lists(spans)
             summed = eng._series(spans, xi_b, eta_b, kept)
             assert np.array_equal(summed, value.reshape(summed.shape))
@@ -231,7 +234,96 @@ class TestLeanSweep:
         eng.bar_h(n, xi, eta, window=k_half)
         # one f_k per state comes with its step; only the upper end needs its own
         assert len(calls) <= in_trajectory + 1
-        assert set(calls) == set(range(n - k_half, n + k_half + 1))
+        # end_cfg's kernels G(n, k+1) are 0 for every k >= n: its walk stops at n
+        hi = n if name == "end_cfg" else n + k_half
+        assert set(calls) == set(range(n - k_half, hi + 1))
+
+
+def remm_closed_forms(eng, n, k_half, xi):
+    """bar_h(n, xi) and the diagonals of its Jacobian in xi on remm, where A
+    = P = Id makes G(n, k+1) Id for k < n and 0 otherwise: -sum_k f_k(x_k)
+    and -sum_k df_k/du(x_k) W_k over k in [n - K, n - 1], with W_k =
+    prod_{j=k}^{n-1} (Id + df_j/du(x_j))^{-1} diagonal as f_k acts
+    componentwise; every entry summed by math.fsum.  The states x_k are
+    those of a walk over [n - K, n + K], whose backward steps are those of
+    bar_h's walk over [n - K, n]; they are returned too."""
+    sys = eng.sys
+    states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi, None, eng.solve)
+    ks = range(n - 1, n - k_half - 1, -1)
+    fs = [sys.f.eval(k, *states[k]) for k in ks]
+    jx = [np.diagonal(sys.f.jac_x(k, *states[k]), axis1=1, axis2=2) for k in ks]  # (batch, dx)
+    w, terms = np.ones_like(jx[0]), []
+    for d in jx:
+        w = (1.0 / (1.0 + d)) * w
+        terms.append(d * w)
+    value = np.array([[-math.fsum(f[i, c] for f in fs) for c in range(xi.shape[1])]
+                      for i in range(xi.shape[0])])
+    jac = np.array([[-math.fsum(t[c, i] for t in terms) for i in range(xi.shape[0])]
+                    for c in range(xi.shape[1])])
+    return value, jac, states, terms
+
+
+class TestOneSidedWalks:
+    """A walk's side whose kernels are all 0 is not walked, against closed
+    forms on the systems where one side is 0."""
+
+    def test_remm_matches_the_closed_form(self):
+        # bar_h and barh_jacobian walk [n - K, n] and sum the same terms as
+        # the closed form, so they agree within the reordering bound; h
+        # passes the fixed-point relation with the closed form at its stop
+        # test, the walk error bound covering its warm walks
+        sys = system_by_name("remm", gamma_scale=0.5)
+        eng = ConjugacyEngine(sys, window_halfwidth=160, advanced_halfwidth=40)
+        rng = np.random.default_rng(29)
+        for n in (-3, 0, 4):
+            xi = rng.uniform(-2, 2, (2, 5))
+            k_half = eng.series_window(n, eng.series_tol).halfwidth
+            value, _, states, _ = remm_closed_forms(eng, n, k_half, xi)
+            bound = reordering_bound(eng, n, k_half, states)
+            assert np.all(np.abs(eng.bar_h(n, xi) - value) <= bound), n
+
+            k_h = eng.h_window(n)[0]
+            u = eng.h(n, xi)
+            value, _, states, _ = remm_closed_forms(eng, n, k_h, xi + u)
+            err = _walk_error_bound(eng, n, n - k_h, states)
+            m = (2 * k_h + 1) * sys.space.dim_x
+            walks = (1 + m * 2.0 ** -53 / (1 - m * 2.0 ** -53)) * sum(
+                sys.f.gamma(j) * err[j] for j in range(n - k_h, n))
+            slack = eng.fp_tol + reordering_bound(eng, n, k_h, states) + walks
+            assert np.all(np.abs(u + value) <= slack), n
+
+            k_d = eng.derivative_window(n)
+            jac, k_used = barh_jacobian(eng, n, xi)
+            _, diag, _, terms = remm_closed_forms(eng, n, k_d, xi)
+            m = (2 * k_d + 1) * sys.space.dim_x
+            bound = 2 * m * 2.0 ** -53 / (1 - m * 2.0 ** -53) * sum(np.abs(t) for t in terms)
+            assert k_used == k_d
+            assert np.all(np.abs(np.diagonal(jac, axis1=1, axis2=2) - diag) <= bound), n
+            assert np.all(jac[:, 0, 1] == 0) and np.all(jac[:, 1, 0] == 0)
+
+    def test_no_backward_step_where_the_past_kernels_are_zero(self, monkeypatch):
+        # P = 0: bar_h walks [n, n + K] forward only, and sums what the
+        # two-sided series loop sums, within the reordering bound
+        import nonautolin.evolution as evolution
+
+        sys = expanding_system()
+        eng = ConjugacyEngine(sys, window_halfwidth=160, advanced_halfwidth=40)
+        rng = np.random.default_rng(31)
+        calls = []
+        picard = evolution._backward_picard
+        monkeypatch.setattr(evolution, "_backward_picard",
+                            lambda *a, **kw: calls.append(a[1]) or picard(*a, **kw))
+        for n in (-2, 0, 3):
+            xi = rng.uniform(-2, 2, (2, 4))
+            value = eng.bar_h(n, xi)
+            assert not calls, n
+            k_half = eng.series_window(n, eng.series_tol).halfwidth
+            (span,) = eng._spans([(n, k_half, 4)])
+            assert (span.lo, span.hi) == (n, n + k_half)
+            states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi, None, eng.solve)
+            bound = reordering_bound(eng, n, k_half, states)
+            assert np.all(np.abs(value - bar_h_series(eng, n, xi)) <= bound), n
+            calls.clear()  # the reference walks step backward
 
 
 class TestH:
@@ -500,7 +592,7 @@ class TestBlockSolves:
         xi = rng.uniform(-1, 1, (sys.space.dim_x, per * len(centres)))
         eta = rng.uniform(-1, 1, (sys.space.dim_y, per * len(centres)))
         wins = [eng.series_window(n, eng.series_tol).halfwidth for n in centres]
-        block = eng._series(_spans([(n, k, per) for n, k in zip(centres, wins)]), xi, eta)
+        block = eng._series(eng._spans([(n, k, per) for n, k in zip(centres, wins)]), xi, eta)
         for i, (n, k) in enumerate(zip(centres, wins)):
             cols = slice(per * i, per * (i + 1))
             one = eng.bar_h(n, xi[:, cols], eta[:, cols])
