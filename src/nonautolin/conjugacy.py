@@ -5,20 +5,20 @@ The coupled-to-linear direction is the truncated series
     bar_h(n, xi, eta) = - sum_k  G(n, k+1) f_k(x2(k, n, xi, eta), y(k, n, eta)),
     bar_H(n, xi, eta) = (xi + bar_h(n, xi, eta), eta),
 
-whose absolute truncation error over a window of halfwidth K is bounded by
-sum_{|k-n|>K} |G(n,k+1)| mu_k; the window is enlarged until that bound drops
-under `series_tol` (analytic envelope when the system has one, ratio
-extrapolation otherwise; the bounding terms are state-free, so the window
-depends only on n).  A walk covers the window's span, each side of
-[n - K, n + K] cut back to the outermost k with G(n, k+1) != 0: with every
-future kernel 0 (A = P = Id) it takes no forward step, with every past
-kernel 0 (P = 0) no backward one.  The series sums the coupling values its
-trajectory computed: every forward step and every backward fixed-point step
-returns f_k at the state it stepped from, and the walk evaluates f at the
-upper end of its span, so one bar_h is one trajectory walk, and the sum one
-product of the Green row with the span's stacked couplings.  bar_h at several
-centres is one sweep over all of their columns, neighbouring walks sharing
-each step's kernel call (`evolution._trajectory`).
+whose truncation error over a window [lo, hi] is at most the sum of the
+state-free terms |G(n,k+1)| mu_k it leaves out, as |f_k| <= mu_k.  Each side
+of the window, the past k < n and the future k >= n, is fitted to its own
+computed terms, the whole tail within half of `series_tol`
+(`ConjugacyEngine._fit_window`); a side whose terms are all 0 is empty, so
+with every future kernel 0 (A = P = Id) a walk takes no forward step and
+evaluates no coupling at n, with every past kernel 0 (P = 0) no backward
+one.  The series sums the coupling values its trajectory computed: every
+forward step and every backward fixed-point step returns f_k at the state it
+stepped from, and the walk evaluates f at the upper end of its window, so
+one bar_h is one trajectory walk, and the sum one product of the Green row
+with the window's stacked couplings.  bar_h at several centres is one sweep
+over all of their columns, neighbouring walks sharing each step's kernel
+call (`evolution._trajectory`).
 
 The inverse direction is obtained pointwise from the fixed-point relation
 
@@ -41,6 +41,7 @@ coupled maps.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -52,14 +53,20 @@ from .evolution import (DEFAULT_SOLVE, SolveOptions, Span, _dot, _forward_step, 
                         _state_columns, _trajectory)
 from .hypotheses import (CONVERGED, IndexConstants, _advanced, _advanced_terms, _envelope,
                          _ratio_tail)
-from .system import SystemSpec, _column_norms, green_span, operator_norm
+from .system import SystemSpec, _column_norms, _green_halves, operator_norm
 
 
 @dataclass
 class SeriesWindow:
-    halfwidth: int
+    n: int  # the fitted window [lo, hi] of a series at centre n, lo <= n <= hi + 1
+    lo: int
+    hi: int
     tail_bound: float
     value_bound: float  # sum of |G| mu over the window plus the tail
+
+    @property
+    def halfwidth(self) -> int:  # the wider side
+        return max(self.n - self.lo, self.hi - self.n)
 
 
 class ConjugacyEngine:
@@ -87,8 +94,7 @@ class ConjugacyEngine:
         self.contraction_estimate: dict[int, float] = {}
         self._green_rows: dict[int, np.ndarray] = {}
         self._mu_windows: dict[tuple[int, float], SeriesWindow] = {}
-        self._derivative_windows: dict[int, int] = {}
-        self._span_ends: dict[tuple[int, int], tuple[int, int]] = {}
+        self._derivative_windows: dict[int, tuple[int, int]] = {}
         self._backward_checked: set[int] = set()  # j whose A_j^{-1} and margin hold
 
     # -- caches ------------------------------------------------------------
@@ -97,98 +103,115 @@ class ConjugacyEngine:
         """G(n, k+1) for k in [n - halfwidth, n + halfwidth] as a stack, with
         G(n, k+1) at [k - n + halfwidth].  One stack is cached per n, the
         widest built so far and at least `advanced_halfwidth` wide, the row
-        `contraction(n)` reads and `_spans` cuts to the non-zero kernels;
-        narrower rows are its centre."""
+        `contraction(n)` reads; narrower rows are its centre."""
         row = self._green_rows.get(n)
         if row is None or len(row) < 2 * halfwidth + 1:
-            w = max(halfwidth, self.advanced_halfwidth)
-            try:
-                row = green_span(self.sys, n, n - w + 1, n + w + 1)
-            except FloatingPointError as exc:
+            failed = self._slide_rows(range(n, n + 1), halfwidth)
+            if failed:
                 raise NonautolinError(
-                    f"arithmetic failure in the Green span at n={n}: {exc}") from exc
-            self._green_rows[n] = row
+                    f"arithmetic failure in the Green span at n={n}: {failed[n]}")
+            row = self._green_rows[n]
         cut = (len(row) - 2 * halfwidth - 1) // 2
         return row[cut:len(row) - cut]
 
-    def _spans(self, centres) -> list:
-        """The `Span`s of (n, halfwidth K, count) triples, ascending in n: each
-        side of [n - K, n + K] cut back to the outermost k whose kernel
-        G(n, k+1) has a non-zero entry, n kept (cached per (n, K)).  A term
-        cut off is G f = 0 at every finite state, so no other term changes."""
-        out = []
-        for n, k_half, count in centres:
-            ends = self._span_ends.get((n, k_half))
-            if ends is None:
-                live = np.flatnonzero(self.green_row(n, k_half).any(axis=(1, 2))) + (n - k_half)
-                ends = self._span_ends[n, k_half] = (int(live.min(initial=n)),
-                                                     int(live.max(initial=n)))
-            out.append(Span(n, *ends, count))
-        return out
+    def _slide_rows(self, centres: range, halfwidth: int) -> dict:
+        """Cache rows at least `halfwidth` wide for the consecutive `centres`
+        by one sweep (`system._green_halves`, bit for bit `green_span`'s);
+        returns {n: message} of those that overflow, left without."""
+        w, failed = max(halfwidth, self.advanced_halfwidth), {}
+        lack = [n for n in centres if len(self._green_rows.get(n, ())) < 2 * w + 1]
+        if lack:
+            lo, hi, dx = lack[0], lack[-1], self.sys.space.dim_x
+            rows = np.empty((hi - lo + 1, 2 * w + 2, dx, dx))  # q in [n - w, n + w + 1]
+            for cols, chunk, kernels in _green_halves(self.sys, lo, hi, w, failed):
+                rows[[n - lo for n in chunk], cols] = kernels
+            self._green_rows.update((n, rows[n - lo, 1:]) for n in lack if n not in failed)
+        return failed
 
     def series_window(self, n: int, tol: float) -> SeriesWindow:
-        """Window halfwidth for bar_h at center n with truncation error <= tol."""
+        """Window of bar_h at centre n with tail <= tol / 2, cached per (n, tol)."""
         key = (n, float(tol))
         if key in self._mu_windows:
             return self._mu_windows[key]
+        computed = {}
 
-        def mu_terms(k):  # |G(n, j+1)| mu_j for j in [n - k, n + k]
+        def sides(k):  # |G(n, j+1)| mu_j for j in [n - k, n + k], outward from n
             mu = [self.sys.f.mu(j) for j in range(n - k, n + k + 1)]
-            return operator_norm(self.green_row(n, k), self.sys.space.norm_kind) * mu
+            t = computed[k] = operator_norm(self.green_row(n, k), self.sys.space.norm_kind) * mu
+            return t[:k][::-1], t[k:]
 
-        def sides(k):
-            terms = mu_terms(k)
-            return terms[:k][::-1], terms[k + 1:]
+        lo, hi, tail = self._fit_window(n, _envelope(self.sys, "barh", n), tol, sides)
+        k, t = max(computed.items())  # the builtin sum adds the terms in index order
+        return self._mu_windows.setdefault(
+            key, SeriesWindow(n, lo, hi, tail, sum(t[lo - n + k:hi - n + k + 1]) + tail))
 
-        k, tail = self._fit_window(n, _envelope(self.sys, "barh", n), tol, sides)
-        # the builtin sum adds the terms in index order
-        win = self._mu_windows[key] = SeriesWindow(k, tail, sum(mu_terms(k)) + tail)
-        return win
-
-    def derivative_window(self, n: int) -> int:
-        """Halfwidth of the bar_h Jacobian series at center n, cached per n:
-        the wider of the dxi and (when dim_y > 0) deta derivative windows,
-        each with tail <= series_tol; without an envelope a window is fitted
-        on the state-free bounding terms of the advanced conditions."""
+    def derivative_window(self, n: int) -> tuple[int, int]:
+        """Window (lo, hi) of the bar_h Jacobian series at centre n, cached
+        per n: the union of the dxi and (when dim_y > 0) deta windows fitted
+        on the bounding terms of the advanced conditions at series_tol."""
         if n in self._derivative_windows:
             return self._derivative_windows[n]
 
-        def terms(k, side):
+        def terms(k, side):  # C = M = D = 1 at k = n
             c = IndexConstants.of(self.sys, n - k, n + k).rows(2 * k + 1)
             g = operator_norm(self.green_row(n, k), self.sys.space.norm_kind)
-            return [t[0] for t in _advanced_terms(c, g[None], k)[side]]
+            past, future = (t[0] for t in _advanced_terms(c, g[None], k)[side])
+            return past, np.append(g[k] * (c.gamma[0, k] + side * c.rho[0, k]), future)
 
         which = ("dxi", "deta") if self.sys.space.dim_y else ("dxi",)
-        k = self._derivative_windows[n] = max(
-            self._fit_window(n, _envelope(self.sys, kind, n), self.series_tol,
-                             lambda w: terms(w, side))[0]
-            for side, kind in enumerate(which))
-        return k
+        fits = [self._fit_window(n, _envelope(self.sys, kind, n), self.series_tol,
+                                 lambda w: terms(w, side)) for side, kind in enumerate(which)]
+        return self._derivative_windows.setdefault(n, (min(f[0] for f in fits),
+                                                       max(f[1] for f in fits)))
 
-    def _fit_window(self, n: int, env, tol: float, terms) -> tuple[int, float]:
-        """(halfwidth, two-sided tail) of a series at center n with tail <= tol.
+    def _fit_window(self, n: int, env, tol: float, sides) -> tuple[int, int, float]:
+        """(lo, hi, tail) of a series at centre n, its terms outside [lo, hi]
+        summing to at most tail <= tol / 2.  `sides(k)` gives the computed
+        terms outward from n over [n - k, n + k]: the past k < n (distances
+        1..k) and the future k >= n (0..k).
 
-        With an analytic envelope the halfwidth is closed-form; otherwise the
-        window doubles from 8 until the geometric-ratio extrapolation of the
-        outward term lists `terms(k)` = (left, right) meets tol.  Both stop at
-        the engine's window cap.
+        First K', beyond which each side's terms are within tol / 8: closed-
+        form from an analytic envelope `env`, or else the window doubles
+        from 8 until each side's geometric-ratio extrapolation meets it,
+        both up to the engine's window cap.  Each side then takes the
+        shortest length whose terms left out inside K', plus its tail beyond
+        K', times 1 + s, stay within tol / 4; so a side of 0 terms is empty.
+
+        1 + s keeps that bound above the sum of the exact terms of the
+        engine's kernels, bounding the computed ones as Higham ("Accuracy
+        and Stability of Numerical Algorithms", 2nd ed., §4.2) does a sum.
+        Their errors, to first order in u = 2^-53 with q = dim_x, w = K':
+        the norm's, `operator_norm`'s gamma_{q-1} or delta / 2 + u, at most
+        q (q + 1) u with c_q <= q; the weight's, mu_k or gamma_k or rho_k
+        times at most w factors of 4 u each and a sum, 5 w + 4 u; the sum
+        of w terms, w u; the tail and the bound's own arithmetic, 7 u: in
+        all q (q + 1) + 6 w + 11 u.  s = 2 (q (q + 1) + 6 w + 12) u, over
+        twice that, covers the second order too.
         """
-        cap = self.window_halfwidth
+        cap, share, q = self.window_halfwidth, tol / 4.0, self.sys.space.dim_x
         if env is not None:
-            k = env.required_halfwidth(tol)
+            k = env.required_halfwidth(share)
             if k is None or k > cap:
                 raise WindowExhausted(n, cap, tol, env.two_sided(cap))
-            return k, env.two_sided(k)
-        k = min(8, cap)
-        while True:
-            left, right = terms(k)
-            lt, lv = _ratio_tail(left)
-            rt, rv = _ratio_tail(right)
-            if lv == CONVERGED and rv == CONVERGED and (lt + rt) <= tol:
-                return k, lt + rt
-            if k >= cap:
-                raise WindowExhausted(n, cap, tol, None if (lt is None or rt is None) else lt + rt)
-            k = min(cap, k * 2)
+            terms, beyond = sides(k), (env.one_sided(k),) * 2
+        else:
+            k = min(8, cap)
+            while True:
+                terms = sides(k)
+                (lt, lv), (rt, rv) = (_ratio_tail(side) for side in terms)
+                if lv == CONVERGED and rv == CONVERGED and 2.0 * max(lt, rt) <= share:
+                    break
+                if k >= cap:
+                    raise WindowExhausted(n, cap, tol,
+                                          None if (lt is None or rt is None) else lt + rt)
+                k = min(cap, k * 2)
+            beyond = (lt, rt)
+        slack = 1.0 + 2 * (q * (q + 1) + 6 * k + 12) * 2.0 ** -53
+        # per side, [L] the bound with its first L terms kept, and the shortest L within the share
+        bounds = [slack * (np.append(np.cumsum(np.asarray(t)[::-1])[::-1], 0.0) + b)
+                  for t, b in zip(terms, beyond)]
+        past, future = (int(np.argmax(b <= share)) for b in bounds)
+        return n - past, n + future - 1, float(bounds[0][past]) + float(bounds[1][future])
 
     # -- contraction certificate --------------------------------------------
 
@@ -216,50 +239,56 @@ class ConjugacyEngine:
     def bar_h_detailed(
         self, n: int, xi, eta=None, window: Optional[int] = None
     ) -> tuple[np.ndarray, float, int]:
-        """Series value, truncation-error bound and window halfwidth; a
-        negative `window` raises ValueError."""
+        """Series value, truncation-error bound and window halfwidth (the
+        wider side of `series_window`), or with `window` K over [n - K, n + K]
+        cut back to its outermost kernels G(n, k+1) != 0 (a term cut is G f =
+        0 at every finite state); a negative `window` raises ValueError."""
         xi_b, eta_b, single = _state_columns(self.sys, xi, eta)
         if window is None:
             win = self.series_window(n, self.series_tol)
-            k_half, tail = win.halfwidth, win.tail_bound
+            lo, hi, tail, k_half = win.lo, win.hi, win.tail_bound, win.halfwidth
         else:
             k_half = int(window)
             if k_half < 0:
                 raise ValueError(f"window must be >= 0, got {window}")
             env = _envelope(self.sys, "barh", n)
             tail = env.two_sided(k_half) if env else math.inf
-        val = (self._series(self._spans([(n, k_half, xi_b.shape[1])]), xi_b, eta_b)
-               if xi_b.size else xi_b)  # no columns, no walk
+            live = np.flatnonzero(self.green_row(n, k_half).any(axis=(1, 2))) + (n - k_half)
+            lo, hi = int(live.min(initial=n)), int(live.max(initial=n - 1))
+        # no columns, no walk
+        val = self._series([Span(n, lo, hi, xi_b.shape[1])], xi_b, eta_b) if xi_b.size else xi_b
         return (val[:, 0] if single else val), tail, k_half
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite column stays in its column
     def _series(self, spans: list, xi: np.ndarray, eta: np.ndarray,
                 couplings: Optional[list] = None, warm: bool = False) -> np.ndarray:
         """bar_h(n, ., .) at the (dim, batch) columns (xi, eta) of every span,
-        n its centre and [lo, hi] its window, as `_spans` cuts it: one
-        `_trajectory` sweep over all of them, which fills `couplings` (fresh
-        lists when None; see there for `warm`), then per span one product of
-        the Green row sliced to [lo, hi] with its stacked couplings, after
-        which only its backward couplings, those a warm walk reads, stay in
-        its list.  That product adds the terms in another order than index
-        order, and without the kernels `_spans` cut: per column and
-        component the two sums differ by at most 2 gamma_m sum_k |G(n,k+1)|
-        |f_k|, with m = (2K+1) dim_x terms and gamma_m = m u / (1 - m u),
-        u = 2^-53 (Higham, "Accuracy and Stability of Numerical Algorithms",
-        2nd ed., §3.1)."""
+        n its centre and [lo, hi] its window: one `_trajectory` sweep over
+        all of them, which fills `couplings` (fresh lists when None; see
+        there for `warm`), then per span one product of the Green row sliced
+        to [lo, hi] with its stacked couplings, after which only its backward
+        couplings, those a warm walk reads, stay in its list (an empty window
+        gives 0, NaN in a column not finite).  That product adds the
+        terms in another order than index order: per column and component
+        the two sums differ by at most 2 gamma_m sum_k |G(n,k+1)| |f_k|, with
+        m = (hi - lo + 1) dim_x terms and gamma_m = m u / (1 - m u), u = 2^-53
+        (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+        §3.1)."""
         if couplings is None:
             couplings = _coupling_lists(spans)
         _trajectory(self.sys, spans, xi, eta, self.solve, couplings, warm)
         out = np.empty_like(xi)
         pos = 0
         for s, window in zip(spans, couplings):
+            cols, pos = slice(pos, pos + s.count), pos + s.count
+            if s.hi < s.lo:
+                out[:, cols] = 0.0 * xi[:, cols]
+                continue
             w = max(s.n - s.lo, s.hi - s.n)
             row = self.green_row(s.n, w)[s.lo - s.n + w:s.hi - s.n + w + 1]
             # side by side, as np.vstack stacks f_k
-            out[:, pos:pos + s.count] = -_dot(row.transpose(1, 0, 2).reshape(len(xi), -1),
-                                              np.vstack(window))
+            out[:, cols] = -_dot(row.transpose(1, 0, 2).reshape(len(xi), -1), np.vstack(window))
             window[s.n - s.lo:] = [None] * (s.hi - s.n + 1)
-            pos += s.count
         return out
 
     def bar_h(self, n: int, xi, eta=None, window: Optional[int] = None) -> np.ndarray:
@@ -317,7 +346,7 @@ class ConjugacyEngine:
         """
         windows = [self.h_window(n) for n in centres]
         caps = [cap for _, cap in windows]
-        spans = self._spans([(n, k, b) for n, (k, _), b in zip(centres, windows, counts)])
+        spans = [Span(n, w.lo, w.hi, b) for n, (w, _), b in zip(centres, windows, counts)]
         couplings = _coupling_lists(spans)
         starts = np.cumsum([0] + list(counts))
         norms = _column_norms(self.sys.space.norm_kind)
@@ -377,8 +406,8 @@ class ConjugacyEngine:
             live = still
         return u, list(zip(residuals, iters, errors))
 
-    def h_window(self, n: int) -> tuple[int, int]:
-        """(halfwidth, iteration cap >= 8) of h at n: its series window at the
+    def h_window(self, n: int) -> tuple[SeriesWindow, int]:
+        """(window, iteration cap >= 8) of h at n: its series window at the
         tightened tolerance fp_tol (1 - c(n)) / 2, and the Picard count that
         brings the window's value bound under fp_tol at rate c(n), plus 16."""
         c = self.contraction(n)
@@ -387,7 +416,7 @@ class ConjugacyEngine:
             cap = 8
         else:
             cap = int(math.ceil(math.log(self.fp_tol / win.value_bound) / math.log(c))) + 16
-        return win.halfwidth, cap
+        return win, cap
 
     def h(self, n: int, xi, eta=None) -> np.ndarray:
         return self.h_detailed(n, xi, eta)[0]
@@ -473,14 +502,23 @@ class ConjugacyEngine:
         reach and whose series window, h window, contraction certificate or
         backward steps raise, or None: the backward steps of h's span, the
         widest at m and the only ones its walks take, each checked once per
-        engine for A_j^{-1} and |A_j^{-1}| gamma_j < 1."""
+        engine for A_j^{-1} and |A_j^{-1}| gamma_j < 1.  First the block's
+        Green rows slide, for each index's certificate, then as wide as its h
+        window, K' from an analytic envelope (`_fit_window`), needs."""
+        self._slide_rows(block, 0)
+        ks, cap = [0], self.window_halfwidth
+        for m in block:
+            env = _envelope(self.sys, "barh", m)
+            with contextlib.suppress(NonautolinError):  # reported below
+                tol = min(self.series_tol, self.fp_tol * (1.0 - self.contraction(m)) / 2.0)
+                ks.append(min(env.required_halfwidth(tol / 4) or 0, cap) if env else 0)
+        self._slide_rows(block, max(ks))
         for m in block:
             if any(n + steps >= m for n in live.bases) or any(
                     block[0] <= n <= m <= n + steps for n in out):
                 try:
                     self.series_window(m, self.series_tol)
-                    (span,) = self._spans([(m, self.h_window(m)[0], 0)])
-                    for j in range(span.lo, m):
+                    for j in range(self.h_window(m)[0].lo, m):
                         if j not in self._backward_checked:
                             self.sys.require_backward_margin(j)
                             self.sys.a.inverse(j)
@@ -526,7 +564,7 @@ class ConjugacyEngine:
         ms, _, lins, cpls, ys = zip(*at)
         wins = [self.series_window(m, self.series_tol) for m in ms]
         widths = [c.shape[1] for c in cpls]
-        bars = _split(self._series(self._spans(zip(ms, [w.halfwidth for w in wins], widths)),
+        bars = _split(self._series([Span(m, w.lo, w.hi, c) for m, w, c in zip(ms, wins, widths)],
                                    np.hstack(cpls), np.hstack(ys)), widths)
         # h on the linear points and, at a base index, the round trips
         h_x, h_eta, counts = [], [], []
@@ -540,7 +578,7 @@ class ConjugacyEngine:
                   for m, (*_, cap) in zip(ms, records)}  # of a probe turning non-finite at m
         trips = [(m, w, h) for m, w, h in zip(ms, wins, hs) if m in out]
         if trips:  # bar_h(m, p + h(m, p)) closes the round trips
-            closing = self._series(self._spans((m, w.halfwidth, batch) for m, w, _ in trips),
+            closing = self._series([Span(m, w.lo, w.hi, batch) for m, w, _ in trips],
                                    np.hstack([xi + h[:, -2 * batch:-batch] for *_, h in trips]),
                                    np.tile(eta, len(trips)))
 

@@ -168,19 +168,18 @@ def _resolvent(b: np.ndarray, dx: int, n: int) -> np.ndarray:
 
 def barh_jacobian(engine: ConjugacyEngine, n: int, xi, eta=None) -> tuple[np.ndarray, int]:
     """d bar_h(n, .)/d(xi, eta) = - sum_k G(n,k+1) (df_k/du W_k + df_k/dv V_k)
-    over the engine's `derivative_window(n)`, from one trajectory and tangent
-    pass over that window's span, cut to its non-zero kernels as bar_h's
-    walks are (`ConjugacyEngine._spans`), so only terms 0 (...) = 0 are
-    left out; returns (matrix, halfwidth), with the (batch, dim_x, dim_x +
-    dim_y) stack of matrices for (dim, batch) columns."""
+    over the engine's fitted `derivative_window(n)` [lo, hi], from one
+    trajectory and tangent pass over it; returns (matrix, halfwidth), the
+    halfwidth its wider side, with the (batch, dim_x, dim_x + dim_y) stack
+    of matrices for (dim, batch) columns."""
     sys = engine.sys
     xi_b, eta_b, single = _state_columns(sys, xi, eta)
-    k_half = engine.derivative_window(n)
+    lo, hi = engine.derivative_window(n)
+    k_half = max(n - lo, hi - n)
     row = engine.green_row(n, k_half)
-    (span,) = engine._spans([(n, k_half, xi_b.shape[1])])
-    states = coupled_trajectory(sys, n, span.lo, span.hi, xi_b, eta_b, engine.solve)
-    acc = 0.0
-    for k, jx, jy, w, v in _tangents(sys, states, n, span.lo, span.hi):
+    states = coupled_trajectory(sys, n, lo, max(hi, n), xi_b, eta_b, engine.solve)
+    acc = np.zeros((xi_b.shape[1], sys.space.dim_x, sys.space.dim_x + sys.space.dim_y))
+    for k, jx, jy, w, v in _tangents(sys, states, n, lo, hi):
         acc = acc + row[k - n + k_half] @ (jx @ w + jy @ v)
     return -(acc[0] if single else acc), k_half
 

@@ -156,9 +156,9 @@ def _nan_unless_finite(fx: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarr
 
 class Span(NamedTuple):
     """One centre of a `_trajectory` sweep: `count` consecutive columns
-    through their (xi, eta) at time n, walked over [lo, hi], lo <= n <= hi.
-    A bar_h walk's span is its window cut to its non-zero Green kernels
-    (`ConjugacyEngine._spans`), so lo = n or hi = n where a side is 0."""
+    through their (xi, eta) at time n, walked over [lo, hi], lo <= n <= hi + 1.
+    A bar_h walk's span is its fitted window: lo = n where it keeps no term
+    k < n, and hi = n - 1, evaluating no coupling at n, where none k >= n."""
 
     n: int
     lo: int
@@ -173,7 +173,7 @@ def _trajectory(
     """The one walk of the package: a sweep over the (dim, batch) columns
     (xi, eta), laid out by the `Span`s in ascending order of their centres,
     each span's columns walked forward from its centre n to hi and backward
-    to lo; a span with hi = n takes no forward step, one with lo = n no
+    to lo; a span with hi <= n takes no forward step, one with lo = n no
     backward step.  At each j one `_forward_step` steps every column whose centre
     is <= j < its hi, and one `_backward_picard` call every column whose lo
     is <= j < its centre, so the walks of neighbouring centres share each

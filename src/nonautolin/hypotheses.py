@@ -357,23 +357,25 @@ def sample_coupling_bounds(
     extent: float = 1.0,
 ) -> bool:
     """Spot-check |f_n| <= mu_n and the x/y Lipschitz constants at random
-    probes, with f on the columns (x1, y), (x2, y), (x1, y2) as the pipeline calls it."""
+    probes (n, x1, x2, y, y2 drawn in that order), with f on the columns
+    (x1, y), (x2, y), (x1, y2) of all probes at one n in one call."""
     rng = np.random.default_rng(seed)
     dx, dy = sys.space.dim_x, sys.space.dim_y
     lo, hi = window
     norms = _column_norms(sys.space.norm_kind)
-    for _ in range(probes):
-        n = int(rng.integers(lo, hi + 1))
-        x = rng.uniform(-extent, extent, (2, dx)).T  # columns x1, x2
-        y = rng.uniform(-extent, extent, (2, dy)).T  # columns y, y2
+    draws = [(int(rng.integers(lo, hi + 1)), rng.uniform(-extent, extent, (2, dx)).T,
+              rng.uniform(-extent, extent, (2, dy)).T) for _ in range(probes)]
+    slack = 1.0 + _SAMPLING_SLACK
+    for n in dict.fromkeys(n for n, _, _ in draws):
+        x, y = (np.hstack([d[i] for d in draws if d[0] == n]) for i in (1, 2))
+        x1, x2, y1, y2, m = x[:, 0::2], x[:, 1::2], y[:, 0::2], y[:, 1::2], x.shape[1] // 2
+        f = _checked(sys.f.eval(n, np.hstack((x1, x2, x1)), np.hstack((y1, y1, y2))),
+                     (dx, 3 * m), "f.eval", n)
+        f1, df_x, df_y = (norms(v) for v in (f[:, :m], f[:, :m] - f[:, m:2 * m],
+                                             f[:, :m] - f[:, 2 * m:]))
         mu, ga, rho = sys.f.mu(n), sys.f.gamma(n), sys.f.rho(n)
-        f = _checked(sys.f.eval(n, x[:, [0, 1, 0]], y[:, [0, 0, 1]]), (dx, 3), "f.eval", n)
-        f1, df_x, df_y = norms(np.concatenate((f[:, :1], f[:, :1] - f[:, 1:]), axis=1))
-        if f1 > mu * (1.0 + _SAMPLING_SLACK) + 1e-15:
-            return False
-        if df_x > ga * norms(np.diff(x))[0] * (1.0 + _SAMPLING_SLACK) + 1e-15:
-            return False
-        if dy and df_y > rho * norms(np.diff(y))[0] * (1.0 + _SAMPLING_SLACK) + 1e-15:
+        if (np.any(f1 > mu * slack + 1e-15) or np.any(df_x > ga * norms(x2 - x1) * slack + 1e-15)
+                or dy and np.any(df_y > rho * norms(y2 - y1) * slack + 1e-15)):
             return False
     return True
 

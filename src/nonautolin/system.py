@@ -49,7 +49,8 @@ def operator_norm(mat: np.ndarray, kind: NormKind) -> float | np.ndarray:
     """Induced operator norm of a matrix (a float), or of every matrix of a
     (..., r, c) stack (an array of shape (...)).
 
-    For the max vector norm this is the maximum absolute row sum (exact).
+    For the max vector norm this is the maximum absolute row sum, within
+    gamma_{q-1} of it for q columns (gamma_m = m u / (1 - m u), u = 2^-53).
     For the euclidean norm it is sqrt(lambda_max) of the q x q Gram matrix G
     of the smaller side of S = 2^-e M (p x q after a transpose), 2^e the power
     of two above max |m_ij|: an exact scaling to |s_ij| < 1 and ||S||_2 >= 1/2,
@@ -59,7 +60,7 @@ def operator_norm(mat: np.ndarray, kind: NormKind) -> float | np.ndarray:
     eigvalsh returns lambda_max of G + E + F, ||F||_2 <= c_q u ||G + E||_2
     with c_q modest (LAPACK Users' Guide, §4.7).  By Weyl's bound lambda_max
     moves by delta = q gamma_p + c_q u (1 + q gamma_p) relative at most, the
-    norm by delta / 2 + u to first order (u = 2^-53, gamma_p = p u/(1 - p u)).
+    norm by delta / 2 + u to first order.
     For both kinds an inf entry gives inf, a NaN entry NaN, and a norm past
     the largest double inf unless over="raise".
     """
@@ -410,34 +411,31 @@ def _chunks(centers: range, width: int) -> list:
     return [centers[i:i + per] for i in range(0, len(centers), per)]
 
 
-def green_norm_rows(sys: SystemSpec, lo: int, hi: int, w: int) -> tuple[np.ndarray, dict]:
-    """|G(n, q)| for every center n in [lo, hi] and q in [n - w, n + w + 1], at
-    [n - lo, q - n + w] of a (hi - lo + 1, 2w + 2) array, and {n: message} for
-    the centers whose span overflows (their rows are NaN).
-
-    Each half of the span slides from center to center by the one Green
-    recurrence (`_half_steps`; oracle in tests/reference.py), one batched
-    product per center: the past half (q <= n) upward, T(n+1, q) = A_n T(n, q),
-    the future half (q > n) downward, T(n-1, q) = A_{n-1}^{-1} T(n, q); one
-    more applies the weights P_q or -(Id - P_q).  The first center, and the
-    one after an overflowing center, builds its half from scratch.  One
-    operator_norm call takes the kernels of a chunk of centers (`_CHUNK`).
-    """
-    dx, kind = sys.space.dim_x, sys.space.norm_kind
+def _green_halves(sys: SystemSpec, lo: int, hi: int, w: int, failed: dict):
+    """Yields (columns, centers, kernels) per run of the centers in [lo, hi]
+    (`_chunks`): the (len(centers), w + 1, dim_x, dim_x) stack of
+    G(n, q) for q in [n + 1, n + w + 1] (the future half, columns w + 1 on of
+    [n - w, n + w + 1]) at the centers descending, then q in [n - w, n] (the
+    past half) ascending.  Each half slides from center to center by the one
+    Green recurrence (`_half_steps`; oracle in tests/reference.py): the past
+    T(n+1, q) = A_n T(n, q), the future T(n-1, q) = A_{n-1}^{-1} T(n, q), then
+    the weights P_q or -(Id - P_q); a kernel is the same chain of products
+    from any start, bit for bit `green_span`'s.  The first center, and one
+    after an overflow, starts from scratch; an overflowing center's message
+    goes to `failed`, its kernels left 0."""
+    dx = sys.space.dim_x
     p = np.array([sys.p.matrix(q) for q in range(lo - w, hi + w + 2)])
-    rows = np.full((hi - lo + 1, 2 * w + 2), np.nan)
-    failed: dict[int, str] = {}
     past, future = _half_steps(sys, w)
     # per half: step, weights over [lo - w, hi + w + 1], columns, centers in
     # sweep order, and the steps that build a center's half from scratch
     halves = ((future, -(np.eye(dx) - p), slice(w + 1, 2 * w + 2), range(hi, lo - 1, -1),
                lambda n: range(n + w, n - 1, -1)),
               (past, p, slice(0, w + 1), range(lo, hi + 1), lambda n: range(n - w, n + 1)))
-    with np.errstate(over="raise", invalid="raise"):
-        for step, weights, cols, centers, scratch in halves:
-            stack = None
-            for chunk in _chunks(centers, w + 1):
-                kernels = np.zeros((len(chunk), w + 1, dx, dx))
+    for step, weights, cols, centers, scratch in halves:
+        stack = None
+        for chunk in _chunks(centers, w + 1):
+            kernels = np.zeros((len(chunk), w + 1, dx, dx))
+            with np.errstate(over="raise", invalid="raise"):
                 for i, n in enumerate(chunk):
                     try:
                         stack = step(scratch(n)) if stack is None else step((n,), stack)
@@ -445,7 +443,18 @@ def green_norm_rows(sys: SystemSpec, lo: int, hi: int, w: int) -> tuple[np.ndarr
                     except FloatingPointError as exc:
                         failed.setdefault(n, str(exc))
                         stack = None
-                with np.errstate(over="ignore"):  # a norm past the largest double is inf
-                    rows[[n - lo for n in chunk], cols] = operator_norm(kernels, kind)
+            yield cols, chunk, kernels
+
+
+def green_norm_rows(sys: SystemSpec, lo: int, hi: int, w: int) -> tuple[np.ndarray, dict]:
+    """|G(n, q)| for every center n in [lo, hi] and q in [n - w, n + w + 1], at
+    [n - lo, q - n + w] of a (hi - lo + 1, 2w + 2) array, and {n: message} for
+    the centers whose span overflows (their rows are NaN), from `_green_halves`
+    with one operator_norm call per chunk of centers (`_CHUNK`)."""
+    rows = np.full((hi - lo + 1, 2 * w + 2), np.nan)
+    failed: dict[int, str] = {}
+    for cols, chunk, kernels in _green_halves(sys, lo, hi, w, failed):
+        with np.errstate(over="ignore"):  # a norm past the largest double is inf
+            rows[[n - lo for n in chunk], cols] = operator_norm(kernels, sys.space.norm_kind)
     rows[[n - lo for n in failed]] = np.nan
     return rows, failed

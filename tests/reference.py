@@ -141,71 +141,80 @@ def evolve_coupled(
     return np.array(states[k][0])
 
 
-def _series_sum(engine, n: int, k_half: int, states: dict) -> np.ndarray:
-    """-sum_k G(n, k+1) f_k over the window of halfwidth k_half, with a fresh
-    f_k at every state k of `states`, added in index order."""
-    row = engine.green_row(n, k_half)
+def _green_terms(engine, n: int, lo: int, hi: int):
+    """(k, G(n, k+1)) for k in [lo, hi], from the engine's Green row."""
+    w = max(n - lo, hi - n, 0)
+    row = engine.green_row(n, w)
+    return [(k, row[k - n + w]) for k in range(lo, hi + 1)]
+
+
+def _series_sum(engine, n: int, lo: int, hi: int, states: dict) -> np.ndarray:
+    """-sum_k G(n, k+1) f_k over the window [lo, hi], with a fresh f_k at
+    every state k of `states`, added in index order."""
     acc = np.zeros_like(states[n][0])
-    for k in range(n - k_half, n + k_half + 1):
-        acc += row[k - n + k_half] @ np.asarray(engine.sys.f.eval(k, *states[k]), dtype=float)
+    for k, g in _green_terms(engine, n, lo, hi):
+        acc += g @ np.asarray(engine.sys.f.eval(k, *states[k]), dtype=float)
     return -acc
 
 
-def reordering_bound(engine, n: int, k_half: int, states: dict) -> np.ndarray:
+def reordering_bound(engine, n: int, lo: int, hi: int, states: dict) -> np.ndarray:
     """Per column and component, 2 gamma_m sum_k |G(n, k+1)| |f_k| over the
-    window of halfwidth k_half at the states of `states`, with absolute
-    values taken entrywise, m = (2 k_half + 1) dim_x products per component
-    and gamma_m = m u / (1 - m u), u = 2^-53: two sums of those products in
-    any two orders differ by at most this (Higham, "Accuracy and Stability
-    of Numerical Algorithms", 2nd ed., §3.1)."""
-    row = engine.green_row(n, k_half)
-    m = (2 * k_half + 1) * engine.sys.space.dim_x
+    window [lo, hi] at the states of `states`, with absolute values taken
+    entrywise, m = (hi - lo + 1) dim_x products per component and gamma_m =
+    m u / (1 - m u), u = 2^-53: two sums of those products in any two orders
+    differ by at most this (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., §3.1)."""
+    m = (hi - lo + 1) * engine.sys.space.dim_x
     gamma = m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
     acc = np.zeros_like(states[n][0])
-    for k in range(n - k_half, n + k_half + 1):
-        acc += np.abs(row[k - n + k_half]) @ np.abs(engine.sys.f.eval(k, *states[k]))
+    for k, g in _green_terms(engine, n, lo, hi):
+        acc += np.abs(g) @ np.abs(engine.sys.f.eval(k, *states[k]))
     return 2.0 * gamma * acc
 
 
 def bar_h_series(engine, n: int, xi, eta=None, window: Optional[int] = None) -> np.ndarray:
     """bar_h(n, xi, eta) of `engine` summed term by term: the states of
     `coupled_trajectory`, then a fresh f_k at every state k, added in index
-    order.  `window` None is the engine's series window at its series_tol."""
+    order.  `window` None is the engine's fitted series window [lo, hi] at
+    its series_tol, a halfwidth K the window [n - K, n + K]."""
     sys = engine.sys
     xi_b, eta_b, single = _state_columns(sys, xi, eta)
-    k_half = engine.series_window(n, engine.series_tol).halfwidth if window is None else window
-    states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, engine.solve)
-    val = _series_sum(engine, n, k_half, states)
+    if window is None:
+        win = engine.series_window(n, engine.series_tol)
+        lo, hi = win.lo, win.hi
+    else:
+        lo, hi = n - window, n + window
+    states = coupled_trajectory(sys, n, lo, max(hi, n), xi_b, eta_b, engine.solve)
+    val = _series_sum(engine, n, lo, hi, states)
     return val[:, 0] if single else val
 
 
 def h_by_picard(engine, n: int, xi, eta=None, updates: Optional[int] = None,
                 warm: bool = False):
     """h(n, xi, eta) of `engine` at one state by plain Picard iteration
-    u <- -bar_h(n, xi + u, eta) from u = 0 over h's series window (the
-    window at tolerance min(series_tol, fp_tol (1 - c(n)) / 2)): until
-    |u + bar_h(n, xi + u, eta)| <= fp_tol, or exactly `updates` times when
-    given.  Returns (u, number of updates made).
+    u <- -bar_h(n, xi + u, eta) from u = 0 over h's fitted series window [lo,
+    hi] (the window at tolerance min(series_tol, fp_tol (1 - c(n)) / 2)):
+    until |u + bar_h(n, xi + u, eta)| <= fp_tol, or exactly `updates` times
+    when given.  Returns (u, number of updates made).
 
-    By default every bar_h is the engine's own, a cold walk.  With `warm`,
-    each walk after the first is a one-span `evolution._trajectory` started
-    warm from the couplings of the previous walk, and bar_h is summed from
-    its states like `bar_h_series`."""
+    By default every bar_h is the engine's own sum over that window, a cold
+    walk.  With `warm`, each walk after the first is a one-span
+    `evolution._trajectory` started warm from the couplings of the previous
+    walk, and bar_h is summed from its states like `bar_h_series`."""
     c = engine.contraction(n)
-    k_half = engine.series_window(
-        n, min(engine.series_tol, engine.fp_tol * (1.0 - c) / 2.0)).halfwidth
+    win = engine.series_window(n, min(engine.series_tol, engine.fp_tol * (1.0 - c) / 2.0))
     xi_b, eta_b, _ = _state_columns(engine.sys, xi, eta)
     couplings: list = []  # the previous walk's, once there was one
 
     def bar_h(x):
         if not warm:
-            return engine.bar_h(n, x, eta_b, window=k_half)
+            return engine._series([Span(n, win.lo, win.hi, x.shape[1])], x, eta_b)
         states, started = {n: (x, eta_b)}, bool(couplings)
         if not started:
-            couplings.append([None] * (2 * k_half + 1))
-        _trajectory(engine.sys, [Span(n, n - k_half, n + k_half, x.shape[1])], x, eta_b,
-                    engine.solve, couplings, started, states)
-        return _series_sum(engine, n, k_half, states)
+            couplings.append([None] * (win.hi - win.lo + 1))
+        _trajectory(engine.sys, [Span(n, win.lo, win.hi, x.shape[1])], x, eta_b, engine.solve,
+                    couplings, started, states)
+        return _series_sum(engine, n, win.lo, win.hi, states)
 
     u = np.zeros_like(xi_b)
     for it in range(10_000 if updates is None else updates + 1):
@@ -216,6 +225,31 @@ def h_by_picard(engine, n: int, xi, eta=None, updates: Optional[int] = None,
             return u[:, 0], it
         u = -v
     raise AssertionError(f"Picard reference for h at n={n} did not converge")
+
+
+def coupling_bounds_per_probe(sys: SystemSpec, window: tuple, probes: int = 64, seed: int = 0,
+                              extent: float = 1.0) -> bool:
+    """The bc1 verdict of `nonautolin.hypotheses.sample_coupling_bounds` one
+    probe at a time: per probe, n, x1, x2, y, y2 drawn in that order from
+    the seeded generator, f called on the three columns (x1, y), (x2, y),
+    (x1, y2) alone, and the three checks made on them."""
+    rng = np.random.default_rng(seed)
+    dx, dy = sys.space.dim_x, sys.space.dim_y
+    kind, slack = sys.space.norm_kind, 1.0 + 1e-9
+    for _ in range(probes):
+        n = int(rng.integers(window[0], window[1] + 1))
+        x = rng.uniform(-extent, extent, (2, dx)).T
+        y = rng.uniform(-extent, extent, (2, dy)).T
+        f = np.asarray(sys.f.eval(n, x[:, [0, 1, 0]], y[:, [0, 0, 1]]), dtype=float)
+        f1, df_x, df_y = column_norms(np.concatenate((f[:, :1], f[:, :1] - f[:, 1:]), axis=1),
+                                      kind)
+        if f1 > sys.f.mu(n) * slack + 1e-15:
+            return False
+        if df_x > sys.f.gamma(n) * column_norms(np.diff(x), kind)[0] * slack + 1e-15:
+            return False
+        if dy and df_y > sys.f.rho(n) * column_norms(np.diff(y), kind)[0] * slack + 1e-15:
+            return False
+    return True
 
 
 def _backward_factor(sys: SystemSpec, j: int) -> float:

@@ -210,13 +210,15 @@ class TestConjugateCommand:
         assert not equi["errors"] and equi["ok"] and rep["verdict"] == "fail"
 
     def test_non_finite_trajectory_exits_1_without_warnings(self, tmp_path):
-        # probes at 1e300 overflow within a few steps of their walks: each
-        # probe whose values turn non-finite loses its own rows, its error
-        # naming the index where they did, and no numpy warning or Picard
-        # iteration on NaN follows.  All but the centre probe overflow at
-        # n = 0 itself; the centre one, within 1.25e299 of 0, overflows at a
-        # later index of its equivariance steps, and its inverse residual,
-        # which no difference at its size resolves, is an error too
+        # probes at 1e305 overflow within a few steps of their walks (a
+        # coordinate of 1e304 doubles past the largest double within the 14
+        # forward or 15 backward steps of h's window at n = 0): each probe
+        # whose values turn non-finite loses its own rows, its error naming
+        # the index where they did, and no numpy warning or Picard iteration
+        # on NaN follows.  All but the centre probe overflow at n = 0 itself;
+        # the centre one, within 1.25e304 of 0, overflows at a later index of
+        # its equivariance steps, and its inverse residual, which no
+        # difference at its size resolves, is an error too
         import os
         import re
         import subprocess
@@ -228,7 +230,7 @@ class TestConjugateCommand:
         from nonautolin.cli import probe_grid
 
         params = tmp_path / "huge.json"
-        params.write_text(json.dumps({"system": "ex1", "probe_extent": 1e300,
+        params.write_text(json.dumps({"system": "ex1", "probe_extent": 1e305,
                                       "n_min": 0, "n_max": 0}))
         out = tmp_path / "rep.json"
         env = dict(os.environ, PYTHONPATH=str(Path(nonautolin.__file__).resolve().parents[1]))
@@ -240,9 +242,9 @@ class TestConjugateCommand:
         assert proc.returncode == 1
         assert proc.stderr == ""
         rep = load(out)
-        grid = probe_grid(2, 5, 1e300, np.random.default_rng(0)).tolist()
+        grid = probe_grid(2, 5, 1e305, np.random.default_rng(0)).tolist()
         centre = 12
-        assert np.max(np.abs(grid[centre])) < 1.25e299
+        assert np.max(np.abs(grid[centre])) < 1.25e304
         for section in ("inverse", "equivariance"):
             rows, errors = rep[section]["rows"], rep[section]["errors"]
             at = {grid.index(e["probe"]): e for e in errors}
@@ -258,11 +260,13 @@ class TestConjugateCommand:
             assert not rows
 
     def test_an_overflowing_probe_loses_only_its_rows(self, tmp_path, capsys):
-        # at 1e296 only the probes at x_1 = +-1e296, grid indices 0-4 and
-        # 20-24, overflow, in the walks of index 10 of their equivariance
-        # steps: the report is schema-valid, and the equivariance table has
-        # one such error for each of those 10.  No residual at that size
-        # resolves a threshold, so every other row is a resolution error
+        # at 4.5e302 only the probes at x_1 = +-4.5e302, grid indices 0-4
+        # and 20-24, overflow, in the walks of index 9 of their equivariance
+        # steps (x_1 doubles at each of the 9 steps to it and at each of the
+        # 10 forward steps of h's window there): the report is schema-valid,
+        # and the equivariance table has one such error for each of those
+        # 10.  No residual at that size resolves a threshold, so every other
+        # row is a resolution error
         jsonschema = pytest.importorskip("jsonschema")
         import numpy as np
 
@@ -270,7 +274,7 @@ class TestConjugateCommand:
         from nonautolin.cli import probe_grid
 
         params = tmp_path / "p.json"
-        params.write_text(json.dumps({"system": "ex1", "probe_extent": 1e296,
+        params.write_text(json.dumps({"system": "ex1", "probe_extent": 4.5e302,
                                       "n_min": 0, "n_max": 0}))
         out = tmp_path / "rep.json"
         assert run(["conjugate", "--system", str(params), "--force", "--out", str(out)]) == 1
@@ -280,7 +284,7 @@ class TestConjugateCommand:
             (Path(nonautolin.__file__).parent / "report_schema.json").read_text()
         )
         jsonschema.validate(rep, schema)
-        grid = probe_grid(2, 5, 1e296, np.random.default_rng(0)).tolist()
+        grid = probe_grid(2, 5, 4.5e302, np.random.default_rng(0)).tolist()
         inv, equi = rep["inverse"], rep["equivariance"]
         unresolved = "residual resolution eps max(1, |p|) = "
         assert not inv["rows"] and not equi["rows"]
@@ -289,7 +293,7 @@ class TestConjugateCommand:
                    and e["error"].endswith("exceeds the inverse threshold 1.01e-08")
                    for e in inv["errors"])
         overflow = [i for i, e in enumerate(equi["errors"])
-                    if e["error"] == "non-finite value in the residual tables at m=10"]
+                    if e["error"] == "non-finite value in the residual tables at m=9"]
         assert overflow == [*range(5), *range(20, 25)]
         assert all(e["n"] == 0 and e["error"].startswith(unresolved)
                    for e in equi["errors"][5:20])
@@ -301,7 +305,7 @@ class TestConjugateCommand:
 
 class TestDerivativesCommand:
     def test_non_finite_blocks_are_listed_per_probe(self, tmp_path, capsys, monkeypatch):
-        # at fd_step 1e300 the walks of every probe's d_h stencil overflow:
+        # at fd_step 1e304 the walks of every probe's d_h stencil overflow:
         # the one batched validate_jacobians call of n = 0 lists one error per
         # probe, naming the blocks that are not finite, and no row
         import nonautolin.cli as cli
@@ -311,7 +315,7 @@ class TestDerivativesCommand:
         monkeypatch.setattr(cli, "validate_jacobians",
                             lambda *a, **kw: calls.append(a[1]) or validate(*a, **kw))
         out = tmp_path / "rep.json"
-        assert run(["derivatives", "--system", "ex1", "--fd-step", "1e300", "--n-min", "0",
+        assert run(["derivatives", "--system", "ex1", "--fd-step", "1e304", "--n-min", "0",
                     "--n-max", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "" and calls == [0]
         jac = load(out)["jacobians"]

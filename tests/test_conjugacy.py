@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +17,7 @@ from nonautolin import (
     SystemSpec,
     WeightSeq,
     WindowExhausted,
+    green_span,
     operator_norm,
     system_by_name,
 )
@@ -24,12 +26,13 @@ from nonautolin.cli import (RunConfig, _engine, _split_probes, build_system, pha
 from nonautolin.conjugacy import _coupling_lists
 from nonautolin.derivatives import barh_jacobian
 from nonautolin.errors import NoConvergence, NonautolinError
-from nonautolin.evolution import _forward_step, _state_columns, _trajectory, coupled_trajectory
+from nonautolin.evolution import (Span, _forward_step, _state_columns, _trajectory,
+                                  coupled_trajectory)
 
 from .conftest import (LN2, blowup_system, diag_stack, expanding_system,
                        random_invertible_system)
 from .reference import (bar_h_series, column_norms, evolve_coupled, evolve_driver,
-                        green_by_factors, h_by_picard, reordering_bound)
+                        green_by_factors, green_span_by_columns, h_by_picard, reordering_bound)
 
 
 def one_term_system(n0, c=0.05, lam=LN2):
@@ -194,22 +197,25 @@ class TestLeanSweep:
             eta = rng.uniform(-1, 1, (sys.space.dim_y,) + cols)
             value = eng.bar_h(n, xi, eta, window=window)
             assert value.shape == xi.shape
-            k_half = eng.series_window(n, eng.series_tol).halfwidth if window is None else window
             xi_b, eta_b, _ = _state_columns(sys, xi, eta)
-            spans = eng._spans([(n, k_half, xi_b.shape[1])])
+            if window is None:  # the fitted window
+                win = eng.series_window(n, eng.series_tol)
+                lo, hi = win.lo, win.hi
+            else:  # [n - K, n - 1] where every kernel G(n, k+1), k >= n, is 0 (end_cfg)
+                lo, hi = n - window, n - 1 if name == "end_cfg" else n + window
+            spans = [Span(n, lo, hi, xi_b.shape[1])]
             couplings = _coupling_lists(spans)
             _trajectory(sys, spans, xi_b, eta_b, eng.solve, couplings)
-            states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi_b, eta_b, eng.solve)
-            # the walk's span: [n - K, n] where every future kernel is 0 (end_cfg)
-            window_ks = range(spans[0].lo, spans[0].hi + 1)
+            states = coupled_trajectory(sys, n, lo, max(hi, n), xi_b, eta_b, eng.solve)
+            window_ks = range(lo, hi + 1)
             for k in window_ks:
-                assert np.array_equal(couplings[0][k - spans[0].lo], sys.f.eval(k, *states[k]))
+                assert np.array_equal(couplings[0][k - lo], sys.f.eval(k, *states[k]))
             kept = _coupling_lists(spans)
             summed = eng._series(spans, xi_b, eta_b, kept)
             assert np.array_equal(summed, value.reshape(summed.shape))
             # only the backward couplings, those a warm walk reads, outlive the sum
             assert [c is None for c in kept[0]] == [k >= n for k in window_ks]
-            bound = reordering_bound(eng, n, k_half, states)
+            bound = reordering_bound(eng, n, lo, hi, states)
             diff = np.abs(summed - bar_h_series(eng, n, xi_b, eta_b, window))
             assert np.all(diff <= bound), (diff.max(), bound.min())
 
@@ -234,22 +240,23 @@ class TestLeanSweep:
         eng.bar_h(n, xi, eta, window=k_half)
         # one f_k per state comes with its step; only the upper end needs its own
         assert len(calls) <= in_trajectory + 1
-        # end_cfg's kernels G(n, k+1) are 0 for every k >= n: its walk stops at n
-        hi = n if name == "end_cfg" else n + k_half
+        # end_cfg's kernels G(n, k+1) are 0 for every k >= n: its walk
+        # evaluates no coupling from n on
+        hi = n - 1 if name == "end_cfg" else n + k_half
         assert set(calls) == set(range(n - k_half, hi + 1))
 
 
-def remm_closed_forms(eng, n, k_half, xi):
+def remm_closed_forms(eng, n, lo, xi):
     """bar_h(n, xi) and the diagonals of its Jacobian in xi on remm, where A
     = P = Id makes G(n, k+1) Id for k < n and 0 otherwise: -sum_k f_k(x_k)
-    and -sum_k df_k/du(x_k) W_k over k in [n - K, n - 1], with W_k =
+    and -sum_k df_k/du(x_k) W_k over k in [lo, n - 1], with W_k =
     prod_{j=k}^{n-1} (Id + df_j/du(x_j))^{-1} diagonal as f_k acts
     componentwise; every entry summed by math.fsum.  The states x_k are
-    those of a walk over [n - K, n + K], whose backward steps are those of
-    bar_h's walk over [n - K, n]; they are returned too."""
+    those of a walk over [lo, n], whose backward steps are those of bar_h's
+    walk over its window [lo, n - 1]; they are returned too."""
     sys = eng.sys
-    states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi, None, eng.solve)
-    ks = range(n - 1, n - k_half - 1, -1)
+    states = coupled_trajectory(sys, n, lo, n, xi, None, eng.solve)
+    ks = range(n - 1, lo - 1, -1)
     fs = [sys.f.eval(k, *states[k]) for k in ks]
     jx = [np.diagonal(sys.f.jac_x(k, *states[k]), axis1=1, axis2=2) for k in ks]  # (batch, dx)
     w, terms = np.ones_like(jx[0]), []
@@ -268,36 +275,38 @@ class TestOneSidedWalks:
     forms on the systems where one side is 0."""
 
     def test_remm_matches_the_closed_form(self):
-        # bar_h and barh_jacobian walk [n - K, n] and sum the same terms as
-        # the closed form, so they agree within the reordering bound; h
-        # passes the fixed-point relation with the closed form at its stop
-        # test, the walk error bound covering its warm walks
+        # bar_h and barh_jacobian walk their fitted windows [lo, n - 1] and
+        # sum the same terms as the closed form, so they agree within the
+        # reordering bound; h passes the fixed-point relation with the
+        # closed form at its stop test, the walk error bound covering its
+        # warm walks
         sys = system_by_name("remm", gamma_scale=0.5)
         eng = ConjugacyEngine(sys, window_halfwidth=160, advanced_halfwidth=40)
         rng = np.random.default_rng(29)
         for n in (-3, 0, 4):
             xi = rng.uniform(-2, 2, (2, 5))
-            k_half = eng.series_window(n, eng.series_tol).halfwidth
-            value, _, states, _ = remm_closed_forms(eng, n, k_half, xi)
-            bound = reordering_bound(eng, n, k_half, states)
+            win = eng.series_window(n, eng.series_tol)
+            assert win.hi == n - 1, n  # G(n, k+1) = 0 for every k >= n
+            value, _, states, _ = remm_closed_forms(eng, n, win.lo, xi)
+            bound = reordering_bound(eng, n, win.lo, win.hi, states)
             assert np.all(np.abs(eng.bar_h(n, xi) - value) <= bound), n
 
-            k_h = eng.h_window(n)[0]
+            win = eng.h_window(n)[0]
             u = eng.h(n, xi)
-            value, _, states, _ = remm_closed_forms(eng, n, k_h, xi + u)
-            err = _walk_error_bound(eng, n, n - k_h, states)
-            m = (2 * k_h + 1) * sys.space.dim_x
+            value, _, states, _ = remm_closed_forms(eng, n, win.lo, xi + u)
+            err = _walk_error_bound(eng, n, win.lo, states)
+            m = (win.hi - win.lo + 1) * sys.space.dim_x
             walks = (1 + m * 2.0 ** -53 / (1 - m * 2.0 ** -53)) * sum(
-                sys.f.gamma(j) * err[j] for j in range(n - k_h, n))
-            slack = eng.fp_tol + reordering_bound(eng, n, k_h, states) + walks
+                sys.f.gamma(j) * err[j] for j in range(win.lo, n))
+            slack = eng.fp_tol + reordering_bound(eng, n, win.lo, win.hi, states) + walks
             assert np.all(np.abs(u + value) <= slack), n
 
-            k_d = eng.derivative_window(n)
+            lo, hi = eng.derivative_window(n)
             jac, k_used = barh_jacobian(eng, n, xi)
-            _, diag, _, terms = remm_closed_forms(eng, n, k_d, xi)
-            m = (2 * k_d + 1) * sys.space.dim_x
+            _, diag, _, terms = remm_closed_forms(eng, n, lo, xi)
+            m = (hi - lo + 1) * sys.space.dim_x
             bound = 2 * m * 2.0 ** -53 / (1 - m * 2.0 ** -53) * sum(np.abs(t) for t in terms)
-            assert k_used == k_d
+            assert hi == n - 1 and k_used == n - lo
             assert np.all(np.abs(np.diagonal(jac, axis1=1, axis2=2) - diag) <= bound), n
             assert np.all(jac[:, 0, 1] == 0) and np.all(jac[:, 1, 0] == 0)
 
@@ -317,13 +326,75 @@ class TestOneSidedWalks:
             xi = rng.uniform(-2, 2, (2, 4))
             value = eng.bar_h(n, xi)
             assert not calls, n
-            k_half = eng.series_window(n, eng.series_tol).halfwidth
-            (span,) = eng._spans([(n, k_half, 4)])
-            assert (span.lo, span.hi) == (n, n + k_half)
-            states = coupled_trajectory(sys, n, n - k_half, n + k_half, xi, None, eng.solve)
-            bound = reordering_bound(eng, n, k_half, states)
+            win = eng.series_window(n, eng.series_tol)
+            assert win.lo == n and win.hi > n
+            states = coupled_trajectory(sys, n, n, win.hi, xi, None, eng.solve)
+            bound = reordering_bound(eng, n, win.lo, win.hi, states)
             assert np.all(np.abs(value - bar_h_series(eng, n, xi)) <= bound), n
             calls.clear()  # the reference walks step backward
+
+
+def _exact_green_norms(sys, name, n, ks):
+    """|G(n, k+1)| for k in ks as 50-digit numbers from the closed forms:
+    on ex1, A = diag(a, 1/a) with its float entries and P = diag(0, 1) give
+    (1/a)^{n-k-1} for k < n and (1/a)^{k+1-n} for k >= n; on remm, A = P =
+    Id gives 1 for k < n and 0 for k >= n."""
+    if name == "remm":
+        return [mpmath.mpf(1 if k < n else 0) for k in ks]
+    past, future = mpmath.mpf(sys.a.matrix(0)[1, 1]), mpmath.mpf(sys.a.inverse(0)[0, 0])
+    return [past ** (n - k - 1) if k < n else future ** (k + 1 - n) for k in ks]
+
+
+class TestFittedWindows:
+    """Each side of a series window fitted to its own computed terms,
+    against the exact terms |G(n, k+1)| mu_k at 50 digits (mpmath) plus the
+    envelope beyond the halfwidth K' whose two-sided envelope tail is within
+    a quarter of the tolerance."""
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("ex1", dict(lam=LN2, gamma_scale=0.5)), ("ex1", dict(lam=0.3, gamma_scale=0.9)),
+        ("remm", dict(gamma_scale=0.5))])
+    def test_tail_bound_covers_the_exact_dropped_sum(self, name, kwargs):
+        sys = system_by_name(name, **kwargs)
+        eng = ConjugacyEngine(sys, window_halfwidth=160, advanced_halfwidth=40)
+        for n, tol in ((n, tol) for n in (-12, -3, 0, 4, 12) for tol in (
+                eng.series_tol, eng.fp_tol * (1 - eng.contraction(n)) / 2)):
+            with mpmath.workdps(50):
+                win = eng.series_window(n, tol)
+                env = sys.envelopes.barh(n)
+                k = env.required_halfwidth(tol / 4)
+                ks = range(n - k, n + k + 1)
+                terms = dict(zip(ks, (g * mpmath.mpf(sys.f.mu(j)) for g, j in zip(
+                    _exact_green_norms(sys, name, n, ks), ks))))
+                beyond = mpmath.mpf(env.amplitude) * mpmath.mpf(env.ratio) ** (k + 1) / (
+                    1 - mpmath.mpf(env.ratio))
+                past = mpmath.fsum(terms[j] for j in range(n - k, win.lo)) + beyond
+                future = mpmath.fsum(terms[j] for j in range(win.hi + 1, n + k + 1)) + beyond
+                assert past + future <= win.tail_bound <= tol / 2, (n, tol)
+                # the shortest sides: one term fewer on either side exceeds its share
+                if win.lo < n:
+                    assert past + terms[win.lo] > tol / 4, (n, tol)
+                if win.hi >= n:
+                    assert future + terms[win.hi] > tol / 4, (n, tol)
+                if name == "remm":  # every term k >= n is 0: no future side
+                    assert win.hi == n - 1 and win.lo < n
+                assert n - k <= win.lo and win.hi <= n + k
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "remm", "end_cfg"])
+    def test_slid_rows_bit_identical_to_green_span(self, name):
+        # residual_tables slides its blocks' Green rows from centre to
+        # centre; each row is green_span's kernels, and those of the
+        # reference second-argument recurrence, bit for bit
+        s = system_by_name(name)
+        eng = ConjugacyEngine(s, window_halfwidth=160, advanced_halfwidth=12)
+        rng = np.random.default_rng(5)
+        xi, eta = rng.uniform(-1, 1, (s.space.dim_x, 3)), rng.uniform(-1, 1, (s.space.dim_y, 3))
+        eng.residual_tables(range(-3, 2), xi, eta, steps=4)
+        assert sorted(eng._green_rows) == list(range(-3, 6))
+        for n, row in eng._green_rows.items():
+            w = (len(row) - 1) // 2
+            assert w >= 12 and np.array_equal(row, green_span(s, n, n - w + 1, n + w + 1)), n
+            assert np.array_equal(row, green_span_by_columns(s, n, n - w + 1, n + w + 1)), n
 
 
 class TestH:
@@ -400,10 +471,9 @@ class TestH:
         pinned, _, count = engine_ex1.h_detailed(0, xi, smooth=True)
         assert count == iters
         c = engine_ex1.contraction(0)
-        k_half, _ = engine_ex1.h_window(0)
         win = engine_ex1.series_window(0, min(engine_ex1.series_tol,
                                               engine_ex1.fp_tol * (1 - c) / 2))
-        m = (2 * k_half + 1) * 2
+        m = (win.hi - win.lo + 1) * 2
         bound = 2 * m * 2.0 ** -53 / (1 - m * 2.0 ** -53) * win.value_bound / (1 - c)
         ref = h_by_picard(engine_ex1, 0, xi, updates=iters + 4, warm=True)[0]
         assert np.max(np.abs(pinned - ref)) <= bound
@@ -591,19 +661,20 @@ class TestBlockSolves:
         centres, per = [-10, -4, -1, 0, 2, 5, 11, 20], 3
         xi = rng.uniform(-1, 1, (sys.space.dim_x, per * len(centres)))
         eta = rng.uniform(-1, 1, (sys.space.dim_y, per * len(centres)))
-        wins = [eng.series_window(n, eng.series_tol).halfwidth for n in centres]
-        block = eng._series(eng._spans([(n, k, per) for n, k in zip(centres, wins)]), xi, eta)
-        for i, (n, k) in enumerate(zip(centres, wins)):
+        wins = [eng.series_window(n, eng.series_tol) for n in centres]
+        block = eng._series([Span(n, w.lo, w.hi, per) for n, w in zip(centres, wins)], xi, eta)
+        for i, (n, w) in enumerate(zip(centres, wins)):
             cols = slice(per * i, per * (i + 1))
             one = eng.bar_h(n, xi[:, cols], eta[:, cols])
-            states = coupled_trajectory(sys, n, n - k, n + k, xi[:, cols], eta[:, cols],
+            states = coupled_trajectory(sys, n, w.lo, max(w.hi, n), xi[:, cols], eta[:, cols],
                                         eng.solve)
-            err = _walk_error_bound(eng, n, n - k, states)
-            m = (2 * k + 1) * sys.space.dim_x
+            err = _walk_error_bound(eng, n, w.lo, states)
+            m = (w.hi - w.lo + 1) * sys.space.dim_x
             gamma_m = m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+            k = w.halfwidth
             row = operator_norm(eng.green_row(n, k), kind)
-            walks = sum(row[j - n + k] * sys.f.gamma(j) * err[j] for j in range(n - k, n))
-            bound = (column_norms(reordering_bound(eng, n, k, states), kind)
+            walks = sum(row[j - n + k] * sys.f.gamma(j) * err[j] for j in range(w.lo, n))
+            bound = (column_norms(reordering_bound(eng, n, w.lo, w.hi, states), kind)
                      + (1 + gamma_m) * walks)
             assert np.all(column_norms(block[:, cols] - one, kind) <= bound), n
 
@@ -962,27 +1033,30 @@ class TestResidualTables:
 
     def test_one_green_span_per_index(self, monkeypatch):
         # the contraction certificate reads the Green row the h and bar_h
-        # series use, so each index builds one span at the advanced halfwidth
+        # series use, and each block slides the rows of its indices in one
+        # sweep of the Green recurrence, so each index's row is built once
         import nonautolin.conjugacy as conj
         import nonautolin.hypotheses as hyp
 
         calls = []
-        span, rows = conj.green_span, hyp.green_norm_rows
+        halves, rows = conj._green_halves, hyp.green_norm_rows
 
-        def counted(sys, m, lo, hi):
-            calls.append(m)
-            return span(sys, m, lo, hi)
+        def counted(sys, lo, hi, w, failed):
+            calls.append((lo, hi))
+            return halves(sys, lo, hi, w, failed)
 
         def counted_rows(sys, lo, hi, w):
             calls.append(("rows", lo, hi))
             return rows(sys, lo, hi, w)
 
-        monkeypatch.setattr(conj, "green_span", counted)
+        monkeypatch.setattr(conj, "_green_halves", counted)
         monkeypatch.setattr(hyp, "green_norm_rows", counted_rows)
         cfg = RunConfig(system="ex1", system_params={"gamma_scale": 0.5}, n_min=-2, n_max=2)
         _, _, ok = phase_conjugate(cfg, _engine(cfg, build_system(cfg)))
         assert ok
-        assert calls == list(range(-2, 2 + cfg.steps + 1))  # 15, one per index
+        built = [m for lo, hi in calls for m in range(lo, hi + 1)]
+        assert built == list(range(-2, 2 + cfg.steps + 1))  # 15, one per index
+        assert len(calls) < len(built)
 
     def test_error_attribution_matches_reference(self):
         # remm at full coupling: the contraction total reaches 1 at n >= 1,
@@ -1009,7 +1083,20 @@ def test_fields_the_benchmark_reads(ex1_mild):
     xi = np.array([0.5, -0.5])
     _, residuals, iters = eng.h_detailed(0, xi)
     assert type(iters) is int and iters >= 1 and len(residuals) == iters + 1
-    win = eng.series_window(0, eng.series_tol).halfwidth
-    assert type(win) is int and eng.bar_h_detailed(0, xi)[2] == win
-    pinned = eng.bar_h(0, xi, np.zeros(0), window=win)
-    assert pinned.shape == (2,) and np.array_equal(pinned, eng.bar_h(0, xi))
+    win = eng.series_window(0, eng.series_tol)
+    assert type(win.halfwidth) is int and eng.bar_h_detailed(0, xi)[2] == win.halfwidth
+    pinned = eng.bar_h(0, xi, np.zeros(0), window=win.halfwidth)
+    # the pinned window [-K, K] holds the fitted one: the two differ by the
+    # terms the fit left out, within its tail bound, and by the rounding of
+    # two sums of at most m terms
+    m = (2 * win.halfwidth + 1) * 2
+    rounding = 2 * m * 2.0 ** -53 / (1 - m * 2.0 ** -53) * win.value_bound
+    assert pinned.shape == (2,)
+    assert np.max(np.abs(pinned - eng.bar_h(0, xi))) <= win.tail_bound + rounding
+    # on end_cfg, whose bar_h the benchmark differences at a pinned window,
+    # both walk [-K, -1], bit for bit
+    end = ConjugacyEngine(system_by_name("end_cfg", gamma_scale=0.9), window_halfwidth=160,
+                          advanced_halfwidth=40)
+    k = end.series_window(0, end.series_tol).halfwidth
+    eta = np.array([0.3, -0.2])
+    assert np.array_equal(end.bar_h(0, xi, eta, window=k), end.bar_h(0, xi, eta))

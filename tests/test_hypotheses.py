@@ -27,8 +27,8 @@ from nonautolin.hypotheses import (IndexConstants, _estimate, _has_divergence_ru
 from nonautolin.system import green_norm_rows, green_span
 
 from .conftest import LN2, advanced_at, diag_stack, random_invertible_system, with_coupling
-from .reference import (green_norm, green_norm_rows_per_center, green_span_by_columns, lip_C,
-                        lip_D, lip_M)
+from .reference import (coupling_bounds_per_probe, green_norm, green_norm_rows_per_center,
+                        green_span_by_columns, lip_C, lip_D, lip_M)
 
 
 def scaling_driver_system(tau, rho, gamma=0.0, lam=LN2):
@@ -178,8 +178,10 @@ class TestCheckBasic:
         assert not certify(lying, (-3, 3), 8, probes=16).basic_ok
 
     def test_bc1_hands_f_the_drawn_states_as_float_columns(self, end_cfg):
-        # f sees, per probe, the columns (x1, y), (x2, y), (x1, y2) of the
-        # seeded draws in their order n, x1, x2, y, y2
+        # the seeded draws come in their order n, x1, x2, y, y2 per probe,
+        # and f sees, once per distinct n in the order n is first drawn, the
+        # columns (x1, y), (x2, y), (x1, y2) of that n's probes: each
+        # probe's x1, then each x2, then each x1 again
         seen = []
         f = end_cfg.f.eval
 
@@ -188,16 +190,39 @@ class TestCheckBasic:
             return f(n, x, y)
 
         s = dataclasses.replace(end_cfg, f=dataclasses.replace(end_cfg.f, eval=spy))
-        assert sample_coupling_bounds(s, (-5, 5), probes=8, seed=3, extent=2.0)
+        assert sample_coupling_bounds(s, (-5, 5), probes=16, seed=3, extent=2.0)
         rng = np.random.default_rng(3)
-        assert len(seen) == 8
+        draws = [(int(rng.integers(-5, 6)), *(rng.uniform(-2.0, 2.0, 2) for _ in range(4)))
+                 for _ in range(16)]
+        ns = list(dict.fromkeys(n for n, *_ in draws))  # 16 draws of 11 values repeat some
+        assert [n for n, _, _ in seen] == ns
         for n, x, y in seen:
-            assert n == int(rng.integers(-5, 6))
-            x1, x2, y1, y2 = (rng.uniform(-2.0, 2.0, 2) for _ in range(4))
-            for got, want in ((x, np.stack((x1, x2, x1), axis=1)),
-                              (y, np.stack((y1, y1, y2), axis=1))):
+            mine = [d[1:] for d in draws if d[0] == n]
+            for got, order in ((x, (0, 1, 0)), (y, (2, 2, 3))):
+                want = np.stack([p[i] for i in order for p in mine], axis=1)
                 assert isinstance(got, np.ndarray) and got.dtype == np.float64
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("ex1", {}), ("ex2", {}), ("remm", {}), ("end_cfg", {}), ("emo", {}),
+        ("ex1", {"lam": 10.0}), ("end_cfg", {"rho_scale": 0.3})])
+    def test_bc1_grouped_by_index_keeps_the_per_probe_verdict(self, name, kwargs):
+        # one f call per distinct n (at most 21 on [-10, 10], where the
+        # probes once made 64), and the verdict of the per-probe reference
+        # at every test seed, for the true constants and for understated ones
+        calls = []
+        s = system_by_name(name, **kwargs)
+        f = s.f.eval
+        s.f.eval = lambda n, x, y: calls.append(n) or f(n, x, y)
+        for seed in (0, 1, 2, 3, 11, 13):
+            for lying in (False, True):
+                t = dataclasses.replace(s, f=dataclasses.replace(
+                    s.f, gamma=lambda n: 0.9 * s.f.gamma(n))) if lying else s
+                calls.clear()
+                got = sample_coupling_bounds(t, (-10, 10), probes=64, seed=seed)
+                assert len(calls) == len(set(calls)) <= 21
+                calls.clear()
+                assert got == coupling_bounds_per_probe(t, (-10, 10), 64, seed), (seed, lying)
 
     def test_bc4_worst_index(self, rng):
         sys, _ = random_invertible_system(rng)
