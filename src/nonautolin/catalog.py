@@ -18,10 +18,10 @@ Families:
   end_cfg remm operators plus a planar-rotation driver (tau = sigma = 1) and a
           y-dependent coupling with rho_k ~ 2^{-|k|}; exercises every
           second-variable hypothesis.
-  emo     ex1 operators with *constant* gamma = c: the future-side derivative
-          series diverges term-by-term (each term >= c e^{-l}), so the
-          first-variable contraction condition cannot hold.  Exists to
-          exercise divergence detection.
+  emo     ex1 operators with *constant* gamma = c: every advanced sum
+          diverges term-by-term (each term >= c e^{-l}), so the
+          first-variable contraction condition cannot hold.  Its term floors
+          prove that divergence.
 """
 
 from __future__ import annotations
@@ -401,7 +401,16 @@ def make_end(params: ExampleParams) -> SystemSpec:
 
 
 def make_emo(params: ExampleParams) -> SystemSpec:
-    """ex1 operators with constant gamma = c: divergence-detection target."""
+    """ex1 operators with constant gamma = c: divergence-detection target.
+
+    In the max norm |G(n, k+1)| is e^{-lam (d-1)} at k = n - d and
+    e^{-lam (d+1)} at k = n + d, and rho = tau = sigma = 0 makes the dxi and
+    deta terms agree.  With the backward factor e^lam / (1 - c e^lam) and the
+    forward factor e^lam + c, for every d >= 1 (and c e^lam < 1, or bc4 fails)
+      past   term(d) = c e^lam (1 - c e^lam)^{-d}    >= c e^lam,
+      future term(d) = c e^{-lam} (1 + c e^{-lam})^d >= c e^{-lam},
+    so both sides of both sums diverge for c > 0.  At c = 0 every term is 0.
+    """
     lam = params.lam
     h = params.dim_half or 1
     c = params.c if params.c is not None else 0.05 * params.gamma_scale
@@ -412,12 +421,15 @@ def make_emo(params: ExampleParams) -> SystemSpec:
     el, eml = math.exp(lam), math.exp(-lam)
     # built once, here, so that a ratio e^{-lam} rounding to 1 fails the build
     bc_tail, barh_tail = GeometricTail(c, eml), GeometricTail(c * el, eml)
+    zero = (lambda n: GeometricTail(0.0, eml)) if c == 0.0 else None
+    floors = (c * el, c * eml)
     envelopes = TailEnvelopes(
         bc2=lambda m: bc_tail,
         bc3=lambda m: bc_tail,
         barh=lambda n: barh_tail,
-        dxi=None,
-        deta=None,
+        dxi=zero,
+        deta=zero,
+        floors=None if zero else {"dxi": lambda n: floors, "deta": lambda n: floors},
     )
 
     a, p = _hyperbolic_pair(lam, h)

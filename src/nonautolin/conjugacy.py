@@ -52,7 +52,7 @@ from .errors import ContractionViolation, NoConvergence, NonautolinError, Window
 from .evolution import (DEFAULT_SOLVE, SolveOptions, Span, _dot, _forward_step, _max,
                         _state_columns, _trajectory)
 from .hypotheses import (CONVERGED, IndexConstants, _advanced, _advanced_terms, _envelope,
-                         _ratio_tail)
+                         rounding_slack)
 from .system import SystemSpec, _column_norms, _green_halves, operator_norm
 
 
@@ -170,48 +170,34 @@ class ConjugacyEngine:
         terms outward from n over [n - k, n + k]: the past k < n (distances
         1..k) and the future k >= n (0..k).
 
-        First K', beyond which each side's terms are within tol / 8: closed-
-        form from an analytic envelope `env`, or else the window doubles
-        from 8 until each side's geometric-ratio extrapolation meets it,
-        both up to the engine's window cap.  Each side then takes the
-        shortest length whose terms left out inside K', plus its tail beyond
-        K', times 1 + s, stay within tol / 4; so a side of 0 terms is empty.
-
-        1 + s keeps that bound above the sum of the exact terms of the
-        engine's kernels, bounding the computed ones as Higham ("Accuracy
-        and Stability of Numerical Algorithms", 2nd ed., §4.2) does a sum.
-        Their errors, to first order in u = 2^-53 with q = dim_x, w = K':
-        the norm's, `operator_norm`'s gamma_{q-1} or delta / 2 + u, at most
-        q (q + 1) u with c_q <= q; the weight's, mu_k or gamma_k or rho_k
-        times at most w factors of 4 u each and a sum, 5 w + 4 u; the sum
-        of w terms, w u; the tail and the bound's own arithmetic, 7 u: in
-        all q (q + 1) + 6 w + 11 u.  s = 2 (q (q + 1) + 6 w + 12) u, over
-        twice that, covers the second order too.
+        The analytic envelope `env` gives K' (`_reach`), beyond which each
+        side's terms are within tol / 8; a series without one raises
+        WindowExhausted.  Each side then takes the shortest length whose
+        terms left out inside K', plus its tail beyond K', times the
+        rounding slack of K' terms (`hypotheses.rounding_slack`), stay within
+        tol / 4; so a side of 0 terms is empty.
         """
-        cap, share, q = self.window_halfwidth, tol / 4.0, self.sys.space.dim_x
-        if env is not None:
-            k = env.required_halfwidth(share)
-            if k is None or k > cap:
-                raise WindowExhausted(n, cap, tol, env.two_sided(cap))
-            terms, beyond = sides(k), (env.one_sided(k),) * 2
-        else:
-            k = min(8, cap)
-            while True:
-                terms = sides(k)
-                (lt, lv), (rt, rv) = (_ratio_tail(side) for side in terms)
-                if lv == CONVERGED and rv == CONVERGED and 2.0 * max(lt, rt) <= share:
-                    break
-                if k >= cap:
-                    raise WindowExhausted(n, cap, tol,
-                                          None if (lt is None or rt is None) else lt + rt)
-                k = min(cap, k * 2)
-            beyond = (lt, rt)
-        slack = 1.0 + 2 * (q * (q + 1) + 6 * k + 12) * 2.0 ** -53
+        k = self._reach(n, env, tol)
+        terms, beyond, slack = sides(k), env.one_sided(k), rounding_slack(self.sys.space.dim_x, k)
         # per side, [L] the bound with its first L terms kept, and the shortest L within the share
-        bounds = [slack * (np.append(np.cumsum(np.asarray(t)[::-1])[::-1], 0.0) + b)
-                  for t, b in zip(terms, beyond)]
-        past, future = (int(np.argmax(b <= share)) for b in bounds)
+        bounds = [slack * (np.append(np.cumsum(np.asarray(t)[::-1])[::-1], 0.0) + beyond)
+                  for t in terms]
+        past, future = (int(np.argmax(b <= tol / 4.0)) for b in bounds)
         return n - past, n + future - 1, float(bounds[0][past]) + float(bounds[1][future])
+
+    def _reach(self, n: int, env, tol: float) -> int:
+        """K' of a series at centre n under its analytic envelope `env`: the
+        halfwidth beyond which its two sides sum to within tol / 4.  Raises
+        WindowExhausted without an envelope, or past the window cap."""
+        cap = self.window_halfwidth
+        k = None if env is None else env.required_halfwidth(tol / 4.0)
+        if k is None or k > cap:
+            raise WindowExhausted(n, cap, tol, None if env is None else env.two_sided(cap))
+        return k
+
+    def _h_tolerance(self, n: int) -> float:
+        """The series tolerance of h at n: fp_tol (1 - c(n)) / 2, at most series_tol."""
+        return min(self.series_tol, self.fp_tol * (1.0 - self.contraction(n)) / 2.0)
 
     # -- contraction certificate --------------------------------------------
 
@@ -408,10 +394,10 @@ class ConjugacyEngine:
 
     def h_window(self, n: int) -> tuple[SeriesWindow, int]:
         """(window, iteration cap >= 8) of h at n: its series window at the
-        tightened tolerance fp_tol (1 - c(n)) / 2, and the Picard count that
+        tightened tolerance `_h_tolerance(n)`, and the Picard count that
         brings the window's value bound under fp_tol at rate c(n), plus 16."""
         c = self.contraction(n)
-        win = self.series_window(n, min(self.series_tol, self.fp_tol * (1.0 - c) / 2.0))
+        win = self.series_window(n, self._h_tolerance(n))
         if c <= 0.0 or win.value_bound <= self.fp_tol:
             cap = 8
         else:
@@ -503,15 +489,13 @@ class ConjugacyEngine:
         backward steps raise, or None: the backward steps of h's span, the
         widest at m and the only ones its walks take, each checked once per
         engine for A_j^{-1} and |A_j^{-1}| gamma_j < 1.  First the block's
-        Green rows slide, for each index's certificate, then as wide as its h
-        window, K' from an analytic envelope (`_fit_window`), needs."""
+        Green rows slide, for each index's certificate, then as wide as the
+        K' of its h window (`_reach`)."""
         self._slide_rows(block, 0)
-        ks, cap = [0], self.window_halfwidth
+        ks = [0]
         for m in block:
-            env = _envelope(self.sys, "barh", m)
             with contextlib.suppress(NonautolinError):  # reported below
-                tol = min(self.series_tol, self.fp_tol * (1.0 - self.contraction(m)) / 2.0)
-                ks.append(min(env.required_halfwidth(tol / 4) or 0, cap) if env else 0)
+                ks.append(self._reach(m, _envelope(self.sys, "barh", m), self._h_tolerance(m)))
         self._slide_rows(block, max(ks))
         for m in block:
             if any(n + steps >= m for n in live.bases) or any(

@@ -1,11 +1,12 @@
 """Numerical certification of the admissibility conditions.
 
 All bi-infinite sums are evaluated over explicit finite windows and reported
-as `SeriesEstimate` records: partial sum, tail bound (analytic envelope when
-the system carries one, geometric-ratio extrapolation otherwise) and a
-three-valued verdict.  A finite tool cannot certify a supremum over all of
-Z, so every report names its window; the built-in systems additionally carry
-closed-form envelopes that dominate their tails for every index.
+as `SeriesEstimate` records: partial sum, tail bound and a three-valued
+verdict.  Every verdict rests on closed forms the system declares
+(`TailEnvelopes`): a side of a sum converges under an analytic envelope on
+its terms, diverges under a positive lower bound on them that its computed
+terms bear out, and is inconclusive otherwise.  A finite tool cannot
+certify a supremum over all of Z, so every report names its window.
 
 Condition ids used in reports:
 
@@ -38,12 +39,6 @@ DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
 
 _SAMPLING_SLACK = 1e-9
-
-# Heuristics of the series estimator, for sides without an analytic envelope
-EXPLOSION_CAP = 1e6  # a larger partial sum is divergent
-DIVERGENCE_RUN = 10  # this many positive non-decreasing terms witness divergence
-RATIO_CUTOFF = 0.999  # no geometric tail is extrapolated from a larger ratio
-RATIO_TERMS = 10  # the outermost terms the ratio is read from
 
 
 def _json_number(x) -> Optional[float]:
@@ -80,90 +75,62 @@ class SeriesEstimate:
         }
 
 
-def _has_divergence_run(terms: list, run_len: int) -> bool:
-    """True when >= run_len consecutive positive non-decreasing terms appear
-    (scanning outward from the series center)."""
-    run = 0
-    prev = 0.0
-    for t in terms:
-        if t > 0.0 and run > 0 and t >= prev * (1.0 - 1e-12):
-            run += 1
-        elif t > 0.0:
-            run = 1
-        else:
-            run = 0
-        if run >= run_len:
-            return True
-        prev = t
-    return False
+def rounding_slack(dim_x: int, width: int) -> float:
+    """1 + s, the rounding slack of a series of `_advanced_terms`, or of
+    |G(n, k+1)| mu_k, over a window of `width` terms per side: times 1 + s a
+    computed term, or a sum of them plus an envelope tail, bounds its exact
+    value on the engine's kernels, as Higham ("Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., §4.2) bounds a sum.
 
-
-def _ratio_tail(terms: list) -> tuple[Optional[float], str]:
-    """Tail estimate by geometric-ratio extrapolation from the outermost terms."""
-    if len(terms) == 0:
-        return 0.0, CONVERGED
-    chunk = terms[-RATIO_TERMS:]
-    if all(t == 0.0 for t in chunk):
-        return 0.0, CONVERGED
-    ratios = [b / a for a, b in zip(chunk, chunk[1:]) if a > 0.0 and b > 0.0]
-    if not ratios:
-        return None, INCONCLUSIVE
-    r = max(ratios)
-    if r >= RATIO_CUTOFF:
-        return None, INCONCLUSIVE
-    base = next(t for t in reversed(terms) if t > 0.0)
-    return base * r / (1.0 - r), CONVERGED
-
-
-def _side_tail(terms: list, envelope_tail: Optional[float]) -> tuple[Optional[float], str]:
-    # An analytic envelope certifies convergence outright; the run witness is
-    # a heuristic for envelope-less systems only (legitimate series can rise
-    # transiently toward the gamma peak before their decay sets in).
-    if envelope_tail is not None:
-        # an overflowed envelope's infinite tail bounds nothing
-        return (envelope_tail, CONVERGED) if math.isfinite(envelope_tail) else (None, INCONCLUSIVE)
-    if _has_divergence_run(terms, DIVERGENCE_RUN):
-        return None, DIVERGENT
-    return _ratio_tail(terms)
-
-
-def _estimate(
-    window: tuple[int, int],
-    left_terms: list,
-    right_terms: list,
-    middle: Optional[float],
-    left_env_tail: Optional[float],
-    right_env_tail: Optional[float],
-    partial: Optional[float] = None,
-) -> SeriesEstimate:
-    """Combine the two outward-ordered term lists into one estimate.
-
-    `middle` is the center term of a two-sided series, or None for a
-    one-sided series with no center term.  The env tails are analytic
-    bounds on the sum beyond each side's window (None: extrapolate).
-    An absent side must be passed as an empty term list with tail None.
-    `partial` is the sum of all terms, when the caller has it.
+    Their errors, to first order in u = 2^-53 with q = dim_x, w = width:
+    the norm's, `operator_norm`'s gamma_{q-1} or delta / 2 + u, at most
+    q (q + 1) u with c_q <= q; the weight's, mu_k or gamma_k or rho_k times
+    at most w factors of 4 u each and a sum, 5 w + 4 u; the sum of w terms,
+    w u; the tail and the bound's own arithmetic, 7 u: in all q (q + 1) +
+    6 w + 11 u.  s = 2 (q (q + 1) + 6 w + 12) u, over twice that, covers the
+    second order too.
     """
-    if partial is None:
-        partial = (middle or 0.0) + float(np.sum(left_terms)) + float(np.sum(right_terms))
-    lt, lv = _side_tail(left_terms, left_env_tail)
-    rt, rv = _side_tail(right_terms, right_env_tail)
-    inspected = len(left_terms) + len(right_terms) + (0 if middle is None else 1)
-    # the explosion cap is a heuristic like the ratio tail: analytic envelopes
-    # on every side that has terms bound a large partial sum's tails outright
-    extrapolated = (len(left_terms) > 0 and left_env_tail is None) or (
-        len(right_terms) > 0 and right_env_tail is None
-    )
-    exploded = partial > EXPLOSION_CAP and extrapolated
-    # a NaN sum is an arithmetic failure (inf * 0 in an overflowed Green
-    # kernel), not a divergence witness
+    return 1.0 + 2 * (dim_x * (dim_x + 1) + 6 * width + 12) * 2.0 ** -53
+
+
+def _side_tail(terms, envelope_tail: Optional[float], floor: float,
+               slack: float) -> tuple[Optional[float], str]:
+    """(tail bound, verdict) of one side of a series from its computed terms:
+    divergent under a positive closed-form `floor` on every term, but
+    inconclusive if a term times `slack` undercuts it; else converged under
+    a finite analytic envelope tail (an overflowed one bounds nothing); else
+    inconclusive, even with no terms, as then the tail is the whole side."""
+    if floor > 0.0:
+        return None, DIVERGENT if np.all(np.asarray(terms) * slack >= floor) else INCONCLUSIVE
+    if envelope_tail is not None and math.isfinite(envelope_tail):
+        return envelope_tail, CONVERGED
+    return None, INCONCLUSIVE
+
+
+def _estimate(window: tuple[int, int], sides: tuple, middle: Optional[float], partial: float,
+              slack: float = 1.0) -> SeriesEstimate:
+    """One estimate from the (terms outward from the center, envelope tail
+    or None, floor) of each side of a series (`_side_tail`; a one-sided
+    series passes one), `middle` its center term or None and `partial` the
+    sum of all its terms.
+
+    A divergent side makes the sum divergent, and so does an infinite
+    partial sum: a sum past the largest double can never give a converged
+    verdict or a bound < 1, whether or not its exact value is finite.  A NaN
+    sum, an arithmetic failure (inf * 0 in an overflowed Green kernel), is
+    inconclusive whatever its sides say."""
+    inspected, tail, verdicts = int(middle is not None), 0.0, []
+    for terms, envelope_tail, floor in sides:
+        side_tail, verdict = _side_tail(terms, envelope_tail, floor, slack)
+        inspected, tail = inspected + len(terms), tail + (side_tail or 0.0)
+        verdicts.append(verdict)
     if math.isnan(partial):
         return SeriesEstimate(partial, None, INCONCLUSIVE, window, inspected)
-    if exploded or math.isinf(partial) or DIVERGENT in (lv, rv):
+    if math.isinf(partial) or DIVERGENT in verdicts:
         return SeriesEstimate(partial, None, DIVERGENT, window, inspected)
-    if INCONCLUSIVE in (lv, rv):
+    if INCONCLUSIVE in verdicts:
         return SeriesEstimate(partial, None, INCONCLUSIVE, window, inspected)
-    return SeriesEstimate(partial, lt + rt, CONVERGED, window, inspected)
+    return SeriesEstimate(partial, tail, CONVERGED, window, inspected)
 
 
 def _unknown(lo: int, hi: int) -> SeriesEstimate:
@@ -403,15 +370,19 @@ def _advanced(sys: SystemSpec, r: IndexConstants, g: np.ndarray, w: int) -> list
     (past, future), (left, right) = _advanced_terms(r, g, w)
     first, second = g[:, w] * r.gamma[:, w], g[:, w] * (r.gamma[:, w] + r.rho[:, w])
     sums = zip(past.sum(axis=1), future.sum(axis=1), second + left.sum(axis=1) + right.sum(axis=1))
-    out = []
+    slack, out = rounding_slack(sys.space.dim_x, w), []
+    floors = sys.envelopes and sys.envelopes.floors or {}
+    xi_floors, eta_floors = (floors.get(kind, lambda n: (0.0, 0.0)) for kind in ("dxi", "deta"))
     for i, (k_sum, j_sum, eta_sum) in enumerate(sums):
         n = r.lo + w + i
         dxi, deta = _envelope(sys, "dxi", n), _envelope(sys, "deta", n)
         xi_tail, eta_tail = dxi and dxi.one_sided(w), deta and deta.one_sided(w)
-        k_est = _estimate((n - w, n - 1), past[i], [], None, xi_tail, None, k_sum)
-        j_est = _estimate((n + 1, n + w), [], future[i], None, None, xi_tail, j_sum)
-        out.append((k_est, j_est, float(k_est.bound + j_est.bound + first[i]), _estimate(
-            (n - w, n + w), left[i], right[i], second[i], eta_tail, eta_tail, eta_sum)))
+        (k_floor, j_floor), (eta_past, eta_future) = xi_floors(n), eta_floors(n)
+        k_est = _estimate((n - w, n - 1), ((past[i], xi_tail, k_floor),), None, k_sum, slack)
+        j_est = _estimate((n + 1, n + w), ((future[i], xi_tail, j_floor),), None, j_sum, slack)
+        eta_sides = ((left[i], eta_tail, eta_past), (right[i], eta_tail, eta_future))
+        out.append((k_est, j_est, float(k_est.bound + j_est.bound + first[i]),
+                    _estimate((n - w, n + w), eta_sides, second[i], eta_sum, slack)))
     return out
 
 
@@ -482,7 +453,8 @@ def certify(
                 env = _envelope(sys, which, n)
                 tail = env.one_sided(w) if env else None
                 out.append(_unknown(n - w, n + w) if n in failed else _estimate(
-                    (n - w, n + w), left[i], right[i], terms[i, w], tail, tail, sums[i]))
+                    (n - w, n + w), ((left[i], tail, 0.0), (right[i], tail, 0.0)), terms[i, w],
+                    sums[i]))
         if report.advanced_error is not None:
             continue
         stop = min((n for n in chunk if n in failed), default=b)

@@ -321,6 +321,10 @@ class TailEnvelopes:
       barh : |G(n, k+1)| mu_k                           (center n)
       dxi  : |G(n, k+1)| gamma_k C_{k,n}                (center n)
       deta : |G(n, k+1)| (gamma_k M_{k,n} + rho_k D_{k,n})   (center n)
+
+    `floors` maps "dxi" and "deta" to the center n's (past, future) pair of
+    closed-form lower bounds on every term at distance >= 1 of that side, 0
+    where none is claimed; a positive one proves the side divergent.
     """
 
     bc2: Optional[Callable[[int], GeometricTail]] = None
@@ -328,6 +332,7 @@ class TailEnvelopes:
     barh: Optional[Callable[[int], GeometricTail]] = None
     dxi: Optional[Callable[[int], GeometricTail]] = None
     deta: Optional[Callable[[int], GeometricTail]] = None
+    floors: Optional[dict[str, Callable[[int], tuple[float, float]]]] = None
 
 
 @dataclass

@@ -7,9 +7,11 @@ import pytest
 from nonautolin import (
     CouplingSpec,
     DriverSpec,
+    GeometricTail,
     OperatorSeq,
     SpaceSpec,
     SystemSpec,
+    TailEnvelopes,
     WeightSeq,
     certify,
     green_span,
@@ -88,9 +90,18 @@ def advanced_at(sys, n, w):
     return (*rep.ac2[n], rep.ac3_bound[n], rep.ac9[n])
 
 
+def zero_envelopes():
+    """The envelopes of a system whose coupling is 0: every series term is 0."""
+    def zero(n):
+        return GeometricTail(0.0, 0.5)
+
+    return TailEnvelopes(bc2=zero, bc3=zero, barh=zero, dxi=zero, deta=zero)
+
+
 def random_invertible_system(rng, dim=2, count=12, norm_kind="max"):
     """A system over a periodic table of random well-conditioned operators,
-    with zero coupling by default.  The table makes brute-force oracles easy."""
+    with zero coupling (and zero envelopes) by default.  The table makes
+    brute-force oracles easy."""
     mats = []
     for _ in range(count):
         while True:
@@ -108,14 +119,29 @@ def random_invertible_system(rng, dim=2, count=12, norm_kind="max"):
         p=WeightSeq.constant(np.eye(dim)),
         f=CouplingSpec.zero(dim, 0),
         g=DriverSpec.trivial(),
+        envelopes=zero_envelopes(),
     ), mats
 
 
 def nonlinear_driver_system(dim_half=1):
     """A = P = Id with a genuinely nonlinear diffeomorphism driver
     g(y) = y + 0.3 tanh(y) (inverse by Newton, Dg varies with y) and a
-    y-dependent coupling.  Carries no tail envelopes, so every series
-    window must come from ratio extrapolation."""
+    y-dependent coupling, with closed-form envelopes.
+
+    |G(n, k+1)| is 1 for k < n and 0 for k >= n, so only the past side
+    (k = n - d, d >= 1) has terms, and 4^{-|n - d|} <= 4^{|n|} 4^{-d}.  With
+    gamma_k = 0.1 4^{-|k|}, rho_k = 0.05 4^{-|k|}, mu = gamma + rho <= 0.16
+    4^{-|k|} (above the rounding of its float sum), the backward factor
+    1 / (1 - gamma_j) and sigma = 1:
+      bc2, bc3  mu_{m-d-1}, gamma_{m-d-1} <= 4^{|m|+1} (0.16, 0.1) 4^{-d};
+      barh      mu_{n-d} <= 0.16 4^{|n|} 4^{-d};
+      dxi       C_{k,n} = prod_j 1 / (1 - gamma_j) <= exp(sum_j gamma_j / 0.9)
+                = e^{5/27}, as -log(1 - x) <= x / (1 - x) and sum_j gamma_j =
+                0.1 (5/3): gamma_k C_{k,n} <= 0.1 e^{5/27} 4^{|n|} 4^{-d};
+      deta      M_{k,n} = prod_j (1 / (1 - gamma_j) + 1) <= 2^d e^{5/54} and
+                D_{k,n} = 1: gamma_k M + rho_k D <= (0.1 e^{5/54} + 0.05)
+                4^{|n|} 2^{-d}.
+    """
     dim_x, dim_y = 2 * dim_half, 2
     a = 0.3
 
@@ -173,11 +199,19 @@ def nonlinear_driver_system(dim_half=1):
             tau=lambda n: 1.0 + a,
             sigma=lambda n: 1.0,
         ),
+        envelopes=TailEnvelopes(
+            bc2=lambda m: GeometricTail(0.64 * 4.0 ** abs(m), 0.25),
+            bc3=lambda m: GeometricTail(0.4 * 4.0 ** abs(m), 0.25),
+            barh=lambda n: GeometricTail(0.16 * 4.0 ** abs(n), 0.25),
+            dxi=lambda n: GeometricTail(0.1 * math.exp(5 / 27) * 4.0 ** abs(n), 0.25),
+            deta=lambda n: GeometricTail((0.1 * math.exp(5 / 54) + 0.05) * 4.0 ** abs(n), 0.5),
+        ),
     )
 
 
-def with_coupling(sys, gamma, kind="max"):
-    """Replace the zero coupling by gamma * tanh (per-index constant gamma)."""
+def with_coupling(sys, gamma, kind="max", envelopes=None):
+    """Replace the zero coupling by gamma * tanh (per-index constant gamma),
+    with the given envelopes, the caller's to derive."""
     dim = sys.space.dim_x
     scale = 1.0 if kind == "max" else 1.0 / math.sqrt(dim)
 
@@ -197,7 +231,7 @@ def with_coupling(sys, gamma, kind="max"):
             rho=lambda n: 0.0,
         ),
         g=sys.g,
-        envelopes=None,
+        envelopes=envelopes,
     )
 
 
@@ -221,8 +255,12 @@ def blowup_system(limit, name="remm", **params):
 
 def expanding_system(lam=LN2, c=0.1):
     """P = 0 under the expanding A = diag(e^lam, e^{2 lam}), with the coupling
-    c 2^{-|n|} tanh(x) and no envelopes: every past kernel G(n, k+1), k < n,
-    is T(n, k+1) P = 0, so a bar_h walk needs no backward step."""
+    c 2^{-|n|} tanh(x): every past kernel G(n, k+1), k < n, is T(n, k+1) P =
+    0, so a bar_h walk needs no backward step.
+
+    Its bar_h envelope: a future kernel (k = n + d, d >= 1) is -A^{-(d+1)},
+    of max norm e^{-lam (d+1)}, and mu_k = c 2^{-|n+d|} <= c 2^{|n|} 2^{-d},
+    so each term is at most c e^{-lam} 2^{|n|} (e^{-lam} / 2)^d."""
     a = np.diag([math.exp(lam), math.exp(2 * lam)])
     a_inv = np.diag([math.exp(-lam), math.exp(-2 * lam)])
     base = SystemSpec(
@@ -233,4 +271,6 @@ def expanding_system(lam=LN2, c=0.1):
         f=CouplingSpec.zero(2, 0),
         g=DriverSpec.trivial(),
     )
-    return with_coupling(base, lambda n: c * 0.5 ** abs(n))
+    eml = math.exp(-lam)
+    return with_coupling(base, lambda n: c * 0.5 ** abs(n), envelopes=TailEnvelopes(
+        barh=lambda n: GeometricTail(c * eml * 2.0 ** abs(n), eml / 2.0)))

@@ -11,11 +11,13 @@ from nonautolin import (
     DIVERGENT,
     ExampleParams,
     certify,
+    green_span,
     make_system,
     operator_norm,
     system_by_name,
 )
 from nonautolin.catalog import BUILDERS, LAM_MAX, _prod_one_plus
+from nonautolin.hypotheses import IndexConstants, _advanced_terms
 
 from .conftest import LN2, advanced_at
 from .reference import column_norms, fd_jacobian, green_norm, lip_C
@@ -219,6 +221,24 @@ class TestEmo:
             prod *= s.a_norm(k - 1) + s.f.gamma(k - 1)
             term = green_norm(s, n, k + 1) * s.f.gamma(k) * prod
             assert term >= floor - 1e-15
+
+    def test_floors_bound_the_computed_terms(self):
+        # the floors of make_emo's docstring lie under every computed term of
+        # both sides of the dxi and deta sums, so each sum is proved divergent
+        w = 50
+        for lam in (0.05, 0.1, 0.5, 1.0, 2.0):
+            for c in (1e-4, 1e-3, 1e-2, 0.1, 0.3):
+                if c * math.exp(lam) >= 1.0:  # bc4 fails first
+                    continue
+                s = system_by_name("emo", lam=lam, c=c)
+                for n in (-10, 0, 10):
+                    consts = IndexConstants.of(s, n - w, n + w).rows(2 * w + 1)
+                    g = operator_norm(green_span(s, n, n - w + 1, n + w + 1), "max")
+                    for which, sides in zip(("dxi", "deta"), _advanced_terms(consts, g[None], w)):
+                        for floor, terms in zip(s.envelopes.floors[which](n), sides):
+                            assert np.all(terms[0] >= floor * (1 - 1e-12)), (lam, c, n, which)
+                    k_est, j_est, _, eta_est = advanced_at(s, n, w)
+                    assert k_est.verdict == j_est.verdict == eta_est.verdict == DIVERGENT
 
     def test_zero_constant_converges(self):
         s = system_by_name("emo", lam=1.0, c=0.0)

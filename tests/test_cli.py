@@ -55,8 +55,8 @@ class TestCheckCommand:
         assert rep["hypothesis"]["q_bound"] == 0.0
 
     def test_envelope_bounds_a_partial_sum_above_the_cap(self, tmp_path):
-        # end_cfg's second-variable sum at n = 21 passes the explosion cap
-        # (1e6) inside the window, but its deta envelope bounds both tails
+        # end_cfg's second-variable sum at n = 21 passes 1e6 inside the
+        # window (the old explosion cap), and its deta envelope bounds both tails
         out = tmp_path / "rep.json"
         rc = run(["check", "--system", "end_cfg", "--n-min", "21", "--n-max", "21",
                   "--out", str(out)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -11,12 +12,15 @@ from nonautolin import (
     ContractionViolation,
     CouplingSpec,
     DriverSpec,
+    GeometricTail,
     OperatorSeq,
     SolveOptions,
     SpaceSpec,
     SystemSpec,
+    TailEnvelopes,
     WeightSeq,
     WindowExhausted,
+    certify,
     green_span,
     operator_norm,
     system_by_name,
@@ -30,13 +34,17 @@ from nonautolin.evolution import (Span, _forward_step, _state_columns, _trajecto
                                   coupled_trajectory)
 
 from .conftest import (LN2, blowup_system, diag_stack, expanding_system,
-                       random_invertible_system)
+                       nonlinear_driver_system, random_invertible_system)
 from .reference import (bar_h_series, column_norms, evolve_coupled, evolve_driver,
                         green_by_factors, green_span_by_columns, h_by_picard, reordering_bound)
 
 
 def one_term_system(n0, c=0.05, lam=LN2):
-    """Coupling supported at the single index n0; every series has one term."""
+    """Coupling supported at the single index n0; every series has one term.
+
+    Its bar_h envelope: at centre n the one term, at distance d = |n - n0|,
+    is c |G(n, n0 + 1)|, which is c e^{-lam (d-1)} for n0 < n and
+    c e^{-lam (d+1)} for n0 >= n, so at most c e^lam e^{-lam d}."""
     el, eml = math.exp(lam), math.exp(-lam)
     a = np.diag([el, eml])
     a_inv = np.diag([eml, el])
@@ -63,6 +71,7 @@ def one_term_system(n0, c=0.05, lam=LN2):
             rho=lambda n: 0.0,
         ),
         g=DriverSpec.trivial(),
+        envelopes=TailEnvelopes(barh=lambda n: GeometricTail(c * el, eml)),
     )
 
 
@@ -110,6 +119,26 @@ class TestBarH:
         eng = ConjugacyEngine(emo, window_halfwidth=3, series_tol=1e-12)
         with pytest.raises(WindowExhausted):
             eng.bar_h(0, np.array([0.1, 0.1]))
+
+    def test_no_envelope_no_window(self, ex1_mild):
+        # decaying terms without an analytic envelope prove nothing: each sum
+        # is inconclusive, and no window can be fitted to a tolerance
+        s = dataclasses.replace(ex1_mild, envelopes=None)
+        rep = certify(s, (0, 0), 40, probes=4)
+        verdicts = {rep.bc2.verdict, rep.bc3.verdict, *(e.verdict for e in rep.ac2[0]),
+                    rep.ac9[0].verdict}
+        assert verdicts == {"inconclusive"} and rep.ac3_bound[0] == math.inf
+        # at halfwidth 0 every side is all tail, so nothing is certified either
+        assert not certify(s, (0, 0), 0, probes=1).overall_ok
+        eng = ConjugacyEngine(s)
+        for fit in (lambda: eng.series_window(0, eng.series_tol), lambda: eng.derivative_window(0)):
+            with pytest.raises(WindowExhausted) as err:
+                fit()
+            assert err.value.reached is None
+        with pytest.raises(ContractionViolation):
+            eng.h(0, np.zeros(2))
+        # bar_h over a given halfwidth still sums, with no tail bound
+        assert eng.bar_h_detailed(0, np.zeros(2), window=5)[1] == math.inf
 
     def test_bar_H_components(self, engine_ex1):
         xi = np.array([0.2, 0.5])
@@ -337,10 +366,15 @@ class TestOneSidedWalks:
 def _exact_green_norms(sys, name, n, ks):
     """|G(n, k+1)| for k in ks as 50-digit numbers from the closed forms:
     on ex1, A = diag(a, 1/a) with its float entries and P = diag(0, 1) give
-    (1/a)^{n-k-1} for k < n and (1/a)^{k+1-n} for k >= n; on remm, A = P =
-    Id gives 1 for k < n and 0 for k >= n."""
-    if name == "remm":
+    (1/a)^{n-k-1} for k < n and (1/a)^{k+1-n} for k >= n; on remm and the
+    nonlinear driver system, A = P = Id gives 1 for k < n and 0 for k >= n;
+    on the expanding system, P = 0 and A^{-1} = diag(b, b^2) give 0 for
+    k < n and b^{k+1-n} for k >= n."""
+    if name in ("remm", "nonlinear"):
         return [mpmath.mpf(1 if k < n else 0) for k in ks]
+    if name == "expanding":
+        b = mpmath.mpf(sys.a.inverse(0)[0, 0])
+        return [b ** (k + 1 - n) if k >= n else mpmath.mpf(0) for k in ks]
     past, future = mpmath.mpf(sys.a.matrix(0)[1, 1]), mpmath.mpf(sys.a.inverse(0)[0, 0])
     return [past ** (n - k - 1) if k < n else future ** (k + 1 - n) for k in ks]
 
@@ -353,12 +387,17 @@ class TestFittedWindows:
 
     @pytest.mark.parametrize("name, kwargs", [
         ("ex1", dict(lam=LN2, gamma_scale=0.5)), ("ex1", dict(lam=0.3, gamma_scale=0.9)),
-        ("remm", dict(gamma_scale=0.5))])
+        ("remm", dict(gamma_scale=0.5)), ("expanding", {}), ("nonlinear", {})])
     def test_tail_bound_covers_the_exact_dropped_sum(self, name, kwargs):
-        sys = system_by_name(name, **kwargs)
+        # the test systems' envelopes, derived in tests/conftest.py, as well;
+        # the expanding system has no contraction certificate, so no h window
+        sys = {"expanding": expanding_system, "nonlinear": nonlinear_driver_system}.get(
+            name, lambda: system_by_name(name, **kwargs))()
         eng = ConjugacyEngine(sys, window_halfwidth=160, advanced_halfwidth=40)
-        for n, tol in ((n, tol) for n in (-12, -3, 0, 4, 12) for tol in (
-                eng.series_tol, eng.fp_tol * (1 - eng.contraction(n)) / 2)):
+        h_tol = (lambda n: []) if name == "expanding" else (
+            lambda n: [eng.fp_tol * (1 - eng.contraction(n)) / 2])
+        for n, tol in ((n, tol) for n in (-12, -3, 0, 4, 12)
+                       for tol in [eng.series_tol, *h_tol(n)]):
             with mpmath.workdps(50):
                 win = eng.series_window(n, tol)
                 env = sys.envelopes.barh(n)
@@ -376,9 +415,38 @@ class TestFittedWindows:
                     assert past + terms[win.lo] > tol / 4, (n, tol)
                 if win.hi >= n:
                     assert future + terms[win.hi] > tol / 4, (n, tol)
-                if name == "remm":  # every term k >= n is 0: no future side
+                if name in ("remm", "nonlinear"):  # every term k >= n is 0: no future side
                     assert win.hi == n - 1 and win.lo < n
+                if name == "expanding":  # every term k < n is 0: no past side
+                    assert win.lo == n and win.hi >= n
                 assert n - k <= win.lo and win.hi <= n + k
+
+    def test_nonlinear_driver_envelopes_bound_the_exact_terms(self):
+        # every term of each series the system declares an envelope for, at
+        # 50 digits from its closed form (tests/conftest.py), at or below
+        # the envelope's amplitude * ratio^d; only the past side has terms
+        sys = nonlinear_driver_system()
+        f = sys.f
+
+        def exact(which, n, d):
+            k = n - d
+            if which in ("bc2", "bc3"):  # centre m = n, q = n - d, weight at q - 1
+                return mpmath.mpf((f.mu if which == "bc2" else f.gamma)(k - 1))
+            if which == "barh":
+                return mpmath.mpf(f.mu(k))
+            back = [1 / (1 - mpmath.mpf(f.gamma(j))) for j in range(k, n)]
+            if which == "dxi":
+                return mpmath.mpf(f.gamma(k)) * mpmath.fprod(back)
+            return mpmath.mpf(f.gamma(k)) * mpmath.fprod(b + 1 for b in back) + mpmath.mpf(
+                f.rho(k))
+
+        with mpmath.workdps(50):
+            for which in ("bc2", "bc3", "barh", "dxi", "deta"):
+                for n in (-12, -3, 0, 4, 12):
+                    env = getattr(sys.envelopes, which)(n)
+                    amp, ratio = mpmath.mpf(env.amplitude), mpmath.mpf(env.ratio)
+                    for d in range(1, 61):
+                        assert exact(which, n, d) <= amp * ratio ** d, (which, n, d)
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "remm", "end_cfg"])
     def test_slid_rows_bit_identical_to_green_span(self, name):
@@ -1030,6 +1098,32 @@ class TestResidualTables:
         assert [list(cols) for cols in done] == [
             list(range(-10, 1)), list(range(1, 8)), list(range(8, 17)), list(range(17, 21))]
         assert all(sum(cols.values()) <= conj._BLOCK_COLUMNS for cols in done)
+
+    def test_one_window_policy(self, monkeypatch):
+        # _fit_window and _first_unfit read K' from one helper: with its share
+        # patched there alone, the rows _first_unfit slides are as wide as
+        # every window fitted after it, so no residual block rebuilds a row
+        # through green_row
+        s = system_by_name("ex1", lam=LN2, gamma_scale=0.5)
+        xi = np.random.default_rng(3).uniform(-1, 1, (2, 3))
+        reach, widths = ConjugacyEngine._reach, []
+        for share in (4.0, 64.0):  # tol / 4, the default, and tol / 64
+            monkeypatch.setattr(ConjugacyEngine, "_reach", lambda self, n, env, tol, share=share:
+                                reach(self, n, env, tol * 4.0 / share))
+            eng = ConjugacyEngine(s, advanced_halfwidth=8)
+            rebuilt, green_row = [], eng.green_row
+
+            def counted(n, halfwidth, eng=eng, rebuilt=rebuilt, green_row=green_row):
+                if len(eng._green_rows.get(n, ())) < 2 * halfwidth + 1:
+                    rebuilt.append((n, halfwidth))
+                return green_row(n, halfwidth)
+
+            monkeypatch.setattr(eng, "green_row", counted)
+            tables = eng.residual_tables(range(-2, 3), xi, steps=3)
+            assert all(not t.inverse_errors and not t.equivariance_errors for t in tables.values())
+            assert rebuilt == [], share
+            widths.append(min(len(row) for row in eng._green_rows.values()))
+        assert widths[1] > widths[0]  # the patch widened every window's K'
 
     def test_one_green_span_per_index(self, monkeypatch):
         # the contraction certificate reads the Green row the h and bar_h

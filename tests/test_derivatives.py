@@ -595,9 +595,9 @@ class TestDerivativesPhase:
 
 
 class TestNonlinearDriver:
-    """A driver whose Jacobian varies with the state, with no tail envelopes:
-    covers the Newton-inverted backward driver chain and the
-    ratio-extrapolated window fallbacks end to end."""
+    """A driver whose Jacobian varies with the state: covers the
+    Newton-inverted backward driver chain end to end, on windows fitted under
+    the system's derived envelopes."""
 
     @pytest.fixture
     def sys_nl(self):
@@ -638,7 +638,7 @@ class TestNonlinearDriver:
             )
             assert rep.rel_error <= 1e-5, k
 
-    def test_certification_via_ratio_fallback(self, sys_nl):
+    def test_certification_under_derived_envelopes(self, sys_nl):
         from nonautolin import certify
 
         rep = certify(sys_nl, n_range=(-4, 4), window_halfwidth=30, probes=16)
@@ -646,7 +646,7 @@ class TestNonlinearDriver:
         assert rep.advanced_series_ok
         assert all(rep.ac3.values())
 
-    def test_full_jacobian_set_on_fallback_windows(self, engine_nl, rng):
+    def test_full_jacobian_set_on_fitted_windows(self, engine_nl, rng):
         xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         reports = validate_jacobians(engine_nl, 0, xi, eta)
         assert len(reports) == 7
@@ -654,26 +654,22 @@ class TestNonlinearDriver:
             assert rep.rel_error <= 1e-4, kind
 
     def test_derivative_windows_fitted_once_per_n(self, engine_nl, rng, monkeypatch):
-        # with no envelope each derivative window is fitted by doubling from
-        # halfwidth 8, so the fits are the IndexConstants.of calls over 8
-        # on each side of n: one engine fits the dxi and deta windows once
-        # per n, however many passes read them
-        from nonautolin.hypotheses import IndexConstants
+        # one engine fits the dxi and deta windows once per n, however many
+        # passes read them
+        fits, fit = [], ConjugacyEngine._fit_window
 
-        fits, of = [], IndexConstants.of
+        def counted(self, n, env, tol, sides):
+            if "derivative_window" in sides.__qualname__:
+                fits.append(n)
+            return fit(self, n, env, tol, sides)
 
-        def counted(sys, lo, hi):
-            if hi - lo == 16:
-                fits.append((lo + hi) // 2)
-            return of(sys, lo, hi)
-
-        monkeypatch.setattr(IndexConstants, "of", staticmethod(counted))
+        monkeypatch.setattr(ConjugacyEngine, "_fit_window", counted)
         xi, eta = rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 4))
         for n in (-2, 0, 2):
             validate_jacobians(engine_nl, n, xi, eta)
         assert fits == [-2, -2, 0, 0, 2, 2]  # dxi and deta, once per n
 
-    def test_round_trip_on_fallback_windows(self, engine_nl, rng):
+    def test_round_trip_on_fitted_windows(self, engine_nl, rng):
         tol = engine_nl.fp_tol + 10 * engine_nl.series_tol
         for _ in range(5):
             xi, eta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)

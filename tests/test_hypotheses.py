@@ -16,24 +16,39 @@ from nonautolin import (
     OperatorSeq,
     SpaceSpec,
     SystemSpec,
+    TailEnvelopes,
     WeightSeq,
     certify,
     system_by_name,
 )
 import nonautolin.hypotheses as hyp
 import nonautolin.system as system_module
-from nonautolin.hypotheses import (IndexConstants, _estimate, _has_divergence_run,
-                                   _lip_products, _ratio_tail, sample_coupling_bounds)
+from nonautolin.hypotheses import (IndexConstants, _estimate, _lip_products, _side_tail,
+                                   rounding_slack, sample_coupling_bounds)
 from nonautolin.system import green_norm_rows, green_span
 
-from .conftest import LN2, advanced_at, diag_stack, random_invertible_system, with_coupling
+from .conftest import (LN2, advanced_at, diag_stack, random_invertible_system, with_coupling,
+                       zero_envelopes)
 from .reference import (coupling_bounds_per_probe, green_norm, green_norm_rows_per_center,
                         green_span_by_columns, lip_C, lip_D, lip_M)
 
 
 def scaling_driver_system(tau, rho, gamma=0.0, lam=LN2):
-    """ex1-style operators, y -> tau*y driver, coupling rho-Lipschitz in y."""
+    """ex1-style operators, y -> tau*y driver, coupling rho-Lipschitz in y.
+
+    In the max norm |G(m, q)| = e^{-lam |m - q|} in the basic sums, which
+    gives their envelopes.  In the advanced ones |G(n, k+1)| is
+    e^{-lam (d-1)} on the past side (k = n - d, d >= 1) and e^{-lam (d+1)}
+    on the future side (k = n + d), with C, M >= e^{lam d} and D = tau^{-d}
+    (past) or tau^d (future), so every term is at least its floor: gamma e^lam
+    on the past side of dxi and deta, gamma e^{-lam} on the future side of
+    dxi, and on the future side of deta e^{-lam} (gamma + rho (tau e^{-lam})^d),
+    at least e^{-lam} (gamma + rho) where tau >= e^lam: a driver expanding
+    faster than the Green kernel decays makes those terms grow.
+    """
     el, eml = math.exp(lam), math.exp(-lam)
+    dxi = (gamma * el, gamma * eml)
+    deta = (gamma * el, eml * (gamma + (rho if tau >= el else 0.0)))
     a = np.diag([el, eml])
     a_inv = np.diag([eml, el])
     p = np.diag([0.0, 1.0])
@@ -62,77 +77,68 @@ def scaling_driver_system(tau, rho, gamma=0.0, lam=LN2):
             tau=lambda n: tau,
             sigma=lambda n: 1.0 / tau,
         ),
+        envelopes=TailEnvelopes(
+            bc2=lambda m: GeometricTail(gamma + rho, eml),
+            bc3=lambda m: GeometricTail(gamma, eml),
+            floors={"dxi": lambda n: dxi, "deta": lambda n: deta},
+        ),
     )
 
 
 class TestEstimatorInternals:
-    def test_divergence_run_detection(self):
-        assert _has_divergence_run([1.0] * 10, 10)
-        assert _has_divergence_run([0.1 * 1.01**i for i in range(12)], 10)
-        assert not _has_divergence_run([1.0 / (i + 1) for i in range(40)], 10)
-        # zeros never form a witness
-        assert not _has_divergence_run([0.0] * 50, 10)
-        # a rise shorter than the run length does not trigger
-        assert not _has_divergence_run([1, 2, 3, 4, 5, 4, 3, 2, 1, 0.5, 0.2], 10)
-
-    def test_ratio_tail_geometric(self):
-        terms = [0.5**i for i in range(1, 25)]
-        tail, verdict = _ratio_tail(terms)
-        assert verdict == CONVERGED
-        true_tail = 0.5**24  # sum_{i>=25} 0.5^i = 0.5^24
-        assert tail >= true_tail - 1e-15
-        assert tail <= 4 * true_tail
-
-    def test_ratio_tail_dead_series(self):
-        # an all-zero inspected chunk means the series died: tail exactly 0
-        assert _ratio_tail([0.3] + [0.0] * 10) == (0.0, CONVERGED)
-        assert _ratio_tail([]) == (0.0, CONVERGED)
-        # trailing zeros after a positive term extrapolate conservatively
-        tail, verdict = _ratio_tail([0.3, 0.1, 0.0, 0.0, 0.0])
-        assert verdict == CONVERGED and tail >= 0.0
-
-    def test_ratio_tail_slow_decay_inconclusive(self):
-        terms = [0.9995**i for i in range(40)]
-        tail, verdict = _ratio_tail(terms)
-        assert verdict == INCONCLUSIVE and tail is None
-
-    def test_explosion_cap(self):
-        # decaying terms whose extrapolated sum passes the 1e6 cap
-        est = _estimate((0, 5), [6e6, 5e6], [], None, None, None)
-        assert est.verdict == DIVERGENT
-
-    def test_explosion_cap_yields_to_analytic_envelopes(self):
-        # envelopes on both sides that carry terms: the tails are bounded
-        est = _estimate((-2, 2), [6e6, 5e6], [7e6, 4e6], 1e6, 0.5, 0.25)
-        assert est.verdict == CONVERGED and est.tail_bound == 0.75
-        # a side without terms needs no envelope
-        est = _estimate((-2, 0), [6e6, 5e6], [], None, 0.5, None)
-        assert est.verdict == CONVERGED
-        # one side with terms extrapolates: the cap still applies
-        est = _estimate((-2, 2), [6e6, 5e6], [7e6, 4e6], 1e6, 0.5, None)
-        assert est.verdict == DIVERGENT
-
     def test_non_finite_partial_sum_never_converges(self):
         for bad, verdict in ((math.inf, DIVERGENT), (math.nan, INCONCLUSIVE)):
-            est = _estimate((-1, 1), [bad], [1.0], None, 0.5, 0.5)
+            est = _estimate((-1, 1), (([bad], 0.5, 0.0), ([1.0], 0.5, 0.0)), None, bad)
             assert est.verdict == verdict
             assert est.to_json()["partial_sum"] is None
 
     def test_nan_partial_sum_is_inconclusive(self):
-        # NaN is an arithmetic failure, not a divergence witness, whatever
-        # the caps, envelopes and term runs (ten equal terms, one above 1e6)
-        # say; an infinite sum still diverges
-        for left_env in (0.5, None):
-            est = _estimate((-11, 1), [1.0] * 10 + [math.nan], [2e7], None, left_env, None)
+        # NaN is an arithmetic failure, not a divergence proof, whatever the
+        # envelopes and floors say; an infinite sum still diverges
+        for left_env, floor in ((0.5, 0.0), (None, 0.0), (None, 0.5)):
+            est = _estimate((-11, 1), (([1.0] * 10 + [math.nan], left_env, floor),
+                                       ([2e7], None, 0.0)), None, math.nan)
             assert est.verdict == INCONCLUSIVE
             assert est.tail_bound is None and est.bound == math.inf
-        est = _estimate((-1, 1), [math.inf], [], None, None, None)
+        est = _estimate((-1, 1), (([math.inf], None, 0.0),), None, math.inf)
         assert est.verdict == DIVERGENT
 
     def test_infinite_envelope_tail_is_inconclusive(self):
         # an overflowed envelope bounds nothing, not even all-zero terms
-        est = _estimate((-1, 1), [0.0], [0.0], 0.0, math.inf, 0.5)
+        est = _estimate((-1, 1), (([0.0], math.inf, 0.0), ([0.0], 0.5, 0.0)), 0.0, 0.0)
         assert est.verdict == INCONCLUSIVE and est.tail_bound is None
+
+    def test_a_side_converges_only_under_an_envelope(self):
+        # the envelope tails add; a large partial sum under them converges
+        est = _estimate((-2, 2), (([6e6, 5e6], 0.5, 0.0), ([7e6, 4e6], 0.25, 0.0)), 1e6, 2.3e7)
+        assert est.verdict == CONVERGED and est.tail_bound == 0.75
+        # a one-sided series passes one side; a side of no terms (a window of
+        # halfwidth 0) is all tail, so it too needs an envelope
+        est = _estimate((-2, -1), (([6e6, 5e6], 0.5, 0.0),), None, 1.1e7)
+        assert est.verdict == CONVERGED and est.tail_bound == 0.5
+        for env, verdict in ((None, INCONCLUSIVE), (0.25, CONVERGED)):
+            assert _estimate((0, 0), (([], env, 0.0), ([], env, 0.0)), 1.0, 1.0).verdict == verdict
+        # decaying terms without an envelope prove nothing, however fast they decay
+        for terms in ([0.5 ** d for d in range(1, 40)], [1e-300, 0.0, 0.0]):
+            assert _side_tail(terms, None, 0.0, 1.0) == (None, INCONCLUSIVE)
+            est = _estimate((0, 40), ((terms, None, 0.0),), None, math.fsum(terms))
+            assert est.verdict == INCONCLUSIVE and est.bound == math.inf
+
+    def test_a_side_diverges_only_under_a_floor_its_terms_bear_out(self):
+        slack = rounding_slack(2, 3)  # 1 + 72 u
+        # every term at or above the floor, the first within rounding of it
+        assert _side_tail([0.1 * (1 - 2.0 ** -50), 0.2, 0.3], None, 0.1, slack) == (
+            None, DIVERGENT)
+        # a divergent side makes the sum divergent, whatever the other side says
+        est = _estimate((-3, 3), (([0.1, 0.2, 0.3], None, 0.1), ([0.0] * 3, 0.5, 0.0)), 0.0, 0.6)
+        assert est.verdict == DIVERGENT and est.tail_bound is None
+        # one computed term below the floor: the floor is wrong, not the series divergent,
+        # even under an envelope
+        for env in (None, 0.5):
+            assert _side_tail([0.2, 0.1 * (1 - 2.0 ** -40), 0.3], env, 0.1, slack) == (
+                None, INCONCLUSIVE)
+            est = _estimate((-3, 0), (([0.2, 0.09, 0.3], env, 0.1),), None, 0.59, slack)
+            assert est.verdict == INCONCLUSIVE
 
 
 class TestCheckBasic:
@@ -245,6 +251,20 @@ class TestAdvancedFirst:
             assert j_est.verdict == DIVERGENT
             assert not total < 1.0
 
+    def test_floor_above_the_computed_terms_is_inconclusive(self, emo):
+        # a declared floor that the computed terms undercut proves nothing:
+        # its side is inconclusive, never divergent
+        c, lam = 0.01, 1.0
+        for past, future in ((10, 1), (1, 10), (10, 10)):
+            floors = (past * c * math.exp(lam), future * c * math.exp(-lam))
+            s = dataclasses.replace(emo, envelopes=dataclasses.replace(emo.envelopes, floors={
+                "dxi": lambda n, f=floors: f, "deta": lambda n, f=floors: f}))
+            k_est, j_est, total, eta_est = advanced_at(s, 0, 50)
+            assert k_est.verdict == (INCONCLUSIVE if past > 1 else DIVERGENT)
+            assert j_est.verdict == (INCONCLUSIVE if future > 1 else DIVERGENT)
+            assert eta_est.verdict == (INCONCLUSIVE if past == future == 10 else DIVERGENT)
+            assert total == math.inf
+
     def test_ex2_certified(self, ex2):
         for n in range(-10, 11, 5):
             k_est, j_est, total, _ = advanced_at(ex2, n, 40)
@@ -273,6 +293,8 @@ class TestAdvancedSecond:
         assert est.verdict == DIVERGENT
 
     def test_explosion_cap_triggers(self):
+        # a partial sum far above 1e6, divergent by the deta floor e^{-lam} rho
+        # and not by its size
         s = scaling_driver_system(tau=3.0, rho=1.0, lam=0.1)
         est = advanced_at(s, 0, 40)[3]
         assert est.verdict == DIVERGENT
@@ -427,6 +449,7 @@ class TestWindowReporting:
             p=WeightSeq(lambda n: (1.0 + abs(n)) * np.eye(2)),
             f=CouplingSpec.zero(2, 0),
             g=DriverSpec.trivial(),
+            envelopes=zero_envelopes(),
         )
         rep = certify(growing, (-5, 5), 8, probes=8)
         assert rep.bc2.verdict == CONVERGED  # zero coupling keeps sums zero
@@ -439,8 +462,9 @@ class TestEstimatorProperties:
         amp=st.floats(1e-6, 10.0),
     )
     def test_geometric_tail_dominates_true_tail(self, ratio, amp):
+        # the envelope tail beyond 29 terms amp ratio^d, the converged verdict's bound
         terms = [amp * ratio**d for d in range(1, 30)]
-        tail, verdict = _ratio_tail(terms)
+        tail, verdict = _side_tail(terms, GeometricTail(amp, ratio).one_sided(29), 0.0, 1.0)
         assert verdict == CONVERGED
         true_tail = amp * ratio**30 / (1.0 - ratio)  # sum over d >= 30
         assert tail >= true_tail * (1.0 - 1e-9)
@@ -448,8 +472,12 @@ class TestEstimatorProperties:
     @settings(max_examples=30, deadline=None)
     @given(ratio=st.floats(1.0, 3.0), amp=st.floats(1e-3, 1.0))
     def test_non_decaying_series_witnessed(self, ratio, amp):
+        # non-decreasing terms bear out the floor of their first term, and
+        # nothing above it
         terms = [amp * ratio**d for d in range(20)]
-        assert _has_divergence_run(terms, 10)
+        slack = rounding_slack(2, 20)
+        assert _side_tail(terms, None, amp, slack) == (None, DIVERGENT)
+        assert _side_tail(terms, None, amp * slack * 1.01, slack) == (None, INCONCLUSIVE)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -562,7 +590,8 @@ class TestChunks:
     @pytest.mark.parametrize("case", ["violation", "emo", "overflow"])
     def test_certify(self, case, monkeypatch):
         # a violated margin below n_range reaches the first three centers,
-        # across chunks of 3 (a non-divisor of 7); emo's tails are extrapolated
+        # across chunks of 3 (a non-divisor of 7); emo's advanced sums diverge
+        # by their floors
         if case == "violation":
             s = system_by_name("ex1", lam=LN2, gamma_scale=0.5)
             gamma = s.f.gamma
@@ -579,7 +608,7 @@ class TestChunks:
             assert certify(s, *args, probes=4).to_json() == rep
         if case == "violation":
             assert rep["advanced_error"].startswith("contraction violated at index -12")
-        elif case == "emo":  # a ratio tail, and divergence runs in every advanced sum
+        elif case == "emo":  # an envelope tail, and a floor in every advanced sum
             assert rep["bc2"]["verdict"] == "converged" and rep["bc2"]["tail_bound"] > 0.0
             assert rep["ac9"] and all(e["verdict"] == "divergent" for e in rep["ac9"].values())
         else:
@@ -597,7 +626,23 @@ def _verdicts(rep) -> list:
 
 def _non_normal_system(seed, strength, norm_kind, dim=3):
     """A_n = D_n + strength * U_n with D_n diagonal in [0.6, 1.4] and U_n
-    strictly upper triangular, a non-projection weight P and a small coupling."""
+    strictly upper triangular with entries in [-1, 1], a non-projection
+    weight P with entries in [-1, 1] and the coupling gamma_k = g 10^{-|k|},
+    g = 0.02, with envelopes wherever the bounds below give a ratio < 1.
+
+    |U_n| <= u (dim - 1 in the max norm, sqrt(dim (dim - 1) / 2) in the
+    euclidean one), so |A_n| <= a = 1.4 + strength u.  N = D_n^{-1} strength
+    U_n is nilpotent with |N| <= v = strength u / 0.6, so |A_n^{-1}| <= b =
+    sum_{i < dim} v^i / 0.6, and |P|, |Id - P| <= 1 + dim.  With gamma at
+    distance d from n (or from m - 1) at most g 10^{|n|} (or g 10^{|m|+1})
+    times 10^{-d}:
+      bc2, bc3  |T(m, q) P| <= a^d, |T(m, q) (Id - P)| <= b^d: ratio
+                max(a, b) / 10;
+      dxi, deta (M = C, no rho) past |T(n, k+1) P| <= a^{d-1} and
+                C_{k,n} <= (b / (1 - b g))^d; future |T(n, k+1) (Id - P)| <=
+                b^{d+1} and C_{k,n} <= (a + g)^d: ratio max(a b / (1 - b g),
+                b (a + g)) / 10, amplitude (1 + dim) g b 10^{|n|}.
+    """
     rng = np.random.default_rng(seed)
     mats = {}
 
@@ -605,7 +650,7 @@ def _non_normal_system(seed, strength, norm_kind, dim=3):
         if n not in mats:
             r = np.random.default_rng([seed, n + 1000])
             mats[n] = np.diag(r.uniform(0.6, 1.4, dim)) + strength * np.triu(
-                r.standard_normal((dim, dim)), 1)
+                r.uniform(-1.0, 1.0, (dim, dim)), 1)
         return mats[n]
 
     base = SystemSpec(
@@ -615,7 +660,22 @@ def _non_normal_system(seed, strength, norm_kind, dim=3):
         f=CouplingSpec.zero(dim, 0),
         g=DriverSpec.trivial(),
     )
-    return with_coupling(base, lambda k: 0.02 * 0.5 ** abs(k), kind=norm_kind)
+    g = 0.02
+    u = dim - 1.0 if norm_kind == "max" else math.sqrt(dim * (dim - 1) / 2)
+    a, v = 1.4 + strength * u, strength * u / 0.6
+    b = sum(v ** i for i in range(dim)) / 0.6
+    basic, advanced = max(a, b) / 10, max(a * b / (1 - b * g), b * (a + g)) / 10
+    envelopes = None
+    if b * g < 1 and max(basic, advanced) < 1:
+        def advanced_env(n):
+            return GeometricTail((1 + dim) * g * b * 10.0 ** abs(n), advanced)
+
+        def basic_env(m):
+            return GeometricTail((1 + dim) * g * 10.0 ** (abs(m) + 1), basic)
+
+        envelopes = TailEnvelopes(bc2=basic_env, bc3=basic_env, dxi=advanced_env,
+                                  deta=advanced_env)
+    return with_coupling(base, lambda k: g * 0.1 ** abs(k), kind=norm_kind, envelopes=envelopes)
 
 
 class TestSlidingSpans:
@@ -666,24 +726,28 @@ class TestSlidingSpans:
         assert np.array_equal(rows, ref)
 
     @pytest.mark.parametrize("build,n_range,w", [
-        (lambda: system_by_name("ex2", gamma_scale=0.9, rotation_angle=0.3), (-20, 20), 60),
-        (lambda: _non_normal_system(7, 0.1, "max"), (-10, 10), 30),
-        (lambda: _non_normal_system(7, 2.0, "max"), (-10, 10), 30),
-        (lambda: _non_normal_system(8, 0.1, "euclidean"), (-10, 10), 30),
-        (lambda: _non_normal_system(8, 2.0, "euclidean"), (-10, 10), 30),
+        (lambda: (system_by_name("ex2", gamma_scale=0.9, rotation_angle=0.3), {CONVERGED}),
+         (-20, 20), 60),
+        (lambda: (_non_normal_system(7, 0.1, "max"), {CONVERGED}), (-10, 10), 30),
+        (lambda: (_non_normal_system(7, 2.0, "max"), {INCONCLUSIVE}), (-10, 10), 30),
+        (lambda: (_non_normal_system(8, 0.1, "euclidean"), {CONVERGED}), (-10, 10), 30),
+        (lambda: (_non_normal_system(8, 2.0, "euclidean"), {INCONCLUSIVE}), (-10, 10), 30),
+        (lambda: (system_by_name("emo", c=0.01), {CONVERGED, DIVERGENT}), (-10, 10), 30),
     ])
     def test_within_rounding_and_same_verdicts(self, build, n_range, w, monkeypatch):
         # the sliding products associate the other way round: each norm moves
-        # by at most 8 L u relative, L = 2w + 2 the span length, u = 2^-53
-        s = build()
+        # by at most 8 L u relative, L = 2w + 2 the span length, u = 2^-53;
+        # `seen` are the series verdicts compared
+        s, seen = build()
         rows, failed = green_norm_rows(s, *n_range, w)
         ref, ref_failed = green_norm_rows_per_center(s, *n_range, w)
         assert failed == ref_failed == {}
         bound = 8 * (2 * w + 2) * 2.0 ** -53
         assert np.all(np.abs(rows - ref) <= bound * np.abs(ref))
-        slid = certify(s, n_range, w, probes=4)
+        slid = _verdicts(certify(s, n_range, w, probes=4))
         monkeypatch.setattr(hyp, "green_norm_rows", green_norm_rows_per_center)
-        assert _verdicts(slid) == _verdicts(certify(s, n_range, w, probes=4))
+        assert slid == _verdicts(certify(s, n_range, w, probes=4))
+        assert seen == {v for v in slid if v in (CONVERGED, DIVERGENT, INCONCLUSIVE)}
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "end_cfg"])
     def test_zero_halfwidth(self, name):
